@@ -1,9 +1,10 @@
 """Command-line surface: predictions, species tables, verification, sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 input/configuration error
-(argparse itself exits with 2 on unknown flags).  Tables print values with 3
-significant figures by default (``--precision`` overrides); JSON output keeps
-full float precision and round-trips exactly.  CSV sections are separated by
+(argparse itself exits with 2 on unknown flags), 141 when the reader of
+standard output goes away.  Tables print values with 3 significant figures by
+default (``--precision`` overrides); JSON output keeps full float precision
+and round-trips exactly.  CSV sections are separated by
 ``# section: <name>`` comment lines; column orders are fixed and documented in
 the README.
 """
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -45,6 +47,7 @@ __all__ = ["RunConfig", "main", "entry"]
 
 _LAMBDA_GRID = (1e-4, 3e-4, 1e-3, 3e-3)
 _TRAJECTORY_SAMPLES = 17
+_EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that went away
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config(args: argparse.Namespace) -> RunConfig:
     if args.precision < 1:
         raise ConstantsError("--precision must be a positive integer")
+    if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConstantsError(f"--tolerance must be a positive finite number, got {args.tolerance!r}")
     return RunConfig(
         subcommand=args.subcommand,
         constants_path=args.constants,
@@ -432,7 +437,18 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe: point stdout at devnull so the flush at
+        # interpreter exit cannot raise again, and exit as a shell would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = _EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,11 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from scipy.optimize import minimize_scalar
+from typing import TYPE_CHECKING, Callable
 
 from .quantity import (
     CHARGE,
@@ -35,6 +31,12 @@ from .quantity import (
     q_sqrt,
 )
 from .species import OscillatorSpec
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy and scipy are imported inside the functions that use them, so that
+# importing the package (and the CLI paths that never reach them) stays cheap.
 
 __all__ = [
     "N_MAX",
@@ -75,6 +77,8 @@ def _hermite_series(n: int, x: np.ndarray, gaussian: bool) -> np.ndarray:
     Gauss-Hermite quadrature wants.  Phases keep every psi_n real with a
     positive leading coefficient.
     """
+    import numpy as np
+
     if not (0 <= n <= N_MAX):
         raise ValueError(f"level n must be in [0, {N_MAX}], got {n}")
     p0 = np.full_like(x, math.pi ** -0.25, dtype=float)
@@ -97,6 +101,8 @@ def eigenfunction(n: int, x: float | np.ndarray, oscillator: OscillatorSpec | No
     The oscillator argument is accepted for interface symmetry; in natural
     units the eigenfunctions are universal and do not depend on it.
     """
+    import numpy as np
+
     arr = np.asarray(x, dtype=float)
     out = _hermite_series(n, arr, gaussian=True)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
@@ -108,6 +114,9 @@ def natural_length(oscillator: OscillatorSpec, hbar: Quantity) -> Quantity:
 
 
 def _gauss_hermite_integral(n_prime: int, n: int, with_x: bool, nodes: int) -> float:
+    import numpy as np
+    from numpy.polynomial.hermite import hermgauss
+
     x, w = hermgauss(nodes)
     values = _hermite_series(n_prime, x, gaussian=False) * _hermite_series(n, x, gaussian=False)
     if with_x:
@@ -262,6 +271,8 @@ def harmonic_approximation(potential: Potential1D) -> HarmonicFit:
     to an interval edge or if the curvature is non-positive or
     indistinguishable from zero.
     """
+    from scipy.optimize import minimize_scalar
+
     evaluator = potential.evaluator
     lo, hi = potential.search_interval
     width = hi - lo

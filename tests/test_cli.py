@@ -162,6 +162,14 @@ def test_verify_unattainable_tolerance_fails(capsys):
     assert any(line.startswith("FAIL") for line in out.splitlines())
 
 
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_verify_invalid_tolerance_exit_2(capsys, tolerance):
+    code, out, err = _run(capsys, ["verify", f"--tolerance={tolerance}"])
+    assert code == 2
+    assert out == ""
+    assert "--tolerance" in err
+
+
 def test_verify_corrupted_constants_exit_2(capsys, tmp_path):
     code, _, err = _run(capsys, ["verify", "--constants", _broken_constants(tmp_path)])
     assert code == 2

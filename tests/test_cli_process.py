@@ -1,0 +1,78 @@
+"""The CLI as a fresh process: what it imports, and how it ends.
+
+Only ``verify`` (and the library's quadrature, ODE and harmonic-fit functions)
+may pull in numpy or scipy; every other subcommand starts without them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vfdielectric
+
+_SRC = str(Path(vfdielectric.__file__).resolve().parent.parent)
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
+_TIMEOUT = 120
+
+# Prints the loaded numpy/scipy modules to stderr once the interpreter exits.
+_REPORT_HEAVY = (
+    "import atexit, json, sys; "
+    "atexit.register(lambda: print(json.dumps(sorted("
+    "m for m in sys.modules if m.partition('.')[0] in ('numpy', 'scipy'))), "
+    "file=sys.stderr)); "
+)
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], env=_ENV, capture_output=True,
+                          text=True, timeout=_TIMEOUT)
+
+
+def test_import_cli_loads_no_numpy_or_scipy():
+    done = _python("-c", _REPORT_HEAVY + "import vfdielectric.cli")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr) == []
+
+
+def test_sensitivity_runs_without_numpy_or_scipy():
+    code = (_REPORT_HEAVY + "import runpy; "
+            "sys.argv = ['vfdielectric', 'sensitivity', '--format', 'json']; "
+            "runpy.run_module('vfdielectric.cli', run_name='__main__')")
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["coupling_scaling"]["fitted_exponent"] == pytest.approx(2.0, abs=0.05)
+    assert json.loads(done.stderr) == []
+
+
+def test_verify_passes_in_a_fresh_process():
+    done = _python("-m", "vfdielectric.cli", "verify")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 5
+    assert all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("command", ["sensitivity", "species"])
+def test_closed_reader_exits_141_without_traceback(command):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vfdielectric.cli", command, "--format", "json"],
+        env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()  # the reader goes away before the first write
+    _, err = proc.communicate(timeout=_TIMEOUT)
+    assert proc.returncode == 141
+    assert err == ""
+
+
+def test_stdout_closed_at_start_exits_quietly():
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m vfdielectric.cli species --format json >&-', sys.executable],
+        env=_ENV, capture_output=True, text=True, timeout=_TIMEOUT,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""

@@ -18,6 +18,7 @@ from vfdielectric.perturbation import (
     CouplingLambda,
     CouplingStrengthWarning,
     amplitudes_analytic,
+    amplitudes_exact,
     amplitudes_ode,
     coupling_lambda,
     dipole_trajectory,
@@ -129,6 +130,44 @@ def test_ode_tolerance_range_enforced():
         amplitudes_ode(1.0, CouplingLambda(0.01), tolerance=1e-13)
     with pytest.raises(ValueError):
         amplitudes_ode(1.0, CouplingLambda(0.01), tolerance=1e-3)
+
+
+# --- exact propagator ------------------------------------------------------------
+
+ORACLE_LAMBDAS = (0.0, 1e-4, 1e-3, 1e-2, 0.05)
+ORACLE_TAUS = (0.3, 1.0, math.pi, 2.0 * math.pi, 4.0 * math.pi, 20.0, 37.0)
+
+
+def test_exact_at_tau_zero():
+    pair = amplitudes_exact(0.0, CouplingLambda(0.01))
+    assert (pair.a0, pair.a1) == (1.0 + 0.0j, 0.0 + 0.0j)
+
+
+def test_exact_rejects_nonfinite_tau():
+    with pytest.raises(ValueError):
+        amplitudes_exact(float("nan"), CouplingLambda(0.01))
+
+
+@pytest.mark.parametrize("lam_value", ORACLE_LAMBDAS)
+def test_exact_matches_ode_oracle(lam_value):
+    lam = CouplingLambda(lam_value)
+    for tau in ORACLE_TAUS:
+        exact = amplitudes_exact(tau, lam)
+        ode = amplitudes_ode(tau, lam, tolerance=1e-12)
+        assert abs(exact.a0 - ode.a0) <= 1e-11
+        assert abs(exact.a1 - ode.a1) <= 1e-11
+        assert abs(exact.norm_sq - 1.0) <= 1e-14
+
+
+def test_exact_scaling_exponent_matches_ode_fit():
+    np = pytest.importorskip("numpy")
+    grid = [1e-4, 3e-4, 1e-3, 3e-3]
+    corrections = [
+        abs(amplitudes_ode(math.pi, CouplingLambda(v), tolerance=1e-12).a0 - 1.0)
+        for v in grid
+    ]
+    ode_fit = np.polyfit([math.log(v) for v in grid], [math.log(c) for c in corrections], 1)[0]
+    assert abs(scaling_exponent(grid, math.pi) - ode_fit) <= 1e-8
 
 
 # --- scaling exponent -------------------------------------------------------------
