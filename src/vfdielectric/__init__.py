@@ -19,7 +19,7 @@ from .quantity import (
     q_pow,
     q_sqrt,
 )
-from .constants import ConstantsError, ConstantsSet, get_constant, load_constants, serialize_constants
+from .constants import ConstantsError, ConstantsSet, load_constants, serialize_constants
 from .species import (
     OscillatorSpec,
     SpeciesSpec,
@@ -37,13 +37,9 @@ from .species import (
     vf_lifetime,
 )
 from .oscillator import (
-    HarmonicFit,
-    Potential1D,
-    PotentialFitError,
     QuadratureError,
     dipole_expectation_static,
     eigenfunction,
-    harmonic_approximation,
     matrix_element_x_analytic,
     matrix_element_x_quadrature,
     overlap_quadrature,
@@ -63,7 +59,6 @@ from .vacuum import (
     PredictionReport,
     SpeciesContribution,
     closed_form_report,
-    compare_to_reference,
     epsilon0_closed_form,
     epsilon0_self_consistent,
     inverse_alpha,
@@ -71,7 +66,6 @@ from .vacuum import (
     quarkonium_contribution,
     report_from_dict,
     report_to_dict,
-    speed_of_light,
 )
 
 __version__ = "0.1.0"

@@ -28,6 +28,7 @@ from .species import (
     coherence_length,
     decay_rate,
     interacting_density,
+    load_species,
     number_density,
     resonant_frequency,
     vf_lifetime,
@@ -143,12 +144,16 @@ def _print_csv(sections: list[tuple[str, list[str], list[list]]]) -> None:
 
 
 def cmd_predict(cfg: RunConfig, constants: ConstantsSet) -> int:
-    species = builtin_species(
+    species = load_species(
         constants, include_quarks=cfg.include_quarks, width_choice=cfg.width_choice
     )
     n_leptons = sum(1 for s in species if s.kind != QUARKONIUM)
+    if n_leptons == 0:
+        raise ConstantsError(
+            f"the species in {constants.origin} include no lepton pair; predict needs one"
+        )
     closed = closed_form_report(constants, n_species=n_leptons)
-    model = epsilon0_self_consistent(species, constants, width_choice=cfg.width_choice)
+    model = epsilon0_self_consistent(species, constants)
 
     if cfg.output_format == "json":
         print(json.dumps(report_to_dict(model, constants), indent=2))
@@ -212,8 +217,8 @@ def _species_rows(cfg: RunConfig, constants: ConstantsSet) -> list[dict]:
     eps = constants.get("ref_epsilon0")
     alpha = 1.0 / constants.get("ref_inv_alpha").value
     rows = []
-    for s in builtin_species(constants, include_quarks=cfg.include_quarks,
-                             width_choice=cfg.width_choice):
+    for s in load_species(constants, include_quarks=cfg.include_quarks,
+                          width_choice=cfg.width_choice):
         osc = resonant_frequency(s, constants, eps, c)
         rows.append({
             "species": s.name,
@@ -291,6 +296,7 @@ def _sensitivity_payload(cfg: RunConfig, constants: ConstantsSet) -> dict:
     tau = math.pi
     exponent = scaling_exponent(_LAMBDA_GRID, tau)
 
+    # the built-in e pair on purpose: the demonstration is defined on it
     e_pair = builtin_species(constants)[0]
     osc = resonant_frequency(e_pair, constants,
                              constants.get("ref_epsilon0"), constants.get("ref_c"))
@@ -430,10 +436,12 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         cfg = _config(args)
         constants = load_constants(cfg.constants_path)
+        # commands raise ConstantsError (a missing optional key, a bad species
+        # record) before they print anything
+        return _COMMANDS[cfg.subcommand](cfg, constants)
     except ConstantsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[cfg.subcommand](cfg, constants)
 
 
 def entry() -> None:

@@ -4,9 +4,10 @@ The registry is populated from a JSON data file: a list of records, each
 ``{"key", "value", "unit", "source"}`` with the unit drawn from a fixed
 whitelist.  Records with ``"kind": "species"`` are passed through untouched
 for the species module to interpret.  Values are converted to SI base units
-at ingestion (eV-family energies via the elementary charge from the same
-file); the original file value/unit are kept so a set serializes back to an
-equivalent file.
+at ingestion by :func:`file_quantity`, the one conversion both record kinds
+use (eV-family energies via the elementary charge from the same file); the
+original file value/unit are kept so a set serializes back to an equivalent
+file.
 
 Resolution order for the data file: explicit path argument, then the
 ``VACUUM_DATA_DIR`` environment variable (``constants.json`` inside it), then
@@ -31,16 +32,19 @@ from .quantity import (
     PERMEABILITY,
     PERMITTIVITY,
     SPEED,
+    EV_SCALE,
     Dimension,
     Quantity,
+    energy_convert,
 )
 
 __all__ = [
     "ConstantsError",
+    "MissingConstantError",
     "ConstantRecord",
     "ConstantsSet",
     "load_constants",
-    "get_constant",
+    "file_quantity",
     "serialize_constants",
     "DATA_DIR_ENV_VAR",
     "REQUIRED_KEYS",
@@ -49,7 +53,8 @@ __all__ = [
 DATA_DIR_ENV_VAR = "VACUUM_DATA_DIR"
 DATA_FILENAME = "constants.json"
 
-# unit whitelist for the data file -> SI dimension of the stored quantity
+# unit whitelist for the data file -> SI dimension of the stored quantity;
+# the eV-family units are exactly those of quantity.EV_SCALE
 UNIT_DIMENSIONS: dict[str, Dimension] = {
     "C": CHARGE,
     "J·s": ACTION,
@@ -58,13 +63,9 @@ UNIT_DIMENSIONS: dict[str, Dimension] = {
     "m/s": SPEED,
     "F/m": PERMITTIVITY,
     "dimensionless": DIMENSIONLESS,
-    "eV": ENERGY,
-    "keV": ENERGY,
-    "GeV": ENERGY,
     "1/s": FREQUENCY,
+    **dict.fromkeys(EV_SCALE, ENERGY),
 }
-
-_EV_MULTIPLES = {"eV": 1.0, "keV": 1e3, "GeV": 1e9}
 
 REQUIRED_KEYS: dict[str, Dimension] = {
     "e": CHARGE,
@@ -87,6 +88,12 @@ class ConstantsError(ValueError):
     """Raised for unparsable, incomplete or invalid constants data."""
 
 
+class MissingConstantError(ConstantsError, KeyError):
+    """A key the loaded file does not define; a KeyError for mapping-style callers."""
+
+    __str__ = ConstantsError.__str__  # KeyError's own would quote the message
+
+
 @dataclass(frozen=True)
 class ConstantRecord:
     key: str
@@ -103,13 +110,16 @@ class ConstantsSet:
     species_records: tuple[dict, ...] = field(default_factory=tuple)
 
     def get(self, key: str) -> Quantity:
-        return get_constant(self, key)
+        """The stored SI quantity for ``key``."""
+        return self.record(key).quantity
 
     def record(self, key: str) -> ConstantRecord:
         try:
             return self.records[key]
         except KeyError:
-            raise KeyError(f"unknown constant {key!r} (loaded from {self.origin})") from None
+            raise MissingConstantError(
+                f"constant {key!r} is not defined in {self.origin}"
+            ) from None
 
     def __contains__(self, key: str) -> bool:
         return key in self.records
@@ -128,9 +138,29 @@ class ConstantsSet:
         return self.species_records == other.species_records
 
 
-def get_constant(constants: ConstantsSet, key: str) -> Quantity:
-    """The stored SI quantity for ``key``; KeyError for unknown keys."""
-    return constants.record(key).quantity
+def file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Quantity:
+    """A data-file ``{value, unit}`` pair as an SI :class:`Quantity`.
+
+    ``unit`` must be on the whitelist.  eV-family energies become joules through
+    :func:`~vfdielectric.quantity.energy_convert` with ``joules_per_ev``, the
+    file's own elementary charge in coulombs (None if the file has none).
+    Raises :class:`ConstantsError` for anything it cannot convert.
+    """
+    if not isinstance(unit, str) or unit not in UNIT_DIMENSIONS:
+        raise ConstantsError(
+            f"unit {unit!r} is not allowed; allowed: {sorted(UNIT_DIMENSIONS)}"
+        )
+    if unit in EV_SCALE and joules_per_ev is None:
+        raise ConstantsError(
+            f"unit {unit} needs an elementary-charge record 'e' (unit C) to scale by"
+        )
+    try:
+        si_value = float(value)
+        if unit in EV_SCALE:
+            si_value = energy_convert(si_value, unit, "J", joules_per_ev)
+        return Quantity(si_value, UNIT_DIMENSIONS[unit])
+    except (TypeError, ValueError) as exc:
+        raise ConstantsError(f"cannot convert {value!r} {unit} to SI: {exc}") from exc
 
 
 def _bundled_text() -> str:
@@ -182,41 +212,29 @@ def load_constants(path: str | Path | None = None) -> ConstantsSet:
         else:
             constant_rows.append(row)
 
-    # The elementary charge anchors eV -> J scaling, so find it first.
+    def parse(row: dict, joules_per_ev: float | None) -> ConstantRecord:
+        try:
+            key, value, unit = row["key"], float(row["value"]), row["unit"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConstantsError(f"malformed record in {origin}: {row!r} ({exc})") from exc
+        try:
+            quantity = file_quantity(value, unit, joules_per_ev)
+        except ConstantsError as exc:
+            raise ConstantsError(f"record {key!r} in {origin}: {exc}") from exc
+        return ConstantRecord(key, quantity, str(row.get("source", "")), value, unit)
+
+    # The elementary charge anchors eV -> J scaling, so read it first.
     joules_per_ev = None
     for row in constant_rows:
         if row.get("key") == "e" and row.get("unit") == "C":
-            joules_per_ev = float(row["value"])
+            joules_per_ev = parse(row, None).quantity.value
 
     records: dict[str, ConstantRecord] = {}
     for row in constant_rows:
-        try:
-            key = row["key"]
-            value = float(row["value"])
-            unit = row["unit"]
-            source = str(row.get("source", ""))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConstantsError(f"malformed record in {origin}: {row!r} ({exc})") from exc
-        if unit not in UNIT_DIMENSIONS:
-            raise ConstantsError(
-                f"record {key!r} in {origin} uses unit {unit!r}; "
-                f"allowed: {sorted(UNIT_DIMENSIONS)}"
-            )
-        if key in records:
-            raise ConstantsError(f"duplicate key {key!r} in {origin}")
-        si_value = value
-        if unit in _EV_MULTIPLES:
-            if joules_per_ev is None:
-                raise ConstantsError(
-                    f"record {key!r} in {origin} uses {unit} but the file has no "
-                    "elementary-charge record 'e' (unit C) to scale by"
-                )
-            si_value = value * _EV_MULTIPLES[unit] * joules_per_ev
-        try:
-            quantity = Quantity(si_value, UNIT_DIMENSIONS[unit])
-        except ValueError as exc:
-            raise ConstantsError(f"record {key!r} in {origin}: {exc}") from exc
-        records[key] = ConstantRecord(key, quantity, source, value, unit)
+        record = parse(row, joules_per_ev)
+        if record.key in records:
+            raise ConstantsError(f"duplicate key {record.key!r} in {origin}")
+        records[record.key] = record
 
     missing = sorted(set(REQUIRED_KEYS) - set(records))
     if missing:

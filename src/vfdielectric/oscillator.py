@@ -15,16 +15,13 @@ cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .quantity import (
     CHARGE,
     DIPOLE_MOMENT,
     ELECTRIC_FIELD,
-    ENERGY,
     LENGTH,
-    SPRING_CONSTANT,
     Quantity,
     q_div,
     q_mul,
@@ -35,21 +32,17 @@ from .species import OscillatorSpec
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy and scipy are imported inside the functions that use them, so that
-# importing the package (and the CLI paths that never reach them) stays cheap.
+# numpy is imported inside the functions that use it, so that importing the
+# package (and the CLI paths that never reach them) stays cheap.
 
 __all__ = [
     "N_MAX",
     "QuadratureError",
-    "PotentialFitError",
-    "Potential1D",
-    "HarmonicFit",
     "eigenfunction",
     "natural_length",
     "matrix_element_x_quadrature",
     "matrix_element_x_analytic",
     "overlap_quadrature",
-    "harmonic_approximation",
     "dipole_expectation_static",
 ]
 
@@ -63,10 +56,6 @@ _DEFAULT_QUAD_TOL = 1e-10
 
 class QuadratureError(RuntimeError):
     """Quadrature failed to converge to the requested tolerance."""
-
-
-class PotentialFitError(ValueError):
-    """A potential has no usable interior harmonic minimum."""
 
 
 def _hermite_series(n: int, x: np.ndarray, gaussian: bool) -> np.ndarray:
@@ -170,153 +159,6 @@ def overlap_quadrature(
 ) -> float:
     """Overlap ``<n'|n>`` by quadrature; delta_{n',n} up to quadrature error."""
     return _converged_integral(n_prime, n, with_x=False, nodes=nodes, tol=tol)
-
-
-# --- harmonic approximation of an arbitrary 1-D potential ------------------
-
-
-@dataclass(frozen=True)
-class Potential1D:
-    """A 1-D potential U(x): x in meters, U in joules, finite on the interval.
-
-    The evaluator must be safe to call from concurrent threads; the fitting
-    code assumes it is a pure function of x.
-    """
-
-    evaluator: Callable[[float], float]
-    search_interval: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        lo, hi = self.search_interval
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"bad search interval {self.search_interval!r}")
-
-
-@dataclass(frozen=True)
-class HarmonicFit:
-    """Local quadratic model ``U(x) ~ u0 + K (x - x_e)^2 / 2`` around a minimum."""
-
-    x_e: Quantity
-    k_spring: Quantity
-    u0: Quantity
-
-    def __post_init__(self) -> None:
-        self.x_e.require(LENGTH, "x_e")
-        self.k_spring.require(SPRING_CONSTANT, "k_spring")
-        self.u0.require(ENERGY, "u0")
-        if self.k_spring.value <= 0:
-            raise ValueError("k_spring must be positive: not a minimum")
-
-
-def _extrapolated_difference(
-    stencil: Callable[[float], float], h0: float
-) -> tuple[float, float]:
-    """Ridders-style step extrapolation of a central-difference stencil.
-
-    Returns (best estimate, error estimate).  Extrapolating in h is what lets
-    a shallow quadratic (K ~ 1e-3) sitting on a large offset (|U| ~ 10) still
-    come out at ~1e-12 relative accuracy; a single cube-root-of-epsilon step
-    would lose it to cancellation noise ``eps |U| / h^2``.
-    """
-    con = 1.4
-    con2 = con * con
-    ntab = 12
-    table = [[0.0] * ntab for _ in range(ntab)]
-
-    h = h0
-    table[0][0] = stencil(h)
-    best = table[0][0]
-    err = math.inf
-    for i in range(1, ntab):
-        h /= con
-        table[0][i] = stencil(h)
-        fac = con2
-        for j in range(1, i + 1):
-            table[j][i] = (table[j - 1][i] * fac - table[j - 1][i - 1]) / (fac - 1.0)
-            fac *= con2
-            errt = max(
-                abs(table[j][i] - table[j - 1][i]),
-                abs(table[j][i] - table[j - 1][i - 1]),
-            )
-            if errt <= err:
-                err = errt
-                best = table[j][i]
-        if abs(table[i][i] - table[i - 1][i - 1]) >= 2.0 * err:
-            break
-    return best, err
-
-
-def _second_derivative(f: Callable[[float], float], x0: float, h0: float) -> tuple[float, float]:
-    return _extrapolated_difference(
-        lambda h: (f(x0 + h) - 2.0 * f(x0) + f(x0 - h)) / (h * h), h0
-    )
-
-
-def _first_derivative(f: Callable[[float], float], x0: float, h0: float) -> tuple[float, float]:
-    return _extrapolated_difference(
-        lambda h: (f(x0 + h) - f(x0 - h)) / (2.0 * h), h0
-    )
-
-
-def harmonic_approximation(potential: Potential1D) -> HarmonicFit:
-    """Locate the interior minimum of U and fit the local harmonic model.
-
-    The minimum is bracketed to a relative interval width of 1e-10, then
-    polished by Newton steps on the extrapolated first derivative: comparing
-    bare function values cannot place a shallow minimum (K ~ 1e-3) on a large
-    offset (|U| ~ 10) better than ``sqrt(2 eps |U|/K)`` ~ 1e-6, while the
-    derivative route reaches ~1e-11.  The curvature is an extrapolated central
-    second difference started at a quarter of the distance to the nearest
-    interval edge.  Raises :class:`PotentialFitError` if the minimizer sticks
-    to an interval edge or if the curvature is non-positive or
-    indistinguishable from zero.
-    """
-    from scipy.optimize import minimize_scalar
-
-    evaluator = potential.evaluator
-    lo, hi = potential.search_interval
-    width = hi - lo
-    xatol = 1e-10 * width
-    result = minimize_scalar(
-        evaluator, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
-    )
-    x_e = float(result.x)
-    edge_margin = max(10.0 * xatol, 1e-8 * width)
-    if min(x_e - lo, hi - x_e) <= edge_margin:
-        raise PotentialFitError(
-            f"no interior minimum: minimizer stopped at x={x_e!r} beside the "
-            f"interval {potential.search_interval!r}"
-        )
-
-    def curvature_at(x: float) -> tuple[float, float]:
-        h0 = 0.25 * min(x - lo, hi - x)
-        return _second_derivative(evaluator, x, h0)
-
-    k, k_err = curvature_at(x_e)
-    if not math.isfinite(k) or k <= 0:
-        raise PotentialFitError(f"curvature at x_e={x_e!r} is not positive (K={k!r})")
-    if k_err >= abs(k):
-        raise PotentialFitError(
-            f"degenerate minimum at x_e={x_e!r}: curvature K={k!r} is "
-            f"indistinguishable from zero (error estimate {k_err!r})"
-        )
-
-    for _ in range(5):
-        h0 = 0.25 * min(x_e - lo, hi - x_e)
-        slope, _ = _first_derivative(evaluator, x_e, h0)
-        step = slope / k
-        if abs(step) <= 1e-14 * max(abs(x_e), xatol):
-            break
-        x_e = min(max(x_e - step, lo + edge_margin), hi - edge_margin)
-    k, k_err = curvature_at(x_e)
-    if not math.isfinite(k) or k <= 0:
-        raise PotentialFitError(f"curvature at x_e={x_e!r} is not positive (K={k!r})")
-
-    return HarmonicFit(
-        x_e=Quantity(x_e, LENGTH),
-        k_spring=Quantity(k, SPRING_CONSTANT),
-        u0=Quantity(float(evaluator(x_e)), ENERGY),
-    )
 
 
 def dipole_expectation_static(

@@ -8,9 +8,9 @@ luminosity).  Rational exponents keep intermediate roots such as
 checks dimensional consistency, so a formula that type-checks here is also
 unit-checked.
 
-Energy values cross the eV/J boundary only at ingestion and presentation;
-:func:`energy_convert` does that scaling with the elementary-charge value
-supplied by the caller's constants registry.
+Energy values cross the eV/J boundary only at ingestion: :data:`EV_SCALE` is
+the one table of eV-family units, and :func:`energy_convert` scales through it
+with the elementary-charge value supplied by the caller's constants file.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "q_pow",
     "q_sqrt",
     "energy_convert",
+    "EV_SCALE",
     "DIMENSIONLESS",
     "LENGTH",
     "MASS",
@@ -235,8 +236,8 @@ def q_sqrt(a: Quantity) -> Quantity:
     return q_pow(a, Fraction(1, 2))
 
 
-# eV-family multiples, relative to 1 eV
-_EV_SCALE = {"eV": 1.0, "keV": 1e3, "MeV": 1e6, "GeV": 1e9}
+# eV-family multiples, relative to 1 eV: the only table of eV-family units
+EV_SCALE = {"eV": 1.0, "keV": 1e3, "MeV": 1e6, "GeV": 1e9}
 
 
 def energy_convert(value: float, from_unit: str, to_unit: str, joules_per_ev: float) -> float:
@@ -246,7 +247,7 @@ def energy_convert(value: float, from_unit: str, to_unit: str, joules_per_ev: fl
     constants registry (1 eV = e joules), so conversions track any override of
     that constant.  eV-family conversions are exact powers of ten.
     """
-    known = set(_EV_SCALE) | {"J"}
+    known = set(EV_SCALE) | {"J"}
     for unit in (from_unit, to_unit):
         if unit not in known:
             raise ValueError(f"unknown energy unit {unit!r}; expected one of {sorted(known)}")
@@ -256,7 +257,7 @@ def energy_convert(value: float, from_unit: str, to_unit: str, joules_per_ev: fl
     if joules_per_ev <= 0 or not math.isfinite(joules_per_ev):
         raise ValueError("joules_per_ev must be finite and positive")
     if from_unit == "J":
-        return value / joules_per_ev / _EV_SCALE[to_unit]
+        return value / joules_per_ev / EV_SCALE[to_unit]
     if to_unit == "J":
-        return value * _EV_SCALE[from_unit] * joules_per_ev
-    return value * (_EV_SCALE[from_unit] / _EV_SCALE[to_unit])
+        return value * EV_SCALE[from_unit] * joules_per_ev
+    return value * (EV_SCALE[from_unit] / EV_SCALE[to_unit])

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constants import ConstantsSet
+from .constants import ConstantsError, ConstantsSet, file_quantity
 from .quantity import (
     ENERGY,
     FREQUENCY,
@@ -163,10 +163,9 @@ def _quarkonium(
     name: str,
     quark_energy_key: str,
     bound_energy_key: str,
-    width_keys: tuple[str, ...],
+    width_key: str,
     charge_fraction: Fraction,
     constants: ConstantsSet,
-    width_choice: str,
 ) -> SpeciesSpec:
     # Tabulated rest energies (GeV at ingestion, J here) become masses via the
     # reference c: they are experimental data, fixed before any model c exists.
@@ -175,12 +174,6 @@ def _quarkonium(
     quark_energy = constants.get(quark_energy_key).require(ENERGY, quark_energy_key)
     bound_energy = constants.get(bound_energy_key).require(ENERGY, bound_energy_key)
     e_min = bound_energy - quark_energy * 2
-    if width_choice not in ("min", "max"):
-        raise ValueError(f"width_choice must be 'min' or 'max', got {width_choice!r}")
-    if len(width_keys) == 1:
-        width_key = width_keys[0]
-    else:
-        width_key = width_keys[0] if width_choice == "min" else width_keys[1]
     width = _width_rate(constants.get(width_key), constants)
     return SpeciesSpec(
         name=name,
@@ -202,8 +195,11 @@ def builtin_species(
 
     ``width_choice`` picks the lower or upper tabulated two-photon width where
     a range is tabulated (eta_b); the default follows the maximum-contribution
-    convention used for the quarkonium bounds.
+    convention used for the quarkonium bounds.  This is the one place a width
+    is chosen: a species' ``two_photon_width`` is final.
     """
+    if width_choice not in ("min", "max"):
+        raise ValueError(f"width_choice must be 'min' or 'max', got {width_choice!r}")
     leptons = (
         _lepton("e_pair", "m_e", constants),
         _lepton("mu_pair", "m_mu", constants),
@@ -213,13 +209,11 @@ def builtin_species(
         return leptons
     quarks = (
         _quarkonium(
-            "eta_c", "m_c", "m_etac", ("gamma_etac_2gamma",),
-            Fraction(2, 3), constants, width_choice,
+            "eta_c", "m_c", "m_etac", "gamma_etac_2gamma", Fraction(2, 3), constants,
         ),
         _quarkonium(
-            "eta_b", "m_b", "m_etab",
-            ("gamma_etab_2gamma_min", "gamma_etab_2gamma_max"),
-            Fraction(1, 3), constants, width_choice,
+            "eta_b", "m_b", "m_etab", f"gamma_etab_2gamma_{width_choice}",
+            Fraction(1, 3), constants,
         ),
     )
     return leptons + quarks
@@ -228,13 +222,12 @@ def builtin_species(
 def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
     """Build a species from a data-file record (``"kind": "species"``).
 
-    Quantities are inline ``{"value": ..., "unit": ...}`` objects using the
-    constants-file unit whitelist; masses may be given as rest energies
-    (eV family), which are converted with the reference c.  ``e_min`` defaults
-    to ``bound_state_mass - 2 * constituent_mass`` in energy terms.
+    Quantities are inline ``{"value": ..., "unit": ...}`` objects converted
+    by :func:`~vfdielectric.constants.file_quantity`, as constant records are;
+    masses may be given as rest energies (eV family), which are converted
+    with the reference c.  ``e_min`` defaults to
+    ``bound_state_mass - 2 * constituent_mass`` in energy terms.
     """
-    from .constants import UNIT_DIMENSIONS, _EV_MULTIPLES  # file-format authority
-
     name = record.get("name")
     if not name:
         raise ValueError(f"species record without a name: {record!r}")
@@ -250,13 +243,12 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
             if required:
                 raise ValueError(f"species {name!r} is missing field {field_name!r}")
             return None
-        unit = obj["unit"]
-        if unit not in UNIT_DIMENSIONS:
-            raise ValueError(f"species {name!r}: unit {unit!r} not in the whitelist")
-        value = float(obj["value"])
-        if unit in _EV_MULTIPLES:
-            value = value * _EV_MULTIPLES[unit] * constants.get("e").value
-        return Quantity(value, UNIT_DIMENSIONS[unit])
+        if not isinstance(obj, dict):
+            raise ValueError(f"species {name!r}: {field_name} must be a {{value, unit}} object")
+        try:
+            return file_quantity(obj.get("value"), obj.get("unit"), constants.get("e").value)
+        except ConstantsError as exc:
+            raise ValueError(f"species {name!r}: {field_name}: {exc}") from exc
 
     def as_mass(q: Quantity, field_name: str) -> Quantity:
         if q.dim == MASS:
@@ -266,7 +258,10 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
             return q_div(q, q_mul(ref_c, ref_c))
         raise DimensionError(f"species {name!r}: {field_name} must be a mass or energy")
 
-    charge_fraction = Fraction(str(record.get("charge_fraction", "1")))
+    try:
+        charge_fraction = Fraction(str(record.get("charge_fraction", "1")))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"species {name!r}: charge_fraction is not a fraction ({exc})") from exc
     constituent = as_mass(read_quantity("constituent_mass"), "constituent_mass")
     if stype == LEPTON_PAIR:
         return SpeciesSpec(name, LEPTON_PAIR, constituent, charge_fraction)
@@ -281,13 +276,26 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
     return SpeciesSpec(name, QUARKONIUM, constituent, charge_fraction, bound, width, e_min)
 
 
-def load_species(constants: ConstantsSet, **builtin_kwargs) -> tuple[SpeciesSpec, ...]:
-    """Species from the loaded data file if it defines any, else the built-ins."""
-    if constants.species_records:
-        return tuple(
-            species_from_record(row, constants) for row in constants.species_records
-        )
-    return builtin_species(constants, **builtin_kwargs)
+def load_species(
+    constants: ConstantsSet,
+    include_quarks: bool = False,
+    width_choice: str = "max",
+) -> tuple[SpeciesSpec, ...]:
+    """Species from the loaded data file if it defines any, else the built-ins.
+
+    File records replace the built-in list whole; ``include_quarks`` and
+    ``width_choice`` shape only the built-ins.  A record that cannot be built
+    raises :class:`~vfdielectric.constants.ConstantsError` naming the file.
+    """
+    if not constants.species_records:
+        return builtin_species(constants, include_quarks, width_choice)
+    species = []
+    for row in constants.species_records:
+        try:
+            species.append(species_from_record(row, constants))
+        except (ValueError, TypeError) as exc:
+            raise ConstantsError(f"bad species record in {constants.origin}: {exc}") from exc
+    return tuple(species)
 
 
 # --- kinematics -----------------------------------------------------------

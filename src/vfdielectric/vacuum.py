@@ -55,9 +55,7 @@ __all__ = [
     "quarkonium_contribution",
     "epsilon0_closed_form",
     "epsilon0_self_consistent",
-    "speed_of_light",
     "inverse_alpha",
-    "compare_to_reference",
     "report_to_dict",
     "report_from_dict",
 ]
@@ -112,7 +110,8 @@ class PredictionReport:
 
 
 def c_from_epsilon(epsilon: Quantity, constants: ConstantsSet) -> Quantity:
-    """``c = 1/sqrt(mu0 eps)``."""
+    """``c = 1/sqrt(mu0 eps)``; with the n=3 closed form this equals
+    ``sqrt(pi/6) hbar/(8 e^2 mu0)`` identically."""
     epsilon.require(PERMITTIVITY, "epsilon")
     if epsilon.value <= 0:
         raise ValueError("epsilon must be positive")
@@ -178,30 +177,18 @@ def quarkonium_contribution(
     species: SpeciesSpec,
     constants: ConstantsSet,
     c: Quantity,
-    width_choice: str = "max",
 ) -> SpeciesContribution:
     """Quarkonium permittivity term ``8c (M/hbar)^2 Gamma (q^2/(m_Q/2)) / omega0^2``.
 
-    ``omega0 = e_min/hbar`` and ``q = charge_fraction * e``.  ``width_choice``
-    selects between tabulated minimum/maximum two-photon widths where the
-    registry carries a range (keys ``gamma_<name>_2gamma_min``/``_max``);
-    species with a single tabulated width ignore it.
+    ``omega0 = e_min/hbar``, ``q = charge_fraction * e`` and ``Gamma`` is the
+    species' own ``two_photon_width``, fixed when the species was built.
     """
     if species.kind != QUARKONIUM:
         raise ValueError(f"{species.name!r} is not a quarkonium state")
     c.require(SPEED, "c")
-    if width_choice not in ("min", "max"):
-        raise ValueError(f"width_choice must be 'min' or 'max', got {width_choice!r}")
-
-    from .species import _width_rate  # range lookup shares the width normalization
-
-    width = species.two_photon_width
-    # tabulated range, e.g. species eta_b -> keys gamma_etab_2gamma_min/_max
-    ranged_key = f"gamma_{species.name.replace('_', '')}_2gamma_{width_choice}"
-    if ranged_key in constants:
-        width = _width_rate(constants.get(ranged_key), constants)
 
     hbar = constants.get("hbar")
+    width = species.two_photon_width
     n_vf = (
         q_mul(q_pow(q_div(species.bound_state_mass, hbar), 2), q_mul(c, width)) * 8.0
     )
@@ -232,12 +219,6 @@ def epsilon0_closed_form(constants: ConstantsSet, n_species: int = 3) -> Quantit
     )
 
 
-def speed_of_light(epsilon0: Quantity, constants: ConstantsSet) -> Quantity:
-    """``c = 1/sqrt(mu0 eps0)``; with the n=3 closed form this equals
-    ``sqrt(pi/6) hbar/(8 e^2 mu0)`` identically."""
-    return c_from_epsilon(epsilon0, constants)
-
-
 def inverse_alpha(epsilon0: Quantity, c: Quantity, constants: ConstantsSet) -> float:
     """``1/alpha = 4 pi eps0 hbar c / e^2`` (dimensionless)."""
     e = constants.get("e")
@@ -258,13 +239,6 @@ def _reference_deltas(
         "c": delta(constants.get("ref_c").value, c.value),
         "inv_alpha": delta(constants.get("ref_inv_alpha").value, inv_alpha),
     }
-
-
-def compare_to_reference(report: PredictionReport, constants: ConstantsSet) -> dict[str, float]:
-    """Signed percent differences (reference - model)/model for eps0, c, 1/alpha."""
-    return _reference_deltas(
-        report.epsilon0_model, report.c_model, report.inv_alpha_model, constants
-    )
 
 
 def _build_report(
@@ -292,7 +266,6 @@ def _contributions_at(
     species: tuple[SpeciesSpec, ...],
     epsilon: Quantity,
     constants: ConstantsSet,
-    width_choice: str,
 ) -> tuple[SpeciesContribution, ...]:
     c = c_from_epsilon(epsilon, constants)
     alpha = alpha_from_epsilon(epsilon, c, constants)
@@ -301,17 +274,15 @@ def _contributions_at(
         if s.kind == LEPTON_PAIR:
             out.append(lepton_contribution(s, constants, alpha, c))
         else:
-            out.append(quarkonium_contribution(s, constants, c, width_choice))
+            out.append(quarkonium_contribution(s, constants, c))
     return tuple(out)
 
 
 def epsilon0_self_consistent(
-
     species: "list[SpeciesSpec] | tuple[SpeciesSpec, ...]",
     constants: ConstantsSet,
     tol: float = 1e-13,
     max_iter: int = 50,
-    width_choice: str = "max",
 ) -> PredictionReport:
     """Solve ``eps = F(eps)`` by Picard iteration and report the predictions.
 
@@ -331,7 +302,7 @@ def epsilon0_self_consistent(
     eps = constants.get("ref_epsilon0")
     previous_delta = 0.0
     for iteration in range(1, max_iter + 1):
-        contributions = _contributions_at(species, eps, constants, width_choice)
+        contributions = _contributions_at(species, eps, constants)
         total = contributions[0].epsilon_term
         for contribution in contributions[1:]:
             total = total + contribution.epsilon_term
@@ -346,7 +317,7 @@ def epsilon0_self_consistent(
         eps = eps_new
         previous_delta = delta
         if converged:
-            final = _contributions_at(species, eps, constants, width_choice)
+            final = _contributions_at(species, eps, constants)
             return _build_report(
                 eps, final, METHOD_SELF_CONSISTENT, constants, iterations=iteration
             )

@@ -34,12 +34,12 @@ from vfdielectric.perturbation import (
 from vfdielectric.species import OscillatorSpec, resonant_frequency
 from vfdielectric.quantity import ACTION, ELECTRIC_FIELD, FREQUENCY, MASS
 from vfdielectric.vacuum import (
+    c_from_epsilon,
     epsilon0_closed_form,
     epsilon0_self_consistent,
     inverse_alpha,
     lepton_contribution,
     quarkonium_contribution,
-    speed_of_light,
 )
 
 CONSTANTS = load_constants()
@@ -59,7 +59,7 @@ def test_criterion_01_epsilon0_closed_form():
 
 
 def test_criterion_02_speed_of_light():
-    c = speed_of_light(epsilon0_closed_form(CONSTANTS), CONSTANTS).value
+    c = c_from_epsilon(epsilon0_closed_form(CONSTANTS), CONSTANTS).value
     rel = abs(c - 2.96e8) / 2.96e8
     _criterion(2, "predicted c within 0.3% of 2.96e8 m/s", rel <= 3e-3,
                f"c = {c:.6e}, rel dev {rel:.2e}")
@@ -70,7 +70,7 @@ def test_criterion_03_inverse_alpha():
 
     mp.dps = 40
     eps = epsilon0_closed_form(CONSTANTS)
-    c = speed_of_light(eps, CONSTANTS)
+    c = c_from_epsilon(eps, CONSTANTS)
     model = inverse_alpha(eps, c, CONSTANTS)
     paper_band = abs(model - 138.93) <= 0.01
     arbitrary = float(mp.mpf(64) * mp.sqrt(3 * mp.pi / 2))
@@ -103,15 +103,14 @@ def test_criterion_05_reference_deltas():
 
 
 def test_criterion_06_quarkonium_bounds():
-    quarks = {s.name: s for s in builtin_species(CONSTANTS, include_quarks=True)
+    quarks = {s.name: s
+              for s in builtin_species(CONSTANTS, include_quarks=True, width_choice="max")
               if s.kind == "quarkonium"}
     ref_c = CONSTANTS.get("ref_c")
     e = CONSTANTS.get("e").value
     e2_hbar_c = e * e / (CONSTANTS.get("hbar").value * ref_c.value)
     etac = quarkonium_contribution(quarks["eta_c"], CONSTANTS, ref_c).epsilon_term.value / e2_hbar_c
-    etab = quarkonium_contribution(
-        quarks["eta_b"], CONSTANTS, ref_c, width_choice="max"
-    ).epsilon_term.value / e2_hbar_c
+    etab = quarkonium_contribution(quarks["eta_b"], CONSTANTS, ref_c).epsilon_term.value / e2_hbar_c
     ok_c = 1.3e-3 / 1.5 <= etac <= 1.3e-3 * 1.5
     ok_b = 2.6e-5 / 1.5 <= etab <= 2.6e-5 * 1.5
     _criterion(6, "eta_c ~1.3e-3 and eta_b(max) ~2.6e-5 e^2/(hbar c), factor 1.5",
@@ -199,7 +198,7 @@ def test_criterion_11_dipole_time_average():
 
 def test_criterion_12_dimension_audit():
     eps = epsilon0_closed_form(CONSTANTS)
-    c = speed_of_light(eps, CONSTANTS)
+    c = c_from_epsilon(eps, CONSTANTS)
     inv_alpha = inverse_alpha(eps, c, CONSTANTS)
     dims_ok = (
         eps.dim == PERMITTIVITY and c.dim == SPEED and isinstance(inv_alpha, float)

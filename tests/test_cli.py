@@ -5,8 +5,15 @@ import pytest
 
 from vfdielectric.cli import main
 from vfdielectric.constants import DATA_DIR_ENV_VAR, load_constants, serialize_constants
+from vfdielectric.quantity import SPEED, Quantity
 from vfdielectric.species import builtin_species
-from vfdielectric.vacuum import epsilon0_self_consistent, report_from_dict, report_to_dict
+from vfdielectric.vacuum import (
+    epsilon0_closed_form,
+    epsilon0_self_consistent,
+    quarkonium_contribution,
+    report_from_dict,
+    report_to_dict,
+)
 
 
 def _run(capsys, argv):
@@ -280,3 +287,113 @@ def test_table_and_json_share_one_report(capsys):
     _, out_table, _ = _run(capsys, ["predict", "--precision", "12"])
     assert f"{payload['model']['epsilon0']:#.12g}" in out_table
     assert f"{payload['model']['inv_alpha']:#.12g}" in out_table
+
+
+# --- file species and data-file errors ---------------------------------------------
+
+E_ONLY = {
+    "kind": "species", "name": "e_only", "type": "lepton-pair", "charge_fraction": "1",
+    "constituent_mass": {"value": 9.1093837015e-31, "unit": "kg"},
+}
+ETA_B_10_EV = {
+    "kind": "species", "name": "eta_b", "type": "quarkonium", "charge_fraction": "1/3",
+    "constituent_mass": {"value": 4.3, "unit": "GeV"},
+    "bound_state_mass": {"value": 9.4, "unit": "GeV"},
+    "two_photon_width": {"value": 10.0, "unit": "eV"},
+}
+
+
+def _constants_file(tmp_path, species=(), drop=()):
+    rows = [row for row in json.loads(serialize_constants(load_constants()))
+            if row["key"] not in drop]
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(rows + list(species)), encoding="utf-8")
+    return str(path)
+
+
+def _assert_one_error_line(code, err):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_predict_file_species_replace_builtins(capsys, tmp_path):
+    path = _constants_file(tmp_path, species=[E_ONLY])
+    code, out, _ = _run(capsys, ["predict", "--format", "json", "--constants", path])
+    assert code == 0
+    payload = json.loads(out)
+    assert [row["species"] for row in payload["contributions"]] == ["e_only"]
+    closed = epsilon0_closed_form(load_constants(path), n_species=1).value
+    assert payload["model"]["epsilon0"] == pytest.approx(closed, rel=1e-12)
+
+
+def test_species_lists_file_species_whatever_the_flags(capsys, tmp_path):
+    path = _constants_file(tmp_path, species=[E_ONLY])
+    code, out, _ = _run(capsys, ["species", "--format", "json", "--include-quarks",
+                                 "--constants", path])
+    assert code == 0
+    assert [row["species"] for row in json.loads(out)] == ["e_only"]
+
+
+def test_predict_file_eta_b_keeps_its_own_width(capsys, tmp_path):
+    path = _constants_file(tmp_path, species=[E_ONLY, ETA_B_10_EV])
+    code, out, _ = _run(capsys, ["predict", "--format", "json", "--constants", path])
+    assert code == 0
+    payload = json.loads(out)
+    terms = {row["species"]: row["epsilon_term"] for row in payload["contributions"]}
+    constants = load_constants(path)
+    c_model = Quantity(payload["model"]["c"], SPEED)
+    tabulated = builtin_species(constants, include_quarks=True, width_choice="max")[-1]
+    at_450_ev = quarkonium_contribution(tabulated, constants, c_model).epsilon_term.value
+    assert terms["eta_b"] / at_450_ev == pytest.approx(10.0 / 450.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "species", "name": "eta_t", "type": "quarkonium"},
+    {"kind": "species", "name": "x_pair", "type": "lepton-pair"},
+    {**E_ONLY, "constituent_mass": {"value": 1.0, "unit": "erg"}},
+    {**E_ONLY, "constituent_mass": 9.1e-31},
+    {**E_ONLY, "charge_fraction": "1/0"},
+], ids=["unsupported", "no-mass", "bad-unit", "bare-number", "zero-denominator"])
+def test_predict_bad_species_record_exit_2(capsys, tmp_path, record):
+    code, out, err = _run(capsys, ["predict", "--constants",
+                                   _constants_file(tmp_path, species=[record])])
+    _assert_one_error_line(code, err)
+    assert out == ""
+
+
+def test_predict_species_without_lepton_pair_exit_2(capsys, tmp_path):
+    path = _constants_file(tmp_path, species=[ETA_B_10_EV])
+    code, out, err = _run(capsys, ["predict", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "lepton" in err
+    assert out == ""
+
+
+def test_historical_without_m_u_exit_2(capsys, tmp_path):
+    path = _constants_file(tmp_path, drop=("m_u",))
+    code, out, err = _run(capsys, ["historical", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "m_u" in err
+    assert out == ""
+
+
+def test_predict_include_quarks_without_m_c_exit_2(capsys, tmp_path):
+    path = _constants_file(tmp_path, drop=("m_c",))
+    code, out, err = _run(capsys, ["predict", "--include-quarks", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "m_c" in err
+    assert out == ""
+
+
+def test_zero_elementary_charge_with_gev_records_exit_2(capsys, tmp_path):
+    rows = json.loads(serialize_constants(load_constants()))
+    for row in rows:
+        if row["key"] == "e":
+            row["value"] = 0.0
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    code, out, err = _run(capsys, ["predict", "--constants", str(path)])
+    _assert_one_error_line(code, err)
+    assert out == ""

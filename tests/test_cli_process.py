@@ -1,7 +1,7 @@
 """The CLI as a fresh process: what it imports, and how it ends.
 
-Only ``verify`` (and the library's quadrature, ODE and harmonic-fit functions)
-may pull in numpy or scipy; every other subcommand starts without them.
+Only ``verify`` (and the library's quadrature and ODE functions) may pull in
+numpy or scipy; every other subcommand starts without them.
 """
 
 import json

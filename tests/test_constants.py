@@ -5,8 +5,8 @@ import pytest
 
 from vfdielectric.constants import (
     ConstantsError,
+    MissingConstantError,
     load_constants,
-    get_constant,
     serialize_constants,
     DATA_DIR_ENV_VAR,
 )
@@ -58,7 +58,43 @@ def test_quark_rest_energies_convert_to_joules(constants):
 
 def test_unknown_key_raises(constants):
     with pytest.raises(KeyError):
-        get_constant(constants, "nosuchkey")
+        constants.get("nosuchkey")
+
+
+def test_missing_optional_key_is_a_constants_error_and_a_key_error(tmp_path):
+    rows = [r for r in _default_rows() if r["key"] != "m_etab"]
+    loaded = load_constants(_write(tmp_path, rows))
+    with pytest.raises(MissingConstantError, match="m_etab") as info:
+        loaded.record("m_etab")
+    assert isinstance(info.value, ConstantsError)
+    assert isinstance(info.value, KeyError)
+    assert str(info.value).startswith("constant 'm_etab'")
+
+
+def test_mev_record_loads_as_joules(tmp_path):
+    rows = _default_rows()
+    rows.append({"key": "m_mu_energy", "value": 105.6583755, "unit": "MeV", "source": "test"})
+    loaded = load_constants(_write(tmp_path, rows))
+    assert loaded.get("m_mu_energy").dim == ENERGY
+    assert loaded.get("m_mu_energy").value == 105.6583755 * 1e6 * loaded.get("e").value
+
+
+def test_non_numeric_elementary_charge_rejected(tmp_path):
+    rows = _default_rows()
+    for row in rows:
+        if row["key"] == "e":
+            row["value"] = "one"
+    with pytest.raises(ConstantsError, match="malformed"):
+        load_constants(_write(tmp_path, rows))
+
+
+def test_zero_elementary_charge_with_gev_records_rejected(tmp_path):
+    rows = _default_rows()
+    for row in rows:
+        if row["key"] == "e":
+            row["value"] = 0.0
+    with pytest.raises(ConstantsError):
+        load_constants(_write(tmp_path, rows))
 
 
 def test_missing_required_key(tmp_path):

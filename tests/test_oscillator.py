@@ -17,12 +17,9 @@ from vfdielectric.quantity import (
 from vfdielectric.species import OscillatorSpec
 from vfdielectric.oscillator import (
     N_MAX,
-    Potential1D,
-    PotentialFitError,
     QuadratureError,
     dipole_expectation_static,
     eigenfunction,
-    harmonic_approximation,
     matrix_element_x_analytic,
     matrix_element_x_quadrature,
     overlap_quadrature,
@@ -133,59 +130,6 @@ def test_analytic_scaling_quadrupled_mass_halves_element(constants):
 def test_quadrature_unattainable_tolerance_raises():
     with pytest.raises(QuadratureError):
         matrix_element_x_quadrature(1, 0, NATURAL, HBAR_ONE, tol=1e-20)
-
-
-# --- harmonic approximation ---------------------------------------------------
-
-
-def test_exact_quadratic():
-    fit = harmonic_approximation(Potential1D(lambda x: 0.5 * 5.0 * x * x, (-1.0, 1.0)))
-    assert fit.x_e.value == pytest.approx(0.0, abs=1e-10)
-    assert fit.k_spring.value == pytest.approx(5.0, rel=1e-10)
-    assert fit.u0.value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_morse_curvature():
-    # U = D (1 - exp(-a x))^2 with D=2, a=3: U''(0) = 2 D a^2 = 36
-    fit = harmonic_approximation(
-        Potential1D(lambda x: 2.0 * (1.0 - math.exp(-3.0 * x)) ** 2, (-0.5, 1.0))
-    )
-    assert fit.x_e.value == pytest.approx(0.0, abs=1e-12)
-    assert fit.k_spring.value == pytest.approx(36.0, rel=1e-6)
-
-
-def test_quartic_minimum_is_degenerate():
-    with pytest.raises(PotentialFitError):
-        harmonic_approximation(Potential1D(lambda x: x**4, (-1.0, 1.0)))
-
-
-def test_monotonic_potential_has_no_interior_minimum():
-    with pytest.raises(PotentialFitError):
-        harmonic_approximation(Potential1D(lambda x: 3.0 * x, (-1.0, 1.0)))
-
-
-def test_maximum_rejected():
-    with pytest.raises(PotentialFitError):
-        harmonic_approximation(Potential1D(lambda x: -0.5 * x * x, (-1.0, 1.0)))
-
-
-def test_randomized_quadratic_recovery():
-    rng = random.Random(11)
-    for _ in range(25):
-        u0 = rng.uniform(-10.0, 10.0)
-        k = 10.0 ** rng.uniform(-3.0, 3.0)
-        a = rng.uniform(-1.0, 1.0)
-        fit = harmonic_approximation(
-            Potential1D(lambda x, u0=u0, k=k, a=a: u0 + 0.5 * k * (x - a) ** 2, (-3.0, 3.0))
-        )
-        assert abs(fit.x_e.value - a) <= 1e-8 * max(1.0, abs(a))
-        assert abs(fit.k_spring.value - k) <= 1e-8 * k
-        assert abs(fit.u0.value - u0) <= 1e-8 * max(1.0, abs(u0))
-
-
-def test_bad_search_interval():
-    with pytest.raises(ValueError):
-        Potential1D(lambda x: x * x, (1.0, -1.0))
 
 
 # --- static dipole -------------------------------------------------------------

@@ -267,3 +267,29 @@ def test_dipole_rejects_nonfinite_sample():
 def test_amplitude_norm_property():
     pair = AmplitudePair(a0=1.0 + 0.0j, a1=0.1j, tau=0.0)
     assert pair.norm_sq == pytest.approx(1.01)
+
+
+def test_scaling_exponent_matches_mpmath_fit():
+    mpmath = pytest.importorskip("mpmath")
+    grid = [1e-4, 3e-4, 1e-3, 3e-3]
+    with mpmath.workdps(50):
+        tau = mpmath.mpf(math.pi)
+        xs, ys = [], []
+        for v in grid:
+            lam = mpmath.mpf(v)
+            w = mpmath.sqrt(1 + 4 * lam**2) / 2
+            a0 = mpmath.exp(mpmath.mpc(0, -1) * tau / 2) * (
+                mpmath.cos(w * tau) + mpmath.mpc(0, 1) * mpmath.sin(w * tau) / (2 * w)
+            )
+            xs.append(mpmath.log(lam))
+            ys.append(mpmath.log(abs(a0 - 1)))
+        mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum(
+            (x - mean_x) ** 2 for x in xs
+        )
+    assert abs(scaling_exponent(grid, math.pi) - float(slope)) <= 1e-13
+
+
+def test_scaling_exponent_rejects_nonfinite_tau():
+    with pytest.raises(ValueError):
+        scaling_exponent([1e-4, 3e-4, 1e-3, 3e-3], math.nan)

@@ -223,17 +223,6 @@ def test_spring_constant_epair_closed_form(trio, constants, ref_c, ref_eps):
     assert spring_constant(osc).value == pytest.approx(expected, rel=1e-12)
 
 
-def test_spring_constant_recovered_by_harmonic_fit(trio, constants, ref_c, ref_eps):
-    from vfdielectric.oscillator import Potential1D, harmonic_approximation
-
-    osc = resonant_frequency(trio[0], constants, ref_eps, ref_c)
-    k = spring_constant(osc).value
-    fit = harmonic_approximation(
-        Potential1D(lambda x: 0.5 * k * x * x, (-1e-9, 1e-9))
-    )
-    assert fit.k_spring.value == pytest.approx(k, rel=1e-6)
-
-
 # --- decay rates and interacting densities ----------------------------------
 
 

@@ -15,8 +15,8 @@ from vfdielectric.vacuum import (
     METHOD_SELF_CONSISTENT,
     ConvergenceError,
     alpha_from_epsilon,
+    c_from_epsilon,
     closed_form_report,
-    compare_to_reference,
     epsilon0_closed_form,
     epsilon0_self_consistent,
     inverse_alpha,
@@ -24,7 +24,6 @@ from vfdielectric.vacuum import (
     quarkonium_contribution,
     report_from_dict,
     report_to_dict,
-    speed_of_light,
 )
 
 
@@ -112,17 +111,19 @@ def test_etac_contribution_order_of_magnitude(quark_pair, constants, ref_c):
     assert contribution.in_alpha_units == pytest.approx(coefficient, rel=1e-12)
 
 
-def test_etab_contribution_max_width(quark_pair, constants, ref_c):
-    contribution = quarkonium_contribution(
-        quark_pair["eta_b"], constants, ref_c, width_choice="max"
-    )
+def _eta_b(constants, width_choice):
+    return builtin_species(constants, include_quarks=True, width_choice=width_choice)[-1]
+
+
+def test_etab_contribution_max_width(constants, ref_c):
+    contribution = quarkonium_contribution(_eta_b(constants, "max"), constants, ref_c)
     coefficient = contribution.epsilon_term.value / _e2_over_hbar_c(constants, ref_c.value)
     assert 2.6e-5 / 1.5 <= coefficient <= 2.6e-5 * 1.5
 
 
-def test_etab_width_choice_scales_linearly(quark_pair, constants, ref_c):
-    by_max = quarkonium_contribution(quark_pair["eta_b"], constants, ref_c, "max")
-    by_min = quarkonium_contribution(quark_pair["eta_b"], constants, ref_c, "min")
+def test_etab_width_choice_scales_linearly(constants, ref_c):
+    by_max = quarkonium_contribution(_eta_b(constants, "max"), constants, ref_c)
+    by_min = quarkonium_contribution(_eta_b(constants, "min"), constants, ref_c)
     assert by_min.epsilon_term.value / by_max.epsilon_term.value == pytest.approx(
         0.22 / 0.45, rel=1e-12
     )
@@ -175,19 +176,19 @@ def test_closed_form_needs_at_least_one_species(constants):
 
 
 def test_speed_of_light_paper_value(constants):
-    c = speed_of_light(epsilon0_closed_form(constants), constants)
+    c = c_from_epsilon(epsilon0_closed_form(constants), constants)
     assert c.dim == SPEED
     assert c.value == pytest.approx(2.96e8, rel=2e-3)
 
 
 def test_speed_of_light_reference_consistency(constants):
-    c = speed_of_light(constants.get("ref_epsilon0"), constants)
+    c = c_from_epsilon(constants.get("ref_epsilon0"), constants)
     assert c.value == pytest.approx(constants.get("ref_c").value, rel=1e-9)
 
 
 def test_speed_algebraic_identity(constants):
     # 1/sqrt(mu0 (6 mu0/pi)(8 e^2/hbar)^2) == sqrt(pi/6) hbar/(8 e^2 mu0)
-    c = speed_of_light(epsilon0_closed_form(constants), constants)
+    c = c_from_epsilon(epsilon0_closed_form(constants), constants)
     e = constants.get("e").value
     hbar = constants.get("hbar").value
     mu0 = constants.get("mu0").value
@@ -197,7 +198,7 @@ def test_speed_algebraic_identity(constants):
 
 def test_inverse_alpha_model_value(constants):
     eps = epsilon0_closed_form(constants)
-    c = speed_of_light(eps, constants)
+    c = c_from_epsilon(eps, constants)
     model = inverse_alpha(eps, c, constants)
     assert model == pytest.approx(64.0 * math.sqrt(3.0 * math.pi / 2.0), rel=1e-12)
     assert model == pytest.approx(138.93, abs=0.01)
@@ -302,8 +303,7 @@ def test_report_internal_invariants(constants):
 
 def test_reference_deltas_match_paper(constants, trio):
     report = epsilon0_self_consistent(trio, constants)
-    deltas = compare_to_reference(report, constants)
-    assert deltas == report.reference_deltas
+    deltas = report.reference_deltas
     assert deltas["epsilon0"] == pytest.approx(-2.8, abs=0.1)
     assert deltas["c"] == pytest.approx(1.3, abs=0.1)
     assert deltas["inv_alpha"] == pytest.approx(-1.4, abs=0.1)
