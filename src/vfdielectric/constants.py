@@ -48,6 +48,7 @@ __all__ = [
     "serialize_constants",
     "DATA_DIR_ENV_VAR",
     "REQUIRED_KEYS",
+    "OPTIONAL_KEYS",
 ]
 
 DATA_DIR_ENV_VAR = "VACUUM_DATA_DIR"
@@ -79,9 +80,23 @@ REQUIRED_KEYS: dict[str, Dimension] = {
     "ref_inv_alpha": DIMENSIONLESS,
 }
 
+# keys only some commands read, with the dimensions each may have; checked
+# at load time whenever the file defines them
+OPTIONAL_KEYS: dict[str, tuple[Dimension, ...]] = {
+    "m_u": (MASS,),
+    "m_c": (ENERGY,),
+    "m_b": (ENERGY,),
+    "m_etac": (ENERGY,),
+    "m_etab": (ENERGY,),
+    "gamma_etac_2gamma": (FREQUENCY, ENERGY),
+    "gamma_etab_2gamma_min": (FREQUENCY, ENERGY),
+    "gamma_etab_2gamma_max": (FREQUENCY, ENERGY),
+}
+
 # strictly positive by contract: the elementary charge, the action quantum,
-# the permeability, and every mass
-_POSITIVE_KEYS = {"e", "hbar", "mu0"}
+# the permeability, the reference values the model is compared with (and
+# divided by), and every mass
+_POSITIVE_KEYS = {"e", "hbar", "mu0", "ref_epsilon0", "ref_c", "ref_inv_alpha"}
 
 
 class ConstantsError(ValueError):
@@ -191,8 +206,8 @@ def load_constants(path: str | Path | None = None) -> ConstantsSet:
     """Load and validate a constants registry.
 
     Raises :class:`ConstantsError` on parse failure, missing required keys,
-    wrong dimensions for required keys, or non-positive values where
-    positivity is required.
+    wrong dimensions for required or optional keys, or non-positive values
+    where positivity is required.
     """
     text, origin = _resolve_source(path)
     try:
@@ -217,6 +232,8 @@ def load_constants(path: str | Path | None = None) -> ConstantsSet:
             key, value, unit = row["key"], float(row["value"]), row["unit"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstantsError(f"malformed record in {origin}: {row!r} ({exc})") from exc
+        if not isinstance(key, str):
+            raise ConstantsError(f"malformed record in {origin}: {row!r} (key must be a string)")
         try:
             quantity = file_quantity(value, unit, joules_per_ev)
         except ConstantsError as exc:
@@ -240,9 +257,13 @@ def load_constants(path: str | Path | None = None) -> ConstantsSet:
     if missing:
         raise ConstantsError(f"constants file {origin} is missing required keys: {missing}")
 
-    for key, expected in REQUIRED_KEYS.items():
+    allowed_dims = {key: (expected,) for key, expected in REQUIRED_KEYS.items()} | OPTIONAL_KEYS
+    for key, allowed in allowed_dims.items():
+        if key not in records:
+            continue
         got = records[key].quantity.dim
-        if got != expected:
+        if got not in allowed:
+            expected = " or ".join(str(d) for d in allowed)
             raise ConstantsError(
                 f"constant {key!r} in {origin} must have dimension {expected}, got {got}"
             )

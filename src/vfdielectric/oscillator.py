@@ -14,6 +14,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -102,11 +103,25 @@ def natural_length(oscillator: OscillatorSpec, hbar: Quantity) -> Quantity:
     return q_sqrt(q_div(hbar, q_mul(oscillator.reduced_mass, oscillator.omega0)))
 
 
-def _gauss_hermite_integral(n_prime: int, n: int, with_x: bool, nodes: int) -> float:
-    import numpy as np
+@functools.lru_cache(maxsize=8)
+def _gauss_hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights, built once per node count.
+
+    Each rule is an eigenvalue solve (Golub-Welsch) that depends on the node
+    count alone; the arrays are shared by every caller, hence read-only.
+    """
     from numpy.polynomial.hermite import hermgauss
 
     x, w = hermgauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_hermite_integral(n_prime: int, n: int, with_x: bool, nodes: int) -> float:
+    import numpy as np
+
+    x, w = _gauss_hermite_rule(nodes)
     values = _hermite_series(n_prime, x, gaussian=False) * _hermite_series(n, x, gaussian=False)
     if with_x:
         values = values * x

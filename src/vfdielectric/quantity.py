@@ -16,6 +16,7 @@ with the elementary-charge value supplied by the caller's constants file.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +53,9 @@ __all__ = [
 # Base-dimension order: length, mass, time, current, temperature, amount, luminosity.
 _BASE_SYMBOLS = ("m", "kg", "s", "A", "K", "mol", "cd")
 _ZERO7 = (Fraction(0),) * 7
+# the one Dimension per exponent tuple; guarded by the lock when written
+_INTERNED: dict[tuple[Fraction, ...], "Dimension"] = {}
+_INTERN_LOCK = threading.Lock()
 
 
 class DimensionError(ValueError):
@@ -66,42 +70,102 @@ def _as_fraction(x: int | Fraction) -> Fraction:
     raise TypeError(f"exponents must be int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+def _format(exponents: tuple[Fraction, ...]) -> str:
+    parts = [
+        symbol if exp == 1 else f"{symbol}^{exp}"
+        for symbol, exp in zip(_BASE_SYMBOLS, exponents)
+        if exp != 0
+    ]
+    return "·".join(parts) or "1"
+
+
 class Dimension:
-    """Exact rational exponents over the seven SI base dimensions."""
+    """Exact rational exponents over the seven SI base dimensions.
 
-    exponents: tuple[Fraction, ...] = _ZERO7
+    Instances are interned: ``Dimension(exps)`` returns the one instance for
+    those exponents (``int`` and equal ``Fraction`` inputs alike), so equality
+    is identity.  Each instance is immutable and memoizes its products,
+    quotients and powers, so repeated arithmetic builds no new exponents; the
+    memo tables hold only interned dimensions, so they grow with the number
+    of distinct dimensions a process meets, not with the number of operations.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.exponents) != 7:
+    __slots__ = ("exponents", "is_dimensionless", "_hash", "_str", "_mul", "_div", "_pow")
+
+    exponents: tuple[Fraction, ...]
+    is_dimensionless: bool
+
+    def __new__(cls, exponents: tuple[int | Fraction, ...] = _ZERO7) -> "Dimension":
+        key = tuple(exponents)
+        if len(key) != 7:
             raise ValueError("a Dimension needs exactly 7 exponents")
-        object.__setattr__(
-            self, "exponents", tuple(_as_fraction(x) for x in self.exponents)
-        )
+        # Validate before the lookup, since 1.0 == 1 would find an entry.  A
+        # tuple of ints hashes and compares equal to the same Fractions, so
+        # it finds its instance without building any Fraction.
+        for x in key:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"exponents must be int or Fraction, got {type(x).__name__}")
+        self = _INTERNED.get(key)
+        if self is None:
+            exps = tuple(_as_fraction(x) for x in key)
+            with _INTERN_LOCK:  # two threads must not both create the instance
+                self = _INTERNED.get(exps)
+                if self is None:
+                    self = object.__new__(cls)
+                    init = object.__setattr__
+                    init(self, "exponents", exps)
+                    init(self, "is_dimensionless", not any(exps))
+                    init(self, "_hash", hash(exps))
+                    init(self, "_str", _format(exps))
+                    init(self, "_mul", {})
+                    init(self, "_div", {})
+                    init(self, "_pow", {})
+                    _INTERNED[exps] = self
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Dimension is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Dimension is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copies and unpickled instances go through the intern table
+        return (Dimension, (self.exponents,))
+
+    # interning makes equality identity (object's own __eq__); the hash is
+    # nevertheless that of the exponents, so it does not depend on the process
+    def __hash__(self) -> int:
+        return self._hash
 
     def __mul__(self, other: "Dimension") -> "Dimension":
-        return Dimension(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        out = self._mul.get(other)
+        if out is None:
+            out = self._mul[other] = Dimension(
+                tuple(a + b for a, b in zip(self.exponents, other.exponents))
+            )
+        return out
 
     def __truediv__(self, other: "Dimension") -> "Dimension":
-        return Dimension(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
+        out = self._div.get(other)
+        if out is None:
+            out = self._div[other] = Dimension(
+                tuple(a - b for a, b in zip(self.exponents, other.exponents))
+            )
+        return out
 
     def __pow__(self, power: int | Fraction) -> "Dimension":
         p = _as_fraction(power)
-        return Dimension(tuple(a * p for a in self.exponents))
-
-    @property
-    def is_dimensionless(self) -> bool:
-        return all(x == 0 for x in self.exponents)
+        out = self._pow.get(p)
+        if out is None:
+            out = self._pow[p] = Dimension(tuple(a * p for a in self.exponents))
+        return out
 
     def __str__(self) -> str:
-        if self.is_dimensionless:
-            return "1"
-        parts = []
-        for symbol, exp in zip(_BASE_SYMBOLS, self.exponents):
-            if exp == 0:
-                continue
-            parts.append(symbol if exp == 1 else f"{symbol}^{exp}")
-        return "·".join(parts)
+        return self._str
+
+    def __repr__(self) -> str:
+        return f"Dimension(exponents={self.exponents!r})"
 
 
 def dim(
@@ -114,7 +178,7 @@ def dim(
     cd: int | Fraction = 0,
 ) -> Dimension:
     """Build a Dimension from keyword exponents, e.g. ``dim(m=1, s=-1)``."""
-    return Dimension(tuple(_as_fraction(x) for x in (m, kg, s, A, K, mol, cd)))
+    return Dimension((m, kg, s, A, K, mol, cd))
 
 
 DIMENSIONLESS = Dimension()

@@ -303,8 +303,12 @@ ETA_B_10_EV = {
 }
 
 
-def _constants_file(tmp_path, species=(), drop=()):
-    rows = [row for row in json.loads(serialize_constants(load_constants()))
+def _constants_file(tmp_path, species=(), drop=(), changes=None):
+    """The bundled constants without ``drop``, with ``changes[key]`` merged into
+    that key's row, and with ``species`` appended."""
+    changes = changes or {}
+    rows = [{**row, **changes.get(row["key"], {})}
+            for row in json.loads(serialize_constants(load_constants()))
             if row["key"] not in drop]
     path = tmp_path / "constants.json"
     path.write_text(json.dumps(rows + list(species)), encoding="utf-8")
@@ -397,3 +401,48 @@ def test_zero_elementary_charge_with_gev_records_exit_2(capsys, tmp_path):
     code, out, err = _run(capsys, ["predict", "--constants", str(path)])
     _assert_one_error_line(code, err)
     assert out == ""
+
+
+COMMANDS = ("predict", "species", "verify", "sensitivity", "historical")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_non_string_key_exit_2(capsys, tmp_path, command):
+    path = _constants_file(tmp_path, changes={"m_u": {"key": ["m_u"]}})
+    code, out, err = _run(capsys, [command, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "key must be a string" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("key, command", [
+    ("ref_epsilon0", "predict"),
+    ("ref_epsilon0", "verify"),
+    ("ref_c", "species"),
+    ("ref_c", "predict"),
+    ("ref_inv_alpha", "species"),
+])
+def test_zero_reference_value_exit_2(capsys, tmp_path, key, command):
+    path = _constants_file(tmp_path, changes={key: {"value": 0.0}})
+    code, out, err = _run(capsys, [command, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert key in err and "positive" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("key", ["m_c", "gamma_etac_2gamma", "gamma_etab_2gamma_max"])
+def test_optional_key_in_kg_exit_2(capsys, tmp_path, key):
+    path = _constants_file(tmp_path, changes={key: {"value": 1.0, "unit": "kg"}})
+    code, out, err = _run(capsys, ["predict", "--include-quarks", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert key in err and "dimension" in err
+    assert out == ""
+
+
+def test_warm_caches_change_no_output(capsys):
+    verify = ["verify", "--format", "json"]
+    predict = ["predict", "--include-quarks", "--format", "json"]
+    runs = [_run(capsys, argv) for argv in (verify, predict, verify, predict)]
+    assert runs[0] == runs[2]
+    assert runs[1] == runs[3]
+    assert [code for code, _, _ in runs] == [0, 0, 0, 0]

@@ -1,7 +1,9 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from numpy.polynomial import hermite
 
 from vfdielectric.quantity import (
     ACTION,
@@ -18,12 +20,14 @@ from vfdielectric.species import OscillatorSpec
 from vfdielectric.oscillator import (
     N_MAX,
     QuadratureError,
+    _gauss_hermite_rule,
     dipole_expectation_static,
     eigenfunction,
     matrix_element_x_analytic,
     matrix_element_x_quadrature,
     overlap_quadrature,
 )
+from vfdielectric.verify import check_quadrature_vs_analytic
 
 NATURAL = OscillatorSpec(Quantity(1.0, MASS), Quantity(1.0, FREQUENCY))
 HBAR_ONE = Quantity(1.0, ACTION)
@@ -130,6 +134,35 @@ def test_analytic_scaling_quadrupled_mass_halves_element(constants):
 def test_quadrature_unattainable_tolerance_raises():
     with pytest.raises(QuadratureError):
         matrix_element_x_quadrature(1, 0, NATURAL, HBAR_ONE, tol=1e-20)
+
+
+def test_gauss_hermite_rule_built_once_per_node_count(constants, monkeypatch):
+    built = Counter()
+    original = hermite.hermgauss
+
+    def counting_hermgauss(nodes):
+        built[nodes] += 1
+        return original(nodes)
+
+    monkeypatch.setattr(hermite, "hermgauss", counting_hermgauss)
+    _gauss_hermite_rule.cache_clear()
+    try:
+        first = check_quadrature_vs_analytic(constants)
+        second = check_quadrature_vs_analytic(constants)
+    finally:
+        _gauss_hermite_rule.cache_clear()  # drop rules built by the wrapper
+    assert first == second and first.passed
+    assert built == {64: 1, 32: 1}
+
+
+def test_gauss_hermite_rule_is_read_only():
+    x, w = _gauss_hermite_rule(16)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    assert _gauss_hermite_rule(16)[0] is x
 
 
 # --- static dipole -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -230,3 +232,78 @@ def test_add_rejects_every_unequal_dimension_pair(exps_a, exps_b):
     else:
         with pytest.raises(DimensionError):
             q_add(a, b)
+
+
+# --- interned dimensions ------------------------------------------------------
+
+_rationals = st.builds(
+    Fraction, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=6)
+)
+_rational_exponents = st.tuples(*([_rationals] * 7))
+
+
+@given(_exponents)
+def test_equal_int_and_fraction_exponents_give_one_instance(exps):
+    as_fractions = tuple(Fraction(x) for x in exps)
+    interned = Dimension(exps)
+    assert Dimension(as_fractions) is interned
+    assert Dimension(list(exps)) is interned
+    assert interned.exponents == as_fractions
+    assert all(type(x) is Fraction for x in interned.exponents)
+
+
+@given(_rational_exponents, _rational_exponents, _rationals)
+def test_memoized_ops_match_fraction_arithmetic(exps_a, exps_b, power):
+    a, b = Dimension(exps_a), Dimension(exps_b)
+    for _ in range(2):  # the second round is served from the memo tables
+        assert (a * b).exponents == tuple(x + y for x, y in zip(exps_a, exps_b))
+        assert (a / b).exponents == tuple(x - y for x, y in zip(exps_a, exps_b))
+        assert (a**power).exponents == tuple(x * power for x in exps_a)
+    assert a * b is Dimension(tuple(x + y for x, y in zip(exps_a, exps_b)))
+    if power.denominator == 1:
+        assert a ** int(power) is a**power
+
+
+@given(_rational_exponents, _rational_exponents, st.booleans())
+def test_hash_and_equality_agree(exps_a, exps_b, same):
+    if same:
+        exps_b = exps_a
+    a, b = Dimension(exps_a), Dimension(exps_b)
+    assert (a == b) == (exps_a == exps_b) == (a is b)
+    assert (a != b) == (exps_a != exps_b)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert hash(a) == hash(tuple(exps_a))
+
+
+def test_dimension_is_immutable():
+    speed = dim(m=1, s=-1)
+    with pytest.raises(AttributeError):
+        speed.exponents = (Fraction(0),) * 7
+    with pytest.raises(AttributeError):
+        del speed.exponents
+    with pytest.raises(AttributeError):
+        speed.extra = 1
+    assert speed is SPEED and str(speed) == "m·s^-1"
+
+
+def test_copies_are_the_interned_instance():
+    assert copy.copy(SPEED) is SPEED
+    assert copy.deepcopy(SPEED) is SPEED
+    assert pickle.loads(pickle.dumps(SPEED)) is SPEED
+
+
+@given(st.integers(min_value=0, max_value=12).filter(lambda n: n != 7))
+def test_wrong_exponent_count_rejected(n):
+    with pytest.raises(ValueError):
+        Dimension((0,) * n)
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, "1", None, complex(1, 0)])
+def test_non_rational_exponent_rejected(bad):
+    with pytest.raises(TypeError):
+        Dimension((bad, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        dim(m=bad)
+    with pytest.raises(TypeError):
+        LENGTH**bad
