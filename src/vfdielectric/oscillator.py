@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
 
 from .quantity import (
     CHARGE,
@@ -29,12 +28,6 @@ from .quantity import (
     q_sqrt,
 )
 from .species import OscillatorSpec
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# numpy is imported inside the functions that use it, so that importing the
-# package (and the CLI paths that never reach them) stays cheap.
 
 __all__ = [
     "N_MAX",
@@ -54,48 +47,46 @@ N_MAX = 10
 _DEFAULT_NODES = 64
 _DEFAULT_QUAD_TOL = 1e-10
 
+_PI_M4 = math.pi ** -0.25
+_NEWTON_EPS = 1e-14
+_NEWTON_MAXIT = 10
+
 
 class QuadratureError(RuntimeError):
     """Quadrature failed to converge to the requested tolerance."""
 
 
-def _hermite_series(n: int, x: np.ndarray, gaussian: bool) -> np.ndarray:
-    """Orthonormal Hermite functions by upward recurrence.
+def _hermite_values(n: int, x: float, p0: float) -> list[float]:
+    """``[h_0(x), ..., h_n(x)]`` by the orthonormal Hermite recurrence from ``h_0 = p0``.
 
-    With ``gaussian`` the values are the eigenfunctions psi_n(x); without it
-    the Gaussian ``exp(-x^2/2)`` is factored out, which is exactly the form
-    Gauss-Hermite quadrature wants.  Phases keep every psi_n real with a
+    With ``p0 = pi^(-1/4)`` the values are the Hermite functions with the
+    Gaussian ``exp(-x^2/2)`` factored out, which is exactly the form
+    Gauss-Hermite quadrature wants; with the Gaussian folded into ``p0`` they
+    are the eigenfunctions psi_n(x).  Phases keep every function real with a
     positive leading coefficient.
     """
-    import numpy as np
+    values = [p0]
+    prev, cur = 0.0, p0
+    for k in range(n):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+        values.append(cur)
+    return values
 
+
+def _check_level(n: int) -> None:
     if not (0 <= n <= N_MAX):
         raise ValueError(f"level n must be in [0, {N_MAX}], got {n}")
-    p0 = np.full_like(x, math.pi ** -0.25, dtype=float)
-    if gaussian:
-        p0 = p0 * np.exp(-0.5 * x * x)
-    if n == 0:
-        return p0
-    p1 = math.sqrt(2.0) * x * p0
-    if n == 1:
-        return p1
-    prev, cur = p0, p1
-    for k in range(1, n):
-        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
-    return cur
 
 
-def eigenfunction(n: int, x: float | np.ndarray, oscillator: OscillatorSpec | None = None) -> float | np.ndarray:
+def eigenfunction(n: int, x: float, oscillator: OscillatorSpec | None = None) -> float:
     """Normalized eigenfunction psi_n at dimensionless x (natural units).
 
     The oscillator argument is accepted for interface symmetry; in natural
     units the eigenfunctions are universal and do not depend on it.
     """
-    import numpy as np
-
-    arr = np.asarray(x, dtype=float)
-    out = _hermite_series(n, arr, gaussian=True)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    _check_level(n)
+    x = float(x)
+    return _hermite_values(n, x, _PI_M4 * math.exp(-0.5 * x * x))[n]
 
 
 def natural_length(oscillator: OscillatorSpec, hbar: Quantity) -> Quantity:
@@ -104,28 +95,61 @@ def natural_length(oscillator: OscillatorSpec, hbar: Quantity) -> Quantity:
 
 
 @functools.lru_cache(maxsize=8)
-def _gauss_hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite nodes and weights, built once per node count.
+def _gauss_hermite_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Hermite nodes (ascending) and weights, built once per node count.
 
-    Each rule is an eigenvalue solve (Golub-Welsch) that depends on the node
-    count alone; the arrays are shared by every caller, hence read-only.
+    Newton's method on the orthonormal recurrence finds the non-negative
+    roots of h_nodes from the standard initial guesses (Press et al.,
+    *Numerical Recipes*, 3rd ed., section 4.6, ``gauher``); the weight at a
+    root z is ``2 / h'(z)^2`` with ``h' = sqrt(2 nodes) h_{nodes-1}``.  The
+    negative half mirrors the positive one, so the rule is symmetric by
+    construction and an odd integrand sums to exactly zero.
     """
-    from numpy.polynomial.hermite import hermgauss
-
-    x, w = hermgauss(nodes)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    if nodes < 1:
+        raise ValueError(f"node count must be positive, got {nodes}")
+    roots: list[float] = []  # descending, the largest first
+    weights: list[float] = []
+    for i in range((nodes + 1) // 2):
+        if nodes % 2 and i == nodes // 2:
+            z = 0.0  # the middle root of an odd rule is exact
+        elif i == 0:
+            z = math.sqrt(2 * nodes + 1) - 1.85575 * (2 * nodes + 1) ** (-1 / 6)
+        elif i == 1:
+            z -= 1.14 * nodes**0.426 / z
+        elif i == 2:
+            z = 1.86 * z - 0.86 * roots[0]
+        elif i == 3:
+            z = 1.91 * z - 0.91 * roots[1]
+        else:
+            z = 2.0 * z - roots[i - 2]
+        for _ in range(_NEWTON_MAXIT):
+            below, value = _hermite_values(nodes, z, _PI_M4)[-2:]
+            slope = math.sqrt(2 * nodes) * below
+            step = value / slope
+            z -= step
+            if abs(step) <= _NEWTON_EPS:
+                break
+        else:
+            raise QuadratureError(f"Newton iteration for {nodes}-node root {i} did not converge")
+        roots.append(z)
+        weights.append(2.0 / (slope * slope))
+    middle = nodes // 2  # roots shared by both halves: one for an odd rule
+    return (
+        tuple(-z for z in roots[:middle]) + tuple(reversed(roots)),
+        tuple(weights[:middle]) + tuple(reversed(weights)),
+    )
 
 
 def _gauss_hermite_integral(n_prime: int, n: int, with_x: bool, nodes: int) -> float:
-    import numpy as np
-
-    x, w = _gauss_hermite_rule(nodes)
-    values = _hermite_series(n_prime, x, gaussian=False) * _hermite_series(n, x, gaussian=False)
-    if with_x:
-        values = values * x
-    return float(np.sum(w * values))
+    _check_level(n_prime)
+    _check_level(n)
+    top = max(n_prime, n)
+    terms = []
+    for x, w in zip(*_gauss_hermite_rule(nodes)):
+        h = _hermite_values(top, x, _PI_M4)
+        terms.append(w * h[n_prime] * h[n] * (x if with_x else 1.0))
+    # fsum is correctly rounded, so the mirrored terms of an odd integrand cancel exactly
+    return math.fsum(terms)
 
 
 def _converged_integral(n_prime: int, n: int, with_x: bool, nodes: int, tol: float) -> float:

@@ -23,9 +23,8 @@ The untruncated system also has an exact solution: substituting
     a1 = exp(+i tau/2) (i lam/W) sin W tau.
 
 It keeps the back-reaction on a0 that the first-order forms drop and powers
-the scaling fit.  The adaptive ODE integration is the independent oracle for
-all three; it is the only route that needs numpy and scipy, which it imports
-when called.
+the scaling fit.  The adaptive Gragg-Bulirsch-Stoer integration of the
+system is the independent oracle for all three.
 
 E0 is a frozen scalar (the field at the absorption instant), so nothing here
 depends on the photon frequency: the model vacuum is dispersion-free by
@@ -39,7 +38,7 @@ import math
 import statistics
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .quantity import CHARGE, ELECTRIC_FIELD, Quantity, q_div, q_mul
 from .species import OscillatorSpec
@@ -70,6 +69,8 @@ _LAMBDA_WARN = 0.1
 
 _ODE_TOL_DEFAULT = 1e-10
 _ODE_TOL_RANGE = (1e-12, 1e-6)
+
+_Pair = tuple[complex, complex]  # the amplitudes (a0, a1)
 
 
 class CouplingStrengthWarning(UserWarning):
@@ -175,14 +176,11 @@ def amplitudes_ode(
 ) -> AmplitudePair:
     """Integrate the exact two-level system from (1, 0) at tau = 0 to tau_end.
 
-    Adaptive high-order explicit Runge-Kutta (DOP853) with rtol = atol =
-    ``tolerance``; this is the oracle the analytic branches and the exact
-    propagator are checked against, and it retains the O(lam^2) back-reaction
-    on a0.
+    Gragg-Bulirsch-Stoer extrapolation (see :func:`_gbs_integrate`) with
+    rtol = atol = ``tolerance``; this is the oracle the analytic branches and
+    the exact propagator are checked against, and it retains the O(lam^2)
+    back-reaction on a0.  A negative ``tau_end`` integrates backwards.
     """
-    import numpy as np
-    from scipy.integrate import solve_ivp
-
     lo, hi = _ODE_TOL_RANGE
     if not (lo <= tolerance <= hi):
         raise ValueError(f"tolerance must lie in [{lo}, {hi}], got {tolerance!r}")
@@ -191,26 +189,123 @@ def amplitudes_ode(
     if tau_end == 0.0:
         return AmplitudePair(a0=1.0 + 0.0j, a1=0.0 + 0.0j, tau=0.0)
 
-    k = lam.value
+    k = 1j * lam.value
 
-    def rhs(tau: float, y: np.ndarray) -> list[complex]:
-        a0, a1 = y
-        return [1j * k * a1 * cmath.exp(-1j * tau), 1j * k * a0 * cmath.exp(1j * tau)]
+    def rhs(tau: float, y: _Pair) -> _Pair:
+        phase = cmath.exp(1j * tau)
+        return k * y[1] * phase.conjugate(), k * y[0] * phase
 
-    solution = solve_ivp(
-        rhs,
-        (0.0, float(tau_end)),
-        np.array([1.0 + 0.0j, 0.0 + 0.0j]),
-        method="DOP853",
-        rtol=tolerance,
-        atol=tolerance,
+    a0, a1 = _gbs_integrate(rhs, float(tau_end), (1.0 + 0.0j, 0.0 + 0.0j), tolerance)
+    return AmplitudePair(a0=a0, a1=a1, tau=float(tau_end))
+
+
+# Gragg-Bulirsch-Stoer: row j of the extrapolation table starts from a
+# modified-midpoint step with _GBS_STEPS[j] substeps; _GBS_WORK[j] counts the
+# right-hand-side evaluations that rows 0..j of one step cost.
+_GBS_STEPS = (2, 4, 6, 8, 10, 12, 14, 16)
+_GBS_WORK = tuple(1 + sum(_GBS_STEPS[: j + 1]) for j in range(len(_GBS_STEPS)))
+# Aitken-Neville denominators in h^2: (n_j / n_(j-i))^2 - 1
+_GBS_RATIO = tuple(
+    tuple((n / _GBS_STEPS[j - i]) ** 2 - 1.0 for i in range(j + 1))
+    for j, n in enumerate(_GBS_STEPS)
+)
+_GBS_MIN_STEP = 1e-14  # the smallest step, as a fraction of the interval
+_GBS_MAX_STEPS = 10_000  # attempted steps; a solve to tau = 37 takes about a dozen
+
+
+def _modified_midpoint(
+    rhs: Callable[[float, _Pair], _Pair], t: float, y: _Pair, f0: _Pair, big_step: float, n: int
+) -> _Pair:
+    """Gragg's modified midpoint rule: n substeps of a two-component system.
+
+    Returns the increment over the step, not the end value: carried apart
+    from y, the small increments keep their own relative precision.
+    """
+    h = big_step / n
+    (y0, y1), (d0, d1) = y, f0
+    p0 = p1 = 0.0
+    c0, c1 = h * d0, h * d1
+    for m in range(1, n):
+        d0, d1 = rhs(t + m * h, (y0 + c0, y1 + c1))
+        p0, p1, c0, c1 = c0, c1, p0 + 2.0 * h * d0, p1 + 2.0 * h * d1
+    return c0, c1
+
+
+def _step_factor(y: _Pair, row: list[_Pair], j: int, tol: float) -> tuple[float, float]:
+    """Scaled error of row j's last column, and the step factor it asks for.
+
+    The error is the change from the previous column in units of
+    ``tol * (1 + |y|)``, the larger over both components; it is O(h^(2j+1)).
+    """
+    (c0, c1), (p0, p1) = row[j], row[j - 1]
+    try:
+        err = max(abs(c0 - p0) / (tol * (1.0 + abs(y[0]))), abs(c1 - p1) / (tol * (1.0 + abs(y[1]))))
+    except OverflowError:
+        err = math.inf
+    if err == 0.0:
+        return err, 4.0
+    if not math.isfinite(err):
+        return err, 0.02
+    return err, min(4.0, max(0.02, 0.94 * (0.65 / err) ** (1.0 / (2 * j + 1))))
+
+
+def _gbs_integrate(rhs: Callable[[float, _Pair], _Pair], t_end: float, y: _Pair, tol: float) -> _Pair:
+    """Integrate the two-component complex system ``y' = rhs(t, y)`` from 0 to t_end.
+
+    Gragg-Bulirsch-Stoer extrapolation (Hairer, Norsett & Wanner, *Solving
+    Ordinary Differential Equations I*, section II.9): modified-midpoint
+    steps with the step-number sequence 2, 4, 6, ..., Aitken-Neville
+    extrapolation in h^2, and ODEX's order and step-size control in
+    simplified form.  A step is accepted at the first row, from one below
+    the target row on, whose scaled error (:func:`_step_factor`) is at most
+    1; the next target is the row with the least work per unit step.
+    Raises :class:`OdeIntegrationError` when the step collapses or
+    ``_GBS_MAX_STEPS`` attempts do not reach t_end.
+    """
+    t = 0.0
+    # the phases in the two-level rhs turn at about one radian per unit tau, so
+    # half a period at a high row is a first step that is usually accepted
+    h = math.copysign(min(abs(t_end), 3.0), t_end)
+    target = 5
+    for _ in range(_GBS_MAX_STEPS):
+        last = abs(h) >= abs(t_end - t)
+        if last:
+            h = t_end - t
+        f0 = rhs(t, y)
+        table: list[list[_Pair]] = []
+        fac = [0.0] * len(_GBS_STEPS)
+        for j in range(min(target + 2, len(_GBS_STEPS))):
+            row = [_modified_midpoint(rhs, t, y, f0, h, _GBS_STEPS[j])]
+            for i in range(1, j + 1):
+                (c0, c1), (p0, p1) = row[i - 1], table[j - 1][i - 1]
+                ratio = _GBS_RATIO[j][i]
+                row.append((c0 + (c0 - p0) / ratio, c1 + (c1 - p1) / ratio))
+            table.append(row)
+            if j == 0:
+                continue
+            err, fac[j] = _step_factor(y, row, j, tol)
+            if j >= target - 1 and err <= 1.0:
+                break
+        else:  # rejected: retry with the step the target row asks for
+            h *= fac[target]
+            if abs(h) < _GBS_MIN_STEP * abs(t_end):
+                break
+            continue
+        y = (y[0] + table[j][j][0], y[1] + table[j][j][1])
+        if last:
+            return y
+        t += h
+        target = j
+        if j >= 2 and _GBS_WORK[j - 1] / fac[j - 1] < 0.8 * _GBS_WORK[j] / fac[j]:
+            target = j - 1
+        elif j + 2 < len(_GBS_STEPS) and (
+            j == 1 or _GBS_WORK[j] / fac[j] < 0.9 * _GBS_WORK[j - 1] / fac[j - 1]
+        ):
+            target = j + 1
+        h *= fac[min(target, j)] * _GBS_WORK[target] / _GBS_WORK[min(target, j)]
+    raise OdeIntegrationError(
+        f"amplitude integration to tau={t_end!r} failed at tau={t!r}: the step shrank to {h!r}"
     )
-    if not solution.success:
-        raise OdeIntegrationError(
-            f"amplitude integration to tau={tau_end!r} failed: {solution.message}"
-        )
-    a0, a1 = solution.y[:, -1]
-    return AmplitudePair(a0=complex(a0), a1=complex(a1), tau=float(tau_end))
 
 
 def _a0_correction(tau: float, lam: float) -> float:

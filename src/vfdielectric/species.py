@@ -174,6 +174,11 @@ def _quarkonium(
     quark_energy = constants.get(quark_energy_key).require(ENERGY, quark_energy_key)
     bound_energy = constants.get(bound_energy_key).require(ENERGY, bound_energy_key)
     e_min = bound_energy - quark_energy * 2
+    if not e_min.value > 0.0:
+        raise ConstantsError(
+            f"{name}: {bound_energy_key} must exceed 2 * {quark_energy_key} in "
+            f"{constants.origin} (binding window e_min = {e_min.value!r} J)"
+        )
     width = _width_rate(constants.get(width_key), constants)
     return SpeciesSpec(
         name=name,

@@ -46,7 +46,6 @@ __all__ = [
     "ConvergenceError",
     "SpeciesContribution",
     "PredictionReport",
-    "METHOD_SUM",
     "METHOD_CLOSED_FORM",
     "METHOD_SELF_CONSISTENT",
     "alpha_from_epsilon",
@@ -60,7 +59,6 @@ __all__ = [
     "report_from_dict",
 ]
 
-METHOD_SUM = "sum"
 METHOD_CLOSED_FORM = "closed-form"
 METHOD_SELF_CONSISTENT = "self-consistent"
 

@@ -24,7 +24,13 @@ from .quantity import (
 )
 from .species import OscillatorSpec, builtin_species
 from .oscillator import matrix_element_x_analytic, matrix_element_x_quadrature
-from .perturbation import CouplingLambda, amplitudes_analytic, amplitudes_ode, BRANCH_LITERAL
+from .perturbation import (
+    BRANCH_LITERAL,
+    CouplingLambda,
+    amplitudes_analytic,
+    amplitudes_exact,
+    amplitudes_ode,
+)
 from .vacuum import (
     c_from_epsilon,
     epsilon0_closed_form,
@@ -97,25 +103,33 @@ def check_quadrature_vs_analytic(
 
 
 def check_ode_vs_analytic(constants: ConstantsSet) -> CheckResult:
-    """Integrated amplitudes vs the literal closed form, and integrator unitarity."""
+    """Integrated amplitudes vs the literal closed form and the exact propagator.
+
+    The integrator must also stay unitary; its gap to the exact propagator
+    and its unitarity leak share the check's tolerance.
+    """
     bound_factor = 50.0
-    unitarity_tol = 1e-9
+    tol = 1e-9
     worst_ratio = 0.0
     worst_leak = 0.0
+    worst_gap = 0.0
     for lam_value in (1e-4, 1e-3):
         lam = CouplingLambda(lam_value)
         for tau in (math.pi, 2 * math.pi, 4 * math.pi):
             ode = amplitudes_ode(tau, lam, tolerance=1e-12)
             literal = amplitudes_analytic(tau, lam, BRANCH_LITERAL)
+            exact = amplitudes_exact(tau, lam)
             diff = abs(ode.a1 - literal.a1)
             worst_ratio = max(worst_ratio, diff / (bound_factor * lam_value**2))
             worst_leak = max(worst_leak, abs(ode.norm_sq - 1.0))
-    passed = worst_ratio <= 1.0 and worst_leak <= unitarity_tol
+            worst_gap = max(worst_gap, abs(ode.a0 - exact.a0), abs(ode.a1 - exact.a1))
+    passed = worst_ratio <= 1.0 and worst_leak <= tol and worst_gap <= tol
     detail = (
         f"worst |a1_ode - a1_literal| at {worst_ratio:.2e} of the 50*lam^2 bound; "
-        f"worst unitarity leak {worst_leak:.2e} (tol {unitarity_tol:.0e})"
+        f"worst unitarity leak {worst_leak:.2e} (tol {tol:.0e}); "
+        f"worst |ode - exact| {worst_gap:.2e}"
     )
-    return CheckResult("ode-vs-analytic", passed, unitarity_tol, detail)
+    return CheckResult("ode-vs-analytic", passed, tol, detail)
 
 
 def check_fixed_point_vs_closed_form(constants: ConstantsSet) -> CheckResult:

@@ -391,6 +391,15 @@ def test_predict_include_quarks_without_m_c_exit_2(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["predict", "species"])
+def test_etab_below_two_b_quarks_exit_2(capsys, tmp_path, command):
+    path = _constants_file(tmp_path, changes={"m_etab": {"value": 1.0, "unit": "GeV"}})
+    code, out, err = _run(capsys, [command, "--include-quarks", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "eta_b" in err and "m_etab" in err and path in err
+    assert out == ""
+
+
 def test_zero_elementary_charge_with_gev_records_exit_2(capsys, tmp_path):
     rows = json.loads(serialize_constants(load_constants()))
     for row in rows:

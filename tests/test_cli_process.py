@@ -1,7 +1,7 @@
 """The CLI as a fresh process: what it imports, and how it ends.
 
-Only ``verify`` (and the library's quadrature and ODE functions) may pull in
-numpy or scipy; every other subcommand starts without them.
+No subcommand, ``verify`` included, loads numpy or scipy: the package needs
+only the standard library.
 """
 
 import json
@@ -46,6 +46,17 @@ def test_sensitivity_runs_without_numpy_or_scipy():
     done = _python("-c", code)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["coupling_scaling"]["fitted_exponent"] == pytest.approx(2.0, abs=0.05)
+    assert json.loads(done.stderr) == []
+
+
+@pytest.mark.parametrize("command", ["predict", "species", "verify", "historical"])
+def test_command_loads_no_numpy_or_scipy(command):
+    code = (_REPORT_HEAVY + "import runpy; "
+            f"sys.argv = ['vfdielectric', {command!r}]; "
+            "runpy.run_module('vfdielectric.cli', run_name='__main__')")
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
     assert json.loads(done.stderr) == []
 
 

@@ -1,8 +1,9 @@
 """Module-layout guards for the package source.
 
 Each module reaches its siblings only through their public names, and only at
-module level; numpy and scipy stay importable inside functions, which is how
-the CLI avoids loading them on paths that never compute with them.
+module level.  The package needs nothing beyond the standard library: numpy and
+scipy are imported nowhere in it, not even inside a function; the tests use
+them as referees of the quadrature and ODE oracles.
 """
 
 import ast
@@ -47,5 +48,20 @@ def test_no_sibling_import_inside_a_function():
         for function in ast.walk(ast.parse(path.read_text("utf-8")))
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in _sibling_imports(function)
+    ]
+    assert offenders == []
+
+
+def test_no_numpy_or_scipy_import():
+    offenders = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.split(".")[0] in ("numpy", "scipy")
     ]
     assert offenders == []

@@ -16,6 +16,7 @@ from vfdielectric.quantity import (
     DimensionError,
     Quantity,
 )
+from vfdielectric import oscillator
 from vfdielectric.species import OscillatorSpec
 from vfdielectric.oscillator import (
     N_MAX,
@@ -137,32 +138,72 @@ def test_quadrature_unattainable_tolerance_raises():
 
 
 def test_gauss_hermite_rule_built_once_per_node_count(constants, monkeypatch):
+    # a build is a miss of the rule's own cache; count them per node count
+    cached_rule = oscillator._gauss_hermite_rule
     built = Counter()
-    original = hermite.hermgauss
 
-    def counting_hermgauss(nodes):
-        built[nodes] += 1
-        return original(nodes)
+    def counting_rule(nodes):
+        misses = cached_rule.cache_info().misses
+        rule = cached_rule(nodes)
+        built[nodes] += cached_rule.cache_info().misses - misses
+        return rule
 
-    monkeypatch.setattr(hermite, "hermgauss", counting_hermgauss)
-    _gauss_hermite_rule.cache_clear()
-    try:
-        first = check_quadrature_vs_analytic(constants)
-        second = check_quadrature_vs_analytic(constants)
-    finally:
-        _gauss_hermite_rule.cache_clear()  # drop rules built by the wrapper
+    monkeypatch.setattr(oscillator, "_gauss_hermite_rule", counting_rule)
+    cached_rule.cache_clear()
+    first = check_quadrature_vs_analytic(constants)
+    second = check_quadrature_vs_analytic(constants)
     assert first == second and first.passed
     assert built == {64: 1, 32: 1}
 
 
 def test_gauss_hermite_rule_is_read_only():
     x, w = _gauss_hermite_rule(16)
-    assert not x.flags.writeable and not w.flags.writeable
-    with pytest.raises(ValueError):
+    assert type(x) is tuple and type(w) is tuple
+    assert all(type(v) is float for v in x + w)
+    with pytest.raises(TypeError):
         x[0] = 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         w[0] = 0.0
     assert _gauss_hermite_rule(16)[0] is x
+
+
+@pytest.mark.parametrize("nodes", [16, 32, 64])
+def test_newton_rule_matches_golub_welsch(nodes):
+    # hermgauss solves the Golub-Welsch eigenproblem: an independent route
+    x, w = _gauss_hermite_rule(nodes)
+    ref_x, ref_w = hermite.hermgauss(nodes)
+    assert len(x) == len(w) == nodes
+    assert max(abs(a - b) for a, b in zip(x, ref_x)) <= 1e-14
+    assert max(abs(a - b) / b for a, b in zip(w, ref_w)) <= 1e-12
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 5, 12, 13, 64])
+def test_newton_rule_is_symmetric(nodes):
+    x, w = _gauss_hermite_rule(nodes)
+    assert list(x) == sorted(x)
+    assert x == tuple(-v for v in reversed(x))
+    assert w == tuple(reversed(w))
+    assert math.fsum(w) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+
+
+def test_gauss_hermite_rule_rejects_empty_rule():
+    with pytest.raises(ValueError):
+        _gauss_hermite_rule(0)
+
+
+def test_odd_integrands_vanish_exactly():
+    for n_prime, n in ((0, 0), (2, 0), (1, 3), (4, 2), (3, 1)):
+        assert matrix_element_x_quadrature(n_prime, n, NATURAL, HBAR_ONE).value == 0.0
+
+
+def test_eigenfunction_matches_numpy_hermite_series():
+    # psi_n = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)) with physicists' H_n
+    for n in range(N_MAX + 1):
+        coefficients = [0.0] * n + [1.0]
+        norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+        for x in (-3.7, -1.3, 0.0, 0.4, 2.2, 5.0):
+            expected = hermite.hermval(x, coefficients) * math.exp(-0.5 * x * x) / norm
+            assert eigenfunction(n, x) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 # --- static dipole -------------------------------------------------------------

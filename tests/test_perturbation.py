@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import pytest
+from scipy.integrate import solve_ivp
 
+from vfdielectric import perturbation
 from vfdielectric.quantity import (
     ACTION,
     CHARGE,
@@ -17,6 +20,7 @@ from vfdielectric.perturbation import (
     AmplitudePair,
     CouplingLambda,
     CouplingStrengthWarning,
+    OdeIntegrationError,
     amplitudes_analytic,
     amplitudes_exact,
     amplitudes_ode,
@@ -146,6 +150,39 @@ def test_exact_at_tau_zero():
 def test_exact_rejects_nonfinite_tau():
     with pytest.raises(ValueError):
         amplitudes_exact(float("nan"), CouplingLambda(0.01))
+
+
+@pytest.mark.parametrize("lam_value", ORACLE_LAMBDAS)
+def test_gbs_matches_dop853_and_exact(lam_value):
+    # scipy's DOP853 referees the Gragg-Bulirsch-Stoer oracle, backwards too
+    lam = CouplingLambda(lam_value)
+    k = lam.value
+
+    def rhs(tau, y):
+        return [1j * k * y[1] * cmath.exp(-1j * tau), 1j * k * y[0] * cmath.exp(1j * tau)]
+
+    for tau in ORACLE_TAUS + tuple(-t for t in ORACLE_TAUS):
+        gbs = amplitudes_ode(tau, lam, tolerance=1e-12)
+        dop = solve_ivp(rhs, (0.0, tau), [1.0 + 0.0j, 0.0 + 0.0j],
+                        method="DOP853", rtol=1e-12, atol=1e-12)
+        assert dop.success
+        exact = amplitudes_exact(tau, lam)
+        assert gbs.tau == tau
+        assert abs(gbs.a0 - dop.y[0, -1]) <= 1e-11 and abs(gbs.a1 - dop.y[1, -1]) <= 1e-11
+        assert abs(gbs.a0 - exact.a0) <= 1e-11 and abs(gbs.a1 - exact.a1) <= 1e-11
+
+
+def test_ode_collapsing_step_raises():
+    with pytest.warns(CouplingStrengthWarning):
+        lam = CouplingLambda(1e300)
+    with pytest.raises(OdeIntegrationError, match="step"):
+        amplitudes_ode(1.0, lam)
+
+
+def test_ode_step_budget_raises(monkeypatch):
+    monkeypatch.setattr(perturbation, "_GBS_MAX_STEPS", 2)
+    with pytest.raises(OdeIntegrationError):
+        amplitudes_ode(37.0, CouplingLambda(1e-3))
 
 
 @pytest.mark.parametrize("lam_value", ORACLE_LAMBDAS)
