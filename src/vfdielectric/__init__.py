@@ -12,7 +12,6 @@ from .quantity import (
     DimensionError,
     Quantity,
     dim,
-    energy_convert,
     q_add,
     q_div,
     q_mul,
@@ -33,16 +32,13 @@ from .species import (
     number_density,
     resonant_frequency,
     species_from_record,
-    spring_constant,
     vf_lifetime,
 )
 from .oscillator import (
     QuadratureError,
     dipole_expectation_static,
-    eigenfunction,
     matrix_element_x_analytic,
     matrix_element_x_quadrature,
-    overlap_quadrature,
 )
 from .perturbation import (
     BRANCH_LITERAL,

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .constants import ConstantsError, ConstantsSet, load_constants
 from .quantity import ELECTRIC_FIELD, Quantity
@@ -44,23 +43,11 @@ from .vacuum import (
 )
 from .verify import run_all
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 _LAMBDA_GRID = (1e-4, 3e-4, 1e-3, 3e-3)
 _TRAJECTORY_SAMPLES = 17
 _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that went away
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    constants_path: str | None
-    include_quarks: bool
-    width_choice: str
-    branch: str
-    output_format: str
-    precision: int
-    tolerance: float | None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,23 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    if args.precision < 1:
-        raise ConstantsError("--precision must be a positive integer")
-    if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise ConstantsError(f"--tolerance must be a positive finite number, got {args.tolerance!r}")
-    return RunConfig(
-        subcommand=args.subcommand,
-        constants_path=args.constants,
-        include_quarks=args.include_quarks,
-        width_choice=args.width,
-        branch=args.branch,
-        output_format=args.output_format,
-        precision=args.precision,
-        tolerance=args.tolerance,
-    )
-
-
 def _fmt(value: float, precision: int) -> str:
     """Fixed significant figures, keeping significant trailing zeros."""
     text = f"{value:#.{precision}g}"
@@ -143,9 +113,9 @@ def _print_csv(sections: list[tuple[str, list[str], list[list]]]) -> None:
 # --- predict ----------------------------------------------------------------
 
 
-def cmd_predict(cfg: RunConfig, constants: ConstantsSet) -> int:
+def cmd_predict(args: argparse.Namespace, constants: ConstantsSet) -> int:
     species = load_species(
-        constants, include_quarks=cfg.include_quarks, width_choice=cfg.width_choice
+        constants, include_quarks=args.include_quarks, width_choice=args.width
     )
     n_leptons = sum(1 for s in species if s.kind != QUARKONIUM)
     if n_leptons == 0:
@@ -155,7 +125,7 @@ def cmd_predict(cfg: RunConfig, constants: ConstantsSet) -> int:
     closed = closed_form_report(constants, n_species=n_leptons)
     model = epsilon0_self_consistent(species, constants)
 
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps(report_to_dict(model, constants), indent=2))
         return 0
 
@@ -169,7 +139,7 @@ def cmd_predict(cfg: RunConfig, constants: ConstantsSet) -> int:
          closed.inv_alpha_model, model.inv_alpha_model,
          constants.get("ref_inv_alpha").value),
     ]
-    if cfg.output_format == "csv":
+    if args.output_format == "csv":
         rows = []
         for label, key, closed_value, sc_value, reference in quantities:
             rows.append(["closed-form", key, repr(closed_value), repr(reference),
@@ -186,7 +156,7 @@ def cmd_predict(cfg: RunConfig, constants: ConstantsSet) -> int:
         ])
         return 0
 
-    p = cfg.precision
+    p = args.precision
     print(f"vacuum-fluctuation dielectric model — constants: {constants.origin}")
     print()
     _print_table(
@@ -212,13 +182,13 @@ def cmd_predict(cfg: RunConfig, constants: ConstantsSet) -> int:
 # --- species ----------------------------------------------------------------
 
 
-def _species_rows(cfg: RunConfig, constants: ConstantsSet) -> list[dict]:
+def _species_rows(args: argparse.Namespace, constants: ConstantsSet) -> list[dict]:
     c = constants.get("ref_c")
     eps = constants.get("ref_epsilon0")
     alpha = 1.0 / constants.get("ref_inv_alpha").value
     rows = []
-    for s in load_species(constants, include_quarks=cfg.include_quarks,
-                          width_choice=cfg.width_choice):
+    for s in load_species(constants, include_quarks=args.include_quarks,
+                          width_choice=args.width):
         osc = resonant_frequency(s, constants, eps, c)
         rows.append({
             "species": s.name,
@@ -239,12 +209,12 @@ _SPECIES_COLUMNS = [
 ]
 
 
-def cmd_species(cfg: RunConfig, constants: ConstantsSet) -> int:
-    rows = _species_rows(cfg, constants)
-    if cfg.output_format == "json":
+def cmd_species(args: argparse.Namespace, constants: ConstantsSet) -> int:
+    rows = _species_rows(args, constants)
+    if args.output_format == "json":
         print(json.dumps(rows, indent=2))
         return 0
-    if cfg.output_format == "csv":
+    if args.output_format == "csv":
         _print_csv([("species", _SPECIES_COLUMNS,
                      [[row["species"]] + [repr(row[k]) for k in _SPECIES_COLUMNS[1:]]
                       for row in rows])])
@@ -254,7 +224,7 @@ def cmd_species(cfg: RunConfig, constants: ConstantsSet) -> int:
     print()
     _print_table(
         _SPECIES_COLUMNS,
-        [[row["species"]] + [_fmt(row[k], cfg.precision) for k in _SPECIES_COLUMNS[1:]]
+        [[row["species"]] + [_fmt(row[k], args.precision) for k in _SPECIES_COLUMNS[1:]]
          for row in rows],
     )
     return 0
@@ -263,12 +233,12 @@ def cmd_species(cfg: RunConfig, constants: ConstantsSet) -> int:
 # --- verify -----------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig, constants: ConstantsSet) -> int:
-    quadrature_tol = cfg.tolerance if cfg.tolerance is not None else 1e-10
+def cmd_verify(args: argparse.Namespace, constants: ConstantsSet) -> int:
+    quadrature_tol = args.tolerance if args.tolerance is not None else 1e-10
     results = run_all(constants, quadrature_tol=quadrature_tol)
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps([result.__dict__ for result in results], indent=2))
-    elif cfg.output_format == "csv":
+    elif args.output_format == "csv":
         _print_csv([("checks", ["check", "passed", "tolerance", "detail"],
                      [[r.name, r.passed, repr(r.tolerance), r.detail] for r in results])])
     else:
@@ -281,7 +251,7 @@ def cmd_verify(cfg: RunConfig, constants: ConstantsSet) -> int:
 # --- sensitivity ------------------------------------------------------------
 
 
-def _sensitivity_payload(cfg: RunConfig, constants: ConstantsSet) -> dict:
+def _sensitivity_payload(args: argparse.Namespace, constants: ConstantsSet) -> dict:
     count_rows = []
     for n in range(1, 7):
         eps = epsilon0_closed_form(constants, n_species=n)
@@ -303,7 +273,7 @@ def _sensitivity_payload(cfg: RunConfig, constants: ConstantsSet) -> dict:
     taus = [2 * math.pi * i / (_TRAJECTORY_SAMPLES - 1) for i in range(_TRAJECTORY_SAMPLES)]
     trajectory = dipole_trajectory(
         osc, constants.get("e"), Quantity(1.0, ELECTRIC_FIELD),
-        cfg.branch, taus, constants.get("hbar"),
+        args.branch, taus, constants.get("hbar"),
     )
     return {
         "species_count_sweep": count_rows,
@@ -314,23 +284,23 @@ def _sensitivity_payload(cfg: RunConfig, constants: ConstantsSet) -> dict:
         },
         "dipole_trajectory": {
             "species": e_pair.name,
-            "branch": cfg.branch,
+            "branch": args.branch,
             "field_V_per_m": 1.0,
             "samples": [{"tau": t, "dipole_Cm": p.value} for t, p in trajectory],
         },
     }
 
 
-def cmd_sensitivity(cfg: RunConfig, constants: ConstantsSet) -> int:
-    payload = _sensitivity_payload(cfg, constants)
-    if cfg.output_format == "json":
+def cmd_sensitivity(args: argparse.Namespace, constants: ConstantsSet) -> int:
+    payload = _sensitivity_payload(args, constants)
+    if args.output_format == "json":
         print(json.dumps(payload, indent=2))
         return 0
 
     count_headers = ["n_species", "epsilon0_F_per_m", "c_m_per_s", "inv_alpha"]
     scaling = payload["coupling_scaling"]
     trajectory = payload["dipole_trajectory"]
-    if cfg.output_format == "csv":
+    if args.output_format == "csv":
         _print_csv([
             ("species_count_sweep", count_headers,
              [[row[k] if k == "n_species" else repr(row[k]) for k in count_headers]
@@ -344,7 +314,7 @@ def cmd_sensitivity(cfg: RunConfig, constants: ConstantsSet) -> int:
         ])
         return 0
 
-    p = cfg.precision
+    p = args.precision
     print(f"sensitivity sweeps (constants: {constants.origin})")
     print()
     print("model outputs vs number of lepton species (closed form):")
@@ -397,18 +367,18 @@ def _historical_rows(constants: ConstantsSet) -> list[dict]:
     return rows
 
 
-def cmd_historical(cfg: RunConfig, constants: ConstantsSet) -> int:
+def cmd_historical(args: argparse.Namespace, constants: ConstantsSet) -> int:
     rows = _historical_rows(constants)
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps({"note": "historical/numerological formulas, not physics",
                           "rows": rows}, indent=2))
         return 0
-    if cfg.output_format == "csv":
+    if args.output_format == "csv":
         _print_csv([("historical", ["name", "formula", "value", "comparison", "comparison_label"],
                      [[r["name"], r["formula"], repr(r["value"]), repr(r["comparison"]),
                        r["comparison_label"]] for r in rows])])
         return 0
-    p = max(cfg.precision, 8)  # the whole point of these is many matching digits
+    p = max(args.precision, 8)  # the whole point of these is many matching digits
     print("historical/numerological formulas for 1/alpha — demonstrations, not physics:")
     print()
     _print_table(
@@ -434,11 +404,14 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
-        constants = load_constants(cfg.constants_path)
+        if args.precision < 1:
+            raise ConstantsError("--precision must be a positive integer")
+        if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise ConstantsError(f"--tolerance must be a positive finite number, got {args.tolerance!r}")
+        constants = load_constants(args.constants)
         # commands raise ConstantsError (a missing optional key, a bad species
         # record) before they print anything
-        return _COMMANDS[cfg.subcommand](cfg, constants)
+        return _COMMANDS[args.subcommand](args, constants)
     except ConstantsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ the bundled default.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -35,7 +36,6 @@ from .quantity import (
     EV_SCALE,
     Dimension,
     Quantity,
-    energy_convert,
 )
 
 __all__ = [
@@ -136,12 +136,6 @@ class ConstantsSet:
                 f"constant {key!r} is not defined in {self.origin}"
             ) from None
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.records
-
-    def keys(self):
-        return self.records.keys()
-
     def same_values(self, other: "ConstantsSet") -> bool:
         """Key-by-key equality of quantities, dimensions and sources."""
         if self.records.keys() != other.records.keys():
@@ -157,8 +151,8 @@ def file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Q
     """A data-file ``{value, unit}`` pair as an SI :class:`Quantity`.
 
     ``unit`` must be on the whitelist.  eV-family energies become joules through
-    :func:`~vfdielectric.quantity.energy_convert` with ``joules_per_ev``, the
-    file's own elementary charge in coulombs (None if the file has none).
+    :data:`~vfdielectric.quantity.EV_SCALE` and ``joules_per_ev``, the file's
+    own elementary charge in coulombs (None if the file has none).
     Raises :class:`ConstantsError` for anything it cannot convert.
     """
     if not isinstance(unit, str) or unit not in UNIT_DIMENSIONS:
@@ -172,7 +166,9 @@ def file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Q
     try:
         si_value = float(value)
         if unit in EV_SCALE:
-            si_value = energy_convert(si_value, unit, "J", joules_per_ev)
+            if joules_per_ev <= 0 or not math.isfinite(joules_per_ev):
+                raise ValueError("joules_per_ev must be finite and positive")
+            si_value = si_value * EV_SCALE[unit] * joules_per_ev
         return Quantity(si_value, UNIT_DIMENSIONS[unit])
     except (TypeError, ValueError) as exc:
         raise ConstantsError(f"cannot convert {value!r} {unit} to SI: {exc}") from exc

@@ -32,19 +32,16 @@ from .species import OscillatorSpec
 __all__ = [
     "N_MAX",
     "QuadratureError",
-    "eigenfunction",
-    "natural_length",
     "matrix_element_x_quadrature",
     "matrix_element_x_analytic",
-    "overlap_quadrature",
     "dipole_expectation_static",
 ]
 
 # The model only ever populates n = 0, 1; higher levels exist for the
-# parity/orthogonality property checks.
+# parity-selection checks.
 N_MAX = 10
 
-_DEFAULT_NODES = 64
+_NODES = 64
 _DEFAULT_QUAD_TOL = 1e-10
 
 _PI_M4 = math.pi ** -0.25
@@ -56,17 +53,16 @@ class QuadratureError(RuntimeError):
     """Quadrature failed to converge to the requested tolerance."""
 
 
-def _hermite_values(n: int, x: float, p0: float) -> list[float]:
-    """``[h_0(x), ..., h_n(x)]`` by the orthonormal Hermite recurrence from ``h_0 = p0``.
+def _hermite_values(n: int, x: float) -> list[float]:
+    """``[h_0(x), ..., h_n(x)]`` by the orthonormal Hermite recurrence from ``h_0 = pi^(-1/4)``.
 
-    With ``p0 = pi^(-1/4)`` the values are the Hermite functions with the
-    Gaussian ``exp(-x^2/2)`` factored out, which is exactly the form
-    Gauss-Hermite quadrature wants; with the Gaussian folded into ``p0`` they
-    are the eigenfunctions psi_n(x).  Phases keep every function real with a
-    positive leading coefficient.
+    The values are the Hermite functions psi_n(x) with the Gaussian
+    ``exp(-x^2/2)`` factored out, which is exactly the form Gauss-Hermite
+    quadrature wants.  Phases keep every function real with a positive
+    leading coefficient.
     """
-    values = [p0]
-    prev, cur = 0.0, p0
+    values = [_PI_M4]
+    prev, cur = 0.0, _PI_M4
     for k in range(n):
         prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
         values.append(cur)
@@ -76,22 +72,6 @@ def _hermite_values(n: int, x: float, p0: float) -> list[float]:
 def _check_level(n: int) -> None:
     if not (0 <= n <= N_MAX):
         raise ValueError(f"level n must be in [0, {N_MAX}], got {n}")
-
-
-def eigenfunction(n: int, x: float, oscillator: OscillatorSpec | None = None) -> float:
-    """Normalized eigenfunction psi_n at dimensionless x (natural units).
-
-    The oscillator argument is accepted for interface symmetry; in natural
-    units the eigenfunctions are universal and do not depend on it.
-    """
-    _check_level(n)
-    x = float(x)
-    return _hermite_values(n, x, _PI_M4 * math.exp(-0.5 * x * x))[n]
-
-
-def natural_length(oscillator: OscillatorSpec, hbar: Quantity) -> Quantity:
-    """The oscillator length scale ``sqrt(hbar/(mu omega0))`` in meters."""
-    return q_sqrt(q_div(hbar, q_mul(oscillator.reduced_mass, oscillator.omega0)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -123,7 +103,7 @@ def _gauss_hermite_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...
         else:
             z = 2.0 * z - roots[i - 2]
         for _ in range(_NEWTON_MAXIT):
-            below, value = _hermite_values(nodes, z, _PI_M4)[-2:]
+            below, value = _hermite_values(nodes, z)[-2:]
             slope = math.sqrt(2 * nodes) * below
             step = value / slope
             z -= step
@@ -140,22 +120,22 @@ def _gauss_hermite_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...
     )
 
 
-def _gauss_hermite_integral(n_prime: int, n: int, with_x: bool, nodes: int) -> float:
+def _gauss_hermite_integral(n_prime: int, n: int, nodes: int) -> float:
     _check_level(n_prime)
     _check_level(n)
     top = max(n_prime, n)
     terms = []
     for x, w in zip(*_gauss_hermite_rule(nodes)):
-        h = _hermite_values(top, x, _PI_M4)
-        terms.append(w * h[n_prime] * h[n] * (x if with_x else 1.0))
+        h = _hermite_values(top, x)
+        terms.append(w * h[n_prime] * h[n] * x)
     # fsum is correctly rounded, so the mirrored terms of an odd integrand cancel exactly
     return math.fsum(terms)
 
 
-def _converged_integral(n_prime: int, n: int, with_x: bool, nodes: int, tol: float) -> float:
+def _converged_integral(n_prime: int, n: int, tol: float) -> float:
     """Integral with an error estimate from a coarser node count."""
-    coarse = _gauss_hermite_integral(n_prime, n, with_x, max(nodes // 2, N_MAX + 2))
-    fine = _gauss_hermite_integral(n_prime, n, with_x, nodes)
+    coarse = _gauss_hermite_integral(n_prime, n, max(_NODES // 2, N_MAX + 2))
+    fine = _gauss_hermite_integral(n_prime, n, _NODES)
     if abs(fine - coarse) > tol * max(1.0, abs(fine)):
         raise QuadratureError(
             f"Gauss-Hermite integral for (n'={n_prime}, n={n}) did not converge: "
@@ -169,18 +149,18 @@ def matrix_element_x_quadrature(
     n: int,
     oscillator: OscillatorSpec,
     hbar: Quantity,
-    nodes: int = _DEFAULT_NODES,
     tol: float = _DEFAULT_QUAD_TOL,
 ) -> Quantity:
     """Position matrix element ``<n'|x|n>`` by Gauss-Hermite quadrature (m).
 
-    The integrand is a polynomial times ``exp(-x^2)``, so the default 64-node
-    rule is exact for all allowed levels; convergence is still verified
-    against a half-size rule and a :class:`QuadratureError` raised if the two
-    disagree beyond ``tol``.
+    The integrand is a polynomial times ``exp(-x^2)``, so the 64-node rule is
+    exact for all allowed levels; convergence is still verified against a
+    half-size rule and a :class:`QuadratureError` raised if the two disagree
+    beyond ``tol``.  The dimensionless integral is scaled by the oscillator
+    length ``sqrt(hbar/(mu omega0))``.
     """
-    integral = _converged_integral(n_prime, n, with_x=True, nodes=nodes, tol=tol)
-    return natural_length(oscillator, hbar) * integral
+    integral = _converged_integral(n_prime, n, tol)
+    return q_sqrt(q_div(hbar, q_mul(oscillator.reduced_mass, oscillator.omega0))) * integral
 
 
 def matrix_element_x_analytic(oscillator: OscillatorSpec, hbar: Quantity) -> Quantity:
@@ -188,16 +168,6 @@ def matrix_element_x_analytic(oscillator: OscillatorSpec, hbar: Quantity) -> Qua
     return q_sqrt(
         q_div(hbar, q_mul(oscillator.reduced_mass, oscillator.omega0) * 2)
     ).require(LENGTH, "<x>_{1,0}")
-
-
-def overlap_quadrature(
-    n_prime: int,
-    n: int,
-    nodes: int = _DEFAULT_NODES,
-    tol: float = _DEFAULT_QUAD_TOL,
-) -> float:
-    """Overlap ``<n'|n>`` by quadrature; delta_{n',n} up to quadrature error."""
-    return _converged_integral(n_prime, n, with_x=False, nodes=nodes, tol=tol)
 
 
 def dipole_expectation_static(

@@ -9,8 +9,8 @@ checks dimensional consistency, so a formula that type-checks here is also
 unit-checked.
 
 Energy values cross the eV/J boundary only at ingestion: :data:`EV_SCALE` is
-the one table of eV-family units, and :func:`energy_convert` scales through it
-with the elementary-charge value supplied by the caller's constants file.
+the one table of eV-family units, which the constants loader scales through
+with the elementary-charge value from the same file.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "q_mul",
     "q_pow",
     "q_sqrt",
-    "energy_convert",
     "EV_SCALE",
     "DIMENSIONLESS",
     "LENGTH",
@@ -46,7 +45,6 @@ __all__ = [
     "PERMITTIVITY",
     "PERMEABILITY",
     "NUMBER_DENSITY",
-    "SPRING_CONSTANT",
     "DIPOLE_MOMENT",
 ]
 
@@ -195,7 +193,6 @@ ELECTRIC_FIELD = dim(kg=1, m=1, s=-3, A=-1)        # V/m
 PERMITTIVITY = dim(A=2, s=4, kg=-1, m=-3)          # F/m
 PERMEABILITY = dim(kg=1, m=1, A=-2, s=-2)          # H/m
 NUMBER_DENSITY = dim(m=-3)
-SPRING_CONSTANT = dim(kg=1, s=-2)
 DIPOLE_MOMENT = dim(A=1, s=1, m=1)         # C·m
 
 
@@ -303,25 +300,3 @@ def q_sqrt(a: Quantity) -> Quantity:
 # eV-family multiples, relative to 1 eV: the only table of eV-family units
 EV_SCALE = {"eV": 1.0, "keV": 1e3, "MeV": 1e6, "GeV": 1e9}
 
-
-def energy_convert(value: float, from_unit: str, to_unit: str, joules_per_ev: float) -> float:
-    """Convert an energy value between J and the eV family.
-
-    ``joules_per_ev`` is the elementary-charge value from the caller's loaded
-    constants registry (1 eV = e joules), so conversions track any override of
-    that constant.  eV-family conversions are exact powers of ten.
-    """
-    known = set(EV_SCALE) | {"J"}
-    for unit in (from_unit, to_unit):
-        if unit not in known:
-            raise ValueError(f"unknown energy unit {unit!r}; expected one of {sorted(known)}")
-    value = float(value)
-    if from_unit == to_unit:
-        return value
-    if joules_per_ev <= 0 or not math.isfinite(joules_per_ev):
-        raise ValueError("joules_per_ev must be finite and positive")
-    if from_unit == "J":
-        return value / joules_per_ev / EV_SCALE[to_unit]
-    if to_unit == "J":
-        return value * EV_SCALE[from_unit] * joules_per_ev
-    return value * (EV_SCALE[from_unit] / EV_SCALE[to_unit])

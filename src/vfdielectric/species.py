@@ -48,7 +48,6 @@ __all__ = [
     "number_density",
     "binding_energy",
     "resonant_frequency",
-    "spring_constant",
     "decay_rate",
     "interacting_density",
 ]
@@ -389,11 +388,6 @@ def resonant_frequency(
     else:
         omega0 = q_div(species.e_min, hbar)
     return OscillatorSpec(reduced_mass=species.constituent_mass * 0.5, omega0=omega0)
-
-
-def spring_constant(oscillator: OscillatorSpec) -> Quantity:
-    """Effective spring constant ``K = mu omega0^2`` (kg/s^2)."""
-    return q_mul(oscillator.reduced_mass, q_mul(oscillator.omega0, oscillator.omega0))
 
 
 def decay_rate(

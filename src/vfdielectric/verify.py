@@ -51,6 +51,7 @@ __all__ = [
 
 _SEED = 20218
 _N_RANDOM_SPECS = 20
+_N_MISMATCHED_ADDITIONS = 200
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,9 @@ class CheckResult:
     detail: str
 
 
-def _random_oscillators(n: int, seed: int = _SEED) -> list[OscillatorSpec]:
+def _random_oscillators(n: int) -> list[OscillatorSpec]:
     # reduced masses and frequencies spanning >12 orders of magnitude in mu*omega0
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     specs = []
     for _ in range(n):
         mu = 10.0 ** rng.uniform(-31.0, -25.0)
@@ -159,7 +160,7 @@ def check_mass_cancellation(constants: ConstantsSet) -> CheckResult:
     return CheckResult("mass-cancellation", passed, tol, detail)
 
 
-def check_dimension_audit(constants: ConstantsSet, n_cases: int = 200) -> CheckResult:
+def check_dimension_audit(constants: ConstantsSet) -> CheckResult:
     """Output dimensions, and rejection of randomized mismatched additions."""
     eps = epsilon0_closed_form(constants)
     c = c_from_epsilon(eps, constants)
@@ -168,7 +169,7 @@ def check_dimension_audit(constants: ConstantsSet, n_cases: int = 200) -> CheckR
 
     rng = random.Random(_SEED + 1)
     rejected = 0
-    for _ in range(n_cases):
+    for _ in range(_N_MISMATCHED_ADDITIONS):
         exps_a = [rng.randint(-3, 3) for _ in range(7)]
         exps_b = list(exps_a)
         index = rng.randrange(7)
@@ -179,10 +180,10 @@ def check_dimension_audit(constants: ConstantsSet, n_cases: int = 200) -> CheckR
             q_add(a, b)
         except DimensionError:
             rejected += 1
-    passed = dims_ok and rejected == n_cases
+    passed = dims_ok and rejected == _N_MISMATCHED_ADDITIONS
     detail = (
         f"eps0 dim {eps.dim}; c dim {c.dim}; 1/alpha dimensionless; "
-        f"{rejected}/{n_cases} mismatched additions rejected"
+        f"{rejected}/{_N_MISMATCHED_ADDITIONS} mismatched additions rejected"
     )
     return CheckResult("dimension-audit", passed, 0.0, detail)
 

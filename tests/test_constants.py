@@ -45,7 +45,7 @@ def test_dimension_audit_on_load(constants):
 
 
 def test_every_record_carries_a_source(constants):
-    assert all(constants.record(k).source for k in constants.keys())
+    assert all(record.source for record in constants.records.values())
 
 
 def test_quark_rest_energies_convert_to_joules(constants):

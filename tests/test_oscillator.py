@@ -23,10 +23,8 @@ from vfdielectric.oscillator import (
     QuadratureError,
     _gauss_hermite_rule,
     dipole_expectation_static,
-    eigenfunction,
     matrix_element_x_analytic,
     matrix_element_x_quadrature,
-    overlap_quadrature,
 )
 from vfdielectric.verify import check_quadrature_vs_analytic
 
@@ -48,34 +46,35 @@ def _random_specs(n, seed=4242):
 # --- eigenfunctions ----------------------------------------------------------
 
 
-def test_ground_state_at_origin():
-    assert eigenfunction(0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-15)
-
-
-def test_first_excited_odd_parity_at_origin():
-    assert eigenfunction(1, 0.0) == 0.0
-
-
-def test_ground_state_normalized_by_quadrature():
-    assert overlap_quadrature(0, 0) == pytest.approx(1.0, abs=1e-10)
+def _psi(n, x):
+    """psi_n(x): the recurrence's Hermite function times the Gaussian it factors out."""
+    return oscillator._hermite_values(n, x)[n] * math.exp(-0.5 * x * x)
 
 
 def test_eigenfunction_level_bound():
     with pytest.raises(ValueError):
-        eigenfunction(N_MAX + 1, 0.0)
+        matrix_element_x_quadrature(N_MAX + 1, 0, NATURAL, HBAR_ONE)
+    with pytest.raises(ValueError):
+        matrix_element_x_quadrature(0, N_MAX + 1, NATURAL, HBAR_ONE)
 
 
 def test_eigenfunction_parity():
     for n in range(6):
-        left = eigenfunction(n, -1.3)
-        right = eigenfunction(n, 1.3)
+        left = _psi(n, -1.3)
+        right = _psi(n, 1.3)
         assert left == pytest.approx((-1.0) ** n * right, rel=1e-12)
 
 
 def test_orthonormality_up_to_five():
+    # the weights carry the Gaussian, so the rule sums h_n' h_n directly
+    x, w = _gauss_hermite_rule(64)
     for n_prime in range(6):
         for n in range(6):
-            overlap = overlap_quadrature(n_prime, n)
+            overlap = math.fsum(
+                wk * h[n_prime] * h[n]
+                for xk, wk in zip(x, w)
+                for h in [oscillator._hermite_values(5, xk)]
+            )
             expected = 1.0 if n_prime == n else 0.0
             assert overlap == pytest.approx(expected, abs=1e-10)
 
@@ -203,7 +202,7 @@ def test_eigenfunction_matches_numpy_hermite_series():
         norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
         for x in (-3.7, -1.3, 0.0, 0.4, 2.2, 5.0):
             expected = hermite.hermval(x, coefficients) * math.exp(-0.5 * x * x) / norm
-            assert eigenfunction(n, x) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert _psi(n, x) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 # --- static dipole -------------------------------------------------------------

@@ -22,15 +22,12 @@ from vfdielectric.quantity import (
     DimensionError,
     Quantity,
     dim,
-    energy_convert,
     q_add,
     q_div,
     q_mul,
     q_pow,
     q_sqrt,
 )
-
-E_CHARGE = 1.602176634e-19
 
 
 def test_mul_values_and_dims():
@@ -163,35 +160,6 @@ def test_dimension_str_forms():
     assert str(DIMENSIONLESS) == "1"
     assert str(SPEED) == "m·s^-1"
     assert str(q_sqrt(Quantity(4.0, LENGTH)).dim) == "m^1/2"
-
-
-# --- energy_convert ---------------------------------------------------------
-
-
-def test_energy_convert_gev_to_ev_is_power_of_ten():
-    assert energy_convert(1.0, "GeV", "eV", E_CHARGE) == 1e9
-
-
-def test_energy_convert_ev_to_joule_uses_charge():
-    assert energy_convert(1.0, "eV", "J", E_CHARGE) == E_CHARGE
-
-
-def test_energy_convert_identity():
-    assert energy_convert(0.37, "J", "J", E_CHARGE) == 0.37
-
-
-def test_energy_convert_round_trip():
-    out = energy_convert(energy_convert(2.98, "GeV", "J", E_CHARGE), "J", "GeV", E_CHARGE)
-    assert out == pytest.approx(2.98, rel=1e-15)
-
-
-def test_energy_convert_kev_mev():
-    assert energy_convert(1.0, "MeV", "keV", E_CHARGE) == 1e3
-
-
-def test_energy_convert_unknown_unit():
-    with pytest.raises(ValueError):
-        energy_convert(1.0, "erg", "J", E_CHARGE)
 
 
 # --- property tests ---------------------------------------------------------

@@ -8,7 +8,6 @@ from vfdielectric.quantity import (
     LENGTH,
     MASS,
     NUMBER_DENSITY,
-    SPRING_CONSTANT,
     TIME,
     DimensionError,
     Quantity,
@@ -17,7 +16,6 @@ from vfdielectric.quantity import (
 from vfdielectric.species import (
     LEPTON_PAIR,
     QUARKONIUM,
-    OscillatorSpec,
     SpeciesSpec,
     UnsupportedSpeciesError,
     binding_energy,
@@ -29,7 +27,6 @@ from vfdielectric.species import (
     number_density,
     resonant_frequency,
     species_from_record,
-    spring_constant,
     vf_lifetime,
 )
 
@@ -203,24 +200,6 @@ def test_resonant_frequency_linear_in_lepton_mass(trio, constants, ref_c, ref_ep
     w_mu = resonant_frequency(mu_pair, constants, ref_eps, ref_c).omega0.value
     ratio = constants.get("m_mu").value / constants.get("m_e").value
     assert w_mu / w_e == pytest.approx(ratio, rel=1e-12)
-
-
-def test_spring_constant_unit_case():
-    osc = OscillatorSpec(Quantity(1.0, MASS), Quantity(1.0, FREQUENCY))
-    k = spring_constant(osc)
-    assert k.value == 1.0
-    assert k.dim == SPRING_CONSTANT
-
-
-def test_spring_constant_epair_closed_form(trio, constants, ref_c, ref_eps):
-    # (m_e/2) (m_e alpha^2 c^2 / 4 hbar)^2 with alpha consistent with eps
-    e = constants.get("e").value
-    hbar = constants.get("hbar").value
-    m_e = constants.get("m_e").value
-    alpha = e**2 / (4.0 * math.pi * ref_eps.value * hbar * ref_c.value)
-    expected = (m_e / 2.0) * (m_e * alpha**2 * ref_c.value**2 / (4.0 * hbar)) ** 2
-    osc = resonant_frequency(trio[0], constants, ref_eps, ref_c)
-    assert spring_constant(osc).value == pytest.approx(expected, rel=1e-12)
 
 
 # --- decay rates and interacting densities ----------------------------------
