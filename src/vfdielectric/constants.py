@@ -163,6 +163,8 @@ def file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Q
         raise ConstantsError(
             f"unit {unit} needs an elementary-charge record 'e' (unit C) to scale by"
         )
+    if isinstance(value, bool):  # float() would read true as 1.0
+        raise ConstantsError(f"value {json.dumps(value)} is a boolean, not a number")
     try:
         si_value = float(value)
         if unit in EV_SCALE:
@@ -225,7 +227,8 @@ def load_constants(path: str | Path | None = None) -> ConstantsSet:
 
     def parse(row: dict, joules_per_ev: float | None) -> ConstantRecord:
         try:
-            key, value, unit = row["key"], float(row["value"]), row["unit"]
+            key, value, unit = row["key"], row["value"], row["unit"]
+            file_value = float(value)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstantsError(f"malformed record in {origin}: {row!r} ({exc})") from exc
         if not isinstance(key, str):
@@ -234,7 +237,7 @@ def load_constants(path: str | Path | None = None) -> ConstantsSet:
             quantity = file_quantity(value, unit, joules_per_ev)
         except ConstantsError as exc:
             raise ConstantsError(f"record {key!r} in {origin}: {exc}") from exc
-        return ConstantRecord(key, quantity, str(row.get("source", "")), value, unit)
+        return ConstantRecord(key, quantity, str(row.get("source", "")), file_value, unit)
 
     # The elementary charge anchors eV -> J scaling, so read it first.
     joules_per_ev = None

@@ -367,6 +367,24 @@ def test_predict_bad_species_record_exit_2(capsys, tmp_path, record):
     assert out == ""
 
 
+def test_boolean_constant_value_exit_2(capsys, tmp_path):
+    # float(True) is 1.0: read as a number, e = 1 C gave epsilon0 ~ 1e64 and exit 0
+    path = _constants_file(tmp_path, changes={"e": {"value": True}})
+    code, out, err = _run(capsys, ["predict", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "'e'" in err and "boolean" in err
+    assert out == ""
+
+
+def test_boolean_species_field_exit_2(capsys, tmp_path):
+    record = {**E_ONLY, "constituent_mass": {"value": True, "unit": "kg"}}
+    path = _constants_file(tmp_path, species=[record])
+    code, out, err = _run(capsys, ["predict", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "constituent_mass" in err and "boolean" in err
+    assert out == ""
+
+
 def test_predict_species_without_lepton_pair_exit_2(capsys, tmp_path):
     path = _constants_file(tmp_path, species=[ETA_B_10_EV])
     code, out, err = _run(capsys, ["predict", "--constants", path])
