@@ -54,6 +54,7 @@ __all__ = [
     "quarkonium_contribution",
     "epsilon0_closed_form",
     "epsilon0_self_consistent",
+    "closed_form_report",
     "inverse_alpha",
     "report_to_dict",
     "report_from_dict",

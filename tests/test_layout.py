@@ -1,7 +1,8 @@
 """Module-layout guards for the package source.
 
 Each module reaches its siblings only through their public names, and only at
-module level.  The package needs nothing beyond the standard library: numpy and
+module level.  Every ``__all__`` entry is defined, and the package re-exports
+only names a module lists in its ``__all__``.  The package needs nothing beyond the standard library: numpy and
 scipy are imported nowhere in it, not even inside a function; the tests use
 them as referees of the quadrature and ODE oracles.
 """
@@ -64,4 +65,48 @@ def test_no_numpy_or_scipy_import():
         )
         if name.split(".")[0] in ("numpy", "scipy")
     ]
+    assert offenders == []
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Names bound at module level: definitions, assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return names
+
+
+def _dunder_all(tree: ast.Module) -> list[str] | None:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_every_all_entry_is_defined():
+    offenders = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text("utf-8"))
+        exported = _dunder_all(tree) or []
+        offenders += [f"{path.name}: {name}" for name in exported
+                      if name not in _top_level_names(tree)]
+    assert offenders == []
+
+
+def test_package_reexports_only_listed_names():
+    init = PACKAGE / "__init__.py"
+    offenders = []
+    for node in _sibling_imports(ast.parse(init.read_text("utf-8"))):
+        module = ast.parse((PACKAGE / f"{node.module}.py").read_text("utf-8"))
+        exported = _dunder_all(module) or []
+        offenders += [f"{_where(init, node)} import {alias.name}"
+                      for alias in node.names if alias.name not in exported]
     assert offenders == []
