@@ -2,9 +2,10 @@
 
 Each module reaches its siblings only through their public names, and only at
 module level.  Every ``__all__`` entry is defined, and the package re-exports
-only names a module lists in its ``__all__``.  The package needs nothing beyond the standard library: numpy and
-scipy are imported nowhere in it, not even inside a function; the tests use
-them as referees of the quadrature and ODE oracles.
+only names a module lists in its ``__all__``.  The package needs nothing beyond
+the standard library: numpy and scipy are imported nowhere in it, not even
+inside a function; the tests use them as referees of the quadrature and ODE
+oracles.
 """
 
 import ast

@@ -68,13 +68,10 @@ def test_eigenfunction_parity():
 def test_orthonormality_up_to_five():
     # the weights carry the Gaussian, so the rule sums h_n' h_n directly
     x, w = _gauss_hermite_rule(64)
+    values = [oscillator._hermite_values(5, xk) for xk in x]
     for n_prime in range(6):
         for n in range(6):
-            overlap = math.fsum(
-                wk * h[n_prime] * h[n]
-                for xk, wk in zip(x, w)
-                for h in [oscillator._hermite_values(5, xk)]
-            )
+            overlap = math.fsum(wk * h[n_prime] * h[n] for wk, h in zip(w, values))
             expected = 1.0 if n_prime == n else 0.0
             assert overlap == pytest.approx(expected, abs=1e-10)
 
