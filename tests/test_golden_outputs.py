@@ -47,7 +47,7 @@ def golden():
     return {tuple(case["argv"]): case for case in json.loads(GOLDEN.read_text("utf-8"))}
 
 
-@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+@pytest.mark.parametrize("argv", CASES, ids=",".join)
 def test_output_matches_golden_bytes(argv, golden, monkeypatch):
     monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
     expected = golden[tuple(argv)]
