@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -20,6 +21,7 @@ import os
 import sys
 
 from .constants import ConstantsError, ConstantsSet, load_constants
+from .oscillator import DEFAULT_QUAD_TOL
 from .quantity import ELECTRIC_FIELD, Quantity
 from .species import (
     QUARKONIUM,
@@ -50,22 +52,15 @@ _TRAJECTORY_SAMPLES = 17
 _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that went away
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--constants", metavar="PATH", default=None,
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--constants", metavar="PATH", default=None,
                         help="constants data file (overrides VACUUM_DATA_DIR and the built-in default)")
-    common.add_argument("--include-quarks", action="store_true",
-                        help="include eta_c and eta_b quarkonium terms (default: leptons only)")
-    common.add_argument("--width", choices=("min", "max"), default="max",
-                        help="which tabulated two-photon width to use where a range exists (eta_b)")
-    common.add_argument("--branch", choices=BRANCHES, default=BRANCH_PAPER,
-                        help="first-order amplitude branch for dipole trajectories")
-    common.add_argument("--format", dest="output_format", choices=("table", "json", "csv"),
+    shared.add_argument("--format", dest="output_format", choices=("table", "json", "csv"),
                         default="table", help="output format")
-    common.add_argument("--precision", type=int, default=3, metavar="N",
+    shared.add_argument("--precision", type=int, default=3, metavar="N",
                         help="significant figures in table/csv output (default 3)")
-    common.add_argument("--tolerance", type=float, default=None, metavar="TOL",
-                        help="override the quadrature-vs-analytic check tolerance (verify)")
 
     parser = argparse.ArgumentParser(
         prog="vfdielectric",
@@ -73,16 +68,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     "permittivity, the speed of light and the fine-structure constant.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("predict", parents=[common],
-                   help="model predictions for eps0, c and 1/alpha with reference deltas")
-    sub.add_parser("species", parents=[common],
-                   help="per-species lifetimes, densities, frequencies and rates")
-    sub.add_parser("verify", parents=[common],
-                   help="run the oracle cross-check suites (exit 1 on any failure)")
-    sub.add_parser("sensitivity", parents=[common],
-                   help="sweeps: outputs vs species count, coupling scaling, dipole trajectory")
-    sub.add_parser("historical", parents=[common],
-                   help="historical/numerological formulas for 1/alpha (demonstration only)")
+    predict = sub.add_parser("predict", parents=[shared],
+                             help="model predictions for eps0, c and 1/alpha with reference deltas")
+    species = sub.add_parser("species", parents=[shared],
+                             help="per-species lifetimes, densities, frequencies and rates")
+    for command, handler in ((predict, cmd_predict), (species, cmd_species)):
+        command.add_argument("--include-quarks", action="store_true",
+                             help="include eta_c and eta_b quarkonium terms (default: leptons only)")
+        command.add_argument("--width", choices=("min", "max"), default="max",
+                             help="which tabulated two-photon width to use where a range exists (eta_b)")
+        command.set_defaults(handler=handler)
+    verify = sub.add_parser("verify", parents=[shared],
+                            help="run the oracle cross-check suites (exit 1 on any failure)")
+    verify.add_argument("--tolerance", type=float, default=DEFAULT_QUAD_TOL, metavar="TOL",
+                        help="quadrature-vs-analytic check tolerance (default %(default)g)")
+    verify.set_defaults(handler=cmd_verify)
+    sensitivity = sub.add_parser("sensitivity", parents=[shared],
+                                 help="sweeps: outputs vs species count, coupling scaling, dipole trajectory")
+    sensitivity.add_argument("--branch", choices=BRANCHES, default=BRANCH_PAPER,
+                             help="first-order amplitude branch for dipole trajectories")
+    sensitivity.set_defaults(handler=cmd_sensitivity)
+    historical = sub.add_parser("historical", parents=[shared],
+                                help="historical/numerological formulas for 1/alpha (demonstration only)")
+    historical.set_defaults(handler=cmd_historical)
     return parser
 
 
@@ -234,8 +242,9 @@ def cmd_species(args: argparse.Namespace, constants: ConstantsSet) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, constants: ConstantsSet) -> int:
-    quadrature_tol = args.tolerance if args.tolerance is not None else 1e-10
-    results = run_all(constants, quadrature_tol=quadrature_tol)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConstantsError(f"--tolerance must be a positive finite number, got {args.tolerance!r}")
+    results = run_all(constants, quadrature_tol=args.tolerance)
     if args.output_format == "json":
         print(json.dumps([result.__dict__ for result in results], indent=2))
     elif args.output_format == "csv":
@@ -391,27 +400,16 @@ def cmd_historical(args: argparse.Namespace, constants: ConstantsSet) -> int:
 
 # --- dispatch ---------------------------------------------------------------
 
-_COMMANDS = {
-    "predict": cmd_predict,
-    "species": cmd_species,
-    "verify": cmd_verify,
-    "sensitivity": cmd_sensitivity,
-    "historical": cmd_historical,
-}
-
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.precision < 1:
             raise ConstantsError("--precision must be a positive integer")
-        if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance > 0):
-            raise ConstantsError(f"--tolerance must be a positive finite number, got {args.tolerance!r}")
         constants = load_constants(args.constants)
-        # commands raise ConstantsError (a missing optional key, a bad species
-        # record) before they print anything
-        return _COMMANDS[args.subcommand](args, constants)
+        # commands raise ConstantsError (a bad --tolerance, a missing optional
+        # key, a bad species record) before they print anything
+        return args.handler(args, constants)
     except ConstantsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ from .species import OscillatorSpec
 
 __all__ = [
     "N_MAX",
+    "DEFAULT_QUAD_TOL",
     "QuadratureError",
     "matrix_element_x_quadrature",
     "matrix_element_x_analytic",
@@ -42,7 +43,7 @@ __all__ = [
 N_MAX = 10
 
 _NODES = 64
-_DEFAULT_QUAD_TOL = 1e-10
+DEFAULT_QUAD_TOL = 1e-10
 
 _PI_M4 = math.pi ** -0.25
 _NEWTON_EPS = 1e-14
@@ -149,7 +150,7 @@ def matrix_element_x_quadrature(
     n: int,
     oscillator: OscillatorSpec,
     hbar: Quantity,
-    tol: float = _DEFAULT_QUAD_TOL,
+    tol: float = DEFAULT_QUAD_TOL,
 ) -> Quantity:
     """Position matrix element ``<n'|x|n>`` by Gauss-Hermite quadrature (m).
 

@@ -115,6 +115,11 @@ class SpeciesSpec:
                 raise ValueError(f"{self.name}: e_min must be positive")
         elif any(f is not None for f in quark_fields):
             raise ValueError(f"{self.name}: lepton pairs carry no quarkonium fields")
+        elif Fraction(self.charge_fraction) != 1:
+            # the closed lepton coefficient 8^3 alpha e^2/(hbar c) holds for unit charge only
+            raise ValueError(
+                f"{self.name}: a lepton pair has charge_fraction 1, got {self.charge_fraction}"
+            )
 
 
 @dataclass(frozen=True)
@@ -296,9 +301,12 @@ def load_species(
     species = []
     for row in constants.species_records:
         try:
-            species.append(species_from_record(row, constants))
+            spec = species_from_record(row, constants)
         except (ValueError, TypeError) as exc:
             raise ConstantsError(f"bad species record in {constants.origin}: {exc}") from exc
+        if any(s.name == spec.name for s in species):
+            raise ConstantsError(f"duplicate species {spec.name!r} in {constants.origin}")
+        species.append(spec)
     return tuple(species)
 
 
@@ -307,16 +315,6 @@ def load_species(
 
 def _check_speed(c: Quantity) -> Quantity:
     return c.require(SPEED, "c")
-
-
-def _alpha_value(alpha: "float | Quantity") -> float:
-    """Accept the coupling as a bare float or a dimensionless Quantity."""
-    if isinstance(alpha, Quantity):
-        alpha = alpha.as_dimensionless()
-    alpha = float(alpha)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    return alpha
 
 
 def vf_lifetime(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Quantity:
@@ -393,7 +391,7 @@ def resonant_frequency(
 def decay_rate(
     species: SpeciesSpec,
     constants: ConstantsSet,
-    alpha: "float | Quantity",
+    alpha: float,
     c: Quantity,
 ) -> Quantity:
     """Decay rate of the photon-excited atom (1/s).
@@ -404,16 +402,17 @@ def decay_rate(
     _check_speed(c)
     if species.kind == QUARKONIUM:
         return species.two_photon_width * 2
-    a = _alpha_value(alpha)
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     hbar = constants.get("hbar")
     rest_energy = q_mul(species.constituent_mass, q_mul(c, c))
-    return q_div(rest_energy, hbar) * a**5
+    return q_div(rest_energy, hbar) * alpha**5
 
 
 def interacting_density(
     species: SpeciesSpec,
     constants: ConstantsSet,
-    alpha: "float | Quantity",
+    alpha: float,
     c: Quantity,
     mode: str = "linearized",
 ) -> Quantity:

@@ -286,10 +286,12 @@ def epsilon0_self_consistent(
     """Solve ``eps = F(eps)`` by Picard iteration and report the predictions.
 
     F sums lepton terms at ``alpha(eps), c(eps)`` and quarkonium terms at
-    ``c(eps)``.  The seed is the reference permittivity; convergence is
-    ``|delta eps| / eps <= tol``.  If consecutive updates oscillate in sign,
-    the step is damped by half (F is nearly constant near the solution, so
-    this is a fallback, not the expected path).  Raises
+    ``c(eps)``, so ``F(eps) = L + A eps^(-1/2)``: L > 0 from the eps-free
+    lepton terms, A >= 0 from the quarkonia.  F decreases and has no 2-cycle:
+    ``t = F(s)`` and ``s = F(t)`` give ``(sqrt t - sqrt s)(sqrt(s t) + L) = 0``.
+    So each step lands between the previous two iterates and shrinks
+    ``|delta eps|``; no damping is needed.  The seed is the reference
+    permittivity; convergence is ``|delta eps| / eps <= tol``.  Raises
     :class:`ConvergenceError` after ``max_iter`` updates without convergence.
     """
     species = tuple(species)
@@ -299,22 +301,13 @@ def epsilon0_self_consistent(
         raise ValueError(f"tol must lie in [1e-15, 1e-6], got {tol!r}")
 
     eps = constants.get("ref_epsilon0")
-    previous_delta = 0.0
     for iteration in range(1, max_iter + 1):
         contributions = _contributions_at(species, eps, constants)
         total = contributions[0].epsilon_term
         for contribution in contributions[1:]:
             total = total + contribution.epsilon_term
-        delta = total.value - eps.value
-        oscillating = previous_delta * delta < 0 and abs(delta) >= abs(previous_delta)
-        if oscillating:
-            # sign flip without contraction: damp the step by half
-            eps_new = Quantity(eps.value + 0.5 * delta, PERMITTIVITY)
-        else:
-            eps_new = total
-        converged = abs(eps_new.value - eps.value) <= tol * abs(eps_new.value)
-        eps = eps_new
-        previous_delta = delta
+        converged = abs(total.value - eps.value) <= tol * abs(total.value)
+        eps = total
         if converged:
             final = _contributions_at(species, eps, constants)
             return _build_report(

@@ -23,7 +23,12 @@ from .quantity import (
     q_add,
 )
 from .species import OscillatorSpec, builtin_species
-from .oscillator import matrix_element_x_analytic, matrix_element_x_quadrature
+from .oscillator import (
+    DEFAULT_QUAD_TOL,
+    QuadratureError,
+    matrix_element_x_analytic,
+    matrix_element_x_quadrature,
+)
 from .perturbation import (
     BRANCH_LITERAL,
     CouplingLambda,
@@ -76,7 +81,7 @@ def _random_oscillators(n: int) -> list[OscillatorSpec]:
 
 
 def check_quadrature_vs_analytic(
-    constants: ConstantsSet, tol: float = 1e-10
+    constants: ConstantsSet, tol: float = DEFAULT_QUAD_TOL
 ) -> CheckResult:
     """<x>_{1,0} by quadrature vs the closed form, plus parity-forbidden elements."""
     hbar = constants.get("hbar")
@@ -93,7 +98,7 @@ def check_quadrature_vs_analytic(
         for n_prime, n in ((0, 0), (2, 0), (1, 3), (4, 2), (3, 1)):
             element = matrix_element_x_quadrature(n_prime, n, reference, hbar, tol=tol)
             worst_forbidden = max(worst_forbidden, abs(element.value / length_scale))
-    except Exception as exc:  # convergence failure counts as check failure
+    except QuadratureError as exc:  # convergence failure counts as check failure
         return CheckResult("quadrature-vs-analytic", False, tol, f"error: {exc}")
     passed = worst_rel <= tol and worst_forbidden <= tol
     detail = (
@@ -188,7 +193,7 @@ def check_dimension_audit(constants: ConstantsSet) -> CheckResult:
     return CheckResult("dimension-audit", passed, 0.0, detail)
 
 
-def run_all(constants: ConstantsSet, quadrature_tol: float = 1e-10) -> list[CheckResult]:
+def run_all(constants: ConstantsSet, quadrature_tol: float = DEFAULT_QUAD_TOL) -> list[CheckResult]:
     """All suites in a fixed order; ``quadrature_tol`` plumbs the CLI override."""
     return [
         check_quadrature_vs_analytic(constants, tol=quadrature_tol),

@@ -1,9 +1,15 @@
+import argparse
+import importlib.util
+import itertools
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
-from vfdielectric.cli import main
+from vfdielectric import verify
+from vfdielectric.cli import _build_parser, main
 from vfdielectric.constants import DATA_DIR_ENV_VAR, load_constants, serialize_constants
 from vfdielectric.quantity import SPEED, Quantity
 from vfdielectric.species import builtin_species
@@ -177,6 +183,16 @@ def test_verify_invalid_tolerance_exit_2(capsys, tolerance):
     assert "--tolerance" in err
 
 
+def test_verify_program_error_is_not_a_check_failure(monkeypatch):
+    # only a QuadratureError is an oracle failure; a bug must surface as itself
+    def broken(*args, **kwargs):
+        raise TypeError("not a convergence failure")
+
+    monkeypatch.setattr(verify, "matrix_element_x_quadrature", broken)
+    with pytest.raises(TypeError, match="not a convergence failure"):
+        main(["verify"])
+
+
 def test_verify_corrupted_constants_exit_2(capsys, tmp_path):
     code, _, err = _run(capsys, ["verify", "--constants", _broken_constants(tmp_path)])
     assert code == 2
@@ -262,6 +278,62 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["predict", "--frobnicate"])
     assert excinfo.value.code == 2
+
+
+SHARED_OPTIONS = {"--constants", "--format", "--precision"}
+COMMAND_OPTIONS = {
+    "predict": SHARED_OPTIONS | {"--include-quarks", "--width"},
+    "species": SHARED_OPTIONS | {"--include-quarks", "--width"},
+    "verify": SHARED_OPTIONS | {"--tolerance"},
+    "sensitivity": SHARED_OPTIONS | {"--branch"},
+    "historical": SHARED_OPTIONS,
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {
+        name: {option for action in parser._actions for option in action.option_strings
+               if option not in ("-h", "--help")}
+        for name, parser in subparsers.choices.items()
+    }
+    assert options == COMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--include-quarks"],
+    ["historical", "--branch", "paper"],
+    ["predict", "--tolerance", "1e-9"],
+    ["sensitivity", "--width", "min"],
+], ids=",".join)
+def test_option_of_another_command_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _perfbench_inputs(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # @dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["cli_cold", "assemble_warm", "oracle_warm"])
+def test_every_benchmark_request_parses(workload, monkeypatch):
+    # an option change must not silently turn benchmark requests into exit 2
+    inputs = _perfbench_inputs(monkeypatch)
+    parser = _build_parser()
+    for seed in range(1, 6):
+        for request in itertools.islice(inputs.deck(workload, seed), 200):
+            argv = list(request.argv)
+            if request.source == inputs.PATH:
+                argv += ["--constants", "constants.json"]
+            parser.parse_args(argv)
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -364,6 +436,57 @@ def test_predict_bad_species_record_exit_2(capsys, tmp_path, record):
     code, out, err = _run(capsys, ["predict", "--constants",
                                    _constants_file(tmp_path, species=[record])])
     _assert_one_error_line(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("charge_fraction", ["2/3", "1/3"])
+@pytest.mark.parametrize("command", ["predict", "species"])
+def test_fractional_lepton_pair_exit_2(capsys, tmp_path, command, charge_fraction):
+    # the closed lepton coefficient holds for unit charge only: predict used to
+    # exit 1 with an AssemblyError traceback while species printed a table
+    record = {**E_ONLY, "charge_fraction": charge_fraction}
+    path = _constants_file(tmp_path, species=[record])
+    code, out, err = _run(capsys, [command, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "e_only" in err and "charge_fraction" in err
+    assert out == ""
+
+
+def test_duplicate_species_name_exit_2(capsys, tmp_path):
+    # two e_only records once counted twice: epsilon0 came out for n_species = 2
+    path = _constants_file(tmp_path, species=[E_ONLY, E_ONLY])
+    code, out, err = _run(capsys, ["predict", "--format", "csv", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert f"duplicate species 'e_only' in {path}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"key": "e"}', "must be a JSON array"),
+    ("[1, 2]", "non-object record"),
+], ids=["not-an-array", "not-an-object"])
+def test_malformed_constants_file_exit_2(capsys, tmp_path, text, message):
+    path = tmp_path / "constants.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, ["predict", "--constants", str(path)])
+    _assert_one_error_line(code, err)
+    assert message in err
+    assert out == ""
+
+
+def test_data_dir_without_constants_file_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv(DATA_DIR_ENV_VAR, str(tmp_path))
+    code, out, err = _run(capsys, ["predict"])
+    _assert_one_error_line(code, err)
+    assert str(tmp_path / "constants.json") in err and DATA_DIR_ENV_VAR in err
+    assert out == ""
+
+
+def test_ev_record_without_elementary_charge_exit_2(capsys, tmp_path):
+    path = _constants_file(tmp_path, drop=("e",))
+    code, out, err = _run(capsys, ["predict", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "elementary-charge record 'e'" in err
     assert out == ""
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -251,6 +252,22 @@ def test_self_consistent_converges_quickly_with_quarks(constants):
         builtin_species(constants, include_quarks=True), constants
     )
     assert report.iterations <= 5
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+def test_self_consistent_converges_undamped_at_any_quark_weight(constants, scale):
+    # F(eps) = L + A eps^(-1/2) has no 2-cycle, so plain Picard steps converge
+    # even where the quark terms dominate and |F'| nears 1/2
+    species = builtin_species(constants, include_quarks=True)
+    species = species[:3] + tuple(
+        dataclasses.replace(s, two_photon_width=s.two_photon_width * scale)
+        for s in species[3:]
+    )
+    tol = 1e-13
+    report = epsilon0_self_consistent(species, constants, tol=tol)
+    eps = report.epsilon0_model.value
+    f_of_eps = math.fsum(c.epsilon_term.value for c in report.contributions)
+    assert abs(f_of_eps - eps) <= tol * eps
 
 
 def test_self_consistent_requires_a_lepton(quark_pair, constants):
