@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .quantity import (
     EV_SCALE,
     Dimension,
     Quantity,
+    Record,
 )
 
 __all__ = [
@@ -109,8 +109,7 @@ class MissingConstantError(ConstantsError, KeyError):
     __str__ = ConstantsError.__str__  # KeyError's own would quote the message
 
 
-@dataclass(frozen=True)
-class ConstantRecord:
+class ConstantRecord(Record):
     key: str
     quantity: Quantity          # SI base units
     source: str
@@ -118,11 +117,10 @@ class ConstantRecord:
     file_unit: str
 
 
-@dataclass(frozen=True)
-class ConstantsSet:
+class ConstantsSet(Record):
     records: dict[str, ConstantRecord]
     origin: str
-    species_records: tuple[dict, ...] = field(default_factory=tuple)
+    species_records: tuple[dict, ...] = ()
 
     def get(self, key: str) -> Quantity:
         """The stored SI quantity for ``key``."""
@@ -163,8 +161,9 @@ def file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Q
         raise ConstantsError(
             f"unit {unit} needs an elementary-charge record 'e' (unit C) to scale by"
         )
-    if isinstance(value, bool):  # float() would read true as 1.0
-        raise ConstantsError(f"value {json.dumps(value)} is a boolean, not a number")
+    if isinstance(value, (bool, str)):  # float() would read true as 1.0, "2" as 2.0
+        kind = "a boolean" if isinstance(value, bool) else "a string"
+        raise ConstantsError(f"value {json.dumps(value)} is {kind}, not a number")
     try:
         si_value = float(value)
         if unit in EV_SCALE:

@@ -35,12 +35,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import statistics
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .quantity import CHARGE, ELECTRIC_FIELD, Quantity, q_div, q_mul
+from .quantity import CHARGE, ELECTRIC_FIELD, Quantity, Record, q_div, q_mul
 from .species import OscillatorSpec
 from .oscillator import matrix_element_x_analytic
 
@@ -81,8 +79,7 @@ class OdeIntegrationError(RuntimeError):
     """The adaptive integrator failed (step-size collapse or similar)."""
 
 
-@dataclass(frozen=True)
-class CouplingLambda:
+class CouplingLambda(Record):
     """Dimensionless coupling ``lam = q E0 <x>_{1,0} / (hbar omega0)``."""
 
     value: float
@@ -101,8 +98,7 @@ class CouplingLambda:
             )
 
 
-@dataclass(frozen=True)
-class AmplitudePair:
+class AmplitudePair(Record):
     """State amplitudes at dimensionless time tau.
 
     First-order truncation is not exactly unitary: |a0|^2 + |a1|^2 may exceed
@@ -354,7 +350,10 @@ def scaling_exponent(lam_grid: Sequence[float], tau: float) -> float:
             raise ValueError(f"a0 correction vanished at lam={v!r}; cannot take log")
         logs_x.append(math.log(v))
         logs_y.append(math.log(correction))
-    return statistics.linear_regression(logs_x, logs_y).slope
+    # an explicit fsum fit gives the same bits on every supported Python
+    xbar, ybar = math.fsum(logs_x) / len(values), math.fsum(logs_y) / len(values)
+    dx = [x - xbar for x in logs_x]
+    return math.fsum(d * (y - ybar) for d, y in zip(dx, logs_y)) / math.fsum(d * d for d in dx)
 
 
 def dipole_trajectory(

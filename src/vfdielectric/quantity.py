@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "Dimension",
     "DimensionError",
     "Quantity",
+    "Record",
     "dim",
     "q_add",
     "q_div",
@@ -54,6 +54,8 @@ _ZERO7 = (Fraction(0),) * 7
 # the one Dimension per exponent tuple; guarded by the lock when written
 _INTERNED: dict[tuple[Fraction, ...], "Dimension"] = {}
 _INTERN_LOCK = threading.Lock()
+_set = object.__setattr__  # how Dimension and Quantity set their slots
+_MISSING = object()  # a record field with neither an argument nor a default
 
 
 class DimensionError(ValueError):
@@ -66,6 +68,11 @@ def _as_fraction(x: int | Fraction) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"exponents must be int or Fraction, got {type(x).__name__}")
+
+
+def _immutable(self: object, name: str, value: object = None) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable classes below."""
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
 
 
 def _format(exponents: tuple[Fraction, ...]) -> str:
@@ -110,22 +117,17 @@ class Dimension:
                 self = _INTERNED.get(exps)
                 if self is None:
                     self = object.__new__(cls)
-                    init = object.__setattr__
-                    init(self, "exponents", exps)
-                    init(self, "is_dimensionless", not any(exps))
-                    init(self, "_hash", hash(exps))
-                    init(self, "_str", _format(exps))
-                    init(self, "_mul", {})
-                    init(self, "_div", {})
-                    init(self, "_pow", {})
+                    _set(self, "exponents", exps)
+                    _set(self, "is_dimensionless", not any(exps))
+                    _set(self, "_hash", hash(exps))
+                    _set(self, "_str", _format(exps))
+                    _set(self, "_mul", {})
+                    _set(self, "_div", {})
+                    _set(self, "_pow", {})
                     _INTERNED[exps] = self
         return self
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Dimension is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Dimension is immutable; cannot delete {name!r}")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         # copies and unpickled instances go through the intern table
@@ -196,24 +198,38 @@ NUMBER_DENSITY = dim(m=-3)
 DIPOLE_MOMENT = dim(A=1, s=1, m=1)         # C·m
 
 
-@dataclass(frozen=True)
 class Quantity:
     """A finite real value with an SI dimension.
 
     Construction rejects NaN and infinities outright so that no formula
-    downstream ever sees a non-finite operand.
+    downstream ever sees a non-finite operand.  Instances are immutable.
     """
 
-    value: float
-    dim: Dimension = DIMENSIONLESS
+    __slots__ = ("value", "dim")
 
-    def __post_init__(self) -> None:
-        v = float(self.value)
+    def __init__(self, value: float, dim: Dimension = DIMENSIONLESS) -> None:
+        v = float(value)
         if not math.isfinite(v):
-            raise ValueError(f"Quantity value must be finite, got {self.value!r}")
-        object.__setattr__(self, "value", v)
-        if not isinstance(self.dim, Dimension):
+            raise ValueError(f"Quantity value must be finite, got {value!r}")
+        if not isinstance(dim, Dimension):
             raise TypeError("dim must be a Dimension")
+        _set(self, "value", v)
+        _set(self, "dim", dim)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return (Quantity, (self.value, self.dim))
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is Quantity
+        return self.value == other.value and self.dim is other.dim if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.dim))
+
+    def __repr__(self) -> str:
+        return f"Quantity(value={self.value!r}, dim={self.dim!r})"
 
     # arithmetic delegates to the module-level operations
 
@@ -262,6 +278,47 @@ class Quantity:
 
     def __str__(self) -> str:
         return f"{self.value!r} {self.dim}" if not self.dim.is_dimensionless else repr(self.value)
+
+
+class Record:
+    """Base of the package's small immutable records.
+
+    A subclass declares its fields as class annotations, in order, and a
+    field's default as the class attribute of that name.  Instances are built
+    positionally or by keyword, run the subclass's ``__post_init__`` checks,
+    cannot be changed, and compare, hash and print by their field values.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        cls = type(self)
+        values = self.__dict__
+        for f, value in zip(cls._fields, args):  # a loop: dict.update(zip(...)) costs more
+            values[f] = value
+        if kwargs or len(args) != len(cls._fields):  # keywords, then defaults, fill in the rest
+            for f in cls._fields[len(args):]:
+                values[f] = kwargs.pop(f) if f in kwargs else cls.__dict__.get(f, _MISSING)
+            if kwargs or len(args) > len(cls._fields) or _MISSING in values.values():
+                raise TypeError(f"{cls.__name__}{cls._fields}: missing, repeated or extra argument")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """The checks a subclass runs on each new instance; none here."""
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self.__dict__ == other.__dict__ if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 def q_mul(a: Quantity, b: Quantity) -> Quantity:

@@ -17,7 +17,6 @@ just want tabulated physics pass the ``ref_*`` registry entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .constants import ConstantsError, ConstantsSet, file_quantity
@@ -29,6 +28,7 @@ from .quantity import (
     SPEED,
     DimensionError,
     Quantity,
+    Record,
     q_div,
     q_mul,
     q_pow,
@@ -70,8 +70,7 @@ class UnsupportedSpeciesError(ValueError):
     """A species name that the model deliberately excludes."""
 
 
-@dataclass(frozen=True)
-class SpeciesSpec:
+class SpeciesSpec(Record):
     """One polarizable vacuum-fluctuation species.
 
     ``constituent_mass`` is the single-particle mass (kg).  The quarkonium
@@ -122,8 +121,7 @@ class SpeciesSpec:
             )
 
 
-@dataclass(frozen=True)
-class OscillatorSpec:
+class OscillatorSpec(Record):
     """Effective 1-D harmonic oscillator of a species.
 
     ``reduced_mass`` is half the constituent mass (equal-mass two-body
@@ -238,8 +236,8 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
     ``bound_state_mass - 2 * constituent_mass`` in energy terms.
     """
     name = record.get("name")
-    if not name:
-        raise ValueError(f"species record without a name: {record!r}")
+    if not isinstance(name, str) or not name:
+        raise ConstantsError(f"species record without a non-empty string name: {record!r}")
     if name in _UNSUPPORTED:
         raise UnsupportedSpeciesError(f"species {name!r} is not modeled: {_UNSUPPORTED[name]}")
     stype = record.get("type")

@@ -21,13 +21,13 @@ steps either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import ConstantsSet
 from .quantity import (
     PERMITTIVITY,
     SPEED,
     Quantity,
+    Record,
     q_div,
     q_mul,
     q_pow,
@@ -76,8 +76,7 @@ class ConvergenceError(RuntimeError):
     """The self-consistent iteration did not reach tolerance."""
 
 
-@dataclass(frozen=True)
-class SpeciesContribution:
+class SpeciesContribution(Record):
     """One species' permittivity term and its size in units of e^2/(hbar c)."""
 
     species_name: str
@@ -90,8 +89,7 @@ class SpeciesContribution:
             raise ValueError(f"{self.species_name}: epsilon_term must be positive")
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(Record):
     """Model outputs with per-species breakdown and reference comparison."""
 
     epsilon0_model: Quantity

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .constants import ConstantsSet
 from .quantity import (
@@ -20,6 +19,7 @@ from .quantity import (
     DimensionError,
     Dimension,
     Quantity,
+    Record,
     q_add,
 )
 from .species import OscillatorSpec, builtin_species
@@ -59,8 +59,7 @@ _N_RANDOM_SPECS = 20
 _N_MISMATCHED_ADDITIONS = 200
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     tolerance: float

@@ -508,6 +508,35 @@ def test_boolean_species_field_exit_2(capsys, tmp_path):
     assert out == ""
 
 
+def test_string_constant_value_exit_2(capsys, tmp_path):
+    # float("1.602176634e-19") parses: a quoted value once loaded and predict exited 0
+    path = _constants_file(tmp_path, changes={"e": {"value": "1.602176634e-19"}})
+    code, out, err = _run(capsys, ["predict", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "'e'" in err and "string" in err
+    assert out == ""
+
+
+def test_string_species_field_exit_2(capsys, tmp_path):
+    record = {**E_ONLY, "constituent_mass": {"value": "9.1093837015e-31", "unit": "kg"}}
+    path = _constants_file(tmp_path, species=[record])
+    code, out, err = _run(capsys, ["predict", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "constituent_mass" in err and "string" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("name", [5, "", ["e_only"], None], ids=["number", "empty", "list", "null"])
+@pytest.mark.parametrize("command", ["predict", "species"])
+def test_species_name_not_a_string_exit_2(capsys, tmp_path, command, name):
+    # a numeric name once passed through: exit 0 with "species": 5 in the output
+    path = _constants_file(tmp_path, species=[{**E_ONLY, "name": name}])
+    code, out, err = _run(capsys, [command, "--format", "json", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "name" in err
+    assert out == ""
+
+
 def test_predict_species_without_lepton_pair_exit_2(capsys, tmp_path):
     path = _constants_file(tmp_path, species=[ETA_B_10_EV])
     code, out, err = _run(capsys, ["predict", "--constants", path])

@@ -1,7 +1,8 @@
 """The CLI as a fresh process: what it imports, and how it ends.
 
 No subcommand, ``verify`` included, loads numpy or scipy: the package needs
-only the standard library.
+only the standard library.  Importing the CLI loads neither ``dataclasses``
+nor ``statistics``, which would lengthen every cold start.
 """
 
 import json
@@ -37,6 +38,14 @@ def test_import_cli_loads_no_numpy_or_scipy():
     done = _python("-c", _REPORT_HEAVY + "import vfdielectric.cli")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stderr) == []
+
+
+def test_import_cli_loads_no_dataclasses_or_statistics():
+    # each pulls in modules that every cold command would pay for
+    done = _python("-c", "import sys, vfdielectric.cli; "
+                         "print(sorted({'dataclasses', 'statistics'} & set(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_sensitivity_runs_without_numpy_or_scipy():

@@ -5,7 +5,7 @@ module level.  Every ``__all__`` entry is defined, and the package re-exports
 only names a module lists in its ``__all__``.  The package needs nothing beyond
 the standard library: numpy and scipy are imported nowhere in it, not even
 inside a function; the tests use them as referees of the quadrature and ODE
-oracles.
+oracles.  Nor is ``dataclasses``: ``quantity.Record`` is the record base.
 """
 
 import ast
@@ -54,8 +54,9 @@ def test_no_sibling_import_inside_a_function():
     assert offenders == []
 
 
-def test_no_numpy_or_scipy_import():
-    offenders = [
+def _imports_of(forbidden: set[str]) -> list[str]:
+    """Every absolute import in the package of a module named in ``forbidden``."""
+    return [
         f"{path.name}:{node.lineno} {name}"
         for path in MODULES
         for node in ast.walk(ast.parse(path.read_text("utf-8")))
@@ -64,9 +65,18 @@ def test_no_numpy_or_scipy_import():
             else [node.module or ""] if isinstance(node, ast.ImportFrom) and node.level == 0
             else []
         )
-        if name.split(".")[0] in ("numpy", "scipy")
+        if name.split(".")[0] in forbidden
     ]
-    assert offenders == []
+
+
+def test_no_numpy_or_scipy_import():
+    assert _imports_of({"numpy", "scipy"}) == []
+
+
+def test_no_dataclasses_import():
+    # dataclasses loads inspect, ast, dis and tokenize, and each decorated class
+    # execs generated code: a cost every cold command would pay
+    assert _imports_of({"dataclasses"}) == []
 
 
 def _top_level_names(tree: ast.Module) -> set[str]:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -260,7 +259,8 @@ def test_self_consistent_converges_undamped_at_any_quark_weight(constants, scale
     # even where the quark terms dominate and |F'| nears 1/2
     species = builtin_species(constants, include_quarks=True)
     species = species[:3] + tuple(
-        dataclasses.replace(s, two_photon_width=s.two_photon_width * scale)
+        SpeciesSpec(s.name, s.kind, s.constituent_mass, s.charge_fraction,
+                    s.bound_state_mass, s.two_photon_width * scale, s.e_min)
         for s in species[3:]
     )
     tol = 1e-13
