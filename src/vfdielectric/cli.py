@@ -407,8 +407,10 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.precision < 1:
             raise ConstantsError("--precision must be a positive integer")
         constants = load_constants(args.constants)
+        if constants.species_records:  # a bad species record exits 2 whichever command runs
+            load_species(constants)
         # commands raise ConstantsError (a bad --tolerance, a missing optional
-        # key, a bad species record) before they print anything
+        # key) before they print anything
         return args.handler(args, constants)
     except ConstantsError as exc:
         print(f"error: {exc}", file=sys.stderr)

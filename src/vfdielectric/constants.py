@@ -232,11 +232,14 @@ def load_constants(path: str | Path | None = None) -> ConstantsSet:
             raise ConstantsError(f"malformed record in {origin}: {row!r} ({exc})") from exc
         if not isinstance(key, str):
             raise ConstantsError(f"malformed record in {origin}: {row!r} (key must be a string)")
+        source = row.get("source", "")
+        if not isinstance(source, str):  # str() would serialize 5 back as "5"
+            raise ConstantsError(f"malformed record in {origin}: {row!r} (source must be a string)")
         try:
             quantity = file_quantity(value, unit, joules_per_ev)
         except ConstantsError as exc:
             raise ConstantsError(f"record {key!r} in {origin}: {exc}") from exc
-        return ConstantRecord(key, quantity, str(row.get("source", "")), file_value, unit)
+        return ConstantRecord(key, quantity, source, file_value, unit)
 
     # The elementary charge anchors eV -> J scaling, so read it first.
     joules_per_ev = None

@@ -271,6 +271,9 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
         raise ValueError(f"species {name!r}: charge_fraction is not a fraction ({exc})") from exc
     constituent = as_mass(read_quantity("constituent_mass"), "constituent_mass")
     if stype == LEPTON_PAIR:
+        extra = [f for f in ("bound_state_mass", "two_photon_width", "e_min") if f in record]
+        if extra:
+            raise ValueError(f"species {name!r}: a lepton pair carries no {', '.join(extra)}")
         return SpeciesSpec(name, LEPTON_PAIR, constituent, charge_fraction)
 
     bound = as_mass(read_quantity("bound_state_mass"), "bound_state_mass")

@@ -133,6 +133,14 @@ def _e2_over_hbar_c(constants: ConstantsSet, c: Quantity) -> Quantity:
     return q_div(q_mul(e, e), q_mul(constants.get("hbar"), c))
 
 
+def _polarizability(
+    species: SpeciesSpec, constants: ConstantsSet, reduced_mass: Quantity, omega0: Quantity
+) -> Quantity:
+    """``(q^2/mu)/omega0^2`` with ``q = e * charge_fraction``."""
+    q = constants.get("e") * float(species.charge_fraction)
+    return q_div(q_div(q_mul(q, q), reduced_mass), q_mul(omega0, omega0))
+
+
 def lepton_contribution(
     species: SpeciesSpec,
     constants: ConstantsSet,
@@ -153,11 +161,7 @@ def lepton_contribution(
     eps_consistent = _epsilon_from_alpha(alpha, c, constants)
     osc = resonant_frequency(species, constants, eps_consistent, c)
     n_vf = interacting_density(species, constants, alpha, c, mode="linearized")
-    q = constants.get("e") * float(species.charge_fraction)
-    polarizability = q_div(
-        q_div(q_mul(q, q), osc.reduced_mass),
-        q_mul(osc.omega0, osc.omega0),
-    )
+    polarizability = _polarizability(species, constants, osc.reduced_mass, osc.omega0)
     composed = q_mul(n_vf, polarizability).require(PERMITTIVITY, "lepton term")
 
     closed = _e2_over_hbar_c(constants, c) * (512.0 * alpha)
@@ -189,11 +193,8 @@ def quarkonium_contribution(
     n_vf = (
         q_mul(q_pow(q_div(species.bound_state_mass, hbar), 2), q_mul(c, width)) * 8.0
     )
-    q = constants.get("e") * float(species.charge_fraction)
-    omega0 = q_div(species.e_min, hbar)
-    polarizability = q_div(
-        q_div(q_mul(q, q), species.constituent_mass * 0.5),
-        q_mul(omega0, omega0),
+    polarizability = _polarizability(
+        species, constants, species.constituent_mass * 0.5, q_div(species.e_min, hbar)
     )
     term = q_mul(n_vf, polarizability).require(PERMITTIVITY, "quarkonium term")
     in_alpha_units = q_div(term, _e2_over_hbar_c(constants, c)).as_dimensionless()

@@ -1,6 +1,6 @@
 import pytest
 
-from vfdielectric import load_constants
+from vfdielectric.constants import load_constants
 
 
 @pytest.fixture(scope="session")

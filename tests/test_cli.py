@@ -452,6 +452,31 @@ def test_fractional_lepton_pair_exit_2(capsys, tmp_path, command, charge_fractio
     assert out == ""
 
 
+@pytest.mark.parametrize("field", ["bound_state_mass", "two_photon_width", "e_min"])
+@pytest.mark.parametrize("command", ["predict", "species"])
+def test_lepton_pair_with_quarkonium_field_exit_2(capsys, tmp_path, command, field):
+    # the lepton branch once returned before reading these fields, so even a
+    # junk value loaded and both commands exited 0
+    record = {**E_ONLY, field: {"value": "junk", "unit": "nope"}}
+    path = _constants_file(tmp_path, species=[record])
+    code, out, err = _run(capsys, [command, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "e_only" in err and field in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "sensitivity", "historical"])
+def test_bad_species_record_exit_2_whichever_command_runs(capsys, tmp_path, command):
+    # only predict and species once built the file's species; these three
+    # ignored a record with an unknown unit and exited 0
+    record = {**E_ONLY, "constituent_mass": {"value": 1.0, "unit": "nope"}}
+    path = _constants_file(tmp_path, species=[record])
+    code, out, err = _run(capsys, [command, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "bad species record" in err and "nope" in err
+    assert out == ""
+
+
 def test_duplicate_species_name_exit_2(capsys, tmp_path):
     # two e_only records once counted twice: epsilon0 came out for n_species = 2
     path = _constants_file(tmp_path, species=[E_ONLY, E_ONLY])
@@ -591,6 +616,16 @@ def test_non_string_key_exit_2(capsys, tmp_path, command):
     code, out, err = _run(capsys, [command, "--constants", path])
     _assert_one_error_line(code, err)
     assert "key must be a string" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_non_string_source_exit_2(capsys, tmp_path, command):
+    # str() once read a source of 5 as "5", and the file no longer round-tripped
+    path = _constants_file(tmp_path, changes={"hbar": {"source": 5}})
+    code, out, err = _run(capsys, [command, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "source must be a string" in err
     assert out == ""
 
 
