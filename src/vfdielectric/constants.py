@@ -93,6 +93,9 @@ OPTIONAL_KEYS: dict[str, tuple[Dimension, ...]] = {
     "gamma_etab_2gamma_max": (FREQUENCY, ENERGY),
 }
 
+# the only fields a constant record may carry; any other is a typo or a stray
+_CONSTANT_FIELDS = frozenset({"key", "value", "unit", "source"})
+
 # strictly positive by contract: the elementary charge, the action quantum,
 # the permeability, the reference values the model is compared with (and
 # divided by), and every mass
@@ -171,7 +174,7 @@ def file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Q
                 raise ValueError("joules_per_ev must be finite and positive")
             si_value = si_value * EV_SCALE[unit] * joules_per_ev
         return Quantity(si_value, UNIT_DIMENSIONS[unit])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1.8e308
         raise ConstantsError(f"cannot convert {value!r} {unit} to SI: {exc}") from exc
 
 
@@ -202,14 +205,14 @@ def _resolve_source(path: str | Path | None) -> tuple[str, str]:
 def load_constants(path: str | Path | None = None) -> ConstantsSet:
     """Load and validate a constants registry.
 
-    Raises :class:`ConstantsError` on parse failure, missing required keys,
-    wrong dimensions for required or optional keys, or non-positive values
-    where positivity is required.
+    Raises :class:`ConstantsError` on parse failure, unknown record fields,
+    missing required keys, wrong dimensions for required or optional keys, or
+    non-positive values where positivity is required.
     """
     text, origin = _resolve_source(path)
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConstantsError(f"constants file {origin} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise ConstantsError(f"constants file {origin} must be a JSON array of records")
@@ -228,10 +231,16 @@ def load_constants(path: str | Path | None = None) -> ConstantsSet:
         try:
             key, value, unit = row["key"], row["value"], row["unit"]
             file_value = float(value)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConstantsError(f"malformed record in {origin}: {row!r} ({exc})") from exc
         if not isinstance(key, str):
             raise ConstantsError(f"malformed record in {origin}: {row!r} (key must be a string)")
+        if not row.keys() <= _CONSTANT_FIELDS:
+            unknown = next(field for field in row if field not in _CONSTANT_FIELDS)
+            raise ConstantsError(
+                f"record {key!r} in {origin} has unknown field {unknown!r}; "
+                f"allowed: {', '.join(sorted(_CONSTANT_FIELDS))}"
+            )
         source = row.get("source", "")
         if not isinstance(source, str):  # str() would serialize 5 back as "5"
             raise ConstantsError(f"malformed record in {origin}: {row!r} (source must be a string)")

@@ -121,16 +121,27 @@ def _gauss_hermite_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _hermite_table(nodes: int) -> tuple[tuple[float, ...], ...]:
+    """``h_0 .. h_N_MAX`` at every node of the ``nodes``-point rule, built once per node count.
+
+    Row ``k`` holds ``h_k`` at each node, in the rule's order.  The recurrence
+    prefix does not depend on how far it runs, so each value is the one
+    ``_hermite_values(k, x)`` gives, bit for bit.
+    """
+    columns = [_hermite_values(N_MAX, x) for x in _gauss_hermite_rule(nodes)[0]]
+    return tuple(zip(*columns))
+
+
 def _gauss_hermite_integral(n_prime: int, n: int, nodes: int) -> float:
     _check_level(n_prime)
     _check_level(n)
-    top = max(n_prime, n)
-    terms = []
-    for x, w in zip(*_gauss_hermite_rule(nodes)):
-        h = _hermite_values(top, x)
-        terms.append(w * h[n_prime] * h[n] * x)
+    x, w = _gauss_hermite_rule(nodes)
+    table = _hermite_table(nodes)
     # fsum is correctly rounded, so the mirrored terms of an odd integrand cancel exactly
-    return math.fsum(terms)
+    return math.fsum(
+        wi * hp * hn * xi for xi, wi, hp, hn in zip(x, w, table[n_prime], table[n])
+    )
 
 
 def _converged_integral(n_prime: int, n: int, tol: float) -> float:

@@ -55,6 +55,12 @@ __all__ = [
 LEPTON_PAIR = "lepton-pair"
 QUARKONIUM = "quarkonium"
 
+# the only fields a species record may carry; any other is a typo or a stray
+_SPECIES_FIELDS = frozenset({
+    "kind", "name", "type", "charge_fraction", "constituent_mass",
+    "bound_state_mass", "two_photon_width", "e_min",
+})
+
 _ALLOWED_CHARGE_FRACTIONS = {Fraction(1), Fraction(2, 3), Fraction(1, 3)}
 
 # Species that are deliberately not modeled, with the reason surfaced to users.
@@ -238,6 +244,12 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
     name = record.get("name")
     if not isinstance(name, str) or not name:
         raise ConstantsError(f"species record without a non-empty string name: {record!r}")
+    if not record.keys() <= _SPECIES_FIELDS:
+        unknown = next(field for field in record if field not in _SPECIES_FIELDS)
+        raise ConstantsError(
+            f"species {name!r} has unknown field {unknown!r}; "
+            f"allowed: {', '.join(sorted(_SPECIES_FIELDS))}"
+        )
     if name in _UNSUPPORTED:
         raise UnsupportedSpeciesError(f"species {name!r} is not modeled: {_UNSUPPORTED[name]}")
     stype = record.get("type")
@@ -303,7 +315,7 @@ def load_species(
     for row in constants.species_records:
         try:
             spec = species_from_record(row, constants)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ConstantsError(f"bad species record in {constants.origin}: {exc}") from exc
         if any(s.name == spec.name for s in species):
             raise ConstantsError(f"duplicate species {spec.name!r} in {constants.origin}")

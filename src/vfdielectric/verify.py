@@ -7,6 +7,7 @@ back the package's acceptance tests.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -66,8 +67,10 @@ class CheckResult(Record):
     detail: str
 
 
-def _random_oscillators(n: int) -> list[OscillatorSpec]:
-    # reduced masses and frequencies spanning >12 orders of magnitude in mu*omega0
+@functools.cache
+def _random_oscillators(n: int) -> tuple[OscillatorSpec, ...]:
+    # reduced masses and frequencies spanning >12 orders of magnitude in mu*omega0;
+    # seeded, so built once per process
     rng = random.Random(_SEED)
     specs = []
     for _ in range(n):
@@ -76,7 +79,21 @@ def _random_oscillators(n: int) -> list[OscillatorSpec]:
         specs.append(
             OscillatorSpec(Quantity(mu, MASS), Quantity(omega, FREQUENCY))
         )
-    return specs
+    return tuple(specs)
+
+
+@functools.cache
+def _mismatched_pairs() -> tuple[tuple[Dimension, Dimension], ...]:
+    """Seeded dimension pairs that differ in one exponent, built once per process."""
+    rng = random.Random(_SEED + 1)
+    pairs = []
+    for _ in range(_N_MISMATCHED_ADDITIONS):
+        exps_a = [rng.randint(-3, 3) for _ in range(7)]
+        exps_b = list(exps_a)
+        index = rng.randrange(7)
+        exps_b[index] += rng.choice([-2, -1, 1, 2])
+        pairs.append((Dimension(tuple(exps_a)), Dimension(tuple(exps_b))))
+    return tuple(pairs)
 
 
 def check_quadrature_vs_analytic(
@@ -171,17 +188,10 @@ def check_dimension_audit(constants: ConstantsSet) -> CheckResult:
     inv_alpha = inverse_alpha(eps, c, constants)  # as_dimensionless() inside
     dims_ok = eps.dim == PERMITTIVITY and c.dim == SPEED and isinstance(inv_alpha, float)
 
-    rng = random.Random(_SEED + 1)
     rejected = 0
-    for _ in range(_N_MISMATCHED_ADDITIONS):
-        exps_a = [rng.randint(-3, 3) for _ in range(7)]
-        exps_b = list(exps_a)
-        index = rng.randrange(7)
-        exps_b[index] += rng.choice([-2, -1, 1, 2])
-        a = Quantity(1.0, Dimension(tuple(exps_a)))
-        b = Quantity(1.0, Dimension(tuple(exps_b)))
+    for dim_a, dim_b in _mismatched_pairs():
         try:
-            q_add(a, b)
+            q_add(Quantity(1.0, dim_a), Quantity(1.0, dim_b))
         except DimensionError:
             rejected += 1
     passed = dims_ok and rejected == _N_MISMATCHED_ADDITIONS

@@ -175,6 +175,15 @@ def test_verify_unattainable_tolerance_fails(capsys):
     assert any(line.startswith("FAIL") for line in out.splitlines())
 
 
+def test_verify_unattainable_tolerance_fails_after_a_passing_run(capsys):
+    # the quadrature check recomputes its integrals against each call's tolerance
+    assert _run(capsys, ["verify"])[0] == 0
+    code, out, _ = _run(capsys, ["verify", "--tolerance", "1e-20"])
+    assert code == 1
+    assert any(line.startswith("FAIL") and "quadrature-vs-analytic" in line
+               for line in out.splitlines())
+
+
 @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
 def test_verify_invalid_tolerance_exit_2(capsys, tolerance):
     code, out, err = _run(capsys, ["verify", f"--tolerance={tolerance}"])
@@ -626,6 +635,62 @@ def test_non_string_source_exit_2(capsys, tmp_path, command):
     code, out, err = _run(capsys, [command, "--constants", path])
     _assert_one_error_line(code, err)
     assert "source must be a string" in err
+    assert out == ""
+
+
+# unknown fields were once dropped without a word: a misspelt charge fraction
+# loaded as charge 1, a misspelt e_min fell back to the mass-derived default
+@pytest.mark.parametrize("command", COMMANDS)
+def test_constant_record_unknown_field_exit_2(capsys, tmp_path, command):
+    path = _constants_file(tmp_path, changes={"hbar": {"sorce": "CODATA 2018"}})
+    code, out, err = _run(capsys, [command, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "'hbar'" in err and "unknown field 'sorce'" in err and path in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("records, field", [
+    ([{**E_ONLY, "chrge_fraction": "2/3"}], "chrge_fraction"),
+    ([E_ONLY, {**ETA_B_10_EV, "e_mn": {"value": 1.0, "unit": "GeV"}}], "e_mn"),
+], ids=["lepton-chrge_fraction", "quarkonium-e_mn"])
+@pytest.mark.parametrize("command", ["predict", "species"])
+def test_species_record_unknown_field_exit_2(capsys, tmp_path, command, records, field):
+    path = _constants_file(tmp_path, species=records)
+    code, out, err = _run(capsys, [command, "--format", "json", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert f"unknown field {field!r}" in err and path in err
+    assert out == ""
+
+
+def test_program_error_in_species_record_is_not_a_bad_record(tmp_path, monkeypatch):
+    # load_species once caught TypeError as well, so a bug read as "bad species record"
+    def broken(record, constants):
+        raise TypeError("not a record defect")
+
+    monkeypatch.setattr("vfdielectric.species.species_from_record", broken)
+    path = _constants_file(tmp_path, species=[E_ONLY])
+    with pytest.raises(TypeError, match="not a record defect"):
+        main(["predict", "--constants", path])
+
+
+def test_integer_too_large_for_a_float_exit_2(capsys, tmp_path):
+    # float(10**400) raises OverflowError, which once escaped as a traceback
+    for changes, species_records in (
+        ({"m_e": {"value": 10**400}}, ()),
+        (None, [{**E_ONLY, "constituent_mass": {"value": 10**400, "unit": "kg"}}]),
+    ):
+        path = _constants_file(tmp_path, species=species_records, changes=changes)
+        code, out, err = _run(capsys, ["predict", "--constants", path])
+        _assert_one_error_line(code, err)
+        assert "too large" in err and out == ""
+
+
+def test_integer_past_the_digit_limit_exit_2(capsys, tmp_path):
+    # json.loads raises a plain ValueError past the int-to-str digit limit
+    path = tmp_path / "constants.json"
+    path.write_text('[{"key": "e", "value": 1' + "0" * 5000 + ', "unit": "C"}]', "utf-8")
+    code, out, err = _run(capsys, ["predict", "--constants", str(path)])
+    _assert_one_error_line(code, err)
     assert out == ""
 
 

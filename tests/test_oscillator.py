@@ -22,6 +22,8 @@ from vfdielectric.oscillator import (
     N_MAX,
     QuadratureError,
     _gauss_hermite_rule,
+    _hermite_table,
+    _hermite_values,
     dipole_expectation_static,
     matrix_element_x_analytic,
     matrix_element_x_quadrature,
@@ -133,23 +135,41 @@ def test_quadrature_unattainable_tolerance_raises():
         matrix_element_x_quadrature(1, 0, NATURAL, HBAR_ONE, tol=1e-20)
 
 
+def _count_builds(monkeypatch, name, built):
+    """Replace ``oscillator.<name>`` by a wrapper that counts its cache misses per node count."""
+    cached = getattr(oscillator, name)
+
+    def counting(nodes):
+        misses = cached.cache_info().misses
+        value = cached(nodes)
+        built[nodes] += cached.cache_info().misses - misses
+        return value
+
+    monkeypatch.setattr(oscillator, name, counting)
+    cached.cache_clear()
+
+
 def test_gauss_hermite_rule_built_once_per_node_count(constants, monkeypatch):
-    # a build is a miss of the rule's own cache; count them per node count
-    cached_rule = oscillator._gauss_hermite_rule
-    built = Counter()
-
-    def counting_rule(nodes):
-        misses = cached_rule.cache_info().misses
-        rule = cached_rule(nodes)
-        built[nodes] += cached_rule.cache_info().misses - misses
-        return rule
-
-    monkeypatch.setattr(oscillator, "_gauss_hermite_rule", counting_rule)
-    cached_rule.cache_clear()
+    # a build is a miss of the rule's or the table's own cache
+    rules_built, tables_built = Counter(), Counter()
+    _count_builds(monkeypatch, "_gauss_hermite_rule", rules_built)
+    _count_builds(monkeypatch, "_hermite_table", tables_built)
     first = check_quadrature_vs_analytic(constants)
     second = check_quadrature_vs_analytic(constants)
     assert first == second and first.passed
-    assert built == {64: 1, 32: 1}
+    assert rules_built == {64: 1, 32: 1}
+    assert tables_built == {64: 1, 32: 1}
+
+
+@pytest.mark.parametrize("nodes", [16, 32, 64])
+def test_hermite_table_matches_the_recurrence_exactly(nodes):
+    x, _ = _gauss_hermite_rule(nodes)
+    table = _hermite_table(nodes)
+    assert type(table) is tuple and len(table) == N_MAX + 1
+    assert all(type(row) is tuple and len(row) == nodes for row in table)
+    for k in range(N_MAX + 1):
+        assert all(table[k][i] == _hermite_values(k, xi)[k] for i, xi in enumerate(x))
+    assert _hermite_table(nodes) is table
 
 
 def test_gauss_hermite_rule_is_read_only():
