@@ -22,7 +22,7 @@ import sys
 
 from .constants import ConstantsError, ConstantsSet, load_constants
 from .oscillator import DEFAULT_QUAD_TOL
-from .quantity import ELECTRIC_FIELD, Quantity
+from .quantity import ELECTRIC_FIELD, OutOfRangeError, Quantity
 from .species import (
     QUARKONIUM,
     builtin_species,
@@ -410,8 +410,13 @@ def main(argv: "list[str] | None" = None) -> int:
         if constants.species_records:  # a bad species record exits 2 whichever command runs
             load_species(constants)
         # commands raise ConstantsError (a bad --tolerance, a missing optional
-        # key) before they print anything
-        return args.handler(args, constants)
+        # key) or OutOfRangeError before they print anything
+        try:
+            return args.handler(args, constants)
+        except OutOfRangeError as exc:  # the input values, not the program, are at fault
+            raise ConstantsError(
+                f"the constants in {constants.origin} take a result out of the float range: {exc}"
+            ) from exc
     except ConstantsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

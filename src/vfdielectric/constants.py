@@ -179,7 +179,11 @@ def file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Q
 
 
 def _bundled_text() -> str:
-    return resources.files(__package__).joinpath(f"data/{DATA_FILENAME}").read_text("utf-8")
+    bundled = resources.files(__package__).joinpath(f"data/{DATA_FILENAME}")
+    try:
+        return bundled.read_text("utf-8")
+    except OSError as exc:  # an installed package built without its data files
+        raise ConstantsError(f"cannot read the bundled constants file {bundled}: {exc}") from exc
 
 
 def _resolve_source(path: str | Path | None) -> tuple[str, str]:

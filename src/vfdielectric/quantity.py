@@ -8,6 +8,15 @@ luminosity).  Rational exponents keep intermediate roots such as
 checks dimensional consistency, so a formula that type-checks here is also
 unit-checked.
 
+Two constructors make a :class:`Quantity`.  The public ``Quantity(value, dim)``
+checks everything: it converts ``value`` with ``float()``, refuses a non-finite
+value and refuses a ``dim`` that is not a :class:`Dimension`.  The arithmetic
+here builds its results through a private constructor that checks only
+finiteness, since its operands already hold a builtin float and an interned
+Dimension.  A non-finite value from either raises :class:`OutOfRangeError`, and
+so does a power that overflows a float.  Integer and square-root powers are
+memoized per interned Dimension and looked up without building a ``Fraction``.
+
 Energy values cross the eV/J boundary only at ingestion: :data:`EV_SCALE` is
 the one table of eV-family units, which the constants loader scales through
 with the elementary-charge value from the same file.
@@ -22,6 +31,7 @@ from fractions import Fraction
 __all__ = [
     "Dimension",
     "DimensionError",
+    "OutOfRangeError",
     "Quantity",
     "Record",
     "dim",
@@ -51,15 +61,20 @@ __all__ = [
 # Base-dimension order: length, mass, time, current, temperature, amount, luminosity.
 _BASE_SYMBOLS = ("m", "kg", "s", "A", "K", "mol", "cd")
 _ZERO7 = (Fraction(0),) * 7
+_HALF = Fraction(1, 2)
 # the one Dimension per exponent tuple; guarded by the lock when written
 _INTERNED: dict[tuple[Fraction, ...], "Dimension"] = {}
 _INTERN_LOCK = threading.Lock()
-_set = object.__setattr__  # how Dimension and Quantity set their slots
+_set = object.__setattr__  # how Dimension sets its slots
 _MISSING = object()  # a record field with neither an argument nor a default
 
 
 class DimensionError(ValueError):
     """Raised when operands carry incompatible SI dimensions."""
+
+
+class OutOfRangeError(ValueError):
+    """Raised when a value or an arithmetic result is not a finite float."""
 
 
 def _as_fraction(x: int | Fraction) -> Fraction:
@@ -95,7 +110,7 @@ class Dimension:
     of distinct dimensions a process meets, not with the number of operations.
     """
 
-    __slots__ = ("exponents", "is_dimensionless", "_hash", "_str", "_mul", "_div", "_pow")
+    __slots__ = ("exponents", "is_dimensionless", "_hash", "_str", "_mul", "_div", "_pow", "_root")
 
     exponents: tuple[Fraction, ...]
     is_dimensionless: bool
@@ -124,6 +139,7 @@ class Dimension:
                     _set(self, "_mul", {})
                     _set(self, "_div", {})
                     _set(self, "_pow", {})
+                    _set(self, "_root", None)
                     _INTERNED[exps] = self
         return self
 
@@ -155,10 +171,23 @@ class Dimension:
         return out
 
     def __pow__(self, power: int | Fraction) -> "Dimension":
-        p = _as_fraction(power)
-        out = self._pow.get(p)
+        # An int hashes and compares equal to its Fraction, so it finds the
+        # memo entry as it is; only a first use builds a Fraction.  A float
+        # must not (1.0 == 1), so anything else goes through _as_fraction.
+        if type(power) is not int:
+            power = _as_fraction(power)
+        out = self._pow.get(power)
         if out is None:
+            p = _as_fraction(power)
             out = self._pow[p] = Dimension(tuple(a * p for a in self.exponents))
+        return out
+
+    def _sqrt(self) -> "Dimension":
+        """``self ** Fraction(1, 2)``, memoized in its own slot: no Fraction is hashed."""
+        out = self._root
+        if out is None:  # two threads racing here both store the one interned instance
+            out = self**_HALF
+            _set(self, "_root", out)
         return out
 
     def __str__(self) -> str:
@@ -210,11 +239,11 @@ class Quantity:
     def __init__(self, value: float, dim: Dimension = DIMENSIONLESS) -> None:
         v = float(value)
         if not math.isfinite(v):
-            raise ValueError(f"Quantity value must be finite, got {value!r}")
+            raise OutOfRangeError(f"Quantity value must be finite, got {value!r}")
         if not isinstance(dim, Dimension):
             raise TypeError("dim must be a Dimension")
-        _set(self, "value", v)
-        _set(self, "dim", dim)
+        _set_value(self, v)
+        _set_dim(self, dim)
 
     __setattr__ = __delattr__ = _immutable
 
@@ -235,7 +264,8 @@ class Quantity:
 
     def __mul__(self, other: "Quantity | int | float") -> "Quantity":
         if isinstance(other, (int, float)):
-            return Quantity(self.value * other, self.dim)
+            # float(): a float subclass's own __rmul__ may return its own type
+            return _result(float(self.value * other), self.dim)
         return q_mul(self, other)
 
     __rmul__ = __mul__
@@ -244,7 +274,7 @@ class Quantity:
         if isinstance(other, (int, float)):
             if other == 0:
                 raise ZeroDivisionError("division of a Quantity by scalar zero")
-            return Quantity(self.value / other, self.dim)
+            return _result(float(self.value / other), self.dim)
         return q_div(self, other)
 
     def __rtruediv__(self, other: "int | float") -> "Quantity":
@@ -259,7 +289,7 @@ class Quantity:
         return q_add(self, -other)
 
     def __neg__(self) -> "Quantity":
-        return Quantity(-self.value, self.dim)
+        return _result(-self.value, self.dim)
 
     def __pow__(self, power: int | Fraction) -> "Quantity":
         return q_pow(self, power)
@@ -278,6 +308,26 @@ class Quantity:
 
     def __str__(self) -> str:
         return f"{self.value!r} {self.dim}" if not self.dim.is_dimensionless else repr(self.value)
+
+
+_new = object.__new__
+_set_value = Quantity.value.__set__  # the slot descriptors bypass _immutable
+_set_dim = Quantity.dim.__set__
+_isfinite = math.isfinite
+
+
+def _result(value: float, dim: Dimension) -> Quantity:
+    """The private constructor of arithmetic results.
+
+    ``value`` is already a builtin float and ``dim`` an interned Dimension, so
+    of the public constructor's checks only finiteness is left to make.
+    """
+    if not _isfinite(value):
+        raise OutOfRangeError(f"Quantity value must be finite, got {value!r}")
+    q = _new(Quantity)
+    _set_value(q, value)
+    _set_dim(q, dim)
+    return q
 
 
 class Record:
@@ -323,35 +373,47 @@ class Record:
 
 def q_mul(a: Quantity, b: Quantity) -> Quantity:
     """Product: values multiply, exponents add exactly."""
-    return Quantity(a.value * b.value, a.dim * b.dim)
+    return _result(a.value * b.value, a.dim * b.dim)
 
 
 def q_div(a: Quantity, b: Quantity) -> Quantity:
     """Quotient: values divide, exponents subtract exactly."""
     if b.value == 0:
         raise ZeroDivisionError(f"division by zero quantity (dimension {b.dim})")
-    return Quantity(a.value / b.value, a.dim / b.dim)
+    return _result(a.value / b.value, a.dim / b.dim)
 
 
 def q_add(a: Quantity, b: Quantity) -> Quantity:
     """Sum, defined only for identical dimensions."""
-    if a.dim != b.dim:
+    if a.dim is not b.dim:
         raise DimensionError(f"cannot add {a.dim} to {b.dim}")
-    return Quantity(a.value + b.value, a.dim)
+    return _result(a.value + b.value, a.dim)
 
 
 def q_pow(a: Quantity, power: int | Fraction) -> Quantity:
     """Raise to an exact rational power; exponents scale by the same rational."""
-    p = _as_fraction(power)
+    # float(n) is float(Fraction(n)) bit for bit, so an int needs no Fraction
+    p = power if type(power) is int else _as_fraction(power)
     if p.denominator != 1 and a.value <= 0:
         raise ValueError(
             f"fractional power {p} of a non-positive value {a.value!r}"
         )
-    return Quantity(float(a.value) ** float(p), a.dim**p)
+    try:
+        value = a.value ** float(p)
+    except OverflowError:
+        raise OutOfRangeError(f"power {p} of {a.value!r} overflows a float") from None
+    return _result(value, a.dim**p)
 
 
 def q_sqrt(a: Quantity) -> Quantity:
-    return q_pow(a, Fraction(1, 2))
+    """``q_pow(a, Fraction(1, 2))`` bit for bit, without building a Fraction.
+
+    A finite positive float's square root cannot overflow, so unlike
+    :func:`q_pow` it needs no overflow handler.
+    """
+    if a.value <= 0:
+        raise ValueError(f"fractional power 1/2 of a non-positive value {a.value!r}")
+    return _result(a.value**0.5, a.dim._sqrt())
 
 
 # eV-family multiples, relative to 1 eV: the only table of eV-family units

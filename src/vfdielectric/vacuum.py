@@ -164,13 +164,14 @@ def lepton_contribution(
     polarizability = _polarizability(species, constants, osc.reduced_mass, osc.omega0)
     composed = q_mul(n_vf, polarizability).require(PERMITTIVITY, "lepton term")
 
-    closed = _e2_over_hbar_c(constants, c) * (512.0 * alpha)
+    e2_over_hbar_c = _e2_over_hbar_c(constants, c)
+    closed = e2_over_hbar_c * (512.0 * alpha)
     if abs(composed.value - closed.value) > _ROUTE_AGREEMENT_TOL * closed.value:
         raise AssemblyError(
             f"{species.name}: composed term {composed.value!r} disagrees with "
             f"closed coefficient {closed.value!r}"
         )
-    in_alpha_units = q_div(composed, _e2_over_hbar_c(constants, c)).as_dimensionless()
+    in_alpha_units = q_div(composed, e2_over_hbar_c).as_dimensionless()
     return SpeciesContribution(species.name, composed, in_alpha_units)
 
 

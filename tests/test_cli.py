@@ -516,6 +516,18 @@ def test_data_dir_without_constants_file_exit_2(capsys, tmp_path, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["predict", "species", "verify", "sensitivity", "historical"])
+def test_missing_bundled_constants_file_exit_2(capsys, monkeypatch, command):
+    # an installed package built without its data files once exited 1 with a
+    # FileNotFoundError traceback
+    monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
+    monkeypatch.setattr("vfdielectric.constants.DATA_FILENAME", "missing.json")
+    code, out, err = _run(capsys, [command])
+    _assert_one_error_line(code, err)
+    assert "bundled constants file" in err and "missing.json" in err
+    assert out == ""
+
+
 def test_ev_record_without_elementary_charge_exit_2(capsys, tmp_path):
     path = _constants_file(tmp_path, drop=("e",))
     code, out, err = _run(capsys, ["predict", "--constants", path])
@@ -715,6 +727,22 @@ def test_optional_key_in_kg_exit_2(capsys, tmp_path, key):
     code, out, err = _run(capsys, ["predict", "--include-quarks", "--constants", path])
     _assert_one_error_line(code, err)
     assert key in err and "dimension" in err
+    assert out == ""
+
+
+# a result past the float range once escaped cli.main as a ValueError traceback
+@pytest.mark.parametrize("key, value, command", [
+    ("hbar", 1e-300, "predict"),
+    ("hbar", 1e-300, "sensitivity"),
+    ("m_e", 1e300, "predict"),
+    ("m_e", 1e300, "verify"),
+])
+def test_result_out_of_float_range_exit_2(capsys, tmp_path, key, value, command):
+    path = _constants_file(tmp_path, changes={key: {"value": value}})
+    code, out, err = _run(capsys, [command, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert path in err and "out of the float range" in err
+    assert "Quantity value must be finite, got inf" in err
     assert out == ""
 
 

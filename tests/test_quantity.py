@@ -20,6 +20,7 @@ from vfdielectric.quantity import (
     TIME,
     Dimension,
     DimensionError,
+    OutOfRangeError,
     Quantity,
     dim,
     q_add,
@@ -275,3 +276,101 @@ def test_non_rational_exponent_rejected(bad):
         dim(m=bad)
     with pytest.raises(TypeError):
         LENGTH**bad
+
+
+# --- the arithmetic fast paths ------------------------------------------------
+
+_nonzero_values = st.floats(min_value=-1e40, max_value=1e40).filter(lambda v: abs(v) >= 1e-40)
+
+
+@given(_nonzero_values, _rational_exponents, st.integers(min_value=-6, max_value=6))
+def test_int_power_matches_the_fraction_power_bit_for_bit(value, exps, power):
+    d = Dimension(exps)
+    for _ in range(2):  # the second round is served from the memo table
+        out = q_pow(Quantity(value, d), power)
+        assert out.value.hex() == (float(value) ** float(Fraction(power))).hex()
+        assert out.dim is d ** Fraction(power)
+
+
+@given(st.floats(min_value=5e-324, max_value=1.7e308), _rational_exponents)
+def test_sqrt_matches_the_half_power_bit_for_bit(value, exps):
+    a = Quantity(value, Dimension(exps))
+    for _ in range(2):
+        root, half = q_sqrt(a), q_pow(a, Fraction(1, 2))
+        assert root.value.hex() == half.value.hex()
+        assert root.dim is half.dim
+
+
+def test_fast_paths_keep_their_error_types_and_messages():
+    with pytest.raises(ValueError, match=r"^fractional power 1/2 of a non-positive value -4\.0$"):
+        q_sqrt(Quantity(-4.0, dim(m=2)))
+    with pytest.raises(ValueError, match=r"^fractional power 1/2 of a non-positive value 0\.0$"):
+        q_sqrt(Quantity(0.0))
+    with pytest.raises(ValueError, match=r"^Quantity value must be finite, got inf$"):
+        q_mul(Quantity(1e308, LENGTH), Quantity(1e308, LENGTH))
+    with pytest.raises(TypeError, match=r"^exponents must be int or Fraction, got float$"):
+        q_pow(Quantity(2.0, LENGTH), 2.0)
+
+
+def test_out_of_range_results_raise_one_named_error():
+    big, tiny = Quantity(1e200, LENGTH), Quantity(1e-200, LENGTH)
+    for make in (
+        lambda: Quantity(float("inf"), LENGTH),
+        lambda: Quantity(float("nan")),
+        lambda: q_mul(big, big),
+        lambda: q_div(big, tiny),
+        lambda: q_add(Quantity(1.7e308), Quantity(1.7e308)),
+        lambda: big * 1e200,
+        lambda: big / 1e-200,
+        lambda: q_pow(big, 2),
+        lambda: q_pow(tiny, -2),
+        lambda: q_pow(Quantity(1e250, dim(m=2)), Fraction(3, 2)),
+    ):
+        with pytest.raises(OutOfRangeError):
+            make()
+    assert issubclass(OutOfRangeError, ValueError)
+
+
+def test_arithmetic_results_are_immutable():
+    a = Quantity(4.0, dim(m=2))
+    for result in (q_mul(a, a), q_sqrt(a), q_pow(a, 2), -a, a * 2.0, a / 2.0):
+        with pytest.raises(AttributeError):
+            result.value = 1.0
+        with pytest.raises(AttributeError):
+            del result.dim
+        with pytest.raises(AttributeError):
+            result.extra = 1
+
+
+class _FloatSubclass(float):
+    def __rmul__(self, other):
+        return _FloatSubclass(float(self) * other)
+
+    def __rtruediv__(self, other):
+        return _FloatSubclass(other / float(self))
+
+
+def test_scalar_results_hold_a_builtin_float():
+    a = Quantity(2.0, LENGTH)
+    assert type((a * _FloatSubclass(3.0)).value) is float
+    assert type((_FloatSubclass(3.0) * a).value) is float
+    assert type((a / _FloatSubclass(4.0)).value) is float
+    assert (a * _FloatSubclass(3.0)).value == 6.0 and (a / _FloatSubclass(4.0)).value == 0.5
+
+
+def test_repeated_sqrt_and_int_power_build_no_fraction(monkeypatch):
+    a = Quantity(2.5, dim(m=3, s=-1, A=1))
+    q_sqrt(a), q_pow(a, 3), q_pow(a, -2)  # first calls may fill the memo tables
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    assert Fraction(1, 3) and len(built) == 1  # the patch is live
+    built.clear()
+    for _ in range(3):
+        q_sqrt(a), q_pow(a, 3), q_pow(a, -2), a**3
+    assert built == []
