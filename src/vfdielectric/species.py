@@ -344,15 +344,25 @@ def vf_lifetime(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Q
     return q_div(hbar, q_mul(species.bound_state_mass, c2) * 2)
 
 
+def _lifetime_and_length(
+    species: SpeciesSpec, constants: ConstantsSet, c: Quantity
+) -> tuple[Quantity, Quantity]:
+    lifetime = vf_lifetime(species, constants, c)
+    return lifetime, q_mul(c, lifetime)
+
+
+def _per_volume(length: Quantity) -> Quantity:
+    return q_div(Quantity(1.0), q_pow(length, 3))
+
+
 def coherence_length(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Quantity:
     """Distance light travels during the lifetime: ``L = c dt``."""
-    return q_mul(_check_speed(c), vf_lifetime(species, constants, c))
+    return _lifetime_and_length(species, constants, c)[1]
 
 
 def number_density(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Quantity:
     """One transient atom per coherence volume: ``1 / L^3``."""
-    length = coherence_length(species, constants, c)
-    return q_div(Quantity(1.0), q_pow(length, 3))
+    return _per_volume(coherence_length(species, constants, c))
 
 
 def binding_energy(
@@ -433,15 +443,14 @@ def interacting_density(
 
     ``exact`` uses the full absorption probability ``1 - exp(-Gamma dt)``;
     ``linearized`` keeps the leading term ``Gamma dt``, which for a lepton
-    pair collapses to ``(alpha^5/4) (4 m c / hbar)^3``.
+    pair collapses to ``(alpha^5/4) (4 m c / hbar)^3``.  The lifetime ``dt``
+    is computed once and gives both the coherence volume and ``Gamma dt``.
     """
     if mode not in ("exact", "linearized"):
         raise ValueError(f"mode must be 'exact' or 'linearized', got {mode!r}")
-    n = number_density(species, constants, c)
-    gamma_dt = q_mul(
-        decay_rate(species, constants, alpha, c),
-        vf_lifetime(species, constants, c),
-    ).as_dimensionless()
+    lifetime, length = _lifetime_and_length(species, constants, c)
+    n = _per_volume(length)
+    gamma_dt = q_mul(decay_rate(species, constants, alpha, c), lifetime).as_dimensionless()
     if mode == "linearized":
         return n * gamma_dt
     return n * -math.expm1(-gamma_dt)

@@ -141,6 +141,54 @@ def _polarizability(
     return q_div(q_div(q_mul(q, q), reduced_mass), q_mul(omega0, omega0))
 
 
+def _step_factors(
+    alpha: float, c: Quantity, constants: ConstantsSet
+) -> tuple[Quantity, Quantity, Quantity]:
+    """The species-independent factors of the terms at ``(alpha, c)``: the
+    permittivity consistent with them, ``e^2/(hbar c)`` and the closed lepton
+    coefficient ``8^3 alpha e^2/(hbar c)``."""
+    eps_consistent = _epsilon_from_alpha(alpha, c, constants)
+    e2_over_hbar_c = _e2_over_hbar_c(constants, c)
+    return eps_consistent, e2_over_hbar_c, e2_over_hbar_c * (512.0 * alpha)
+
+
+def _lepton_term(
+    species: SpeciesSpec,
+    constants: ConstantsSet,
+    alpha: float,
+    c: Quantity,
+    factors: tuple[Quantity, Quantity, Quantity],
+) -> SpeciesContribution:
+    eps_consistent, e2_over_hbar_c, closed = factors
+    osc = resonant_frequency(species, constants, eps_consistent, c)
+    n_vf = interacting_density(species, constants, alpha, c, mode="linearized")
+    polarizability = _polarizability(species, constants, osc.reduced_mass, osc.omega0)
+    composed = q_mul(n_vf, polarizability).require(PERMITTIVITY, "lepton term")
+    if abs(composed.value - closed.value) > _ROUTE_AGREEMENT_TOL * closed.value:
+        raise AssemblyError(
+            f"{species.name}: composed term {composed.value!r} disagrees with "
+            f"closed coefficient {closed.value!r}"
+        )
+    in_alpha_units = q_div(composed, e2_over_hbar_c).as_dimensionless()
+    return SpeciesContribution(species.name, composed, in_alpha_units)
+
+
+def _quarkonium_term(
+    species: SpeciesSpec, constants: ConstantsSet, c: Quantity, e2_over_hbar_c: Quantity
+) -> SpeciesContribution:
+    hbar = constants.get("hbar")
+    width = species.two_photon_width
+    n_vf = (
+        q_mul(q_pow(q_div(species.bound_state_mass, hbar), 2), q_mul(c, width)) * 8.0
+    )
+    polarizability = _polarizability(
+        species, constants, species.constituent_mass * 0.5, q_div(species.e_min, hbar)
+    )
+    term = q_mul(n_vf, polarizability).require(PERMITTIVITY, "quarkonium term")
+    in_alpha_units = q_div(term, e2_over_hbar_c).as_dimensionless()
+    return SpeciesContribution(species.name, term, in_alpha_units)
+
+
 def lepton_contribution(
     species: SpeciesSpec,
     constants: ConstantsSet,
@@ -157,22 +205,7 @@ def lepton_contribution(
     if species.kind != LEPTON_PAIR:
         raise ValueError(f"{species.name!r} is not a lepton pair")
     c.require(SPEED, "c")
-
-    eps_consistent = _epsilon_from_alpha(alpha, c, constants)
-    osc = resonant_frequency(species, constants, eps_consistent, c)
-    n_vf = interacting_density(species, constants, alpha, c, mode="linearized")
-    polarizability = _polarizability(species, constants, osc.reduced_mass, osc.omega0)
-    composed = q_mul(n_vf, polarizability).require(PERMITTIVITY, "lepton term")
-
-    e2_over_hbar_c = _e2_over_hbar_c(constants, c)
-    closed = e2_over_hbar_c * (512.0 * alpha)
-    if abs(composed.value - closed.value) > _ROUTE_AGREEMENT_TOL * closed.value:
-        raise AssemblyError(
-            f"{species.name}: composed term {composed.value!r} disagrees with "
-            f"closed coefficient {closed.value!r}"
-        )
-    in_alpha_units = q_div(composed, e2_over_hbar_c).as_dimensionless()
-    return SpeciesContribution(species.name, composed, in_alpha_units)
+    return _lepton_term(species, constants, alpha, c, _step_factors(alpha, c, constants))
 
 
 def quarkonium_contribution(
@@ -188,18 +221,7 @@ def quarkonium_contribution(
     if species.kind != QUARKONIUM:
         raise ValueError(f"{species.name!r} is not a quarkonium state")
     c.require(SPEED, "c")
-
-    hbar = constants.get("hbar")
-    width = species.two_photon_width
-    n_vf = (
-        q_mul(q_pow(q_div(species.bound_state_mass, hbar), 2), q_mul(c, width)) * 8.0
-    )
-    polarizability = _polarizability(
-        species, constants, species.constituent_mass * 0.5, q_div(species.e_min, hbar)
-    )
-    term = q_mul(n_vf, polarizability).require(PERMITTIVITY, "quarkonium term")
-    in_alpha_units = q_div(term, _e2_over_hbar_c(constants, c)).as_dimensionless()
-    return SpeciesContribution(species.name, term, in_alpha_units)
+    return _quarkonium_term(species, constants, c, _e2_over_hbar_c(constants, c))
 
 
 def epsilon0_closed_form(constants: ConstantsSet, n_species: int = 3) -> Quantity:
@@ -268,12 +290,13 @@ def _contributions_at(
 ) -> tuple[SpeciesContribution, ...]:
     c = c_from_epsilon(epsilon, constants)
     alpha = alpha_from_epsilon(epsilon, c, constants)
+    factors = _step_factors(alpha, c, constants)
     out = []
     for s in species:
         if s.kind == LEPTON_PAIR:
-            out.append(lepton_contribution(s, constants, alpha, c))
+            out.append(_lepton_term(s, constants, alpha, c, factors))
         else:
-            out.append(quarkonium_contribution(s, constants, c))
+            out.append(_quarkonium_term(s, constants, c, factors[1]))
     return tuple(out)
 
 
