@@ -316,6 +316,11 @@ def epsilon0_self_consistent(
     ``|delta eps|``; no damping is needed.  The seed is the reference
     permittivity; convergence is ``|delta eps| / eps <= tol``.  Raises
     :class:`ConvergenceError` after ``max_iter`` updates without convergence.
+
+    The report's ``epsilon0_model`` is ``F`` at the last iterate, and its
+    ``contributions`` are that step's own terms, so they sum left to right
+    exactly to it; they were evaluated at an ``eps`` within ``tol`` of it.
+    F is evaluated ``iterations`` times.
     """
     species = tuple(species)
     if not any(s.kind == LEPTON_PAIR for s in species):
@@ -329,13 +334,11 @@ def epsilon0_self_consistent(
         total = contributions[0].epsilon_term
         for contribution in contributions[1:]:
             total = total + contribution.epsilon_term
-        converged = abs(total.value - eps.value) <= tol * abs(total.value)
-        eps = total
-        if converged:
-            final = _contributions_at(species, eps, constants)
+        if abs(total.value - eps.value) <= tol * abs(total.value):
             return _build_report(
-                eps, final, METHOD_SELF_CONSISTENT, constants, iterations=iteration
+                total, contributions, METHOD_SELF_CONSISTENT, constants, iterations=iteration
             )
+        eps = total
     raise ConvergenceError(
         f"fixed point not reached after {max_iter} iterations (tol {tol!r})"
     )

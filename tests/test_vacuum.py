@@ -10,9 +10,11 @@ from vfdielectric.quantity import (
     SPEED,
     Quantity,
 )
+from vfdielectric import vacuum
 from vfdielectric.species import LEPTON_PAIR, SpeciesSpec, builtin_species
 from vfdielectric.vacuum import (
     METHOD_SELF_CONSISTENT,
+    AssemblyError,
     ConvergenceError,
     alpha_from_epsilon,
     c_from_epsilon,
@@ -297,6 +299,76 @@ def test_monotonicity_of_quark_additions(constants):
     assert full_report.epsilon0_model.value > lepton_report.epsilon0_model.value
     assert full_report.c_model.value < lepton_report.c_model.value
     assert full_report.inv_alpha_model > lepton_report.inv_alpha_model
+
+
+def test_lepton_solve_evaluates_each_term_once_per_iteration(trio, constants, monkeypatch):
+    # one resonant frequency per lepton term; no evaluation after convergence
+    species_seen = []
+    original = vacuum.resonant_frequency
+
+    def counting(species, *args):
+        species_seen.append(species.name)
+        return original(species, *args)
+
+    monkeypatch.setattr(vacuum, "resonant_frequency", counting)
+    report = epsilon0_self_consistent(trio, constants)
+    assert species_seen == ["e_pair", "mu_pair", "tau_pair"] * report.iterations
+
+
+@pytest.mark.parametrize("include_quarks", [False, True])
+def test_route_cross_check_runs_for_every_lepton_at_every_step(
+    constants, monkeypatch, include_quarks
+):
+    species = builtin_species(constants, include_quarks=include_quarks)
+    checks = []
+
+    class CountingTolerance(float):
+        def __mul__(self, other):
+            checks.append(other)
+            return float(self) * other
+
+    monkeypatch.setattr(vacuum, "_ROUTE_AGREEMENT_TOL", CountingTolerance(1e-12))
+    report = epsilon0_self_consistent(species, constants)
+    assert len(checks) == 3 * report.iterations
+
+
+def test_route_cross_check_failure_stops_the_solve(trio, constants, monkeypatch):
+    monkeypatch.setattr(vacuum, "_ROUTE_AGREEMENT_TOL", -1.0)
+    with pytest.raises(AssemblyError, match="^e_pair: composed term"):
+        epsilon0_self_consistent(trio, constants)
+
+
+@pytest.mark.parametrize("include_quarks", [False, True])
+def test_contributions_sum_left_to_right_to_epsilon0(constants, include_quarks):
+    report = epsilon0_self_consistent(
+        builtin_species(constants, include_quarks=include_quarks), constants
+    )
+    total = report.contributions[0].epsilon_term.value
+    for contribution in report.contributions[1:]:
+        total += contribution.epsilon_term.value
+    assert total == report.epsilon0_model.value
+
+
+@pytest.mark.parametrize("include_quarks", [False, True])
+def test_public_contributions_replay_the_solver_bit_for_bit(constants, include_quarks):
+    # Picard steps rebuilt from the public per-species functions reach the
+    # solver's epsilon0 and its last step's terms, bit for bit
+    species = builtin_species(constants, include_quarks=include_quarks)
+    report = epsilon0_self_consistent(species, constants)
+    eps = constants.get("ref_epsilon0")
+    for _ in range(report.iterations):
+        c = c_from_epsilon(eps, constants)
+        alpha = alpha_from_epsilon(eps, c, constants)
+        terms = tuple(
+            lepton_contribution(s, constants, alpha, c) if s.kind == LEPTON_PAIR
+            else quarkonium_contribution(s, constants, c)
+            for s in species
+        )
+        eps = terms[0].epsilon_term
+        for term in terms[1:]:
+            eps = eps + term.epsilon_term
+    assert terms == report.contributions
+    assert eps == report.epsilon0_model
 
 
 # --- reports -----------------------------------------------------------------------
