@@ -361,7 +361,7 @@ def _historical_rows(constants: ConstantsSet) -> list[dict]:
         {
             "name": "allen_mass_ratio",
             "formula": "m_e/u vs 10 alpha^2",
-            "value": 10.0 * alpha**2,
+            "value": 10.0 * (Quantity(alpha) ** 2).value,  # an infinite or overflowing alpha exits 2
             "comparison": constants.get("m_e").value / constants.get("m_u").value,
             "comparison_label": "m_e/u",
         },

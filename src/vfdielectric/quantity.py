@@ -14,7 +14,8 @@ value and refuses a ``dim`` that is not a :class:`Dimension`.  The arithmetic
 here builds its results through a private constructor that checks only
 finiteness, since its operands already hold a builtin float and an interned
 Dimension.  A non-finite value from either raises :class:`OutOfRangeError`, and
-so does a power that overflows a float.  Integer and square-root powers are
+so does a power that overflows a float.  A division by zero raises an error
+that is both an :class:`OutOfRangeError` and a ``ZeroDivisionError``.  Integer and square-root powers are
 memoized per interned Dimension and looked up without building a ``Fraction``.
 
 Energy values cross the eV/J boundary only at ingestion: :data:`EV_SCALE` is
@@ -75,6 +76,10 @@ class DimensionError(ValueError):
 
 class OutOfRangeError(ValueError):
     """Raised when a value or an arithmetic result is not a finite float."""
+
+
+class _DivisionByZeroError(OutOfRangeError, ZeroDivisionError):
+    """Raised when a quantity is divided by zero: a quotient past the float range."""
 
 
 def _as_fraction(x: int | Fraction) -> Fraction:
@@ -273,7 +278,7 @@ class Quantity:
     def __truediv__(self, other: "Quantity | int | float") -> "Quantity":
         if isinstance(other, (int, float)):
             if other == 0:
-                raise ZeroDivisionError("division of a Quantity by scalar zero")
+                raise _DivisionByZeroError("division of a Quantity by scalar zero")
             return _result(float(self.value / other), self.dim)
         return q_div(self, other)
 
@@ -379,7 +384,7 @@ def q_mul(a: Quantity, b: Quantity) -> Quantity:
 def q_div(a: Quantity, b: Quantity) -> Quantity:
     """Quotient: values divide, exponents subtract exactly."""
     if b.value == 0:
-        raise ZeroDivisionError(f"division by zero quantity (dimension {b.dim})")
+        raise _DivisionByZeroError(f"division by zero quantity (dimension {b.dim})")
     return _result(a.value / b.value, a.dim / b.dim)
 
 

@@ -27,6 +27,7 @@ from .quantity import (
     PERMITTIVITY,
     SPEED,
     DimensionError,
+    OutOfRangeError,
     Quantity,
     Record,
     q_div,
@@ -429,7 +430,11 @@ def decay_rate(
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     hbar = constants.get("hbar")
     rest_energy = q_mul(species.constituent_mass, q_mul(c, c))
-    return q_div(rest_energy, hbar) * alpha**5
+    rate = q_div(rest_energy, hbar)
+    try:
+        return rate * alpha**5
+    except OverflowError:
+        raise OutOfRangeError(f"power 5 of alpha = {alpha!r} overflows a float") from None
 
 
 def interacting_density(

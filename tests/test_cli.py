@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import importlib.util
+import io
 import itertools
 import json
 import math
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vfdielectric import verify
 from vfdielectric.cli import _build_parser, main
@@ -120,6 +124,32 @@ def test_env_var_data_dir(capsys, tmp_path, monkeypatch):
     code, out, _ = _run(capsys, ["predict", "--format", "json"])
     assert code == 0
     assert str(tmp_path) in json.loads(out)["constants_source"]
+
+
+# the paper's invariants under inputs far from the bundled values: the
+# lepton-only 1/alpha is the pure number 8^2 sqrt(3 pi / 2), and the reported
+# contributions add up, left to right, to the reported epsilon0
+_SCALED_KEYS = ("e", "hbar", "mu0", "m_e", "m_mu", "m_tau", "ref_epsilon0", "ref_c", "ref_inv_alpha")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=len(_SCALED_KEYS), max_size=len(_SCALED_KEYS)))
+def test_predict_invariants_across_input_decades(tmp_path_factory, decades):
+    bundled = {row["key"]: row["value"] for row in json.loads(serialize_constants(load_constants()))}
+    changes = {key: {"value": bundled[key] * 10.0**d} for key, d in zip(_SCALED_KEYS, decades)}
+    path = _constants_file(tmp_path_factory.mktemp("decades"), changes=changes)
+    for quarks in ([], ["--include-quarks"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["predict", "--format", "json", "--constants", path] + quarks) == 0
+        payload = json.loads(out.getvalue())
+        total = payload["contributions"][0]["epsilon_term"]
+        for row in payload["contributions"][1:]:
+            total += row["epsilon_term"]
+        assert total == payload["model"]["epsilon0"]
+        if not quarks:
+            pure = 64.0 * math.sqrt(3.0 * math.pi / 2.0)
+            assert abs(payload["model"]["inv_alpha"] / pure - 1.0) <= 1e-14
 
 
 # --- species -------------------------------------------------------------------
@@ -743,6 +773,34 @@ def test_result_out_of_float_range_exit_2(capsys, tmp_path, key, value, command)
     _assert_one_error_line(code, err)
     assert path in err and "out of the float range" in err
     assert "Quantity value must be finite, got inf" in err
+    assert out == ""
+
+
+# a division by an underflowed zero once escaped cli.main as a ZeroDivisionError traceback
+@pytest.mark.parametrize("command, hbar, message", [
+    ("species", 1e-300, "division by zero quantity"),
+    ("verify", 1e-320, "division by zero quantity"),
+    ("verify", 1e-300, "Quantity value must be finite, got inf"),
+])
+def test_division_by_zero_exit_2(capsys, tmp_path, command, hbar, message):
+    path = _constants_file(tmp_path, changes={"hbar": {"value": hbar}})
+    code, out, err = _run(capsys, [command, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert path in err and f"out of the float range: {message}" in err
+    assert out == ""
+
+
+# a float ** past the float range once escaped cli.main as an OverflowError traceback
+@pytest.mark.parametrize("key, value, argv, message", [
+    ("ref_inv_alpha", 1e-200, ["species", "--include-quarks"], "power 5 of alpha"),
+    ("mu0", 1e200, ["verify"], "power 5 of alpha"),
+    ("ref_inv_alpha", 1e-200, ["historical"], "power 2 of 1e+200"),
+])
+def test_float_power_overflow_exit_2(capsys, tmp_path, key, value, argv, message):
+    path = _constants_file(tmp_path, changes={key: {"value": value}})
+    code, out, err = _run(capsys, argv + ["--constants", path])
+    _assert_one_error_line(code, err)
+    assert path in err and "out of the float range" in err and message in err
     assert out == ""
 
 

@@ -74,8 +74,12 @@ def test_div_hbar_by_mass_c_squared_is_time():
 
 
 def test_div_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        q_div(Quantity(1.0), Quantity(0.0, LENGTH))
+    # both a ZeroDivisionError and the named out-of-range error the CLI maps to exit 2
+    for divide in (lambda: q_div(Quantity(1.0), Quantity(0.0, LENGTH)),
+                   lambda: Quantity(1.0, LENGTH) / 0.0):
+        with pytest.raises(ZeroDivisionError) as info:
+            divide()
+        assert isinstance(info.value, OutOfRangeError)
 
 
 def test_add_same_dimension():
