@@ -14,9 +14,10 @@ value and refuses a ``dim`` that is not a :class:`Dimension`.  The arithmetic
 here builds its results through a private constructor that checks only
 finiteness, since its operands already hold a builtin float and an interned
 Dimension.  A non-finite value from either raises :class:`OutOfRangeError`, and
-so does a power that overflows a float.  A division by zero raises an error
-that is both an :class:`OutOfRangeError` and a ``ZeroDivisionError``.  Integer and square-root powers are
-memoized per interned Dimension and looked up without building a ``Fraction``.
+so does a power that overflows a float; a division by zero raises an error
+that is both an :class:`OutOfRangeError` and a ``ZeroDivisionError``.  Integer
+and square-root powers are memoized per interned Dimension and looked up
+without building a ``Fraction``.
 
 Energy values cross the eV/J boundary only at ingestion: :data:`EV_SCALE` is
 the one table of eV-family units, which the constants loader scales through
