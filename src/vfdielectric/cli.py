@@ -407,11 +407,11 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.precision < 1:
             raise ConstantsError("--precision must be a positive integer")
         constants = load_constants(args.constants)
-        if constants.species_records:  # a bad species record exits 2 whichever command runs
-            load_species(constants)
-        # commands raise ConstantsError (a bad --tolerance, a missing optional
-        # key) or OutOfRangeError before they print anything
+        # species records and commands raise ConstantsError (a bad record or
+        # --tolerance, a missing optional key) or OutOfRangeError before printing
         try:
+            if constants.species_records:  # a bad species record exits 2 whichever command runs
+                load_species(constants)
             return args.handler(args, constants)
         except OutOfRangeError as exc:  # the input values, not the program, are at fault
             raise ConstantsError(

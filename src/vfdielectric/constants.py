@@ -2,12 +2,16 @@
 
 The registry is populated from a JSON data file: a list of records, each
 ``{"key", "value", "unit", "source"}`` with the unit drawn from a fixed
-whitelist.  Records with ``"kind": "species"`` are passed through untouched
-for the species module to interpret.  Values are converted to SI base units
-at ingestion by :func:`file_quantity`, the one conversion both record kinds
-use (eV-family energies via the elementary charge from the same file); the
-original file value/unit are kept so a set serializes back to an equivalent
-file.
+whitelist.  :data:`CONSTANT_KEYS` is the one table of named keys: whether a
+file must define each, and the dimensions it may have.  Every named key and
+every mass is strictly positive.  Records with ``"kind": "species"`` are kept
+raw for the species module to build.  Both record kinds share one conversion
+and two checks: :func:`file_quantity` converts a value to SI base units at
+ingestion (eV-family energies via the elementary charge from the same file),
+:func:`reject_unknown_fields` refuses a field a record may not carry, and
+:func:`check_quantity` refuses a quantity of a wrong dimension or a value
+that is not strictly positive.  The original file value/unit are kept so a
+set serializes back to an equivalent file.
 
 Resolution order for the data file: explicit path argument, then the
 ``VACUUM_DATA_DIR`` environment variable (``constants.json`` inside it), then
@@ -17,7 +21,6 @@ the bundled default.
 from __future__ import annotations
 
 import json
-import math
 import os
 from importlib import resources
 from pathlib import Path
@@ -47,8 +50,9 @@ __all__ = [
     "file_quantity",
     "serialize_constants",
     "DATA_DIR_ENV_VAR",
-    "REQUIRED_KEYS",
-    "OPTIONAL_KEYS",
+    "CONSTANT_KEYS",
+    "reject_unknown_fields",
+    "check_quantity",
 ]
 
 DATA_DIR_ENV_VAR = "VACUUM_DATA_DIR"
@@ -68,38 +72,32 @@ UNIT_DIMENSIONS: dict[str, Dimension] = {
     **dict.fromkeys(EV_SCALE, ENERGY),
 }
 
-REQUIRED_KEYS: dict[str, Dimension] = {
-    "e": CHARGE,
-    "hbar": ACTION,
-    "mu0": PERMEABILITY,
-    "m_e": MASS,
-    "m_mu": MASS,
-    "m_tau": MASS,
-    "ref_epsilon0": PERMITTIVITY,
-    "ref_c": SPEED,
-    "ref_inv_alpha": DIMENSIONLESS,
-}
-
-# keys only some commands read, with the dimensions each may have; checked
-# at load time whenever the file defines them
-OPTIONAL_KEYS: dict[str, tuple[Dimension, ...]] = {
-    "m_u": (MASS,),
-    "m_c": (ENERGY,),
-    "m_b": (ENERGY,),
-    "m_etac": (ENERGY,),
-    "m_etab": (ENERGY,),
-    "gamma_etac_2gamma": (FREQUENCY, ENERGY),
-    "gamma_etab_2gamma_min": (FREQUENCY, ENERGY),
-    "gamma_etab_2gamma_max": (FREQUENCY, ENERGY),
+# every named key: whether each file must define it, and the dimensions its
+# quantity may have (a two-photon width is a rate, or an energy over hbar).
+# Each is strictly positive, and so is a mass under a key of the file's own;
+# a key only some commands read is checked whenever a file defines it
+CONSTANT_KEYS: dict[str, tuple[bool, tuple[Dimension, ...]]] = {
+    "e": (True, (CHARGE,)),
+    "hbar": (True, (ACTION,)),
+    "mu0": (True, (PERMEABILITY,)),
+    "m_e": (True, (MASS,)),
+    "m_mu": (True, (MASS,)),
+    "m_tau": (True, (MASS,)),
+    "ref_epsilon0": (True, (PERMITTIVITY,)),
+    "ref_c": (True, (SPEED,)),
+    "ref_inv_alpha": (True, (DIMENSIONLESS,)),
+    "m_u": (False, (MASS,)),
+    "m_c": (False, (ENERGY,)),
+    "m_b": (False, (ENERGY,)),
+    "m_etac": (False, (ENERGY,)),
+    "m_etab": (False, (ENERGY,)),
+    "gamma_etac_2gamma": (False, (FREQUENCY, ENERGY)),
+    "gamma_etab_2gamma_min": (False, (FREQUENCY, ENERGY)),
+    "gamma_etab_2gamma_max": (False, (FREQUENCY, ENERGY)),
 }
 
 # the only fields a constant record may carry; any other is a typo or a stray
 _CONSTANT_FIELDS = frozenset({"key", "value", "unit", "source"})
-
-# strictly positive by contract: the elementary charge, the action quantum,
-# the permeability, the reference values the model is compared with (and
-# divided by), and every mass
-_POSITIVE_KEYS = {"e", "hbar", "mu0", "ref_epsilon0", "ref_c", "ref_inv_alpha"}
 
 
 class ConstantsError(ValueError):
@@ -153,7 +151,8 @@ def file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Q
 
     ``unit`` must be on the whitelist.  eV-family energies become joules through
     :data:`~vfdielectric.quantity.EV_SCALE` and ``joules_per_ev``, the file's
-    own elementary charge in coulombs (None if the file has none).
+    own elementary charge in coulombs, already checked positive (None if the
+    file has none).
     Raises :class:`ConstantsError` for anything it cannot convert.
     """
     if not isinstance(unit, str) or unit not in UNIT_DIMENSIONS:
@@ -170,12 +169,54 @@ def file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Q
     try:
         si_value = float(value)
         if unit in EV_SCALE:
-            if joules_per_ev <= 0 or not math.isfinite(joules_per_ev):
-                raise ValueError("joules_per_ev must be finite and positive")
             si_value = si_value * EV_SCALE[unit] * joules_per_ev
         return Quantity(si_value, UNIT_DIMENSIONS[unit])
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1.8e308
         raise ConstantsError(f"cannot convert {value!r} {unit} to SI: {exc}") from exc
+
+
+def reject_unknown_fields(row: dict, allowed: frozenset[str], label: str) -> None:
+    """Raise :class:`ConstantsError` naming ``label`` (the record and its file)
+    and the field, if ``row`` has a field outside ``allowed``."""
+    if not row.keys() <= allowed:
+        unknown = next(field for field in row if field not in allowed)
+        raise ConstantsError(
+            f"{label} has unknown field {unknown!r}; allowed: {', '.join(sorted(allowed))}"
+        )
+
+
+def check_quantity(quantity: Quantity, allowed: tuple[Dimension, ...], label: str) -> None:
+    """Raise :class:`ConstantsError` naming ``label`` unless ``quantity`` has one
+    of the ``allowed`` dimensions and a strictly positive value."""
+    if quantity.dim not in allowed:
+        expected = " or ".join(str(d) for d in allowed)
+        raise ConstantsError(f"{label} must have dimension {expected}, got {quantity.dim}")
+    if quantity.value <= 0:
+        raise ConstantsError(f"{label} must be strictly positive, got {quantity.value!r}")
+
+
+def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> ConstantRecord:
+    """One constant record, checked against its key's row of :data:`CONSTANT_KEYS`."""
+    try:
+        key, value, unit = row["key"], row["value"], row["unit"]
+        file_value = float(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConstantsError(f"malformed record in {origin}: {row!r} ({exc})") from exc
+    if not isinstance(key, str):
+        raise ConstantsError(f"malformed record in {origin}: {row!r} (key must be a string)")
+    label = f"constant {key!r} in {origin}"
+    reject_unknown_fields(row, _CONSTANT_FIELDS, label)
+    source = row.get("source", "")
+    if not isinstance(source, str):  # str() would serialize 5 back as "5"
+        raise ConstantsError(f"malformed record in {origin}: {row!r} (source must be a string)")
+    try:
+        quantity = file_quantity(value, unit, joules_per_ev)
+    except ConstantsError as exc:
+        raise ConstantsError(f"{label}: {exc}") from exc
+    if key in CONSTANT_KEYS or quantity.dim == MASS:  # a mass may come under a key of its own
+        _, allowed = CONSTANT_KEYS.get(key, (False, (MASS,)))
+        check_quantity(quantity, allowed, label)
+    return ConstantRecord(key, quantity, source, file_value, unit)
 
 
 def _bundled_text() -> str:
@@ -209,9 +250,10 @@ def _resolve_source(path: str | Path | None) -> tuple[str, str]:
 def load_constants(path: str | Path | None = None) -> ConstantsSet:
     """Load and validate a constants registry.
 
-    Raises :class:`ConstantsError` on parse failure, unknown record fields,
-    missing required keys, wrong dimensions for required or optional keys, or
-    non-positive values where positivity is required.
+    Raises :class:`ConstantsError` on parse failure, an unknown record field,
+    a missing required key, a named key of a dimension its row of
+    :data:`CONSTANT_KEYS` does not allow, or a named key or mass that is not
+    strictly positive.
     """
     text, origin = _resolve_source(path)
     try:
@@ -221,74 +263,29 @@ def load_constants(path: str | Path | None = None) -> ConstantsSet:
     if not isinstance(raw, list):
         raise ConstantsError(f"constants file {origin} must be a JSON array of records")
 
-    constant_rows = []
-    species_rows = []
+    constant_rows, species_rows = [], []
     for row in raw:
         if not isinstance(row, dict):
             raise ConstantsError(f"non-object record in {origin}: {row!r}")
-        if row.get("kind") == "species":
-            species_rows.append(row)
-        else:
-            constant_rows.append(row)
+        (species_rows if row.get("kind") == "species" else constant_rows).append(row)
 
-    def parse(row: dict, joules_per_ev: float | None) -> ConstantRecord:
-        try:
-            key, value, unit = row["key"], row["value"], row["unit"]
-            file_value = float(value)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConstantsError(f"malformed record in {origin}: {row!r} ({exc})") from exc
-        if not isinstance(key, str):
-            raise ConstantsError(f"malformed record in {origin}: {row!r} (key must be a string)")
-        if not row.keys() <= _CONSTANT_FIELDS:
-            unknown = next(field for field in row if field not in _CONSTANT_FIELDS)
-            raise ConstantsError(
-                f"record {key!r} in {origin} has unknown field {unknown!r}; "
-                f"allowed: {', '.join(sorted(_CONSTANT_FIELDS))}"
-            )
-        source = row.get("source", "")
-        if not isinstance(source, str):  # str() would serialize 5 back as "5"
-            raise ConstantsError(f"malformed record in {origin}: {row!r} (source must be a string)")
-        try:
-            quantity = file_quantity(value, unit, joules_per_ev)
-        except ConstantsError as exc:
-            raise ConstantsError(f"record {key!r} in {origin}: {exc}") from exc
-        return ConstantRecord(key, quantity, source, file_value, unit)
-
-    # The elementary charge anchors eV -> J scaling, so read it first.
-    joules_per_ev = None
-    for row in constant_rows:
-        if row.get("key") == "e" and row.get("unit") == "C":
-            joules_per_ev = parse(row, None).quantity.value
+    # The elementary charge scales eV-family units to joules, so its row is read first.
+    e_row = next((row for row in constant_rows
+                  if row.get("key") == "e" and row.get("unit") == "C"), None)
+    e_record = None if e_row is None else _constant_record(e_row, None, origin)
+    joules_per_ev = None if e_record is None else e_record.quantity.value
 
     records: dict[str, ConstantRecord] = {}
     for row in constant_rows:
-        record = parse(row, joules_per_ev)
+        record = e_record if row is e_row else _constant_record(row, joules_per_ev, origin)
         if record.key in records:
             raise ConstantsError(f"duplicate key {record.key!r} in {origin}")
         records[record.key] = record
 
-    missing = sorted(set(REQUIRED_KEYS) - set(records))
+    missing = sorted(key for key, (required, _) in CONSTANT_KEYS.items()
+                     if required and key not in records)
     if missing:
         raise ConstantsError(f"constants file {origin} is missing required keys: {missing}")
-
-    allowed_dims = {key: (expected,) for key, expected in REQUIRED_KEYS.items()} | OPTIONAL_KEYS
-    for key, allowed in allowed_dims.items():
-        if key not in records:
-            continue
-        got = records[key].quantity.dim
-        if got not in allowed:
-            expected = " or ".join(str(d) for d in allowed)
-            raise ConstantsError(
-                f"constant {key!r} in {origin} must have dimension {expected}, got {got}"
-            )
-
-    for key, rec in records.items():
-        must_be_positive = key in _POSITIVE_KEYS or rec.quantity.dim == MASS
-        if must_be_positive and rec.quantity.value <= 0:
-            raise ConstantsError(
-                f"constant {key!r} in {origin} must be strictly positive, "
-                f"got {rec.quantity.value!r}"
-            )
 
     return ConstantsSet(records=records, origin=origin, species_records=tuple(species_rows))
 

@@ -76,7 +76,9 @@ class DimensionError(ValueError):
 
 
 class OutOfRangeError(ValueError):
-    """Raised when a value or an arithmetic result is not a finite float."""
+    """Raised when a value or an arithmetic result is not a finite float, or
+    when a result that must be positive is not: an input that under- or
+    overflowed on the way, since the data files allow only positive inputs."""
 
 
 class _DivisionByZeroError(OutOfRangeError, ZeroDivisionError):
@@ -418,7 +420,7 @@ def q_sqrt(a: Quantity) -> Quantity:
     :func:`q_pow` it needs no overflow handler.
     """
     if a.value <= 0:
-        raise ValueError(f"fractional power 1/2 of a non-positive value {a.value!r}")
+        raise OutOfRangeError(f"fractional power 1/2 of a non-positive value {a.value!r}")
     return _result(a.value**0.5, a.dim._sqrt())
 
 

@@ -12,6 +12,10 @@ The speed of light, the fine-structure constant and the permittivity enter
 every formula as explicit parameters rather than registry lookups: the
 self-consistent solver needs to evaluate them at trial values.  Callers that
 just want tabulated physics pass the ``ref_*`` registry entries.
+
+Species come from the built-in list or from a data file's species records,
+whose quantity fields :data:`SPECIES_QUANTITIES` tabulates; a bad record
+raises ``ConstantsError`` naming the file.
 """
 
 from __future__ import annotations
@@ -19,14 +23,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .constants import ConstantsError, ConstantsSet, file_quantity
+from .constants import ConstantsError, ConstantsSet, check_quantity, file_quantity, reject_unknown_fields
 from .quantity import (
     ENERGY,
     FREQUENCY,
     MASS,
     PERMITTIVITY,
     SPEED,
-    DimensionError,
+    Dimension,
     OutOfRangeError,
     Quantity,
     Record,
@@ -38,6 +42,8 @@ from .quantity import (
 __all__ = [
     "LEPTON_PAIR",
     "QUARKONIUM",
+    "SPECIES_QUANTITIES",
+    "SPECIES_FIELDS",
     "SpeciesSpec",
     "OscillatorSpec",
     "UnsupportedSpeciesError",
@@ -56,11 +62,17 @@ __all__ = [
 LEPTON_PAIR = "lepton-pair"
 QUARKONIUM = "quarkonium"
 
+# each quantity field of a species record: the dimensions its {value, unit}
+# object may have, and whether a quarkonium must carry it.  A lepton pair
+# carries constituent_mass alone.  Every quantity is strictly positive
+SPECIES_QUANTITIES: dict[str, tuple[tuple[Dimension, ...], bool]] = {
+    "constituent_mass": ((MASS, ENERGY), True),
+    "bound_state_mass": ((MASS, ENERGY), True),
+    "two_photon_width": ((FREQUENCY, ENERGY), True),
+    "e_min": ((ENERGY,), False),
+}
 # the only fields a species record may carry; any other is a typo or a stray
-_SPECIES_FIELDS = frozenset({
-    "kind", "name", "type", "charge_fraction", "constituent_mass",
-    "bound_state_mass", "two_photon_width", "e_min",
-})
+SPECIES_FIELDS = frozenset(("kind", "name", "type", "charge_fraction", *SPECIES_QUANTITIES))
 
 _ALLOWED_CHARGE_FRACTIONS = {Fraction(1), Fraction(2, 3), Fraction(1, 3)}
 
@@ -73,7 +85,7 @@ _UNSUPPORTED: dict[str, str] = {
 }
 
 
-class UnsupportedSpeciesError(ValueError):
+class UnsupportedSpeciesError(ConstantsError):
     """A species name that the model deliberately excludes."""
 
 
@@ -99,7 +111,7 @@ class SpeciesSpec(Record):
             raise ValueError(f"unknown species kind {self.kind!r}")
         self.constituent_mass.require(MASS, f"{self.name} constituent_mass")
         if self.constituent_mass.value <= 0:
-            raise ValueError(f"{self.name}: constituent_mass must be positive")
+            raise OutOfRangeError(f"{self.name}: constituent_mass must be positive")
         if Fraction(self.charge_fraction) not in _ALLOWED_CHARGE_FRACTIONS:
             raise ValueError(
                 f"{self.name}: charge_fraction must be one of 1, 2/3, 1/3; "
@@ -142,9 +154,9 @@ class OscillatorSpec(Record):
         self.reduced_mass.require(MASS, "reduced_mass")
         self.omega0.require(FREQUENCY, "omega0")
         if self.reduced_mass.value <= 0:
-            raise ValueError("reduced_mass must be positive")
+            raise OutOfRangeError("reduced_mass must be positive")
         if self.omega0.value <= 0:
-            raise ValueError("omega0 must be positive")
+            raise OutOfRangeError("omega0 must be positive")
 
 
 # --- species construction -------------------------------------------------
@@ -161,11 +173,7 @@ def _lepton(name: str, mass_key: str, constants: ConstantsSet) -> SpeciesSpec:
 
 def _width_rate(width: Quantity, constants: ConstantsSet) -> Quantity:
     """Normalize a two-photon width to a rate: energy widths divide by hbar."""
-    if width.dim == FREQUENCY:
-        return width
-    if width.dim == ENERGY:
-        return q_div(width, constants.get("hbar"))
-    raise DimensionError(f"two-photon width must be 1/s or an energy, got {width.dim}")
+    return width if width.dim == FREQUENCY else q_div(width, constants.get("hbar"))
 
 
 def _quarkonium(
@@ -236,67 +244,59 @@ def builtin_species(
 def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
     """Build a species from a data-file record (``"kind": "species"``).
 
-    Quantities are inline ``{"value": ..., "unit": ...}`` objects converted
-    by :func:`~vfdielectric.constants.file_quantity`, as constant records are;
-    masses may be given as rest energies (eV family), which are converted
-    with the reference c.  ``e_min`` defaults to
-    ``bound_state_mass - 2 * constituent_mass`` in energy terms.
+    Quantities are inline ``{"value": ..., "unit": ...}`` objects, converted
+    as constant records are and checked against :data:`SPECIES_QUANTITIES`;
+    masses given as rest energies are converted with the reference c.
+    ``e_min`` defaults to ``bound_state_mass - 2 * constituent_mass`` in energy
+    terms.  A bad record raises :class:`~vfdielectric.constants.ConstantsError`
+    naming the file.
     """
+    where = f"bad species record in {constants.origin}"
     name = record.get("name")
     if not isinstance(name, str) or not name:
-        raise ConstantsError(f"species record without a non-empty string name: {record!r}")
-    if not record.keys() <= _SPECIES_FIELDS:
-        unknown = next(field for field in record if field not in _SPECIES_FIELDS)
-        raise ConstantsError(
-            f"species {name!r} has unknown field {unknown!r}; "
-            f"allowed: {', '.join(sorted(_SPECIES_FIELDS))}"
-        )
+        raise ConstantsError(f"{where}: species record without a non-empty string name: {record!r}")
+    label = f"{where}: species {name!r}"
+    reject_unknown_fields(record, SPECIES_FIELDS, label)
     if name in _UNSUPPORTED:
-        raise UnsupportedSpeciesError(f"species {name!r} is not modeled: {_UNSUPPORTED[name]}")
+        raise UnsupportedSpeciesError(f"{label} is not modeled: {_UNSUPPORTED[name]}")
     stype = record.get("type")
     if stype not in (LEPTON_PAIR, QUARKONIUM):
-        raise ValueError(f"species {name!r}: type must be {LEPTON_PAIR!r} or {QUARKONIUM!r}")
+        raise ConstantsError(f"{label}: type must be {LEPTON_PAIR!r} or {QUARKONIUM!r}")
 
-    def read_quantity(field_name: str, required: bool = True) -> Quantity | None:
-        obj = record.get(field_name)
+    ref_c = constants.get("ref_c")
+    quantities: dict[str, Quantity] = {}
+    for field, (allowed, quarkonium_needs) in SPECIES_QUANTITIES.items():
+        if stype == LEPTON_PAIR and field != "constituent_mass":
+            if field in record:
+                raise ConstantsError(f"{label}: a lepton pair carries no {field}")
+            continue
+        obj = record.get(field)
         if obj is None:
-            if required:
-                raise ValueError(f"species {name!r} is missing field {field_name!r}")
-            return None
+            if quarkonium_needs:  # constituent_mass is the one field a lepton pair needs too
+                raise ConstantsError(f"{label} is missing field {field!r}")
+            continue
         if not isinstance(obj, dict):
-            raise ValueError(f"species {name!r}: {field_name} must be a {{value, unit}} object")
+            raise ConstantsError(f"{label}: {field} must be a {{value, unit}} object")
         try:
-            return file_quantity(obj.get("value"), obj.get("unit"), constants.get("e").value)
+            quantity = file_quantity(obj.get("value"), obj.get("unit"), constants.get("e").value)
         except ConstantsError as exc:
-            raise ValueError(f"species {name!r}: {field_name}: {exc}") from exc
+            raise ConstantsError(f"{label}: {field}: {exc}") from exc
+        check_quantity(quantity, allowed, f"{label}: {field}")
+        if MASS in allowed and quantity.dim == ENERGY:  # a mass given as a rest energy
+            quantity = q_div(quantity, q_mul(ref_c, ref_c))
+        elif field == "two_photon_width":
+            quantity = _width_rate(quantity, constants)
+        quantities[field] = quantity
 
-    def as_mass(q: Quantity, field_name: str) -> Quantity:
-        if q.dim == MASS:
-            return q
-        if q.dim == ENERGY:
-            ref_c = constants.get("ref_c")
-            return q_div(q, q_mul(ref_c, ref_c))
-        raise DimensionError(f"species {name!r}: {field_name} must be a mass or energy")
-
-    try:
-        charge_fraction = Fraction(str(record.get("charge_fraction", "1")))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"species {name!r}: charge_fraction is not a fraction ({exc})") from exc
-    constituent = as_mass(read_quantity("constituent_mass"), "constituent_mass")
-    if stype == LEPTON_PAIR:
-        extra = [f for f in ("bound_state_mass", "two_photon_width", "e_min") if f in record]
-        if extra:
-            raise ValueError(f"species {name!r}: a lepton pair carries no {', '.join(extra)}")
-        return SpeciesSpec(name, LEPTON_PAIR, constituent, charge_fraction)
-
-    bound = as_mass(read_quantity("bound_state_mass"), "bound_state_mass")
-    width = _width_rate(read_quantity("two_photon_width"), constants)
-    e_min = read_quantity("e_min", required=False)
-    if e_min is None:
-        ref_c = constants.get("ref_c")
+    constituent, bound, width, e_min = (quantities.get(field) for field in SPECIES_QUANTITIES)
+    if stype == QUARKONIUM and e_min is None:
         c2 = q_mul(ref_c, ref_c)
         e_min = q_mul(bound, c2) - q_mul(constituent, c2) * 2
-    return SpeciesSpec(name, QUARKONIUM, constituent, charge_fraction, bound, width, e_min)
+    charge_fraction = str(record.get("charge_fraction", "1"))
+    try:  # Fraction() raises ValueError, or ZeroDivisionError for "1/0"
+        return SpeciesSpec(name, stype, constituent, Fraction(charge_fraction), bound, width, e_min)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConstantsError(f"{where}: {exc}") from exc
 
 
 def load_species(
@@ -314,10 +314,7 @@ def load_species(
         return builtin_species(constants, include_quarks, width_choice)
     species = []
     for row in constants.species_records:
-        try:
-            spec = species_from_record(row, constants)
-        except ValueError as exc:
-            raise ConstantsError(f"bad species record in {constants.origin}: {exc}") from exc
+        spec = species_from_record(row, constants)
         if any(s.name == spec.name for s in species):
             raise ConstantsError(f"duplicate species {spec.name!r} in {constants.origin}")
         species.append(spec)
@@ -427,7 +424,7 @@ def decay_rate(
     if species.kind == QUARKONIUM:
         return species.two_photon_width * 2
     if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+        raise OutOfRangeError(f"alpha must be positive and finite, got {alpha!r}")
     hbar = constants.get("hbar")
     rest_energy = q_mul(species.constituent_mass, q_mul(c, c))
     rate = q_div(rest_energy, hbar)

@@ -26,6 +26,7 @@ from .constants import ConstantsSet
 from .quantity import (
     PERMITTIVITY,
     SPEED,
+    OutOfRangeError,
     Quantity,
     Record,
     q_div,
@@ -86,7 +87,7 @@ class SpeciesContribution(Record):
     def __post_init__(self) -> None:
         self.epsilon_term.require(PERMITTIVITY, f"{self.species_name} epsilon_term")
         if self.epsilon_term.value <= 0:
-            raise ValueError(f"{self.species_name}: epsilon_term must be positive")
+            raise OutOfRangeError(f"{self.species_name}: epsilon_term must be positive")
 
 
 class PredictionReport(Record):
@@ -111,7 +112,7 @@ def c_from_epsilon(epsilon: Quantity, constants: ConstantsSet) -> Quantity:
     ``sqrt(pi/6) hbar/(8 e^2 mu0)`` identically."""
     epsilon.require(PERMITTIVITY, "epsilon")
     if epsilon.value <= 0:
-        raise ValueError("epsilon must be positive")
+        raise OutOfRangeError("epsilon must be positive")
     return q_div(Quantity(1.0), q_sqrt(q_mul(constants.get("mu0"), epsilon)))
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from vfdielectric import verify
 from vfdielectric.cli import _build_parser, main
-from vfdielectric.constants import DATA_DIR_ENV_VAR, load_constants, serialize_constants
+from vfdielectric.constants import CONSTANT_KEYS, DATA_DIR_ENV_VAR, load_constants, serialize_constants
 from vfdielectric.quantity import SPEED, Quantity
 from vfdielectric.species import builtin_species
 from vfdielectric.vacuum import (
@@ -742,12 +742,44 @@ def test_integer_past_the_digit_limit_exit_2(capsys, tmp_path):
     ("ref_c", "species"),
     ("ref_c", "predict"),
     ("ref_inv_alpha", "species"),
+    # the quark keys once loaded at 0: a traceback under --include-quarks, exit 0 elsewhere
+    ("m_c", "predict"),
+    ("m_b", "species"),
+    ("m_etac", "historical"),
+    ("m_etab", "verify"),
+    ("gamma_etac_2gamma", "sensitivity"),
+    ("gamma_etab_2gamma_min", "predict"),
+    ("gamma_etab_2gamma_max", "species"),
 ])
 def test_zero_reference_value_exit_2(capsys, tmp_path, key, command):
     path = _constants_file(tmp_path, changes={key: {"value": 0.0}})
     code, out, err = _run(capsys, [command, "--constants", path])
     _assert_one_error_line(code, err)
     assert key in err and "positive" in err
+    assert out == ""
+
+
+# a negative quark key once loaded: species --include-quarks printed a negative
+# decay rate and density with exit 0, predict --include-quarks raised a traceback
+@pytest.mark.parametrize("key", sorted(CONSTANT_KEYS))
+@pytest.mark.parametrize("argv", [["predict", "--include-quarks"], ["species", "--include-quarks"]])
+def test_negative_named_key_exit_2(capsys, tmp_path, key, argv):
+    path = _constants_file(tmp_path, changes={key: {"value": -1.0}})
+    code, out, err = _run(capsys, argv + ["--constants", path])
+    _assert_one_error_line(code, err)
+    assert f"constant {key!r} in {path} must be strictly positive" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", [0.0, -10.0])
+@pytest.mark.parametrize("command", ["predict", "species"])
+def test_species_record_width_not_positive_exit_2(capsys, tmp_path, command, value):
+    # a width of -10 eV once gave a negative decay rate and density with exit 0
+    record = {**ETA_B_10_EV, "two_photon_width": {"value": value, "unit": "eV"}}
+    path = _constants_file(tmp_path, species=[E_ONLY, record])
+    code, out, err = _run(capsys, [command, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert "'eta_b': two_photon_width must be strictly positive" in err and path in err
     assert out == ""
 
 
@@ -790,11 +822,20 @@ def test_division_by_zero_exit_2(capsys, tmp_path, command, hbar, message):
     assert out == ""
 
 
-# a float ** past the float range once escaped cli.main as an OverflowError traceback
+# a float ** past the float range once escaped cli.main as an OverflowError
+# traceback, and a domain check that an under- or overflowed value reaches as a
+# ValueError traceback
 @pytest.mark.parametrize("key, value, argv, message", [
     ("ref_inv_alpha", 1e-200, ["species", "--include-quarks"], "power 5 of alpha"),
     ("mu0", 1e200, ["verify"], "power 5 of alpha"),
     ("ref_inv_alpha", 1e-200, ["historical"], "power 2 of 1e+200"),
+    ("e", 1e-200, ["predict"], "epsilon must be positive"),
+    ("ref_inv_alpha", 5e-324, ["species", "--include-quarks"], "alpha must be positive and finite"),
+    ("e", 1e-200, ["species", "--include-quarks"], "omega0 must be positive"),
+    ("m_e", 5e-324, ["predict"], "reduced_mass must be positive"),
+    ("m_b", 1e-300, ["predict", "--include-quarks"], "eta_b: constituent_mass must be positive"),
+    ("gamma_etac_2gamma", 1e-300, ["predict", "--include-quarks"], "eta_c: epsilon_term must be positive"),
+    ("mu0", 1e-200, ["predict"], "fractional power 1/2 of a non-positive value 0.0"),
 ])
 def test_float_power_overflow_exit_2(capsys, tmp_path, key, value, argv, message):
     path = _constants_file(tmp_path, changes={key: {"value": value}})
@@ -802,6 +843,47 @@ def test_float_power_overflow_exit_2(capsys, tmp_path, key, value, argv, message
     _assert_one_error_line(code, err)
     assert path in err and "out of the float range" in err and message in err
     assert out == ""
+
+
+# the exit-code contract under generated input: one key of the constant table,
+# or a mass under a key of the file's own, set to an extreme or mistyped value,
+# under any command with its own flags only
+_ODD_VALUES = st.one_of(
+    st.floats(1e200, 1e308),                       # huge
+    st.floats(5e-324, 2e-308),                     # subnormal
+    st.just(0.0),
+    st.floats(-1e308, -5e-324),                    # negative
+    st.just(math.nan),
+    st.just(True),
+    st.floats(1e-30, 1e30).map(repr),              # a number in a JSON string
+)
+_ARGVS = [
+    ["predict"], ["predict", "--include-quarks"], ["predict", "--include-quarks", "--width", "min"],
+    ["species"], ["species", "--include-quarks"], ["species", "--include-quarks", "--width", "min"],
+    ["verify"], ["verify", "--tolerance", "1e-8"],
+    ["sensitivity"], ["sensitivity", "--branch", "literal"],
+    ["historical"],
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(key=st.sampled_from([*CONSTANT_KEYS, "m_x"]), value=_ODD_VALUES,
+       argv=st.sampled_from(_ARGVS), output_format=st.sampled_from(["table", "json", "csv"]))
+def test_exit_code_contract_under_generated_values(tmp_path_factory, key, value, argv, output_format):
+    if key in CONSTANT_KEYS:
+        path = _constants_file(tmp_path_factory.mktemp("odd"), changes={key: {"value": value}})
+    else:
+        extra = {"key": key, "value": value, "unit": "kg", "source": ""}  # appended as is
+        path = _constants_file(tmp_path_factory.mktemp("odd"), species=[extra])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", output_format, "--constants", path])
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2))
+    if code == 2:
+        _assert_one_error_line(code, err.getvalue())
+        assert out.getvalue() == ""
+    if code == 0 and output_format == "json":
+        json.loads(out.getvalue())
 
 
 def test_warm_caches_change_no_output(capsys):

@@ -1,9 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from vfdielectric.constants import (
+    CONSTANT_KEYS,
     ConstantsError,
     MissingConstantError,
     load_constants,
@@ -11,6 +14,7 @@ from vfdielectric.constants import (
     DATA_DIR_ENV_VAR,
 )
 from vfdielectric.quantity import ACTION, CHARGE, ENERGY, MASS, PERMEABILITY
+from vfdielectric.species import SPECIES_FIELDS
 
 
 def _write(tmp_path, rows, name="constants.json"):
@@ -202,3 +206,11 @@ def test_species_records_pass_through(tmp_path):
     loaded = load_constants(_write(tmp_path, rows))
     assert len(loaded.species_records) == 1
     assert loaded.species_records[0]["name"] == "e_pair"
+
+
+def test_readme_data_file_section_names_exactly_the_tables():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Constants data file\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`(\w+)`", section))
+    assert set(CONSTANT_KEYS) | SPECIES_FIELDS <= named
+    assert {name for name in named if re.match(r"(m|gamma|ref)_", name)} <= set(CONSTANT_KEYS)
