@@ -20,11 +20,10 @@ import math
 import os
 import sys
 
-from .constants import ConstantsError, ConstantsSet, load_constants
+from .constants import QUARKONIUM, ConstantsError, ConstantsSet, load_constants
 from .oscillator import DEFAULT_QUAD_TOL
-from .quantity import ELECTRIC_FIELD, OutOfRangeError, Quantity
+from .quantity import ELECTRIC_FIELD, OutOfRangeError, Quantity, q_div
 from .species import (
-    QUARKONIUM,
     builtin_species,
     coherence_length,
     decay_rate,
@@ -362,7 +361,7 @@ def _historical_rows(constants: ConstantsSet) -> list[dict]:
             "name": "allen_mass_ratio",
             "formula": "m_e/u vs 10 alpha^2",
             "value": 10.0 * (Quantity(alpha) ** 2).value,  # an infinite or overflowing alpha exits 2
-            "comparison": constants.get("m_e").value / constants.get("m_u").value,
+            "comparison": q_div(constants.get("m_e"), constants.get("m_u")).value,
             "comparison_label": "m_e/u",
         },
         {
@@ -406,12 +405,10 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         if args.precision < 1:
             raise ConstantsError("--precision must be a positive integer")
-        constants = load_constants(args.constants)
-        # species records and commands raise ConstantsError (a bad record or
-        # --tolerance, a missing optional key) or OutOfRangeError before printing
+        constants = load_constants(args.constants)  # a bad species record exits 2 whichever command runs
+        # commands raise ConstantsError (a bad --tolerance, a missing optional
+        # key) or OutOfRangeError before printing
         try:
-            if constants.species_records:  # a bad species record exits 2 whichever command runs
-                load_species(constants)
             return args.handler(args, constants)
         except OutOfRangeError as exc:  # the input values, not the program, are at fault
             raise ConstantsError(

@@ -4,14 +4,15 @@ The registry is populated from a JSON data file: a list of records, each
 ``{"key", "value", "unit", "source"}`` with the unit drawn from a fixed
 whitelist.  :data:`CONSTANT_KEYS` is the one table of named keys: whether a
 file must define each, and the dimensions it may have.  Every named key and
-every mass is strictly positive.  Records with ``"kind": "species"`` are kept
-raw for the species module to build.  Both record kinds share one conversion
-and two checks: :func:`file_quantity` converts a value to SI base units at
-ingestion (eV-family energies via the elementary charge from the same file),
-:func:`reject_unknown_fields` refuses a field a record may not carry, and
-:func:`check_quantity` refuses a quantity of a wrong dimension or a value
-that is not strictly positive.  The original file value/unit are kept so a
-set serializes back to an equivalent file.
+every mass is strictly positive.  Records with ``"kind": "species"`` define
+species inline, whose quantity fields :data:`SPECIES_QUANTITIES` tabulates;
+each is built into a :class:`SpeciesSpec` once, at load time, and a bad one
+raises :class:`ConstantsError` naming the file.  Both record kinds share one
+conversion to SI base units at ingestion (eV-family energies via the
+elementary charge from the same file) and two checks: no field a record may
+not carry, and no quantity of a wrong dimension or a value that is not
+strictly positive.  The original file value/unit and the raw species records
+are kept so a set serializes back to an equivalent file.
 
 Resolution order for the data file: explicit path argument, then the
 ``VACUUM_DATA_DIR`` environment variable (``constants.json`` inside it), then
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -37,8 +39,11 @@ from .quantity import (
     SPEED,
     EV_SCALE,
     Dimension,
+    OutOfRangeError,
     Quantity,
     Record,
+    q_div,
+    q_mul,
 )
 
 __all__ = [
@@ -47,12 +52,17 @@ __all__ = [
     "ConstantRecord",
     "ConstantsSet",
     "load_constants",
-    "file_quantity",
     "serialize_constants",
     "DATA_DIR_ENV_VAR",
     "CONSTANT_KEYS",
-    "reject_unknown_fields",
-    "check_quantity",
+    "LEPTON_PAIR",
+    "QUARKONIUM",
+    "SPECIES_QUANTITIES",
+    "SPECIES_FIELDS",
+    "SpeciesSpec",
+    "UnsupportedSpeciesError",
+    "species_from_record",
+    "width_rate",
 ]
 
 DATA_DIR_ENV_VAR = "VACUUM_DATA_DIR"
@@ -99,6 +109,31 @@ CONSTANT_KEYS: dict[str, tuple[bool, tuple[Dimension, ...]]] = {
 # the only fields a constant record may carry; any other is a typo or a stray
 _CONSTANT_FIELDS = frozenset({"key", "value", "unit", "source"})
 
+LEPTON_PAIR = "lepton-pair"
+QUARKONIUM = "quarkonium"
+
+# each quantity field of a species record: the dimensions its {value, unit}
+# object may have, and whether a quarkonium must carry it.  A lepton pair
+# carries constituent_mass alone.  Every quantity is strictly positive
+SPECIES_QUANTITIES: dict[str, tuple[tuple[Dimension, ...], bool]] = {
+    "constituent_mass": ((MASS, ENERGY), True),
+    "bound_state_mass": ((MASS, ENERGY), True),
+    "two_photon_width": ((FREQUENCY, ENERGY), True),
+    "e_min": ((ENERGY,), False),
+}
+# the only fields a species record may carry; any other is a typo or a stray
+SPECIES_FIELDS = frozenset(("kind", "name", "type", "charge_fraction", *SPECIES_QUANTITIES))
+
+_ALLOWED_CHARGE_FRACTIONS = {Fraction(1), Fraction(2, 3), Fraction(1, 3)}
+
+# Species that are deliberately not modeled, with the reason surfaced to users.
+_UNSUPPORTED: dict[str, str] = {
+    "eta_t": "no experimental two-photon data exists for a t-tbar bound state",
+    "pi0": "light-quark bound states are relativistic; no oscillator description applies",
+    "eta": "light-quark bound states are relativistic; no oscillator description applies",
+    "eta_prime": "light-quark bound states are relativistic; no oscillator description applies",
+}
+
 
 class ConstantsError(ValueError):
     """Raised for unparsable, incomplete or invalid constants data."""
@@ -118,18 +153,74 @@ class ConstantRecord(Record):
     file_unit: str
 
 
+class UnsupportedSpeciesError(ConstantsError):
+    """A species name that the model deliberately excludes."""
+
+
+class SpeciesSpec(Record):
+    """One polarizable vacuum-fluctuation species.
+
+    ``constituent_mass`` is the single-particle mass (kg).  The quarkonium
+    fields hold the bound-state mass M (kg), the two-photon decay rate (1/s)
+    and the minimum excitation energy ``e_min = (M - 2 m_Q) c^2`` (J); they
+    are present exactly when ``kind == QUARKONIUM``.
+    """
+
+    name: str
+    kind: str
+    constituent_mass: Quantity
+    charge_fraction: Fraction
+    bound_state_mass: Quantity | None = None
+    two_photon_width: Quantity | None = None
+    e_min: Quantity | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in (LEPTON_PAIR, QUARKONIUM):
+            raise ValueError(f"unknown species kind {self.kind!r}")
+        self.constituent_mass.require(MASS, f"{self.name} constituent_mass")
+        if self.constituent_mass.value <= 0:
+            raise OutOfRangeError(f"{self.name}: constituent_mass must be positive")
+        if Fraction(self.charge_fraction) not in _ALLOWED_CHARGE_FRACTIONS:
+            raise ValueError(
+                f"{self.name}: charge_fraction must be one of 1, 2/3, 1/3; "
+                f"got {self.charge_fraction}"
+            )
+        quark_fields = (self.bound_state_mass, self.two_photon_width, self.e_min)
+        if self.kind == QUARKONIUM:
+            if any(f is None for f in quark_fields):
+                raise ValueError(
+                    f"{self.name}: quarkonium needs bound_state_mass, "
+                    "two_photon_width and e_min"
+                )
+            self.bound_state_mass.require(MASS, f"{self.name} bound_state_mass")
+            self.two_photon_width.require(FREQUENCY, f"{self.name} two_photon_width")
+            self.e_min.require(ENERGY, f"{self.name} e_min")
+            if self.bound_state_mass.value <= 0:
+                raise ValueError(f"{self.name}: bound_state_mass must be positive")
+            if self.e_min.value <= 0:
+                raise ValueError(f"{self.name}: e_min must be positive")
+        elif any(f is not None for f in quark_fields):
+            raise ValueError(f"{self.name}: lepton pairs carry no quarkonium fields")
+        elif Fraction(self.charge_fraction) != 1:
+            # the closed lepton coefficient 8^3 alpha e^2/(hbar c) holds for unit charge only
+            raise ValueError(
+                f"{self.name}: a lepton pair has charge_fraction 1, got {self.charge_fraction}"
+            )
+
+
 class ConstantsSet(Record):
+    """The file's constant records by key, its origin, its raw species
+    records and the species built from them, in file order."""
+
     records: dict[str, ConstantRecord]
     origin: str
     species_records: tuple[dict, ...] = ()
+    species: tuple[SpeciesSpec, ...] = ()
 
     def get(self, key: str) -> Quantity:
         """The stored SI quantity for ``key``."""
-        return self.record(key).quantity
-
-    def record(self, key: str) -> ConstantRecord:
         try:
-            return self.records[key]
+            return self.records[key].quantity
         except KeyError:
             raise MissingConstantError(
                 f"constant {key!r} is not defined in {self.origin}"
@@ -146,7 +237,7 @@ class ConstantsSet(Record):
         return self.species_records == other.species_records
 
 
-def file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Quantity:
+def _file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Quantity:
     """A data-file ``{value, unit}`` pair as an SI :class:`Quantity`.
 
     ``unit`` must be on the whitelist.  eV-family energies become joules through
@@ -175,7 +266,7 @@ def file_quantity(value: object, unit: object, joules_per_ev: float | None) -> Q
         raise ConstantsError(f"cannot convert {value!r} {unit} to SI: {exc}") from exc
 
 
-def reject_unknown_fields(row: dict, allowed: frozenset[str], label: str) -> None:
+def _reject_unknown_fields(row: dict, allowed: frozenset[str], label: str) -> None:
     """Raise :class:`ConstantsError` naming ``label`` (the record and its file)
     and the field, if ``row`` has a field outside ``allowed``."""
     if not row.keys() <= allowed:
@@ -185,7 +276,7 @@ def reject_unknown_fields(row: dict, allowed: frozenset[str], label: str) -> Non
         )
 
 
-def check_quantity(quantity: Quantity, allowed: tuple[Dimension, ...], label: str) -> None:
+def _check_quantity(quantity: Quantity, allowed: tuple[Dimension, ...], label: str) -> None:
     """Raise :class:`ConstantsError` naming ``label`` unless ``quantity`` has one
     of the ``allowed`` dimensions and a strictly positive value."""
     if quantity.dim not in allowed:
@@ -205,18 +296,84 @@ def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> Con
     if not isinstance(key, str):
         raise ConstantsError(f"malformed record in {origin}: {row!r} (key must be a string)")
     label = f"constant {key!r} in {origin}"
-    reject_unknown_fields(row, _CONSTANT_FIELDS, label)
+    _reject_unknown_fields(row, _CONSTANT_FIELDS, label)
     source = row.get("source", "")
     if not isinstance(source, str):  # str() would serialize 5 back as "5"
         raise ConstantsError(f"malformed record in {origin}: {row!r} (source must be a string)")
     try:
-        quantity = file_quantity(value, unit, joules_per_ev)
+        quantity = _file_quantity(value, unit, joules_per_ev)
     except ConstantsError as exc:
         raise ConstantsError(f"{label}: {exc}") from exc
     if key in CONSTANT_KEYS or quantity.dim == MASS:  # a mass may come under a key of its own
         _, allowed = CONSTANT_KEYS.get(key, (False, (MASS,)))
-        check_quantity(quantity, allowed, label)
+        _check_quantity(quantity, allowed, label)
     return ConstantRecord(key, quantity, source, file_value, unit)
+
+
+def width_rate(width: Quantity, constants: ConstantsSet) -> Quantity:
+    """Normalize a two-photon width to a rate: energy widths divide by hbar."""
+    return width if width.dim == FREQUENCY else q_div(width, constants.get("hbar"))
+
+
+def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
+    """Build a species from a data-file record (``"kind": "species"``).
+
+    Quantities are inline ``{"value": ..., "unit": ...}`` objects, converted
+    as constant records are and checked against :data:`SPECIES_QUANTITIES`;
+    masses given as rest energies are converted with the reference c.
+    ``e_min`` defaults to ``bound_state_mass - 2 * constituent_mass`` in energy
+    terms.  A bad record, or one whose conversion leaves the float range,
+    raises :class:`ConstantsError` naming the file.
+    """
+    where = f"bad species record in {constants.origin}"
+    name = record.get("name")
+    if not isinstance(name, str) or not name:
+        raise ConstantsError(f"{where}: species record without a non-empty string name: {record!r}")
+    label = f"{where}: species {name!r}"
+    _reject_unknown_fields(record, SPECIES_FIELDS, label)
+    if name in _UNSUPPORTED:
+        raise UnsupportedSpeciesError(f"{label} is not modeled: {_UNSUPPORTED[name]}")
+    stype = record.get("type")
+    if stype not in (LEPTON_PAIR, QUARKONIUM):
+        raise ConstantsError(f"{label}: type must be {LEPTON_PAIR!r} or {QUARKONIUM!r}")
+
+    ref_c = constants.get("ref_c")
+    quantities: dict[str, Quantity] = {}
+    try:  # a rest energy over a tiny ref_c squared, say, leaves the float range
+        for field, (allowed, quarkonium_needs) in SPECIES_QUANTITIES.items():
+            if stype == LEPTON_PAIR and field != "constituent_mass":
+                if field in record:
+                    raise ConstantsError(f"{label}: a lepton pair carries no {field}")
+                continue
+            obj = record.get(field)
+            if obj is None:
+                if quarkonium_needs:  # constituent_mass is the one field a lepton pair needs too
+                    raise ConstantsError(f"{label} is missing field {field!r}")
+                continue
+            if not isinstance(obj, dict):
+                raise ConstantsError(f"{label}: {field} must be a {{value, unit}} object")
+            try:
+                quantity = _file_quantity(obj.get("value"), obj.get("unit"), constants.get("e").value)
+            except ConstantsError as exc:
+                raise ConstantsError(f"{label}: {field}: {exc}") from exc
+            _check_quantity(quantity, allowed, f"{label}: {field}")
+            if MASS in allowed and quantity.dim == ENERGY:  # a mass given as a rest energy
+                quantity = q_div(quantity, q_mul(ref_c, ref_c))
+            elif field == "two_photon_width":
+                quantity = width_rate(quantity, constants)
+            quantities[field] = quantity
+
+        constituent, bound, width, e_min = (quantities.get(field) for field in SPECIES_QUANTITIES)
+        if stype == QUARKONIUM and e_min is None:  # field is "e_min" here
+            c2 = q_mul(ref_c, ref_c)
+            e_min = q_mul(bound, c2) - q_mul(constituent, c2) * 2
+    except OutOfRangeError as exc:
+        raise ConstantsError(f"{label}: {field}: {exc}") from exc
+    charge_fraction = str(record.get("charge_fraction", "1"))
+    try:  # Fraction() raises ValueError, or ZeroDivisionError for "1/0"
+        return SpeciesSpec(name, stype, constituent, Fraction(charge_fraction), bound, width, e_min)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConstantsError(f"{where}: {exc}") from exc
 
 
 def _bundled_text() -> str:
@@ -248,12 +405,13 @@ def _resolve_source(path: str | Path | None) -> tuple[str, str]:
 
 
 def load_constants(path: str | Path | None = None) -> ConstantsSet:
-    """Load and validate a constants registry.
+    """Load and validate a constants registry, and build its file's species.
 
     Raises :class:`ConstantsError` on parse failure, an unknown record field,
     a missing required key, a named key of a dimension its row of
-    :data:`CONSTANT_KEYS` does not allow, or a named key or mass that is not
-    strictly positive.
+    :data:`CONSTANT_KEYS` does not allow, a named key or mass that is not
+    strictly positive, a species record that cannot be built, or two species
+    records of one name.
     """
     text, origin = _resolve_source(path)
     try:
@@ -287,7 +445,16 @@ def load_constants(path: str | Path | None = None) -> ConstantsSet:
     if missing:
         raise ConstantsError(f"constants file {origin} is missing required keys: {missing}")
 
-    return ConstantsSet(records=records, origin=origin, species_records=tuple(species_rows))
+    constants = ConstantsSet(records, origin, tuple(species_rows))
+    if not species_rows:
+        return constants
+    species: list[SpeciesSpec] = []
+    for row in species_rows:
+        spec = species_from_record(row, constants)
+        if any(s.name == spec.name for s in species):
+            raise ConstantsError(f"duplicate species {spec.name!r} in {origin}")
+        species.append(spec)
+    return ConstantsSet(records, origin, constants.species_records, tuple(species))
 
 
 def serialize_constants(constants: ConstantsSet) -> str:

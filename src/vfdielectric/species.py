@@ -14,8 +14,7 @@ self-consistent solver needs to evaluate them at trial values.  Callers that
 just want tabulated physics pass the ``ref_*`` registry entries.
 
 Species come from the built-in list or from a data file's species records,
-whose quantity fields :data:`SPECIES_QUANTITIES` tabulates; a bad record
-raises ``ConstantsError`` naming the file.
+which :mod:`~vfdielectric.constants` builds when it loads the file.
 """
 
 from __future__ import annotations
@@ -23,14 +22,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .constants import ConstantsError, ConstantsSet, check_quantity, file_quantity, reject_unknown_fields
+from .constants import (LEPTON_PAIR, QUARKONIUM, ConstantsError, ConstantsSet, SpeciesSpec,
+                        UnsupportedSpeciesError, width_rate)
 from .quantity import (
     ENERGY,
     FREQUENCY,
     MASS,
     PERMITTIVITY,
     SPEED,
-    Dimension,
     OutOfRangeError,
     Quantity,
     Record,
@@ -40,15 +39,8 @@ from .quantity import (
 )
 
 __all__ = [
-    "LEPTON_PAIR",
-    "QUARKONIUM",
-    "SPECIES_QUANTITIES",
-    "SPECIES_FIELDS",
-    "SpeciesSpec",
     "OscillatorSpec",
-    "UnsupportedSpeciesError",
     "builtin_species",
-    "species_from_record",
     "load_species",
     "vf_lifetime",
     "coherence_length",
@@ -58,86 +50,6 @@ __all__ = [
     "decay_rate",
     "interacting_density",
 ]
-
-LEPTON_PAIR = "lepton-pair"
-QUARKONIUM = "quarkonium"
-
-# each quantity field of a species record: the dimensions its {value, unit}
-# object may have, and whether a quarkonium must carry it.  A lepton pair
-# carries constituent_mass alone.  Every quantity is strictly positive
-SPECIES_QUANTITIES: dict[str, tuple[tuple[Dimension, ...], bool]] = {
-    "constituent_mass": ((MASS, ENERGY), True),
-    "bound_state_mass": ((MASS, ENERGY), True),
-    "two_photon_width": ((FREQUENCY, ENERGY), True),
-    "e_min": ((ENERGY,), False),
-}
-# the only fields a species record may carry; any other is a typo or a stray
-SPECIES_FIELDS = frozenset(("kind", "name", "type", "charge_fraction", *SPECIES_QUANTITIES))
-
-_ALLOWED_CHARGE_FRACTIONS = {Fraction(1), Fraction(2, 3), Fraction(1, 3)}
-
-# Species that are deliberately not modeled, with the reason surfaced to users.
-_UNSUPPORTED: dict[str, str] = {
-    "eta_t": "no experimental two-photon data exists for a t-tbar bound state",
-    "pi0": "light-quark bound states are relativistic; no oscillator description applies",
-    "eta": "light-quark bound states are relativistic; no oscillator description applies",
-    "eta_prime": "light-quark bound states are relativistic; no oscillator description applies",
-}
-
-
-class UnsupportedSpeciesError(ConstantsError):
-    """A species name that the model deliberately excludes."""
-
-
-class SpeciesSpec(Record):
-    """One polarizable vacuum-fluctuation species.
-
-    ``constituent_mass`` is the single-particle mass (kg).  The quarkonium
-    fields hold the bound-state mass M (kg), the two-photon decay rate (1/s)
-    and the minimum excitation energy ``e_min = (M - 2 m_Q) c^2`` (J); they
-    are present exactly when ``kind == QUARKONIUM``.
-    """
-
-    name: str
-    kind: str
-    constituent_mass: Quantity
-    charge_fraction: Fraction
-    bound_state_mass: Quantity | None = None
-    two_photon_width: Quantity | None = None
-    e_min: Quantity | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (LEPTON_PAIR, QUARKONIUM):
-            raise ValueError(f"unknown species kind {self.kind!r}")
-        self.constituent_mass.require(MASS, f"{self.name} constituent_mass")
-        if self.constituent_mass.value <= 0:
-            raise OutOfRangeError(f"{self.name}: constituent_mass must be positive")
-        if Fraction(self.charge_fraction) not in _ALLOWED_CHARGE_FRACTIONS:
-            raise ValueError(
-                f"{self.name}: charge_fraction must be one of 1, 2/3, 1/3; "
-                f"got {self.charge_fraction}"
-            )
-        quark_fields = (self.bound_state_mass, self.two_photon_width, self.e_min)
-        if self.kind == QUARKONIUM:
-            if any(f is None for f in quark_fields):
-                raise ValueError(
-                    f"{self.name}: quarkonium needs bound_state_mass, "
-                    "two_photon_width and e_min"
-                )
-            self.bound_state_mass.require(MASS, f"{self.name} bound_state_mass")
-            self.two_photon_width.require(FREQUENCY, f"{self.name} two_photon_width")
-            self.e_min.require(ENERGY, f"{self.name} e_min")
-            if self.bound_state_mass.value <= 0:
-                raise ValueError(f"{self.name}: bound_state_mass must be positive")
-            if self.e_min.value <= 0:
-                raise ValueError(f"{self.name}: e_min must be positive")
-        elif any(f is not None for f in quark_fields):
-            raise ValueError(f"{self.name}: lepton pairs carry no quarkonium fields")
-        elif Fraction(self.charge_fraction) != 1:
-            # the closed lepton coefficient 8^3 alpha e^2/(hbar c) holds for unit charge only
-            raise ValueError(
-                f"{self.name}: a lepton pair has charge_fraction 1, got {self.charge_fraction}"
-            )
 
 
 class OscillatorSpec(Record):
@@ -171,11 +83,6 @@ def _lepton(name: str, mass_key: str, constants: ConstantsSet) -> SpeciesSpec:
     )
 
 
-def _width_rate(width: Quantity, constants: ConstantsSet) -> Quantity:
-    """Normalize a two-photon width to a rate: energy widths divide by hbar."""
-    return width if width.dim == FREQUENCY else q_div(width, constants.get("hbar"))
-
-
 def _quarkonium(
     name: str,
     quark_energy_key: str,
@@ -196,7 +103,7 @@ def _quarkonium(
             f"{name}: {bound_energy_key} must exceed 2 * {quark_energy_key} in "
             f"{constants.origin} (binding window e_min = {e_min.value!r} J)"
         )
-    width = _width_rate(constants.get(width_key), constants)
+    width = width_rate(constants.get(width_key), constants)
     return SpeciesSpec(
         name=name,
         kind=QUARKONIUM,
@@ -241,64 +148,6 @@ def builtin_species(
     return leptons + quarks
 
 
-def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
-    """Build a species from a data-file record (``"kind": "species"``).
-
-    Quantities are inline ``{"value": ..., "unit": ...}`` objects, converted
-    as constant records are and checked against :data:`SPECIES_QUANTITIES`;
-    masses given as rest energies are converted with the reference c.
-    ``e_min`` defaults to ``bound_state_mass - 2 * constituent_mass`` in energy
-    terms.  A bad record raises :class:`~vfdielectric.constants.ConstantsError`
-    naming the file.
-    """
-    where = f"bad species record in {constants.origin}"
-    name = record.get("name")
-    if not isinstance(name, str) or not name:
-        raise ConstantsError(f"{where}: species record without a non-empty string name: {record!r}")
-    label = f"{where}: species {name!r}"
-    reject_unknown_fields(record, SPECIES_FIELDS, label)
-    if name in _UNSUPPORTED:
-        raise UnsupportedSpeciesError(f"{label} is not modeled: {_UNSUPPORTED[name]}")
-    stype = record.get("type")
-    if stype not in (LEPTON_PAIR, QUARKONIUM):
-        raise ConstantsError(f"{label}: type must be {LEPTON_PAIR!r} or {QUARKONIUM!r}")
-
-    ref_c = constants.get("ref_c")
-    quantities: dict[str, Quantity] = {}
-    for field, (allowed, quarkonium_needs) in SPECIES_QUANTITIES.items():
-        if stype == LEPTON_PAIR and field != "constituent_mass":
-            if field in record:
-                raise ConstantsError(f"{label}: a lepton pair carries no {field}")
-            continue
-        obj = record.get(field)
-        if obj is None:
-            if quarkonium_needs:  # constituent_mass is the one field a lepton pair needs too
-                raise ConstantsError(f"{label} is missing field {field!r}")
-            continue
-        if not isinstance(obj, dict):
-            raise ConstantsError(f"{label}: {field} must be a {{value, unit}} object")
-        try:
-            quantity = file_quantity(obj.get("value"), obj.get("unit"), constants.get("e").value)
-        except ConstantsError as exc:
-            raise ConstantsError(f"{label}: {field}: {exc}") from exc
-        check_quantity(quantity, allowed, f"{label}: {field}")
-        if MASS in allowed and quantity.dim == ENERGY:  # a mass given as a rest energy
-            quantity = q_div(quantity, q_mul(ref_c, ref_c))
-        elif field == "two_photon_width":
-            quantity = _width_rate(quantity, constants)
-        quantities[field] = quantity
-
-    constituent, bound, width, e_min = (quantities.get(field) for field in SPECIES_QUANTITIES)
-    if stype == QUARKONIUM and e_min is None:
-        c2 = q_mul(ref_c, ref_c)
-        e_min = q_mul(bound, c2) - q_mul(constituent, c2) * 2
-    charge_fraction = str(record.get("charge_fraction", "1"))
-    try:  # Fraction() raises ValueError, or ZeroDivisionError for "1/0"
-        return SpeciesSpec(name, stype, constituent, Fraction(charge_fraction), bound, width, e_min)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConstantsError(f"{where}: {exc}") from exc
-
-
 def load_species(
     constants: ConstantsSet,
     include_quarks: bool = False,
@@ -306,19 +155,10 @@ def load_species(
 ) -> tuple[SpeciesSpec, ...]:
     """Species from the loaded data file if it defines any, else the built-ins.
 
-    File records replace the built-in list whole; ``include_quarks`` and
-    ``width_choice`` shape only the built-ins.  A record that cannot be built
-    raises :class:`~vfdielectric.constants.ConstantsError` naming the file.
+    File species, built when the file was loaded, replace the built-in list
+    whole; ``include_quarks`` and ``width_choice`` shape only the built-ins.
     """
-    if not constants.species_records:
-        return builtin_species(constants, include_quarks, width_choice)
-    species = []
-    for row in constants.species_records:
-        spec = species_from_record(row, constants)
-        if any(s.name == spec.name for s in species):
-            raise ConstantsError(f"duplicate species {spec.name!r} in {constants.origin}")
-        species.append(spec)
-    return tuple(species)
+    return constants.species or builtin_species(constants, include_quarks, width_choice)
 
 
 # --- kinematics -----------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .constants import ConstantsSet
+from .constants import LEPTON_PAIR, QUARKONIUM, ConstantsSet, SpeciesSpec
 from .quantity import (
     PERMITTIVITY,
     SPEED,
@@ -34,13 +34,7 @@ from .quantity import (
     q_pow,
     q_sqrt,
 )
-from .species import (
-    LEPTON_PAIR,
-    QUARKONIUM,
-    SpeciesSpec,
-    interacting_density,
-    resonant_frequency,
-)
+from .species import interacting_density, resonant_frequency
 
 __all__ = [
     "AssemblyError",

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 
 from vfdielectric import verify
 from vfdielectric.cli import _build_parser, main
-from vfdielectric.constants import CONSTANT_KEYS, DATA_DIR_ENV_VAR, load_constants, serialize_constants
+from vfdielectric.constants import (
+    CONSTANT_KEYS,
+    DATA_DIR_ENV_VAR,
+    LEPTON_PAIR,
+    QUARKONIUM,
+    SPECIES_QUANTITIES,
+    load_constants,
+    serialize_constants,
+    species_from_record,
+)
 from vfdielectric.quantity import SPEED, Quantity
 from vfdielectric.species import builtin_species
 from vfdielectric.vacuum import (
@@ -516,6 +525,23 @@ def test_bad_species_record_exit_2_whichever_command_runs(capsys, tmp_path, comm
     assert out == ""
 
 
+@pytest.mark.parametrize("n_records", [1, 3])
+def test_file_species_are_built_once_per_run(capsys, tmp_path, monkeypatch, n_records):
+    # cli.main once built every record to validate it and threw the result away,
+    # then predict built them all again
+    calls = []
+
+    def counted(record, constants):
+        calls.append(record["name"])
+        return species_from_record(record, constants)
+
+    monkeypatch.setattr("vfdielectric.constants.species_from_record", counted)
+    records = [{**E_ONLY, "name": f"e_only_{i}"} for i in range(n_records)]
+    code, _, _ = _run(capsys, ["predict", "--constants", _constants_file(tmp_path, species=records)])
+    assert code == 0
+    assert calls == [record["name"] for record in records]
+
+
 def test_duplicate_species_name_exit_2(capsys, tmp_path):
     # two e_only records once counted twice: epsilon0 came out for n_species = 2
     path = _constants_file(tmp_path, species=[E_ONLY, E_ONLY])
@@ -709,7 +735,7 @@ def test_program_error_in_species_record_is_not_a_bad_record(tmp_path, monkeypat
     def broken(record, constants):
         raise TypeError("not a record defect")
 
-    monkeypatch.setattr("vfdielectric.species.species_from_record", broken)
+    monkeypatch.setattr("vfdielectric.constants.species_from_record", broken)
     path = _constants_file(tmp_path, species=[E_ONLY])
     with pytest.raises(TypeError, match="not a record defect"):
         main(["predict", "--constants", path])
@@ -836,6 +862,8 @@ def test_division_by_zero_exit_2(capsys, tmp_path, command, hbar, message):
     ("m_b", 1e-300, ["predict", "--include-quarks"], "eta_b: constituent_mass must be positive"),
     ("gamma_etac_2gamma", 1e-300, ["predict", "--include-quarks"], "eta_c: epsilon_term must be positive"),
     ("mu0", 1e-200, ["predict"], "fractional power 1/2 of a non-positive value 0.0"),
+    # m_e/m_u once printed "comparison": Infinity, which is not strict JSON, with exit 0
+    ("m_e", 1e300, ["historical", "--format", "json"], "Quantity value must be finite, got inf"),
 ])
 def test_float_power_overflow_exit_2(capsys, tmp_path, key, value, argv, message):
     path = _constants_file(tmp_path, changes={key: {"value": value}})
@@ -884,6 +912,67 @@ def test_exit_code_contract_under_generated_values(tmp_path_factory, key, value,
         assert out.getvalue() == ""
     if code == 0 and output_format == "json":
         json.loads(out.getvalue())
+
+
+# the exit-code contract under generated species records: a valid record with
+# up to two of its fields replaced (a quantity field of SPECIES_QUANTITIES
+# absent, valid or broken; a name unsupported, empty, not a string or shared),
+# under any command with its own flags
+_VALID_QUANTITIES = {
+    "constituent_mass": [{"value": 9.1093837015e-31, "unit": "kg"}, {"value": 1.27, "unit": "GeV"}],
+    "bound_state_mass": [{"value": 2.98, "unit": "GeV"}, {"value": 1.686e-26, "unit": "kg"}],
+    "two_photon_width": [{"value": 5.0, "unit": "keV"}, {"value": 7.69e18, "unit": "1/s"}],
+    "e_min": [{"value": 0.44, "unit": "GeV"}, {"value": 440.0, "unit": "MeV"}],
+}
+_ABSENT = object()
+
+
+def _quantity_field(field):
+    valid = st.sampled_from(_VALID_QUANTITIES[field])
+    return st.one_of(
+        st.just(_ABSENT),
+        valid,
+        st.sampled_from([1.0, "1 GeV", [1.0, "GeV"]]),                    # not an object
+        valid.map(lambda obj: {**obj, "unit": "erg"}),                    # off the whitelist
+        st.builds(lambda obj, value: {**obj, "value": value}, valid,
+                  st.sampled_from([1e300, 0.0, -1.0, math.nan, True, "1.0"])),
+    )
+
+
+_FIELD_VARIANTS = {
+    "name": st.sampled_from(["e_only", "x_pair", "eta_c", "eta_t", "pi0", "", 5, None]),
+    "type": st.sampled_from([LEPTON_PAIR, QUARKONIUM, "meson"]),
+    "charge_fraction": st.sampled_from(["1", "2/3", "1/3", "1/2", "1/0", 1, 0.5]),
+    **{field: _quantity_field(field) for field in SPECIES_QUANTITIES},
+}
+_SPECIES_RECORD = st.builds(
+    lambda record, changes: {k: v for k, v in {**record, **changes}.items() if v is not _ABSENT},
+    st.sampled_from([E_ONLY, ETA_B_10_EV]),
+    st.lists(st.sampled_from(sorted(_FIELD_VARIANTS)), max_size=2, unique=True).flatmap(
+        lambda fields: st.fixed_dictionaries({f: _FIELD_VARIANTS[f] for f in fields})),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(records=st.lists(_SPECIES_RECORD, min_size=1, max_size=2), with_lepton=st.booleans(),
+       argv=st.sampled_from(_ARGVS), output_format=st.sampled_from(["table", "json", "csv"]))
+def test_exit_code_contract_under_generated_species_records(tmp_path_factory, records, with_lepton,
+                                                            argv, output_format):
+    species = [{**E_ONLY, "name": "e_lead"}, *records] if with_lepton else records
+    path = _constants_file(tmp_path_factory.mktemp("species"), species=species)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", output_format, "--constants", path])
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2))
+    if code == 2:
+        _assert_one_error_line(code, err.getvalue())
+        assert out.getvalue() == ""
+    if code == 0 and output_format == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def test_warm_caches_change_no_output(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from vfdielectric.constants import (
     CONSTANT_KEYS,
+    SPECIES_FIELDS,
     ConstantsError,
     MissingConstantError,
     load_constants,
@@ -14,7 +15,6 @@ from vfdielectric.constants import (
     DATA_DIR_ENV_VAR,
 )
 from vfdielectric.quantity import ACTION, CHARGE, ENERGY, MASS, PERMEABILITY
-from vfdielectric.species import SPECIES_FIELDS
 
 
 def _write(tmp_path, rows, name="constants.json"):
@@ -69,7 +69,7 @@ def test_missing_optional_key_is_a_constants_error_and_a_key_error(tmp_path):
     rows = [r for r in _default_rows() if r["key"] != "m_etab"]
     loaded = load_constants(_write(tmp_path, rows))
     with pytest.raises(MissingConstantError, match="m_etab") as info:
-        loaded.record("m_etab")
+        loaded.get("m_etab")
     assert isinstance(info.value, ConstantsError)
     assert isinstance(info.value, KeyError)
     assert str(info.value).startswith("constant 'm_etab'")
@@ -115,7 +115,7 @@ def test_mu0_override_passes_through(tmp_path):
             row["source"] = "override"
     loaded = load_constants(_write(tmp_path, rows))
     assert loaded.get("mu0").value == 1.0
-    assert loaded.record("mu0").source == "override"
+    assert loaded.records["mu0"].source == "override"
 
 
 @pytest.mark.parametrize("source", [5, None, ["CODATA"]], ids=["number", "null", "list"])
@@ -206,6 +206,18 @@ def test_species_records_pass_through(tmp_path):
     loaded = load_constants(_write(tmp_path, rows))
     assert len(loaded.species_records) == 1
     assert loaded.species_records[0]["name"] == "e_pair"
+
+
+def test_unbuildable_species_record_fails_the_load(tmp_path):
+    # a species record was once built only after loading, so the load passed
+    rows = _default_rows()
+    rows.append({
+        "kind": "species", "name": "e_pair", "type": "lepton-pair",
+        "constituent_mass": {"value": 1.0, "unit": "nope"},
+    })
+    path = _write(tmp_path, rows)
+    with pytest.raises(ConstantsError, match=f"bad species record in {re.escape(str(path))}"):
+        load_constants(path)
 
 
 def test_readme_data_file_section_names_exactly_the_tables():

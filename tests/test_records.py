@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from vfdielectric.constants import ConstantRecord, ConstantsSet
+from vfdielectric.constants import LEPTON_PAIR, ConstantRecord, ConstantsSet, SpeciesSpec
 from vfdielectric.perturbation import AmplitudePair, CouplingLambda
 from vfdielectric.quantity import (
     CHARGE,
@@ -24,7 +24,7 @@ from vfdielectric.quantity import (
     Quantity,
     Record,
 )
-from vfdielectric.species import LEPTON_PAIR, OscillatorSpec, SpeciesSpec
+from vfdielectric.species import OscillatorSpec
 from vfdielectric.vacuum import PredictionReport, SpeciesContribution
 from vfdielectric.verify import CheckResult
 
@@ -37,8 +37,9 @@ CASES = [
     (Quantity, (2.5, SPEED), ("value", "dim")),
     (ConstantRecord, ("e", _E, "CODATA", 1.602176634e-19, "C"),
      ("key", "quantity", "source", "file_value", "file_unit")),
-    (ConstantsSet, ({"e": ConstantRecord("e", _E, "", 1.0, "C")}, "here", ({"name": "x"},)),
-     ("records", "origin", "species_records")),
+    (ConstantsSet, ({"e": ConstantRecord("e", _E, "", 1.0, "C")}, "here", ({"name": "x"},),
+                    (SpeciesSpec("x", LEPTON_PAIR, _M, Fraction(1)),)),
+     ("records", "origin", "species_records", "species")),
     (SpeciesSpec, ("e_pair", LEPTON_PAIR, _M, Fraction(1), None, None, None),
      ("name", "kind", "constituent_mass", "charge_fraction", "bound_state_mass",
       "two_photon_width", "e_min")),

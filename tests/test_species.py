@@ -13,11 +13,14 @@ from vfdielectric.quantity import (
     Quantity,
     dim,
 )
-from vfdielectric.species import (
+from vfdielectric.constants import (
     LEPTON_PAIR,
     QUARKONIUM,
     SpeciesSpec,
     UnsupportedSpeciesError,
+    species_from_record,
+)
+from vfdielectric.species import (
     binding_energy,
     builtin_species,
     coherence_length,
@@ -26,7 +29,6 @@ from vfdielectric.species import (
     load_species,
     number_density,
     resonant_frequency,
-    species_from_record,
     vf_lifetime,
 )
 

@@ -11,7 +11,8 @@ from vfdielectric.quantity import (
     Quantity,
 )
 from vfdielectric import vacuum
-from vfdielectric.species import LEPTON_PAIR, SpeciesSpec, builtin_species
+from vfdielectric.constants import LEPTON_PAIR, SpeciesSpec
+from vfdielectric.species import builtin_species
 from vfdielectric.vacuum import (
     METHOD_SELF_CONSISTENT,
     AssemblyError,
