@@ -23,16 +23,7 @@ import sys
 from .constants import QUARKONIUM, ConstantsError, ConstantsSet, load_constants
 from .oscillator import DEFAULT_QUAD_TOL
 from .quantity import ELECTRIC_FIELD, OutOfRangeError, Quantity, q_div
-from .species import (
-    builtin_species,
-    coherence_length,
-    decay_rate,
-    interacting_density,
-    load_species,
-    number_density,
-    resonant_frequency,
-    vf_lifetime,
-)
+from .species import builtin_species, kinematics, load_species, resonant_frequency
 from .perturbation import BRANCH_PAPER, BRANCHES, dipole_trajectory, scaling_exponent
 from .vacuum import (
     closed_form_report,
@@ -196,16 +187,15 @@ def _species_rows(args: argparse.Namespace, constants: ConstantsSet) -> list[dic
     rows = []
     for s in load_species(constants, include_quarks=args.include_quarks,
                           width_choice=args.width):
-        osc = resonant_frequency(s, constants, eps, c)
+        k = kinematics(s, constants, eps, alpha, c)
         rows.append({
             "species": s.name,
-            "lifetime_s": vf_lifetime(s, constants, c).value,
-            "coherence_length_m": coherence_length(s, constants, c).value,
-            "number_density_per_m3": number_density(s, constants, c).value,
-            "omega0_rad_per_s": osc.omega0.value,
-            "decay_rate_per_s": decay_rate(s, constants, alpha, c).value,
-            "interacting_density_per_m3":
-                interacting_density(s, constants, alpha, c).value,
+            "lifetime_s": k.lifetime.value,
+            "coherence_length_m": k.coherence_length.value,
+            "number_density_per_m3": k.number_density.value,
+            "omega0_rad_per_s": k.oscillator.omega0.value,
+            "decay_rate_per_s": k.decay_rate.value,
+            "interacting_density_per_m3": k.interacting_density.value,
         })
     return rows
 

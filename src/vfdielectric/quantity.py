@@ -162,18 +162,23 @@ class Dimension:
     def __hash__(self) -> int:
         return self._hash
 
+    # The product and quotient memos are keyed by the other operand's id(): an
+    # interned instance lives as long as the intern table, so its id is never
+    # reused, and an int key hashes without calling __hash__.  q_mul and q_div
+    # read these memos themselves and call the methods only on a miss.
+
     def __mul__(self, other: "Dimension") -> "Dimension":
-        out = self._mul.get(other)
+        out = self._mul.get(id(other))
         if out is None:
-            out = self._mul[other] = Dimension(
+            out = self._mul[id(other)] = Dimension(
                 tuple(a + b for a, b in zip(self.exponents, other.exponents))
             )
         return out
 
     def __truediv__(self, other: "Dimension") -> "Dimension":
-        out = self._div.get(other)
+        out = self._div.get(id(other))
         if out is None:
-            out = self._div[other] = Dimension(
+            out = self._div[id(other)] = Dimension(
                 tuple(a - b for a, b in zip(self.exponents, other.exponents))
             )
         return out
@@ -379,16 +384,34 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+# q_mul and q_div are the bulk of all arithmetic, so each does _result's work
+# in its own frame.
+
+
 def q_mul(a: Quantity, b: Quantity) -> Quantity:
     """Product: values multiply, exponents add exactly."""
-    return _result(a.value * b.value, a.dim * b.dim)
+    value = a.value * b.value
+    if not _isfinite(value):
+        raise OutOfRangeError(f"Quantity value must be finite, got {value!r}")
+    dim = a.dim._mul.get(id(b.dim)) or a.dim * b.dim
+    q = _new(Quantity)
+    _set_value(q, value)
+    _set_dim(q, dim)
+    return q
 
 
 def q_div(a: Quantity, b: Quantity) -> Quantity:
     """Quotient: values divide, exponents subtract exactly."""
     if b.value == 0:
         raise _DivisionByZeroError(f"division by zero quantity (dimension {b.dim})")
-    return _result(a.value / b.value, a.dim / b.dim)
+    value = a.value / b.value
+    if not _isfinite(value):
+        raise OutOfRangeError(f"Quantity value must be finite, got {value!r}")
+    dim = a.dim._div.get(id(b.dim)) or a.dim / b.dim
+    q = _new(Quantity)
+    _set_value(q, value)
+    _set_dim(q, dim)
+    return q
 
 
 def q_add(a: Quantity, b: Quantity) -> Quantity:
@@ -410,6 +433,8 @@ def q_pow(a: Quantity, power: int | Fraction) -> Quantity:
         value = a.value ** float(p)
     except OverflowError:
         raise OutOfRangeError(f"power {p} of {a.value!r} overflows a float") from None
+    except ZeroDivisionError:  # a negative power of zero
+        raise _DivisionByZeroError(f"power {p} of zero (dimension {a.dim})") from None
     return _result(value, a.dim**p)
 
 

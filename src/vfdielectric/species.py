@@ -15,6 +15,16 @@ just want tabulated physics pass the ``ref_*`` registry entries.
 
 Species come from the built-in list or from a data file's species records,
 which :mod:`~vfdielectric.constants` builds when it loads the file.
+
+The kinematics are computed at three rates.  :func:`species_factors` builds
+the factors free of eps, alpha and c (``q``, ``mu = m/2`` checked positive,
+``mu q^4``, ``hbar^2``) once per species.  :func:`kinematics` is one pass per
+species at one ``(eps, alpha, c)``: it computes ``c^2`` and the rest energy
+once, so the lifetime once, and returns the lifetime, coherence length,
+number density, oscillator, decay rate and interacting density together.
+The single-quantity functions (:func:`vf_lifetime`, :func:`number_density`,
+...) recompute what they need per call.  All are views over the same private
+helpers, one per formula, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +50,13 @@ from .quantity import (
 
 __all__ = [
     "OscillatorSpec",
+    "Kinematics",
+    "SpeciesFactors",
     "builtin_species",
     "load_species",
+    "species_factors",
+    "kinematics",
+    "alpha_fifth",
     "vf_lifetime",
     "coherence_length",
     "number_density",
@@ -63,10 +78,8 @@ class OscillatorSpec(Record):
     omega0: Quantity
 
     def __post_init__(self) -> None:
-        self.reduced_mass.require(MASS, "reduced_mass")
+        _require_reduced_mass(self.reduced_mass)
         self.omega0.require(FREQUENCY, "omega0")
-        if self.reduced_mass.value <= 0:
-            raise OutOfRangeError("reduced_mass must be positive")
         if self.omega0.value <= 0:
             raise OutOfRangeError("omega0 must be positive")
 
@@ -163,9 +176,165 @@ def load_species(
 
 # --- kinematics -----------------------------------------------------------
 
+_ONE = Quantity(1.0)
+_FOUR_PI = 4.0 * math.pi
+
 
 def _check_speed(c: Quantity) -> Quantity:
     return c.require(SPEED, "c")
+
+
+def _require_reduced_mass(reduced_mass: Quantity) -> Quantity:
+    reduced_mass.require(MASS, "reduced_mass")
+    if reduced_mass.value <= 0:
+        raise OutOfRangeError("reduced_mass must be positive")
+    return reduced_mass
+
+
+def alpha_fifth(alpha: float) -> float:
+    """``alpha^5``, the coupling power in a lepton pair's decay rate.
+
+    Raises :class:`OutOfRangeError` unless alpha is positive and finite, or
+    when the power overflows a float.
+    """
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise OutOfRangeError(f"alpha must be positive and finite, got {alpha!r}")
+    try:
+        return alpha**5
+    except OverflowError:
+        raise OutOfRangeError(f"power 5 of alpha = {alpha!r} overflows a float") from None
+
+
+def _rest_energy(species: SpeciesSpec, c2: Quantity) -> Quantity:
+    """``m c^2`` of a lepton pair's constituent, ``M c^2`` of a quarkonium state."""
+    if species.kind == LEPTON_PAIR:
+        return q_mul(species.constituent_mass, c2)
+    return q_mul(species.bound_state_mass, c2)
+
+
+def _lifetime(species: SpeciesSpec, hbar: Quantity, rest_energy: Quantity) -> Quantity:
+    """``hbar / (4 m c^2)`` for a lepton pair, ``hbar / (2 M c^2)`` for quarkonium."""
+    return q_div(hbar, rest_energy * (4 if species.kind == LEPTON_PAIR else 2))
+
+
+def _per_volume(length: Quantity) -> Quantity:
+    return q_div(_ONE, q_pow(length, 3))
+
+
+def _decay_rate(
+    species: SpeciesSpec,
+    hbar: Quantity | None = None,
+    rest_energy: Quantity | None = None,
+    alpha5: float | None = None,
+) -> Quantity:
+    """``alpha^5 m c^2 / hbar`` for a lepton pair; a quarkonium state needs
+    none of the arguments: its rate is twice the tabulated two-photon rate."""
+    if species.kind == QUARKONIUM:
+        return species.two_photon_width * 2
+    return q_div(rest_energy, hbar) * alpha5
+
+
+def _interacting(n: Quantity, rate: Quantity, lifetime: Quantity, mode: str) -> Quantity:
+    gamma_dt = q_mul(rate, lifetime).as_dimensionless()
+    if mode == "linearized":
+        return n * gamma_dt
+    return n * -math.expm1(-gamma_dt)
+
+
+class Kinematics(Record):
+    """One species' kinematics at one ``(eps, alpha, c)``; see :func:`kinematics`."""
+
+    lifetime: Quantity
+    coherence_length: Quantity
+    number_density: Quantity
+    oscillator: OscillatorSpec
+    decay_rate: Quantity
+    interacting_density: Quantity
+
+
+class SpeciesFactors(Record):
+    """The factors of a species' kinematics that are free of eps, alpha and c.
+
+    :func:`species_factors` builds them, so a caller that evaluates one
+    species at many ``(eps, alpha, c)`` computes them once: ``charge`` is
+    ``q = e * charge_fraction`` and ``reduced_mass`` is ``mu = m/2``, checked
+    positive.  ``binding_numerator`` (``mu q^4``) and ``hbar2`` serve the
+    Coulomb binding energy of a lepton pair and are ``None`` for quarkonium.
+    """
+
+    species: SpeciesSpec
+    hbar: Quantity
+    charge: Quantity
+    reduced_mass: Quantity
+    binding_numerator: Quantity | None
+    hbar2: Quantity | None
+
+    def binding_magnitude(self, epsilon: Quantity) -> Quantity:
+        """``|E| = (mu q^4) / (2 (4 pi eps)^2 hbar^2)`` of a lepton pair."""
+        epsilon.require(PERMITTIVITY, "epsilon")
+        denominator = q_mul(q_pow(epsilon * _FOUR_PI, 2), self.hbar2) * 2
+        return q_div(self.binding_numerator, denominator)
+
+    def oscillator(self, epsilon: Quantity) -> OscillatorSpec:
+        """The oscillator at permittivity ``epsilon``: ``omega0 = |E|/hbar`` for
+        a lepton pair, ``e_min/hbar`` for quarkonium (which ignores ``epsilon``)."""
+        if self.species.kind == LEPTON_PAIR:
+            omega0 = q_div(self.binding_magnitude(epsilon), self.hbar)
+        else:
+            omega0 = q_div(self.species.e_min, self.hbar)
+        return OscillatorSpec(self.reduced_mass, omega0)
+
+    def kinematics(
+        self, epsilon: Quantity, c: Quantity, c2: Quantity, alpha5: float | None
+    ) -> Kinematics:
+        """The one kinematics pass at ``(epsilon, c)``.
+
+        ``c2`` is ``c`` squared and ``alpha5`` is :func:`alpha_fifth` of the
+        coupling (``None`` will do for quarkonium), so a caller evaluating many
+        species at one point computes each once.  The rest energy, and so the
+        lifetime, is computed once and serves the coherence length, the
+        density, the decay probability and the interacting density, which is
+        the linearized one.
+        """
+        _check_speed(c)
+        species, hbar = self.species, self.hbar
+        oscillator = self.oscillator(epsilon)
+        rest_energy = _rest_energy(species, c2)
+        lifetime = _lifetime(species, hbar, rest_energy)
+        length = q_mul(c, lifetime)
+        n = _per_volume(length)
+        rate = _decay_rate(species, hbar, rest_energy, alpha5)
+        return Kinematics(
+            lifetime, length, n, oscillator, rate, _interacting(n, rate, lifetime, "linearized")
+        )
+
+
+def species_factors(species: SpeciesSpec, constants: ConstantsSet) -> SpeciesFactors:
+    """The eps-, alpha- and c-free factors of ``species``; see :class:`SpeciesFactors`."""
+    hbar = constants.get("hbar")
+    q = constants.get("e") * float(species.charge_fraction)
+    mu = _require_reduced_mass(species.constituent_mass * 0.5)
+    if species.kind != LEPTON_PAIR:
+        return SpeciesFactors(species, hbar, q, mu, None, None)
+    return SpeciesFactors(species, hbar, q, mu, q_mul(mu, q_pow(q, 4)), q_mul(hbar, hbar))
+
+
+def kinematics(
+    species: SpeciesSpec,
+    constants: ConstantsSet,
+    epsilon: Quantity,
+    alpha: float,
+    c: Quantity,
+) -> Kinematics:
+    """Lifetime, coherence length, number density, oscillator, decay rate and
+    (linearized) interacting density of ``species`` in one pass.
+
+    Each field equals its single-quantity function bit for bit; the pass
+    computes ``c^2`` and the lifetime once where those compute them per call.
+    """
+    _check_speed(c)
+    alpha5 = alpha_fifth(alpha) if species.kind == LEPTON_PAIR else None
+    return species_factors(species, constants).kinematics(epsilon, c, q_mul(c, c), alpha5)
 
 
 def vf_lifetime(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Quantity:
@@ -175,27 +344,12 @@ def vf_lifetime(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Q
     Quarkonium: ``hbar / (2 M c^2)`` with the bound-state mass M.
     """
     _check_speed(c)
-    hbar = constants.get("hbar")
-    c2 = q_mul(c, c)
-    if species.kind == LEPTON_PAIR:
-        return q_div(hbar, q_mul(species.constituent_mass, c2) * 4)
-    return q_div(hbar, q_mul(species.bound_state_mass, c2) * 2)
-
-
-def _lifetime_and_length(
-    species: SpeciesSpec, constants: ConstantsSet, c: Quantity
-) -> tuple[Quantity, Quantity]:
-    lifetime = vf_lifetime(species, constants, c)
-    return lifetime, q_mul(c, lifetime)
-
-
-def _per_volume(length: Quantity) -> Quantity:
-    return q_div(Quantity(1.0), q_pow(length, 3))
+    return _lifetime(species, constants.get("hbar"), _rest_energy(species, q_mul(c, c)))
 
 
 def coherence_length(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Quantity:
     """Distance light travels during the lifetime: ``L = c dt``."""
-    return _lifetime_and_length(species, constants, c)[1]
+    return q_mul(c, vf_lifetime(species, constants, c))
 
 
 def number_density(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Quantity:
@@ -220,13 +374,7 @@ def binding_energy(
         )
     epsilon.require(PERMITTIVITY, "epsilon")
     _check_speed(c)
-    hbar = constants.get("hbar")
-    q = constants.get("e") * float(species.charge_fraction)
-    mu = species.constituent_mass * 0.5
-    four_pi_eps = epsilon * (4.0 * math.pi)
-    numerator = q_mul(mu, q_pow(q, 4))
-    denominator = q_mul(q_pow(four_pi_eps, 2), q_mul(hbar, hbar)) * 2
-    return -q_div(numerator, denominator)
+    return -species_factors(species, constants).binding_magnitude(epsilon)
 
 
 def resonant_frequency(
@@ -240,13 +388,10 @@ def resonant_frequency(
     The level spacing is the binding energy for lepton pairs and the minimum
     excitation energy for quarkonia.
     """
-    hbar = constants.get("hbar")
     if species.kind == LEPTON_PAIR:
-        energy = binding_energy(species, constants, epsilon, c)
-        omega0 = q_div(Quantity(abs(energy.value), energy.dim), hbar)
-    else:
-        omega0 = q_div(species.e_min, hbar)
-    return OscillatorSpec(reduced_mass=species.constituent_mass * 0.5, omega0=omega0)
+        epsilon.require(PERMITTIVITY, "epsilon")
+        _check_speed(c)
+    return species_factors(species, constants).oscillator(epsilon)
 
 
 def decay_rate(
@@ -262,16 +407,9 @@ def decay_rate(
     """
     _check_speed(c)
     if species.kind == QUARKONIUM:
-        return species.two_photon_width * 2
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise OutOfRangeError(f"alpha must be positive and finite, got {alpha!r}")
-    hbar = constants.get("hbar")
-    rest_energy = q_mul(species.constituent_mass, q_mul(c, c))
-    rate = q_div(rest_energy, hbar)
-    try:
-        return rate * alpha**5
-    except OverflowError:
-        raise OutOfRangeError(f"power 5 of alpha = {alpha!r} overflows a float") from None
+        return _decay_rate(species)
+    alpha5 = alpha_fifth(alpha)
+    return _decay_rate(species, constants.get("hbar"), _rest_energy(species, q_mul(c, c)), alpha5)
 
 
 def interacting_density(
@@ -285,14 +423,16 @@ def interacting_density(
 
     ``exact`` uses the full absorption probability ``1 - exp(-Gamma dt)``;
     ``linearized`` keeps the leading term ``Gamma dt``, which for a lepton
-    pair collapses to ``(alpha^5/4) (4 m c / hbar)^3``.  The lifetime ``dt``
-    is computed once and gives both the coherence volume and ``Gamma dt``.
+    pair collapses to ``(alpha^5/4) (4 m c / hbar)^3``.  The rest energy, and
+    so the lifetime ``dt``, is computed once and gives both the coherence
+    volume and ``Gamma dt``.
     """
     if mode not in ("exact", "linearized"):
         raise ValueError(f"mode must be 'exact' or 'linearized', got {mode!r}")
-    lifetime, length = _lifetime_and_length(species, constants, c)
-    n = _per_volume(length)
-    gamma_dt = q_mul(decay_rate(species, constants, alpha, c), lifetime).as_dimensionless()
-    if mode == "linearized":
-        return n * gamma_dt
-    return n * -math.expm1(-gamma_dt)
+    _check_speed(c)
+    alpha5 = alpha_fifth(alpha) if species.kind == LEPTON_PAIR else None
+    hbar = constants.get("hbar")
+    rest_energy = _rest_energy(species, q_mul(c, c))
+    lifetime = _lifetime(species, hbar, rest_energy)
+    n = _per_volume(q_mul(c, lifetime))
+    return _interacting(n, _decay_rate(species, hbar, rest_energy, alpha5), lifetime, mode)

@@ -16,6 +16,19 @@ point equals the closed form
 which for n = 3 is ``(6 mu0/pi) (8 e^2/hbar)^2``.  Quarkonium terms reinstate
 a weak eps dependence through c; plain Picard iteration converges in a few
 steps either way.
+
+The solver computes each factor once, where it can first be known.  Once per
+solve: ``e^2`` and, per species, its eps-free factors
+(:func:`~vfdielectric.species.species_factors`: ``q``, ``mu = m/2`` with its
+checks, and for a lepton pair ``mu q^4`` and ``hbar^2``), ``q^2/mu``, and for
+a quarkonium state ``(M/hbar)^2`` and its whole polarizability
+``(q^2/mu)/(e_min/hbar)^2``.  Once per step: ``c``, alpha, ``c^2``,
+``alpha^5``, ``hbar c``, the permittivity consistent with them, ``e^2/(hbar c)``
+and the closed lepton coefficient.  Once per species and step: a lepton
+pair's kinematics pass and polarizability, a quarkonium state's ``8 c Gamma``
+product, and the composed-vs-closed route check.  The float operations and
+their order are those of the single-species functions, so both routes give
+the same bits.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from .quantity import (
     q_pow,
     q_sqrt,
 )
-from .species import interacting_density, resonant_frequency
+from .species import SpeciesFactors, alpha_fifth, species_factors
 
 __all__ = [
     "AssemblyError",
@@ -57,6 +70,9 @@ __all__ = [
 
 METHOD_CLOSED_FORM = "closed-form"
 METHOD_SELF_CONSISTENT = "self-consistent"
+
+_ONE = Quantity(1.0)
+_FOUR_PI = 4.0 * math.pi
 
 # Composed and closed lepton routes are algebraically identical; float
 # round-off across the ~15 operations stays orders of magnitude below this.
@@ -107,81 +123,104 @@ def c_from_epsilon(epsilon: Quantity, constants: ConstantsSet) -> Quantity:
     epsilon.require(PERMITTIVITY, "epsilon")
     if epsilon.value <= 0:
         raise OutOfRangeError("epsilon must be positive")
-    return q_div(Quantity(1.0), q_sqrt(q_mul(constants.get("mu0"), epsilon)))
+    return q_div(_ONE, q_sqrt(q_mul(constants.get("mu0"), epsilon)))
 
 
 def alpha_from_epsilon(epsilon: Quantity, c: Quantity, constants: ConstantsSet) -> float:
     """``alpha = e^2 / (4 pi eps hbar c)``."""
+    return _alpha(_e_squared(constants), constants.get("hbar"), epsilon, c)
+
+
+def _e_squared(constants: ConstantsSet) -> Quantity:
     e = constants.get("e")
-    denominator = q_mul(q_mul(epsilon, constants.get("hbar")), c) * (4.0 * math.pi)
-    return q_div(q_mul(e, e), denominator).as_dimensionless()
+    return q_mul(e, e)
 
 
-def _epsilon_from_alpha(alpha: float, c: Quantity, constants: ConstantsSet) -> Quantity:
-    e = constants.get("e")
-    denominator = q_mul(constants.get("hbar"), c) * (4.0 * math.pi * alpha)
-    return q_div(q_mul(e, e), denominator).require(PERMITTIVITY, "epsilon")
+def _alpha(e2: Quantity, hbar: Quantity, epsilon: Quantity, c: Quantity) -> float:
+    denominator = q_mul(q_mul(epsilon, hbar), c) * _FOUR_PI
+    return q_div(e2, denominator).as_dimensionless()
 
 
-def _e2_over_hbar_c(constants: ConstantsSet, c: Quantity) -> Quantity:
-    e = constants.get("e")
-    return q_div(q_mul(e, e), q_mul(constants.get("hbar"), c))
+class _Step(Record):
+    """The species-independent factors of one step at ``(alpha, c)``."""
+
+    c: Quantity
+    c2: Quantity
+    alpha5: float
+    eps_consistent: Quantity  # the permittivity consistent with (alpha, c)
+    e2_over_hbar_c: Quantity
+    closed: Quantity  # the closed lepton coefficient 8^3 alpha e^2/(hbar c)
 
 
-def _polarizability(
-    species: SpeciesSpec, constants: ConstantsSet, reduced_mass: Quantity, omega0: Quantity
-) -> Quantity:
-    """``(q^2/mu)/omega0^2`` with ``q = e * charge_fraction``."""
-    q = constants.get("e") * float(species.charge_fraction)
-    return q_div(q_div(q_mul(q, q), reduced_mass), q_mul(omega0, omega0))
+def _step_factors(e2: Quantity, hbar: Quantity, alpha: float, c: Quantity) -> _Step:
+    hbar_c = q_mul(hbar, c)
+    eps_consistent = q_div(e2, hbar_c * (_FOUR_PI * alpha)).require(PERMITTIVITY, "epsilon")
+    e2_over_hbar_c = q_div(e2, hbar_c)
+    closed = e2_over_hbar_c * (512.0 * alpha)
+    return _Step(c, q_mul(c, c), alpha_fifth(alpha), eps_consistent, e2_over_hbar_c, closed)
 
 
-def _step_factors(
-    alpha: float, c: Quantity, constants: ConstantsSet
-) -> tuple[Quantity, Quantity, Quantity]:
-    """The species-independent factors of the terms at ``(alpha, c)``: the
-    permittivity consistent with them, ``e^2/(hbar c)`` and the closed lepton
-    coefficient ``8^3 alpha e^2/(hbar c)``."""
-    eps_consistent = _epsilon_from_alpha(alpha, c, constants)
-    e2_over_hbar_c = _e2_over_hbar_c(constants, c)
-    return eps_consistent, e2_over_hbar_c, e2_over_hbar_c * (512.0 * alpha)
+def _q2_over_mu(factors: SpeciesFactors) -> Quantity:
+    """``q^2/mu``: a species' polarizability times ``omega0^2``."""
+    q = factors.charge
+    return q_div(q_mul(q, q), factors.reduced_mass)
 
 
-def _lepton_term(
-    species: SpeciesSpec,
-    constants: ConstantsSet,
-    alpha: float,
-    c: Quantity,
-    factors: tuple[Quantity, Quantity, Quantity],
-) -> SpeciesContribution:
-    eps_consistent, e2_over_hbar_c, closed = factors
-    osc = resonant_frequency(species, constants, eps_consistent, c)
-    n_vf = interacting_density(species, constants, alpha, c, mode="linearized")
-    polarizability = _polarizability(species, constants, osc.reduced_mass, osc.omega0)
-    composed = q_mul(n_vf, polarizability).require(PERMITTIVITY, "lepton term")
+def _quarkonium_factors(factors: SpeciesFactors) -> tuple[SpeciesSpec, Quantity, Quantity]:
+    """The eps-free factors of a quarkonium term: ``(M/hbar)^2`` and the whole
+    polarizability ``(q^2/mu) / (e_min/hbar)^2``."""
+    species, hbar = factors.species, factors.hbar
+    omega0 = q_div(species.e_min, hbar)
+    m_over_hbar_2 = q_pow(q_div(species.bound_state_mass, hbar), 2)
+    return species, m_over_hbar_2, q_div(_q2_over_mu(factors), q_mul(omega0, omega0))
+
+
+def _term_factors(species: SpeciesSpec, constants: ConstantsSet) -> tuple:
+    """A species' eps-free factors: the arguments of its term before the step's."""
+    factors = species_factors(species, constants)
+    if species.kind == LEPTON_PAIR:
+        return factors, _q2_over_mu(factors)
+    return _quarkonium_factors(factors)
+
+
+def _lepton_term(factors: SpeciesFactors, q2_over_mu: Quantity, step: _Step) -> SpeciesContribution:
+    kinematics = factors.kinematics(step.eps_consistent, step.c, step.c2, step.alpha5)
+    omega0 = kinematics.oscillator.omega0
+    polarizability = q_div(q2_over_mu, q_mul(omega0, omega0))
+    composed = q_mul(kinematics.interacting_density, polarizability).require(
+        PERMITTIVITY, "lepton term"
+    )
+    closed = step.closed
     if abs(composed.value - closed.value) > _ROUTE_AGREEMENT_TOL * closed.value:
         raise AssemblyError(
-            f"{species.name}: composed term {composed.value!r} disagrees with "
+            f"{factors.species.name}: composed term {composed.value!r} disagrees with "
             f"closed coefficient {closed.value!r}"
         )
-    in_alpha_units = q_div(composed, e2_over_hbar_c).as_dimensionless()
-    return SpeciesContribution(species.name, composed, in_alpha_units)
+    in_alpha_units = q_div(composed, step.e2_over_hbar_c).as_dimensionless()
+    return SpeciesContribution(factors.species.name, composed, in_alpha_units)
 
 
 def _quarkonium_term(
-    species: SpeciesSpec, constants: ConstantsSet, c: Quantity, e2_over_hbar_c: Quantity
+    species: SpeciesSpec,
+    m_over_hbar_2: Quantity,
+    polarizability: Quantity,
+    c: Quantity,
+    e2_over_hbar_c: Quantity,
 ) -> SpeciesContribution:
-    hbar = constants.get("hbar")
-    width = species.two_photon_width
-    n_vf = (
-        q_mul(q_pow(q_div(species.bound_state_mass, hbar), 2), q_mul(c, width)) * 8.0
-    )
-    polarizability = _polarizability(
-        species, constants, species.constituent_mass * 0.5, q_div(species.e_min, hbar)
-    )
+    n_vf = q_mul(m_over_hbar_2, q_mul(c, species.two_photon_width)) * 8.0
     term = q_mul(n_vf, polarizability).require(PERMITTIVITY, "quarkonium term")
     in_alpha_units = q_div(term, e2_over_hbar_c).as_dimensionless()
     return SpeciesContribution(species.name, term, in_alpha_units)
+
+
+def _contributions_at(
+    species: tuple[SpeciesSpec, ...], solve_factors: tuple[tuple, ...], step: _Step
+) -> tuple[SpeciesContribution, ...]:
+    return tuple(
+        _lepton_term(*factors, step) if s.kind == LEPTON_PAIR
+        else _quarkonium_term(*factors, step.c, step.e2_over_hbar_c)
+        for s, factors in zip(species, solve_factors)
+    )
 
 
 def lepton_contribution(
@@ -200,7 +239,8 @@ def lepton_contribution(
     if species.kind != LEPTON_PAIR:
         raise ValueError(f"{species.name!r} is not a lepton pair")
     c.require(SPEED, "c")
-    return _lepton_term(species, constants, alpha, c, _step_factors(alpha, c, constants))
+    step = _step_factors(_e_squared(constants), constants.get("hbar"), alpha, c)
+    return _lepton_term(*_term_factors(species, constants), step)
 
 
 def quarkonium_contribution(
@@ -216,7 +256,8 @@ def quarkonium_contribution(
     if species.kind != QUARKONIUM:
         raise ValueError(f"{species.name!r} is not a quarkonium state")
     c.require(SPEED, "c")
-    return _quarkonium_term(species, constants, c, _e2_over_hbar_c(constants, c))
+    e2_over_hbar_c = q_div(_e_squared(constants), q_mul(constants.get("hbar"), c))
+    return _quarkonium_term(*_term_factors(species, constants), c, e2_over_hbar_c)
 
 
 def epsilon0_closed_form(constants: ConstantsSet, n_species: int = 3) -> Quantity:
@@ -278,23 +319,6 @@ def _build_report(
     )
 
 
-def _contributions_at(
-    species: tuple[SpeciesSpec, ...],
-    epsilon: Quantity,
-    constants: ConstantsSet,
-) -> tuple[SpeciesContribution, ...]:
-    c = c_from_epsilon(epsilon, constants)
-    alpha = alpha_from_epsilon(epsilon, c, constants)
-    factors = _step_factors(alpha, c, constants)
-    out = []
-    for s in species:
-        if s.kind == LEPTON_PAIR:
-            out.append(_lepton_term(s, constants, alpha, c, factors))
-        else:
-            out.append(_quarkonium_term(s, constants, c, factors[1]))
-    return tuple(out)
-
-
 def epsilon0_self_consistent(
     species: "list[SpeciesSpec] | tuple[SpeciesSpec, ...]",
     constants: ConstantsSet,
@@ -323,9 +347,13 @@ def epsilon0_self_consistent(
     if not (1e-15 <= tol <= 1e-6):
         raise ValueError(f"tol must lie in [1e-15, 1e-6], got {tol!r}")
 
+    e2, hbar = _e_squared(constants), constants.get("hbar")
+    solve_factors = tuple(_term_factors(s, constants) for s in species)
     eps = constants.get("ref_epsilon0")
     for iteration in range(1, max_iter + 1):
-        contributions = _contributions_at(species, eps, constants)
+        c = c_from_epsilon(eps, constants)
+        step = _step_factors(e2, hbar, _alpha(e2, hbar, eps, c), c)
+        contributions = _contributions_at(species, solve_factors, step)
         total = contributions[0].epsilon_term
         for contribution in contributions[1:]:
             total = total + contribution.epsilon_term
@@ -342,16 +370,10 @@ def epsilon0_self_consistent(
 def closed_form_report(
     constants: ConstantsSet, n_species: int = 3
 ) -> PredictionReport:
-    """Closed-form prediction with per-species breakdown evaluated at the model point."""
+    """Closed-form prediction: ``epsilon0``, ``c``, ``1/alpha`` and the
+    reference deltas.  It holds no per-species contributions."""
     eps = epsilon0_closed_form(constants, n_species)
-    c = c_from_epsilon(eps, constants)
-    alpha = alpha_from_epsilon(eps, c, constants)
-    term = _e2_over_hbar_c(constants, c) * (512.0 * alpha)
-    contributions = tuple(
-        SpeciesContribution(f"lepton_{i+1}", term, 512.0 * alpha)
-        for i in range(n_species)
-    )
-    return _build_report(eps, contributions, METHOD_CLOSED_FORM, constants)
+    return _build_report(eps, (), METHOD_CLOSED_FORM, constants)
 
 
 # --- report serialization (stable JSON schema) ------------------------------

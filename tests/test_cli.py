@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vfdielectric import verify
+from vfdielectric import species, verify
 from vfdielectric.cli import _build_parser, main
 from vfdielectric.constants import (
     CONSTANT_KEYS,
@@ -159,6 +159,82 @@ def test_predict_invariants_across_input_decades(tmp_path_factory, decades):
         if not quarks:
             pure = 64.0 * math.sqrt(3.0 * math.pi / 2.0)
             assert abs(payload["model"]["inv_alpha"] / pure - 1.0) <= 1e-14
+
+
+# an independent oracle for the quark-inclusive fixed point: F(eps) = L + A
+# eps^(-1/2) with L and A computed in mpmath from the file's raw values, so with
+# x = sqrt(eps) the fixed point is the one positive root of x^3 - L x - A = 0
+_ORACLE_DECADES = ("e", "hbar", "mu0", "ref_epsilon0", "ref_c", "m_e", "m_mu", "m_tau")
+_WIDTH_KEYS = ("gamma_etac_2gamma", "gamma_etab_2gamma_min", "gamma_etab_2gamma_max")
+
+
+def _fixed_point_oracle(values, width, seed, tol):
+    """``(eps*, |F'(eps*)|, Picard steps)`` at 40 digits from raw file values
+    in the bundled units (eV-family energies, an eta_b width in keV)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        v = {key: mpmath.mpf(value) for key, value in values.items()}
+        e, hbar, mu0 = v["e"], v["hbar"], v["mu0"]
+        gev = e * 10**9  # joules per GeV
+        lepton_sum = 3 * 512 / (4 * mpmath.pi) * mu0 * (e**2 / hbar) ** 2
+        quark_sum = 0
+        for quark, bound, rate, charge in (
+            ("m_c", "m_etac", v["gamma_etac_2gamma"], mpmath.mpf(2) / 3),
+            ("m_b", "m_etab", v[f"gamma_etab_2gamma_{width}"] * 1000 * e / hbar, mpmath.mpf(1) / 3),
+        ):
+            m_quark = v[quark] * gev / v["ref_c"] ** 2
+            m_bound = v[bound] * gev / v["ref_c"] ** 2
+            omega0 = (v[bound] - 2 * v[quark]) * gev / hbar
+            polarizability = (e * charge) ** 2 / (m_quark / 2) / omega0**2
+            quark_sum += 8 * (m_bound / hbar) ** 2 * rate * polarizability
+        quark_sum /= mpmath.sqrt(mu0)
+        root = mpmath.findroot(lambda x: x**3 - lepton_sum * x - quark_sum,
+                               max(mpmath.sqrt(lepton_sum), mpmath.cbrt(quark_sum)))
+        eps_star = root**2
+        steps, eps = 0, mpmath.mpf(seed)
+        while True:  # the solver's own stopping rule, on exact L and A
+            steps += 1
+            new = lepton_sum + quark_sum / mpmath.sqrt(eps)
+            if abs(new - eps) <= tol * new:
+                break
+            eps = new
+        return eps_star, quark_sum / (2 * root**3), steps
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(decades=st.lists(st.floats(-3.0, 3.0), min_size=len(_ORACLE_DECADES) + 2,
+                        max_size=len(_ORACLE_DECADES) + 2),
+       width_scale=st.floats(-3.0, 6.0), width=st.sampled_from(["min", "max"]))
+def test_quark_fixed_point_is_the_root_of_the_cubic(tmp_path_factory, decades, width_scale, width):
+    bundled = {row["key"]: row["value"] for row in json.loads(serialize_constants(load_constants()))}
+    values = dict(bundled)
+    for key, d in zip(_ORACLE_DECADES, decades):
+        values[key] = bundled[key] * 10.0**d
+    # a quark and its bound state scale together, so the binding window stays open
+    for keys, d in ((("m_c", "m_etac"), decades[-2]), (("m_b", "m_etab"), decades[-1])):
+        for key in keys:
+            values[key] = bundled[key] * 10.0**d
+    for key in _WIDTH_KEYS:
+        values[key] = bundled[key] * 10.0**width_scale
+    changes = {key: {"value": value} for key, value in values.items() if value != bundled[key]}
+    path = _constants_file(tmp_path_factory.mktemp("oracle"), changes=changes)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["predict", "--include-quarks", "--width", width, "--format", "json",
+                     "--constants", path]) == 0
+    payload = json.loads(out.getvalue())
+    tol = 1e-13  # the solver's default
+    eps_star, contraction, steps = _fixed_point_oracle(
+        {key: values[key] for key in bundled}, width, values["ref_epsilon0"], tol)
+    # F decreases, so the last two iterates straddle eps* and the reported one is
+    # within contraction/(1 + contraction) of their gap, at most tol, of it; the
+    # rest is the float rounding of the terms
+    bound = 1e-14 + float(contraction / (1 + contraction)) * tol
+    assert abs(payload["model"]["epsilon0"] / eps_star - 1) <= bound
+    # |F'(eps*)| = A / (2 eps*^(3/2)) < 1/2 since A/x* = x*^2 - L, and the solver
+    # takes the steps that contraction gives exact L and A, give or take the last
+    assert contraction < 0.5
+    assert abs(payload["iterations"] - steps) <= 1
 
 
 # --- species -------------------------------------------------------------------
@@ -440,6 +516,51 @@ def _assert_one_error_line(code, err):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+_PUBLIC_COLUMNS = {
+    "lifetime_s": lambda s, k, eps, alpha, c: species.vf_lifetime(s, k, c),
+    "coherence_length_m": lambda s, k, eps, alpha, c: species.coherence_length(s, k, c),
+    "number_density_per_m3": lambda s, k, eps, alpha, c: species.number_density(s, k, c),
+    "omega0_rad_per_s": lambda s, k, eps, alpha, c: species.resonant_frequency(s, k, eps, c).omega0,
+    "decay_rate_per_s": lambda s, k, eps, alpha, c: species.decay_rate(s, k, alpha, c),
+    "interacting_density_per_m3":
+        lambda s, k, eps, alpha, c: species.interacting_density(s, k, alpha, c),
+}
+
+
+@pytest.mark.parametrize("quarks", [[], ["--include-quarks"]])
+@pytest.mark.parametrize("file_species", [(), (E_ONLY, ETA_B_10_EV)])
+def test_species_rows_equal_the_single_quantity_functions(capsys, tmp_path, quarks, file_species):
+    # the one kinematics pass behind each row gives every public function's value
+    path = _constants_file(tmp_path, species=file_species)
+    code, out, _ = _run(capsys, ["species", "--format", "json", "--constants", path] + quarks)
+    assert code == 0
+    constants = load_constants(path)
+    eps, c = constants.get("ref_epsilon0"), constants.get("ref_c")
+    alpha = 1.0 / constants.get("ref_inv_alpha").value
+    specs = species.load_species(constants, include_quarks=bool(quarks))
+    rows = json.loads(out)
+    assert [row["species"] for row in rows] == [s.name for s in specs]
+    for row, s in zip(rows, specs):
+        for column, public in _PUBLIC_COLUMNS.items():
+            assert row[column].hex() == public(s, constants, eps, alpha, c).value.hex(), column
+
+
+def test_species_computes_one_lifetime_per_species(capsys, monkeypatch):
+    # the command once computed each lifetime 4 times: directly and inside the
+    # coherence length, the number density and the interacting density
+    seen = []
+    original = species._lifetime
+
+    def counting(s, *args):
+        seen.append(s.name)
+        return original(s, *args)
+
+    monkeypatch.setattr(species, "_lifetime", counting)
+    code, _, _ = _run(capsys, ["species", "--include-quarks", "--format", "json"])
+    assert code == 0
+    assert seen == ["e_pair", "mu_pair", "tau_pair", "eta_c", "eta_b"]
 
 
 def test_predict_file_species_replace_builtins(capsys, tmp_path):

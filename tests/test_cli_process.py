@@ -1,4 +1,5 @@
-"""The CLI as a fresh process: what it imports, and how it ends.
+"""The CLI as a fresh process: what it imports, how it ends, and that
+concurrent callers in one process get the serial results.
 
 No subcommand, ``verify`` included, loads numpy or scipy: the package needs
 only the standard library.  Importing the CLI loads neither ``dataclasses``
@@ -96,3 +97,57 @@ def test_stdout_closed_at_start_exits_quietly():
     )
     assert done.returncode == 0
     assert done.stderr == ""
+
+
+# Eight threads start together in a fresh process, so they fill the dimension
+# memos that q_mul and q_div read in their own frames, and the interpreter
+# switches threads every microsecond.  Every memo must then hold only interned
+# instances, and one serial run gives the reference results.
+_CONCURRENT = """
+import sys, threading
+from vfdielectric import verify
+from vfdielectric.constants import load_constants
+from vfdielectric.species import builtin_species
+from vfdielectric.vacuum import epsilon0_self_consistent
+
+def work():
+    constants = load_constants()
+    species = builtin_species(constants, include_quarks=True)
+    return species, epsilon0_self_consistent(species, constants), verify.run_all(constants)
+
+results, errors = [None] * 8, []
+barrier = threading.Barrier(8, timeout=60)
+
+def run(i):
+    try:
+        barrier.wait()
+        results[i] = work()
+    except BaseException as exc:
+        errors.append(repr(exc))
+
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=100)
+finally:
+    sys.setswitchinterval(0.005)
+assert not any(t.is_alive() for t in threads), "a thread did not finish"
+assert errors == [], errors
+# interning makes equality identity: every memoized result is the one instance
+from vfdielectric.quantity import _INTERNED, Dimension
+for d in list(_INTERNED.values()):
+    for memoized in (*d._mul.values(), *d._div.values(), *d._pow.values(), d._root):
+        assert memoized is None or memoized is Dimension(memoized.exponents), memoized
+serial = work()
+assert all(result == serial for result in results), "a threaded result differs"
+print(len(results))
+"""
+
+
+def test_concurrent_callers_get_the_serial_results():
+    done = _python("-c", _CONCURRENT)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "8\n"

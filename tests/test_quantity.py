@@ -82,6 +82,16 @@ def test_div_by_zero_raises():
         assert isinstance(info.value, OutOfRangeError)
 
 
+def test_negative_power_of_zero_raises_division_by_zero():
+    # once a bare ZeroDivisionError from float ** ("0.0 cannot be raised to a negative power")
+    for power, raise_it in ((-3, lambda: q_pow(Quantity(0.0, LENGTH), -3)),
+                            (-1, lambda: Quantity(0.0) ** -1),
+                            (Fraction(-2), lambda: q_pow(Quantity(0.0, TIME), Fraction(-2)))):
+        with pytest.raises(OutOfRangeError, match=rf"^power {power} of zero \(dimension ") as info:
+            raise_it()
+        assert isinstance(info.value, ZeroDivisionError)
+
+
 def test_add_same_dimension():
     out = q_add(Quantity(1.0, LENGTH), Quantity(2.0, LENGTH))
     assert out == Quantity(3.0, LENGTH)

@@ -12,7 +12,7 @@ from vfdielectric.quantity import (
 )
 from vfdielectric import vacuum
 from vfdielectric.constants import LEPTON_PAIR, SpeciesSpec
-from vfdielectric.species import builtin_species
+from vfdielectric.species import SpeciesFactors, builtin_species
 from vfdielectric.vacuum import (
     METHOD_SELF_CONSISTENT,
     AssemblyError,
@@ -303,15 +303,15 @@ def test_monotonicity_of_quark_additions(constants):
 
 
 def test_lepton_solve_evaluates_each_term_once_per_iteration(trio, constants, monkeypatch):
-    # one resonant frequency per lepton term; no evaluation after convergence
+    # one kinematics pass per lepton term; no evaluation after convergence
     species_seen = []
-    original = vacuum.resonant_frequency
+    original = SpeciesFactors.kinematics
 
-    def counting(species, *args):
-        species_seen.append(species.name)
-        return original(species, *args)
+    def counting(self, *args):
+        species_seen.append(self.species.name)
+        return original(self, *args)
 
-    monkeypatch.setattr(vacuum, "resonant_frequency", counting)
+    monkeypatch.setattr(SpeciesFactors, "kinematics", counting)
     report = epsilon0_self_consistent(trio, constants)
     assert species_seen == ["e_pair", "mu_pair", "tau_pair"] * report.iterations
 
@@ -414,7 +414,18 @@ def test_report_dict_round_trip(constants):
     assert again.contributions == report.contributions
 
 
-def test_closed_form_report_terms_sum_to_model(constants):
-    report = closed_form_report(constants)
-    total = sum(c.epsilon_term.value for c in report.contributions)
-    assert total == pytest.approx(report.epsilon0_model.value, rel=1e-12)
+@pytest.mark.parametrize("n_species", [1, 3])
+def test_closed_form_report_holds_what_predict_reads(constants, n_species):
+    # predict prints the closed form's epsilon0, c, 1/alpha and deltas; the
+    # report builds no per-species terms
+    report = closed_form_report(constants, n_species)
+    eps = epsilon0_closed_form(constants, n_species)
+    c = c_from_epsilon(eps, constants)
+    inv_alpha = inverse_alpha(eps, c, constants)
+    assert (report.epsilon0_model, report.c_model, report.inv_alpha_model) == (eps, c, inv_alpha)
+    assert report.contributions == ()
+    assert report.reference_deltas == {
+        "epsilon0": (constants.get("ref_epsilon0").value - eps.value) / eps.value * 100.0,
+        "c": (constants.get("ref_c").value - c.value) / c.value * 100.0,
+        "inv_alpha": (constants.get("ref_inv_alpha").value - inv_alpha) / inv_alpha * 100.0,
+    }
