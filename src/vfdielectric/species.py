@@ -16,24 +16,24 @@ just want tabulated physics pass the ``ref_*`` registry entries.
 Species come from the built-in list or from a data file's species records,
 which :mod:`~vfdielectric.constants` builds when it loads the file.
 
-The kinematics are computed at three rates.  :func:`species_factors` builds
+The kinematics are computed at two rates.  :func:`species_factors` builds
 the factors free of eps, alpha and c (``q``, ``mu = m/2`` checked positive,
 ``mu q^4``, ``hbar^2``) once per species.  :func:`kinematics` is one pass per
 species at one ``(eps, alpha, c)``: it computes ``c^2`` and the rest energy
 once, so the lifetime once, and returns the lifetime, coherence length,
 number density, oscillator, decay rate and interacting density together.
-The single-quantity functions (:func:`vf_lifetime`, :func:`number_density`,
-...) recompute what they need per call.  All are views over the same private
-helpers, one per formula, so they agree bit for bit.
+:func:`number_density`, :func:`resonant_frequency` and
+:func:`interacting_density` compute one quantity per call.  All go through
+the same private helpers, one per formula, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-from .constants import (LEPTON_PAIR, QUARKONIUM, ConstantsError, ConstantsSet, SpeciesSpec,
-                        UnsupportedSpeciesError, width_rate)
+from .constants import LEPTON_PAIR, QUARKONIUM, ConstantsError, ConstantsSet, SpeciesSpec, width_rate
 from .quantity import (
     ENERGY,
     FREQUENCY,
@@ -57,12 +57,8 @@ __all__ = [
     "species_factors",
     "kinematics",
     "alpha_fifth",
-    "vf_lifetime",
-    "coherence_length",
     "number_density",
-    "binding_energy",
     "resonant_frequency",
-    "decay_rate",
     "interacting_density",
 ]
 
@@ -195,14 +191,17 @@ def alpha_fifth(alpha: float) -> float:
     """``alpha^5``, the coupling power in a lepton pair's decay rate.
 
     Raises :class:`OutOfRangeError` unless alpha is positive and finite, or
-    when the power overflows a float.
+    when the power overflows a float or falls below its normal range.
     """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise OutOfRangeError(f"alpha must be positive and finite, got {alpha!r}")
     try:
-        return alpha**5
+        alpha5 = alpha**5
     except OverflowError:
         raise OutOfRangeError(f"power 5 of alpha = {alpha!r} overflows a float") from None
+    if alpha5 < sys.float_info.min:
+        raise OutOfRangeError(f"power 5 of alpha = {alpha!r} underflows a float")
+    return alpha5
 
 
 def _rest_energy(species: SpeciesSpec, c2: Quantity) -> Quantity:
@@ -222,13 +221,10 @@ def _per_volume(length: Quantity) -> Quantity:
 
 
 def _decay_rate(
-    species: SpeciesSpec,
-    hbar: Quantity | None = None,
-    rest_energy: Quantity | None = None,
-    alpha5: float | None = None,
+    species: SpeciesSpec, hbar: Quantity, rest_energy: Quantity, alpha5: float | None
 ) -> Quantity:
-    """``alpha^5 m c^2 / hbar`` for a lepton pair; a quarkonium state needs
-    none of the arguments: its rate is twice the tabulated two-photon rate."""
+    """``alpha^5 m c^2 / hbar`` for a lepton pair; a quarkonium state's rate
+    is twice the tabulated two-photon rate, whatever the other arguments."""
     if species.kind == QUARKONIUM:
         return species.two_photon_width * 2
     return q_div(rest_energy, hbar) * alpha5
@@ -269,17 +265,18 @@ class SpeciesFactors(Record):
     binding_numerator: Quantity | None
     hbar2: Quantity | None
 
-    def binding_magnitude(self, epsilon: Quantity) -> Quantity:
-        """``|E| = (mu q^4) / (2 (4 pi eps)^2 hbar^2)`` of a lepton pair."""
-        epsilon.require(PERMITTIVITY, "epsilon")
-        denominator = q_mul(q_pow(epsilon * _FOUR_PI, 2), self.hbar2) * 2
-        return q_div(self.binding_numerator, denominator)
-
     def oscillator(self, epsilon: Quantity) -> OscillatorSpec:
         """The oscillator at permittivity ``epsilon``: ``omega0 = |E|/hbar`` for
-        a lepton pair, ``e_min/hbar`` for quarkonium (which ignores ``epsilon``)."""
+        a lepton pair, ``e_min/hbar`` for quarkonium (which ignores ``epsilon``).
+
+        A lepton pair's ``|E| = (mu q^4) / (2 (4 pi eps)^2 hbar^2)`` is its
+        ground-state Coulomb binding energy with the reduced mass ``mu = m/2``;
+        it equals ``m alpha^2 c^2 / 4`` when alpha and c are consistent with eps.
+        """
         if self.species.kind == LEPTON_PAIR:
-            omega0 = q_div(self.binding_magnitude(epsilon), self.hbar)
+            epsilon.require(PERMITTIVITY, "epsilon")
+            denominator = q_mul(q_pow(epsilon * _FOUR_PI, 2), self.hbar2) * 2
+            omega0 = q_div(q_div(self.binding_numerator, denominator), self.hbar)
         else:
             omega0 = q_div(self.species.e_min, self.hbar)
         return OscillatorSpec(self.reduced_mass, omega0)
@@ -329,52 +326,22 @@ def kinematics(
     """Lifetime, coherence length, number density, oscillator, decay rate and
     (linearized) interacting density of ``species`` in one pass.
 
-    Each field equals its single-quantity function bit for bit; the pass
-    computes ``c^2`` and the lifetime once where those compute them per call.
+    The lifetime is ``hbar/(4 m c^2)`` for a lepton pair and ``hbar/(2 M c^2)``
+    for quarkonium; the coherence length is ``L = c dt``, the number density
+    ``1/L^3``.  The decay rate of the photon-excited atom is ``alpha^5 m c^2 /
+    hbar`` for a lepton pair (twice the two-photon rate of the ordinary atom)
+    and twice the tabulated two-photon rate for quarkonium.
     """
     _check_speed(c)
     alpha5 = alpha_fifth(alpha) if species.kind == LEPTON_PAIR else None
     return species_factors(species, constants).kinematics(epsilon, c, q_mul(c, c), alpha5)
 
 
-def vf_lifetime(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Quantity:
-    """Uncertainty-window lifetime.
-
-    Lepton pair: ``hbar / (4 m c^2)`` (energy borrowed: pair rest energy).
-    Quarkonium: ``hbar / (2 M c^2)`` with the bound-state mass M.
-    """
-    _check_speed(c)
-    return _lifetime(species, constants.get("hbar"), _rest_energy(species, q_mul(c, c)))
-
-
-def coherence_length(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Quantity:
-    """Distance light travels during the lifetime: ``L = c dt``."""
-    return q_mul(c, vf_lifetime(species, constants, c))
-
-
 def number_density(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Quantity:
-    """One transient atom per coherence volume: ``1 / L^3``."""
-    return _per_volume(coherence_length(species, constants, c))
-
-
-def binding_energy(
-    species: SpeciesSpec,
-    constants: ConstantsSet,
-    epsilon: Quantity,
-    c: Quantity,
-) -> Quantity:
-    """Ground-state Coulomb binding energy of a lepton pair (negative, J).
-
-    ``E = -(mu q^4) / (2 (4 pi eps)^2 hbar^2)`` with reduced mass mu = m/2;
-    equals ``-m alpha^2 c^2 / 4`` when alpha and c are consistent with eps.
-    """
-    if species.kind != LEPTON_PAIR:
-        raise UnsupportedSpeciesError(
-            f"binding_energy applies to lepton pairs only, not {species.name!r}"
-        )
-    epsilon.require(PERMITTIVITY, "epsilon")
+    """One transient atom per coherence volume: ``1 / L^3`` with ``L = c dt``."""
     _check_speed(c)
-    return -species_factors(species, constants).binding_magnitude(epsilon)
+    lifetime = _lifetime(species, constants.get("hbar"), _rest_energy(species, q_mul(c, c)))
+    return _per_volume(q_mul(c, lifetime))
 
 
 def resonant_frequency(
@@ -392,24 +359,6 @@ def resonant_frequency(
         epsilon.require(PERMITTIVITY, "epsilon")
         _check_speed(c)
     return species_factors(species, constants).oscillator(epsilon)
-
-
-def decay_rate(
-    species: SpeciesSpec,
-    constants: ConstantsSet,
-    alpha: float,
-    c: Quantity,
-) -> Quantity:
-    """Decay rate of the photon-excited atom (1/s).
-
-    Lepton pair: ``alpha^5 m c^2 / hbar`` (twice the two-photon rate of the
-    ordinary atom).  Quarkonium: twice the tabulated two-photon rate.
-    """
-    _check_speed(c)
-    if species.kind == QUARKONIUM:
-        return _decay_rate(species)
-    alpha5 = alpha_fifth(alpha)
-    return _decay_rate(species, constants.get("hbar"), _rest_energy(species, q_mul(c, c)), alpha5)
 
 
 def interacting_density(

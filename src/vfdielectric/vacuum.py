@@ -18,14 +18,15 @@ a weak eps dependence through c; plain Picard iteration converges in a few
 steps either way.
 
 The solver computes each factor once, where it can first be known.  Once per
-solve: ``e^2`` and, per species, its eps-free factors
-(:func:`~vfdielectric.species.species_factors`: ``q``, ``mu = m/2`` with its
-checks, and for a lepton pair ``mu q^4`` and ``hbar^2``), ``q^2/mu``, and for
-a quarkonium state ``(M/hbar)^2`` and its whole polarizability
-``(q^2/mu)/(e_min/hbar)^2``.  Once per step: ``c``, alpha, ``c^2``,
-``alpha^5``, ``hbar c``, the permittivity consistent with them, ``e^2/(hbar c)``
-and the closed lepton coefficient.  Once per species and step: a lepton
-pair's kinematics pass and polarizability, a quarkonium state's ``8 c Gamma``
+solve: ``e^2`` and, per species, its term: a function of the step, built with
+the species' eps-free factors (:func:`~vfdielectric.species.species_factors`:
+``q``, ``mu = m/2`` with its checks, and for a lepton pair ``mu q^4`` and
+``hbar^2``), ``q^2/mu``, and for a quarkonium state ``(M/hbar)^2`` and its
+whole polarizability ``(q^2/mu)/(e_min/hbar)^2``, so the species' kind is
+read once per solve.  Once per step: ``c``, alpha, ``c^2``, ``alpha^5``,
+``hbar c``, the permittivity consistent with them, ``e^2/(hbar c)`` and the
+closed lepton coefficient.  Once per species and step: a lepton pair's
+kinematics pass and polarizability, a quarkonium state's ``8 c Gamma``
 product, and the composed-vs-closed route check.  The float operations and
 their order are those of the single-species functions, so both routes give
 the same bits.
@@ -34,6 +35,7 @@ the same bits.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .constants import LEPTON_PAIR, QUARKONIUM, ConstantsSet, SpeciesSpec
 from .quantity import (
@@ -142,14 +144,18 @@ def _alpha(e2: Quantity, hbar: Quantity, epsilon: Quantity, c: Quantity) -> floa
 
 
 class _Step(Record):
-    """The species-independent factors of one step at ``(alpha, c)``."""
+    """The species-independent factors of one step at ``(alpha, c)``.
+
+    A quarkonium term reads only ``c`` and ``e2_over_hbar_c``, so
+    :func:`quarkonium_contribution`, given no alpha, leaves the rest unset.
+    """
 
     c: Quantity
-    c2: Quantity
-    alpha5: float
-    eps_consistent: Quantity  # the permittivity consistent with (alpha, c)
     e2_over_hbar_c: Quantity
-    closed: Quantity  # the closed lepton coefficient 8^3 alpha e^2/(hbar c)
+    c2: Quantity | None = None
+    alpha5: float | None = None
+    eps_consistent: Quantity | None = None  # the permittivity consistent with (alpha, c)
+    closed: Quantity | None = None  # the closed lepton coefficient 8^3 alpha e^2/(hbar c)
 
 
 def _step_factors(e2: Quantity, hbar: Quantity, alpha: float, c: Quantity) -> _Step:
@@ -157,7 +163,7 @@ def _step_factors(e2: Quantity, hbar: Quantity, alpha: float, c: Quantity) -> _S
     eps_consistent = q_div(e2, hbar_c * (_FOUR_PI * alpha)).require(PERMITTIVITY, "epsilon")
     e2_over_hbar_c = q_div(e2, hbar_c)
     closed = e2_over_hbar_c * (512.0 * alpha)
-    return _Step(c, q_mul(c, c), alpha_fifth(alpha), eps_consistent, e2_over_hbar_c, closed)
+    return _Step(c, e2_over_hbar_c, q_mul(c, c), alpha_fifth(alpha), eps_consistent, closed)
 
 
 def _q2_over_mu(factors: SpeciesFactors) -> Quantity:
@@ -166,61 +172,47 @@ def _q2_over_mu(factors: SpeciesFactors) -> Quantity:
     return q_div(q_mul(q, q), factors.reduced_mass)
 
 
-def _quarkonium_factors(factors: SpeciesFactors) -> tuple[SpeciesSpec, Quantity, Quantity]:
-    """The eps-free factors of a quarkonium term: ``(M/hbar)^2`` and the whole
-    polarizability ``(q^2/mu) / (e_min/hbar)^2``."""
-    species, hbar = factors.species, factors.hbar
-    omega0 = q_div(species.e_min, hbar)
-    m_over_hbar_2 = q_pow(q_div(species.bound_state_mass, hbar), 2)
-    return species, m_over_hbar_2, q_div(_q2_over_mu(factors), q_mul(omega0, omega0))
+def _term(species: SpeciesSpec, constants: ConstantsSet) -> Callable[[_Step], SpeciesContribution]:
+    """A species' permittivity term as a function of the step.
 
-
-def _term_factors(species: SpeciesSpec, constants: ConstantsSet) -> tuple:
-    """A species' eps-free factors: the arguments of its term before the step's."""
+    Its eps-free factors are computed here, once: ``q^2/mu`` for a lepton
+    pair; ``(M/hbar)^2`` and the whole polarizability ``(q^2/mu) /
+    (e_min/hbar)^2`` for a quarkonium state.
+    """
     factors = species_factors(species, constants)
     if species.kind == LEPTON_PAIR:
-        return factors, _q2_over_mu(factors)
-    return _quarkonium_factors(factors)
+        q2_over_mu = _q2_over_mu(factors)
 
+        def lepton_term(step: _Step) -> SpeciesContribution:
+            kinematics = factors.kinematics(step.eps_consistent, step.c, step.c2, step.alpha5)
+            omega0 = kinematics.oscillator.omega0
+            polarizability = q_div(q2_over_mu, q_mul(omega0, omega0))
+            composed = q_mul(kinematics.interacting_density, polarizability).require(
+                PERMITTIVITY, "lepton term"
+            )
+            closed = step.closed
+            if abs(composed.value - closed.value) > _ROUTE_AGREEMENT_TOL * closed.value:
+                raise AssemblyError(
+                    f"{species.name}: composed term {composed.value!r} disagrees with "
+                    f"closed coefficient {closed.value!r}"
+                )
+            in_alpha_units = q_div(composed, step.e2_over_hbar_c).as_dimensionless()
+            return SpeciesContribution(species.name, composed, in_alpha_units)
 
-def _lepton_term(factors: SpeciesFactors, q2_over_mu: Quantity, step: _Step) -> SpeciesContribution:
-    kinematics = factors.kinematics(step.eps_consistent, step.c, step.c2, step.alpha5)
-    omega0 = kinematics.oscillator.omega0
-    polarizability = q_div(q2_over_mu, q_mul(omega0, omega0))
-    composed = q_mul(kinematics.interacting_density, polarizability).require(
-        PERMITTIVITY, "lepton term"
-    )
-    closed = step.closed
-    if abs(composed.value - closed.value) > _ROUTE_AGREEMENT_TOL * closed.value:
-        raise AssemblyError(
-            f"{factors.species.name}: composed term {composed.value!r} disagrees with "
-            f"closed coefficient {closed.value!r}"
-        )
-    in_alpha_units = q_div(composed, step.e2_over_hbar_c).as_dimensionless()
-    return SpeciesContribution(factors.species.name, composed, in_alpha_units)
+        return lepton_term
 
+    hbar = factors.hbar
+    omega0 = q_div(species.e_min, hbar)
+    m_over_hbar_2 = q_pow(q_div(species.bound_state_mass, hbar), 2)
+    polarizability = q_div(_q2_over_mu(factors), q_mul(omega0, omega0))
 
-def _quarkonium_term(
-    species: SpeciesSpec,
-    m_over_hbar_2: Quantity,
-    polarizability: Quantity,
-    c: Quantity,
-    e2_over_hbar_c: Quantity,
-) -> SpeciesContribution:
-    n_vf = q_mul(m_over_hbar_2, q_mul(c, species.two_photon_width)) * 8.0
-    term = q_mul(n_vf, polarizability).require(PERMITTIVITY, "quarkonium term")
-    in_alpha_units = q_div(term, e2_over_hbar_c).as_dimensionless()
-    return SpeciesContribution(species.name, term, in_alpha_units)
+    def quarkonium_term(step: _Step) -> SpeciesContribution:
+        n_vf = q_mul(m_over_hbar_2, q_mul(step.c, species.two_photon_width)) * 8.0
+        term = q_mul(n_vf, polarizability).require(PERMITTIVITY, "quarkonium term")
+        in_alpha_units = q_div(term, step.e2_over_hbar_c).as_dimensionless()
+        return SpeciesContribution(species.name, term, in_alpha_units)
 
-
-def _contributions_at(
-    species: tuple[SpeciesSpec, ...], solve_factors: tuple[tuple, ...], step: _Step
-) -> tuple[SpeciesContribution, ...]:
-    return tuple(
-        _lepton_term(*factors, step) if s.kind == LEPTON_PAIR
-        else _quarkonium_term(*factors, step.c, step.e2_over_hbar_c)
-        for s, factors in zip(species, solve_factors)
-    )
+    return quarkonium_term
 
 
 def lepton_contribution(
@@ -240,7 +232,7 @@ def lepton_contribution(
         raise ValueError(f"{species.name!r} is not a lepton pair")
     c.require(SPEED, "c")
     step = _step_factors(_e_squared(constants), constants.get("hbar"), alpha, c)
-    return _lepton_term(*_term_factors(species, constants), step)
+    return _term(species, constants)(step)
 
 
 def quarkonium_contribution(
@@ -256,8 +248,8 @@ def quarkonium_contribution(
     if species.kind != QUARKONIUM:
         raise ValueError(f"{species.name!r} is not a quarkonium state")
     c.require(SPEED, "c")
-    e2_over_hbar_c = q_div(_e_squared(constants), q_mul(constants.get("hbar"), c))
-    return _quarkonium_term(*_term_factors(species, constants), c, e2_over_hbar_c)
+    step = _Step(c, q_div(_e_squared(constants), q_mul(constants.get("hbar"), c)))
+    return _term(species, constants)(step)
 
 
 def epsilon0_closed_form(constants: ConstantsSet, n_species: int = 3) -> Quantity:
@@ -348,12 +340,12 @@ def epsilon0_self_consistent(
         raise ValueError(f"tol must lie in [1e-15, 1e-6], got {tol!r}")
 
     e2, hbar = _e_squared(constants), constants.get("hbar")
-    solve_factors = tuple(_term_factors(s, constants) for s in species)
+    terms = tuple(_term(s, constants) for s in species)
     eps = constants.get("ref_epsilon0")
     for iteration in range(1, max_iter + 1):
         c = c_from_epsilon(eps, constants)
         step = _step_factors(e2, hbar, _alpha(e2, hbar, eps, c), c)
-        contributions = _contributions_at(species, solve_factors, step)
+        contributions = tuple(term(step) for term in terms)
         total = contributions[0].epsilon_term
         for contribution in contributions[1:]:
             total = total + contribution.epsilon_term

@@ -519,20 +519,29 @@ def _assert_one_error_line(code, err):
 
 
 _PUBLIC_COLUMNS = {
-    "lifetime_s": lambda s, k, eps, alpha, c: species.vf_lifetime(s, k, c),
-    "coherence_length_m": lambda s, k, eps, alpha, c: species.coherence_length(s, k, c),
     "number_density_per_m3": lambda s, k, eps, alpha, c: species.number_density(s, k, c),
     "omega0_rad_per_s": lambda s, k, eps, alpha, c: species.resonant_frequency(s, k, eps, c).omega0,
-    "decay_rate_per_s": lambda s, k, eps, alpha, c: species.decay_rate(s, k, alpha, c),
     "interacting_density_per_m3":
         lambda s, k, eps, alpha, c: species.interacting_density(s, k, alpha, c),
 }
 
 
+def _closed_columns(s, hbar, alpha, c):
+    """A species row's lifetime, coherence length and decay rate in plain floats."""
+    if s.kind == LEPTON_PAIR:
+        rest_energy = s.constituent_mass.value * c**2
+        lifetime, rate = hbar / (4.0 * rest_energy), alpha**5 * rest_energy / hbar
+    else:
+        lifetime = hbar / (2.0 * s.bound_state_mass.value * c**2)
+        rate = 2.0 * s.two_photon_width.value
+    return {"lifetime_s": lifetime, "coherence_length_m": c * lifetime, "decay_rate_per_s": rate}
+
+
 @pytest.mark.parametrize("quarks", [[], ["--include-quarks"]])
 @pytest.mark.parametrize("file_species", [(), (E_ONLY, ETA_B_10_EV)])
 def test_species_rows_equal_the_single_quantity_functions(capsys, tmp_path, quarks, file_species):
-    # the one kinematics pass behind each row gives every public function's value
+    # the one kinematics pass behind each row gives every public function's
+    # value bit for bit, and the closed forms of the other columns
     path = _constants_file(tmp_path, species=file_species)
     code, out, _ = _run(capsys, ["species", "--format", "json", "--constants", path] + quarks)
     assert code == 0
@@ -545,6 +554,9 @@ def test_species_rows_equal_the_single_quantity_functions(capsys, tmp_path, quar
     for row, s in zip(rows, specs):
         for column, public in _PUBLIC_COLUMNS.items():
             assert row[column].hex() == public(s, constants, eps, alpha, c).value.hex(), column
+        closed = _closed_columns(s, constants.get("hbar").value, alpha, c.value)
+        for column, value in closed.items():
+            assert row[column] == pytest.approx(value, rel=1e-14, abs=0), column
 
 
 def test_species_computes_one_lifetime_per_species(capsys, monkeypatch):
@@ -985,12 +997,34 @@ def test_division_by_zero_exit_2(capsys, tmp_path, command, hbar, message):
     ("mu0", 1e-200, ["predict"], "fractional power 1/2 of a non-positive value 0.0"),
     # m_e/m_u once printed "comparison": Infinity, which is not strict JSON, with exit 0
     ("m_e", 1e300, ["historical", "--format", "json"], "Quantity value must be finite, got inf"),
+    # a subnormal or zero alpha^5 once broke the composed lepton route, which then
+    # disagreed with the closed one: an AssemblyError traceback and exit 1
+    ("e", 1e-50, ["predict"], "underflows a float"),
+    ("e", 1e-50, ["predict", "--include-quarks"], "underflows a float"),
+    ("e", 1e-50, ["verify"], "underflows a float"),
+    ("mu0", 1e-100, ["predict", "--include-quarks"], "underflows a float"),
+    # and the species table printed a decay rate built on it, with exit 0
+    ("ref_inv_alpha", 1e100, ["species", "--include-quarks"], "underflows a float"),
 ])
 def test_float_power_overflow_exit_2(capsys, tmp_path, key, value, argv, message):
     path = _constants_file(tmp_path, changes={key: {"value": value}})
     code, out, err = _run(capsys, argv + ["--constants", path])
     _assert_one_error_line(code, err)
     assert path in err and "out of the float range" in err and message in err
+    assert out == ""
+
+
+# a fixed point the solver does not reach in its 50 steps once escaped cli.main
+# as a ConvergenceError traceback with exit 1
+@pytest.mark.parametrize("key, value", [
+    ("m_c", 1e-50), ("m_b", 1e-50), ("gamma_etac_2gamma", 1e50), ("gamma_etac_2gamma", 1e100),
+    ("gamma_etab_2gamma_max", 1e50),
+])
+def test_nonconvergent_constants_exit_2(capsys, tmp_path, key, value):
+    path = _constants_file(tmp_path, changes={key: {"value": value}})
+    code, out, err = _run(capsys, ["predict", "--include-quarks", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert f"the constants in {path} give no fixed point: fixed point not reached" in err
     assert out == ""
 
 

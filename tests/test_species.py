@@ -21,15 +21,13 @@ from vfdielectric.constants import (
     species_from_record,
 )
 from vfdielectric.species import (
-    binding_energy,
     builtin_species,
-    coherence_length,
-    decay_rate,
     interacting_density,
+    kinematics,
     load_species,
     number_density,
     resonant_frequency,
-    vf_lifetime,
+    species_factors,
 )
 
 
@@ -59,55 +57,69 @@ def quarks(constants):
     return {s.name: s for s in lepton_trio if s.kind == QUARKONIUM}
 
 
+@pytest.fixture(scope="module")
+def at_ref(constants, ref_eps, ref_alpha):
+    """The kinematics pass of a species at the reference eps and alpha, and ``c``."""
+    def pass_at(species, c):
+        return kinematics(species, constants, ref_eps, ref_alpha, c)
+    return pass_at
+
+
+def _binding_energy(species, constants, epsilon):
+    """The Coulomb binding energy ``-hbar omega0`` behind a lepton pair's oscillator."""
+    omega0 = species_factors(species, constants).oscillator(epsilon).omega0
+    return -omega0.value * constants.get("hbar").value
+
+
 # --- lifetimes, lengths, densities -----------------------------------------
 
 
-def test_epair_lifetime(trio, constants, ref_c):
+def test_epair_lifetime(trio, constants, ref_c, at_ref):
     # independent plain-float oracle: hbar / (4 m_e c^2)
     expected = constants.get("hbar").value / (
         4.0 * constants.get("m_e").value * constants.get("ref_c").value ** 2
     )
-    lifetime = vf_lifetime(trio[0], constants, ref_c)
+    lifetime = at_ref(trio[0], ref_c).lifetime
     assert lifetime.dim == TIME
-    assert lifetime.value == pytest.approx(expected, rel=1e-14)
-    assert lifetime.value == pytest.approx(3.2202e-22, rel=1e-4)
+    assert lifetime.value == pytest.approx(expected, rel=1e-14, abs=0)
+    assert lifetime.value == pytest.approx(3.2202e-22, rel=1e-4, abs=0)
 
 
-def test_tau_lifetime_scales_inversely_with_mass(trio, constants, ref_c):
+def test_tau_lifetime_scales_inversely_with_mass(trio, constants, ref_c, at_ref):
     e_pair, _, tau_pair = trio
     ratio = constants.get("m_e").value / constants.get("m_tau").value
-    expected = vf_lifetime(e_pair, constants, ref_c).value * ratio
-    assert vf_lifetime(tau_pair, constants, ref_c).value == pytest.approx(expected, rel=1e-14)
+    expected = at_ref(e_pair, ref_c).lifetime.value * ratio
+    assert at_ref(tau_pair, ref_c).lifetime.value == pytest.approx(expected, rel=1e-14, abs=0)
 
 
-def test_etac_lifetime(quarks, constants, ref_c):
+def test_etac_lifetime(quarks, constants, ref_c, at_ref):
     # hbar / (2 M c^2) with the bound-state rest energy 2.98 GeV
     expected = constants.get("hbar").value / (2.0 * constants.get("m_etac").value)
-    lifetime = vf_lifetime(quarks["eta_c"], constants, ref_c)
-    assert lifetime.value == pytest.approx(expected, rel=1e-12)
-    assert lifetime.value == pytest.approx(1.104e-25, rel=1e-3)
+    lifetime = at_ref(quarks["eta_c"], ref_c).lifetime
+    assert lifetime.value == pytest.approx(expected, rel=1e-12, abs=0)
+    assert lifetime.value == pytest.approx(1.104e-25, rel=1e-3, abs=0)
 
 
-def test_epair_coherence_length(trio, constants, ref_c):
-    length = coherence_length(trio[0], constants, ref_c)
+def test_epair_coherence_length(trio, ref_c, at_ref):
+    length = at_ref(trio[0], ref_c).coherence_length
     assert length.dim == LENGTH
-    assert length.value == pytest.approx(9.654e-14, rel=1e-4)
+    assert length.value == pytest.approx(9.654e-14, rel=1e-4, abs=0)
 
 
-def test_coherence_length_scales_as_inverse_c(trio, constants, ref_c):
+def test_coherence_length_scales_as_inverse_c(trio, ref_c, at_ref):
     # L = hbar/(4 m c): doubling c halves the lifetime and halves L
     doubled = Quantity(2.0 * ref_c.value, ref_c.dim)
-    base = coherence_length(trio[0], constants, ref_c).value
-    assert coherence_length(trio[0], constants, doubled).value == pytest.approx(
-        base / 2.0, rel=1e-14
+    base = at_ref(trio[0], ref_c).coherence_length.value
+    assert at_ref(trio[0], doubled).coherence_length.value == pytest.approx(
+        base / 2.0, rel=1e-14, abs=0
     )
 
 
-def test_mu_pair_length_mass_ratio(trio, constants, ref_c):
+def test_mu_pair_length_mass_ratio(trio, constants, ref_c, at_ref):
     e_pair, mu_pair, _ = trio
     ratio = constants.get("m_e").value / constants.get("m_mu").value
-    expected = coherence_length(e_pair, constants, ref_c).value * ratio
-    assert coherence_length(mu_pair, constants, ref_c).value == pytest.approx(expected, rel=1e-14)
+    expected = at_ref(e_pair, ref_c).coherence_length.value * ratio
+    assert at_ref(mu_pair, ref_c).coherence_length.value == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_number_density_epair_paper_value(trio, constants, ref_c):
@@ -131,9 +143,9 @@ def test_number_density_cubic_mass_scaling(trio, constants, ref_c):
         )
 
 
-def test_lifetime_rejects_non_speed_c(trio, constants):
+def test_lifetime_rejects_non_speed_c(trio, at_ref):
     with pytest.raises(DimensionError):
-        vf_lifetime(trio[0], constants, Quantity(1.0, LENGTH))
+        at_ref(trio[0], Quantity(1.0, LENGTH))
 
 
 # --- binding energy and oscillator parameters -------------------------------
@@ -148,17 +160,17 @@ def test_epair_binding_energy_half_hydrogen(trio, constants, ref_c, ref_eps):
         2.0 * (4.0 * math.pi * ref_eps.value) ** 2 * hbar**2
     )
     expected = hydrogen / 2.0
-    bound = binding_energy(trio[0], constants, ref_eps, ref_c)
-    assert bound.value == pytest.approx(expected, rel=1e-14)
-    assert bound.value / e == pytest.approx(-6.80, rel=2e-3)  # eV
+    bound = _binding_energy(trio[0], constants, ref_eps)
+    assert bound == pytest.approx(expected, rel=1e-14, abs=0)
+    assert bound / e == pytest.approx(-6.80, rel=2e-3)  # eV
 
 
 def test_binding_energy_proportional_to_reduced_mass(trio, constants, ref_c, ref_eps):
     e_pair, mu_pair, _ = trio
     ratio = constants.get("m_mu").value / constants.get("m_e").value
-    expected = binding_energy(e_pair, constants, ref_eps, ref_c).value * ratio
-    assert binding_energy(mu_pair, constants, ref_eps, ref_c).value == pytest.approx(
-        expected, rel=1e-14
+    expected = _binding_energy(e_pair, constants, ref_eps) * ratio
+    assert _binding_energy(mu_pair, constants, ref_eps) == pytest.approx(
+        expected, rel=1e-14, abs=0
     )
 
 
@@ -169,20 +181,18 @@ def test_binding_energy_two_forms_agree(trio, constants, ref_c, ref_eps):
     hbar = constants.get("hbar").value
     alpha = e**2 / (4.0 * math.pi * ref_eps.value * hbar * ref_c.value)
     alpha_form = -constants.get("m_e").value * alpha**2 * ref_c.value**2 / 4.0
-    eps_form = binding_energy(trio[0], constants, ref_eps, ref_c).value
-    assert eps_form == pytest.approx(alpha_form, rel=1e-12)
-
-
-def test_binding_energy_rejects_quarkonium(quarks, constants, ref_c, ref_eps):
-    with pytest.raises(UnsupportedSpeciesError):
-        binding_energy(quarks["eta_c"], constants, ref_eps, ref_c)
+    eps_form = _binding_energy(trio[0], constants, ref_eps)
+    assert eps_form == pytest.approx(alpha_form, rel=1e-12, abs=0)
 
 
 def test_epair_resonant_frequency(trio, constants, ref_c, ref_eps):
-    osc = resonant_frequency(trio[0], constants, ref_eps, ref_c)
-    expected = abs(binding_energy(trio[0], constants, ref_eps, ref_c).value) / (
-        constants.get("hbar").value
+    # oracle: half the hydrogen 1s binding energy over hbar
+    e = constants.get("e").value
+    hbar = constants.get("hbar").value
+    expected = constants.get("m_e").value * e**4 / (
+        4.0 * (4.0 * math.pi * ref_eps.value) ** 2 * hbar**3
     )
+    osc = resonant_frequency(trio[0], constants, ref_eps, ref_c)
     assert osc.omega0.value == pytest.approx(expected, rel=1e-14)
     assert osc.omega0.value == pytest.approx(1.03e16, rel=5e-3)
     assert osc.reduced_mass.value == trio[0].constituent_mass.value / 2.0
@@ -207,27 +217,27 @@ def test_resonant_frequency_linear_in_lepton_mass(trio, constants, ref_c, ref_ep
 # --- decay rates and interacting densities ----------------------------------
 
 
-def test_epair_decay_rate(trio, constants, ref_c, ref_alpha):
+def test_epair_decay_rate(trio, constants, ref_c, ref_alpha, at_ref):
     expected = (
         ref_alpha**5
         * constants.get("m_e").value
         * ref_c.value**2
         / constants.get("hbar").value
     )
-    rate = decay_rate(trio[0], constants, ref_alpha, ref_c)
+    rate = at_ref(trio[0], ref_c).decay_rate
     assert rate.dim == FREQUENCY
     assert rate.value == pytest.approx(expected, rel=1e-14)
     assert rate.value == pytest.approx(1.61e10, rel=3e-3)
 
 
-def test_etac_decay_rate_doubles_two_photon_width(quarks, constants, ref_c, ref_alpha):
-    rate = decay_rate(quarks["eta_c"], constants, ref_alpha, ref_c)
+def test_etac_decay_rate_doubles_two_photon_width(quarks, ref_c, at_ref):
+    rate = at_ref(quarks["eta_c"], ref_c).decay_rate
     assert rate.value == pytest.approx(2.0 * 7.69e18, rel=1e-12)
 
 
-def test_lepton_rate_is_twice_the_two_photon_rate(trio, constants, ref_c, ref_alpha):
+def test_lepton_rate_is_twice_the_two_photon_rate(trio, constants, ref_c, ref_alpha, at_ref):
     # the single-photon rate halved recovers the ordinary two-photon rate
-    rate = decay_rate(trio[0], constants, ref_alpha, ref_c).value
+    rate = at_ref(trio[0], ref_c).decay_rate.value
     two_photon = (
         ref_alpha**5 * constants.get("m_e").value * ref_c.value**2
         / (2.0 * constants.get("hbar").value)
@@ -272,23 +282,17 @@ def test_interacting_density_saturates_at_number_density(constants, ref_c, ref_a
     assert exact.value == pytest.approx(total.value, rel=1e-12)
 
 
-def test_gamma_dt_small_for_all_leptons(trio, constants, ref_c, ref_alpha):
+def test_gamma_dt_small_for_all_leptons(trio, ref_c, at_ref):
     for species in trio:
-        gamma_dt = (
-            decay_rate(species, constants, ref_alpha, ref_c).value
-            * vf_lifetime(species, constants, ref_c).value
-        )
-        assert gamma_dt < 1e-10
+        k = at_ref(species, ref_c)
+        assert k.decay_rate.value * k.lifetime.value < 1e-10
 
 
-def test_interacting_density_identity_lepton(trio, constants, ref_c, ref_alpha):
+def test_interacting_density_identity_lepton(trio, constants, ref_c, ref_alpha, at_ref):
     # (1/L^3) Gamma dt equals the closed form for every lepton species
     for species in trio:
-        composed = (
-            number_density(species, constants, ref_c).value
-            * decay_rate(species, constants, ref_alpha, ref_c).value
-            * vf_lifetime(species, constants, ref_c).value
-        )
+        k = at_ref(species, ref_c)
+        composed = k.number_density.value * k.decay_rate.value * k.lifetime.value
         closed = (ref_alpha**5 / 4.0) * (
             4.0 * species.constituent_mass.value * ref_c.value / constants.get("hbar").value
         ) ** 3

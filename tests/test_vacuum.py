@@ -11,8 +11,8 @@ from vfdielectric.quantity import (
     Quantity,
 )
 from vfdielectric import vacuum
-from vfdielectric.constants import LEPTON_PAIR, SpeciesSpec
-from vfdielectric.species import SpeciesFactors, builtin_species
+from vfdielectric.constants import LEPTON_PAIR, SpeciesSpec, species_from_record
+from vfdielectric.species import SpeciesFactors, builtin_species, kinematics
 from vfdielectric.vacuum import (
     METHOD_SELF_CONSISTENT,
     AssemblyError,
@@ -145,6 +145,32 @@ def test_etac_small_against_lepton_total(trio, quark_pair, constants, ref_alpha,
 def test_quarkonium_contribution_rejects_lepton(trio, constants, ref_c):
     with pytest.raises(ValueError):
         quarkonium_contribution(trio[0], constants, ref_c)
+
+
+_ETA_C_RECORD = {
+    "kind": "species", "name": "eta_c_file", "type": "quarkonium", "charge_fraction": "2/3",
+    "constituent_mass": {"value": 1.5, "unit": "GeV"},
+    "bound_state_mass": {"value": 3.1, "unit": "GeV"},
+    "two_photon_width": {"value": 5.0, "unit": "keV"},
+}
+
+
+@pytest.mark.parametrize("name, width", [
+    ("eta_c", "min"), ("eta_c", "max"), ("eta_b", "min"), ("eta_b", "max"), ("file", None),
+])
+def test_quarkonium_term_equals_the_species_table_route(constants, ref_alpha, ref_c, name, width):
+    # the solver's closed density 8 c (M/hbar)^2 Gamma against the table's n Gamma dt
+    if name == "file":
+        s = species_from_record(_ETA_C_RECORD, constants)
+    else:
+        full = builtin_species(constants, include_quarks=True, width_choice=width)
+        s = {q.name: q for q in full}[name]
+    k = kinematics(s, constants, constants.get("ref_epsilon0"), ref_alpha, ref_c)
+    q = constants.get("e").value * float(s.charge_fraction)
+    polarizability = q * q / k.oscillator.reduced_mass.value / k.oscillator.omega0.value**2
+    expected = k.interacting_density.value * polarizability
+    term = quarkonium_contribution(s, constants, ref_c).epsilon_term.value
+    assert term == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 # --- closed form ------------------------------------------------------------------
