@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", dest="output_format", choices=("table", "json", "csv"),
                         default="table", help="output format")
     shared.add_argument("--precision", type=int, default=3, metavar="N",
-                        help="significant figures in table/csv output (default 3)")
+                        help="significant figures in table output (default 3)")
 
     parser = argparse.ArgumentParser(
         prog="vfdielectric",
@@ -181,6 +181,12 @@ def cmd_predict(args: argparse.Namespace, constants: ConstantsSet) -> int:
 # --- species ----------------------------------------------------------------
 
 
+_SPECIES_COLUMNS = [
+    "species", "lifetime_s", "coherence_length_m", "number_density_per_m3",
+    "omega0_rad_per_s", "decay_rate_per_s", "interacting_density_per_m3",
+]
+
+
 def _species_rows(args: argparse.Namespace, constants: ConstantsSet) -> list[dict]:
     c = constants.get("ref_c")
     eps = constants.get("ref_epsilon0")
@@ -189,22 +195,10 @@ def _species_rows(args: argparse.Namespace, constants: ConstantsSet) -> list[dic
     for s in load_species(constants, include_quarks=args.include_quarks,
                           width_choice=args.width):
         k = kinematics(s, constants, eps, alpha, c)
-        rows.append({
-            "species": s.name,
-            "lifetime_s": k.lifetime.value,
-            "coherence_length_m": k.coherence_length.value,
-            "number_density_per_m3": k.number_density.value,
-            "omega0_rad_per_s": k.oscillator.omega0.value,
-            "decay_rate_per_s": k.decay_rate.value,
-            "interacting_density_per_m3": k.interacting_density.value,
-        })
+        values = (s.name, k.lifetime.value, k.coherence_length.value, k.number_density.value,
+                  k.oscillator.omega0.value, k.decay_rate.value, k.interacting_density.value)
+        rows.append(dict(zip(_SPECIES_COLUMNS, values)))
     return rows
-
-
-_SPECIES_COLUMNS = [
-    "species", "lifetime_s", "coherence_length_m", "number_density_per_m3",
-    "omega0_rad_per_s", "decay_rate_per_s", "interacting_density_per_m3",
-]
 
 
 def cmd_species(args: argparse.Namespace, constants: ConstantsSet) -> int:

@@ -26,6 +26,7 @@ import os
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .quantity import (
     ACTION,
@@ -45,6 +46,9 @@ from .quantity import (
     q_div,
     q_mul,
 )
+
+if TYPE_CHECKING:  # importlib.resources.abc is new in Python 3.11
+    from importlib.resources.abc import Traversable
 
 __all__ = [
     "ConstantsError",
@@ -376,32 +380,26 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
         raise ConstantsError(f"{where}: {exc}") from exc
 
 
-def _bundled_text() -> str:
-    bundled = resources.files(__package__).joinpath(f"data/{DATA_FILENAME}")
+def _read(source: Traversable, what: str) -> str:
+    """The text of ``source``; ``what`` names it in the error if it cannot be read."""
     try:
-        return bundled.read_text("utf-8")
-    except OSError as exc:  # an installed package built without its data files
-        raise ConstantsError(f"cannot read the bundled constants file {bundled}: {exc}") from exc
+        return source.read_text("utf-8")
+    except OSError as exc:
+        raise ConstantsError(f"cannot read {what}: {exc}") from exc
 
 
 def _resolve_source(path: str | Path | None) -> tuple[str, str]:
     """Return (json text, origin label) honoring path arg and env var."""
     if path is not None:
         p = Path(path)
-        try:
-            return p.read_text("utf-8"), str(p)
-        except OSError as exc:
-            raise ConstantsError(f"cannot read constants file {p}: {exc}") from exc
+        return _read(p, f"constants file {p}"), str(p)
     env_dir = os.environ.get(DATA_DIR_ENV_VAR)
     if env_dir:
         p = Path(env_dir) / DATA_FILENAME
-        try:
-            return p.read_text("utf-8"), str(p)
-        except OSError as exc:
-            raise ConstantsError(
-                f"cannot read constants file {p} (from ${DATA_DIR_ENV_VAR}): {exc}"
-            ) from exc
-    return _bundled_text(), "built-in default"
+        return _read(p, f"constants file {p} (from ${DATA_DIR_ENV_VAR})"), str(p)
+    # an installed package built without its data files cannot read this one
+    bundled = resources.files(__package__).joinpath(f"data/{DATA_FILENAME}")
+    return _read(bundled, f"the bundled constants file {bundled}"), "built-in default"
 
 
 def load_constants(path: str | Path | None = None) -> ConstantsSet:

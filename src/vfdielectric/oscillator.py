@@ -75,7 +75,7 @@ def _check_level(n: int) -> None:
         raise ValueError(f"level n must be in [0, {N_MAX}], got {n}")
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _gauss_hermite_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Gauss-Hermite nodes (ascending) and weights, built once per node count.
 
@@ -121,7 +121,7 @@ def _gauss_hermite_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...
     )
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _hermite_table(nodes: int) -> tuple[tuple[float, ...], ...]:
     """``h_0 .. h_N_MAX`` at every node of the ``nodes``-point rule, built once per node count.
 

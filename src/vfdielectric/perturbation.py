@@ -94,7 +94,7 @@ class CouplingLambda(Record):
                 f"coupling lam={v!r} is outside the first-order validity band "
                 f"(|lam| < {_LAMBDA_WARN})",
                 CouplingStrengthWarning,
-                stacklevel=2,
+                stacklevel=3,  # past Record.__init__, to the code that built the coupling
             )
 
 

@@ -83,13 +83,18 @@ class OscillatorSpec(Record):
 # --- species construction -------------------------------------------------
 
 
-def _lepton(name: str, mass_key: str, constants: ConstantsSet) -> SpeciesSpec:
-    return SpeciesSpec(
-        name=name,
-        kind=LEPTON_PAIR,
-        constituent_mass=constants.get(mass_key),
-        charge_fraction=Fraction(1),
-    )
+# The built-in species in order: name, registry keys, charge fraction.  The
+# keys are a lepton's mass; a quarkonium state's quark and bound-state rest
+# energies and two-photon width, whose {} takes the width choice.
+_LEPTONS = (
+    ("e_pair", ("m_e",), Fraction(1)),
+    ("mu_pair", ("m_mu",), Fraction(1)),
+    ("tau_pair", ("m_tau",), Fraction(1)),
+)
+_QUARKONIA = (
+    ("eta_c", ("m_c", "m_etac", "gamma_etac_2gamma"), Fraction(2, 3)),
+    ("eta_b", ("m_b", "m_etab", "gamma_etab_2gamma_{}"), Fraction(1, 3)),
+)
 
 
 def _quarkonium(
@@ -138,23 +143,17 @@ def builtin_species(
     """
     if width_choice not in ("min", "max"):
         raise ValueError(f"width_choice must be 'min' or 'max', got {width_choice!r}")
-    leptons = (
-        _lepton("e_pair", "m_e", constants),
-        _lepton("mu_pair", "m_mu", constants),
-        _lepton("tau_pair", "m_tau", constants),
+    species = tuple(
+        SpeciesSpec(name, LEPTON_PAIR, constants.get(mass_key), charge_fraction)
+        for name, (mass_key,), charge_fraction in _LEPTONS
     )
     if not include_quarks:
-        return leptons
-    quarks = (
-        _quarkonium(
-            "eta_c", "m_c", "m_etac", "gamma_etac_2gamma", Fraction(2, 3), constants,
-        ),
-        _quarkonium(
-            "eta_b", "m_b", "m_etab", f"gamma_etab_2gamma_{width_choice}",
-            Fraction(1, 3), constants,
-        ),
+        return species
+    return species + tuple(
+        _quarkonium(name, quark_key, bound_key, width_key.format(width_choice),
+                    charge_fraction, constants)
+        for name, (quark_key, bound_key, width_key), charge_fraction in _QUARKONIA
     )
-    return leptons + quarks
 
 
 def load_species(

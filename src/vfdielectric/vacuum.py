@@ -80,6 +80,11 @@ _FOUR_PI = 4.0 * math.pi
 # round-off across the ~15 operations stays orders of magnitude below this.
 _ROUTE_AGREEMENT_TOL = 1e-12
 
+# The solve's stopping rule.  Near the root |F'| <= 1/2, so each update at
+# least halves the gap: 44 take a gap the size of eps itself below 1e-13.
+_TOL = 1e-13
+_MAX_ITER = 50
+
 
 class AssemblyError(RuntimeError):
     """Internal cross-check between equivalent routes failed."""
@@ -314,8 +319,6 @@ def _build_report(
 def epsilon0_self_consistent(
     species: "list[SpeciesSpec] | tuple[SpeciesSpec, ...]",
     constants: ConstantsSet,
-    tol: float = 1e-13,
-    max_iter: int = 50,
 ) -> PredictionReport:
     """Solve ``eps = F(eps)`` by Picard iteration and report the predictions.
 
@@ -325,37 +328,36 @@ def epsilon0_self_consistent(
     ``t = F(s)`` and ``s = F(t)`` give ``(sqrt t - sqrt s)(sqrt(s t) + L) = 0``.
     So each step lands between the previous two iterates and shrinks
     ``|delta eps|``; no damping is needed.  The seed is the reference
-    permittivity; convergence is ``|delta eps| / eps <= tol``.  Raises
-    :class:`ConvergenceError` after ``max_iter`` updates without convergence.
+    permittivity.  The stopping rule is fixed: convergence is ``|delta eps| /
+    eps <= 1e-13`` (:data:`_TOL`), and :class:`ConvergenceError` is raised
+    after 50 updates (:data:`_MAX_ITER`) without it.
 
     The report's ``epsilon0_model`` is ``F`` at the last iterate, and its
     ``contributions`` are that step's own terms, so they sum left to right
-    exactly to it; they were evaluated at an ``eps`` within ``tol`` of it.
+    exactly to it; they were evaluated at an ``eps`` within ``1e-13`` of it.
     F is evaluated ``iterations`` times.
     """
     species = tuple(species)
     if not any(s.kind == LEPTON_PAIR for s in species):
         raise ValueError("self-consistent assembly needs at least one lepton species")
-    if not (1e-15 <= tol <= 1e-6):
-        raise ValueError(f"tol must lie in [1e-15, 1e-6], got {tol!r}")
 
     e2, hbar = _e_squared(constants), constants.get("hbar")
     terms = tuple(_term(s, constants) for s in species)
     eps = constants.get("ref_epsilon0")
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         c = c_from_epsilon(eps, constants)
         step = _step_factors(e2, hbar, _alpha(e2, hbar, eps, c), c)
         contributions = tuple(term(step) for term in terms)
         total = contributions[0].epsilon_term
         for contribution in contributions[1:]:
             total = total + contribution.epsilon_term
-        if abs(total.value - eps.value) <= tol * abs(total.value):
+        if abs(total.value - eps.value) <= _TOL * abs(total.value):
             return _build_report(
                 total, contributions, METHOD_SELF_CONSISTENT, constants, iterations=iteration
             )
         eps = total
     raise ConvergenceError(
-        f"fixed point not reached after {max_iter} iterations (tol {tol!r})"
+        f"fixed point not reached after {_MAX_ITER} iterations (tol {_TOL!r})"
     )
 
 

@@ -68,12 +68,12 @@ class CheckResult(Record):
 
 
 @functools.cache
-def _random_oscillators(n: int) -> tuple[OscillatorSpec, ...]:
+def _random_oscillators() -> tuple[OscillatorSpec, ...]:
     # reduced masses and frequencies spanning >12 orders of magnitude in mu*omega0;
     # seeded, so built once per process
     rng = random.Random(_SEED)
     specs = []
-    for _ in range(n):
+    for _ in range(_N_RANDOM_SPECS):
         mu = 10.0 ** rng.uniform(-31.0, -25.0)
         omega = 10.0 ** rng.uniform(10.0, 24.0)
         specs.append(
@@ -103,12 +103,12 @@ def check_quadrature_vs_analytic(
     hbar = constants.get("hbar")
     worst_rel = 0.0
     try:
-        for spec in _random_oscillators(_N_RANDOM_SPECS):
+        for spec in _random_oscillators():
             analytic = matrix_element_x_analytic(spec, hbar).value
             quadrature = matrix_element_x_quadrature(1, 0, spec, hbar, tol=tol).value
             worst_rel = max(worst_rel, abs(quadrature - analytic) / analytic)
         # parity selection: same-parity pairs vanish (checked in natural units)
-        reference = _random_oscillators(1)[0]
+        reference = _random_oscillators()[0]
         length_scale = matrix_element_x_analytic(reference, hbar).value * math.sqrt(2)
         worst_forbidden = 0.0
         for n_prime, n in ((0, 0), (2, 0), (1, 3), (4, 2), (3, 1)):

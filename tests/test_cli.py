@@ -122,7 +122,7 @@ def test_predict_constants_override(capsys, tmp_path):
     _, out_override, _ = _run(capsys, ["predict", "--format", "json", "--constants", str(path)])
     eps_default = json.loads(out_default)["model"]["epsilon0"]
     eps_override = json.loads(out_override)["model"]["epsilon0"]
-    assert eps_override == pytest.approx(2.0 * eps_default, rel=1e-12)
+    assert eps_override == pytest.approx(2.0 * eps_default, rel=1e-12, abs=0)
     assert str(path) in json.loads(out_override)["constants_source"]
 
 
@@ -251,7 +251,7 @@ def test_species_json_paper_densities(capsys):
 def test_species_include_quarks_lifetime(capsys):
     code, out, _ = _run(capsys, ["species", "--format", "json", "--include-quarks"])
     rows = {row["species"]: row for row in json.loads(out)}
-    assert rows["eta_c"]["lifetime_s"] == pytest.approx(1.1e-25, rel=1e-2)
+    assert rows["eta_c"]["lifetime_s"] == pytest.approx(1.1e-25, rel=1e-2, abs=0)
     assert set(rows) == {"e_pair", "mu_pair", "tau_pair", "eta_c", "eta_b"}
 
 
@@ -363,7 +363,7 @@ def test_sensitivity_branch_controls_trajectory(capsys):
     assert paper[0]["dipole_Cm"] > 0.0  # paper branch: constant from tau = 0
     assert literal[0]["dipole_Cm"] == 0.0  # literal branch: no dipole before interaction
     mean_literal = sum(s["dipole_Cm"] for s in literal[:-1]) / (len(literal) - 1)
-    assert mean_literal == pytest.approx(paper[0]["dipole_Cm"], rel=1e-10)
+    assert mean_literal == pytest.approx(paper[0]["dipole_Cm"], rel=1e-10, abs=0)
 
 
 def test_sensitivity_csv_sections(capsys):
@@ -469,6 +469,13 @@ def test_missing_subcommand_exits_2(capsys):
 def test_precision_flag_widens_table(capsys):
     _, out, _ = _run(capsys, ["predict", "--precision", "6"])
     assert "9.10082e-12" in out
+
+
+def test_precision_flag_leaves_csv_unchanged(capsys):
+    # CSV prints repr, full precision; --precision rounds table output only
+    default = _run(capsys, ["predict", "--format", "csv"])
+    assert default[0] == 0
+    assert _run(capsys, ["predict", "--format", "csv", "--precision", "2"]) == default
 
 
 def test_invalid_precision_exit_2(capsys):
@@ -582,7 +589,7 @@ def test_predict_file_species_replace_builtins(capsys, tmp_path):
     payload = json.loads(out)
     assert [row["species"] for row in payload["contributions"]] == ["e_only"]
     closed = epsilon0_closed_form(load_constants(path), n_species=1).value
-    assert payload["model"]["epsilon0"] == pytest.approx(closed, rel=1e-12)
+    assert payload["model"]["epsilon0"] == pytest.approx(closed, rel=1e-12, abs=0)
 
 
 def test_species_lists_file_species_whatever_the_flags(capsys, tmp_path):
@@ -603,7 +610,7 @@ def test_predict_file_eta_b_keeps_its_own_width(capsys, tmp_path):
     c_model = Quantity(payload["model"]["c"], SPEED)
     tabulated = builtin_species(constants, include_quarks=True, width_choice="max")[-1]
     at_450_ev = quarkonium_contribution(tabulated, constants, c_model).epsilon_term.value
-    assert terms["eta_b"] / at_450_ev == pytest.approx(10.0 / 450.0, rel=1e-12)
+    assert terms["eta_b"] / at_450_ev == pytest.approx(10.0 / 450.0, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("record", [
@@ -1122,6 +1129,48 @@ def test_exit_code_contract_under_generated_species_records(tmp_path_factory, re
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--format", output_format, "--constants", path])
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2))
+    if code == 2:
+        _assert_one_error_line(code, err.getvalue())
+        assert out.getvalue() == ""
+    if code == 0 and output_format == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# the exit-code contract under generated constant records: the bundled records
+# with one or two of them changed (a unit off the whitelist; a key dropped,
+# duplicated or misspelt; the e row dropped while eV-family rows remain),
+# under any command with its own flags
+def _drop(row):
+    return []
+
+
+_KEYS = st.sampled_from(sorted(CONSTANT_KEYS))
+_RECORD_CHANGE = st.one_of(  # each kind of change equally likely
+    st.tuples(_KEYS, st.sampled_from(["erg", "ev", "eV/c^2", "g", "", 5, None, ["kg"]]).map(
+        lambda unit: lambda row: [{**row, "unit": unit}])),
+    st.tuples(_KEYS, st.just(_drop)),
+    st.tuples(_KEYS, st.just(lambda row: [row, dict(row)])),
+    st.tuples(_KEYS, st.sampled_from(
+        [str.upper, lambda key: key + "_", lambda key: key[:-1], lambda key: "_" + key]).map(
+        lambda spell: lambda row: [{**row, "key": spell(row["key"])}])),
+    st.just(("e", _drop)),  # the bundled file keeps its eV-family rows
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(changes=st.lists(_RECORD_CHANGE, min_size=1, max_size=2, unique_by=lambda c: c[0]),
+       argv=st.sampled_from(_ARGVS), output_format=st.sampled_from(["table", "json", "csv"]))
+def test_exit_code_contract_under_generated_constant_records(tmp_path_factory, changes, argv,
+                                                             output_format):
+    rows = json.loads(serialize_constants(load_constants()))
+    for key, change in changes:
+        rows = [new for row in rows for new in (change(row) if row["key"] == key else [row])]
+    path = tmp_path_factory.mktemp("records") / "constants.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", output_format, "--constants", str(path)])
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2))
     if code == 2:
         _assert_one_error_line(code, err.getvalue())

@@ -38,7 +38,7 @@ def test_default_mu0_is_assigned_4pi_e7(constants):
 
 
 def test_default_electron_mass(constants):
-    assert constants.get("m_e").value == pytest.approx(9.1093837015e-31, rel=1e-12)
+    assert constants.get("m_e").value == pytest.approx(9.1093837015e-31, rel=1e-12, abs=0)
     assert constants.get("m_e").dim == MASS
 
 
@@ -57,7 +57,7 @@ def test_quark_rest_energies_convert_to_joules(constants):
     expected = 1.27 * 1e9 * constants.get("e").value
     m_c = constants.get("m_c")
     assert m_c.dim == ENERGY
-    assert m_c.value == pytest.approx(expected, rel=1e-15)
+    assert m_c.value == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_unknown_key_raises(constants):

@@ -64,7 +64,7 @@ def test_eigenfunction_parity():
     for n in range(6):
         left = _psi(n, -1.3)
         right = _psi(n, 1.3)
-        assert left == pytest.approx((-1.0) ** n * right, rel=1e-12)
+        assert left == pytest.approx((-1.0) ** n * right, rel=1e-12, abs=0)
 
 
 def test_orthonormality_up_to_five():
@@ -84,7 +84,7 @@ def test_orthonormality_up_to_five():
 def test_matrix_element_natural_units_value():
     element = matrix_element_x_quadrature(1, 0, NATURAL, HBAR_ONE)
     assert element.dim == LENGTH
-    assert element.value == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+    assert element.value == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12, abs=0)
 
 
 def test_matrix_element_diagonal_vanishes():
@@ -109,7 +109,7 @@ def test_parity_selection_all_even_sums():
 
 def test_analytic_natural_units():
     assert matrix_element_x_analytic(NATURAL, HBAR_ONE).value == pytest.approx(
-        1.0 / math.sqrt(2.0), rel=1e-15
+        1.0 / math.sqrt(2.0), rel=1e-15, abs=0
     )
 
 
@@ -118,7 +118,7 @@ def test_analytic_vs_quadrature_across_magnitudes(constants):
     for spec in _random_specs(20):
         analytic = matrix_element_x_analytic(spec, hbar)
         quadrature = matrix_element_x_quadrature(1, 0, spec, hbar)
-        assert quadrature.value == pytest.approx(analytic.value, rel=1e-10)
+        assert quadrature.value == pytest.approx(analytic.value, rel=1e-10, abs=0)
 
 
 def test_analytic_scaling_quadrupled_mass_halves_element(constants):
@@ -126,7 +126,7 @@ def test_analytic_scaling_quadrupled_mass_halves_element(constants):
     spec = _random_specs(1)[0]
     heavier = OscillatorSpec(spec.reduced_mass * 4.0, spec.omega0)
     assert matrix_element_x_analytic(heavier, hbar).value == pytest.approx(
-        matrix_element_x_analytic(spec, hbar).value / 2.0, rel=1e-14
+        matrix_element_x_analytic(spec, hbar).value / 2.0, rel=1e-14, abs=0
     )
 
 
@@ -199,7 +199,7 @@ def test_newton_rule_is_symmetric(nodes):
     assert list(x) == sorted(x)
     assert x == tuple(-v for v in reversed(x))
     assert w == tuple(reversed(w))
-    assert math.fsum(w) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+    assert math.fsum(w) == pytest.approx(math.sqrt(math.pi), rel=1e-14, abs=0)
 
 
 def test_gauss_hermite_rule_rejects_empty_rule():
@@ -242,7 +242,7 @@ def test_dipole_two_algebraic_forms_agree(constants):
             / (hbar.value * spec.omega0.value)
         )
         assert direct.dim == DIPOLE_MOMENT
-        assert direct.value == pytest.approx(via_element, rel=1e-12)
+        assert direct.value == pytest.approx(via_element, rel=1e-12, abs=0)
 
 
 def test_dipole_zero_field_zero_response(constants):
@@ -271,7 +271,7 @@ def test_dipole_epair_cross_checked_against_trajectory(constants):
         osc, constants.get("e"), field, BRANCH_LITERAL, taus, constants.get("hbar")
     )
     mean = sum(p.value for _, p in samples) / n
-    assert mean == pytest.approx(static.value, rel=1e-10)
+    assert mean == pytest.approx(static.value, rel=1e-10, abs=0)
 
 
 def test_dipole_requires_field_dimension(constants):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import pytest
 from scipy.integrate import solve_ivp
@@ -50,7 +51,7 @@ def test_literal_branch_honors_initial_condition():
 
 def test_literal_branch_at_pi():
     pair = amplitudes_analytic(math.pi, CouplingLambda(0.01), BRANCH_LITERAL)
-    assert pair.a1.real == pytest.approx(-0.02, rel=1e-12)
+    assert pair.a1.real == pytest.approx(-0.02, rel=1e-12, abs=0)
     assert pair.a1.imag == pytest.approx(0.0, abs=1e-15)
 
 
@@ -59,7 +60,7 @@ def test_branches_differ_by_constant_offset():
     for tau in (0.3, 1.7, 5.2):
         paper = amplitudes_analytic(tau, lam, BRANCH_PAPER).a1
         literal = amplitudes_analytic(tau, lam, BRANCH_LITERAL).a1
-        assert paper - literal == pytest.approx(lam.value, rel=1e-12)
+        assert paper - literal == pytest.approx(lam.value, rel=1e-12, abs=0)
 
 
 def test_unknown_branch_rejected():
@@ -72,6 +73,18 @@ def test_coupling_warns_when_large():
         CouplingLambda(0.5)
 
 
+def test_coupling_warning_names_the_line_that_built_the_coupling():
+    # each warning once named Record.__init__ in quantity.py, one location for
+    # all, so the default filter showed only the first of a process
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        CouplingLambda(0.5)
+        CouplingLambda(0.5)
+    assert [w.category for w in caught] == [CouplingStrengthWarning] * 2
+    assert [w.filename for w in caught] == [__file__] * 2
+    assert caught[0].lineno + 1 == caught[1].lineno
+
+
 def test_coupling_rejects_nonfinite():
     with pytest.raises(ValueError):
         CouplingLambda(float("nan"))
@@ -82,7 +95,7 @@ def test_coupling_lambda_formula():
     lam = coupling_lambda(
         NATURAL, Quantity(0.01, CHARGE), Quantity(1.0, ELECTRIC_FIELD), HBAR_ONE
     )
-    assert lam.value == pytest.approx(0.01 / math.sqrt(2.0), rel=1e-12)
+    assert lam.value == pytest.approx(0.01 / math.sqrt(2.0), rel=1e-12, abs=0)
 
 
 # --- ODE oracle -----------------------------------------------------------------
@@ -250,7 +263,7 @@ def test_paper_branch_dipole_is_constant():
     taus = [0.0, 0.7, math.pi, 5.0]
     expected = _dipole_constant(q.value, field.value, NATURAL)
     for tau, dipole in dipole_trajectory(NATURAL, q, field, BRANCH_PAPER, taus, HBAR_ONE):
-        assert dipole.value == pytest.approx(expected, rel=1e-12)
+        assert dipole.value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_literal_branch_starts_at_zero():
@@ -266,7 +279,7 @@ def test_literal_branch_one_minus_cosine_shape():
     constant = _dipole_constant(q.value, field.value, NATURAL)
     taus = [0.4, 1.1, 2.9]
     for tau, dipole in dipole_trajectory(NATURAL, q, field, BRANCH_LITERAL, taus, HBAR_ONE):
-        assert dipole.value == pytest.approx(constant * (1.0 - math.cos(tau)), rel=1e-12)
+        assert dipole.value == pytest.approx(constant * (1.0 - math.cos(tau)), rel=1e-12, abs=0)
 
 
 def test_literal_period_average_equals_paper_constant():
@@ -277,7 +290,7 @@ def test_literal_period_average_equals_paper_constant():
     literal = dipole_trajectory(NATURAL, q, field, BRANCH_LITERAL, taus, HBAR_ONE)
     mean = sum(p.value for _, p in literal) / n
     paper = dipole_trajectory(NATURAL, q, field, BRANCH_PAPER, [0.0], HBAR_ONE)[0][1]
-    assert mean == pytest.approx(paper.value, rel=1e-10)
+    assert mean == pytest.approx(paper.value, rel=1e-10, abs=0)
 
 
 def test_dipole_exactly_linear_in_field():
@@ -291,7 +304,7 @@ def test_dipole_exactly_linear_in_field():
             NATURAL, q, Quantity(3.0, ELECTRIC_FIELD), branch, taus, HBAR_ONE
         )
         for (_, a), (_, b) in zip(ones, threes):
-            assert b.value == pytest.approx(3.0 * a.value, rel=1e-15)
+            assert b.value == pytest.approx(3.0 * a.value, rel=1e-15, abs=0)
 
 
 def test_dipole_rejects_nonfinite_sample():

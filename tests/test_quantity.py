@@ -48,7 +48,7 @@ def test_mul_hbar_times_omega_is_energy():
     # exponent bookkeeping by hand: (kg m^2 s^-1) * (s^-1) = kg m^2 s^-2
     product = q_mul(Quantity(1.054571817e-34, ACTION), Quantity(2.0e15, FREQUENCY))
     assert product.dim == dim(kg=1, m=2, s=-2)
-    assert product.value == pytest.approx(2.109143634e-19, rel=1e-12)
+    assert product.value == pytest.approx(2.109143634e-19, rel=1e-12, abs=0)
 
 
 def test_div_values_and_dims():

@@ -263,7 +263,7 @@ def test_interacting_density_exact_vs_linearized_taylor_remainder(
     linearized = interacting_density(trio[0], constants, ref_alpha, ref_c, "linearized")
     exact = interacting_density(trio[0], constants, ref_alpha, ref_c, "exact")
     rel_gap = (linearized.value - exact.value) / linearized.value
-    assert rel_gap == pytest.approx(gamma_dt / 2.0, rel=1e-2)
+    assert rel_gap == pytest.approx(gamma_dt / 2.0, rel=1e-2, abs=0)
 
 
 def test_interacting_density_saturates_at_number_density(constants, ref_c, ref_alpha):
@@ -329,7 +329,7 @@ def test_width_choice_selects_tabulated_bounds(constants):
 
 def test_etab_e_min_is_0p8_gev(quarks, constants):
     expected = 0.8 * 1e9 * constants.get("e").value
-    assert quarks["eta_b"].e_min.value == pytest.approx(expected, rel=1e-9)
+    assert quarks["eta_b"].e_min.value == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 def test_quarkonium_fields_required():
@@ -375,10 +375,10 @@ def test_species_record_quarkonium_defaults_e_min(constants):
         constants,
     )
     expected_e_min = (2.98 - 2 * 1.27) * 1e9 * constants.get("e").value
-    assert spec.e_min.value == pytest.approx(expected_e_min, rel=1e-9)
+    assert spec.e_min.value == pytest.approx(expected_e_min, rel=1e-9, abs=0)
     builtin = builtin_species(constants, include_quarks=True)[3]
     assert spec.constituent_mass.value == pytest.approx(
-        builtin.constituent_mass.value, rel=1e-12
+        builtin.constituent_mass.value, rel=1e-12, abs=0
     )
 
 

@@ -61,10 +61,10 @@ def test_quadrature_check_computes_every_integral_on_every_call(constants, monke
 
 
 def test_seeded_inputs_are_immutable_tuples():
-    specs = _random_oscillators(20)
+    specs = _random_oscillators()
     assert type(specs) is tuple and len(specs) == 20
     assert all(type(spec) is OscillatorSpec for spec in specs)
-    assert _random_oscillators(20) is specs
+    assert _random_oscillators() is specs
     pairs = _mismatched_pairs()
     assert type(pairs) is tuple and len(pairs) == 200
     for pair in pairs:
