@@ -1,11 +1,12 @@
 """Dimensioned scalar arithmetic over the seven SI base dimensions.
 
 Every physical number in this package is a :class:`Quantity`: a finite float
-(always in SI base units) paired with a :class:`Dimension`, a 7-tuple of exact
-rational exponents over (length, mass, time, current, temperature, amount,
-luminosity).  Rational exponents keep intermediate roots such as
-``1/sqrt(mu0*eps0)`` representable without loss, and every binary operation
-checks dimensional consistency, so a formula that type-checks here is also
+(always in SI base units) paired with a :class:`Dimension`, a 7-tuple of
+integer exponents over (length, mass, time, current, temperature, amount,
+luminosity).  Every formula of the model is a product of integer powers; its
+one root, ``c = 1/sqrt(mu0*eps0)``, is taken of s²/m², and :func:`q_sqrt`
+refuses a dimension with an odd exponent.  Every binary operation checks
+dimensional consistency, so a formula that type-checks here is also
 unit-checked.
 
 Two constructors make a :class:`Quantity`.  The public ``Quantity(value, dim)``
@@ -15,9 +16,8 @@ here builds its results through a private constructor that checks only
 finiteness, since its operands already hold a builtin float and an interned
 Dimension.  A non-finite value from either raises :class:`OutOfRangeError`, and
 so does a power that overflows a float; a division by zero raises an error
-that is both an :class:`OutOfRangeError` and a ``ZeroDivisionError``.  Integer
-and square-root powers are memoized per interned Dimension and looked up
-without building a ``Fraction``.
+that is both an :class:`OutOfRangeError` and a ``ZeroDivisionError``.  Products,
+quotients, powers and the square root are memoized per interned Dimension.
 
 Energy values cross the eV/J boundary only at ingestion: :data:`EV_SCALE` is
 the one table of eV-family units, which the constants loader scales through
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 
 __all__ = [
     "Dimension",
@@ -62,10 +61,9 @@ __all__ = [
 
 # Base-dimension order: length, mass, time, current, temperature, amount, luminosity.
 _BASE_SYMBOLS = ("m", "kg", "s", "A", "K", "mol", "cd")
-_ZERO7 = (Fraction(0),) * 7
-_HALF = Fraction(1, 2)
+_ZERO7 = (0,) * 7
 # the one Dimension per exponent tuple; guarded by the lock when written
-_INTERNED: dict[tuple[Fraction, ...], "Dimension"] = {}
+_INTERNED: dict[tuple[int, ...], "Dimension"] = {}
 _INTERN_LOCK = threading.Lock()
 _set = object.__setattr__  # how Dimension sets its slots
 _MISSING = object()  # a record field with neither an argument nor a default
@@ -85,12 +83,11 @@ class _DivisionByZeroError(OutOfRangeError, ZeroDivisionError):
     """Raised when a quantity is divided by zero: a quotient past the float range."""
 
 
-def _as_fraction(x: int | Fraction) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"exponents must be int or Fraction, got {type(x).__name__}")
+def _int(x: int) -> int:
+    """``x`` if it is an ``int``; a float must not reach a table, where ``1.0 == 1``."""
+    if type(x) is not int:
+        raise TypeError(f"exponents must be int, got {type(x).__name__}")
+    return x
 
 
 def _immutable(self: object, name: str, value: object = None) -> None:
@@ -98,7 +95,7 @@ def _immutable(self: object, name: str, value: object = None) -> None:
     raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
 
 
-def _format(exponents: tuple[Fraction, ...]) -> str:
+def _format(exponents: tuple[int, ...]) -> str:
     parts = [
         symbol if exp == 1 else f"{symbol}^{exp}"
         for symbol, exp in zip(_BASE_SYMBOLS, exponents)
@@ -108,34 +105,28 @@ def _format(exponents: tuple[Fraction, ...]) -> str:
 
 
 class Dimension:
-    """Exact rational exponents over the seven SI base dimensions.
+    """Integer exponents over the seven SI base dimensions.
 
     Instances are interned: ``Dimension(exps)`` returns the one instance for
-    those exponents (``int`` and equal ``Fraction`` inputs alike), so equality
-    is identity.  Each instance is immutable and memoizes its products,
-    quotients and powers, so repeated arithmetic builds no new exponents; the
-    memo tables hold only interned dimensions, so they grow with the number
-    of distinct dimensions a process meets, not with the number of operations.
+    those exponents, so equality is identity.  Each exponent, and each power,
+    must be an ``int``; anything else raises ``TypeError``.  Each instance is
+    immutable and memoizes its products, quotients, powers and square root, so
+    repeated arithmetic builds no new exponents; the memo tables hold only
+    interned dimensions, so they grow with the number of distinct dimensions a
+    process meets, not with the number of operations.
     """
 
     __slots__ = ("exponents", "is_dimensionless", "_hash", "_str", "_mul", "_div", "_pow", "_root")
 
-    exponents: tuple[Fraction, ...]
+    exponents: tuple[int, ...]
     is_dimensionless: bool
 
-    def __new__(cls, exponents: tuple[int | Fraction, ...] = _ZERO7) -> "Dimension":
-        key = tuple(exponents)
-        if len(key) != 7:
+    def __new__(cls, exponents: tuple[int, ...] = _ZERO7) -> "Dimension":
+        exps = tuple(map(_int, exponents))
+        if len(exps) != 7:
             raise ValueError("a Dimension needs exactly 7 exponents")
-        # Validate before the lookup, since 1.0 == 1 would find an entry.  A
-        # tuple of ints hashes and compares equal to the same Fractions, so
-        # it finds its instance without building any Fraction.
-        for x in key:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"exponents must be int or Fraction, got {type(x).__name__}")
-        self = _INTERNED.get(key)
+        self = _INTERNED.get(exps)
         if self is None:
-            exps = tuple(_as_fraction(x) for x in key)
             with _INTERN_LOCK:  # two threads must not both create the instance
                 self = _INTERNED.get(exps)
                 if self is None:
@@ -183,23 +174,19 @@ class Dimension:
             )
         return out
 
-    def __pow__(self, power: int | Fraction) -> "Dimension":
-        # An int hashes and compares equal to its Fraction, so it finds the
-        # memo entry as it is; only a first use builds a Fraction.  A float
-        # must not (1.0 == 1), so anything else goes through _as_fraction.
-        if type(power) is not int:
-            power = _as_fraction(power)
-        out = self._pow.get(power)
+    def __pow__(self, power: int) -> "Dimension":
+        out = self._pow.get(_int(power))
         if out is None:
-            p = _as_fraction(power)
-            out = self._pow[p] = Dimension(tuple(a * p for a in self.exponents))
+            out = self._pow[power] = Dimension(tuple(a * power for a in self.exponents))
         return out
 
     def _sqrt(self) -> "Dimension":
-        """``self ** Fraction(1, 2)``, memoized in its own slot: no Fraction is hashed."""
+        """The dimension whose square is this one, memoized in its own slot."""
         out = self._root
         if out is None:  # two threads racing here both store the one interned instance
-            out = self**_HALF
+            if any(a % 2 for a in self.exponents):
+                raise DimensionError(f"square root of {self} has a non-integer exponent")
+            out = Dimension(tuple(a // 2 for a in self.exponents))
             _set(self, "_root", out)
         return out
 
@@ -211,13 +198,7 @@ class Dimension:
 
 
 def dim(
-    m: int | Fraction = 0,
-    kg: int | Fraction = 0,
-    s: int | Fraction = 0,
-    A: int | Fraction = 0,
-    K: int | Fraction = 0,
-    mol: int | Fraction = 0,
-    cd: int | Fraction = 0,
+    m: int = 0, kg: int = 0, s: int = 0, A: int = 0, K: int = 0, mol: int = 0, cd: int = 0
 ) -> Dimension:
     """Build a Dimension from keyword exponents, e.g. ``dim(m=1, s=-1)``."""
     return Dimension((m, kg, s, A, K, mol, cd))
@@ -304,7 +285,7 @@ class Quantity:
     def __neg__(self) -> "Quantity":
         return _result(-self.value, self.dim)
 
-    def __pow__(self, power: int | Fraction) -> "Quantity":
+    def __pow__(self, power: int) -> "Quantity":
         return q_pow(self, power)
 
     def as_dimensionless(self) -> float:
@@ -421,28 +402,24 @@ def q_add(a: Quantity, b: Quantity) -> Quantity:
     return _result(a.value + b.value, a.dim)
 
 
-def q_pow(a: Quantity, power: int | Fraction) -> Quantity:
-    """Raise to an exact rational power; exponents scale by the same rational."""
-    # float(n) is float(Fraction(n)) bit for bit, so an int needs no Fraction
-    p = power if type(power) is int else _as_fraction(power)
-    if p.denominator != 1 and a.value <= 0:
-        raise ValueError(
-            f"fractional power {p} of a non-positive value {a.value!r}"
-        )
+def q_pow(a: Quantity, power: int) -> Quantity:
+    """Raise to an integer power; exponents scale by the same integer."""
+    dim = a.dim**power  # a power that is not an int raises TypeError here
     try:
-        value = a.value ** float(p)
+        value = a.value ** float(power)
     except OverflowError:
-        raise OutOfRangeError(f"power {p} of {a.value!r} overflows a float") from None
+        raise OutOfRangeError(f"power {power} of {a.value!r} overflows a float") from None
     except ZeroDivisionError:  # a negative power of zero
-        raise _DivisionByZeroError(f"power {p} of zero (dimension {a.dim})") from None
-    return _result(value, a.dim**p)
+        raise _DivisionByZeroError(f"power {power} of zero (dimension {a.dim})") from None
+    return _result(value, dim)
 
 
 def q_sqrt(a: Quantity) -> Quantity:
-    """``q_pow(a, Fraction(1, 2))`` bit for bit, without building a Fraction.
+    """Square root of a positive value whose exponents are all even.
 
-    A finite positive float's square root cannot overflow, so unlike
-    :func:`q_pow` it needs no overflow handler.
+    The value is ``a.value ** 0.5``; an odd exponent raises
+    :class:`DimensionError`.  A finite positive float's square root cannot
+    overflow, so unlike :func:`q_pow` it needs no overflow handler.
     """
     if a.value <= 0:
         raise OutOfRangeError(f"fractional power 1/2 of a non-positive value {a.value!r}")

@@ -6,7 +6,7 @@ nothing: each public name is imported from its module.  The package needs
 nothing beyond the standard library: numpy and scipy are imported nowhere in
 it, not even inside a function; the tests use them as referees of the
 quadrature and ODE oracles.  Nor is ``dataclasses``: ``quantity.Record`` is
-the record base.
+the record base.  Only the charge-fraction modules import ``fractions``.
 """
 
 import ast
@@ -78,6 +78,14 @@ def test_no_dataclasses_import():
     # dataclasses loads inspect, ast, dis and tokenize, and each decorated class
     # execs generated code: a cost every cold command would pay
     assert _imports_of({"dataclasses"}) == []
+
+
+def test_only_charge_fractions_import_fractions():
+    # Dimension exponents are ints; a species' charge fraction, parsed in
+    # constants and tabled in species, is the one Fraction left
+    offenders = [where for where in _imports_of({"fractions"})
+                 if where.split(":")[0] not in {"constants.py", "species.py"}]
+    assert offenders == []
 
 
 def _top_level_names(tree: ast.Module) -> set[str]:
