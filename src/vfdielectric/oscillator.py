@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Iterator, Sequence
 
 from .quantity import (
     CHARGE,
@@ -33,6 +34,7 @@ __all__ = [
     "N_MAX",
     "DEFAULT_QUAD_TOL",
     "QuadratureError",
+    "matrix_elements_x_quadrature",
     "matrix_element_x_quadrature",
     "matrix_element_x_analytic",
     "dipole_expectation_static",
@@ -156,6 +158,27 @@ def _converged_integral(n_prime: int, n: int, tol: float) -> float:
     return fine
 
 
+def matrix_elements_x_quadrature(
+    n_prime: int,
+    n: int,
+    oscillators: Sequence[OscillatorSpec],
+    hbar: Quantity,
+    tol: float = DEFAULT_QUAD_TOL,
+) -> Iterator[Quantity]:
+    """Position matrix element ``<n'|x|n>`` of each oscillator in turn, by quadrature (m).
+
+    The integrand is a polynomial times ``exp(-x^2)``, so the 64-node rule is
+    exact for all allowed levels; convergence is still verified against a
+    half-size rule and a :class:`QuadratureError` raised if the two disagree
+    beyond ``tol``.  In natural units the integral does not depend on the
+    oscillator, so it is computed and tested once, when the first element is
+    drawn, and scaled by each oscillator's length ``sqrt(hbar/(mu omega0))``.
+    """
+    integral = _converged_integral(n_prime, n, tol)
+    for oscillator in oscillators:
+        yield q_sqrt(q_div(hbar, q_mul(oscillator.reduced_mass, oscillator.omega0))) * integral
+
+
 def matrix_element_x_quadrature(
     n_prime: int,
     n: int,
@@ -163,16 +186,8 @@ def matrix_element_x_quadrature(
     hbar: Quantity,
     tol: float = DEFAULT_QUAD_TOL,
 ) -> Quantity:
-    """Position matrix element ``<n'|x|n>`` by Gauss-Hermite quadrature (m).
-
-    The integrand is a polynomial times ``exp(-x^2)``, so the 64-node rule is
-    exact for all allowed levels; convergence is still verified against a
-    half-size rule and a :class:`QuadratureError` raised if the two disagree
-    beyond ``tol``.  The dimensionless integral is scaled by the oscillator
-    length ``sqrt(hbar/(mu omega0))``.
-    """
-    integral = _converged_integral(n_prime, n, tol)
-    return q_sqrt(q_div(hbar, q_mul(oscillator.reduced_mass, oscillator.omega0))) * integral
+    """``<n'|x|n>`` of one oscillator by :func:`matrix_elements_x_quadrature` (m)."""
+    return next(matrix_elements_x_quadrature(n_prime, n, (oscillator,), hbar, tol))
 
 
 def matrix_element_x_analytic(oscillator: OscillatorSpec, hbar: Quantity) -> Quantity:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .quantity import CHARGE, ELECTRIC_FIELD, Quantity, Record, q_div, q_mul
 from .species import OscillatorSpec
@@ -185,13 +185,7 @@ def amplitudes_ode(
     if tau_end == 0.0:
         return AmplitudePair(a0=1.0 + 0.0j, a1=0.0 + 0.0j, tau=0.0)
 
-    k = 1j * lam.value
-
-    def rhs(tau: float, y: _Pair) -> _Pair:
-        phase = cmath.exp(1j * tau)
-        return k * y[1] * phase.conjugate(), k * y[0] * phase
-
-    a0, a1 = _gbs_integrate(rhs, float(tau_end), (1.0 + 0.0j, 0.0 + 0.0j), tolerance)
+    a0, a1 = _gbs_integrate(1j * lam.value, float(tau_end), (1.0 + 0.0j, 0.0 + 0.0j), tolerance)
     return AmplitudePair(a0=a0, a1=a1, tau=float(tau_end))
 
 
@@ -209,21 +203,23 @@ _GBS_MIN_STEP = 1e-14  # the smallest step, as a fraction of the interval
 _GBS_MAX_STEPS = 10_000  # attempted steps; a solve to tau = 37 takes about a dozen
 
 
-def _modified_midpoint(
-    rhs: Callable[[float, _Pair], _Pair], t: float, y: _Pair, f0: _Pair, big_step: float, n: int
-) -> _Pair:
-    """Gragg's modified midpoint rule: n substeps of a two-component system.
+def _modified_midpoint(k: complex, t: float, y: _Pair, f0: _Pair, big_step: float, n: int) -> _Pair:
+    """Gragg's modified midpoint rule: n substeps of the two-level system with coupling ``k``.
 
+    The right-hand side is that of :func:`_gbs_integrate`, written out.
     Returns the increment over the step, not the end value: carried apart
     from y, the small increments keep their own relative precision.
     """
     h = big_step / n
+    h2 = 2.0 * h
+    exp = cmath.exp
     (y0, y1), (d0, d1) = y, f0
     p0 = p1 = 0.0
     c0, c1 = h * d0, h * d1
     for m in range(1, n):
-        d0, d1 = rhs(t + m * h, (y0 + c0, y1 + c1))
-        p0, p1, c0, c1 = c0, c1, p0 + 2.0 * h * d0, p1 + 2.0 * h * d1
+        phase = exp(1j * (t + m * h))
+        d0, d1 = k * (y1 + c1) * phase.conjugate(), k * (y0 + c0) * phase
+        p0, p1, c0, c1 = c0, c1, p0 + h2 * d0, p1 + h2 * d1
     return c0, c1
 
 
@@ -245,8 +241,11 @@ def _step_factor(y: _Pair, row: list[_Pair], j: int, tol: float) -> tuple[float,
     return err, min(4.0, max(0.02, 0.94 * (0.65 / err) ** (1.0 / (2 * j + 1))))
 
 
-def _gbs_integrate(rhs: Callable[[float, _Pair], _Pair], t_end: float, y: _Pair, tol: float) -> _Pair:
-    """Integrate the two-component complex system ``y' = rhs(t, y)`` from 0 to t_end.
+def _gbs_integrate(k: complex, t_end: float, y: _Pair, tol: float) -> _Pair:
+    """Integrate the two-level system from 0 to t_end.
+
+    The system is ``y0' = k y1 exp(-i t)``, ``y1' = k y0 exp(+i t)``; the
+    amplitudes take ``k = i lam``.
 
     Gragg-Bulirsch-Stoer extrapolation (Hairer, Norsett & Wanner, *Solving
     Ordinary Differential Equations I*, section II.9): modified-midpoint
@@ -259,7 +258,7 @@ def _gbs_integrate(rhs: Callable[[float, _Pair], _Pair], t_end: float, y: _Pair,
     ``_GBS_MAX_STEPS`` attempts do not reach t_end.
     """
     t = 0.0
-    # the phases in the two-level rhs turn at about one radian per unit tau, so
+    # the phases of the right-hand side turn at about one radian per unit tau, so
     # half a period at a high row is a first step that is usually accepted
     h = math.copysign(min(abs(t_end), 3.0), t_end)
     target = 5
@@ -267,11 +266,12 @@ def _gbs_integrate(rhs: Callable[[float, _Pair], _Pair], t_end: float, y: _Pair,
         last = abs(h) >= abs(t_end - t)
         if last:
             h = t_end - t
-        f0 = rhs(t, y)
+        phase = cmath.exp(1j * t)
+        f0 = k * y[1] * phase.conjugate(), k * y[0] * phase
         table: list[list[_Pair]] = []
         fac = [0.0] * len(_GBS_STEPS)
         for j in range(min(target + 2, len(_GBS_STEPS))):
-            row = [_modified_midpoint(rhs, t, y, f0, h, _GBS_STEPS[j])]
+            row = [_modified_midpoint(k, t, y, f0, h, _GBS_STEPS[j])]
             for i in range(1, j + 1):
                 (c0, c1), (p0, p1) = row[i - 1], table[j - 1][i - 1]
                 ratio = _GBS_RATIO[j][i]

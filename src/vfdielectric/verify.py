@@ -29,6 +29,7 @@ from .oscillator import (
     QuadratureError,
     matrix_element_x_analytic,
     matrix_element_x_quadrature,
+    matrix_elements_x_quadrature,
 )
 from .perturbation import (
     BRANCH_LITERAL,
@@ -83,8 +84,8 @@ def _random_oscillators() -> tuple[OscillatorSpec, ...]:
 
 
 @functools.cache
-def _mismatched_pairs() -> tuple[tuple[Dimension, Dimension], ...]:
-    """Seeded dimension pairs that differ in one exponent, built once per process."""
+def _mismatched_pairs() -> tuple[tuple[Quantity, Quantity], ...]:
+    """Seeded unit operands whose dimensions differ in one exponent, built once per process."""
     rng = random.Random(_SEED + 1)
     pairs = []
     for _ in range(_N_MISMATCHED_ADDITIONS):
@@ -92,7 +93,7 @@ def _mismatched_pairs() -> tuple[tuple[Dimension, Dimension], ...]:
         exps_b = list(exps_a)
         index = rng.randrange(7)
         exps_b[index] += rng.choice([-2, -1, 1, 2])
-        pairs.append((Dimension(tuple(exps_a)), Dimension(tuple(exps_b))))
+        pairs.append((Quantity(1.0, Dimension(tuple(exps_a))), Quantity(1.0, Dimension(tuple(exps_b)))))
     return tuple(pairs)
 
 
@@ -101,14 +102,18 @@ def check_quadrature_vs_analytic(
 ) -> CheckResult:
     """<x>_{1,0} by quadrature vs the closed form, plus parity-forbidden elements."""
     hbar = constants.get("hbar")
+    specs = _random_oscillators()
     worst_rel = 0.0
     try:
-        for spec in _random_oscillators():
+        # closed form, then quadrature, oscillator by oscillator; the shared
+        # integral is computed at the first draw, after the first closed form
+        quadratures = matrix_elements_x_quadrature(1, 0, specs, hbar, tol=tol)
+        for spec in specs:
             analytic = matrix_element_x_analytic(spec, hbar).value
-            quadrature = matrix_element_x_quadrature(1, 0, spec, hbar, tol=tol).value
+            quadrature = next(quadratures).value
             worst_rel = max(worst_rel, abs(quadrature - analytic) / analytic)
         # parity selection: same-parity pairs vanish (checked in natural units)
-        reference = _random_oscillators()[0]
+        reference = specs[0]
         length_scale = matrix_element_x_analytic(reference, hbar).value * math.sqrt(2)
         worst_forbidden = 0.0
         for n_prime, n in ((0, 0), (2, 0), (1, 3), (4, 2), (3, 1)):
@@ -189,9 +194,9 @@ def check_dimension_audit(constants: ConstantsSet) -> CheckResult:
     dims_ok = eps.dim == PERMITTIVITY and c.dim == SPEED and isinstance(inv_alpha, float)
 
     rejected = 0
-    for dim_a, dim_b in _mismatched_pairs():
+    for a, b in _mismatched_pairs():
         try:
-            q_add(Quantity(1.0, dim_a), Quantity(1.0, dim_b))
+            q_add(a, b)
         except DimensionError:
             rejected += 1
     passed = dims_ok and rejected == _N_MISMATCHED_ADDITIONS

@@ -1,19 +1,29 @@
 """The oracles redo their work on every call.
 
 ``verify`` builds its seeded inputs once per process (the random oscillators
-and the mismatched dimension pairs), but each call must still compute every
-integral and attempt every addition, so no cache can stand in for the check.
+and the mismatched-dimension operand pairs), but each call must still compute
+every distinct integral, integrate every ODE case and attempt every addition
+on every call, so no cache can stand in for the check.
 """
 
+import math
 from collections import Counter
 
-from vfdielectric import oscillator, verify
-from vfdielectric.quantity import Dimension
+import pytest
+
+from vfdielectric import oscillator, perturbation, verify
+from vfdielectric.oscillator import (
+    QuadratureError,
+    matrix_element_x_quadrature,
+    matrix_elements_x_quadrature,
+)
+from vfdielectric.quantity import Dimension, Quantity
 from vfdielectric.species import OscillatorSpec
 from vfdielectric.verify import (
     _mismatched_pairs,
     _random_oscillators,
     check_dimension_audit,
+    check_ode_vs_analytic,
     check_quadrature_vs_analytic,
 )
 
@@ -32,7 +42,7 @@ def test_dimension_audit_attempts_every_addition_on_every_call(constants, monkey
         result = check_dimension_audit(constants)
         assert result.passed
         assert len(attempted) == 200
-        assert tuple(attempted) == _mismatched_pairs()
+        assert tuple(attempted) == tuple((a.dim, b.dim) for a, b in _mismatched_pairs())
         assert "200/200 mismatched additions rejected" in result.detail
 
 
@@ -56,8 +66,41 @@ def test_quadrature_check_computes_every_integral_on_every_call(constants, monke
         integrals.clear()
         table_reads.clear()
         assert check_quadrature_vs_analytic(constants).passed
-        # 20 oscillators plus 5 parity-forbidden elements, each coarse and fine
-        assert integrals == table_reads == {32: 25, 64: 25}
+        # <x>_{1,0}, shared by the 20 oscillators, plus 5 parity-forbidden
+        # elements, each coarse and fine
+        assert integrals == table_reads == {32: 6, 64: 6}
+
+
+def test_ode_check_integrates_every_case_on_every_call(constants, monkeypatch):
+    cases = []
+    real_ode = perturbation.amplitudes_ode
+
+    def counting_ode(tau, lam, tolerance):
+        cases.append((tau, lam.value))
+        return real_ode(tau, lam, tolerance=tolerance)
+
+    monkeypatch.setattr(verify, "amplitudes_ode", counting_ode)
+    expected = [(tau, lam) for lam in (1e-4, 1e-3) for tau in (math.pi, 2 * math.pi, 4 * math.pi)]
+    for _ in range(2):
+        cases.clear()
+        assert check_ode_vs_analytic(constants).passed
+        assert cases == expected
+
+
+def test_quadrature_route_matches_the_one_oscillator_form(constants):
+    hbar = constants.get("hbar")
+    specs = _random_oscillators()
+    for n_prime, n in ((1, 0), (0, 0), (3, 2)):
+        many = list(matrix_elements_x_quadrature(n_prime, n, specs, hbar))
+        one = [matrix_element_x_quadrature(n_prime, n, spec, hbar) for spec in specs]
+        assert [(q.value, q.dim) for q in many] == [(q.value, q.dim) for q in one]
+    messages = []
+    for route in (lambda: list(matrix_elements_x_quadrature(1, 0, specs, hbar, 1e-300)),
+                  lambda: matrix_element_x_quadrature(1, 0, specs[0], hbar, 1e-300)):
+        with pytest.raises(QuadratureError, match="did not converge") as info:
+            route()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_seeded_inputs_are_immutable_tuples():
@@ -69,6 +112,8 @@ def test_seeded_inputs_are_immutable_tuples():
     assert type(pairs) is tuple and len(pairs) == 200
     for pair in pairs:
         assert type(pair) is tuple and len(pair) == 2
-        assert all(type(dim) is Dimension for dim in pair)
-        assert pair[0] != pair[1]
+        assert all(type(q) is Quantity and q.value == 1.0 for q in pair)
+        # distinct and interned: rebuilding from the exponents gives the same instance
+        assert all(Dimension(q.dim.exponents) is q.dim for q in pair)
+        assert pair[0].dim is not pair[1].dim
     assert _mismatched_pairs() is pairs
