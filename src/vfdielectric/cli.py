@@ -26,7 +26,6 @@ from .quantity import ELECTRIC_FIELD, OutOfRangeError, Quantity, q_div
 from .species import builtin_species, kinematics, load_species, resonant_frequency
 from .perturbation import BRANCH_PAPER, BRANCHES, dipole_trajectory, scaling_exponent
 from .vacuum import (
-    ConvergenceError,
     closed_form_report,
     epsilon0_closed_form,
     epsilon0_self_consistent,
@@ -392,15 +391,13 @@ def main(argv: "list[str] | None" = None) -> int:
             raise ConstantsError("--precision must be a positive integer")
         constants = load_constants(args.constants)  # a bad species record exits 2 whichever command runs
         # commands raise ConstantsError (a bad --tolerance, a missing optional
-        # key), OutOfRangeError or ConvergenceError before printing
+        # key) or OutOfRangeError before printing
         try:
             return args.handler(args, constants)
         except OutOfRangeError as exc:  # the input values, not the program, are at fault
             raise ConstantsError(
                 f"the constants in {constants.origin} take a result out of the float range: {exc}"
             ) from exc
-        except ConvergenceError as exc:
-            raise ConstantsError(f"the constants in {constants.origin} give no fixed point: {exc}") from exc
     except ConstantsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,13 +14,15 @@ point equals the closed form
     eps0 = (n 8^3 / 4 pi) mu0 (e^2/hbar)^2      (n = number of lepton species)
 
 which for n = 3 is ``(6 mu0/pi) (8 e^2/hbar)^2``.  Quarkonium terms reinstate
-an eps dependence through c: ``F(eps) = L + A eps^(-1/2)``, whose slope at the
-fixed point is ``-k`` with ``k = A / (2 eps^(3/2)) < 1/2``, so near it each
-plain Picard step at least halves the gap.  How many steps the solve takes
-grows with the quark weight, as ``k`` nears 1/2: the bundled file stops after 2
-steps for leptons and 4 with quarks, but with all three two-photon widths
-scaled by 1e3, 1e5 or 1e6 the solve takes 11, 37 or 44 of the 50 allowed
-steps.
+an eps dependence through c: ``F(eps) = L + A eps^(-1/2)``.  With ``u =
+sqrt(eps/eps_seed)``, for a seed permittivity ``eps_seed``, the fixed point is
+the one positive root of the cubic ``u^3 - l u - a = 0``, where ``l =
+L/eps_seed`` and ``a = A/eps_seed^(3/2)`` are F's lepton and quarkonium sums
+at the seed, each over ``eps_seed``.  The unknown is dimensionless, so a
+change of units that scales eps by a power of two leaves ``l``, ``a`` and
+``u`` bit-identical; ``sqrt(eps)`` itself would round.  The solve evaluates F
+at the seed, solves the cubic in floats, and evaluates F once more at the
+root, whatever the quark weight.
 
 The solver computes each factor once, where it can first be known.  Once per
 solve: ``e^2`` and, per species, its term: a function of the step, built with
@@ -58,12 +60,10 @@ from .species import SpeciesFactors, alpha_fifth, species_factors
 
 __all__ = [
     "AssemblyError",
-    "ConvergenceError",
     "SpeciesContribution",
     "PredictionReport",
     "METHOD_CLOSED_FORM",
     "METHOD_SELF_CONSISTENT",
-    "alpha_from_epsilon",
     "c_from_epsilon",
     "lepton_contribution",
     "quarkonium_contribution",
@@ -85,18 +85,12 @@ _FOUR_PI = 4.0 * math.pi
 # round-off across the ~15 operations stays orders of magnitude below this.
 _ROUTE_AGREEMENT_TOL = 1e-12
 
-# The solve's stopping rule.  Near the root |F'| <= 1/2, so each update at
-# least halves the gap: 44 take a gap the size of eps itself below 1e-13.
+# The solve's stopping rule: F at the last iterate lands this close to it.
 _TOL = 1e-13
-_MAX_ITER = 50
 
 
 class AssemblyError(RuntimeError):
     """Internal cross-check between equivalent routes failed."""
-
-
-class ConvergenceError(RuntimeError):
-    """The self-consistent iteration did not reach tolerance."""
 
 
 class SpeciesContribution(Record):
@@ -138,17 +132,13 @@ def c_from_epsilon(epsilon: Quantity, constants: ConstantsSet) -> Quantity:
     return q_div(_ONE, q_sqrt(q_mul(constants.get("mu0"), epsilon)))
 
 
-def alpha_from_epsilon(epsilon: Quantity, c: Quantity, constants: ConstantsSet) -> float:
-    """``alpha = e^2 / (4 pi eps hbar c)``."""
-    return _alpha(_e_squared(constants), constants.get("hbar"), epsilon, c)
-
-
 def _e_squared(constants: ConstantsSet) -> Quantity:
     e = constants.get("e")
     return q_mul(e, e)
 
 
 def _alpha(e2: Quantity, hbar: Quantity, epsilon: Quantity, c: Quantity) -> float:
+    """``alpha = e^2 / (4 pi eps hbar c)``."""
     denominator = q_mul(q_mul(epsilon, hbar), c) * _FOUR_PI
     return q_div(e2, denominator).as_dimensionless()
 
@@ -321,26 +311,63 @@ def _build_report(
     )
 
 
+def _cubic_root(l: float, a: float) -> float:
+    """The positive root of ``u^3 - l u - a`` for ``l > 0``, ``a >= 0``.
+
+    Newton's method from ``s = sqrt(l) + a^(1/3)``, an upper bound on the
+    root: with ``t = a^(1/3)``, ``f(s) = 2 l t + 3 sqrt(l) t^2 >= 0``.  f is
+    convex and increasing above ``sqrt(l)``, so the iterates fall
+    monotonically, and the first step that does not lower them ends the
+    search; it needs no tolerance or step cap.  The steps run on ``v = u/s``
+    in ``(0, 1]``, where Newton's iterates are those on u scaled by ``1/s``,
+    so no power of the unknown leaves the float range.
+    """
+    s = math.sqrt(l) + a ** (1.0 / 3.0)
+    l, a = l / s / s, a / s / s / s
+    v = 1.0
+    while True:
+        lower = v - (v * v * v - l * v - a) / (3.0 * v * v - l)
+        if not lower < v:
+            return s * v
+        v = lower
+
+
+def _sum(contributions: "list[SpeciesContribution] | tuple[SpeciesContribution, ...]") -> Quantity:
+    """The contributions' permittivity terms, added left to right."""
+    total = contributions[0].epsilon_term
+    for contribution in contributions[1:]:
+        total = total + contribution.epsilon_term
+    return total
+
+
 def epsilon0_self_consistent(
     species: "list[SpeciesSpec] | tuple[SpeciesSpec, ...]",
     constants: ConstantsSet,
 ) -> PredictionReport:
-    """Solve ``eps = F(eps)`` by Picard iteration and report the predictions.
+    """Solve ``eps = F(eps)`` as the root of its cubic and report the predictions.
 
     F sums lepton terms at ``alpha(eps), c(eps)`` and quarkonium terms at
     ``c(eps)``, so ``F(eps) = L + A eps^(-1/2)``: L > 0 from the eps-free
-    lepton terms, A >= 0 from the quarkonia.  F decreases and has no 2-cycle:
-    ``t = F(s)`` and ``s = F(t)`` give ``(sqrt t - sqrt s)(sqrt(s t) + L) = 0``.
-    So each step lands between the previous two iterates and shrinks
-    ``|delta eps|``; no damping is needed.  The seed is the reference
-    permittivity.  The stopping rule is fixed: convergence is ``|delta eps| /
-    eps <= 1e-13`` (:data:`_TOL`), and :class:`ConvergenceError` is raised
-    after 50 updates (:data:`_MAX_ITER`) without it.
+    lepton terms, A >= 0 from the quarkonia.  The solve evaluates F at most
+    twice; ``iterations`` counts the evaluations.
+
+    1. F at the seed, the reference permittivity ``eps_seed``.  If it lands
+       within ``|delta eps| / eps <= 1e-13`` (:data:`_TOL`) of the seed, the
+       solve stops there.
+    2. The next iterate.  Lepton-only input (``A = 0``) steps to F's value,
+       since F is constant in eps.  Otherwise the step's lepton and
+       quarkonium sums, each over ``eps_seed``, give ``l`` and ``a``, and the
+       iterate is ``eps_seed u^2`` with u the positive root of ``u^3 - l u - a
+       = 0`` (:func:`_cubic_root`).  A root past the float range raises
+       :class:`OutOfRangeError`.
+    3. F at that iterate.  It must land within the same ``1e-13`` of it;
+       a miss is a fault of the program, not of the input, and raises
+       :class:`AssemblyError`.
 
     The report's ``epsilon0_model`` is ``F`` at the last iterate, and its
-    ``contributions`` are that step's own terms, so they sum left to right
-    exactly to it; they were evaluated at an ``eps`` within ``1e-13`` of it.
-    F is evaluated ``iterations`` times.
+    ``contributions`` are that evaluation's own terms, so they sum left to
+    right exactly to it; they were evaluated at an ``eps`` within ``1e-13``
+    of it.
     """
     species = tuple(species)
     if not any(s.kind == LEPTON_PAIR for s in species):
@@ -348,22 +375,34 @@ def epsilon0_self_consistent(
 
     e2, hbar = _e_squared(constants), constants.get("hbar")
     terms = tuple(_term(s, constants) for s in species)
-    eps = constants.get("ref_epsilon0")
-    for iteration in range(1, _MAX_ITER + 1):
+
+    def evaluate(eps: Quantity) -> tuple[SpeciesContribution, ...]:
         c = c_from_epsilon(eps, constants)
         step = _step_factors(e2, hbar, _alpha(e2, hbar, eps, c), c)
-        contributions = tuple(term(step) for term in terms)
-        total = contributions[0].epsilon_term
-        for contribution in contributions[1:]:
-            total = total + contribution.epsilon_term
-        if abs(total.value - eps.value) <= _TOL * abs(total.value):
-            return _build_report(
-                total, contributions, METHOD_SELF_CONSISTENT, constants, iterations=iteration
-            )
+        return tuple(term(step) for term in terms)
+
+    seed = constants.get("ref_epsilon0")
+    contributions = evaluate(seed)
+    total = _sum(contributions)
+    if abs(total.value - seed.value) <= _TOL * abs(total.value):
+        return _build_report(total, contributions, METHOD_SELF_CONSISTENT, constants, iterations=1)
+
+    if all(s.kind == LEPTON_PAIR for s in species):
         eps = total
-    raise ConvergenceError(
-        f"fixed point not reached after {_MAX_ITER} iterations (tol {_TOL!r})"
-    )
+    else:
+        pairs = tuple(zip(species, contributions))
+        lepton = _sum([c for s, c in pairs if s.kind == LEPTON_PAIR])
+        quark = _sum([c for s, c in pairs if s.kind == QUARKONIUM])
+        u = _cubic_root(q_div(lepton, seed).as_dimensionless(), q_div(quark, seed).as_dimensionless())
+        eps = seed * (u * u)
+    contributions = evaluate(eps)
+    total = _sum(contributions)
+    if abs(total.value - eps.value) > _TOL * abs(total.value):
+        raise AssemblyError(
+            f"F at the solved fixed point {eps.value!r} is {total.value!r}, "
+            f"not within {_TOL!r} of it"
+        )
+    return _build_report(total, contributions, METHOD_SELF_CONSISTENT, constants, iterations=2)
 
 
 def closed_form_report(

@@ -135,6 +135,11 @@ def test_env_var_data_dir(capsys, tmp_path, monkeypatch):
     assert str(tmp_path) in json.loads(out)["constants_source"]
 
 
+def _bundled_values():
+    """Each bundled constant's raw file value, by key."""
+    return {row["key"]: row["value"] for row in json.loads(serialize_constants(load_constants()))}
+
+
 # the paper's invariants under inputs far from the bundled values: the
 # lepton-only 1/alpha is the pure number 8^2 sqrt(3 pi / 2), and the reported
 # contributions add up, left to right, to the reported epsilon0
@@ -144,7 +149,7 @@ _SCALED_KEYS = ("e", "hbar", "mu0", "m_e", "m_mu", "m_tau", "ref_epsilon0", "ref
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=len(_SCALED_KEYS), max_size=len(_SCALED_KEYS)))
 def test_predict_invariants_across_input_decades(tmp_path_factory, decades):
-    bundled = {row["key"]: row["value"] for row in json.loads(serialize_constants(load_constants()))}
+    bundled = _bundled_values()
     changes = {key: {"value": bundled[key] * 10.0**d} for key, d in zip(_SCALED_KEYS, decades)}
     path = _constants_file(tmp_path_factory.mktemp("decades"), changes=changes)
     for quarks in ([], ["--include-quarks"]):
@@ -168,9 +173,9 @@ _ORACLE_DECADES = ("e", "hbar", "mu0", "ref_epsilon0", "ref_c", "m_e", "m_mu", "
 _WIDTH_KEYS = ("gamma_etac_2gamma", "gamma_etab_2gamma_min", "gamma_etab_2gamma_max")
 
 
-def _fixed_point_oracle(values, width, seed, tol):
-    """``(eps*, |F'(eps*)|, Picard steps)`` at 40 digits from raw file values
-    in the bundled units (eV-family energies, an eta_b width in keV)."""
+def _fixed_point_oracle(values, width):
+    """The fixed point eps* at 40 digits from raw file values in the bundled
+    units (eV-family energies, an eta_b width in keV)."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         v = {key: mpmath.mpf(value) for key, value in values.items()}
@@ -188,25 +193,52 @@ def _fixed_point_oracle(values, width, seed, tol):
             polarizability = (e * charge) ** 2 / (m_quark / 2) / omega0**2
             quark_sum += 8 * (m_bound / hbar) ** 2 * rate * polarizability
         quark_sum /= mpmath.sqrt(mu0)
-        root = mpmath.findroot(lambda x: x**3 - lepton_sum * x - quark_sum,
-                               max(mpmath.sqrt(lepton_sum), mpmath.cbrt(quark_sum)))
-        eps_star = root**2
-        steps, eps = 0, mpmath.mpf(seed)
-        while True:  # the solver's own stopping rule, on exact L and A
-            steps += 1
-            new = lepton_sum + quark_sum / mpmath.sqrt(eps)
-            if abs(new - eps) <= tol * new:
-                break
-            eps = new
-        return eps_star, quark_sum / (2 * root**3), steps
+        # x = scale * y puts the root in (0, 1], where findroot's absolute
+        # tolerance is a relative one
+        scale = mpmath.sqrt(lepton_sum) + mpmath.cbrt(quark_sum)
+        l, a = lepton_sum / scale**2, quark_sum / scale**3
+        root = mpmath.findroot(lambda y: y**3 - l * y - a, max(mpmath.sqrt(l), mpmath.cbrt(a)))
+        return (scale * root) ** 2
+
+
+def _species_records(values, width):
+    """The built-in species, quarks included, as the file's own species records."""
+    def quantity(key, unit):
+        return {"value": values[key], "unit": unit}
+
+    leptons = [
+        {"kind": "species", "name": name, "type": "lepton-pair", "charge_fraction": "1",
+         "constituent_mass": quantity(key, "kg")}
+        for name, key in (("e_pair", "m_e"), ("mu_pair", "m_mu"), ("tau_pair", "m_tau"))
+    ]
+    quarks = [
+        {"kind": "species", "name": name, "type": "quarkonium", "charge_fraction": charge,
+         "constituent_mass": quantity(quark, "GeV"), "bound_state_mass": quantity(bound, "GeV"),
+         "two_photon_width": quantity(width_key, unit)}
+        for name, quark, bound, width_key, unit, charge in (
+            ("eta_c", "m_c", "m_etac", "gamma_etac_2gamma", "1/s", "2/3"),
+            ("eta_b", "m_b", "m_etab", f"gamma_etab_2gamma_{width}", "keV", "1/3"),
+        )
+    ]
+    return leptons + quarks
+
+
+def _predict_quarks(path, width="max"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["predict", "--include-quarks", "--width", width, "--format", "json",
+                     "--constants", path]) == 0
+    return json.loads(out.getvalue())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(decades=st.lists(st.floats(-3.0, 3.0), min_size=len(_ORACLE_DECADES) + 2,
                         max_size=len(_ORACLE_DECADES) + 2),
-       width_scale=st.floats(-3.0, 6.0), width=st.sampled_from(["min", "max"]))
-def test_quark_fixed_point_is_the_root_of_the_cubic(tmp_path_factory, decades, width_scale, width):
-    bundled = {row["key"]: row["value"] for row in json.loads(serialize_constants(load_constants()))}
+       width_scale=st.floats(-3.0, 6.0), width=st.sampled_from(["min", "max"]),
+       as_records=st.booleans())
+def test_quark_fixed_point_is_the_root_of_the_cubic(tmp_path_factory, decades, width_scale, width,
+                                                     as_records):
+    bundled = _bundled_values()
     values = dict(bundled)
     for key, d in zip(_ORACLE_DECADES, decades):
         values[key] = bundled[key] * 10.0**d
@@ -217,24 +249,19 @@ def test_quark_fixed_point_is_the_root_of_the_cubic(tmp_path_factory, decades, w
     for key in _WIDTH_KEYS:
         values[key] = bundled[key] * 10.0**width_scale
     changes = {key: {"value": value} for key, value in values.items() if value != bundled[key]}
-    path = _constants_file(tmp_path_factory.mktemp("oracle"), changes=changes)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["predict", "--include-quarks", "--width", width, "--format", "json",
-                     "--constants", path]) == 0
-    payload = json.loads(out.getvalue())
-    tol = 1e-13  # the solver's default
-    eps_star, contraction, steps = _fixed_point_oracle(
-        {key: values[key] for key in bundled}, width, values["ref_epsilon0"], tol)
-    # F decreases, so the last two iterates straddle eps* and the reported one is
-    # within contraction/(1 + contraction) of their gap, at most tol, of it; the
-    # rest is the float rounding of the terms
-    bound = 1e-14 + float(contraction / (1 + contraction)) * tol
-    assert abs(payload["model"]["epsilon0"] / eps_star - 1) <= bound
-    # |F'(eps*)| = A / (2 eps*^(3/2)) < 1/2 since A/x* = x*^2 - L, and the solver
-    # takes the steps that contraction gives exact L and A, give or take the last
-    assert contraction < 0.5
-    assert abs(payload["iterations"] - steps) <= 1
+    # the quark states come from the constant table or, with the lepton pairs
+    # beside them, from the file's own species records
+    records = _species_records(values, width) if as_records else ()
+    path = _constants_file(tmp_path_factory.mktemp("oracle"), species=records, changes=changes)
+    payload = _predict_quarks(path, width)
+    if as_records:
+        assert [row["species"] for row in payload["contributions"]] == [
+            "e_pair", "mu_pair", "tau_pair", "eta_c", "eta_b"]
+    eps_star = _fixed_point_oracle(values, width)
+    # F at the seed, then F at the cubic's root: the rest is the float
+    # rounding of the terms and of the root
+    assert abs(payload["model"]["epsilon0"] / eps_star - 1) <= 1e-14
+    assert payload["iterations"] == 2
 
 
 # --- species -------------------------------------------------------------------
@@ -1021,18 +1048,31 @@ def test_float_power_overflow_exit_2(capsys, tmp_path, key, value, argv, message
     assert out == ""
 
 
-# a fixed point the solver does not reach in its 50 steps once escaped cli.main
-# as a ConvergenceError traceback with exit 1
+# a fixed point that Picard steps from the reference seed did not reach in 50
+# updates once exited 2 with "give no fixed point", and before that escaped
+# cli.main as a traceback with exit 1; the cubic's root is two evaluations of F
+# away
 @pytest.mark.parametrize("key, value", [
     ("m_c", 1e-50), ("m_b", 1e-50), ("gamma_etac_2gamma", 1e50), ("gamma_etac_2gamma", 1e100),
     ("gamma_etab_2gamma_max", 1e50),
 ])
-def test_nonconvergent_constants_exit_2(capsys, tmp_path, key, value):
-    path = _constants_file(tmp_path, changes={key: {"value": value}})
-    code, out, err = _run(capsys, ["predict", "--include-quarks", "--constants", path])
-    _assert_one_error_line(code, err)
-    assert f"the constants in {path} give no fixed point: fixed point not reached" in err
-    assert out == ""
+def test_formerly_nonconvergent_constants_exit_0(tmp_path, key, value):
+    values = dict(_bundled_values(), **{key: value})
+    payload = _predict_quarks(_constants_file(tmp_path, changes={key: {"value": value}}))
+    assert abs(payload["model"]["epsilon0"] / _fixed_point_oracle(values, "max") - 1) <= 1e-14
+    assert payload["iterations"] == 2
+
+
+def test_scaled_widths_solve_in_two_evaluations(tmp_path):
+    # every decade of the three two-photon widths from x1 to x1e50; Picard
+    # took 50 steps at x1e20 and none reached the root at x1e50 (eps ~ 4.68e19 F/m)
+    bundled = _bundled_values()
+    for decade in range(51):
+        values = dict(bundled, **{key: bundled[key] * 10.0**decade for key in _WIDTH_KEYS})
+        path = _constants_file(tmp_path, changes={key: {"value": values[key]} for key in _WIDTH_KEYS})
+        payload = _predict_quarks(path)
+        assert abs(payload["model"]["epsilon0"] / _fixed_point_oracle(values, "max") - 1) <= 1e-14, decade
+        assert payload["iterations"] == 2, decade
 
 
 # the exit-code contract under generated input: one key of the constant table,

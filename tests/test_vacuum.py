@@ -13,17 +13,14 @@ from vfdielectric.quantity import (
 from vfdielectric import vacuum
 from vfdielectric.constants import (
     LEPTON_PAIR,
+    QUARKONIUM,
     SpeciesSpec,
-    load_constants,
-    serialize_constants,
     species_from_record,
 )
 from vfdielectric.species import SpeciesFactors, builtin_species, kinematics
 from vfdielectric.vacuum import (
     METHOD_SELF_CONSISTENT,
     AssemblyError,
-    ConvergenceError,
-    alpha_from_epsilon,
     c_from_epsilon,
     closed_form_report,
     epsilon0_closed_form,
@@ -274,9 +271,10 @@ def test_quark_terms_shift_epsilon_by_1p2e_minus_4(constants):
         for contribution in full_report.contributions
         if contribution.species_name.startswith("eta_")
     )
-    expected = quark_sum / (3.0 * 512.0 * alpha_from_epsilon(
-        full_report.epsilon0_model, c_model, constants
-    ) * _e2_over_hbar_c(constants, c_model.value))
+    alpha_model = 1.0 / full_report.inv_alpha_model
+    expected = quark_sum / (
+        3.0 * 512.0 * alpha_model * _e2_over_hbar_c(constants, c_model.value)
+    )
     assert shift == pytest.approx(expected, rel=1e-3)
     assert shift == pytest.approx(1.2e-4, rel=0.1)
 
@@ -285,24 +283,29 @@ def test_self_consistent_converges_quickly_with_quarks(constants):
     report = epsilon0_self_consistent(
         builtin_species(constants, include_quarks=True), constants
     )
-    assert report.iterations <= 5
+    assert report.iterations == 2
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
-def test_self_consistent_converges_undamped_at_any_quark_weight(constants, scale):
-    # F(eps) = L + A eps^(-1/2) has no 2-cycle, so plain Picard steps converge
-    # even where the quark terms dominate and |F'| nears 1/2
+def _with_widths_scaled(constants, scale):
+    """The built-in species, quarks included, with every two-photon width times ``scale``."""
     species = builtin_species(constants, include_quarks=True)
-    species = species[:3] + tuple(
+    return species[:3] + tuple(
         SpeciesSpec(s.name, s.kind, s.constituent_mass, s.charge_fraction,
                     s.bound_state_mass, s.two_photon_width * scale, s.e_min)
         for s in species[3:]
     )
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6, 1e20, 1e50])
+def test_self_consistent_converges_undamped_at_any_quark_weight(constants, scale):
+    # the root of the cubic is one solve away from the seed, even where the
+    # quark terms dominate: F at it lands within the stopping rule
     tol = 1e-13  # the solver's own stopping rule
-    report = epsilon0_self_consistent(species, constants)
+    report = epsilon0_self_consistent(_with_widths_scaled(constants, scale), constants)
     eps = report.epsilon0_model.value
     f_of_eps = math.fsum(c.epsilon_term.value for c in report.contributions)
     assert abs(f_of_eps - eps) <= tol * eps
+    assert report.iterations == 2
 
 
 def test_self_consistent_requires_a_lepton(quark_pair, constants):
@@ -310,17 +313,34 @@ def test_self_consistent_requires_a_lepton(quark_pair, constants):
         epsilon0_self_consistent(tuple(quark_pair.values()), constants)
 
 
-def test_self_consistent_nonconvergence_error(tmp_path):
-    # an eta_c two-photon rate of 1e50 /s puts the fixed point beyond 50 updates
-    # from the reference seed
-    rows = json.loads(serialize_constants(load_constants()))
-    for row in rows:
-        if row["key"] == "gamma_etac_2gamma":
-            row["value"] = 1e50
-    path = tmp_path / "constants.json"
-    path.write_text(json.dumps(rows), encoding="utf-8")
-    constants = load_constants(path)
-    with pytest.raises(ConvergenceError, match=r"^fixed point not reached after 50 iterations \(tol 1e-13\)$"):
+def test_quark_solve_evaluates_each_term_twice(constants, monkeypatch):
+    # F at the seed and F at the cubic's root, whatever the quark weight: at
+    # x1e50 the reference seed is 31 decades below the fixed point
+    calls = []
+    original = vacuum._term
+
+    def counting_term(species, constants):
+        term = original(species, constants)
+
+        def counted(step):
+            calls.append(species.name)
+            return term(step)
+
+        return counted
+
+    monkeypatch.setattr(vacuum, "_term", counting_term)
+    names = ["e_pair", "mu_pair", "tau_pair", "eta_c", "eta_b"]
+    for scale in (1.0, 1e6, 1e50):
+        calls.clear()
+        report = epsilon0_self_consistent(_with_widths_scaled(constants, scale), constants)
+        assert calls == names * 2, scale
+        assert report.iterations == 2
+
+
+def test_fixed_point_miss_is_a_program_fault(constants, monkeypatch):
+    # the second evaluation of F must land on the root it was evaluated at
+    monkeypatch.setattr(vacuum, "_cubic_root", lambda l, a: 1.0)
+    with pytest.raises(AssemblyError, match="^F at the solved fixed point "):
         epsilon0_self_consistent(builtin_species(constants, include_quarks=True), constants)
 
 
@@ -386,24 +406,42 @@ def test_contributions_sum_left_to_right_to_epsilon0(constants, include_quarks):
 
 @pytest.mark.parametrize("include_quarks", [False, True])
 def test_public_contributions_replay_the_solver_bit_for_bit(constants, include_quarks):
-    # Picard steps rebuilt from the public per-species functions reach the
-    # solver's epsilon0 and its last step's terms, bit for bit
+    # the solve rebuilt from the public per-species functions reaches the
+    # solver's epsilon0 and its last evaluation's terms, bit for bit
     species = builtin_species(constants, include_quarks=include_quarks)
     report = epsilon0_self_consistent(species, constants)
-    eps = constants.get("ref_epsilon0")
-    for _ in range(report.iterations):
+    e2, hbar = constants.get("e") * constants.get("e"), constants.get("hbar")
+
+    def evaluate(eps):
         c = c_from_epsilon(eps, constants)
-        alpha = alpha_from_epsilon(eps, c, constants)
-        terms = tuple(
+        alpha = vacuum._alpha(e2, hbar, eps, c)
+        return tuple(
             lepton_contribution(s, constants, alpha, c) if s.kind == LEPTON_PAIR
             else quarkonium_contribution(s, constants, c)
             for s in species
         )
-        eps = terms[0].epsilon_term
+
+    def total(terms):
+        out = terms[0].epsilon_term
         for term in terms[1:]:
-            eps = eps + term.epsilon_term
+            out = out + term.epsilon_term
+        return out
+
+    seed = constants.get("ref_epsilon0")
+    terms = evaluate(seed)
+    if include_quarks:
+        l, a = (
+            total([t for s, t in zip(species, terms) if s.kind == kind]).value / seed.value
+            for kind in (LEPTON_PAIR, QUARKONIUM)
+        )
+        u = vacuum._cubic_root(l, a)
+        eps = seed * (u * u)
+    else:
+        eps = total(terms)
+    terms = evaluate(eps)
+    assert report.iterations == 2
     assert terms == report.contributions
-    assert eps == report.epsilon0_model
+    assert total(terms) == report.epsilon0_model
 
 
 # --- reports -----------------------------------------------------------------------
