@@ -24,7 +24,15 @@ from .constants import QUARKONIUM, ConstantsError, ConstantsSet, load_constants
 from .oscillator import DEFAULT_QUAD_TOL
 from .quantity import ELECTRIC_FIELD, OutOfRangeError, Quantity, q_div
 from .species import builtin_species, kinematics, load_species, resonant_frequency
-from .perturbation import BRANCH_PAPER, BRANCHES, dipole_trajectory, scaling_exponent
+from .perturbation import (
+    BRANCH_PAPER,
+    BRANCHES,
+    LAMBDA_BAND,
+    CouplingLambda,
+    coupling_value,
+    dipole_trajectory,
+    scaling_exponent,
+)
 from .vacuum import (
     closed_form_report,
     epsilon0_closed_form,
@@ -262,11 +270,15 @@ def _sensitivity_payload(args: argparse.Namespace, constants: ConstantsSet) -> d
     e_pair = builtin_species(constants)[0]
     osc = resonant_frequency(e_pair, constants,
                              constants.get("ref_epsilon0"), constants.get("ref_c"))
+    e, field, hbar = constants.get("e"), Quantity(1.0, ELECTRIC_FIELD), constants.get("hbar")
+    lam = coupling_value(osc, e, field, hbar)
+    if abs(lam) >= LAMBDA_BAND:  # the first-order amplitudes would be out of their validity band
+        raise ConstantsError(
+            f"the constants in {constants.origin} give the {e_pair.name} dipole trajectory "
+            f"a coupling lam={lam!r} outside the first-order band |lam| < {LAMBDA_BAND}"
+        )
     taus = [2 * math.pi * i / (_TRAJECTORY_SAMPLES - 1) for i in range(_TRAJECTORY_SAMPLES)]
-    trajectory = dipole_trajectory(
-        osc, constants.get("e"), Quantity(1.0, ELECTRIC_FIELD),
-        args.branch, taus, constants.get("hbar"),
-    )
+    trajectory = dipole_trajectory(osc, e, field, args.branch, taus, hbar, CouplingLambda(lam))
     return {
         "species_count_sweep": count_rows,
         "coupling_scaling": {

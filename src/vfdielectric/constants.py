@@ -128,7 +128,9 @@ SPECIES_QUANTITIES: dict[str, tuple[tuple[Dimension, ...], bool]] = {
 # the only fields a species record may carry; any other is a typo or a stray
 SPECIES_FIELDS = frozenset(("kind", "name", "type", "charge_fraction", *SPECIES_QUANTITIES))
 
-_ALLOWED_CHARGE_FRACTIONS = {Fraction(1), Fraction(2, 3), Fraction(1, 3)}
+# the allowed charge fractions 1, 2/3 and 1/3 as (numerator, denominator) in
+# lowest terms: a test of int pairs, where a Fraction's hash runs Python code
+_ALLOWED_CHARGE_RATIOS = frozenset({(1, 1), (2, 3), (1, 3)})
 
 # Species that are deliberately not modeled, with the reason surfaced to users.
 _UNSUPPORTED: dict[str, str] = {
@@ -184,7 +186,11 @@ class SpeciesSpec(Record):
         self.constituent_mass.require(MASS, f"{self.name} constituent_mass")
         if self.constituent_mass.value <= 0:
             raise OutOfRangeError(f"{self.name}: constituent_mass must be positive")
-        if Fraction(self.charge_fraction) not in _ALLOWED_CHARGE_FRACTIONS:
+        try:  # an int, Fraction, float or Decimal gives the ratio that Fraction() would
+            ratio = self.charge_fraction.as_integer_ratio()
+        except AttributeError:  # a string, read as Fraction() reads it
+            ratio = Fraction(self.charge_fraction).as_integer_ratio()
+        if ratio not in _ALLOWED_CHARGE_RATIOS:
             raise ValueError(
                 f"{self.name}: charge_fraction must be one of 1, 2/3, 1/3; "
                 f"got {self.charge_fraction}"
@@ -205,7 +211,7 @@ class SpeciesSpec(Record):
                 raise ValueError(f"{self.name}: e_min must be positive")
         elif any(f is not None for f in quark_fields):
             raise ValueError(f"{self.name}: lepton pairs carry no quarkonium fields")
-        elif Fraction(self.charge_fraction) != 1:
+        elif ratio != (1, 1):
             # the closed lepton coefficient 8^3 alpha e^2/(hbar c) holds for unit charge only
             raise ValueError(
                 f"{self.name}: a lepton pair has charge_fraction 1, got {self.charge_fraction}"

@@ -46,10 +46,12 @@ __all__ = [
     "BRANCH_PAPER",
     "BRANCH_LITERAL",
     "BRANCHES",
+    "LAMBDA_BAND",
     "CouplingStrengthWarning",
     "OdeIntegrationError",
     "CouplingLambda",
     "AmplitudePair",
+    "coupling_value",
     "coupling_lambda",
     "amplitudes_analytic",
     "amplitudes_exact",
@@ -62,8 +64,8 @@ BRANCH_PAPER = "paper"
 BRANCH_LITERAL = "literal"
 BRANCHES = (BRANCH_PAPER, BRANCH_LITERAL)
 
-# |lam| above this makes dropped second-order terms exceed ~1% of the kept ones.
-_LAMBDA_WARN = 0.1
+# |lam| at or above this makes dropped second-order terms exceed ~1% of the kept ones.
+LAMBDA_BAND = 0.1
 
 _ODE_TOL_DEFAULT = 1e-10
 _ODE_TOL_RANGE = (1e-12, 1e-6)
@@ -89,12 +91,12 @@ class CouplingLambda(Record):
         if not math.isfinite(v):
             raise ValueError(f"coupling must be finite, got {self.value!r}")
         object.__setattr__(self, "value", v)
-        if abs(v) >= _LAMBDA_WARN:
+        if abs(v) >= LAMBDA_BAND:
             warnings.warn(
                 f"coupling lam={v!r} is outside the first-order validity band "
-                f"(|lam| < {_LAMBDA_WARN})",
+                f"(|lam| < {LAMBDA_BAND})",
                 CouplingStrengthWarning,
-                stacklevel=3,  # past Record.__init__, to the code that built the coupling
+                stacklevel=3,  # past the record's __init__, to the code that built the coupling
             )
 
 
@@ -115,6 +117,26 @@ class AmplitudePair(Record):
         return abs(self.a0) ** 2 + abs(self.a1) ** 2
 
 
+def coupling_value(
+    oscillator: OscillatorSpec,
+    q: Quantity,
+    field_e0: Quantity,
+    hbar: Quantity,
+) -> float:
+    """The coupling from oscillator, charge and frozen field value, as a float.
+
+    It is not yet held against :data:`LAMBDA_BAND`: a caller that refuses a
+    coupling outside the band tests it here, before :class:`CouplingLambda`
+    would warn.
+    """
+    q.require(CHARGE, "q")
+    field_e0.require(ELECTRIC_FIELD, "field_e0")
+    x10 = matrix_element_x_analytic(oscillator, hbar)
+    numerator = q_mul(q_mul(q, field_e0), x10)
+    denominator = q_mul(hbar, oscillator.omega0)
+    return q_div(numerator, denominator).as_dimensionless()
+
+
 def coupling_lambda(
     oscillator: OscillatorSpec,
     q: Quantity,
@@ -122,12 +144,7 @@ def coupling_lambda(
     hbar: Quantity,
 ) -> CouplingLambda:
     """Build the coupling from oscillator, charge and frozen field value."""
-    q.require(CHARGE, "q")
-    field_e0.require(ELECTRIC_FIELD, "field_e0")
-    x10 = matrix_element_x_analytic(oscillator, hbar)
-    numerator = q_mul(q_mul(q, field_e0), x10)
-    denominator = q_mul(hbar, oscillator.omega0)
-    return CouplingLambda(q_div(numerator, denominator).as_dimensionless())
+    return CouplingLambda(coupling_value(oscillator, q, field_e0, hbar))
 
 
 def _check_branch(branch: str) -> None:
@@ -363,15 +380,19 @@ def dipole_trajectory(
     branch: str,
     tau_samples: Sequence[float],
     hbar: Quantity,
+    lam: CouplingLambda | None = None,
 ) -> list[tuple[float, Quantity]]:
     """Dipole expectation ``<p>(tau) = 2 q <x>_{1,0} Re[a1(tau) exp(-i tau)]``.
 
     The paper branch gives the constant ``(q^2/mu) E0 / omega0^2``; the
     literal branch gives that constant times ``(1 - cos tau)``, which averages
-    to the same value over a period.
+    to the same value over a period.  ``lam`` is the coupling of these
+    inputs, for a caller that has already computed it; by default it is
+    computed here.
     """
     _check_branch(branch)
-    lam = coupling_lambda(oscillator, q, field_e0, hbar)
+    if lam is None:
+        lam = coupling_lambda(oscillator, q, field_e0, hbar)
     x10 = matrix_element_x_analytic(oscillator, hbar)
     prefactor = q_mul(q, x10) * 2.0
     out: list[tuple[float, Quantity]] = []

@@ -66,7 +66,6 @@ _ZERO7 = (0,) * 7
 _INTERNED: dict[tuple[int, ...], "Dimension"] = {}
 _INTERN_LOCK = threading.Lock()
 _set = object.__setattr__  # how Dimension sets its slots
-_MISSING = object()  # a record field with neither an argument nor a default
 
 
 class DimensionError(ValueError):
@@ -328,25 +327,31 @@ class Record:
     """Base of the package's small immutable records.
 
     A subclass declares its fields as class annotations, in order, and a
-    field's default as the class attribute of that name.  Instances are built
-    positionally or by keyword, run the subclass's ``__post_init__`` checks,
-    cannot be changed, and compare, hash and print by their field values.
+    field's default as the class attribute of that name; a field without a
+    default may not follow one with a default.  Each subclass gets its own
+    ``__init__``, generated once when the class is defined: Python binds the
+    positional arguments, keyword arguments and defaults itself, so a
+    missing, repeated or unknown argument raises Python's own ``TypeError``.
+    An instance runs the subclass's ``__post_init__`` checks, if it has any,
+    cannot be changed, and compares, hashes and prints by its field values.
     """
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__annotations__)
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        cls = type(self)
-        values = self.__dict__
-        for f, value in zip(cls._fields, args):  # a loop: dict.update(zip(...)) costs more
-            values[f] = value
-        if kwargs or len(args) != len(cls._fields):  # keywords, then defaults, fill in the rest
-            for f in cls._fields[len(args):]:
-                values[f] = kwargs.pop(f) if f in kwargs else cls.__dict__.get(f, _MISSING)
-            if kwargs or len(args) > len(cls._fields) or _MISSING in values.values():
-                raise TypeError(f"{cls.__name__}{cls._fields}: missing, repeated or extra argument")
-        self.__post_init__()
+        # the generated names are not field names: a class body mangles an
+        # annotation that starts with two underscores
+        fields = tuple(cls.__annotations__)
+        params = "".join(f", {f}=__defaults[{f!r}]" if f in cls.__dict__ else f", {f}"
+                         for f in fields)
+        body = "".join(f"\n    __values[{f!r}] = {f}" for f in fields)
+        if cls.__post_init__ is not Record.__post_init__:
+            body += "\n    __self.__post_init__()"
+        name = f"{cls.__qualname__}.__init__"
+        source = f"def __init__(__self{params}):\n    __values = __self.__dict__{body}"
+        namespace: dict = {}
+        # the file name tells tracebacks and profiles which class's __init__ ran
+        exec(compile(source, f"<{cls.__module__}.{name}>", "exec"), {"__defaults": cls.__dict__}, namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__ = name
 
     def __post_init__(self) -> None:
         """The checks a subclass runs on each new instance; none here."""

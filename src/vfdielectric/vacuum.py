@@ -42,6 +42,7 @@ the same bits.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 from .constants import LEPTON_PAIR, QUARKONIUM, ConstantsSet, SpeciesSpec
@@ -192,6 +193,12 @@ def _term(species: SpeciesSpec, constants: ConstantsSet) -> Callable[[_Step], Sp
             )
             closed = step.closed
             if abs(composed.value - closed.value) > _ROUTE_AGREEMENT_TOL * closed.value:
+                if min(composed.value, closed.value) < sys.float_info.min:
+                    # an intermediate of the input values underflowed: no program fault
+                    raise OutOfRangeError(
+                        f"{species.name}: the lepton term underflows a float (composed "
+                        f"{composed.value!r}, closed coefficient {closed.value!r})"
+                    )
                 raise AssemblyError(
                     f"{species.name}: composed term {composed.value!r} disagrees with "
                     f"closed coefficient {closed.value!r}"

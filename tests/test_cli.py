@@ -24,6 +24,7 @@ from vfdielectric.constants import (
     serialize_constants,
     species_from_record,
 )
+from vfdielectric.perturbation import coupling_value
 from vfdielectric.quantity import SPEED, Quantity
 from vfdielectric.species import builtin_species
 from vfdielectric.vacuum import (
@@ -398,6 +399,39 @@ def test_sensitivity_csv_sections(capsys):
     assert code == 0
     for section in ("species_count_sweep", "coupling_scaling", "dipole_trajectory"):
         assert f"# section: {section}" in out
+
+
+# a coupling outside the first-order band once gave exit 0 with lam ~ 1e145 and,
+# as its only signal, a CouplingStrengthWarning source line on stderr
+@pytest.mark.parametrize("key, value, lam", [
+    ("e", 1e-50, "1.6424509954007115e+145"),
+    ("ref_epsilon0", 1e50, "2.241270435303907e+172"),
+])
+@pytest.mark.parametrize("output_format", ["table", "json", "csv"])
+def test_sensitivity_coupling_outside_the_band_exit_2(capsys, tmp_path, key, value, lam,
+                                                      output_format):
+    path = _constants_file(tmp_path, changes={key: {"value": value}})
+    code, out, err = _run(capsys, ["sensitivity", "--format", output_format, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert f"the constants in {path} give the e_pair dipole trajectory a coupling lam={lam} " in err
+    assert "outside the first-order band |lam| < 0.1" in err and "Warning" not in err
+    assert out == ""
+
+
+def test_sensitivity_computes_the_coupling_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coupling_value(*args)
+
+    def refused(*args):
+        raise AssertionError("the trajectory computed the coupling again")
+
+    monkeypatch.setattr("vfdielectric.cli.coupling_value", counted)
+    monkeypatch.setattr("vfdielectric.perturbation.coupling_lambda", refused)
+    code, _, _ = _run(capsys, ["sensitivity", "--format", "json"])
+    assert code == 0 and len(calls) == 1
 
 
 # --- historical -------------------------------------------------------------------
@@ -1045,6 +1079,25 @@ def test_float_power_overflow_exit_2(capsys, tmp_path, key, value, argv, message
     code, out, err = _run(capsys, argv + ["--constants", path])
     _assert_one_error_line(code, err)
     assert path in err and "out of the float range" in err and message in err
+    assert out == ""
+
+
+# the composed lepton route underflowing to 0.0 at the seed once escaped cli.main
+# as an AssemblyError traceback ("composed term 0.0 disagrees with closed
+# coefficient") with exit 1
+@pytest.mark.parametrize("changes, argv, closed", [
+    ({"ref_epsilon0": 1e-100, "e": 1e-30}, ["predict"], "4.6038126229937343e-57"),
+    ({"ref_epsilon0": 1e-100, "e": 1e-30}, ["predict", "--include-quarks"], "4.6038126229937343e-57"),
+    ({"ref_epsilon0": 1e-100, "e": 1e-30}, ["verify"], "4.6038126229937343e-57"),
+    ({"ref_epsilon0": 1e-30, "hbar": 1e30}, ["predict"], "3.3737394222569586e-140"),
+    ({"ref_epsilon0": 1e-30, "hbar": 1e30}, ["predict", "--include-quarks"], "3.3737394222569586e-140"),
+])
+def test_lepton_route_underflow_exit_2(capsys, tmp_path, changes, argv, closed):
+    path = _constants_file(tmp_path, changes={k: {"value": v} for k, v in changes.items()})
+    code, out, err = _run(capsys, argv + ["--constants", path])
+    _assert_one_error_line(code, err)
+    assert f"the constants in {path} take a result out of the float range: e_pair: the lepton " \
+           f"term underflows a float (composed 0.0, closed coefficient {closed})" in err
     assert out == ""
 
 

@@ -76,7 +76,8 @@ def test_no_numpy_or_scipy_import():
 
 def test_no_dataclasses_import():
     # dataclasses loads inspect, ast, dis and tokenize, and each decorated class
-    # execs generated code: a cost every cold command would pay
+    # execs generated code for several methods: a cost every cold command would
+    # pay.  Record generates only each class's __init__
     assert _imports_of({"dataclasses"}) == []
 
 

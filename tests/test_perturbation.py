@@ -98,6 +98,16 @@ def test_coupling_lambda_formula():
     assert lam.value == pytest.approx(0.01 / math.sqrt(2.0), rel=1e-12, abs=0)
 
 
+def test_coupling_value_is_the_coupling_before_the_band_check():
+    args = (NATURAL, Quantity(1.0, CHARGE), Quantity(1.0, ELECTRIC_FIELD), HBAR_ONE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = perturbation.coupling_value(*args)  # outside the band, yet no warning
+    assert value >= perturbation.LAMBDA_BAND
+    with pytest.warns(CouplingStrengthWarning):
+        assert coupling_lambda(*args).value == value
+
+
 # --- ODE oracle -----------------------------------------------------------------
 
 
@@ -305,6 +315,21 @@ def test_dipole_exactly_linear_in_field():
         )
         for (_, a), (_, b) in zip(ones, threes):
             assert b.value == pytest.approx(3.0 * a.value, rel=1e-15, abs=0)
+
+
+def test_dipole_given_its_coupling_matches_the_one_it_computes():
+    q, field, taus = Quantity(0.002, CHARGE), Quantity(1.0, ELECTRIC_FIELD), [0.0, 0.7, 5.0]
+    lam = coupling_lambda(NATURAL, q, field, HBAR_ONE)
+    for branch in (BRANCH_PAPER, BRANCH_LITERAL):
+        assert dipole_trajectory(NATURAL, q, field, branch, taus, HBAR_ONE, lam) == \
+            dipole_trajectory(NATURAL, q, field, branch, taus, HBAR_ONE)
+
+
+def test_dipole_outside_the_band_still_warns():
+    # the CLI refuses such a coupling; a library caller gets the warning
+    with pytest.warns(CouplingStrengthWarning):
+        dipole_trajectory(NATURAL, Quantity(1.0, CHARGE), Quantity(1.0, ELECTRIC_FIELD),
+                          BRANCH_PAPER, [0.0], HBAR_ONE)
 
 
 def test_dipole_rejects_nonfinite_sample():

@@ -2,35 +2,52 @@
 
 Each is immutable, compares, hashes and prints by its fields in order, survives
 ``copy`` and ``pickle``, and rejects a missing or unknown constructor argument.
+Every record class of the package is in ``CASES`` or named in ``EXEMPT``.
 """
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from vfdielectric.constants import LEPTON_PAIR, ConstantRecord, ConstantsSet, SpeciesSpec
+import vfdielectric
+from vfdielectric.constants import (
+    LEPTON_PAIR,
+    QUARKONIUM,
+    ConstantRecord,
+    ConstantsSet,
+    SpeciesSpec,
+)
 from vfdielectric.perturbation import AmplitudePair, CouplingLambda
 from vfdielectric.quantity import (
     CHARGE,
     DIMENSIONLESS,
+    ENERGY,
     FREQUENCY,
+    LENGTH,
     MASS,
+    NUMBER_DENSITY,
     PERMITTIVITY,
     SPEED,
+    TIME,
     DimensionError,
     Quantity,
     Record,
 )
-from vfdielectric.species import OscillatorSpec
+from vfdielectric.species import Kinematics, OscillatorSpec, SpeciesFactors
 from vfdielectric.vacuum import PredictionReport, SpeciesContribution
 from vfdielectric.verify import CheckResult
 
 _E = Quantity(1.602176634e-19, CHARGE)
 _M = Quantity(9.1093837015e-31, MASS)
 _TERM = SpeciesContribution("e_pair", Quantity(2.9e-12, PERMITTIVITY), 0.31)
+_OSC = OscillatorSpec(_M * 0.5, Quantity(1e16, FREQUENCY))
+_E_PAIR = SpeciesSpec("e_pair", LEPTON_PAIR, _M, Fraction(1))
 
 # (class, positional arguments, the field names in order)
 CASES = [
@@ -54,15 +71,47 @@ CASES = [
     (AmplitudePair, (1 + 0j, 0.01j, 2.0), ("a0", "a1", "tau")),
     (CheckResult, ("dimension-audit", True, 1e-12, "ok"),
      ("name", "passed", "tolerance", "detail")),
+    (Kinematics, (Quantity(3.2e-22, TIME), Quantity(9.7e-14, LENGTH), Quantity(1.1e39, NUMBER_DENSITY),
+                  _OSC, Quantity(1.6e10, FREQUENCY), Quantity(5.8e27, NUMBER_DENSITY)),
+     ("lifetime", "coherence_length", "number_density", "oscillator", "decay_rate",
+      "interacting_density")),
+    (SpeciesFactors, (_E_PAIR, Quantity(1.05e-34, ENERGY * TIME), _E, _M * 0.5, None, None),
+     ("species", "hbar", "charge", "reduced_mass", "binding_numerator", "hbar2")),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 # a field that holds a dict makes the instance unhashable, as with any tuple of it
 UNHASHABLE = {ConstantsSet, PredictionReport}
+# record classes of the package that CASES leaves out, each for a reason
+EXEMPT = {
+    "vfdielectric.vacuum._Step",  # private to vacuum, which alone builds it, positionally
+}
 
 
 def _changed(value):
     """A value of the same kind as ``value`` but unequal to it."""
+    if isinstance(value, Record):
+        fields = list(vars(value).values())
+        return type(value)(_changed(fields[0]), *fields[1:])
     return {} if isinstance(value, dict) else value + "x" if isinstance(value, str) else value * 2
+
+
+def _package_records():
+    """Every Record subclass defined in the package, by module and qualified name."""
+    for module in pkgutil.iter_modules(vfdielectric.__path__, "vfdielectric."):
+        importlib.import_module(module.name)
+    found, pending = set(), list(Record.__subclasses__())
+    while pending:
+        cls = pending.pop()
+        pending += cls.__subclasses__()
+        if cls.__module__.startswith("vfdielectric."):
+            found.add(cls)
+    return found
+
+
+def test_every_package_record_is_a_case_or_exempt():
+    names = {f"{cls.__module__}.{cls.__qualname__}" for cls in _package_records()}
+    cased = {f"{cls.__module__}.{cls.__qualname__}" for cls, _, _ in CASES}
+    assert names - cased == EXEMPT
 
 
 @pytest.mark.parametrize("cls, args, fields", CASES, ids=IDS)
@@ -147,6 +196,115 @@ def test_record_fields_are_the_annotations_in_order():
     assert Point(1.0) == Point(x=1.0, y=0.0)
     assert repr(Point(1.0, 2.0)).endswith("Point(x=1.0, y=2.0)")
     assert vars(Point(1.0, 2.0)) == {"x": 1.0, "y": 2.0}
+
+
+def test_each_record_class_binds_its_own_arguments():
+    # Python binds the arguments of the generated __init__, so its messages
+    # name the class and the argument
+    class Point(Record):
+        x: float
+        y: float = 0.0
+
+    assert Point.__init__ is not Record.__init__
+    with pytest.raises(TypeError, match=r"Point.__init__\(\) missing 1 required positional argument: 'x'"):
+        Point()
+    with pytest.raises(TypeError, match="multiple values for argument 'x'"):
+        Point(1.0, x=2.0)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'z'"):
+        Point(1.0, z=2.0)
+    with pytest.raises(TypeError, match="takes from 2 to 3 positional arguments but 4 were given"):
+        Point(1.0, 2.0, 3.0)
+
+
+def test_a_field_named_like_the_generated_locals_is_a_plain_field():
+    class Odd(Record):
+        self: int
+        values: int = 2
+        defaults: int = 3
+
+    assert vars(Odd(1)) == {"self": 1, "values": 2, "defaults": 3}
+    assert Odd(self=4, defaults=5) == Odd(4, 2, 5)
+
+
+def test_a_field_without_default_after_one_with_a_default_is_refused():
+    with pytest.raises(SyntaxError):
+        class Bad(Record):
+            x: float = 0.0
+            y: float
+
+
+def test_post_init_runs_only_where_a_class_defines_checks():
+    calls = []
+
+    class Checked(Record):
+        x: float
+
+        def __post_init__(self) -> None:
+            calls.append(vars(self))
+
+    class Derived(Checked):  # the checks are inherited, the fields are its own
+        y: float
+
+    class Unchecked(Record):
+        x: float
+
+    Checked(1.0)
+    Derived(2.0)
+    Unchecked(3.0)
+    assert calls == [{"x": 1.0}, {"y": 2.0}]
+
+
+# Charge-fraction checks of SpeciesSpec: an int, Fraction, float or Decimal is
+# read as the ratio Fraction() gives it, a string as Fraction() parses it, and
+# the accepted set and both messages are those of Fraction(value) in {1, 2/3, 1/3}
+_QUARK_FIELDS = (_M * 3000.0, Quantity(7.7e18, FREQUENCY), Quantity(7e-11, ENERGY))
+_NOT_ALLOWED = "x: charge_fraction must be one of 1, 2/3, 1/3; got {}"
+_LEPTON_ONLY_ONE = "x: a lepton pair has charge_fraction 1, got {}"
+
+
+@pytest.mark.parametrize("kind, fields, charge_fraction, ratio", [
+    (QUARKONIUM, _QUARK_FIELDS, Fraction(4, 6), (2, 3)),
+    (QUARKONIUM, _QUARK_FIELDS, Fraction(1, 3), (1, 3)),
+    (QUARKONIUM, _QUARK_FIELDS, "2/3", (2, 3)),
+    (QUARKONIUM, _QUARK_FIELDS, 1, (1, 1)),
+    (LEPTON_PAIR, (), 1, (1, 1)),
+    (LEPTON_PAIR, (), Fraction(3, 3), (1, 1)),
+    (LEPTON_PAIR, (), True, (1, 1)),
+    (LEPTON_PAIR, (), 1.0, (1, 1)),
+    (LEPTON_PAIR, (), Decimal("1.00"), (1, 1)),
+    (LEPTON_PAIR, (), "1", (1, 1)),
+])
+def test_accepted_charge_fractions(kind, fields, charge_fraction, ratio):
+    spec = SpeciesSpec("x", kind, _M, charge_fraction, *fields)
+    assert spec.charge_fraction is charge_fraction  # kept as given
+    assert Fraction(spec.charge_fraction).as_integer_ratio() == ratio
+
+
+@pytest.mark.parametrize("kind, fields, charge_fraction, message", [
+    (QUARKONIUM, _QUARK_FIELDS, Fraction(1, 2), _NOT_ALLOWED.format("1/2")),
+    (LEPTON_PAIR, (), Fraction(1, 2), _NOT_ALLOWED.format("1/2")),
+    (LEPTON_PAIR, (), 2, _NOT_ALLOWED.format("2")),
+    (QUARKONIUM, _QUARK_FIELDS, 2 / 3, _NOT_ALLOWED.format(2 / 3)),  # not exactly 2/3
+    (QUARKONIUM, _QUARK_FIELDS, "1/2", _NOT_ALLOWED.format("1/2")),
+    (LEPTON_PAIR, (), Fraction(2, 3), _LEPTON_ONLY_ONE.format("2/3")),
+    (LEPTON_PAIR, (), Fraction(4, 6), _LEPTON_ONLY_ONE.format("2/3")),
+    (LEPTON_PAIR, (), "2/3", _LEPTON_ONLY_ONE.format("2/3")),
+])
+def test_rejected_charge_fractions(kind, fields, charge_fraction, message):
+    with pytest.raises(ValueError) as caught:
+        SpeciesSpec("x", kind, _M, charge_fraction, *fields)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("charge_fraction, error", [
+    ("1/0", ZeroDivisionError), ("two thirds", ValueError), (math.nan, ValueError),
+    (math.inf, OverflowError), (None, TypeError), (1j, TypeError),
+])
+def test_unreadable_charge_fraction_raises_as_fraction_does(charge_fraction, error):
+    with pytest.raises(error):
+        Fraction(charge_fraction)
+    with pytest.raises(error):
+        SpeciesSpec("x", LEPTON_PAIR, _M, charge_fraction)
 
 
 def test_quantity_converts_to_float_and_checks_its_inputs():
