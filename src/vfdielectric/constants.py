@@ -14,9 +14,9 @@ not carry, and no quantity of a wrong dimension or a value that is not
 strictly positive.  The original file value/unit and the raw species records
 are kept so a set serializes back to an equivalent file.
 
-Resolution order for the data file: explicit path argument, then the
-``VACUUM_DATA_DIR`` environment variable (``constants.json`` inside it), then
-the bundled default.
+Resolution order for the data file, each user path labelled exactly as given:
+explicit path argument, then ``VACUUM_DATA_DIR`` (``constants.json`` joined to
+it), then the bundled default, which the package's loader reads.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .quantity import (
     ACTION,
@@ -46,9 +43,6 @@ from .quantity import (
     q_div,
     q_mul,
 )
-
-if TYPE_CHECKING:  # importlib.resources.abc is new in Python 3.11
-    from importlib.resources.abc import Traversable
 
 __all__ = [
     "ConstantsError",
@@ -386,29 +380,31 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
         raise ConstantsError(f"{where}: {exc}") from exc
 
 
-def _read(source: Traversable, what: str) -> str:
-    """The text of ``source``; ``what`` names it in the error if it cannot be read."""
+def _resolve_source(path: str | os.PathLike | None) -> tuple[str, str]:
+    """Return (json text, origin label) honoring path arg and env var."""
+    env_dir = os.environ.get(DATA_DIR_ENV_VAR)
+    if path is not None:
+        p = os.fspath(path)  # before open(), which would read an int as a file descriptor
+        if not isinstance(p, str):
+            raise TypeError(f"a constants path must be a str, not {type(p).__name__}")
+        what = f"constants file {p}"
+    elif env_dir:
+        p = os.path.join(env_dir, DATA_FILENAME)
+        what = f"constants file {p} (from ${DATA_DIR_ENV_VAR})"
+    else:  # the package's loader serves a zip import too; a build may lack the file
+        p = os.path.join(os.path.dirname(__file__), "data", DATA_FILENAME)
+        try:
+            return __spec__.loader.get_data(p).decode("utf-8"), "built-in default"
+        except OSError as exc:
+            raise ConstantsError(f"cannot read the bundled constants file {p}: {exc}") from exc
     try:
-        return source.read_text("utf-8")
+        with open(p, encoding="utf-8") as f:
+            return f.read(), p
     except OSError as exc:
         raise ConstantsError(f"cannot read {what}: {exc}") from exc
 
 
-def _resolve_source(path: str | Path | None) -> tuple[str, str]:
-    """Return (json text, origin label) honoring path arg and env var."""
-    if path is not None:
-        p = Path(path)
-        return _read(p, f"constants file {p}"), str(p)
-    env_dir = os.environ.get(DATA_DIR_ENV_VAR)
-    if env_dir:
-        p = Path(env_dir) / DATA_FILENAME
-        return _read(p, f"constants file {p} (from ${DATA_DIR_ENV_VAR})"), str(p)
-    # an installed package built without its data files cannot read this one
-    bundled = resources.files(__package__).joinpath(f"data/{DATA_FILENAME}")
-    return _read(bundled, f"the bundled constants file {bundled}"), "built-in default"
-
-
-def load_constants(path: str | Path | None = None) -> ConstantsSet:
+def load_constants(path: str | os.PathLike | None = None) -> ConstantsSet:
     """Load and validate a constants registry, and build its file's species.
 
     Raises :class:`ConstantsError` on parse failure, an unknown record field,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .quantity import (
     CHARGE,

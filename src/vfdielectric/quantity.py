@@ -27,7 +27,6 @@ with the elementary-charge value from the same file.
 from __future__ import annotations
 
 import math
-import threading
 
 __all__ = [
     "Dimension",
@@ -62,9 +61,8 @@ __all__ = [
 # Base-dimension order: length, mass, time, current, temperature, amount, luminosity.
 _BASE_SYMBOLS = ("m", "kg", "s", "A", "K", "mol", "cd")
 _ZERO7 = (0,) * 7
-# the one Dimension per exponent tuple; guarded by the lock when written
+# the one Dimension per exponent tuple
 _INTERNED: dict[tuple[int, ...], "Dimension"] = {}
-_INTERN_LOCK = threading.Lock()
 _set = object.__setattr__  # how Dimension sets its slots
 
 
@@ -126,19 +124,18 @@ class Dimension:
             raise ValueError("a Dimension needs exactly 7 exponents")
         self = _INTERNED.get(exps)
         if self is None:
-            with _INTERN_LOCK:  # two threads must not both create the instance
-                self = _INTERNED.get(exps)
-                if self is None:
-                    self = object.__new__(cls)
-                    _set(self, "exponents", exps)
-                    _set(self, "is_dimensionless", not any(exps))
-                    _set(self, "_hash", hash(exps))
-                    _set(self, "_str", _format(exps))
-                    _set(self, "_mul", {})
-                    _set(self, "_div", {})
-                    _set(self, "_pow", {})
-                    _set(self, "_root", None)
-                    _INTERNED[exps] = self
+            self = object.__new__(cls)
+            _set(self, "exponents", exps)
+            _set(self, "is_dimensionless", not any(exps))
+            _set(self, "_hash", hash(exps))
+            _set(self, "_str", _format(exps))
+            _set(self, "_mul", {})
+            _set(self, "_div", {})
+            _set(self, "_pow", {})
+            _set(self, "_root", None)
+            # one atomic step, as hashing an int tuple runs no Python code: of
+            # two threads that race here, both return the instance stored first
+            self = _INTERNED.setdefault(exps, self)
         return self
 
     __setattr__ = __delattr__ = _immutable

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from .constants import LEPTON_PAIR, QUARKONIUM, ConstantsSet, SpeciesSpec
 from .quantity import (

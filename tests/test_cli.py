@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vfdielectric import constants as constants_module
 from vfdielectric import species, verify
 from vfdielectric.cli import _build_parser, main
 from vfdielectric.constants import (
@@ -418,6 +420,22 @@ def test_sensitivity_coupling_outside_the_band_exit_2(capsys, tmp_path, key, val
     assert out == ""
 
 
+# a dipole scale 2 q <x>_10 lam of 6.1e-107 C·m * 2.4e-222 once underflowed:
+# every dipole_Cm printed as 0.0 with exit 0
+@pytest.mark.parametrize("branch", ["paper", "literal"])
+@pytest.mark.parametrize("output_format", ["table", "json", "csv"])
+def test_sensitivity_underflowed_dipole_exit_2(capsys, tmp_path, branch, output_format):
+    path = _constants_file(tmp_path, changes={"ref_epsilon0": {"value": 1e-100},
+                                              "e": {"value": 1e-30}})
+    code, out, err = _run(capsys, ["sensitivity", "--branch", branch,
+                                   "--format", output_format, "--constants", path])
+    _assert_one_error_line(code, err)
+    assert err == (f"error: the constants in {path} take a result out of the float range: "
+                   "the dipole scale 2 q <x>_10 lam = 6.136675816804472e-107 C·m * "
+                   "2.3661715652028984e-222 underflows\n")
+    assert out == ""
+
+
 def test_sensitivity_computes_the_coupling_once(capsys, monkeypatch):
     calls = []
 
@@ -783,6 +801,56 @@ def test_missing_bundled_constants_file_exit_2(capsys, monkeypatch, command):
     _assert_one_error_line(code, err)
     assert "bundled constants file" in err and "missing.json" in err
     assert out == ""
+
+
+# each file is named exactly as given: through pathlib, "./x.json" and a
+# data dir "./d/" were once labelled "x.json" and "d/constants.json"
+@pytest.mark.parametrize("argv, env_dir, origin", [
+    (["--constants", "./x.json"], None, "./x.json"),
+    (["--constants", "d/../x.json"], None, "d/../x.json"),
+    ([], "./d/", "./d/constants.json"),
+    ([], "./d", "./d/constants.json"),
+], ids=["dot-file", "dot-dot-file", "dot-dir-slash", "dot-dir"])
+def test_constants_origin_is_the_path_as_given(capsys, tmp_path, monkeypatch, argv, env_dir,
+                                               origin):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    rows = serialize_constants(load_constants())
+    for path in ("x.json", "d/constants.json"):
+        (tmp_path / path).write_text(rows, encoding="utf-8")
+    monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
+    if env_dir:
+        monkeypatch.setenv(DATA_DIR_ENV_VAR, env_dir)
+    code, out, _ = _run(capsys, ["predict", "--format", "json", *argv])
+    assert code == 0
+    assert json.loads(out)["constants_source"] == origin
+
+
+@pytest.mark.parametrize("argv, env_dir, message", [
+    (["--constants", "nope.json"], None,
+     "cannot read constants file nope.json: [Errno 2] No such file or directory: 'nope.json'"),
+    (["--constants", "d"], None, "cannot read constants file d: [Errno 21] Is a directory: 'd'"),
+    ([], "d", "cannot read constants file d/constants.json (from $VACUUM_DATA_DIR): "
+              "[Errno 2] No such file or directory: 'd/constants.json'"),
+], ids=["missing-file", "directory", "data-dir-without-file"])
+def test_unreadable_constants_file_message(capsys, tmp_path, monkeypatch, argv, env_dir, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
+    if env_dir:
+        monkeypatch.setenv(DATA_DIR_ENV_VAR, env_dir)
+    code, out, err = _run(capsys, ["predict", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_missing_bundled_constants_file_message(capsys, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
+    monkeypatch.setattr("vfdielectric.constants.DATA_FILENAME", "missing.json")
+    path = os.path.join(os.path.dirname(constants_module.__file__), "data", "missing.json")
+    code, out, err = _run(capsys, ["predict"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read the bundled constants file {path}: "
+                   f"[Errno 2] No such file or directory: {path!r}\n")
 
 
 def test_ev_record_without_elementary_charge_exit_2(capsys, tmp_path):

@@ -3,13 +3,16 @@ concurrent callers in one process get the serial results.
 
 No subcommand, ``verify`` included, loads numpy or scipy: the package needs
 only the standard library.  Importing the CLI loads neither ``dataclasses``
-nor ``statistics``, which would lengthen every cold start.
+nor ``statistics``, which would lengthen every cold start; with ``site`` off,
+nor ``importlib.resources``, ``pathlib``, ``typing`` or ``threading``.  A zipped
+copy of the package reads its bundled data file and prints the same bytes.
 """
 
 import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,39 @@ def test_import_cli_loads_no_dataclasses_or_statistics():
                          "print(sorted({'dataclasses', 'statistics'} & set(sys.modules)))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_import_cli_without_site_loads_no_resources_pathlib_typing_or_threading():
+    # site imports some of these itself, so the check runs with it off; any a
+    # bare interpreter has already loaded are not the package's
+    code = ("import sys; before = set(sys.modules); import vfdielectric.cli; "
+            "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in "
+            "('pathlib', 'typing', 'threading') or m.startswith('importlib.resources')))")
+    done = _python("-S", "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_zipped_package_prints_the_same_bytes(tmp_path):
+    archive = tmp_path / "vfdielectric.zip"
+    package = Path(vfdielectric.__file__).parent
+    with zipfile.ZipFile(archive, "w") as zipped:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zipped.write(path, path.relative_to(package.parent).as_posix())
+    code = ("import runpy, sys, vfdielectric.constants as c; "
+            "assert c.__spec__.loader.archive == sys.argv[1], c.__file__; "
+            "sys.argv = ['vfdielectric', 'predict', '--format', 'json']; "
+            "runpy.run_module('vfdielectric.cli', run_name='__main__')")
+    argv = [sys.executable, "-c", code, str(archive)]
+    zipped = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(archive)},
+                            capture_output=True, timeout=_TIMEOUT)
+    assert zipped.returncode == 0, zipped.stderr
+    source = subprocess.run([sys.executable, "-m", "vfdielectric.cli", "predict", "--format",
+                             "json"], env=_ENV, capture_output=True, timeout=_TIMEOUT)
+    assert source.returncode == 0, source.stderr
+    assert zipped.stdout == source.stdout
+    assert b'"constants_source": "built-in default"' in zipped.stdout
 
 
 def test_sensitivity_runs_without_numpy_or_scipy():

@@ -145,6 +145,19 @@ def test_missing_file(tmp_path):
         load_constants(tmp_path / "nope.json")
 
 
+class _BytesPath:
+    def __fspath__(self):
+        return b"constants.json"
+
+
+@pytest.mark.parametrize("path", [b"constants.json", _BytesPath(), 3],
+                         ids=["bytes", "bytes-pathlike", "int"])
+def test_path_that_is_not_a_string_raises_type_error(path):
+    # as Path() did; open(3) would read file descriptor 3
+    with pytest.raises(TypeError):
+        load_constants(path)
+
+
 def test_unit_outside_whitelist(tmp_path):
     rows = _default_rows()
     rows.append({"key": "x", "value": 1.0, "unit": "erg", "source": "test"})

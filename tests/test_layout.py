@@ -6,7 +6,10 @@ nothing: each public name is imported from its module.  The package needs
 nothing beyond the standard library: numpy and scipy are imported nowhere in
 it, not even inside a function; the tests use them as referees of the
 quadrature and ODE oracles.  Nor is ``dataclasses``: ``quantity.Record`` is
-the record base.  Only the charge-fraction modules import ``fractions``.
+the record base.  Only the charge-fraction modules import ``fractions``.  Nor
+are ``importlib``, ``pathlib``, ``typing`` or ``threading``: ``os`` and the
+package's own loader read the data files, and ``collections.abc`` serves the
+annotations.
 """
 
 import ast
@@ -87,6 +90,13 @@ def test_only_charge_fractions_import_fractions():
     offenders = [where for where in _imports_of({"fractions"})
                  if where.split(":")[0] not in {"constants.py", "species.py"}]
     assert offenders == []
+
+
+def test_no_importlib_pathlib_typing_or_threading_import():
+    # with site off, importlib.resources (which loads pathlib, tempfile, shutil
+    # and urllib.parse) and typing were a third of the package's cold import,
+    # yet the four served one bundled read, four annotations and one lock
+    assert _imports_of({"importlib", "pathlib", "typing", "threading"}) == []
 
 
 def _top_level_names(tree: ast.Module) -> set[str]:

@@ -12,6 +12,7 @@ from vfdielectric.quantity import (
     ELECTRIC_FIELD,
     FREQUENCY,
     MASS,
+    OutOfRangeError,
     Quantity,
 )
 from vfdielectric.species import OscillatorSpec
@@ -330,6 +331,14 @@ def test_dipole_outside_the_band_still_warns():
     with pytest.warns(CouplingStrengthWarning):
         dipole_trajectory(NATURAL, Quantity(1.0, CHARGE), Quantity(1.0, ELECTRIC_FIELD),
                           BRANCH_PAPER, [0.0], HBAR_ONE)
+
+
+def test_dipole_scale_below_the_float_range_raises():
+    # 2 q <x>_10 lam ~ 1e-400: every sample would underflow to 0.0
+    q, field = Quantity(1e-200, CHARGE), Quantity(1.0, ELECTRIC_FIELD)
+    for branch in (BRANCH_PAPER, BRANCH_LITERAL):
+        with pytest.raises(OutOfRangeError, match="dipole scale"):
+            dipole_trajectory(NATURAL, q, field, branch, [0.0, 1.0], HBAR_ONE)
 
 
 def test_dipole_rejects_nonfinite_sample():
