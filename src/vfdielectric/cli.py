@@ -12,7 +12,6 @@ the README.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -21,32 +20,16 @@ import os
 import sys
 
 from .constants import QUARKONIUM, ConstantsError, ConstantsSet, load_constants
-from .oscillator import DEFAULT_QUAD_TOL
 from .quantity import ELECTRIC_FIELD, OutOfRangeError, Quantity, q_div
-from .species import builtin_species, kinematics, load_species, resonant_frequency
-from .perturbation import (
-    BRANCH_PAPER,
-    BRANCHES,
-    LAMBDA_BAND,
-    CouplingLambda,
-    coupling_value,
-    dipole_trajectory,
-    scaling_exponent,
-)
-from .vacuum import (
-    closed_form_report,
-    epsilon0_closed_form,
-    epsilon0_self_consistent,
-    c_from_epsilon,
-    inverse_alpha,
-    report_to_dict,
-)
-from .verify import run_all
+
+# Each command imports the other modules it runs in its first lines, so a cold
+# predict, species or historical loads none of the oracle modules.
 
 __all__ = ["main", "entry"]
 
 _LAMBDA_GRID = (1e-4, 3e-4, 1e-3, 3e-3)
 _TRAJECTORY_SAMPLES = 17
+_MAX_PRECISION = 17  # the most significant digits repr needs to round-trip a double
 _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that went away
 
 
@@ -78,12 +61,15 @@ def _build_parser() -> argparse.ArgumentParser:
         command.set_defaults(handler=handler)
     verify = sub.add_parser("verify", parents=[shared],
                             help="run the oracle cross-check suites (exit 1 on any failure)")
-    verify.add_argument("--tolerance", type=float, default=DEFAULT_QUAD_TOL, metavar="TOL",
+    # the defaults and choices below are oscillator.DEFAULT_QUAD_TOL and
+    # perturbation.BRANCHES / BRANCH_PAPER, written out so building the parser
+    # imports neither module (a test pins them to those names)
+    verify.add_argument("--tolerance", type=float, default=1e-10, metavar="TOL",
                         help="quadrature-vs-analytic check tolerance (default %(default)g)")
     verify.set_defaults(handler=cmd_verify)
     sensitivity = sub.add_parser("sensitivity", parents=[shared],
                                  help="sweeps: outputs vs species count, coupling scaling, dipole trajectory")
-    sensitivity.add_argument("--branch", choices=BRANCHES, default=BRANCH_PAPER,
+    sensitivity.add_argument("--branch", choices=("paper", "literal"), default="paper",
                              help="first-order amplitude branch for dipole trajectories")
     sensitivity.set_defaults(handler=cmd_sensitivity)
     historical = sub.add_parser("historical", parents=[shared],
@@ -107,6 +93,8 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 
 
 def _print_csv(sections: list[tuple[str, list[str], list[list]]]) -> None:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     for name, headers, rows in sections:
@@ -120,6 +108,9 @@ def _print_csv(sections: list[tuple[str, list[str], list[list]]]) -> None:
 
 
 def cmd_predict(args: argparse.Namespace, constants: ConstantsSet) -> int:
+    from .species import load_species
+    from .vacuum import closed_form_report, epsilon0_self_consistent, report_to_dict
+
     species = load_species(
         constants, include_quarks=args.include_quarks, width_choice=args.width
     )
@@ -195,6 +186,8 @@ _SPECIES_COLUMNS = [
 
 
 def _species_rows(args: argparse.Namespace, constants: ConstantsSet) -> list[dict]:
+    from .species import kinematics, load_species
+
     c = constants.get("ref_c")
     eps = constants.get("ref_epsilon0")
     alpha = 1.0 / constants.get("ref_inv_alpha").value
@@ -233,6 +226,8 @@ def cmd_species(args: argparse.Namespace, constants: ConstantsSet) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, constants: ConstantsSet) -> int:
+    from .verify import run_all
+
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ConstantsError(f"--tolerance must be a positive finite number, got {args.tolerance!r}")
     results = run_all(constants, quadrature_tol=args.tolerance)
@@ -252,6 +247,16 @@ def cmd_verify(args: argparse.Namespace, constants: ConstantsSet) -> int:
 
 
 def _sensitivity_payload(args: argparse.Namespace, constants: ConstantsSet) -> dict:
+    from .perturbation import (
+        LAMBDA_BAND,
+        CouplingLambda,
+        coupling_value,
+        dipole_trajectory,
+        scaling_exponent,
+    )
+    from .species import builtin_species, resonant_frequency
+    from .vacuum import c_from_epsilon, epsilon0_closed_form, inverse_alpha
+
     count_rows = []
     for n in range(1, 7):
         eps = epsilon0_closed_form(constants, n_species=n)
@@ -401,6 +406,8 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         if args.precision < 1:
             raise ConstantsError("--precision must be a positive integer")
+        if args.precision > _MAX_PRECISION:  # before any format spec can ask for a huge string
+            raise ConstantsError(f"--precision must be at most {_MAX_PRECISION}, got {args.precision}")
         constants = load_constants(args.constants)  # a bad species record exits 2 whichever command runs
         # commands raise ConstantsError (a bad --tolerance, a missing optional
         # key) or OutOfRangeError before printing

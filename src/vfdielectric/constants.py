@@ -395,12 +395,12 @@ def _resolve_source(path: str | os.PathLike | None) -> tuple[str, str]:
         p = os.path.join(os.path.dirname(__file__), "data", DATA_FILENAME)
         try:
             return __spec__.loader.get_data(p).decode("utf-8"), "built-in default"
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConstantsError(f"cannot read the bundled constants file {p}: {exc}") from exc
     try:
         with open(p, encoding="utf-8") as f:
             return f.read(), p
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 is unreadable too
         raise ConstantsError(f"cannot read {what}: {exc}") from exc
 
 

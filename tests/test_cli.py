@@ -26,7 +26,8 @@ from vfdielectric.constants import (
     serialize_constants,
     species_from_record,
 )
-from vfdielectric.perturbation import coupling_value
+from vfdielectric.oscillator import DEFAULT_QUAD_TOL
+from vfdielectric.perturbation import BRANCH_PAPER, BRANCHES, coupling_value
 from vfdielectric.quantity import SPEED, Quantity
 from vfdielectric.species import builtin_species
 from vfdielectric.vacuum import (
@@ -446,7 +447,7 @@ def test_sensitivity_computes_the_coupling_once(capsys, monkeypatch):
     def refused(*args):
         raise AssertionError("the trajectory computed the coupling again")
 
-    monkeypatch.setattr("vfdielectric.cli.coupling_value", counted)
+    monkeypatch.setattr("vfdielectric.perturbation.coupling_value", counted)
     monkeypatch.setattr("vfdielectric.perturbation.coupling_lambda", refused)
     code, _, _ = _run(capsys, ["sensitivity", "--format", "json"])
     assert code == 0 and len(calls) == 1
@@ -526,6 +527,19 @@ def _perfbench_inputs(monkeypatch):
     return module
 
 
+def test_parser_literals_are_their_modules_values():
+    # the parser writes these out so that building it imports neither module
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    tolerance, = (action for action in subparsers.choices["verify"]._actions
+                  if "--tolerance" in action.option_strings)
+    branch, = (action for action in subparsers.choices["sensitivity"]._actions
+               if "--branch" in action.option_strings)
+    assert tolerance.default == DEFAULT_QUAD_TOL
+    assert tuple(branch.choices) == BRANCHES
+    assert branch.default == BRANCH_PAPER
+
+
 @pytest.mark.parametrize("workload", ["cli_cold", "assemble_warm", "oracle_warm"])
 def test_every_benchmark_request_parses(workload, monkeypatch):
     # an option change must not silently turn benchmark requests into exit 2
@@ -560,6 +574,25 @@ def test_precision_flag_leaves_csv_unchanged(capsys):
 def test_invalid_precision_exit_2(capsys):
     code, _, err = _run(capsys, ["predict", "--precision", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["predict", "species"])
+@pytest.mark.parametrize("precision", ["18", "99999999999"])
+def test_precision_above_17_exit_2_before_any_work(capsys, monkeypatch, command, precision):
+    # 17 significant digits round-trip any double; a huge value once built
+    # 100-MB table cells, or raised "precision too big" with a traceback
+    def refused(*args):
+        raise AssertionError("the constants were loaded before --precision was checked")
+
+    monkeypatch.setattr("vfdielectric.cli.load_constants", refused)
+    code, out, err = _run(capsys, [command, "--precision", precision])
+    assert (code, out, err) == (2, "", f"error: --precision must be at most 17, got {precision}\n")
+
+
+def test_precision_17_is_accepted(capsys):
+    c = json.loads(_run(capsys, ["predict", "--format", "json"])[1])["model"]["c"]
+    code, out, _ = _run(capsys, ["predict", "--precision", "17"])
+    assert code == 0 and f"{c:#.17g}" in out
 
 
 def test_table_and_json_share_one_report(capsys):
@@ -841,6 +874,24 @@ def test_unreadable_constants_file_message(capsys, tmp_path, monkeypatch, argv, 
         monkeypatch.setenv(DATA_DIR_ENV_VAR, env_dir)
     code, out, err = _run(capsys, ["predict", *argv])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, env_dir, label", [
+    (["--constants", "x.json"], None, "x.json"),
+    ([], "d", "d/constants.json (from $VACUUM_DATA_DIR)"),
+], ids=["constants-file", "data-dir"])
+def test_constants_file_not_utf8_exit_2(capsys, tmp_path, monkeypatch, argv, env_dir, label):
+    # a UnicodeDecodeError once escaped main as a traceback with exit 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    for path in ("x.json", "d/constants.json"):
+        (tmp_path / path).write_bytes(b"\xff\xfe[]")
+    monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
+    if env_dir:
+        monkeypatch.setenv(DATA_DIR_ENV_VAR, env_dir)
+    code, out, err = _run(capsys, ["predict", *argv])
+    assert (code, out, err) == (2, "", f"error: cannot read constants file {label}: 'utf-8' codec "
+                                       "can't decode byte 0xff in position 0: invalid start byte\n")
 
 
 def test_missing_bundled_constants_file_message(capsys, monkeypatch):

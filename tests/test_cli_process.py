@@ -2,10 +2,12 @@
 concurrent callers in one process get the serial results.
 
 No subcommand, ``verify`` included, loads numpy or scipy: the package needs
-only the standard library.  Importing the CLI loads neither ``dataclasses``
-nor ``statistics``, which would lengthen every cold start; with ``site`` off,
-nor ``importlib.resources``, ``pathlib``, ``typing`` or ``threading``.  A zipped
-copy of the package reads its bundled data file and prints the same bytes.
+only the standard library.  Each command loads only the package modules it
+runs, and only ``--format csv`` loads ``csv``.  Importing the CLI loads
+neither ``dataclasses`` nor ``statistics``, which would lengthen every cold
+start; with ``site`` off, nor ``importlib.resources``, ``pathlib``, ``typing``
+or ``threading``.  A zipped copy of the package reads its bundled data file
+and prints the same bytes.
 """
 
 import json
@@ -104,6 +106,40 @@ def test_command_loads_no_numpy_or_scipy(command):
     assert done.returncode == 0, done.stderr
     assert done.stdout
     assert json.loads(done.stderr) == []
+
+
+# Prints the loaded vfdielectric modules, and whether csv is loaded, to stderr
+# once the interpreter exits.
+_REPORT_LOADED = (
+    "import atexit, json, sys; "
+    "atexit.register(lambda: print(json.dumps([sorted("
+    "m for m in sys.modules if m.partition('.')[0] == 'vfdielectric'), 'csv' in sys.modules]), "
+    "file=sys.stderr)); "
+)
+_BASE = ["vfdielectric", "vfdielectric.cli", "vfdielectric.constants", "vfdielectric.quantity"]
+_ALL = _BASE + ["vfdielectric.oscillator", "vfdielectric.perturbation", "vfdielectric.species",
+                "vfdielectric.vacuum", "vfdielectric.verify"]
+_LOADED = {
+    "historical": _BASE,
+    "predict": _BASE + ["vfdielectric.species", "vfdielectric.vacuum"],
+    "species": _BASE + ["vfdielectric.species"],
+    "sensitivity": [m for m in _ALL if m != "vfdielectric.verify"],
+    "verify": _ALL,
+}
+
+
+@pytest.mark.parametrize("output_format", ["table", "csv"])
+@pytest.mark.parametrize("command", sorted(_LOADED))
+def test_command_loads_only_the_modules_it_runs(command, output_format):
+    # every module a cold process imports is compiled from source when no
+    # bytecode is cached, so a command that skips the oracles starts faster
+    code = (_REPORT_LOADED + "import vfdielectric.cli; "
+            f"sys.argv = ['vfdielectric', {command!r}, '--format', {output_format!r}]; "
+            "vfdielectric.cli.entry()")
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+    assert json.loads(done.stderr) == [sorted(_LOADED[command]), output_format == "csv"]
 
 
 def test_verify_passes_in_a_fresh_process():
