@@ -416,7 +416,7 @@ def load_constants(path: str | os.PathLike | None = None) -> ConstantsSet:
     text, origin = _resolve_source(path)
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge integer, or deep nesting
         raise ConstantsError(f"constants file {origin} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise ConstantsError(f"constants file {origin} must be a JSON array of records")

@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 import warnings
 from collections.abc import Sequence
 
-from .quantity import CHARGE, ELECTRIC_FIELD, OutOfRangeError, Quantity, Record, q_div, q_mul
+from .quantity import CHARGE, ELECTRIC_FIELD, Quantity, Record, q_div, q_mul
 from .species import OscillatorSpec
 from .oscillator import matrix_element_x_analytic
 
@@ -389,17 +388,13 @@ def dipole_trajectory(
     literal branch gives that constant times ``(1 - cos tau)``, which averages
     to the same value over a period.  ``lam`` is the coupling of these
     inputs, for a caller that has already computed it; by default it is
-    computed here.  A dipole scale ``2 q <x>_{1,0} lam`` below the normal
-    float range, where every sample underflows, raises ``OutOfRangeError``.
+    computed here.
     """
     _check_branch(branch)
     if lam is None:
         lam = coupling_lambda(oscillator, q, field_e0, hbar)
     x10 = matrix_element_x_analytic(oscillator, hbar)
     prefactor = q_mul(q, x10) * 2.0
-    if abs(prefactor.value) * abs(lam.value) < sys.float_info.min:
-        raise OutOfRangeError(f"the dipole scale 2 q <x>_10 lam = {prefactor.value!r} C·m * "
-                              f"{lam.value!r} underflows")
     out: list[tuple[float, Quantity]] = []
     for tau in tau_samples:
         t = float(tau)

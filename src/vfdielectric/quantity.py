@@ -12,12 +12,14 @@ unit-checked.
 Two constructors make a :class:`Quantity`.  The public ``Quantity(value, dim)``
 checks everything: it converts ``value`` with ``float()``, refuses a non-finite
 value and refuses a ``dim`` that is not a :class:`Dimension`.  The arithmetic
-here builds its results through a private constructor that checks only
-finiteness, since its operands already hold a builtin float and an interned
-Dimension.  A non-finite value from either raises :class:`OutOfRangeError`, and
-so does a power that overflows a float; a division by zero raises an error
-that is both an :class:`OutOfRangeError` and a ``ZeroDivisionError``.  Products,
-quotients, powers and the square root are memoized per interned Dimension.
+here builds its results through a private constructor that checks only the
+float-range rule, since its operands already hold a builtin float and an
+interned Dimension.  The rule: a result is 0.0 or a normal finite float.  An
+overflow, a subnormal, or a 0.0 from a product, quotient or power of nonzero
+operands raises :class:`OutOfRangeError` naming the operation, the value and
+the dimension; a division by zero raises an error that is both an
+:class:`OutOfRangeError` and a ``ZeroDivisionError``.  Products, quotients,
+powers and the square root are memoized per interned Dimension.
 
 Energy values cross the eV/J boundary only at ingestion: :data:`EV_SCALE` is
 the one table of eV-family units, which the constants loader scales through
@@ -27,6 +29,7 @@ with the elementary-charge value from the same file.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "Dimension",
@@ -71,9 +74,8 @@ class DimensionError(ValueError):
 
 
 class OutOfRangeError(ValueError):
-    """Raised when a value or an arithmetic result is not a finite float, or
-    when a result that must be positive is not: an input that under- or
-    overflowed on the way, since the data files allow only positive inputs."""
+    """Raised when a value is not a finite float, an arithmetic result is not
+    0.0 or a normal float, or a result that must be positive is not."""
 
 
 class _DivisionByZeroError(OutOfRangeError, ZeroDivisionError):
@@ -255,7 +257,7 @@ class Quantity:
     def __mul__(self, other: "Quantity | int | float") -> "Quantity":
         if isinstance(other, (int, float)):
             # float(): a float subclass's own __rmul__ may return its own type
-            return _result(float(self.value * other), self.dim)
+            return _result(float(self.value * other), self.dim, _PRODUCT, self.value, other)
         return q_mul(self, other)
 
     __rmul__ = __mul__
@@ -264,7 +266,7 @@ class Quantity:
         if isinstance(other, (int, float)):
             if other == 0:
                 raise _DivisionByZeroError("division of a Quantity by scalar zero")
-            return _result(float(self.value / other), self.dim)
+            return _result(float(self.value / other), self.dim, _QUOTIENT, self.value, other)
         return q_div(self, other)
 
     def __rtruediv__(self, other: "int | float") -> "Quantity":
@@ -279,7 +281,7 @@ class Quantity:
         return q_add(self, -other)
 
     def __neg__(self) -> "Quantity":
-        return _result(-self.value, self.dim)
+        return _result(-self.value, self.dim, _NEGATION, self.value)
 
     def __pow__(self, power: int) -> "Quantity":
         return q_pow(self, power)
@@ -303,17 +305,35 @@ class Quantity:
 _new = object.__new__
 _set_value = Quantity.value.__set__  # the slot descriptors bypass _immutable
 _set_dim = Quantity.dim.__set__
-_isfinite = math.isfinite
+_MIN, _MAX = sys.float_info.min, sys.float_info.max
+
+# each operation as an OutOfRangeError names it, formatted with its operands
+_PRODUCT = "the product {!r} * {!r}"
+_QUOTIENT = "the quotient {!r} / {!r}"
+_SUM = "the sum {!r} + {!r}"
+_POWER = "the power {!r} ** {!r}"
+_NEGATION = "the negation of {!r}"
 
 
-def _result(value: float, dim: Dimension) -> Quantity:
+def _check(value: float, dim: Dimension, operation: str, x: float, y: object = None) -> None:
+    """The float-range rule past its fast path: a negative normal float, or a
+    0.0 from a zero operand or a sum, is a result; anything else raises."""
+    if -_MAX <= value <= -_MIN or value == 0 and (operation is _SUM or x == 0 or y == 0):
+        return
+    what = ("underflows to 0.0" if value == 0 else
+            f"is subnormal: {value!r}" if abs(value) < _MIN else f"is {value!r}")
+    raise OutOfRangeError(f"{operation.format(x, y)} {what} (dimension {dim})")
+
+
+def _result(value: float, dim: Dimension, operation: str, x: float, y: object = None) -> Quantity:
     """The private constructor of arithmetic results.
 
     ``value`` is already a builtin float and ``dim`` an interned Dimension, so
-    of the public constructor's checks only finiteness is left to make.
+    of the public constructor's checks only the float-range rule is left to
+    make; ``operation`` and its operands ``x`` and ``y`` name a refused result.
     """
-    if not _isfinite(value):
-        raise OutOfRangeError(f"Quantity value must be finite, got {value!r}")
+    if not _MIN <= value <= _MAX:
+        _check(value, dim, operation, x, y)
     q = _new(Quantity)
     _set_value(q, value)
     _set_dim(q, dim)
@@ -374,9 +394,9 @@ class Record:
 def q_mul(a: Quantity, b: Quantity) -> Quantity:
     """Product: values multiply, exponents add exactly."""
     value = a.value * b.value
-    if not _isfinite(value):
-        raise OutOfRangeError(f"Quantity value must be finite, got {value!r}")
     dim = a.dim._mul.get(id(b.dim)) or a.dim * b.dim
+    if not _MIN <= value <= _MAX:
+        _check(value, dim, _PRODUCT, a.value, b.value)
     q = _new(Quantity)
     _set_value(q, value)
     _set_dim(q, dim)
@@ -388,9 +408,9 @@ def q_div(a: Quantity, b: Quantity) -> Quantity:
     if b.value == 0:
         raise _DivisionByZeroError(f"division by zero quantity (dimension {b.dim})")
     value = a.value / b.value
-    if not _isfinite(value):
-        raise OutOfRangeError(f"Quantity value must be finite, got {value!r}")
     dim = a.dim._div.get(id(b.dim)) or a.dim / b.dim
+    if not _MIN <= value <= _MAX:
+        _check(value, dim, _QUOTIENT, a.value, b.value)
     q = _new(Quantity)
     _set_value(q, value)
     _set_dim(q, dim)
@@ -401,7 +421,7 @@ def q_add(a: Quantity, b: Quantity) -> Quantity:
     """Sum, defined only for identical dimensions."""
     if a.dim is not b.dim:
         raise DimensionError(f"cannot add {a.dim} to {b.dim}")
-    return _result(a.value + b.value, a.dim)
+    return _result(a.value + b.value, a.dim, _SUM, a.value, b.value)
 
 
 def q_pow(a: Quantity, power: int) -> Quantity:
@@ -409,11 +429,11 @@ def q_pow(a: Quantity, power: int) -> Quantity:
     dim = a.dim**power  # a power that is not an int raises TypeError here
     try:
         value = a.value ** float(power)
-    except OverflowError:
-        raise OutOfRangeError(f"power {power} of {a.value!r} overflows a float") from None
+    except OverflowError:  # the rule refuses the infinity of the power's sign
+        value = math.copysign(math.inf, a.value) if power % 2 else math.inf
     except ZeroDivisionError:  # a negative power of zero
         raise _DivisionByZeroError(f"power {power} of zero (dimension {a.dim})") from None
-    return _result(value, dim)
+    return _result(value, dim, _POWER, a.value, power)
 
 
 def q_sqrt(a: Quantity) -> Quantity:
@@ -425,7 +445,7 @@ def q_sqrt(a: Quantity) -> Quantity:
     """
     if a.value <= 0:
         raise OutOfRangeError(f"fractional power 1/2 of a non-positive value {a.value!r}")
-    return _result(a.value**0.5, a.dim._sqrt())
+    return _result(a.value**0.5, a.dim._sqrt(), _POWER, a.value, 0.5)
 
 
 # eV-family multiples, relative to 1 eV: the only table of eV-family units

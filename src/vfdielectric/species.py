@@ -30,7 +30,6 @@ the same private helpers, one per formula, so they agree bit for bit.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 from .constants import LEPTON_PAIR, QUARKONIUM, ConstantsError, ConstantsSet, SpeciesSpec, width_rate
@@ -187,20 +186,11 @@ def _require_reduced_mass(reduced_mass: Quantity) -> Quantity:
 
 
 def alpha_fifth(alpha: float) -> float:
-    """``alpha^5``, the coupling power in a lepton pair's decay rate.
-
-    Raises :class:`OutOfRangeError` unless alpha is positive and finite, or
-    when the power overflows a float or falls below its normal range.
-    """
+    """``alpha^5``, the coupling power in a lepton pair's decay rate; raises
+    :class:`OutOfRangeError` unless alpha is positive and finite and its power normal."""
     if not (alpha > 0 and math.isfinite(alpha)):
         raise OutOfRangeError(f"alpha must be positive and finite, got {alpha!r}")
-    try:
-        alpha5 = alpha**5
-    except OverflowError:
-        raise OutOfRangeError(f"power 5 of alpha = {alpha!r} overflows a float") from None
-    if alpha5 < sys.float_info.min:
-        raise OutOfRangeError(f"power 5 of alpha = {alpha!r} underflows a float")
-    return alpha5
+    return q_pow(Quantity(alpha), 5).value
 
 
 def _rest_energy(species: SpeciesSpec, c2: Quantity) -> Quantity:

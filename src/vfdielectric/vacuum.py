@@ -42,7 +42,6 @@ the same bits.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Callable
 
 from .constants import LEPTON_PAIR, QUARKONIUM, ConstantsSet, SpeciesSpec
@@ -193,12 +192,6 @@ def _term(species: SpeciesSpec, constants: ConstantsSet) -> Callable[[_Step], Sp
             )
             closed = step.closed
             if abs(composed.value - closed.value) > _ROUTE_AGREEMENT_TOL * closed.value:
-                if min(composed.value, closed.value) < sys.float_info.min:
-                    # an intermediate of the input values underflowed: no program fault
-                    raise OutOfRangeError(
-                        f"{species.name}: the lepton term underflows a float (composed "
-                        f"{composed.value!r}, closed coefficient {closed.value!r})"
-                    )
                 raise AssemblyError(
                     f"{species.name}: composed term {composed.value!r} disagrees with "
                     f"closed coefficient {closed.value!r}"
@@ -287,13 +280,13 @@ def _reference_deltas(
 ) -> dict[str, float]:
     # Sign convention: (reference - model)/model, so "reference is X% less
     # than calculated" reads as a negative delta.
-    def delta(reference: float, model: float) -> float:
-        return (reference - model) / model * 100.0
+    def delta(reference: Quantity, model: Quantity) -> float:
+        return (q_div(reference - model, model) * 100.0).value
 
     return {
-        "epsilon0": delta(constants.get("ref_epsilon0").value, epsilon0.value),
-        "c": delta(constants.get("ref_c").value, c.value),
-        "inv_alpha": delta(constants.get("ref_inv_alpha").value, inv_alpha),
+        "epsilon0": delta(constants.get("ref_epsilon0"), epsilon0),
+        "c": delta(constants.get("ref_c"), c),
+        "inv_alpha": delta(constants.get("ref_inv_alpha"), Quantity(inv_alpha)),
     }
 
 

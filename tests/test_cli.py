@@ -422,7 +422,11 @@ def test_sensitivity_coupling_outside_the_band_exit_2(capsys, tmp_path, key, val
 
 
 # a dipole scale 2 q <x>_10 lam of 6.1e-107 C·m * 2.4e-222 once underflowed:
-# every dipole_Cm printed as 0.0 with exit 0
+# every dipole_Cm printed as 0.0 with exit 0; the first nonzero sample's
+# response is lam itself on the paper branch, lam (1 - cos tau) on the literal one
+_UNDERFLOWED_RESPONSE = {"paper": "2.3661715652028984e-222", "literal": "1.8011408570174495e-223"}
+
+
 @pytest.mark.parametrize("branch", ["paper", "literal"])
 @pytest.mark.parametrize("output_format", ["table", "json", "csv"])
 def test_sensitivity_underflowed_dipole_exit_2(capsys, tmp_path, branch, output_format):
@@ -432,8 +436,8 @@ def test_sensitivity_underflowed_dipole_exit_2(capsys, tmp_path, branch, output_
                                    "--format", output_format, "--constants", path])
     _assert_one_error_line(code, err)
     assert err == (f"error: the constants in {path} take a result out of the float range: "
-                   "the dipole scale 2 q <x>_10 lam = 6.136675816804472e-107 C·m * "
-                   "2.3661715652028984e-222 underflows\n")
+                   f"the product 6.136675816804472e-107 * {_UNDERFLOWED_RESPONSE[branch]} "
+                   "underflows to 0.0 (dimension m·s·A)\n")
     assert out == ""
 
 
@@ -1082,6 +1086,24 @@ def test_integer_past_the_digit_limit_exit_2(capsys, tmp_path):
     assert out == ""
 
 
+# json.loads raises RecursionError past the interpreter's nesting limit: once a
+# traceback with exit 1
+@pytest.mark.parametrize("shape", ["array", "value"])
+def test_deeply_nested_json_exit_2(capsys, tmp_path, shape):
+    path = tmp_path / "constants.json"
+    if shape == "array":
+        path.write_text("[" * 200000 + "]" * 200000, "utf-8")
+    else:
+        rows = json.loads(serialize_constants(load_constants()))
+        text = json.dumps([{**row, "value": "nested"} if row["key"] == "e" else row for row in rows])
+        path.write_text(text.replace('"nested"', "[" * 1000 + "1.0" + "]" * 1000), "utf-8")
+    code, out, err = _run(capsys, ["predict", "--constants", str(path)])
+    _assert_one_error_line(code, err)
+    assert str(path) in err and out == ""
+    if shape == "array":
+        assert err.startswith(f"error: constants file {path} is not valid JSON: ")
+
+
 @pytest.mark.parametrize("key, command", [
     ("ref_epsilon0", "predict"),
     ("ref_epsilon0", "verify"),
@@ -1138,7 +1160,16 @@ def test_optional_key_in_kg_exit_2(capsys, tmp_path, key):
     assert out == ""
 
 
-# a result past the float range once escaped cli.main as a ValueError traceback
+# a result past the float range once escaped cli.main as a ValueError traceback;
+# with m_e 1e300 the quotient q^2/mu now underflows first
+_PAST_THE_RANGE = {
+    "hbar": "the product 2.5669699665355692e+262 * 2.5669699665355692e+262 is inf "
+            "(dimension m^-4·kg^-2·s^6·A^4)",
+    "m_e": "the quotient 2.5669699665355694e-38 / 5e+299 underflows to 0.0 "
+           "(dimension kg^-1·s^2·A^2)",
+}
+
+
 @pytest.mark.parametrize("key, value, command", [
     ("hbar", 1e-300, "predict"),
     ("hbar", 1e-300, "sensitivity"),
@@ -1149,17 +1180,30 @@ def test_result_out_of_float_range_exit_2(capsys, tmp_path, key, value, command)
     path = _constants_file(tmp_path, changes={key: {"value": value}})
     code, out, err = _run(capsys, [command, "--constants", path])
     _assert_one_error_line(code, err)
-    assert path in err and "out of the float range" in err
-    assert "Quantity value must be finite, got inf" in err
+    assert path in err and f"out of the float range: {_PAST_THE_RANGE[key]}" in err
     assert out == ""
 
 
-# a division by an underflowed zero once escaped cli.main as a ZeroDivisionError traceback
-@pytest.mark.parametrize("command, hbar, message", [
-    ("species", 1e-300, "division by zero quantity"),
-    ("verify", 1e-320, "division by zero quantity"),
-    ("verify", 1e-300, "Quantity value must be finite, got inf"),
-])
+# In the next two tables each case's id ends with the message the case pinned
+# before quantity's float-range rule, which now names the operation that left
+# the range, so the ids stay as they were.
+
+# a division by an underflowed zero once escaped cli.main as a ZeroDivisionError
+# traceback; the rule now refuses the underflow itself
+_UNDERFLOWED_DIVISORS = [  # command, hbar, the message before the rule, the message now
+    ("species", 1e-300, "division by zero quantity",
+     "the product 1e-300 * 1e-300 underflows to 0.0 (dimension m^4·kg^2·s^-2)"),
+    ("verify", 1e-320, "division by zero quantity",
+     "the quotient 1e-320 / 7.829211868464419e-09 is subnormal: 1.27725355244e-312 (dimension m^2)"),
+    ("verify", 1e-300, "Quantity value must be finite, got inf",
+     "the product 1e-300 * 1e-300 underflows to 0.0 (dimension m^4·kg^2·s^-2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, hbar, message", [(c, h, now) for c, h, _, now in _UNDERFLOWED_DIVISORS],
+    ids=[f"{c}-{h}-{before}" for c, h, before, _ in _UNDERFLOWED_DIVISORS],
+)
 def test_division_by_zero_exit_2(capsys, tmp_path, command, hbar, message):
     path = _constants_file(tmp_path, changes={"hbar": {"value": hbar}})
     code, out, err = _run(capsys, [command, "--constants", path])
@@ -1171,39 +1215,72 @@ def test_division_by_zero_exit_2(capsys, tmp_path, command, hbar, message):
 # a float ** past the float range once escaped cli.main as an OverflowError
 # traceback, and a domain check that an under- or overflowed value reaches as a
 # ValueError traceback
-@pytest.mark.parametrize("key, value, argv, message", [
-    ("ref_inv_alpha", 1e-200, ["species", "--include-quarks"], "power 5 of alpha"),
-    ("mu0", 1e200, ["verify"], "power 5 of alpha"),
-    ("ref_inv_alpha", 1e-200, ["historical"], "power 2 of 1e+200"),
-    ("e", 1e-200, ["predict"], "epsilon must be positive"),
-    ("ref_inv_alpha", 5e-324, ["species", "--include-quarks"], "alpha must be positive and finite"),
-    ("e", 1e-200, ["species", "--include-quarks"], "omega0 must be positive"),
-    ("m_e", 5e-324, ["predict"], "reduced_mass must be positive"),
-    ("m_b", 1e-300, ["predict", "--include-quarks"], "eta_b: constituent_mass must be positive"),
-    ("gamma_etac_2gamma", 1e-300, ["predict", "--include-quarks"], "eta_c: epsilon_term must be positive"),
-    ("mu0", 1e-200, ["predict"], "fractional power 1/2 of a non-positive value 0.0"),
+_FLOAT_POWERS = [  # key, value, argv, the message before the rule, the message now
+    ("ref_inv_alpha", 1e-200, ["species", "--include-quarks"], "power 5 of alpha",
+     "the power 1e+200 ** 5 is inf (dimension 1)"),
+    ("mu0", 1e200, ["verify"], "power 5 of alpha",
+     "the power 6.509691353675772e+100 ** 5 is inf (dimension 1)"),
+    ("ref_inv_alpha", 1e-200, ["historical"], "power 2 of 1e+200",
+     "the power 1e+200 ** 2 is inf (dimension 1)"),
+    ("e", 1e-200, ["predict"], "epsilon must be positive",
+     "the product 1e-200 * 1e-200 underflows to 0.0 (dimension s^2·A^2)"),
+    ("ref_inv_alpha", 5e-324, ["species", "--include-quarks"], "alpha must be positive and finite",
+     "alpha must be positive and finite, got inf"),
+    ("e", 1e-200, ["species", "--include-quarks"], "omega0 must be positive",
+     "the power 1e-200 ** 4 underflows to 0.0 (dimension s^4·A^4)"),
+    ("m_e", 5e-324, ["predict"], "reduced_mass must be positive",
+     "the product 5e-324 * 0.5 underflows to 0.0 (dimension kg)"),
+    ("m_b", 1e-300, ["predict", "--include-quarks"], "eta_b: constituent_mass must be positive",
+     "the product 1.602176634e-310 * 2 is subnormal: 3.204353268e-310 (dimension m^2·kg·s^-2)"),
+    ("gamma_etac_2gamma", 1e-300, ["predict", "--include-quarks"],
+     "eta_c: epsilon_term must be positive",
+     "the product 6.085956898870474e-276 * 2.2553904510055694e-59 underflows to 0.0 "
+     "(dimension m^-3·kg^-1·s^4·A^2)"),
+    ("mu0", 1e-200, ["predict"], "fractional power 1/2 of a non-positive value 0.0",
+     "the product 1e-200 * 7.242201515984832e-206 underflows to 0.0 (dimension m^-2·s^2)"),
     # m_e/m_u once printed "comparison": Infinity, which is not strict JSON, with exit 0
-    ("m_e", 1e300, ["historical", "--format", "json"], "Quantity value must be finite, got inf"),
+    ("m_e", 1e300, ["historical", "--format", "json"], "Quantity value must be finite, got inf",
+     "the quotient 1e+300 / 1.6605390666e-27 is inf (dimension 1)"),
     # a subnormal or zero alpha^5 once broke the composed lepton route, which then
     # disagreed with the closed one: an AssemblyError traceback and exit 1
-    ("e", 1e-50, ["predict"], "underflows a float"),
-    ("e", 1e-50, ["predict", "--include-quarks"], "underflows a float"),
-    ("e", 1e-50, ["verify"], "underflows a float"),
-    ("mu0", 1e-100, ["predict", "--include-quarks"], "underflows a float"),
+    ("e", 1e-50, ["predict"], "underflows a float",
+     "the power 2.8427884497657345e-65 ** 5 is subnormal: 2e-323 (dimension 1)"),
+    ("e", 1e-50, ["predict", "--include-quarks"], "underflows a float",
+     "the power 2.8427884497657345e-65 ** 5 is subnormal: 2e-323 (dimension 1)"),
+    ("e", 1e-50, ["verify"], "underflows a float",
+     "the power 2.8427884497657345e-65 ** 5 is subnormal: 2e-323 (dimension 1)"),
+    ("mu0", 1e-100, ["predict", "--include-quarks"], "underflows a float",
+     "the power 2.7253166239912392e-64 ** 5 is subnormal: 1.503437e-318 (dimension 1)"),
     # and the species table printed a decay rate built on it, with exit 0
-    ("ref_inv_alpha", 1e100, ["species", "--include-quarks"], "underflows a float"),
-])
+    ("ref_inv_alpha", 1e100, ["species", "--include-quarks"], "underflows a float",
+     "the power 1e-100 ** 5 underflows to 0.0 (dimension 1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, argv, message", [(k, v, a, now) for k, v, a, _, now in _FLOAT_POWERS],
+    ids=[f"{k}-{v}-argv{i}-{before}" for i, (k, v, _, before, _) in enumerate(_FLOAT_POWERS)],
+)
 def test_float_power_overflow_exit_2(capsys, tmp_path, key, value, argv, message):
     path = _constants_file(tmp_path, changes={key: {"value": value}})
     code, out, err = _run(capsys, argv + ["--constants", path])
     _assert_one_error_line(code, err)
-    assert path in err and "out of the float range" in err and message in err
+    assert path in err and f"out of the float range: {message}" in err
     assert out == ""
 
 
 # the composed lepton route underflowing to 0.0 at the seed once escaped cli.main
 # as an AssemblyError traceback ("composed term 0.0 disagrees with closed
-# coefficient") with exit 1
+# coefficient") with exit 1; each id ends with that closed coefficient, and the
+# rule now refuses the intermediate that underflowed
+_LEPTON_UNDERFLOWS = {
+    "4.6038126229937343e-57": "the quotient 2.195538211515527e-30 / 1.5120341069425576e+298 "
+                              "underflows to 0.0 (dimension kg^-1·s^4·A^2)",
+    "3.3737394222569586e-140": "the product 3.43425203940468e-125 * 1.5740527627871253e-284 "
+                               "underflows to 0.0 (dimension m^-3)",
+}
+
+
 @pytest.mark.parametrize("changes, argv, closed", [
     ({"ref_epsilon0": 1e-100, "e": 1e-30}, ["predict"], "4.6038126229937343e-57"),
     ({"ref_epsilon0": 1e-100, "e": 1e-30}, ["predict", "--include-quarks"], "4.6038126229937343e-57"),
@@ -1215,9 +1292,42 @@ def test_lepton_route_underflow_exit_2(capsys, tmp_path, changes, argv, closed):
     path = _constants_file(tmp_path, changes={k: {"value": v} for k, v in changes.items()})
     code, out, err = _run(capsys, argv + ["--constants", path])
     _assert_one_error_line(code, err)
-    assert f"the constants in {path} take a result out of the float range: e_pair: the lepton " \
-           f"term underflows a float (composed 0.0, closed coefficient {closed})" in err
+    assert f"the constants in {path} take a result out of the float range: " \
+           f"{_LEPTON_UNDERFLOWS[closed]}\n" in err
     assert out == ""
+
+
+# the faults of a sweep that set each of 13 keys to its bundled value times
+# 10^k, k = -320, -313, ..., 316: an AssemblyError or ZeroDivisionError
+# traceback with exit 1, or "-Infinity" in exit-0 JSON.  Each passed a subnormal
+# or underflowed intermediate on, which the float-range rule now refuses.
+@pytest.mark.parametrize("key, exponent, argv", [
+    *[(key, 86, argv) for key in ("ref_epsilon0", "mu0")
+      for argv in (["predict"], ["predict", "--include-quarks"], ["verify"])],
+    *[(key, -117, argv) for key in ("m_mu", "m_tau") for argv in (["predict"], ["verify"])],
+    ("e", -75, ["predict"]),
+    ("e", -75, ["predict", "--include-quarks"]),
+    ("ref_inv_alpha", None, ["historical", "--format", "json"]),  # the value 1.7e308
+])
+def test_sweep_faults_exit_2(capsys, tmp_path, key, exponent, argv):
+    value = 1.7e308 if exponent is None else _bundled_values()[key] * 10.0**exponent
+    path = _constants_file(tmp_path, changes={key: {"value": value}})
+    code, out, err = _run(capsys, argv + ["--constants", path])
+    _assert_one_error_line(code, err)
+    assert err.startswith(f"error: the constants in {path} take a result out of the float range: ")
+    assert out == ""
+
+
+# a reference delta once divided plain floats: with mu0 times 1e20 and ref_c
+# 1e300 predict --format json printed "c": Infinity with exit 0
+def test_non_finite_reference_delta_exit_2(capsys, tmp_path):
+    mu0 = _bundled_values()["mu0"] * 1e20
+    path = _constants_file(tmp_path, changes={"mu0": {"value": mu0}, "ref_c": {"value": 1e300}})
+    code, out, err = _run(capsys, ["predict", "--format", "json", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert err.startswith(f"error: the constants in {path} take a result out of the float range: "
+                          "the quotient 1e+300 / ")
+    assert err.endswith(" is inf (dimension 1)\n") and out == ""
 
 
 # a fixed point that Picard steps from the reference seed did not reach in 50

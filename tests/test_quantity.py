@@ -337,7 +337,7 @@ def test_fast_paths_keep_their_error_types_and_messages():
         q_sqrt(Quantity(-4.0, dim(m=2)))
     with pytest.raises(ValueError, match=r"^fractional power 1/2 of a non-positive value 0\.0$"):
         q_sqrt(Quantity(0.0))
-    with pytest.raises(ValueError, match=r"^Quantity value must be finite, got inf$"):
+    with pytest.raises(ValueError, match=r"^the product 1e\+308 \* 1e\+308 is inf \(dimension m\^2\)$"):
         q_mul(Quantity(1e308, LENGTH), Quantity(1e308, LENGTH))
     with pytest.raises(TypeError, match=r"^exponents must be int, got float$"):
         q_pow(Quantity(2.0, LENGTH), 2.0)
@@ -359,6 +359,47 @@ def test_out_of_range_results_raise_one_named_error():
         with pytest.raises(OutOfRangeError):
             make()
     assert issubclass(OutOfRangeError, ValueError)
+
+
+# the float-range rule: every arithmetic result is 0.0 or a normal finite float
+_operands = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-308, 308)),
+)
+# each operation as the Quantity arithmetic and as the plain float operation
+_OPERATIONS = {
+    "q_mul": (lambda x, y, n: q_mul(Quantity(x, LENGTH), Quantity(y, TIME)), lambda x, y, n: x * y),
+    "q_div": (lambda x, y, n: q_div(Quantity(x, LENGTH), Quantity(y, TIME)), lambda x, y, n: x / y),
+    "q_pow": (lambda x, y, n: q_pow(Quantity(x, LENGTH), n), lambda x, y, n: x ** float(n)),
+    "q_add": (lambda x, y, n: q_add(Quantity(x, LENGTH), Quantity(y, LENGTH)), lambda x, y, n: x + y),
+    "q_sqrt": (lambda x, y, n: q_sqrt(Quantity(x, dim(m=2))),
+               lambda x, y, n: x**0.5 if x > 0 else None),  # the root of x <= 0 is refused
+    "negation": (lambda x, y, n: -Quantity(x, LENGTH), lambda x, y, n: -x),
+    "scalar *": (lambda x, y, n: Quantity(x, LENGTH) * y, lambda x, y, n: x * y),
+    "scalar /": (lambda x, y, n: Quantity(x, LENGTH) / y, lambda x, y, n: x / y),
+}
+
+
+def _normal(value):
+    return 2.2250738585072014e-308 <= abs(value) <= 1.7976931348623157e308
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_OPERATIONS)), _operands, _operands, st.integers(-4, 4))
+def test_every_result_is_zero_or_a_normal_float(operation, x, y, n):
+    arithmetic, plain = _OPERATIONS[operation]
+    try:
+        expected = plain(x, y, n)
+    except (OverflowError, ZeroDivisionError):
+        expected = None
+    # a 0.0 is a result only from a zero operand or from a sum that cancels
+    zero_ok = x == 0 or (y == 0 and operation != "q_pow") or operation == "q_add"
+    if expected is not None and (_normal(expected) or expected == 0 and zero_ok):
+        assert arithmetic(x, y, n).value.hex() == expected.hex()
+    else:
+        with pytest.raises(OutOfRangeError):
+            arithmetic(x, y, n)
 
 
 def test_arithmetic_results_are_immutable():

@@ -1,19 +1,25 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vfdielectric.quantity import (
     MASS,
     PERMITTIVITY,
     SPEED,
+    OutOfRangeError,
     Quantity,
 )
 from vfdielectric import vacuum
 from vfdielectric.constants import (
     LEPTON_PAIR,
     QUARKONIUM,
+    ConstantRecord,
+    ConstantsSet,
     SpeciesSpec,
     species_from_record,
 )
@@ -501,3 +507,36 @@ def test_closed_form_report_holds_what_predict_reads(constants, n_species):
         "c": (constants.get("ref_c").value - c.value) / c.value * 100.0,
         "inv_alpha": (constants.get("ref_inv_alpha").value - inv_alpha) / inv_alpha * 100.0,
     }
+
+
+def _in_float_range(x):
+    return x == 0 or sys.float_info.min <= abs(x) <= sys.float_info.max
+
+
+# a reference past the model by ~1e310 once gave a plain-float delta of inf,
+# printed as Infinity with exit 0
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-320.0, 308.0), min_size=3, max_size=3))
+def test_reference_deltas_keep_the_float_bits_or_raise(constants, exponents):
+    records = dict(constants.records)
+    for key, exponent in zip(("ref_epsilon0", "ref_c", "ref_inv_alpha"), exponents):
+        old, value = records[key], 10.0**exponent
+        if value == 0:
+            continue
+        records[key] = ConstantRecord(key, Quantity(value, old.quantity.dim), "", value, old.file_unit)
+    changed = ConstantsSet(records, "scaled references")
+    eps = epsilon0_closed_form(changed)
+    c = c_from_epsilon(eps, changed)
+    models = {"epsilon0": eps.value, "c": c.value, "inv_alpha": inverse_alpha(eps, c, changed)}
+    expected, in_range = {}, True
+    for key, model in models.items():
+        difference = changed.get(f"ref_{key}").value - model
+        ratio = difference / model
+        expected[key] = ratio * 100.0
+        in_range = in_range and all(map(_in_float_range, (difference, ratio, expected[key])))
+    if in_range:
+        deltas = closed_form_report(changed).reference_deltas
+        assert [d.hex() for d in deltas.values()] == [d.hex() for d in expected.values()]
+    else:
+        with pytest.raises(OutOfRangeError):
+            closed_form_report(changed)
