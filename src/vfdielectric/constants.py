@@ -3,16 +3,17 @@
 The registry is populated from a JSON data file: a list of records, each
 ``{"key", "value", "unit", "source"}`` with the unit drawn from a fixed
 whitelist.  :data:`CONSTANT_KEYS` is the one table of named keys: whether a
-file must define each, and the dimensions it may have.  Every named key and
-every mass is strictly positive.  Records with ``"kind": "species"`` define
-species inline, whose quantity fields :data:`SPECIES_QUANTITIES` tabulates;
-each is built into a :class:`SpeciesSpec` once, at load time, and a bad one
-raises :class:`ConstantsError` naming the file.  Both record kinds share one
+file must define each, and the dimensions it may have.  Records with
+``"kind": "species"`` define species inline, whose quantity fields
+:data:`SPECIES_QUANTITIES` tabulates; :func:`build_species`, the builder of
+the built-in species too, builds each once, at load time, and a bad one raises
+:class:`ConstantsError` naming the file.  Both record kinds share one
 conversion to SI base units at ingestion (eV-family energies via the
 elementary charge from the same file) and two checks: no field a record may
-not carry, and no quantity of a wrong dimension or a value that is not
-strictly positive.  The original file value/unit and the raw species records
-are kept so a set serializes back to an equivalent file.
+not carry, and no named key, mass or species quantity of a wrong dimension or
+a value that is not strictly positive and a normal float.  The original file
+value/unit and the raw species records are kept so a set serializes back to
+an equivalent file.
 
 Resolution order for the data file, each user path labelled exactly as given:
 explicit path argument, then ``VACUUM_DATA_DIR`` (``constants.json`` joined to
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 from fractions import Fraction
 
 from .quantity import (
@@ -59,8 +61,8 @@ __all__ = [
     "SPECIES_FIELDS",
     "SpeciesSpec",
     "UnsupportedSpeciesError",
+    "build_species",
     "species_from_record",
-    "width_rate",
 ]
 
 DATA_DIR_ENV_VAR = "VACUUM_DATA_DIR"
@@ -191,7 +193,7 @@ class SpeciesSpec(Record):
             )
         quark_fields = (self.bound_state_mass, self.two_photon_width, self.e_min)
         if self.kind == QUARKONIUM:
-            if any(f is None for f in quark_fields):
+            if None in quark_fields:
                 raise ValueError(
                     f"{self.name}: quarkonium needs bound_state_mass, "
                     "two_photon_width and e_min"
@@ -203,7 +205,7 @@ class SpeciesSpec(Record):
                 raise ValueError(f"{self.name}: bound_state_mass must be positive")
             if self.e_min.value <= 0:
                 raise ValueError(f"{self.name}: e_min must be positive")
-        elif any(f is not None for f in quark_fields):
+        elif quark_fields != (None, None, None):
             raise ValueError(f"{self.name}: lepton pairs carry no quarkonium fields")
         elif ratio != (1, 1):
             # the closed lepton coefficient 8^3 alpha e^2/(hbar c) holds for unit charge only
@@ -280,14 +282,16 @@ def _reject_unknown_fields(row: dict, allowed: frozenset[str], label: str) -> No
         )
 
 
-def _check_quantity(quantity: Quantity, allowed: tuple[Dimension, ...], label: str) -> None:
-    """Raise :class:`ConstantsError` naming ``label`` unless ``quantity`` has one
-    of the ``allowed`` dimensions and a strictly positive value."""
+def _refusal(quantity: Quantity, allowed: tuple[Dimension, ...]) -> str | None:
+    """Why a loaded quantity is refused, or None: its dimension, sign or float range."""
     if quantity.dim not in allowed:
         expected = " or ".join(str(d) for d in allowed)
-        raise ConstantsError(f"{label} must have dimension {expected}, got {quantity.dim}")
+        return f"must have dimension {expected}, got {quantity.dim}"
     if quantity.value <= 0:
-        raise ConstantsError(f"{label} must be strictly positive, got {quantity.value!r}")
+        return f"must be strictly positive, got {quantity.value!r}"
+    if not quantity.is_normal():
+        return f"is out of the float range: {quantity.value!r} is subnormal"
+    return None
 
 
 def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> ConstantRecord:
@@ -310,24 +314,62 @@ def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> Con
         raise ConstantsError(f"{label}: {exc}") from exc
     if key in CONSTANT_KEYS or quantity.dim == MASS:  # a mass may come under a key of its own
         _, allowed = CONSTANT_KEYS.get(key, (False, (MASS,)))
-        _check_quantity(quantity, allowed, label)
+        if refusal := _refusal(quantity, allowed):
+            raise ConstantsError(f"{label} {refusal}")
     return ConstantRecord(key, quantity, source, file_value, unit)
 
 
-def width_rate(width: Quantity, constants: ConstantsSet) -> Quantity:
-    """Normalize a two-photon width to a rate: energy widths divide by hbar."""
-    return width if width.dim == FREQUENCY else q_div(width, constants.get("hbar"))
+def build_species(name: str, kind: str, charge_fraction: Fraction, given: dict[str, Quantity],
+                  constants: ConstantsSet, label: Callable[[], str]) -> SpeciesSpec:
+    """The one builder of a species, built-in or from a file's record.
+
+    ``given`` maps each field of :data:`SPECIES_QUANTITIES` the species carries
+    to its quantity as given, checked as a loaded quantity is.  A rest energy
+    becomes a mass through ``ref_c`` squared, read only then, and an energy
+    width a rate through hbar.  A quarkonium state without ``e_min`` gets
+    ``E(bound) - 2 E(constituent)``, E being the rest energy as given or ``m
+    c^2``.  ``label()`` names where the species was given; it is called only
+    to word a :class:`ConstantsError`.
+    """
+    built, energies, c2 = {}, {}, None
+    try:
+        for field, quantity in given.items():
+            allowed = SPECIES_QUANTITIES[field][0]
+            if refusal := _refusal(quantity, allowed):
+                raise ConstantsError(f"{label()}: species {name!r}: {field} {refusal}")
+            if quantity.dim is ENERGY and MASS in allowed:  # a mass given as a rest energy
+                c2 = c2 or q_mul(constants.get("ref_c"), constants.get("ref_c"))
+                energies[field] = quantity
+                quantity = q_div(quantity, c2)
+            elif quantity.dim is ENERGY and field == "two_photon_width":
+                quantity = q_div(quantity, constants.get("hbar"))
+            built[field] = quantity
+        if kind == QUARKONIUM and "e_min" not in built:
+            field = "e_min"
+            c2 = c2 or q_mul(constants.get("ref_c"), constants.get("ref_c"))
+            bound = energies.get("bound_state_mass") or q_mul(built["bound_state_mass"], c2)
+            constituent = energies.get("constituent_mass") or q_mul(built["constituent_mass"], c2)
+            built["e_min"] = e_min = bound - constituent * 2
+            if not e_min.value > 0:
+                raise ConstantsError(
+                    f"{label()}: species {name!r}: bound_state_mass must exceed 2 * "
+                    f"constituent_mass (binding window e_min = {e_min.value!r} J)")
+    except OutOfRangeError as exc:
+        raise ConstantsError(f"{label()}: species {name!r}: {field}: {exc}") from exc
+    try:
+        return SpeciesSpec(name, kind, built["constituent_mass"], charge_fraction,
+                           built.get("bound_state_mass"), built.get("two_photon_width"),
+                           built.get("e_min"))
+    except ValueError as exc:  # a charge fraction it refuses; the message names the species
+        raise ConstantsError(f"{label()}: {exc}") from exc
 
 
 def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
     """Build a species from a data-file record (``"kind": "species"``).
 
     Quantities are inline ``{"value": ..., "unit": ...}`` objects, converted
-    as constant records are and checked against :data:`SPECIES_QUANTITIES`;
-    masses given as rest energies are converted with the reference c.
-    ``e_min`` defaults to ``bound_state_mass - 2 * constituent_mass`` in energy
-    terms.  A bad record, or one whose conversion leaves the float range,
-    raises :class:`ConstantsError` naming the file.
+    to SI as constant records are; :func:`build_species` builds the species
+    from them.  A bad record raises :class:`ConstantsError` naming the file.
     """
     where = f"bad species record in {constants.origin}"
     name = record.get("name")
@@ -341,43 +383,28 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
     if stype not in (LEPTON_PAIR, QUARKONIUM):
         raise ConstantsError(f"{label}: type must be {LEPTON_PAIR!r} or {QUARKONIUM!r}")
 
-    ref_c = constants.get("ref_c")
-    quantities: dict[str, Quantity] = {}
-    try:  # a rest energy over a tiny ref_c squared, say, leaves the float range
-        for field, (allowed, quarkonium_needs) in SPECIES_QUANTITIES.items():
-            if stype == LEPTON_PAIR and field != "constituent_mass":
-                if field in record:
-                    raise ConstantsError(f"{label}: a lepton pair carries no {field}")
-                continue
-            obj = record.get(field)
-            if obj is None:
-                if quarkonium_needs:  # constituent_mass is the one field a lepton pair needs too
-                    raise ConstantsError(f"{label} is missing field {field!r}")
-                continue
-            if not isinstance(obj, dict):
-                raise ConstantsError(f"{label}: {field} must be a {{value, unit}} object")
-            try:
-                quantity = _file_quantity(obj.get("value"), obj.get("unit"), constants.get("e").value)
-            except ConstantsError as exc:
-                raise ConstantsError(f"{label}: {field}: {exc}") from exc
-            _check_quantity(quantity, allowed, f"{label}: {field}")
-            if MASS in allowed and quantity.dim == ENERGY:  # a mass given as a rest energy
-                quantity = q_div(quantity, q_mul(ref_c, ref_c))
-            elif field == "two_photon_width":
-                quantity = width_rate(quantity, constants)
-            quantities[field] = quantity
-
-        constituent, bound, width, e_min = (quantities.get(field) for field in SPECIES_QUANTITIES)
-        if stype == QUARKONIUM and e_min is None:  # field is "e_min" here
-            c2 = q_mul(ref_c, ref_c)
-            e_min = q_mul(bound, c2) - q_mul(constituent, c2) * 2
-    except OutOfRangeError as exc:
-        raise ConstantsError(f"{label}: {field}: {exc}") from exc
-    charge_fraction = str(record.get("charge_fraction", "1"))
+    given: dict[str, Quantity] = {}
+    for field, (_, quarkonium_needs) in SPECIES_QUANTITIES.items():
+        if stype == LEPTON_PAIR and field != "constituent_mass":
+            if field in record:
+                raise ConstantsError(f"{label}: a lepton pair carries no {field}")
+            continue
+        obj = record.get(field)
+        if obj is None:
+            if quarkonium_needs:  # constituent_mass is the one field a lepton pair needs too
+                raise ConstantsError(f"{label} is missing field {field!r}")
+            continue
+        if not isinstance(obj, dict):
+            raise ConstantsError(f"{label}: {field} must be a {{value, unit}} object")
+        try:
+            given[field] = _file_quantity(obj.get("value"), obj.get("unit"), constants.get("e").value)
+        except ConstantsError as exc:
+            raise ConstantsError(f"{label}: {field}: {exc}") from exc
     try:  # Fraction() raises ValueError, or ZeroDivisionError for "1/0"
-        return SpeciesSpec(name, stype, constituent, Fraction(charge_fraction), bound, width, e_min)
+        charge_fraction = Fraction(str(record.get("charge_fraction", "1")))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConstantsError(f"{where}: {exc}") from exc
+    return build_species(name, stype, charge_fraction, given, constants, lambda: where)
 
 
 def _resolve_source(path: str | os.PathLike | None) -> tuple[str, str]:

@@ -18,8 +18,9 @@ interned Dimension.  The rule: a result is 0.0 or a normal finite float.  An
 overflow, a subnormal, or a 0.0 from a product, quotient or power of nonzero
 operands raises :class:`OutOfRangeError` naming the operation, the value and
 the dimension; a division by zero raises an error that is both an
-:class:`OutOfRangeError` and a ``ZeroDivisionError``.  Products, quotients,
-powers and the square root are memoized per interned Dimension.
+:class:`OutOfRangeError` and a ``ZeroDivisionError``.  :meth:`Quantity.is_normal`
+tests a value that no arithmetic made.  Products, quotients, powers and the
+square root are memoized per interned Dimension.
 
 Energy values cross the eV/J boundary only at ingestion: :data:`EV_SCALE` is
 the one table of eV-family units, which the constants loader scales through
@@ -297,6 +298,10 @@ class Quantity:
         if self.dim != expected:
             raise DimensionError(f"{what} must have dimension {expected}, got {self.dim}")
         return self
+
+    def is_normal(self) -> bool:
+        """Whether the value is a normal float, neither 0.0 nor subnormal."""
+        return abs(self.value) >= _MIN
 
     def __str__(self) -> str:
         return f"{self.value!r} {self.dim}" if not self.dim.is_dimensionless else repr(self.value)

@@ -14,7 +14,7 @@ self-consistent solver needs to evaluate them at trial values.  Callers that
 just want tabulated physics pass the ``ref_*`` registry entries.
 
 Species come from the built-in list or from a data file's species records,
-which :mod:`~vfdielectric.constants` builds when it loads the file.
+which :func:`~vfdielectric.constants.build_species` builds alike.
 
 The kinematics are computed at two rates.  :func:`species_factors` builds
 the factors free of eps, alpha and c (``q``, ``mu = m/2`` checked positive,
@@ -32,9 +32,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .constants import LEPTON_PAIR, QUARKONIUM, ConstantsError, ConstantsSet, SpeciesSpec, width_rate
+from .constants import LEPTON_PAIR, QUARKONIUM, ConstantsSet, SpeciesSpec, build_species
 from .quantity import (
-    ENERGY,
     FREQUENCY,
     MASS,
     PERMITTIVITY,
@@ -82,50 +81,20 @@ class OscillatorSpec(Record):
 # --- species construction -------------------------------------------------
 
 
-# The built-in species in order: name, registry keys, charge fraction.  The
-# keys are a lepton's mass; a quarkonium state's quark and bound-state rest
-# energies and two-photon width, whose {} takes the width choice.
+# The built-in species in order: name, kind, charge fraction, and the registry
+# key of each quantity: a lepton's mass; a quarkonium state's quark and
+# bound-state rest energies and two-photon width, whose {} takes the width choice
 _LEPTONS = (
-    ("e_pair", ("m_e",), Fraction(1)),
-    ("mu_pair", ("m_mu",), Fraction(1)),
-    ("tau_pair", ("m_tau",), Fraction(1)),
+    ("e_pair", LEPTON_PAIR, Fraction(1), {"constituent_mass": "m_e"}),
+    ("mu_pair", LEPTON_PAIR, Fraction(1), {"constituent_mass": "m_mu"}),
+    ("tau_pair", LEPTON_PAIR, Fraction(1), {"constituent_mass": "m_tau"}),
 )
-_QUARKONIA = (
-    ("eta_c", ("m_c", "m_etac", "gamma_etac_2gamma"), Fraction(2, 3)),
-    ("eta_b", ("m_b", "m_etab", "gamma_etab_2gamma_{}"), Fraction(1, 3)),
+_WITH_QUARKS = _LEPTONS + (
+    ("eta_c", QUARKONIUM, Fraction(2, 3), {"constituent_mass": "m_c", "bound_state_mass": "m_etac",
+                                           "two_photon_width": "gamma_etac_2gamma"}),
+    ("eta_b", QUARKONIUM, Fraction(1, 3), {"constituent_mass": "m_b", "bound_state_mass": "m_etab",
+                                           "two_photon_width": "gamma_etab_2gamma_{}"}),
 )
-
-
-def _quarkonium(
-    name: str,
-    quark_energy_key: str,
-    bound_energy_key: str,
-    width_key: str,
-    charge_fraction: Fraction,
-    constants: ConstantsSet,
-) -> SpeciesSpec:
-    # Tabulated rest energies (GeV at ingestion, J here) become masses via the
-    # reference c: they are experimental data, fixed before any model c exists.
-    ref_c = constants.get("ref_c")
-    c2 = q_mul(ref_c, ref_c)
-    quark_energy = constants.get(quark_energy_key).require(ENERGY, quark_energy_key)
-    bound_energy = constants.get(bound_energy_key).require(ENERGY, bound_energy_key)
-    e_min = bound_energy - quark_energy * 2
-    if not e_min.value > 0.0:
-        raise ConstantsError(
-            f"{name}: {bound_energy_key} must exceed 2 * {quark_energy_key} in "
-            f"{constants.origin} (binding window e_min = {e_min.value!r} J)"
-        )
-    width = width_rate(constants.get(width_key), constants)
-    return SpeciesSpec(
-        name=name,
-        kind=QUARKONIUM,
-        constituent_mass=q_div(quark_energy, c2),
-        charge_fraction=charge_fraction,
-        bound_state_mass=q_div(bound_energy, c2),
-        two_photon_width=width,
-        e_min=e_min,
-    )
 
 
 def builtin_species(
@@ -142,17 +111,15 @@ def builtin_species(
     """
     if width_choice not in ("min", "max"):
         raise ValueError(f"width_choice must be 'min' or 'max', got {width_choice!r}")
-    species = tuple(
-        SpeciesSpec(name, LEPTON_PAIR, constants.get(mass_key), charge_fraction)
-        for name, (mass_key,), charge_fraction in _LEPTONS
-    )
-    if not include_quarks:
-        return species
-    return species + tuple(
-        _quarkonium(name, quark_key, bound_key, width_key.format(width_choice),
-                    charge_fraction, constants)
-        for name, (quark_key, bound_key, width_key), charge_fraction in _QUARKONIA
-    )
+    species = []
+    for name, kind, charge_fraction, keys in _WITH_QUARKS if include_quarks else _LEPTONS:
+        given = {field: constants.get(key.format(width_choice)) for field, key in keys.items()}
+        species.append(build_species(
+            name, kind, charge_fraction, given, constants,
+            lambda: f"built-in species from {', '.join(keys.values()).format(width_choice)} "
+                    f"in {constants.origin}",
+        ))
+    return tuple(species)
 
 
 def load_species(
@@ -187,10 +154,10 @@ def _require_reduced_mass(reduced_mass: Quantity) -> Quantity:
 
 def alpha_fifth(alpha: float) -> float:
     """``alpha^5``, the coupling power in a lepton pair's decay rate; raises
-    :class:`OutOfRangeError` unless alpha is positive and finite and its power normal."""
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise OutOfRangeError(f"alpha must be positive and finite, got {alpha!r}")
-    return q_pow(Quantity(alpha), 5).value
+    :class:`OutOfRangeError` unless alpha is positive and it and its power normal."""
+    if not alpha > 0:
+        raise OutOfRangeError(f"alpha must be positive, got {alpha!r}")
+    return q_pow(_ONE * alpha, 5).value
 
 
 def _rest_energy(species: SpeciesSpec, c2: Quantity) -> Quantity:

@@ -1193,8 +1193,7 @@ def test_result_out_of_float_range_exit_2(capsys, tmp_path, key, value, command)
 _UNDERFLOWED_DIVISORS = [  # command, hbar, the message before the rule, the message now
     ("species", 1e-300, "division by zero quantity",
      "the product 1e-300 * 1e-300 underflows to 0.0 (dimension m^4·kg^2·s^-2)"),
-    ("verify", 1e-320, "division by zero quantity",
-     "the quotient 1e-320 / 7.829211868464419e-09 is subnormal: 1.27725355244e-312 (dimension m^2)"),
+    ("verify", 1e-320, "division by zero quantity", "1e-320 is subnormal"),  # refused at load
     ("verify", 1e-300, "Quantity value must be finite, got inf",
      "the product 1e-300 * 1e-300 underflows to 0.0 (dimension m^4·kg^2·s^-2)"),
 ]
@@ -1225,13 +1224,13 @@ _FLOAT_POWERS = [  # key, value, argv, the message before the rule, the message 
     ("e", 1e-200, ["predict"], "epsilon must be positive",
      "the product 1e-200 * 1e-200 underflows to 0.0 (dimension s^2·A^2)"),
     ("ref_inv_alpha", 5e-324, ["species", "--include-quarks"], "alpha must be positive and finite",
-     "alpha must be positive and finite, got inf"),
+     "5e-324 is subnormal"),  # a subnormal file value, refused at load
     ("e", 1e-200, ["species", "--include-quarks"], "omega0 must be positive",
      "the power 1e-200 ** 4 underflows to 0.0 (dimension s^4·A^4)"),
     ("m_e", 5e-324, ["predict"], "reduced_mass must be positive",
-     "the product 5e-324 * 0.5 underflows to 0.0 (dimension kg)"),
+     "5e-324 is subnormal"),  # a subnormal file value, refused at load
     ("m_b", 1e-300, ["predict", "--include-quarks"], "eta_b: constituent_mass must be positive",
-     "the product 1.602176634e-310 * 2 is subnormal: 3.204353268e-310 (dimension m^2·kg·s^-2)"),
+     "1.602176634e-310 is subnormal"),  # 1e-300 GeV is a subnormal in J, refused at load
     ("gamma_etac_2gamma", 1e-300, ["predict", "--include-quarks"],
      "eta_c: epsilon_term must be positive",
      "the product 6.085956898870474e-276 * 2.2553904510055694e-59 underflows to 0.0 "
@@ -1328,6 +1327,74 @@ def test_non_finite_reference_delta_exit_2(capsys, tmp_path):
     assert err.startswith(f"error: the constants in {path} take a result out of the float range: "
                           "the quotient 1e+300 / ")
     assert err.endswith(" is inf (dimension 1)\n") and out == ""
+
+
+# a subnormal file value once loaded and reached the output with exit 0:
+# predict --format json printed it under "reference", and historical an m_e/u
+# built on an m_u with about five significant digits left
+@pytest.mark.parametrize("key, value, argv", [
+    *[("ref_c", value, ["predict", "--format", "json"]) for value in (3.0e-312, 5e-324)],
+    *[("ref_inv_alpha", value, argv) for value in (1.37e-318, 1.37e-311, 5e-324)
+      for argv in (["predict", "--format", "json"], ["predict", "--include-quarks", "--format", "json"])],
+    ("m_u", 1.66055e-319, ["historical"]),
+])
+def test_subnormal_constant_exit_2(capsys, tmp_path, key, value, argv):
+    path = _constants_file(tmp_path, changes={key: {"value": value}})
+    code, out, err = _run(capsys, argv + ["--constants", path])
+    _assert_one_error_line(code, err)
+    assert err == f"error: constant {key!r} in {path} is out of the float range: {value!r} is subnormal\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("field, quantity, si_value", [
+    ("constituent_mass", {"value": 1e-310, "unit": "kg"}, 1e-310),
+    ("bound_state_mass", {"value": 1e-300, "unit": "GeV"}, 1.602176634e-310),
+    ("two_photon_width", {"value": 5e-324, "unit": "1/s"}, 5e-324),
+    ("e_min", {"value": 1e-300, "unit": "eV"}, 1.60216e-319),  # five digits left
+])
+def test_subnormal_species_field_exit_2(capsys, tmp_path, field, quantity, si_value):
+    path = _constants_file(tmp_path, species=[E_ONLY, {**ETA_B_10_EV, field: quantity}])
+    code, out, err = _run(capsys, ["predict", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert err == (f"error: bad species record in {path}: species 'eta_b': {field} is out of "
+                   f"the float range: {si_value!r} is subnormal\n")
+    assert out == ""
+
+
+def _json_output(argv, path):
+    """What ``argv`` prints for the constants at ``path``, the path itself
+    replaced, so two files' outputs compare byte for byte."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--format", "json", "--constants", path]) == 0
+    return out.getvalue().replace(json.dumps(path), '"<constants_source>"')
+
+
+# the built-in species and the same species as the file's records go through
+# one builder, so every output byte agrees; the file route once turned rest
+# energies into masses and back into energies for e_min, rounding on the way
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(quark_decades=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+       bound_factors=st.lists(st.floats(0.95, 1.05), min_size=2, max_size=2),
+       width_decades=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       width=st.sampled_from(["min", "max"]))
+def test_builtin_and_file_species_give_the_same_bytes(tmp_path_factory, quark_decades,
+                                                      bound_factors, width_decades, width):
+    bundled = _bundled_values()
+    values = dict(bundled)
+    pairs = (("m_c", "m_etac"), ("m_b", "m_etab"))
+    for (quark, bound), decade, factor in zip(pairs, quark_decades, bound_factors):
+        values[quark] = bundled[quark] * 10.0**decade
+        values[bound] = bundled[bound] * 10.0**decade * factor
+    for key, decade in zip(_WIDTH_KEYS, width_decades):
+        values[key] = bundled[key] * 10.0**decade
+    changes = {key: {"value": value} for key, value in values.items() if value != bundled[key]}
+    builtin = _constants_file(tmp_path_factory.mktemp("builtin"), changes=changes)
+    records = _constants_file(tmp_path_factory.mktemp("records"), changes=changes,
+                              species=_species_records(values, width))
+    for command in ("predict", "species"):
+        argv = [command, "--include-quarks", "--width", width]
+        assert _json_output(argv, builtin) == _json_output(argv, records)
 
 
 # a fixed point that Picard steps from the reference seed did not reach in 50

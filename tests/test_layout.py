@@ -10,7 +10,9 @@ quadrature and ODE oracles.  Nor is ``dataclasses``: ``quantity.Record`` is
 the record base.  Only the charge-fraction modules import ``fractions``.  Nor
 are ``importlib``, ``pathlib``, ``typing`` or ``threading``: ``os`` and the
 package's own loader read the data files, and ``collections.abc`` serves the
-annotations.
+annotations.  Every species, built-in or from a file, is built by
+``constants.build_species``: no other code constructs a ``SpeciesSpec``, and
+``species`` neither converts a width nor words a constants error itself.
 """
 
 import ast
@@ -144,3 +146,31 @@ def test_package_root_imports_nothing():
                  for node in ast.walk(ast.parse(init.read_text("utf-8")))
                  if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert offenders == []
+
+
+def _calls_of(name: str, node: ast.AST) -> list[ast.Call]:
+    """Every call below ``node`` of a function or class named ``name``."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and (getattr(call.func, "id", None) == name or getattr(call.func, "attr", None) == name)]
+
+
+def test_only_the_builder_constructs_a_species_spec():
+    # the built-in species and a file's records once had a builder each, and
+    # their e_min disagreed in the last bits
+    builders = [function for function in ast.walk(ast.parse((PACKAGE / "constants.py").read_text("utf-8")))
+                if isinstance(function, ast.FunctionDef) and function.name == "build_species"]
+    inside = {(call.lineno, call.col_offset) for builder in builders
+              for call in _calls_of("SpeciesSpec", builder)}
+    assert len(builders) == 1 and inside
+    offenders = [f"{path.name}:{call.lineno}"
+                 for path in MODULES
+                 for call in _calls_of("SpeciesSpec", ast.parse(path.read_text("utf-8")))
+                 if path.name != "constants.py" or (call.lineno, call.col_offset) not in inside]
+    assert offenders == []
+
+
+def test_species_imports_neither_width_rate_nor_constants_error():
+    tree = ast.parse((PACKAGE / "species.py").read_text("utf-8"))
+    imported = {alias.name for node in _sibling_imports(tree) for alias in node.names}
+    assert "build_species" in imported
+    assert imported.isdisjoint({"width_rate", "ConstantsError"})

@@ -428,3 +428,13 @@ def test_scalar_results_hold_a_builtin_float():
     assert type((a / _FloatSubclass(4.0)).value) is float
     assert (a * _FloatSubclass(3.0)).value == 6.0 and (a / _FloatSubclass(4.0)).value == 0.5
 
+
+
+@pytest.mark.parametrize("value, normal", [
+    (2.2250738585072014e-308, True), (-2.2250738585072014e-308, True), (1.7e308, True), (1.0, True),
+    (2.225073858507201e-308, False), (5e-324, False), (-5e-324, False), (0.0, False),
+])
+def test_is_normal_is_the_float_range_rule_for_a_nonzero_value(value, normal):
+    # the public constructor keeps a subnormal; the loader asks is_normal of it
+    assert Quantity(value, LENGTH).value == value
+    assert Quantity(value, LENGTH).is_normal() is normal

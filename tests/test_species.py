@@ -4,23 +4,31 @@ from fractions import Fraction
 import pytest
 
 from vfdielectric.quantity import (
+    ENERGY,
     FREQUENCY,
     LENGTH,
     MASS,
     NUMBER_DENSITY,
+    SPEED,
     TIME,
     DimensionError,
+    OutOfRangeError,
     Quantity,
     dim,
 )
 from vfdielectric.constants import (
     LEPTON_PAIR,
     QUARKONIUM,
+    ConstantRecord,
+    ConstantsError,
+    ConstantsSet,
     SpeciesSpec,
     UnsupportedSpeciesError,
+    build_species,
     species_from_record,
 )
 from vfdielectric.species import (
+    alpha_fifth,
     builtin_species,
     interacting_density,
     kinematics,
@@ -408,3 +416,63 @@ def test_load_species_prefers_file_records(tmp_path, constants):
 
 def test_load_species_falls_back_to_builtin(constants):
     assert [s.name for s in load_species(constants)] == ["e_pair", "mu_pair", "tau_pair"]
+
+
+def _unused_label():
+    raise AssertionError("the label is worded only for an error")
+
+
+def test_a_lepton_pair_reads_no_constant():
+    # neither ref_c nor hbar: a lepton pair's mass is given in kg
+    spec = build_species("e_pair", LEPTON_PAIR, Fraction(1),
+                         {"constituent_mass": Quantity(9.1e-31, MASS)}, ConstantsSet({}, "empty"),
+                         _unused_label)
+    assert spec.constituent_mass == Quantity(9.1e-31, MASS) and spec.e_min is None
+
+
+def _registry(**values):
+    return ConstantsSet({key: ConstantRecord(key, quantity, "", quantity.value, "")
+                         for key, quantity in values.items()}, "here")
+
+
+def test_default_e_min_is_the_given_energies_or_m_c_squared():
+    c = Quantity(3.0e8, SPEED)
+    registry = _registry(ref_c=c)
+    width = Quantity(1e18, FREQUENCY)
+    as_energies = build_species(
+        "x", QUARKONIUM, Fraction(2, 3),
+        {"constituent_mass": Quantity(2.0e-10, ENERGY), "bound_state_mass": Quantity(5.0e-10, ENERGY),
+         "two_photon_width": width}, registry, _unused_label)
+    assert as_energies.e_min == Quantity(5.0e-10, ENERGY) - Quantity(2.0e-10, ENERGY) * 2
+    c2 = c * c
+    m, M = Quantity(2.0e-27, MASS), Quantity(5.0e-27, MASS)
+    as_masses = build_species(
+        "x", QUARKONIUM, Fraction(2, 3),
+        {"constituent_mass": m, "bound_state_mass": M, "two_photon_width": width}, registry,
+        _unused_label)
+    assert as_masses.e_min == M * c2 - m * c2 * 2
+    assert (as_masses.constituent_mass, as_masses.bound_state_mass) == (m, M)
+
+
+@pytest.mark.parametrize("given, message", [
+    ({"constituent_mass": Quantity(1.0, TIME)}, "src: species 'x': constituent_mass must have dimension"),
+    ({"constituent_mass": Quantity(-1.0, MASS)}, "src: species 'x': constituent_mass must be strictly positive"),
+    ({"constituent_mass": Quantity(1e-310, MASS)},
+     "src: species 'x': constituent_mass is out of the float range: 1e-310 is subnormal"),
+])
+def test_builder_refuses_a_quantity_naming_the_label(given, message):
+    with pytest.raises(ConstantsError, match=f"^{message}"):
+        build_species("x", LEPTON_PAIR, Fraction(1), given, ConstantsSet({}, "here"), lambda: "src")
+
+
+def test_alpha_fifth_tests_alpha_once():
+    alpha = 1 / 137.035999084
+    assert alpha_fifth(alpha) == alpha**5.0
+    for bad in (0.0, -alpha, math.nan):
+        with pytest.raises(OutOfRangeError, match="^alpha must be positive, got"):
+            alpha_fifth(bad)
+    # past the sign test, the float-range rule refuses alpha or its power
+    with pytest.raises(OutOfRangeError, match=r"^the product 1\.0 \* inf is inf"):
+        alpha_fifth(math.inf)
+    with pytest.raises(OutOfRangeError, match=r"^the power 1e\+100 \*\* 5 is inf"):
+        alpha_fifth(1e100)
