@@ -1,5 +1,11 @@
 """Command-line surface: predictions, species tables, verification, sweeps.
 
+Each option is declared once, in one table.  A canonical argv (a command,
+then each of its options at most once, spelled in full) is parsed from that
+table without importing argparse; any other argv goes to the argparse parser
+built from the same table, so help, usage, abbreviations and every parse
+error are argparse's own.
+
 Exit codes: 0 success, 1 verification failure, 2 input/configuration error
 (argparse itself exits with 2 on unknown flags), 141 when the reader of
 standard output goes away.  Tables print values with 3 significant figures by
@@ -11,13 +17,13 @@ the README.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import json
 import math
 import os
 import sys
+import types
 
 from .constants import QUARKONIUM, ConstantsError, ConstantsSet, load_constants
 from .quantity import ELECTRIC_FIELD, OutOfRangeError, Quantity, q_div
@@ -31,51 +37,6 @@ _LAMBDA_GRID = (1e-4, 3e-4, 1e-3, 3e-3)
 _TRAJECTORY_SAMPLES = 17
 _MAX_PRECISION = 17  # the most significant digits repr needs to round-trip a double
 _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that went away
-
-
-@functools.cache  # parse_args leaves the parser unchanged, so one per process serves every call
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--constants", metavar="PATH", default=None,
-                        help="constants data file (overrides VACUUM_DATA_DIR and the built-in default)")
-    shared.add_argument("--format", dest="output_format", choices=("table", "json", "csv"),
-                        default="table", help="output format")
-    shared.add_argument("--precision", type=int, default=3, metavar="N",
-                        help="significant figures in table output (default 3)")
-
-    parser = argparse.ArgumentParser(
-        prog="vfdielectric",
-        description="Vacuum-fluctuation dielectric model: predict the vacuum "
-                    "permittivity, the speed of light and the fine-structure constant.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    predict = sub.add_parser("predict", parents=[shared],
-                             help="model predictions for eps0, c and 1/alpha with reference deltas")
-    species = sub.add_parser("species", parents=[shared],
-                             help="per-species lifetimes, densities, frequencies and rates")
-    for command, handler in ((predict, cmd_predict), (species, cmd_species)):
-        command.add_argument("--include-quarks", action="store_true",
-                             help="include eta_c and eta_b quarkonium terms (default: leptons only)")
-        command.add_argument("--width", choices=("min", "max"), default="max",
-                             help="which tabulated two-photon width to use where a range exists (eta_b)")
-        command.set_defaults(handler=handler)
-    verify = sub.add_parser("verify", parents=[shared],
-                            help="run the oracle cross-check suites (exit 1 on any failure)")
-    # the defaults and choices below are oscillator.DEFAULT_QUAD_TOL and
-    # perturbation.BRANCHES / BRANCH_PAPER, written out so building the parser
-    # imports neither module (a test pins them to those names)
-    verify.add_argument("--tolerance", type=float, default=1e-10, metavar="TOL",
-                        help="quadrature-vs-analytic check tolerance (default %(default)g)")
-    verify.set_defaults(handler=cmd_verify)
-    sensitivity = sub.add_parser("sensitivity", parents=[shared],
-                                 help="sweeps: outputs vs species count, coupling scaling, dipole trajectory")
-    sensitivity.add_argument("--branch", choices=("paper", "literal"), default="paper",
-                             help="first-order amplitude branch for dipole trajectories")
-    sensitivity.set_defaults(handler=cmd_sensitivity)
-    historical = sub.add_parser("historical", parents=[shared],
-                                help="historical/numerological formulas for 1/alpha (demonstration only)")
-    historical.set_defaults(handler=cmd_historical)
-    return parser
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -107,7 +68,7 @@ def _print_csv(sections: list[tuple[str, list[str], list[list]]]) -> None:
 # --- predict ----------------------------------------------------------------
 
 
-def cmd_predict(args: argparse.Namespace, constants: ConstantsSet) -> int:
+def cmd_predict(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
     from .species import load_species
     from .vacuum import closed_form_report, epsilon0_self_consistent, report_to_dict
 
@@ -185,7 +146,7 @@ _SPECIES_COLUMNS = [
 ]
 
 
-def _species_rows(args: argparse.Namespace, constants: ConstantsSet) -> list[dict]:
+def _species_rows(args: types.SimpleNamespace, constants: ConstantsSet) -> list[dict]:
     from .species import kinematics, load_species
 
     c = constants.get("ref_c")
@@ -201,7 +162,7 @@ def _species_rows(args: argparse.Namespace, constants: ConstantsSet) -> list[dic
     return rows
 
 
-def cmd_species(args: argparse.Namespace, constants: ConstantsSet) -> int:
+def cmd_species(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
     rows = _species_rows(args, constants)
     if args.output_format == "json":
         print(json.dumps(rows, indent=2))
@@ -225,7 +186,7 @@ def cmd_species(args: argparse.Namespace, constants: ConstantsSet) -> int:
 # --- verify -----------------------------------------------------------------
 
 
-def cmd_verify(args: argparse.Namespace, constants: ConstantsSet) -> int:
+def cmd_verify(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
     from .verify import run_all
 
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
@@ -246,7 +207,7 @@ def cmd_verify(args: argparse.Namespace, constants: ConstantsSet) -> int:
 # --- sensitivity ------------------------------------------------------------
 
 
-def _sensitivity_payload(args: argparse.Namespace, constants: ConstantsSet) -> dict:
+def _sensitivity_payload(args: types.SimpleNamespace, constants: ConstantsSet) -> dict:
     from .perturbation import (
         LAMBDA_BAND,
         CouplingLambda,
@@ -300,7 +261,7 @@ def _sensitivity_payload(args: argparse.Namespace, constants: ConstantsSet) -> d
     }
 
 
-def cmd_sensitivity(args: argparse.Namespace, constants: ConstantsSet) -> int:
+def cmd_sensitivity(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
     payload = _sensitivity_payload(args, constants)
     if args.output_format == "json":
         print(json.dumps(payload, indent=2))
@@ -376,7 +337,7 @@ def _historical_rows(constants: ConstantsSet) -> list[dict]:
     return rows
 
 
-def cmd_historical(args: argparse.Namespace, constants: ConstantsSet) -> int:
+def cmd_historical(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
     rows = _historical_rows(constants)
     if args.output_format == "json":
         print(json.dumps({"note": "historical/numerological formulas, not physics",
@@ -398,11 +359,116 @@ def cmd_historical(args: argparse.Namespace, constants: ConstantsSet) -> int:
     return 0
 
 
-# --- dispatch ---------------------------------------------------------------
+# --- parsing and dispatch ---------------------------------------------------
+
+
+# Each option, declared once: its flag and add_argument's keywords, dest and
+# default always among them.  _build_parser hands them to argparse, and
+# _parse_canonical reads them.  The tolerance default and the branch choices
+# are oscillator.DEFAULT_QUAD_TOL and perturbation.BRANCHES / BRANCH_PAPER,
+# written out so parsing imports neither module (a test pins them to those names)
+_SHARED_OPTIONS = (
+    ("--constants", {"dest": "constants", "metavar": "PATH", "default": None,
+                     "help": "constants data file (overrides VACUUM_DATA_DIR and the built-in default)"}),
+    ("--format", {"dest": "output_format", "choices": ("table", "json", "csv"),
+                  "default": "table", "help": "output format"}),
+    ("--precision", {"dest": "precision", "type": int, "default": 3, "metavar": "N",
+                     "help": "significant figures in table output (default 3)"}),
+)
+_QUARK_OPTIONS = (
+    ("--include-quarks", {"dest": "include_quarks", "action": "store_true", "default": False,
+                          "help": "include eta_c and eta_b quarkonium terms (default: leptons only)"}),
+    ("--width", {"dest": "width", "choices": ("min", "max"), "default": "max",
+                 "help": "which tabulated two-photon width to use where a range exists (eta_b)"}),
+)
+# each command: its handler, its help line and the options it adds to the shared ones
+_COMMANDS = {
+    "predict": (cmd_predict, "model predictions for eps0, c and 1/alpha with reference deltas",
+                _QUARK_OPTIONS),
+    "species": (cmd_species, "per-species lifetimes, densities, frequencies and rates",
+                _QUARK_OPTIONS),
+    "verify": (cmd_verify, "run the oracle cross-check suites (exit 1 on any failure)", (
+        ("--tolerance", {"dest": "tolerance", "type": float, "default": 1e-10, "metavar": "TOL",
+                         "help": "quadrature-vs-analytic check tolerance (default %(default)g)"}),
+    )),
+    "sensitivity": (cmd_sensitivity,
+                    "sweeps: outputs vs species count, coupling scaling, dipole trajectory", (
+        ("--branch", {"dest": "branch", "choices": ("paper", "literal"), "default": "paper",
+                      "help": "first-order amplitude branch for dipole trajectories"}),
+    )),
+    "historical": (cmd_historical,
+                   "historical/numerological formulas for 1/alpha (demonstration only)", ()),
+}
+
+
+@functools.cache  # parse_args leaves the parser unchanged, so one per process serves every call
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    shared = argparse.ArgumentParser(add_help=False)
+    for flag, spec in _SHARED_OPTIONS:
+        shared.add_argument(flag, **spec)
+    parser = argparse.ArgumentParser(
+        prog="vfdielectric",
+        description="Vacuum-fluctuation dielectric model: predict the vacuum "
+                    "permittivity, the speed of light and the fine-structure constant.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (handler, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[shared], help=help_text)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
+        command.set_defaults(handler=handler)
+    return parser
+
+
+def _parse_canonical(argv: "list[str]") -> types.SimpleNamespace | None:
+    """The namespace argparse gives a canonical ``argv``, or None for any other.
+
+    Canonical: a command name, then each of its options at most once, spelled
+    in full, a flag bare and any other option as ``--opt value`` or
+    ``--opt=value``, the value nonempty and not starting with ``-``.  A value
+    goes through the option's type and choices as argparse's would.  Help, an
+    abbreviation, a repeat, ``--`` and every error are None, so argparse
+    handles them and every help, usage and error byte is its own.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, options = _COMMANDS[argv[0]]
+    specs = dict(_SHARED_OPTIONS + options)
+    values = {spec["dest"]: spec["default"] for spec in specs.values()}
+    seen = set()
+    args = iter(argv[1:])
+    for arg in args:
+        flag, equals, value = arg.partition("=")
+        spec = specs.get(flag)
+        if spec is None or flag in seen:
+            return None
+        seen.add(flag)
+        if spec.get("action") == "store_true":
+            if equals:
+                return None
+            value = True
+        else:
+            if not equals:
+                value = next(args, "")
+            if not value or value[0] == "-":
+                return None
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        values[spec["dest"]] = value
+    return types.SimpleNamespace(subcommand=argv[0], handler=handler, **values)
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # every handler gets a SimpleNamespace, argparse's copied into one
+    args = _parse_canonical(argv) or types.SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     try:
         if args.precision < 1:
             raise ConstantsError("--precision must be a positive integer")

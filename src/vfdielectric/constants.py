@@ -23,9 +23,9 @@ it), then the bundled default, which the package's loader reads.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Callable
-from fractions import Fraction
 
 from .quantity import (
     ACTION,
@@ -62,6 +62,7 @@ __all__ = [
     "SpeciesSpec",
     "UnsupportedSpeciesError",
     "build_species",
+    "charge_ratio",
     "species_from_record",
 ]
 
@@ -159,6 +160,34 @@ class UnsupportedSpeciesError(ConstantsError):
     """A species name that the model deliberately excludes."""
 
 
+def charge_ratio(charge_fraction: object) -> tuple[int, int]:
+    """``Fraction(charge_fraction)`` in lowest terms, as ``(numerator, denominator)``.
+
+    An int, Fraction, float or Decimal gives its own ratio, and a string of
+    ASCII digits, or two such joined by ``/`` with a nonzero denominator, is
+    read with ``int()``.  Any other value goes to ``Fraction()``, imported
+    only then, so the values accepted and the errors raised are its own.
+    """
+    try:
+        return charge_fraction.as_integer_ratio()
+    except AttributeError:
+        pass
+    if isinstance(charge_fraction, str) and charge_fraction.isascii():
+        numerator, slash, denominator = charge_fraction.partition("/")
+        if numerator.isdigit() and (denominator.isdigit() or not slash):
+            try:  # int() refuses a string past its digit limit, as Fraction() does
+                n, d = int(numerator), int(denominator or "1")
+            except ValueError:
+                pass
+            else:
+                if d:
+                    g = math.gcd(n, d)
+                    return n // g, d // g
+    from fractions import Fraction
+
+    return Fraction(charge_fraction).as_integer_ratio()
+
+
 class SpeciesSpec(Record):
     """One polarizable vacuum-fluctuation species.
 
@@ -171,7 +200,7 @@ class SpeciesSpec(Record):
     name: str
     kind: str
     constituent_mass: Quantity
-    charge_fraction: Fraction
+    charge_fraction: object     # as given; charge_ratio reads it
     bound_state_mass: Quantity | None = None
     two_photon_width: Quantity | None = None
     e_min: Quantity | None = None
@@ -182,10 +211,7 @@ class SpeciesSpec(Record):
         self.constituent_mass.require(MASS, f"{self.name} constituent_mass")
         if self.constituent_mass.value <= 0:
             raise OutOfRangeError(f"{self.name}: constituent_mass must be positive")
-        try:  # an int, Fraction, float or Decimal gives the ratio that Fraction() would
-            ratio = self.charge_fraction.as_integer_ratio()
-        except AttributeError:  # a string, read as Fraction() reads it
-            ratio = Fraction(self.charge_fraction).as_integer_ratio()
+        ratio = charge_ratio(self.charge_fraction)
         if ratio not in _ALLOWED_CHARGE_RATIOS:
             raise ValueError(
                 f"{self.name}: charge_fraction must be one of 1, 2/3, 1/3; "
@@ -264,12 +290,15 @@ def _file_quantity(value: object, unit: object, joules_per_ev: float | None) -> 
         kind = "a boolean" if isinstance(value, bool) else "a string"
         raise ConstantsError(f"value {json.dumps(value)} is {kind}, not a number")
     try:
-        si_value = float(value)
-        if unit in EV_SCALE:
-            si_value = si_value * EV_SCALE[unit] * joules_per_ev
-        return Quantity(si_value, UNIT_DIMENSIONS[unit])
+        quantity = Quantity(value, UNIT_DIMENSIONS[unit])
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1.8e308
         raise ConstantsError(f"cannot convert {value!r} {unit} to SI: {exc}") from exc
+    if unit not in EV_SCALE:
+        return quantity
+    try:  # products, so the float-range rule words an under- or overflow
+        return quantity * EV_SCALE[unit] * joules_per_ev
+    except OutOfRangeError as exc:
+        raise ConstantsError(f"{value!r} {unit} in joules is out of the float range: {exc}") from exc
 
 
 def _reject_unknown_fields(row: dict, allowed: frozenset[str], label: str) -> None:
@@ -319,7 +348,7 @@ def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> Con
     return ConstantRecord(key, quantity, source, file_value, unit)
 
 
-def build_species(name: str, kind: str, charge_fraction: Fraction, given: dict[str, Quantity],
+def build_species(name: str, kind: str, charge_fraction: object, given: dict[str, Quantity],
                   constants: ConstantsSet, label: Callable[[], str]) -> SpeciesSpec:
     """The one builder of a species, built-in or from a file's record.
 
@@ -400,10 +429,12 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
             given[field] = _file_quantity(obj.get("value"), obj.get("unit"), constants.get("e").value)
         except ConstantsError as exc:
             raise ConstantsError(f"{label}: {field}: {exc}") from exc
-    try:  # Fraction() raises ValueError, or ZeroDivisionError for "1/0"
-        charge_fraction = Fraction(str(record.get("charge_fraction", "1")))
+    charge_fraction = str(record.get("charge_fraction", "1"))
+    try:  # read here to word one it cannot read: a ValueError, or ZeroDivisionError for "1/0"
+        charge_ratio(charge_fraction)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConstantsError(f"{where}: {exc}") from exc
+        raise ConstantsError(
+            f"{label}: charge_fraction {charge_fraction!r} is not a fraction: {exc}") from exc
     return build_species(name, stype, charge_fraction, given, constants, lambda: where)
 
 

@@ -30,9 +30,15 @@ the same private helpers, one per formula, so they agree bit for bit.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .constants import LEPTON_PAIR, QUARKONIUM, ConstantsSet, SpeciesSpec, build_species
+from .constants import (
+    LEPTON_PAIR,
+    QUARKONIUM,
+    ConstantsSet,
+    SpeciesSpec,
+    build_species,
+    charge_ratio,
+)
 from .quantity import (
     FREQUENCY,
     MASS,
@@ -85,15 +91,15 @@ class OscillatorSpec(Record):
 # key of each quantity: a lepton's mass; a quarkonium state's quark and
 # bound-state rest energies and two-photon width, whose {} takes the width choice
 _LEPTONS = (
-    ("e_pair", LEPTON_PAIR, Fraction(1), {"constituent_mass": "m_e"}),
-    ("mu_pair", LEPTON_PAIR, Fraction(1), {"constituent_mass": "m_mu"}),
-    ("tau_pair", LEPTON_PAIR, Fraction(1), {"constituent_mass": "m_tau"}),
+    ("e_pair", LEPTON_PAIR, 1, {"constituent_mass": "m_e"}),
+    ("mu_pair", LEPTON_PAIR, 1, {"constituent_mass": "m_mu"}),
+    ("tau_pair", LEPTON_PAIR, 1, {"constituent_mass": "m_tau"}),
 )
 _WITH_QUARKS = _LEPTONS + (
-    ("eta_c", QUARKONIUM, Fraction(2, 3), {"constituent_mass": "m_c", "bound_state_mass": "m_etac",
-                                           "two_photon_width": "gamma_etac_2gamma"}),
-    ("eta_b", QUARKONIUM, Fraction(1, 3), {"constituent_mass": "m_b", "bound_state_mass": "m_etab",
-                                           "two_photon_width": "gamma_etab_2gamma_{}"}),
+    ("eta_c", QUARKONIUM, "2/3", {"constituent_mass": "m_c", "bound_state_mass": "m_etac",
+                                  "two_photon_width": "gamma_etac_2gamma"}),
+    ("eta_b", QUARKONIUM, "1/3", {"constituent_mass": "m_b", "bound_state_mass": "m_etab",
+                                  "two_photon_width": "gamma_etab_2gamma_{}"}),
 )
 
 
@@ -265,7 +271,8 @@ class SpeciesFactors(Record):
 def species_factors(species: SpeciesSpec, constants: ConstantsSet) -> SpeciesFactors:
     """The eps-, alpha- and c-free factors of ``species``; see :class:`SpeciesFactors`."""
     hbar = constants.get("hbar")
-    q = constants.get("e") * float(species.charge_fraction)
+    numerator, denominator = charge_ratio(species.charge_fraction)
+    q = constants.get("e") * (numerator / denominator)  # the bits of float(Fraction)
     mu = _require_reduced_mass(species.constituent_mass * 0.5)
     if species.kind != LEPTON_PAIR:
         return SpeciesFactors(species, hbar, q, mu, None, None)

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import sys
+import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,13 +17,14 @@ from hypothesis import strategies as st
 
 from vfdielectric import constants as constants_module
 from vfdielectric import species, verify
-from vfdielectric.cli import _build_parser, main
+from vfdielectric.cli import _build_parser, _parse_canonical, main
 from vfdielectric.constants import (
     CONSTANT_KEYS,
     DATA_DIR_ENV_VAR,
     LEPTON_PAIR,
     QUARKONIUM,
     SPECIES_QUANTITIES,
+    charge_ratio,
     load_constants,
     serialize_constants,
     species_from_record,
@@ -546,7 +549,8 @@ def test_parser_literals_are_their_modules_values():
 
 @pytest.mark.parametrize("workload", ["cli_cold", "assemble_warm", "oracle_warm"])
 def test_every_benchmark_request_parses(workload, monkeypatch):
-    # an option change must not silently turn benchmark requests into exit 2
+    # an option change must not silently turn benchmark requests into exit 2,
+    # and each request must take the fast path to the namespace argparse gives
     inputs = _perfbench_inputs(monkeypatch)
     parser = _build_parser()
     for seed in range(1, 6):
@@ -554,7 +558,130 @@ def test_every_benchmark_request_parses(workload, monkeypatch):
             argv = list(request.argv)
             if request.source == inputs.PATH:
                 argv += ["--constants", "constants.json"]
-            parser.parse_args(argv)
+            fast = _parse_canonical(argv)
+            assert fast is not None, argv
+            assert vars(fast) == vars(parser.parse_args(argv))
+
+
+# --- the fast paths: canonical argv and charge fractions ------------------------
+
+_FLAGS = sorted(set().union(*COMMAND_OPTIONS.values()))
+# values each option accepts in either form, odd int() and float() spellings included
+_GOOD_VALUES = {
+    "--constants": ["constants.json", "a=b", "predict", " -x"],
+    "--format": ["table", "json", "csv"],
+    "--precision": ["3", "17", "0", " 4", "1_0", "\u0663"],
+    "--include-quarks": [],
+    "--width": ["min", "max"],
+    "--tolerance": ["1e-9", "nan", "inf", "3.5", " 1e-9 "],
+    "--branch": ["paper", "literal"],
+}
+_BAD_VALUES = ["xml", "mid", "x", "1e-9x", "9" * 5000, "", "-1", "-1e-9", "-inf", "--format", "-"]
+_JUNK = ["--", "-h", "--help", "-", "junk", "--bogus", "--include-quarks=1", "-x"]
+
+
+@st.composite
+def _argv(draw):
+    """A command, then options: mostly its own with good values, in either
+    form, and at times a bad value, a prefix, a foreign flag or junk."""
+    if draw(st.integers(0, 9)) == 0:  # a list of tokens, in no order
+        tokens = [*COMMAND_OPTIONS, *_FLAGS, *_BAD_VALUES, *_JUNK]
+        return draw(st.lists(st.sampled_from(sorted(tokens)), max_size=5))
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = [command]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["own"] * 12 + ["bad"] * 3 + ["foreign", "prefix", "junk"]))
+        own = kind in ("own", "bad")
+        flag = draw(st.sampled_from(sorted(COMMAND_OPTIONS[command] if own else _FLAGS)))
+        good = _GOOD_VALUES[flag]
+        if kind == "junk":
+            argv.append(draw(st.sampled_from(_JUNK)))
+        elif kind == "prefix":
+            argv.append(flag[:draw(st.integers(3, len(flag) - 1))])
+        elif not good and kind != "bad":
+            argv.append(flag)
+        else:
+            value = draw(st.sampled_from(good if good and kind != "bad" else _BAD_VALUES))
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+def _same_values(fast: dict, parsed: dict) -> bool:
+    """Equal namespaces, a NaN equal to a NaN (``--tolerance nan``)."""
+    return fast.keys() == parsed.keys() and all(
+        value == parsed[key] or value != value and parsed[key] != parsed[key]
+        for key, value in fast.items())
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_fast_path_defers_or_matches_argparse(argv):
+    fast = _parse_canonical(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(_build_parser().parse_args(argv))
+        except SystemExit:  # help or an error, which argparse alone may handle
+            parsed = None
+    assert fast is None or parsed is not None and _same_values(vars(fast), parsed), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--format", "table", "--format", "json"],  # a repeat: the last one wins
+    ["predict", "--inc"],  # an abbreviation
+    ["predict", "--precision=-4"],  # a value that starts with -
+    ["predict", "--constants="],  # an empty value
+    ["verify", "--", "--tolerance", "1e-9"],
+    ["sensitivity", "-h"],
+    ["historical", "--format", "xml"],
+    ["species", "--width"],
+    ["verify", "--tolerance", "1e-9x"],
+    [],
+], ids=repr)
+def test_fast_path_defers_every_other_argv_to_argparse(argv):
+    assert _parse_canonical(argv) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict"],
+    ["predict", "--include-quarks", "--width=min", "--format", "json", "--precision", "5"],
+    ["species", "--constants=x.json", "--include-quarks"],
+    ["verify", "--tolerance", "nan", "--format", "csv"],
+    ["sensitivity", "--branch", "literal", "--precision=8"],
+    ["historical", "--constants", "predict"],
+], ids=" ".join)
+def test_fast_path_takes_each_command_and_form(argv):
+    fast = _parse_canonical(argv)
+    assert isinstance(fast, types.SimpleNamespace)
+    assert _same_values(vars(fast), vars(_build_parser().parse_args(argv)))
+    assert fast.handler.__name__ == f"cmd_{argv[0]}"
+
+
+def _outcome(read, value):
+    """``read(value)``, or the type of the exception it raises."""
+    try:
+        return read(value)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=6)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(value=st.one_of(
+    _DIGITS,
+    st.tuples(_DIGITS, _DIGITS).map("/".join),
+    st.text("0123456789/ .-+_eE\u0663\u00b2", max_size=8),
+    st.text(max_size=4),
+    st.integers(-10, 10),
+    st.fractions(max_denominator=9),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.decimals(places=2, allow_nan=False),
+    st.sampled_from([None, True, 1j, b"1", "1" * 5000, "1/" + "1" * 5000]),
+))
+def test_charge_ratio_agrees_with_fraction(value):
+    assert _outcome(charge_ratio, value) == _outcome(
+        lambda v: Fraction(v).as_integer_ratio(), value)
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -729,17 +856,23 @@ def test_predict_file_eta_b_keeps_its_own_width(capsys, tmp_path):
     assert terms["eta_b"] / at_450_ev == pytest.approx(10.0 / 450.0, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("record", [
-    {"kind": "species", "name": "eta_t", "type": "quarkonium"},
-    {"kind": "species", "name": "x_pair", "type": "lepton-pair"},
-    {**E_ONLY, "constituent_mass": {"value": 1.0, "unit": "erg"}},
-    {**E_ONLY, "constituent_mass": 9.1e-31},
-    {**E_ONLY, "charge_fraction": "1/0"},
+@pytest.mark.parametrize("record, message", [
+    ({"kind": "species", "name": "eta_t", "type": "quarkonium"}, "species 'eta_t' is not modeled"),
+    ({"kind": "species", "name": "x_pair", "type": "lepton-pair"},
+     "species 'x_pair' is missing field 'constituent_mass'"),
+    ({**E_ONLY, "constituent_mass": {"value": 1.0, "unit": "erg"}},
+     "species 'e_only': constituent_mass: unit 'erg' is not allowed"),
+    ({**E_ONLY, "constituent_mass": 9.1e-31},
+     "species 'e_only': constituent_mass must be a {value, unit} object"),
+    # once worded with Fraction's text alone, naming neither species nor field
+    ({**E_ONLY, "charge_fraction": "1/0"},
+     "species 'e_only': charge_fraction '1/0' is not a fraction: Fraction(1, 0)"),
 ], ids=["unsupported", "no-mass", "bad-unit", "bare-number", "zero-denominator"])
-def test_predict_bad_species_record_exit_2(capsys, tmp_path, record):
-    code, out, err = _run(capsys, ["predict", "--constants",
-                                   _constants_file(tmp_path, species=[record])])
+def test_predict_bad_species_record_exit_2(capsys, tmp_path, record, message):
+    path = _constants_file(tmp_path, species=[record])
+    code, out, err = _run(capsys, ["predict", "--constants", path])
     _assert_one_error_line(code, err)
+    assert err.startswith(f"error: bad species record in {path}: {message}")
     assert out == ""
 
 
@@ -1230,7 +1363,8 @@ _FLOAT_POWERS = [  # key, value, argv, the message before the rule, the message 
     ("m_e", 5e-324, ["predict"], "reduced_mass must be positive",
      "5e-324 is subnormal"),  # a subnormal file value, refused at load
     ("m_b", 1e-300, ["predict", "--include-quarks"], "eta_b: constituent_mass must be positive",
-     "1.602176634e-310 is subnormal"),  # 1e-300 GeV is a subnormal in J, refused at load
+     # 1e-300 GeV is a subnormal in J, refused at load by the scaling's own product
+     "the product 1e-291 * 1.602176634e-19 is subnormal: 1.602176634e-310 (dimension m^2·kg·s^-2)"),
     ("gamma_etac_2gamma", 1e-300, ["predict", "--include-quarks"],
      "eta_c: epsilon_term must be positive",
      "the product 6.085956898870474e-276 * 2.2553904510055694e-59 underflows to 0.0 "
@@ -1346,6 +1480,33 @@ def test_subnormal_constant_exit_2(capsys, tmp_path, key, value, argv):
     assert out == ""
 
 
+# an eV-family value was scaled to joules in plain floats, so an underflow read
+# as a sign fault of a positive input: m_c = 1e-320 GeV exited 2 with "must be
+# strictly positive, got 0.0".  The scaling is Quantity products now
+@pytest.mark.parametrize("value, unit, product", [
+    (1e-320, "GeV", "the product 1e-320 * 1000000000.0 is subnormal: 9.999888671827e-312"),
+    (1e-300, "GeV", "the product 1e-291 * 1.602176634e-19 is subnormal: 1.602176634e-310"),
+    (1e-306, "eV", "the product 1e-306 * 1.602176634e-19 underflows to 0.0"),
+    (1e300, "GeV", "the product 1e+300 * 1000000000.0 is inf"),
+])
+def test_ev_scaling_out_of_the_float_range_exit_2(capsys, tmp_path, value, unit, product):
+    path = _constants_file(tmp_path, changes={"m_c": {"value": value, "unit": unit}})
+    code, out, err = _run(capsys, ["historical", "--constants", path])
+    _assert_one_error_line(code, err)
+    assert err == (f"error: constant 'm_c' in {path}: {value!r} {unit} in joules is out of the "
+                   f"float range: {product} (dimension m^2·kg·s^-2)\n")
+    assert out == ""
+
+
+# an SI value is refused as a loaded quantity; an eV-family one by the product
+# that scales it to joules, which names its operands
+_SCALED_TO_JOULES = {
+    "bound_state_mass": "1e-300 GeV in joules is out of the float range: "
+                        "the product 1e-291 * 1.602176634e-19",
+    "e_min": "1e-300 eV in joules is out of the float range: the product 1e-300 * 1.602176634e-19",
+}
+
+
 @pytest.mark.parametrize("field, quantity, si_value", [
     ("constituent_mass", {"value": 1e-310, "unit": "kg"}, 1e-310),
     ("bound_state_mass", {"value": 1e-300, "unit": "GeV"}, 1.602176634e-310),
@@ -1356,8 +1517,11 @@ def test_subnormal_species_field_exit_2(capsys, tmp_path, field, quantity, si_va
     path = _constants_file(tmp_path, species=[E_ONLY, {**ETA_B_10_EV, field: quantity}])
     code, out, err = _run(capsys, ["predict", "--constants", path])
     _assert_one_error_line(code, err)
-    assert err == (f"error: bad species record in {path}: species 'eta_b': {field} is out of "
-                   f"the float range: {si_value!r} is subnormal\n")
+    if field in _SCALED_TO_JOULES:
+        refusal = f"{field}: {_SCALED_TO_JOULES[field]} is subnormal: {si_value!r} (dimension m^2·kg·s^-2)"
+    else:
+        refusal = f"{field} is out of the float range: {si_value!r} is subnormal"
+    assert err == f"error: bad species record in {path}: species 'eta_b': {refusal}\n"
     assert out == ""
 
 

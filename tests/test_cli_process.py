@@ -6,8 +6,9 @@ only the standard library.  Each command loads only the package modules it
 runs, and only ``--format csv`` loads ``csv``.  Importing the CLI loads
 neither ``dataclasses`` nor ``statistics``, which would lengthen every cold
 start; with ``site`` off, nor ``importlib.resources``, ``pathlib``, ``typing``
-or ``threading``.  A zipped copy of the package reads its bundled data file
-and prints the same bytes.
+or ``threading``, and a canonical argv of each command loads neither
+``argparse`` nor ``fractions``, nor what they import.  A zipped copy of the
+package reads its bundled data file and prints the same bytes.
 """
 
 import json
@@ -140,6 +141,51 @@ def test_command_loads_only_the_modules_it_runs(command, output_format):
     assert done.returncode == 0, done.stderr
     assert done.stdout
     assert json.loads(done.stderr) == [sorted(_LOADED[command]), output_format == "csv"]
+
+
+# Prints which of the parser's and the charge fraction's stdlib modules the
+# program loaded, to stderr once the interpreter exits.  It runs with site off,
+# since site may import some of them itself
+_FRONT_END = ("argparse", "gettext", "locale", "shutil", "fractions", "decimal")
+_REPORT_FRONT_END = (
+    "import atexit, json, sys; before = set(sys.modules); "
+    f"atexit.register(lambda: print(json.dumps(sorted(set(sys.modules) - before & set({_FRONT_END!r}))), "
+    "file=sys.stderr)); "
+)
+_CANONICAL = {
+    "predict": ["predict", "--include-quarks", "--width=min", "--format", "json", "--precision", "4"],
+    "species": ["species", "--include-quarks", "--format=csv"],
+    "verify": ["verify", "--tolerance", "1e-9", "--format", "json"],
+    "sensitivity": ["sensitivity", "--branch", "literal", "--format", "json"],
+    "historical": ["historical", "--precision=6"],
+}
+
+
+def _front_end_loaded(argv):
+    code = (_REPORT_FRONT_END + "import vfdielectric.cli; "
+            f"sys.argv = ['vfdielectric', *{argv!r}]; vfdielectric.cli.entry()")
+    done = _python("-S", "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+    return json.loads(done.stderr)
+
+
+@pytest.mark.parametrize("command", sorted(_CANONICAL))
+def test_canonical_argv_loads_neither_argparse_nor_fractions(command):
+    # argparse (with gettext, locale and, to size its help, shutil) and
+    # fractions (with decimal) were the largest stdlib imports of a cold
+    # command; the built-in charges are "2/3" and "1/3", read with int()
+    assert _front_end_loaded(_CANONICAL[command]) == []
+
+
+def test_an_abbreviated_option_still_goes_to_argparse():
+    assert "argparse" in _front_end_loaded(["predict", "--inc", "--format=json"])
+
+
+def test_help_still_comes_from_argparse():
+    done = _python("-m", "vfdielectric.cli", "predict", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: vfdielectric predict")
 
 
 def test_verify_passes_in_a_fresh_process():

@@ -7,7 +7,8 @@ nothing: each public name is imported from its module.  The package needs
 nothing beyond the standard library: numpy and scipy are imported nowhere in
 it, not even inside a function; the tests use them as referees of the
 quadrature and ODE oracles.  Nor is ``dataclasses``: ``quantity.Record`` is
-the record base.  Only the charge-fraction modules import ``fractions``.  Nor
+the record base.  Only the charge-fraction fallback imports ``fractions``, and
+only the parser builder ``argparse``, each inside its function.  Nor
 are ``importlib``, ``pathlib``, ``typing`` or ``threading``: ``os`` and the
 package's own loader read the data files, and ``collections.abc`` serves the
 annotations.  Every species, built-in or from a file, is built by
@@ -90,12 +91,31 @@ def test_no_dataclasses_import():
     assert _imports_of({"dataclasses"}) == []
 
 
+def _importers_of(module: str) -> list[tuple[str, str | None]]:
+    """Each import of ``module`` in the package, as (file, the innermost
+    function it is in, or None at module level)."""
+    sites = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text("utf-8"))
+        enclosing = {}
+        for function in ast.walk(tree):  # outer functions first, so the innermost wins
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing.update(dict.fromkeys(ast.walk(function), function.name))
+        sites += [(path.name, enclosing.get(node)) for node in ast.walk(tree)
+                  if (isinstance(node, ast.Import) and module in [a.name for a in node.names])
+                  or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == module)]
+    return sites
+
+
 def test_only_charge_fractions_import_fractions():
-    # Dimension exponents are ints; a species' charge fraction, parsed in
-    # constants and tabled in species, is the one Fraction left
-    offenders = [where for where in _imports_of({"fractions"})
-                 if where.split(":")[0] not in {"constants.py", "species.py"}]
-    assert offenders == []
+    # Dimension exponents are ints, and charge_ratio reads a charge fraction
+    # such as "2/3" with int(): only the values it cannot read go to Fraction()
+    assert _importers_of("fractions") == [("constants.py", "charge_ratio")]
+
+
+def test_only_the_parser_builder_imports_argparse():
+    # a canonical argv is parsed without argparse, which loads gettext and locale
+    assert _importers_of("argparse") == [("cli.py", "_build_parser")]
 
 
 def test_no_importlib_pathlib_typing_or_threading_import():

@@ -25,6 +25,7 @@ from vfdielectric.constants import (
     SpeciesSpec,
     UnsupportedSpeciesError,
     build_species,
+    charge_ratio,
     species_from_record,
 )
 from vfdielectric.species import (
@@ -322,8 +323,8 @@ def test_builtin_trio_names_and_kinds(trio):
 
 
 def test_builtin_quark_charges(quarks):
-    assert quarks["eta_c"].charge_fraction == Fraction(2, 3)
-    assert quarks["eta_b"].charge_fraction == Fraction(1, 3)
+    assert charge_ratio(quarks["eta_c"].charge_fraction) == (2, 3)
+    assert charge_ratio(quarks["eta_b"].charge_fraction) == (1, 3)
 
 
 def test_width_choice_selects_tabulated_bounds(constants):

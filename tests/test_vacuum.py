@@ -175,7 +175,7 @@ def test_quarkonium_term_equals_the_species_table_route(constants, ref_alpha, re
         full = builtin_species(constants, include_quarks=True, width_choice=width)
         s = {q.name: q for q in full}[name]
     k = kinematics(s, constants, constants.get("ref_epsilon0"), ref_alpha, ref_c)
-    q = constants.get("e").value * float(s.charge_fraction)
+    q = constants.get("e").value * float(Fraction(s.charge_fraction))
     polarizability = q * q / k.oscillator.reduced_mass.value / k.oscillator.omega0.value**2
     expected = k.interacting_density.value * polarizability
     term = quarkonium_contribution(s, constants, ref_c).epsilon_term.value
