@@ -244,7 +244,7 @@ def _sensitivity_payload(args: types.SimpleNamespace, constants: ConstantsSet) -
             f"a coupling lam={lam!r} outside the first-order band |lam| < {LAMBDA_BAND}"
         )
     taus = [2 * math.pi * i / (_TRAJECTORY_SAMPLES - 1) for i in range(_TRAJECTORY_SAMPLES)]
-    trajectory = dipole_trajectory(osc, e, field, args.branch, taus, hbar, CouplingLambda(lam))
+    trajectory = dipole_trajectory(osc, e, args.branch, taus, hbar, CouplingLambda(lam))
     return {
         "species_count_sweep": count_rows,
         "coupling_scaling": {

@@ -52,7 +52,6 @@ __all__ = [
     "CouplingLambda",
     "AmplitudePair",
     "coupling_value",
-    "coupling_lambda",
     "amplitudes_analytic",
     "amplitudes_exact",
     "amplitudes_ode",
@@ -135,16 +134,6 @@ def coupling_value(
     numerator = q_mul(q_mul(q, field_e0), x10)
     denominator = q_mul(hbar, oscillator.omega0)
     return q_div(numerator, denominator).as_dimensionless()
-
-
-def coupling_lambda(
-    oscillator: OscillatorSpec,
-    q: Quantity,
-    field_e0: Quantity,
-    hbar: Quantity,
-) -> CouplingLambda:
-    """Build the coupling from oscillator, charge and frozen field value."""
-    return CouplingLambda(coupling_value(oscillator, q, field_e0, hbar))
 
 
 def _check_branch(branch: str) -> None:
@@ -362,7 +351,7 @@ def scaling_exponent(lam_grid: Sequence[float], tau: float) -> float:
     logs_x = []
     logs_y = []
     for v in values:
-        correction = _a0_correction(t, CouplingLambda(v).value)
+        correction = _a0_correction(t, v)
         if correction == 0.0:
             raise ValueError(f"a0 correction vanished at lam={v!r}; cannot take log")
         logs_x.append(math.log(v))
@@ -376,23 +365,20 @@ def scaling_exponent(lam_grid: Sequence[float], tau: float) -> float:
 def dipole_trajectory(
     oscillator: OscillatorSpec,
     q: Quantity,
-    field_e0: Quantity,
     branch: str,
     tau_samples: Sequence[float],
     hbar: Quantity,
-    lam: CouplingLambda | None = None,
+    lam: CouplingLambda,
 ) -> list[tuple[float, Quantity]]:
     """Dipole expectation ``<p>(tau) = 2 q <x>_{1,0} Re[a1(tau) exp(-i tau)]``.
 
-    The paper branch gives the constant ``(q^2/mu) E0 / omega0^2``; the
-    literal branch gives that constant times ``(1 - cos tau)``, which averages
-    to the same value over a period.  ``lam`` is the coupling of these
-    inputs, for a caller that has already computed it; by default it is
-    computed here.
+    The frozen field reaches the dipole only through ``lam``, the coupling of
+    ``oscillator``, ``q`` and the field (:func:`coupling_value`).  The paper
+    branch gives the constant ``(q^2/mu) E0 / omega0^2``; the literal branch
+    gives that constant times ``(1 - cos tau)``, which averages to the same
+    value over a period.
     """
     _check_branch(branch)
-    if lam is None:
-        lam = coupling_lambda(oscillator, q, field_e0, hbar)
     x10 = matrix_element_x_analytic(oscillator, hbar)
     prefactor = q_mul(q, x10) * 2.0
     out: list[tuple[float, Quantity]] = []

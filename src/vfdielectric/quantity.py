@@ -49,7 +49,6 @@ __all__ = [
     "LENGTH",
     "MASS",
     "TIME",
-    "CURRENT",
     "SPEED",
     "FREQUENCY",
     "ENERGY",
@@ -207,7 +206,6 @@ DIMENSIONLESS = Dimension()
 LENGTH = dim(m=1)
 MASS = dim(kg=1)
 TIME = dim(s=1)
-CURRENT = dim(A=1)
 SPEED = dim(m=1, s=-1)
 FREQUENCY = dim(s=-1)                      # also rad/s: radians are dimensionless
 ENERGY = dim(kg=1, m=2, s=-2)              # J

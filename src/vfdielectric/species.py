@@ -22,9 +22,9 @@ the factors free of eps, alpha and c (``q``, ``mu = m/2`` checked positive,
 species at one ``(eps, alpha, c)``: it computes ``c^2`` and the rest energy
 once, so the lifetime once, and returns the lifetime, coherence length,
 number density, oscillator, decay rate and interacting density together.
-:func:`number_density`, :func:`resonant_frequency` and
-:func:`interacting_density` compute one quantity per call.  All go through
-the same private helpers, one per formula, so they agree bit for bit.
+:func:`resonant_frequency` and :func:`interacting_density` compute one
+quantity per call.  All go through the same private helpers, one per
+formula, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
     "species_factors",
     "kinematics",
     "alpha_fifth",
-    "number_density",
     "resonant_frequency",
     "interacting_density",
 ]
@@ -298,13 +297,6 @@ def kinematics(
     _check_speed(c)
     alpha5 = alpha_fifth(alpha) if species.kind == LEPTON_PAIR else None
     return species_factors(species, constants).kinematics(epsilon, c, q_mul(c, c), alpha5)
-
-
-def number_density(species: SpeciesSpec, constants: ConstantsSet, c: Quantity) -> Quantity:
-    """One transient atom per coherence volume: ``1 / L^3`` with ``L = c dt``."""
-    _check_speed(c)
-    lifetime = _lifetime(species, constants.get("hbar"), _rest_energy(species, q_mul(c, c)))
-    return _per_volume(q_mul(c, lifetime))
 
 
 def resonant_frequency(

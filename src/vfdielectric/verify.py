@@ -166,7 +166,7 @@ def check_fixed_point_vs_closed_form(constants: ConstantsSet) -> CheckResult:
     report = epsilon0_self_consistent(leptons, constants)
     closed = epsilon0_closed_form(constants, n_species=len(leptons))
     rel = abs(report.epsilon0_model.value - closed.value) / closed.value
-    passed = rel <= tol and (report.iterations or 0) <= 5
+    passed = rel <= tol and report.iterations <= 2
     detail = f"rel diff {rel:.2e}; converged in {report.iterations} iterations"
     return CheckResult("fixed-point-vs-closed-form", passed, tol, detail)
 

@@ -17,7 +17,7 @@ from vfdielectric.quantity import (
     q_add,
 )
 from vfdielectric.constants import load_constants
-from vfdielectric.species import builtin_species, number_density
+from vfdielectric.species import builtin_species, kinematics
 from vfdielectric.oscillator import (
     matrix_element_x_analytic,
     matrix_element_x_quadrature,
@@ -28,6 +28,7 @@ from vfdielectric.perturbation import (
     CouplingLambda,
     amplitudes_analytic,
     amplitudes_ode,
+    coupling_value,
     dipole_trajectory,
     scaling_exponent,
 )
@@ -82,9 +83,10 @@ def test_criterion_03_inverse_alpha():
 
 def test_criterion_04_number_densities():
     trio = builtin_species(CONSTANTS)
-    ref_c = CONSTANTS.get("ref_c")
-    n_e = number_density(trio[0], CONSTANTS, ref_c).value
-    n_tau = number_density(trio[2], CONSTANTS, ref_c).value
+    eps, c = CONSTANTS.get("ref_epsilon0"), CONSTANTS.get("ref_c")
+    alpha = 1.0 / CONSTANTS.get("ref_inv_alpha").value
+    n_e = kinematics(trio[0], CONSTANTS, eps, alpha, c).number_density.value
+    n_tau = kinematics(trio[2], CONSTANTS, eps, alpha, c).number_density.value
     rel_e = abs(n_e - 1.12e39) / 1.12e39
     rel_tau = abs(n_tau - 4.70e49) / 4.70e49
     _criterion(4, "number densities 1.12e39 (e) and 4.70e49 (tau) within 1%",
@@ -186,11 +188,12 @@ def test_criterion_11_dipole_time_average():
     q = CONSTANTS.get("e")
     field = Quantity(1.0, ELECTRIC_FIELD)
     hbar = CONSTANTS.get("hbar")
+    lam = CouplingLambda(coupling_value(osc, q, field, hbar))
     n = 256
     taus = [2.0 * math.pi * i / n for i in range(n)]
-    literal = dipole_trajectory(osc, q, field, BRANCH_LITERAL, taus, hbar)
+    literal = dipole_trajectory(osc, q, BRANCH_LITERAL, taus, hbar, lam)
     mean = sum(p.value for _, p in literal) / n
-    paper = dipole_trajectory(osc, q, field, BRANCH_PAPER, [0.0], hbar)[0][1].value
+    paper = dipole_trajectory(osc, q, BRANCH_PAPER, [0.0], hbar, lam)[0][1].value
     rel = abs(mean - paper) / paper
     _criterion(11, "literal dipole period-average equals paper constant to 1e-10",
                rel <= 1e-10, f"mean {mean:.6e}, constant {paper:.6e}, rel {rel:.2e}")

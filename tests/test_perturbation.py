@@ -27,7 +27,7 @@ from vfdielectric.perturbation import (
     amplitudes_analytic,
     amplitudes_exact,
     amplitudes_ode,
-    coupling_lambda,
+    coupling_value,
     dipole_trajectory,
     scaling_exponent,
 )
@@ -94,9 +94,9 @@ def test_coupling_rejects_nonfinite():
 
 def test_coupling_lambda_formula():
     # lam = q E0 <x>_{1,0} / (hbar omega0) in natural units is q E0 / sqrt(2)
-    lam = coupling_lambda(
+    lam = CouplingLambda(coupling_value(
         NATURAL, Quantity(0.01, CHARGE), Quantity(1.0, ELECTRIC_FIELD), HBAR_ONE
-    )
+    ))
     assert lam.value == pytest.approx(0.01 / math.sqrt(2.0), rel=1e-12, abs=0)
 
 
@@ -107,7 +107,7 @@ def test_coupling_value_is_the_coupling_before_the_band_check():
         value = perturbation.coupling_value(*args)  # outside the band, yet no warning
     assert value >= perturbation.LAMBDA_BAND
     with pytest.warns(CouplingStrengthWarning):
-        assert coupling_lambda(*args).value == value
+        assert CouplingLambda(value).value == value
 
 
 # --- ODE oracle -----------------------------------------------------------------
@@ -269,19 +269,25 @@ def _dipole_constant(q, field, spec):
     return q**2 * field / (spec.reduced_mass.value * spec.omega0.value**2)
 
 
+def _trajectory(q, field, branch, taus):
+    """The trajectory of ``NATURAL`` under charge ``q`` and frozen field ``field``."""
+    lam = CouplingLambda(coupling_value(NATURAL, q, field, HBAR_ONE))
+    return dipole_trajectory(NATURAL, q, branch, taus, HBAR_ONE, lam)
+
+
 def test_paper_branch_dipole_is_constant():
     q = Quantity(0.002, CHARGE)
     field = Quantity(1.0, ELECTRIC_FIELD)
     taus = [0.0, 0.7, math.pi, 5.0]
     expected = _dipole_constant(q.value, field.value, NATURAL)
-    for tau, dipole in dipole_trajectory(NATURAL, q, field, BRANCH_PAPER, taus, HBAR_ONE):
+    for tau, dipole in _trajectory(q, field, BRANCH_PAPER, taus):
         assert dipole.value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_literal_branch_starts_at_zero():
     q = Quantity(0.002, CHARGE)
     field = Quantity(1.0, ELECTRIC_FIELD)
-    samples = dipole_trajectory(NATURAL, q, field, BRANCH_LITERAL, [0.0], HBAR_ONE)
+    samples = _trajectory(q, field, BRANCH_LITERAL, [0.0])
     assert samples[0][1].value == 0.0
 
 
@@ -290,7 +296,7 @@ def test_literal_branch_one_minus_cosine_shape():
     field = Quantity(1.0, ELECTRIC_FIELD)
     constant = _dipole_constant(q.value, field.value, NATURAL)
     taus = [0.4, 1.1, 2.9]
-    for tau, dipole in dipole_trajectory(NATURAL, q, field, BRANCH_LITERAL, taus, HBAR_ONE):
+    for tau, dipole in _trajectory(q, field, BRANCH_LITERAL, taus):
         assert dipole.value == pytest.approx(constant * (1.0 - math.cos(tau)), rel=1e-12, abs=0)
 
 
@@ -299,9 +305,9 @@ def test_literal_period_average_equals_paper_constant():
     field = Quantity(1.0, ELECTRIC_FIELD)
     n = 128
     taus = [2.0 * math.pi * i / n for i in range(n)]
-    literal = dipole_trajectory(NATURAL, q, field, BRANCH_LITERAL, taus, HBAR_ONE)
+    literal = _trajectory(q, field, BRANCH_LITERAL, taus)
     mean = sum(p.value for _, p in literal) / n
-    paper = dipole_trajectory(NATURAL, q, field, BRANCH_PAPER, [0.0], HBAR_ONE)[0][1]
+    paper = _trajectory(q, field, BRANCH_PAPER, [0.0])[0][1]
     assert mean == pytest.approx(paper.value, rel=1e-10, abs=0)
 
 
@@ -309,29 +315,17 @@ def test_dipole_exactly_linear_in_field():
     q = Quantity(0.002, CHARGE)
     taus = [0.0, 1.0, 2.0]
     for branch in (BRANCH_PAPER, BRANCH_LITERAL):
-        ones = dipole_trajectory(
-            NATURAL, q, Quantity(1.0, ELECTRIC_FIELD), branch, taus, HBAR_ONE
-        )
-        threes = dipole_trajectory(
-            NATURAL, q, Quantity(3.0, ELECTRIC_FIELD), branch, taus, HBAR_ONE
-        )
+        ones = _trajectory(q, Quantity(1.0, ELECTRIC_FIELD), branch, taus)
+        threes = _trajectory(q, Quantity(3.0, ELECTRIC_FIELD), branch, taus)
         for (_, a), (_, b) in zip(ones, threes):
             assert b.value == pytest.approx(3.0 * a.value, rel=1e-15, abs=0)
 
 
-def test_dipole_given_its_coupling_matches_the_one_it_computes():
-    q, field, taus = Quantity(0.002, CHARGE), Quantity(1.0, ELECTRIC_FIELD), [0.0, 0.7, 5.0]
-    lam = coupling_lambda(NATURAL, q, field, HBAR_ONE)
-    for branch in (BRANCH_PAPER, BRANCH_LITERAL):
-        assert dipole_trajectory(NATURAL, q, field, branch, taus, HBAR_ONE, lam) == \
-            dipole_trajectory(NATURAL, q, field, branch, taus, HBAR_ONE)
-
-
 def test_dipole_outside_the_band_still_warns():
-    # the CLI refuses such a coupling; a library caller gets the warning
+    # the CLI refuses such a coupling; a library caller gets the warning when
+    # it builds the coupling it hands the trajectory
     with pytest.warns(CouplingStrengthWarning):
-        dipole_trajectory(NATURAL, Quantity(1.0, CHARGE), Quantity(1.0, ELECTRIC_FIELD),
-                          BRANCH_PAPER, [0.0], HBAR_ONE)
+        _trajectory(Quantity(1.0, CHARGE), Quantity(1.0, ELECTRIC_FIELD), BRANCH_PAPER, [0.0])
 
 
 def test_dipole_scale_below_the_float_range_raises():
@@ -342,14 +336,14 @@ def test_dipole_scale_below_the_float_range_raises():
                              (BRANCH_LITERAL, "3.2505535681645775e-201")):
         with pytest.raises(OutOfRangeError, match=re.escape(
                 f"the product 1.414213562373095e-200 * {response} underflows to 0.0 (dimension m·s·A)")):
-            dipole_trajectory(NATURAL, q, field, branch, [0.0, 1.0], HBAR_ONE)
+            _trajectory(q, field, branch, [0.0, 1.0])
 
 
 def test_dipole_rejects_nonfinite_sample():
     q = Quantity(0.002, CHARGE)
     field = Quantity(1.0, ELECTRIC_FIELD)
     with pytest.raises(ValueError):
-        dipole_trajectory(NATURAL, q, field, BRANCH_PAPER, [float("inf")], HBAR_ONE)
+        _trajectory(q, field, BRANCH_PAPER, [float("inf")])
 
 
 def test_amplitude_norm_property():

@@ -34,7 +34,6 @@ from vfdielectric.species import (
     interacting_density,
     kinematics,
     load_species,
-    number_density,
     resonant_frequency,
     species_factors,
 )
@@ -131,23 +130,23 @@ def test_mu_pair_length_mass_ratio(trio, constants, ref_c, at_ref):
     assert at_ref(mu_pair, ref_c).coherence_length.value == pytest.approx(expected, rel=1e-14, abs=0)
 
 
-def test_number_density_epair_paper_value(trio, constants, ref_c):
-    density = number_density(trio[0], constants, ref_c)
+def test_number_density_epair_paper_value(trio, ref_c, at_ref):
+    density = at_ref(trio[0], ref_c).number_density
     assert density.dim == NUMBER_DENSITY
     assert density.value == pytest.approx(1.12e39, rel=1e-2)
 
 
-def test_number_density_tau_paper_value(trio, constants, ref_c):
-    assert number_density(trio[2], constants, ref_c).value == pytest.approx(4.70e49, rel=1e-2)
+def test_number_density_tau_paper_value(trio, ref_c, at_ref):
+    assert at_ref(trio[2], ref_c).number_density.value == pytest.approx(4.70e49, rel=1e-2)
 
 
-def test_number_density_cubic_mass_scaling(trio, constants, ref_c):
+def test_number_density_cubic_mass_scaling(trio, ref_c, at_ref):
     e_pair, mu_pair, tau_pair = trio
-    n_e = number_density(e_pair, constants, ref_c).value
+    n_e = at_ref(e_pair, ref_c).number_density.value
     for other in (mu_pair, tau_pair):
         mass_ratio = other.constituent_mass.value / e_pair.constituent_mass.value
         expected = n_e * mass_ratio**3
-        assert number_density(other, constants, ref_c).value == pytest.approx(
+        assert at_ref(other, ref_c).number_density.value == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -275,7 +274,7 @@ def test_interacting_density_exact_vs_linearized_taylor_remainder(
     assert rel_gap == pytest.approx(gamma_dt / 2.0, rel=1e-2, abs=0)
 
 
-def test_interacting_density_saturates_at_number_density(constants, ref_c, ref_alpha):
+def test_interacting_density_saturates_at_number_density(constants, ref_c, ref_alpha, at_ref):
     # a fictitious quarkonium with an enormous width: absorption probability -> 1
     saturated = SpeciesSpec(
         name="synthetic_qq",
@@ -287,7 +286,7 @@ def test_interacting_density_saturates_at_number_density(constants, ref_c, ref_a
         e_min=Quantity(1e-11, dim(kg=1, m=2, s=-2)),
     )
     exact = interacting_density(saturated, constants, ref_alpha, ref_c, "exact")
-    total = number_density(saturated, constants, ref_c)
+    total = at_ref(saturated, ref_c).number_density
     assert exact.value == pytest.approx(total.value, rel=1e-12)
 
 

@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 
 from vfdielectric.cli import main
 from vfdielectric.constants import UNIT_DIMENSIONS, load_constants, serialize_constants
-from vfdielectric.perturbation import BRANCHES, dipole_trajectory
+from vfdielectric.perturbation import BRANCHES, CouplingLambda, coupling_value, dipole_trajectory
 from vfdielectric.quantity import (
     ACTION,
     DIMENSIONLESS,
@@ -122,11 +122,10 @@ def _trajectories(constants, powers):
     e_pair = builtin_species(constants)[0]
     osc = resonant_frequency(e_pair, constants, constants.get("ref_epsilon0"), constants.get("ref_c"))
     field = Quantity(math.ldexp(1.0, _exponent(ELECTRIC_FIELD, powers)), ELECTRIC_FIELD)
+    q, hbar = constants.get("e"), constants.get("hbar")
+    lam = CouplingLambda(coupling_value(osc, q, field, hbar))
     taus = [2 * math.pi * i / 16 for i in range(17)]
-    return [
-        dipole_trajectory(osc, constants.get("e"), field, branch, taus, constants.get("hbar"))
-        for branch in BRANCHES
-    ]
+    return [dipole_trajectory(osc, q, branch, taus, hbar, lam) for branch in BRANCHES]
 
 
 @pytest.fixture(scope="module")
