@@ -23,8 +23,9 @@ species at one ``(eps, alpha, c)``: it computes ``c^2`` and the rest energy
 once, so the lifetime once, and returns the lifetime, coherence length,
 number density, oscillator, decay rate and interacting density together.
 :func:`resonant_frequency` and :func:`interacting_density` compute one
-quantity per call.  All go through the same private helpers, one per
-formula, so they agree bit for bit.
+quantity per call.  The pass and :func:`interacting_density` run one private
+chain, from the rest energy through the lifetime, coherence length and number
+density to the decay rate and ``Gamma dt``, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -165,37 +166,22 @@ def alpha_fifth(alpha: float) -> float:
     return q_pow(_ONE * alpha, 5).value
 
 
-def _rest_energy(species: SpeciesSpec, c2: Quantity) -> Quantity:
-    """``m c^2`` of a lepton pair's constituent, ``M c^2`` of a quarkonium state."""
-    if species.kind == LEPTON_PAIR:
-        return q_mul(species.constituent_mass, c2)
-    return q_mul(species.bound_state_mass, c2)
-
-
-def _lifetime(species: SpeciesSpec, hbar: Quantity, rest_energy: Quantity) -> Quantity:
-    """``hbar / (4 m c^2)`` for a lepton pair, ``hbar / (2 M c^2)`` for quarkonium."""
-    return q_div(hbar, rest_energy * (4 if species.kind == LEPTON_PAIR else 2))
-
-
-def _per_volume(length: Quantity) -> Quantity:
-    return q_div(_ONE, q_pow(length, 3))
-
-
-def _decay_rate(
-    species: SpeciesSpec, hbar: Quantity, rest_energy: Quantity, alpha5: float | None
-) -> Quantity:
-    """``alpha^5 m c^2 / hbar`` for a lepton pair; a quarkonium state's rate
-    is twice the tabulated two-photon rate, whatever the other arguments."""
-    if species.kind == QUARKONIUM:
-        return species.two_photon_width * 2
-    return q_div(rest_energy, hbar) * alpha5
-
-
-def _interacting(n: Quantity, rate: Quantity, lifetime: Quantity, mode: str) -> Quantity:
+def _chain(
+    species: SpeciesSpec, hbar: Quantity, c: Quantity, c2: Quantity, alpha5: float | None,
+    mode: str,
+) -> tuple[Quantity, Quantity, Quantity, Quantity, Quantity]:
+    """Lifetime, coherence length, number density, decay rate and interacting
+    density of ``species`` (see :func:`kinematics`), from one rest energy; a
+    quarkonium state ignores ``alpha5``, and ``mode`` is as in :func:`interacting_density`."""
+    lepton = species.kind == LEPTON_PAIR
+    rest_energy = q_mul(species.constituent_mass if lepton else species.bound_state_mass, c2)
+    lifetime = q_div(hbar, rest_energy * (4 if lepton else 2))
+    length = q_mul(c, lifetime)
+    n = q_div(_ONE, q_pow(length, 3))
+    rate = q_div(rest_energy, hbar) * alpha5 if lepton else species.two_photon_width * 2
     gamma_dt = q_mul(rate, lifetime).as_dimensionless()
-    if mode == "linearized":
-        return n * gamma_dt
-    return n * -math.expm1(-gamma_dt)
+    absorbed = gamma_dt if mode == "linearized" else -math.expm1(-gamma_dt)
+    return lifetime, length, n, rate, n * absorbed
 
 
 class Kinematics(Record):
@@ -249,22 +235,15 @@ class SpeciesFactors(Record):
 
         ``c2`` is ``c`` squared and ``alpha5`` is :func:`alpha_fifth` of the
         coupling (``None`` will do for quarkonium), so a caller evaluating many
-        species at one point computes each once.  The rest energy, and so the
-        lifetime, is computed once and serves the coherence length, the
-        density, the decay probability and the interacting density, which is
+        species at one point computes each once.  The interacting density is
         the linearized one.
         """
         _check_speed(c)
-        species, hbar = self.species, self.hbar
         oscillator = self.oscillator(epsilon)
-        rest_energy = _rest_energy(species, c2)
-        lifetime = _lifetime(species, hbar, rest_energy)
-        length = q_mul(c, lifetime)
-        n = _per_volume(length)
-        rate = _decay_rate(species, hbar, rest_energy, alpha5)
-        return Kinematics(
-            lifetime, length, n, oscillator, rate, _interacting(n, rate, lifetime, "linearized")
+        lifetime, length, n, rate, interacting = _chain(
+            self.species, self.hbar, c, c2, alpha5, "linearized"
         )
+        return Kinematics(lifetime, length, n, oscillator, rate, interacting)
 
 
 def species_factors(species: SpeciesSpec, constants: ConstantsSet) -> SpeciesFactors:
@@ -327,16 +306,11 @@ def interacting_density(
 
     ``exact`` uses the full absorption probability ``1 - exp(-Gamma dt)``;
     ``linearized`` keeps the leading term ``Gamma dt``, which for a lepton
-    pair collapses to ``(alpha^5/4) (4 m c / hbar)^3``.  The rest energy, and
-    so the lifetime ``dt``, is computed once and gives both the coherence
-    volume and ``Gamma dt``.
+    pair collapses to ``(alpha^5/4) (4 m c / hbar)^3``.  It runs the chain of
+    :func:`kinematics`, so the ``linearized`` value is the pass's bit for bit.
     """
     if mode not in ("exact", "linearized"):
         raise ValueError(f"mode must be 'exact' or 'linearized', got {mode!r}")
     _check_speed(c)
     alpha5 = alpha_fifth(alpha) if species.kind == LEPTON_PAIR else None
-    hbar = constants.get("hbar")
-    rest_energy = _rest_energy(species, q_mul(c, c))
-    lifetime = _lifetime(species, hbar, rest_energy)
-    n = _per_volume(q_mul(c, lifetime))
-    return _interacting(n, _decay_rate(species, hbar, rest_energy, alpha5), lifetime, mode)
+    return _chain(species, constants.get("hbar"), c, q_mul(c, c), alpha5, mode)[-1]

@@ -8,6 +8,7 @@ json``.  Every run must:
 
 - end without an exception escaping ``main``;
 - exit 0 or 2, or 1 for a ``verify`` that fails a check;
+- exit with the code ``extreme_sweep_codes.json`` gives it;
 - print no ``Infinity`` or ``NaN``, on stdout or stderr;
 - if it exits 0, print JSON in which every number is 0.0 or a normal float.
 
@@ -16,13 +17,21 @@ other tests.  pytest's default pattern does not collect this file, so the full
 stride-7 sweep (6996 runs) runs only when it is named::
 
     PYTHONPATH=src python -m pytest -q tests/extreme_sweep.py
+
+``extreme_sweep_codes.json`` maps each key, then each value's ``repr``, to the
+exit codes of the six argvs in order, one digit each.  A change that flips an
+exit code regenerates it from the repository root with::
+
+    env -u VACUUM_DATA_DIR PYTHONPATH=src:tests python -c "import json, pathlib, tempfile, extreme_sweep as s; d = tempfile.TemporaryDirectory(); codes = s.sweep(7, pathlib.Path(d.name))[1]; open('tests/extreme_sweep_codes.json', 'w').write(json.dumps(codes, indent=1) + '\\n')"
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
 import sys
+from pathlib import Path
 
 from vfdielectric.cli import main
 from vfdielectric.constants import load_constants, serialize_constants
@@ -40,6 +49,7 @@ ARGVS = (
     ["verify"],
 )
 EXTREMES = (1.7e308, 5e-324)
+CODES = Path(__file__).with_name("extreme_sweep_codes.json")
 
 
 def sweep_values(bundled: float, stride: int) -> list[float]:
@@ -80,41 +90,57 @@ def _run(argv: list[str]) -> tuple[int | str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def faults(rows: list[dict], key: str, value: float, path: str) -> list[str]:
+def faults(rows: list[dict], key: str, value: float, path: str) -> tuple[str, list[str]]:
     """Write ``rows`` with ``key`` set to ``value`` to ``path``, run every
-    argv on it, and return a line for each broken rule."""
+    argv on it, and return the exit codes, one digit per argv, and a line for
+    each broken rule."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump([{**row, "value": value} if row.get("key") == key else row for row in rows], handle)
-    found = []
-    for argv in ARGVS:
+    expected = _expected_codes().get(key, {}).get(repr(value), "")
+    codes, found = "", []
+    for i, argv in enumerate(ARGVS):
         code, out, err = _run(argv + ["--format", "json", "--constants", path])
         where = f"{key}={value!r} {' '.join(argv)}"
         allowed = (0, 1, 2) if argv[0] == "verify" else (0, 2)
         if code not in allowed:
             found.append(f"{where}: exit {code}")
+            codes += "?"
             continue
+        codes += str(code)
+        if codes[i] != expected[i:i + 1]:
+            found.append(f"{where}: exit {code}, {CODES.name} has {expected[i:i + 1] or 'none'}")
         if any(word in text for word in ("Infinity", "NaN") for text in (out, err)):
             found.append(f"{where}: Infinity or NaN in the output")
         if code == 0:
             bad = [x for x in _numbers(json.loads(out)) if not _is_zero_or_normal(float(x))]
             if bad:
                 found.append(f"{where}: {bad[:3]} are neither 0.0 nor normal")
-    return found
+    return codes, found
 
 
-def sweep(stride: int, directory) -> tuple[int, list[str]]:
-    """The number of runs of the sweep at ``stride``, and every fault found."""
+@functools.cache
+def _expected_codes() -> dict[str, dict[str, str]]:
+    with open(CODES, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def sweep(stride: int, directory) -> tuple[int, dict[str, dict[str, str]], list[str]]:
+    """The number of runs of the sweep at ``stride``, their exit codes keyed
+    as in ``extreme_sweep_codes.json``, and every fault found."""
     rows = json.loads(serialize_constants(load_constants()))
     bundled = {row["key"]: row["value"] for row in rows if "key" in row}
-    runs, found = 0, []
+    runs, codes, found = 0, {}, []
     for key in KEYS:
         for value in sweep_values(bundled[key], stride):
-            found += faults(rows, key, value, str(directory / "constants.json"))
+            value_codes, value_found = faults(rows, key, value, str(directory / "constants.json"))
+            codes.setdefault(key, {})[repr(value)] = value_codes
+            found += value_found
             runs += len(ARGVS)
-    return runs, found
+    return runs, codes, found
 
 
 def test_full_sweep(tmp_path):
-    runs, found = sweep(7, tmp_path)
+    runs, codes, found = sweep(7, tmp_path)
     assert runs == 6996
     assert found == []
+    assert codes == _expected_codes()  # and the file holds no other run

@@ -174,8 +174,9 @@ def test_criterion_10_mass_cancellation_and_fixed_point():
     report = epsilon0_self_consistent(trio, CONSTANTS)
     closed = epsilon0_closed_form(CONSTANTS, n_species=3).value
     fixed_point_rel = abs(report.epsilon0_model.value - closed) / closed
-    _criterion(10, "lepton terms equal to 1e-12; fixed point = closed form in <= 5 iters",
-               spread <= 1e-12 and fixed_point_rel <= 1e-12 and report.iterations <= 5,
+    _criterion(10, "lepton terms equal to 1e-12; "
+                   "fixed point = closed form in <= 2 evaluations of F",
+               spread <= 1e-12 and fixed_point_rel <= 1e-12 and report.iterations <= 2,
                f"spread {spread:.2e}, fixed-point rel {fixed_point_rel:.2e}, "
                f"iters {report.iterations}")
 

@@ -808,15 +808,16 @@ def test_species_rows_equal_the_single_quantity_functions(capsys, tmp_path, quar
 
 def test_species_computes_one_lifetime_per_species(capsys, monkeypatch):
     # the command once computed each lifetime 4 times: directly and inside the
-    # coherence length, the number density and the interacting density
+    # coherence length, the number density and the interacting density; one
+    # run of the kinematics chain per species computes it once
     seen = []
-    original = species._lifetime
+    original = species._chain
 
     def counting(s, *args):
         seen.append(s.name)
         return original(s, *args)
 
-    monkeypatch.setattr(species, "_lifetime", counting)
+    monkeypatch.setattr(species, "_chain", counting)
     code, _, _ = _run(capsys, ["species", "--include-quarks", "--format", "json"])
     assert code == 0
     assert seen == ["e_pair", "mu_pair", "tau_pair", "eta_c", "eta_b"]

@@ -305,6 +305,13 @@ def test_interacting_density_identity_lepton(trio, constants, ref_c, ref_alpha, 
             4.0 * species.constituent_mass.value * ref_c.value / constants.get("hbar").value
         ) ** 3
         assert composed == pytest.approx(closed, rel=1e-12)
+    # interacting_density and the pass run one chain: the same bits for every
+    # built-in species under both widths
+    for width in ("min", "max"):
+        for species in builtin_species(constants, include_quarks=True, width_choice=width):
+            linearized = interacting_density(species, constants, ref_alpha, ref_c, "linearized")
+            passed = at_ref(species, ref_c).interacting_density
+            assert linearized.value.hex() == passed.value.hex(), (width, species.name)
 
 
 def test_interacting_density_mode_validation(trio, constants, ref_c, ref_alpha):
