@@ -194,8 +194,13 @@ class SpeciesSpec(Record):
     ``constituent_mass`` is the single-particle mass (kg).  The quarkonium
     fields hold the bound-state mass M (kg), the two-photon decay rate (1/s)
     and the minimum excitation energy ``e_min = (M - 2 m_Q) c^2`` (J); they
-    are present exactly when ``kind == QUARKONIUM``.
+    are present exactly when ``kind == QUARKONIUM``.  ``charge_ratio`` is
+    :func:`charge_ratio` of ``charge_fraction``, read once by the checks; it
+    is kept beside the fields, not among them, so it takes no part in
+    comparing, hashing or printing a spec.
     """
+
+    __slots__ = ("charge_ratio",)
 
     name: str
     kind: str
@@ -217,6 +222,7 @@ class SpeciesSpec(Record):
                 f"{self.name}: charge_fraction must be one of 1, 2/3, 1/3; "
                 f"got {self.charge_fraction}"
             )
+        _set_charge_ratio(self, ratio)
         quark_fields = (self.bound_state_mass, self.two_photon_width, self.e_min)
         if self.kind == QUARKONIUM:
             if None in quark_fields:
@@ -238,6 +244,13 @@ class SpeciesSpec(Record):
             raise ValueError(
                 f"{self.name}: a lepton pair has charge_fraction 1, got {self.charge_fraction}"
             )
+
+    def __reduce__(self):
+        # a copy is built as the spec was, and reads its charge ratio again
+        return (SpeciesSpec, tuple(self.__dict__.values()))
+
+
+_set_charge_ratio = SpeciesSpec.charge_ratio.__set__  # the slot descriptor bypasses _immutable
 
 
 class ConstantsSet(Record):

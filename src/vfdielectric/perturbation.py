@@ -24,7 +24,11 @@ The untruncated system also has an exact solution: substituting
 
 It keeps the back-reaction on a0 that the first-order forms drop and powers
 the scaling fit.  The adaptive Gragg-Bulirsch-Stoer integration of the
-system is the independent oracle for all three.
+system is the independent oracle for all three.  One integration serves all
+the end times on one side of 0 (:func:`amplitudes_ode_path`): a solve's
+steps depend on its end only through the clamp of its last step and its
+failure test, so each nearer end forks off the shared path at the first step
+that a solve to it alone would clamp, and gets that solve's bits.
 
 E0 is a frozen scalar (the field at the absorption instant), so nothing here
 depends on the photon frequency: the model vacuum is dispersion-free by
@@ -55,6 +59,7 @@ __all__ = [
     "amplitudes_analytic",
     "amplitudes_exact",
     "amplitudes_ode",
+    "amplitudes_ode_path",
     "scaling_exponent",
     "dipole_trajectory",
 ]
@@ -181,18 +186,55 @@ def amplitudes_ode(
     Gragg-Bulirsch-Stoer extrapolation (see :func:`_gbs_integrate`) with
     rtol = atol = ``tolerance``; this is the oracle the analytic branches and
     the exact propagator are checked against, and it retains the O(lam^2)
-    back-reaction on a0.  A negative ``tau_end`` integrates backwards.
+    back-reaction on a0.  A negative ``tau_end`` integrates backwards.  It is
+    the one-end case of :func:`amplitudes_ode_path`.
     """
-    lo, hi = _ODE_TOL_RANGE
-    if not (lo <= tolerance <= hi):
-        raise ValueError(f"tolerance must lie in [{lo}, {hi}], got {tolerance!r}")
-    if not math.isfinite(tau_end):
-        raise ValueError(f"tau_end must be finite, got {tau_end!r}")
-    if tau_end == 0.0:
-        return AmplitudePair(a0=1.0 + 0.0j, a1=0.0 + 0.0j, tau=0.0)
+    return amplitudes_ode_path((tau_end,), lam, tolerance)[0]
 
-    a0, a1 = _gbs_integrate(1j * lam.value, float(tau_end), (1.0 + 0.0j, 0.0 + 0.0j), tolerance)
-    return AmplitudePair(a0=a0, a1=a1, tau=float(tau_end))
+
+def amplitudes_ode_path(
+    tau_ends: Sequence[float],
+    lam: CouplingLambda,
+    tolerance: float = _ODE_TOL_DEFAULT,
+) -> tuple[AmplitudePair, ...]:
+    """:func:`amplitudes_ode` at each of ``tau_ends``, from one integration per side of 0.
+
+    It returns ``tuple(amplitudes_ode(t, lam, tolerance) for t in tau_ends)``,
+    bit for bit, and raises the exception that the first failing of those
+    calls raises.  The ends on one side of 0 share one path to the farthest of
+    them; each nearer end forks off it (see :func:`_gbs_integrate`) and takes
+    the steps a solve to that end alone takes.  Zero and repeated ends cost no
+    integration.
+    """
+    ends = tuple(tau_ends)
+    lo, hi = _ODE_TOL_RANGE
+    if ends and not (lo <= tolerance <= hi):
+        raise ValueError(f"tolerance must lie in [{lo}, {hi}], got {tolerance!r}")
+    finite: list[float] = []
+    for tau_end in ends:  # those before the first non-finite end, which raises after them
+        if not math.isfinite(tau_end):
+            break
+        finite.append(float(tau_end))
+    reached: dict[float, _Pair | OdeIntegrationError] = {0.0: (1.0 + 0.0j, 0.0 + 0.0j)}
+    for side in ({t for t in finite if t > 0.0}, {t for t in finite if t < 0.0}):
+        if side:
+            path = sorted(side, key=abs)
+            far = path[-1]
+            # the phases of the right-hand side turn at about one radian per unit tau, so
+            # half a period at a high row is a first step that is usually accepted
+            h = math.copysign(min(abs(far), 3.0), far)
+            outcomes = _gbs_integrate(1j * lam.value, path, tolerance, 0.0,
+                                      (1.0 + 0.0j, 0.0 + 0.0j), h, 5, _GBS_MAX_STEPS, False)
+            reached.update(zip(path, outcomes))
+    pairs = []
+    for t in finite:
+        outcome = reached[t]
+        if isinstance(outcome, OdeIntegrationError):
+            raise outcome
+        pairs.append(AmplitudePair(a0=outcome[0], a1=outcome[1], tau=t or 0.0))  # -0.0 ends at 0.0
+    if len(finite) < len(ends):
+        raise ValueError(f"tau_end must be finite, got {ends[len(finite)]!r}")
+    return tuple(pairs)
 
 
 # Gragg-Bulirsch-Stoer: row j of the extrapolation table starts from a
@@ -247,8 +289,18 @@ def _step_factor(y: _Pair, row: list[_Pair], j: int, tol: float) -> tuple[float,
     return err, min(4.0, max(0.02, 0.94 * (0.65 / err) ** (1.0 / (2 * j + 1))))
 
 
-def _gbs_integrate(k: complex, t_end: float, y: _Pair, tol: float) -> _Pair:
-    """Integrate the two-level system from 0 to t_end.
+def _gbs_integrate(
+    k: complex,
+    ends: Sequence[float],
+    tol: float,
+    t: float,
+    y: _Pair,
+    h: float,
+    target: int,
+    attempts: int,
+    rejected: bool,
+) -> list[_Pair | OdeIntegrationError]:
+    """Integrate the two-level system from ``(t, y)`` to each of ``ends``.
 
     The system is ``y0' = k y1 exp(-i t)``, ``y1' = k y0 exp(+i t)``; the
     amplitudes take ``k = i lam``.
@@ -259,16 +311,34 @@ def _gbs_integrate(k: complex, t_end: float, y: _Pair, tol: float) -> _Pair:
     extrapolation in h^2, and ODEX's order and step-size control in
     simplified form.  A step is accepted at the first row, from one below
     the target row on, whose scaled error (:func:`_step_factor`) is at most
-    1; the next target is the row with the least work per unit step.
-    Raises :class:`OdeIntegrationError` when the step collapses or
-    ``_GBS_MAX_STEPS`` attempts do not reach t_end.
+    1; the next target is the row with the least work per unit step.  The
+    step fails when a rejection shrinks it below ``_GBS_MIN_STEP`` of the
+    end, or when ``attempts`` steps do not reach the end.
+
+    ``h``, ``target``, ``attempts`` and ``rejected`` are the step to try
+    next, its target row, the attempts left and whether the last attempt was
+    rejected.  The ends lie on the side of ``t`` that ``h`` points to, nearest
+    first.  The path runs to the last of them; only the clamp of its final
+    step and its failure test depend on where it ends.  So at the start of
+    an attempt that a solve to the nearest pending end would clamp, or that
+    the path fails, that end forks off: this loop runs again for it alone,
+    from the same state and with the attempts left.  Up to there the fork
+    and the path took the same steps, so each end gets the bits a solve to
+    it alone gets.  Returns one outcome per end, in order: the amplitudes,
+    or the :class:`OdeIntegrationError` that such a solve raises.
     """
-    t = 0.0
-    # the phases of the right-hand side turn at about one radian per unit tau, so
-    # half a period at a high row is a first step that is usually accepted
-    h = math.copysign(min(abs(t_end), 3.0), t_end)
-    target = 5
-    for _ in range(_GBS_MAX_STEPS):
+    t_end = ends[-1]
+    out: list[_Pair | OdeIntegrationError] = []
+    for spent in range(attempts + 1):  # the pass with no attempt left stops
+        stop = spent == attempts or (rejected and abs(h) < _GBS_MIN_STEP * abs(t_end))
+        while len(out) < len(ends) - 1 and (stop or abs(h) >= abs(ends[len(out)] - t)):
+            fork = (ends[len(out)],)
+            out += _gbs_integrate(k, fork, tol, t, y, h, target, attempts - spent, rejected)
+        if stop:
+            out.append(OdeIntegrationError(
+                f"amplitude integration to tau={t_end!r} failed at tau={t!r}: the step shrank to {h!r}"
+            ))
+            return out
         last = abs(h) >= abs(t_end - t)
         if last:
             h = t_end - t
@@ -290,12 +360,13 @@ def _gbs_integrate(k: complex, t_end: float, y: _Pair, tol: float) -> _Pair:
                 break
         else:  # rejected: retry with the step the target row asks for
             h *= fac[target]
-            if abs(h) < _GBS_MIN_STEP * abs(t_end):
-                break
+            rejected = True
             continue
+        rejected = False
         y = (y[0] + table[j][j][0], y[1] + table[j][j][1])
         if last:
-            return y
+            out.append(y)
+            return out
         t += h
         target = j
         if j >= 2 and _GBS_WORK[j - 1] / fac[j - 1] < 0.8 * _GBS_WORK[j] / fac[j]:
@@ -305,9 +376,6 @@ def _gbs_integrate(k: complex, t_end: float, y: _Pair, tol: float) -> _Pair:
         ):
             target = j + 1
         h *= fac[min(target, j)] * _GBS_WORK[target] / _GBS_WORK[min(target, j)]
-    raise OdeIntegrationError(
-        f"amplitude integration to tau={t_end!r} failed at tau={t!r}: the step shrank to {h!r}"
-    )
 
 
 def _a0_correction(tau: float, lam: float) -> float:

@@ -38,7 +38,6 @@ from .constants import (
     ConstantsSet,
     SpeciesSpec,
     build_species,
-    charge_ratio,
 )
 from .quantity import (
     FREQUENCY,
@@ -249,7 +248,7 @@ class SpeciesFactors(Record):
 def species_factors(species: SpeciesSpec, constants: ConstantsSet) -> SpeciesFactors:
     """The eps-, alpha- and c-free factors of ``species``; see :class:`SpeciesFactors`."""
     hbar = constants.get("hbar")
-    numerator, denominator = charge_ratio(species.charge_fraction)
+    numerator, denominator = species.charge_ratio
     q = constants.get("e") * (numerator / denominator)  # the bits of float(Fraction)
     mu = _require_reduced_mass(species.constituent_mass * 0.5)
     if species.kind != LEPTON_PAIR:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import re
 import warnings
 
@@ -27,6 +28,7 @@ from vfdielectric.perturbation import (
     amplitudes_analytic,
     amplitudes_exact,
     amplitudes_ode,
+    amplitudes_ode_path,
     coupling_value,
     dipole_trajectory,
     scaling_exponent,
@@ -208,6 +210,108 @@ def test_ode_step_budget_raises(monkeypatch):
     monkeypatch.setattr(perturbation, "_GBS_MAX_STEPS", 2)
     with pytest.raises(OdeIntegrationError):
         amplitudes_ode(37.0, CouplingLambda(1e-3))
+
+
+def _outcome(solve):
+    """float.hex of every part of each pair ``solve()`` returns, or the type
+    and text of what it raises."""
+    try:
+        pairs = solve()
+    except (ValueError, OdeIntegrationError) as exc:
+        return type(exc), str(exc)
+    return [tuple(x.hex() for x in (p.a0.real, p.a0.imag, p.a1.real, p.a1.imag, p.tau))
+            for p in pairs]
+
+
+def _separately(tau_ends, lam, tolerance):
+    return _outcome(lambda: [amplitudes_ode(tau, lam, tolerance) for tau in tau_ends])
+
+
+def _on_one_path(tau_ends, lam, tolerance):
+    return _outcome(lambda: amplitudes_ode_path(tau_ends, lam, tolerance))
+
+
+def _random_end(rng, drawn):
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.choice((0.0, -0.0))
+    if kind < 0.2 and drawn:
+        return rng.choice(drawn)  # a duplicate
+    sign = rng.choice((-1.0, 1.0))
+    if kind < 0.4:
+        return sign * rng.uniform(0.01, 3.0)  # inside the first step
+    return sign * math.exp(rng.uniform(math.log(0.01), math.log(40.0)))
+
+
+def test_ode_path_matches_separate_solves_bit_for_bit():
+    # each end forks off the shared path where a solve to it alone would
+    # clamp its step, so it must get that solve's bits, signed zeros included
+    rng = random.Random(20261020)
+    for _ in range(800):
+        tau_ends = []
+        for _ in range(rng.randint(1, 5)):
+            tau_ends.append(_random_end(rng, tau_ends))
+        lam = CouplingLambda(rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(1e-6), math.log(0.05))))
+        tolerance = math.exp(rng.uniform(math.log(1e-12), math.log(1e-6)))
+        expected = _separately(tau_ends, lam, tolerance)
+        assert _on_one_path(tau_ends, lam, tolerance) == expected, (tau_ends, lam, tolerance)
+        assert _on_one_path(iter(tau_ends), lam, tolerance) == expected
+    assert type(amplitudes_ode_path([1.0], CouplingLambda(1e-3))) is tuple
+    assert amplitudes_ode_path((), CouplingLambda(1e-3), 1e-13) == ()
+
+
+@pytest.mark.parametrize("tau_ends, tolerance", [
+    ((1.0, math.nan, 2.0), 1e-12),
+    ((math.inf,), 1e-12),
+    ((2.0, -1.0, -math.inf), 1e-10),
+    ((1.0, 2.0), 1e-13),
+    ((1.0, math.nan), 1e-3),
+])
+def test_ode_path_refuses_what_a_separate_solve_refuses(tau_ends, tolerance):
+    lam = CouplingLambda(1e-3)
+    expected = _separately(tau_ends, lam, tolerance)
+    assert expected[0] is ValueError
+    assert _on_one_path(tau_ends, lam, tolerance) == expected
+
+
+@pytest.mark.parametrize("lam_value, tau_ends", [
+    (1e300, (1.0,)),
+    (1e300, (0.5, 1.0, 5.0)),
+    (1e300, (-2.0, 1.0, 7.0)),
+    (1e300, (0.0, -3.0, 3.0)),
+    (1e300, (4.0, math.nan)),
+    # beyond the first step, 4 forks off where the path fails: at that step
+    # below its own floor too, and past the path's, above its own
+    (1e300, (4.0, 5.0)),
+    (1e300, (4.0, 40.0)),
+    # the steps to 1 and 2 collapse at tau = 0; the nearer ends go on from
+    # there, under their own smaller floors, and arrive
+    (1e17, (1e-14, 1.0)),
+    (1e17, (3e-14, 1e-15, 2.0)),
+])
+def test_ode_path_step_collapse_raises_as_the_first_failing_solve(lam_value, tau_ends):
+    with pytest.warns(CouplingStrengthWarning):
+        lam = CouplingLambda(lam_value)
+    expected = _separately(tau_ends, lam, 1e-10)
+    assert expected[0] is OdeIntegrationError and "step" in expected[1]
+    assert _on_one_path(tau_ends, lam, 1e-10) == expected
+    if lam_value == 1e17:
+        assert isinstance(_separately(tau_ends[:-1], lam, 1e-10), list)
+
+
+@pytest.mark.parametrize("budget, tau_ends", [
+    # two attempts reach 0.5, 3 and 5 but not 9 or 37
+    (2, (0.5, 3.0, 5.0)),
+    (2, (0.5, 3.0, 5.0, 37.0)),
+    (2, (5.0, 9.0)),
+    (2, (9.0, 37.0)),  # 9 forks off where the path runs out, with no attempt left
+    (2, (-9.0, 1.0, 6.5)),
+    (1, (3.0, 37.0)),  # the first step ends at 3: 3 forks off before it
+])
+def test_ode_path_step_budget_counts_for_each_end(monkeypatch, budget, tau_ends):
+    monkeypatch.setattr(perturbation, "_GBS_MAX_STEPS", budget)
+    lam = CouplingLambda(1e-3)
+    assert _on_one_path(tau_ends, lam, 1e-12) == _separately(tau_ends, lam, 1e-12)
 
 
 @pytest.mark.parametrize("lam_value", ORACLE_LAMBDAS)

@@ -307,6 +307,14 @@ def test_unreadable_charge_fraction_raises_as_fraction_does(charge_fraction, err
         SpeciesSpec("x", LEPTON_PAIR, _M, charge_fraction)
 
 
+def test_a_species_copy_keeps_its_charge_ratio():
+    spec = SpeciesSpec("x", QUARKONIUM, _M, "2/3", *_QUARK_FIELDS)
+    for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert twin == spec and twin.charge_ratio == spec.charge_ratio == (2, 3)
+        with pytest.raises(AttributeError):
+            twin.charge_ratio = (1, 3)
+
+
 def test_quantity_converts_to_float_and_checks_its_inputs():
     q = Quantity(3, SPEED)
     assert type(q.value) is float and q.value == 3.0

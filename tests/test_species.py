@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vfdielectric import constants as constants_module
 from vfdielectric.quantity import (
     ENERGY,
     FREQUENCY,
@@ -331,6 +332,26 @@ def test_builtin_trio_names_and_kinds(trio):
 def test_builtin_quark_charges(quarks):
     assert charge_ratio(quarks["eta_c"].charge_fraction) == (2, 3)
     assert charge_ratio(quarks["eta_b"].charge_fraction) == (1, 3)
+
+
+def test_a_species_reads_its_charge_fraction_once(constants, monkeypatch):
+    reads = []
+    real = constants_module.charge_ratio
+
+    def counting(charge_fraction):
+        reads.append(charge_fraction)
+        return real(charge_fraction)
+
+    monkeypatch.setattr(constants_module, "charge_ratio", counting)
+    eta_c = builtin_species(constants, include_quarks=True)[3]
+    assert reads == [1, 1, 1, "2/3", "1/3"]  # one read per species
+    assert eta_c.charge_ratio == (2, 3)
+    reads.clear()
+    factors = species_factors(eta_c, constants)  # takes the ratio the spec keeps
+    assert reads == []
+    assert factors.charge.value == constants.get("e").value * float(Fraction(2, 3))
+    # kept beside the fields, so a spec compares and prints as before
+    assert "charge_ratio" not in vars(eta_c) and "charge_ratio" not in repr(eta_c)
 
 
 def test_width_choice_selects_tabulated_bounds(constants):

@@ -73,18 +73,24 @@ def test_quadrature_check_computes_every_integral_on_every_call(constants, monke
 
 def test_ode_check_integrates_every_case_on_every_call(constants, monkeypatch):
     cases = []
-    real_ode = perturbation.amplitudes_ode
+    real_path = perturbation.amplitudes_ode_path
 
-    def counting_ode(tau, lam, tolerance):
-        cases.append((tau, lam.value))
-        return real_ode(tau, lam, tolerance=tolerance)
+    def counting_path(tau_ends, lam, tolerance):
+        cases.append((tuple(tau_ends), lam.value))
+        return real_path(tau_ends, lam, tolerance=tolerance)
 
-    monkeypatch.setattr(verify, "amplitudes_ode", counting_ode)
-    expected = [(tau, lam) for lam in (1e-4, 1e-3) for tau in (math.pi, 2 * math.pi, 4 * math.pi)]
+    monkeypatch.setattr(verify, "amplitudes_ode_path", counting_path)
+    midpoints = Counter()
+    _count_calls(monkeypatch, perturbation, "_modified_midpoint", midpoints)
+    taus = (math.pi, 2 * math.pi, 4 * math.pi)
     for _ in range(2):
         cases.clear()
+        midpoints.clear()
         assert check_ode_vs_analytic(constants).passed
-        assert cases == expected
+        assert cases == [(taus, 1e-4), (taus, 1e-3)]
+        # one path per coupling: the three solves of a coupling share their
+        # first step, which separate solves took three times over (105 calls)
+        assert midpoints.total() == 79
 
 
 def test_quadrature_route_matches_the_one_oscillator_form(constants):
