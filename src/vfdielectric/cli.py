@@ -6,6 +6,11 @@ table without importing argparse; any other argv goes to the argparse parser
 built from the same table, so help, usage, abbreviations and every parse
 error are argparse's own.
 
+Each handler returns its exit code and its whole stdout; ``main`` writes it
+once, so an error leaves stdout empty, and so does a stdout whose encoding
+cannot take the output, which exits 2.  JSON goes through one indent-2 writer,
+:func:`_json`, which gives the bytes of ``json.dumps(..., indent=2)``.
+
 Exit codes: 0 success, 1 verification failure, 2 input/configuration error
 (argparse itself exits with 2 on unknown flags), 141 when the reader of
 standard output goes away.  Tables print values with 3 significant figures by
@@ -45,15 +50,13 @@ def _fmt(value: float, precision: int) -> str:
     return text[:-1] if text.endswith(".") else text
 
 
-def _print_table(headers: list[str], rows: list[list[str]]) -> None:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+def _table(headers: list[str], rows: list[list[str]]) -> str:
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    return "".join("  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
+                   for row in (headers, *rows))
 
 
-def _print_csv(sections: list[tuple[str, list[str], list[list]]]) -> None:
+def _csv(sections: list[tuple[str, list[str], list[list]]]) -> str:
     import csv
 
     buffer = io.StringIO()
@@ -62,13 +65,41 @@ def _print_csv(sections: list[tuple[str, list[str], list[list]]]) -> None:
         buffer.write(f"# section: {name}\n")
         writer.writerow(headers)
         writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
+    return buffer.getvalue()
+
+
+_quote = json.encoder.encode_basestring_ascii  # json's own C string encoder
+
+
+def _json(obj: object, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``: the same text, without the pure-Python
+    encoder that an ``indent`` puts ``json`` on.  ``newline`` is the line
+    break and indent of ``obj``'s level.  Tuples are lists; a dict key that is
+    not a ``str`` raises ``TypeError``."""
+    if isinstance(obj, float):  # the commonest value first
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_json(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(obj, dict):  # _quote raises the TypeError of a key that is not a str
+        items = [_quote(key) + ": " + _json(value, inner) for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # --- predict ----------------------------------------------------------------
 
 
-def cmd_predict(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
+def cmd_predict(args: types.SimpleNamespace, constants: ConstantsSet) -> tuple[int, str]:
     from .species import load_species
     from .vacuum import closed_form_report, epsilon0_self_consistent, report_to_dict
 
@@ -84,8 +115,7 @@ def cmd_predict(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
     model = epsilon0_self_consistent(species, constants)
 
     if args.output_format == "json":
-        print(json.dumps(report_to_dict(model, constants), indent=2))
-        return 0
+        return 0, _json(report_to_dict(model, constants)) + "\n"
 
     quantities = [
         ("epsilon0 [F/m]", "epsilon0",
@@ -108,33 +138,30 @@ def cmd_predict(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
             [c.species_name, repr(c.epsilon_term.value), repr(c.in_alpha_units)]
             for c in model.contributions
         ]
-        _print_csv([
+        return 0, _csv([
             ("predictions", ["method", "quantity", "model_value", "reference_value", "delta_percent"], rows),
             ("contributions", ["species", "epsilon_term_F_per_m", "in_alpha_units"], contribution_rows),
         ])
-        return 0
 
     p = args.precision
-    print(f"vacuum-fluctuation dielectric model — constants: {constants.origin}")
-    print()
-    _print_table(
-        ["quantity", "closed-form", "self-consistent", "reference", "delta"],
-        [
-            [label, _fmt(closed_value, p), _fmt(sc_value, p), _fmt(reference, p),
-             f"{model.reference_deltas[key]:+.2f}%"]
-            for label, key, closed_value, sc_value, reference in quantities
-        ],
-    )
-    print()
-    print(f"self-consistent method converged in {model.iterations} iterations; "
-          f"delta = (reference - model)/model")
-    print()
-    _print_table(
-        ["species", "epsilon_term [F/m]", "in units of e^2/(hbar c)"],
-        [[c.species_name, _fmt(c.epsilon_term.value, p), _fmt(c.in_alpha_units, p)]
-         for c in model.contributions],
-    )
-    return 0
+    return 0, "".join((
+        f"vacuum-fluctuation dielectric model — constants: {constants.origin}\n\n",
+        _table(
+            ["quantity", "closed-form", "self-consistent", "reference", "delta"],
+            [
+                [label, _fmt(closed_value, p), _fmt(sc_value, p), _fmt(reference, p),
+                 f"{model.reference_deltas[key]:+.2f}%"]
+                for label, key, closed_value, sc_value, reference in quantities
+            ],
+        ),
+        f"\nself-consistent method converged in {model.iterations} iterations; "
+        f"delta = (reference - model)/model\n\n",
+        _table(
+            ["species", "epsilon_term [F/m]", "in units of e^2/(hbar c)"],
+            [[c.species_name, _fmt(c.epsilon_term.value, p), _fmt(c.in_alpha_units, p)]
+             for c in model.contributions],
+        ),
+    ))
 
 
 # --- species ----------------------------------------------------------------
@@ -162,46 +189,43 @@ def _species_rows(args: types.SimpleNamespace, constants: ConstantsSet) -> list[
     return rows
 
 
-def cmd_species(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
+def cmd_species(args: types.SimpleNamespace, constants: ConstantsSet) -> tuple[int, str]:
     rows = _species_rows(args, constants)
     if args.output_format == "json":
-        print(json.dumps(rows, indent=2))
-        return 0
+        return 0, _json(rows) + "\n"
     if args.output_format == "csv":
-        _print_csv([("species", _SPECIES_COLUMNS,
-                     [[row["species"]] + [repr(row[k]) for k in _SPECIES_COLUMNS[1:]]
-                      for row in rows])])
-        return 0
-    print(f"per-species vacuum-fluctuation table (reference constants; "
-          f"source: {constants.origin})")
-    print()
-    _print_table(
-        _SPECIES_COLUMNS,
-        [[row["species"]] + [_fmt(row[k], args.precision) for k in _SPECIES_COLUMNS[1:]]
-         for row in rows],
+        return 0, _csv([("species", _SPECIES_COLUMNS,
+                         [[row["species"]] + [repr(row[k]) for k in _SPECIES_COLUMNS[1:]]
+                          for row in rows])])
+    return 0, (
+        f"per-species vacuum-fluctuation table (reference constants; "
+        f"source: {constants.origin})\n\n"
+        + _table(
+            _SPECIES_COLUMNS,
+            [[row["species"]] + [_fmt(row[k], args.precision) for k in _SPECIES_COLUMNS[1:]]
+             for row in rows],
+        )
     )
-    return 0
 
 
 # --- verify -----------------------------------------------------------------
 
 
-def cmd_verify(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
+def cmd_verify(args: types.SimpleNamespace, constants: ConstantsSet) -> tuple[int, str]:
     from .verify import run_all
 
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ConstantsError(f"--tolerance must be a positive finite number, got {args.tolerance!r}")
     results = run_all(constants, quadrature_tol=args.tolerance)
+    code = 0 if all(r.passed for r in results) else 1
     if args.output_format == "json":
-        print(json.dumps([result.__dict__ for result in results], indent=2))
-    elif args.output_format == "csv":
-        _print_csv([("checks", ["check", "passed", "tolerance", "detail"],
-                     [[r.name, r.passed, repr(r.tolerance), r.detail] for r in results])])
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status}  {r.name} (tol {r.tolerance:g}): {r.detail}")
-    return 0 if all(r.passed for r in results) else 1
+        return code, _json([result.__dict__ for result in results]) + "\n"
+    if args.output_format == "csv":
+        return code, _csv([("checks", ["check", "passed", "tolerance", "detail"],
+                            [[r.name, r.passed, repr(r.tolerance), r.detail] for r in results])])
+    return code, "".join(
+        f"{'PASS' if r.passed else 'FAIL'}  {r.name} (tol {r.tolerance:g}): {r.detail}\n"
+        for r in results)
 
 
 # --- sensitivity ------------------------------------------------------------
@@ -261,17 +285,16 @@ def _sensitivity_payload(args: types.SimpleNamespace, constants: ConstantsSet) -
     }
 
 
-def cmd_sensitivity(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
+def cmd_sensitivity(args: types.SimpleNamespace, constants: ConstantsSet) -> tuple[int, str]:
     payload = _sensitivity_payload(args, constants)
     if args.output_format == "json":
-        print(json.dumps(payload, indent=2))
-        return 0
+        return 0, _json(payload) + "\n"
 
     count_headers = ["n_species", "epsilon0_F_per_m", "c_m_per_s", "inv_alpha"]
     scaling = payload["coupling_scaling"]
     trajectory = payload["dipole_trajectory"]
     if args.output_format == "csv":
-        _print_csv([
+        return 0, _csv([
             ("species_count_sweep", count_headers,
              [[row[k] if k == "n_species" else repr(row[k]) for k in count_headers]
               for row in payload["species_count_sweep"]]),
@@ -282,26 +305,23 @@ def cmd_sensitivity(args: types.SimpleNamespace, constants: ConstantsSet) -> int
             ("dipole_trajectory", ["tau", "dipole_Cm"],
              [[repr(s["tau"]), repr(s["dipole_Cm"])] for s in trajectory["samples"]]),
         ])
-        return 0
 
     p = args.precision
-    print(f"sensitivity sweeps (constants: {constants.origin})")
-    print()
-    print("model outputs vs number of lepton species (closed form):")
-    _print_table(count_headers,
-                 [[str(row["n_species"])] + [_fmt(row[k], p) for k in count_headers[1:]]
-                  for row in payload["species_count_sweep"]])
-    print()
-    print(f"first-order back-reaction scaling: |a0(tau)-1| ~ lambda^x at tau = pi")
-    print(f"  lambda grid: {', '.join(_fmt(v, p) for v in scaling['lambda_grid'])}")
-    print(f"  fitted exponent: {scaling['fitted_exponent']:.3f}")
-    print()
-    print(f"dipole trajectory ({trajectory['species']}, branch={trajectory['branch']}, "
-          f"E0 = 1 V/m):")
-    _print_table(["tau", "dipole_Cm"],
-                 [[_fmt(s["tau"], p), _fmt(s["dipole_Cm"], p)]
-                  for s in trajectory["samples"]])
-    return 0
+    return 0, "".join((
+        f"sensitivity sweeps (constants: {constants.origin})\n\n"
+        "model outputs vs number of lepton species (closed form):\n",
+        _table(count_headers,
+               [[str(row["n_species"])] + [_fmt(row[k], p) for k in count_headers[1:]]
+                for row in payload["species_count_sweep"]]),
+        "\nfirst-order back-reaction scaling: |a0(tau)-1| ~ lambda^x at tau = pi\n"
+        f"  lambda grid: {', '.join(_fmt(v, p) for v in scaling['lambda_grid'])}\n"
+        f"  fitted exponent: {scaling['fitted_exponent']:.3f}\n\n"
+        f"dipole trajectory ({trajectory['species']}, branch={trajectory['branch']}, "
+        "E0 = 1 V/m):\n",
+        _table(["tau", "dipole_Cm"],
+               [[_fmt(s["tau"], p), _fmt(s["dipole_Cm"], p)]
+                for s in trajectory["samples"]]),
+    ))
 
 
 # --- historical -------------------------------------------------------------
@@ -337,26 +357,24 @@ def _historical_rows(constants: ConstantsSet) -> list[dict]:
     return rows
 
 
-def cmd_historical(args: types.SimpleNamespace, constants: ConstantsSet) -> int:
+def cmd_historical(args: types.SimpleNamespace, constants: ConstantsSet) -> tuple[int, str]:
     rows = _historical_rows(constants)
     if args.output_format == "json":
-        print(json.dumps({"note": "historical/numerological formulas, not physics",
-                          "rows": rows}, indent=2))
-        return 0
+        return 0, _json({"note": "historical/numerological formulas, not physics",
+                         "rows": rows}) + "\n"
     if args.output_format == "csv":
-        _print_csv([("historical", ["name", "formula", "value", "comparison", "comparison_label"],
-                     [[r["name"], r["formula"], repr(r["value"]), repr(r["comparison"]),
-                       r["comparison_label"]] for r in rows])])
-        return 0
+        return 0, _csv([("historical", ["name", "formula", "value", "comparison", "comparison_label"],
+                         [[r["name"], r["formula"], repr(r["value"]), repr(r["comparison"]),
+                           r["comparison_label"]] for r in rows])])
     p = max(args.precision, 8)  # the whole point of these is many matching digits
-    print("historical/numerological formulas for 1/alpha — demonstrations, not physics:")
-    print()
-    _print_table(
-        ["name", "formula", "value", "compared against"],
-        [[r["name"], r["formula"], _fmt(r["value"], p),
-          f"{_fmt(r['comparison'], p)} ({r['comparison_label']})"] for r in rows],
+    return 0, (
+        "historical/numerological formulas for 1/alpha — demonstrations, not physics:\n\n"
+        + _table(
+            ["name", "formula", "value", "compared against"],
+            [[r["name"], r["formula"], _fmt(r["value"], p),
+              f"{_fmt(r['comparison'], p)} ({r['comparison_label']})"] for r in rows],
+        )
     )
-    return 0
 
 
 # --- parsing and dispatch ---------------------------------------------------
@@ -475,17 +493,23 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.precision > _MAX_PRECISION:  # before any format spec can ask for a huge string
             raise ConstantsError(f"--precision must be at most {_MAX_PRECISION}, got {args.precision}")
         constants = load_constants(args.constants)  # a bad species record exits 2 whichever command runs
-        # commands raise ConstantsError (a bad --tolerance, a missing optional
-        # key) or OutOfRangeError before printing
+        # a command raises ConstantsError (a bad --tolerance, a missing optional
+        # key) or OutOfRangeError before it returns its output, so none is written
         try:
-            return args.handler(args, constants)
+            code, text = args.handler(args, constants)
         except OutOfRangeError as exc:  # the input values, not the program, are at fault
             raise ConstantsError(
                 f"the constants in {constants.origin} take a result out of the float range: {exc}"
             ) from exc
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            try:  # the one write of standard output
+                sys.stdout.write(text)
+            except UnicodeEncodeError as exc:  # encoded whole before a byte is written
+                raise ConstantsError(f"standard output cannot encode this output: {exc}") from exc
     except ConstantsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def entry() -> None:

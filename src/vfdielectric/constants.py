@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from collections.abc import Callable
 
 from .quantity import (
@@ -82,6 +83,8 @@ UNIT_DIMENSIONS: dict[str, Dimension] = {
     "1/s": FREQUENCY,
     **dict.fromkeys(EV_SCALE, ENERGY),
 }
+# the whitelisted units a value needs no scaling in
+_SI_UNITS = {unit: d for unit, d in UNIT_DIMENSIONS.items() if unit not in EV_SCALE}
 
 # every named key: whether each file must define it, and the dimensions its
 # quantity may have (a two-photon width is a rate, or an energy over hbar).
@@ -336,8 +339,20 @@ def _refusal(quantity: Quantity, allowed: tuple[Dimension, ...]) -> str | None:
     return None
 
 
+_new_quantity = Quantity.__new__
+_set_value, _set_dim = Quantity.value.__set__, Quantity.dim.__set__  # past Quantity's _immutable
+_MIN_NORMAL = sys.float_info.min
+
+
 def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> ConstantRecord:
-    """One constant record, checked against its key's row of :data:`CONSTANT_KEYS`."""
+    """One constant record, checked against its key's row of :data:`CONSTANT_KEYS`.
+
+    A finite float in a unit that needs no scaling is the common record: it
+    passes every check of :func:`_file_quantity`, so its quantity is built
+    here, without that function's second ``float()`` and finiteness test.
+    Every other value goes through :func:`_file_quantity`.  The record's
+    label is worded only for an error.
+    """
     try:
         key, value, unit = row["key"], row["value"], row["unit"]
         file_value = float(value)
@@ -345,19 +360,24 @@ def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> Con
         raise ConstantsError(f"malformed record in {origin}: {row!r} ({exc})") from exc
     if not isinstance(key, str):
         raise ConstantsError(f"malformed record in {origin}: {row!r} (key must be a string)")
-    label = f"constant {key!r} in {origin}"
-    _reject_unknown_fields(row, _CONSTANT_FIELDS, label)
+    if not row.keys() <= _CONSTANT_FIELDS:
+        _reject_unknown_fields(row, _CONSTANT_FIELDS, f"constant {key!r} in {origin}")
     source = row.get("source", "")
     if not isinstance(source, str):  # str() would serialize 5 back as "5"
         raise ConstantsError(f"malformed record in {origin}: {row!r} (source must be a string)")
-    try:
-        quantity = _file_quantity(value, unit, joules_per_ev)
-    except ConstantsError as exc:
-        raise ConstantsError(f"{label}: {exc}") from exc
-    if key in CONSTANT_KEYS or quantity.dim == MASS:  # a mass may come under a key of its own
-        _, allowed = CONSTANT_KEYS.get(key, (False, (MASS,)))
-        if refusal := _refusal(quantity, allowed):
-            raise ConstantsError(f"{label} {refusal}")
+    if type(value) is float and type(unit) is str and unit in _SI_UNITS and math.isfinite(value):
+        quantity = _new_quantity(Quantity)
+        _set_value(quantity, value)
+        _set_dim(quantity, _SI_UNITS[unit])
+    else:
+        try:
+            quantity = _file_quantity(value, unit, joules_per_ev)
+        except ConstantsError as exc:
+            raise ConstantsError(f"constant {key!r} in {origin}: {exc}") from exc
+    if key in CONSTANT_KEYS or quantity.dim is MASS:  # a mass may come under a key of its own
+        allowed = CONSTANT_KEYS[key][1] if key in CONSTANT_KEYS else (MASS,)
+        if quantity.dim not in allowed or not quantity.value >= _MIN_NORMAL:
+            raise ConstantsError(f"constant {key!r} in {origin} {_refusal(quantity, allowed)}")
     return ConstantRecord(key, quantity, source, file_value, unit)
 
 

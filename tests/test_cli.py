@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_golden_outputs import CASES as GOLDEN_CASES
+from vfdielectric import cli
 from vfdielectric import constants as constants_module
 from vfdielectric import species, verify
 from vfdielectric.cli import _build_parser, _parse_canonical, main
 from vfdielectric.constants import (
     CONSTANT_KEYS,
     DATA_DIR_ENV_VAR,
+    ConstantsError,
     LEPTON_PAIR,
     QUARKONIUM,
     SPECIES_QUANTITIES,
@@ -1737,3 +1740,79 @@ def test_warm_caches_change_no_output(capsys):
     assert runs[0] == runs[2]
     assert runs[1] == runs[3]
     assert [code for code, _, _ in runs] == [0, 0, 0, 0]
+
+
+# --- one write, one JSON writer ------------------------------------------------
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts the writes it takes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", GOLDEN_CASES, ids=",".join)
+def test_each_golden_argv_writes_stdout_once(argv, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
+    out = _CountingStdout()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    assert out.writes == 1
+    assert out.getvalue().endswith("\n")
+
+
+def test_an_error_after_part_of_the_output_leaves_stdout_empty(capsys, monkeypatch):
+    # predict builds two tables; the second fails once the first is built
+    built = []
+
+    def first_table_only(headers, rows):
+        if built:
+            raise ConstantsError("the second table is refused")
+        built.append(real_table(headers, rows))
+        return built[0]
+
+    real_table = cli._table
+    monkeypatch.setattr(cli, "_table", first_table_only)
+    assert _run(capsys, ["predict"]) == (2, "", "error: the second table is refused\n")
+    assert built[0].startswith("quantity ")
+
+
+_JSON_TEXT = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from("\x00\x08\t\n\x1f\x7f\x80\"\\/é—·\u2028\ud800\udbff\udfff\U0001f600\U0010ffff"),
+), max_size=6)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), _JSON_TEXT,
+    st.integers(-2**70, 2**70), st.sampled_from([2**64, -2**64, 10**40]),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max,
+                     -sys.float_info.max, math.inf, -math.inf, math.nan]),
+    st.sampled_from([[], (), {}]),
+)
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_JSON_TEXT, children, max_size=4),
+), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+def test_json_writer_gives_the_bytes_of_json_dumps_indent_2(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(value=_JSON_VALUES, key=st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                                         st.tuples(st.integers()), st.binary()),
+       depth=st.integers(0, 3))
+def test_json_writer_refuses_a_key_that_is_not_a_str(value, key, depth):
+    obj = {"before": value, key: value}
+    for _ in range(depth):
+        obj = [value, {"inner": obj}]
+    with pytest.raises(TypeError):
+        cli._json(obj)

@@ -269,3 +269,113 @@ def test_concurrent_callers_get_the_serial_results():
     done = _python("-c", _CONCURRENT)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "8\n"
+
+
+# Runs each argv of argv[1] (a JSON list) through cli.main with fd 1 and fd 2
+# pointed at a fresh file, so the process's own sys.stdout, set up from
+# PYTHONIOENCODING, takes the one write; prints [exit, stdout, stderr] for
+# each, the bytes as latin-1 text
+_RUN_EACH = """
+import json, os, sys, tempfile
+from vfdielectric.cli import main
+
+def run(argv):
+    files = [tempfile.TemporaryFile() for _ in range(2)]
+    saved = [os.dup(1), os.dup(2)]
+    os.dup2(files[0].fileno(), 1)
+    os.dup2(files[1].fileno(), 2)
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        for fd, copy in zip((1, 2), saved):
+            os.dup2(copy, fd)
+            os.close(copy)
+    captured = []
+    for f in files:
+        f.seek(0)
+        captured.append(f.read().decode("latin-1"))
+        f.close()
+    return [code, *captured]
+
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def _run_each(encoding, argvs):
+    """(exit, stdout bytes, stderr text) of each argv in one process whose
+    stdout encoding is ``encoding``."""
+    env = {key: value for key, value in _ENV.items() if key != "VACUUM_DATA_DIR"}
+    done = subprocess.run([sys.executable, "-c", _RUN_EACH, json.dumps(argvs)],
+                          env={**env, "PYTHONIOENCODING": encoding},
+                          capture_output=True, text=True, timeout=_TIMEOUT)
+    assert done.returncode == 0, done.stderr
+    return [(code, out.encode("latin-1"), err) for code, out, err in json.loads(done.stdout)]
+
+
+def _golden():
+    path = Path(__file__).with_name("golden_outputs.json")
+    return [(case["argv"], case["exit"], case["stdout"]) for case in json.loads(path.read_text("utf-8"))]
+
+
+def _assert_unencodable(result):
+    code, out, err = result
+    assert (code, out) == (2, b"")
+    assert err.startswith("error: standard output cannot encode this output: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-8:strict"])
+def test_a_stdout_that_cannot_encode_the_output_exits_2_before_any_byte(encoding):
+    # an output the encoding takes is written whole, byte for byte; any other
+    # exits 2 with one error line, where it once ended in a traceback, exit 1,
+    # after part of the output
+    golden = _golden()
+    codec = encoding.partition(":")[0]
+    results = _run_each(encoding, [argv for argv, _, _ in golden])
+    refused = []
+    for (argv, code, stdout), result in zip(golden, results):
+        try:
+            expected = stdout.encode(codec)
+        except UnicodeEncodeError:
+            _assert_unencodable(result)
+            refused.append(" ".join(argv))
+        else:
+            assert result == (code, expected, ""), argv
+    assert refused == {
+        "ascii": ["predict --format table", "verify --format table", "verify --format csv",
+                  "historical --format table", "predict --include-quarks --format table",
+                  "predict --precision 8"],
+        "latin-1": ["predict --format table", "historical --format table",
+                    "predict --include-quarks --format table", "predict --precision 8"],
+        "utf-8:strict": [],
+    }[encoding]
+
+
+def test_a_lone_surrogate_in_a_species_name_exits_2_under_strict_utf8(tmp_path):
+    # "\ud800" is valid JSON, and the JSON output escapes it; a table cannot
+    # hold it, and the species table once printed its first rows before the
+    # traceback
+    from vfdielectric.constants import load_constants, serialize_constants
+
+    rows = json.loads(serialize_constants(load_constants()))
+    rows.append({"kind": "species", "name": "\ud800", "type": "lepton-pair",
+                 "constituent_mass": {"value": 9.1093837015e-31, "unit": "kg"}})
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(rows), "utf-8")
+    argvs = [[command, "--format", output_format, "--constants", str(path)]
+             for command in ("predict", "species") for output_format in ("table", "csv", "json")]
+    results = _run_each("utf-8:strict", argvs)
+    for argv, result in zip(argvs, results):
+        if "json" in argv:
+            assert result[0] == 0 and b'"\\ud800"' in result[1], argv
+        else:
+            _assert_unencodable(result)
+
+
+def test_the_entry_point_exits_2_with_no_stdout_byte_under_ascii():
+    done = subprocess.run([sys.executable, "-m", "vfdielectric.cli", "predict"],
+                          env={**_ENV, "PYTHONIOENCODING": "ascii"},
+                          capture_output=True, timeout=_TIMEOUT)
+    _assert_unencodable((done.returncode, done.stdout, done.stderr.decode("ascii")))

@@ -239,3 +239,102 @@ def test_readme_data_file_section_names_exactly_the_tables():
     named = set(re.findall(r"`(\w+)`", section))
     assert set(CONSTANT_KEYS) | SPECIES_FIELDS <= named
     assert {name for name in named if re.match(r"(m|gamma|ref)_", name)} <= set(CONSTANT_KEYS)
+
+
+def _with_value(key, **fields):
+    def mutate(rows):
+        for row in rows:
+            if row["key"] == key:
+                row.update(fields)
+        return rows
+    return mutate
+
+
+def _appended(record):
+    return lambda rows: rows + [record]
+
+
+_UNITS = "['1/s', 'C', 'F/m', 'GeV', 'H/m', 'J·s', 'MeV', 'dimensionless', 'eV', 'keV', 'kg', 'm/s']"
+
+# one bad record per refusal of a constant record, and the whole error line
+# it gives; {path} is the file as named on the command line
+_REFUSALS = {
+    "missing field": (
+        _appended({"key": "x", "unit": "kg", "source": "t"}),
+        "malformed record in {path}: {{'key': 'x', 'unit': 'kg', 'source': 't'}} ('value')"),
+    "int past the float range": (
+        _appended({"key": "x", "value": 10**400, "unit": "kg"}),
+        "malformed record in {path}: {{'key': 'x', 'value': " + str(10**400)
+        + ", 'unit': 'kg'}} (int too large to convert to float)"),
+    "unreadable string": (
+        _appended({"key": "x", "value": "abc", "unit": "kg"}),
+        "malformed record in {path}: {{'key': 'x', 'value': 'abc', 'unit': 'kg'}} "
+        "(could not convert string to float: 'abc')"),
+    "key not a string": (
+        _appended({"key": 5, "value": 1.0, "unit": "kg"}),
+        "malformed record in {path}: {{'key': 5, 'value': 1.0, 'unit': 'kg'}} (key must be a string)"),
+    "unknown field": (
+        _appended({"key": "x", "value": 1.0, "unit": "kg", "note": "n"}),
+        "constant 'x' in {path} has unknown field 'note'; allowed: key, source, unit, value"),
+    "source not a string": (
+        _appended({"key": "x", "value": 1.0, "unit": "kg", "source": 5}),
+        "malformed record in {path}: {{'key': 'x', 'value': 1.0, 'unit': 'kg', 'source': 5}} "
+        "(source must be a string)"),
+    "unit off the whitelist": (
+        _appended({"key": "x", "value": 1.0, "unit": "lb"}),
+        "constant 'x' in {path}: unit 'lb' is not allowed; allowed: " + _UNITS),
+    "unit not a string": (
+        _appended({"key": "x", "value": 1.0, "unit": ["kg"]}),
+        "constant 'x' in {path}: unit ['kg'] is not allowed; allowed: " + _UNITS),
+    "eV unit without e": (
+        lambda rows: [row for row in rows if row["key"] != "e"],
+        "constant 'm_c' in {path}: unit GeV needs an elementary-charge record 'e' (unit C) to scale by"),
+    "bool value": (
+        _appended({"key": "x", "value": True, "unit": "kg"}),
+        "constant 'x' in {path}: value true is a boolean, not a number"),
+    "str value": (
+        _appended({"key": "x", "value": "2", "unit": "kg"}),
+        'constant \'x\' in {path}: value "2" is a string, not a number'),
+    "Infinity": (
+        _appended({"key": "x", "value": math.inf, "unit": "kg"}),
+        "constant 'x' in {path}: cannot convert inf kg to SI: Quantity value must be finite, got inf"),
+    "NaN": (
+        _appended({"key": "x", "value": math.nan, "unit": "kg"}),
+        "constant 'x' in {path}: cannot convert nan kg to SI: Quantity value must be finite, got nan"),
+    "eV value out of range in joules": (
+        _appended({"key": "x", "value": 1e300, "unit": "GeV"}),
+        "constant 'x' in {path}: 1e+300 GeV in joules is out of the float range: "
+        "the product 1e+300 * 1000000000.0 is inf (dimension m^2·kg·s^-2)"),
+    "wrong dimension": (
+        _with_value("hbar", unit="kg"),
+        "constant 'hbar' in {path} must have dimension m^2·kg·s^-1, got kg"),
+    "wrong dimension in eV": (
+        _with_value("m_e", unit="GeV"),
+        "constant 'm_e' in {path} must have dimension kg, got m^2·kg·s^-2"),
+    "wrong dimension of a width": (
+        _with_value("gamma_etac_2gamma", unit="kg"),
+        "constant 'gamma_etac_2gamma' in {path} must have dimension s^-1 or m^2·kg·s^-2, got kg"),
+    "zero": (
+        _with_value("m_e", value=0.0),
+        "constant 'm_e' in {path} must be strictly positive, got 0.0"),
+    "negative mass under its own key": (
+        _appended({"key": "m_x", "value": -1.0, "unit": "kg"}),
+        "constant 'm_x' in {path} must be strictly positive, got -1.0"),
+    "negative energy": (
+        _with_value("m_c", value=-1.27),
+        "constant 'm_c' in {path} must be strictly positive, got -2.0347643251799998e-10"),
+    "subnormal": (
+        _with_value("m_e", value=5e-324),
+        "constant 'm_e' in {path} is out of the float range: 5e-324 is subnormal"),
+}
+
+
+@pytest.mark.parametrize("mutate, line", _REFUSALS.values(), ids=_REFUSALS)
+def test_each_refused_constant_record_prints_its_whole_error_line(tmp_path, capsys, mutate, line):
+    from vfdielectric.cli import main
+
+    path = _write(tmp_path, mutate(_default_rows()))
+    assert main(["historical", "--constants", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: " + line.format(path=path) + "\n"

@@ -15,7 +15,7 @@ annotations.  Every species, built-in or from a file, is built by
 ``constants.build_species``: no other code constructs a ``SpeciesSpec``, and
 ``species`` neither converts a width nor words a constants error itself.
 Every public function has a caller in the package or in ``perfbench``, apart
-from three kept on purpose.
+from three kept on purpose.  Only ``cli.main`` writes standard output, once.
 """
 
 import ast
@@ -93,16 +93,23 @@ def test_no_dataclasses_import():
     assert _imports_of({"dataclasses"}) == []
 
 
+def _innermost_functions(tree: ast.AST) -> dict[ast.AST, str]:
+    """The name of the innermost function each node of ``tree`` is in; a
+    node at module level is not a key."""
+    enclosing = {}
+    for function in ast.walk(tree):  # outer functions first, so the innermost wins
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing.update(dict.fromkeys(ast.walk(function), function.name))
+    return enclosing
+
+
 def _importers_of(module: str) -> list[tuple[str, str | None]]:
     """Each import of ``module`` in the package, as (file, the innermost
     function it is in, or None at module level)."""
     sites = []
     for path in MODULES:
         tree = ast.parse(path.read_text("utf-8"))
-        enclosing = {}
-        for function in ast.walk(tree):  # outer functions first, so the innermost wins
-            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                enclosing.update(dict.fromkeys(ast.walk(function), function.name))
+        enclosing = _innermost_functions(tree)
         sites += [(path.name, enclosing.get(node)) for node in ast.walk(tree)
                   if (isinstance(node, ast.Import) and module in [a.name for a in node.names])
                   or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == module)]
@@ -118,6 +125,29 @@ def test_only_charge_fractions_import_fractions():
 def test_only_the_parser_builder_imports_argparse():
     # a canonical argv is parsed without argparse, which loads gettext and locale
     assert _importers_of("argparse") == [("cli.py", "_build_parser")]
+
+
+def _is_sys_attribute(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def test_only_cli_main_writes_stdout():
+    # each command returns its whole output and cli.main writes it once, so
+    # an error leaves stdout empty; print may only word the stderr error line
+    writes, prints = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text("utf-8"))
+        enclosing = _innermost_functions(tree)
+        writes += [(path.name, enclosing.get(node)) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr.startswith("write")
+                   and _is_sys_attribute(node.value, "stdout")]
+        prints += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+                   and not any(k.arg == "file" and _is_sys_attribute(k.value, "stderr")
+                               for k in node.keywords)]
+    assert writes == [("cli.py", "main")]
+    assert prints == []
 
 
 def test_no_importlib_pathlib_typing_or_threading_import():

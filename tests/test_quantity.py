@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import re
 from fractions import Fraction
@@ -364,8 +365,11 @@ def test_out_of_range_results_raise_one_named_error():
 # the float-range rule: every arithmetic result is 0.0 or a normal finite float
 _operands = st.one_of(
     st.just(0.0),
+    # a mantissa near 10 at exponent 308 overflows to inf, which Quantity refuses
+    # before any arithmetic (test_out_of_range_results_raise_one_named_error)
     st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
-              st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-308, 308)),
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-308, 308),
+              ).filter(math.isfinite),
 )
 # each operation as the Quantity arithmetic and as the plain float operation
 _OPERATIONS = {
