@@ -128,6 +128,10 @@ SPECIES_QUANTITIES: dict[str, tuple[tuple[Dimension, ...], bool]] = {
 # the only fields a species record may carry; any other is a typo or a stray
 SPECIES_FIELDS = frozenset(("kind", "name", "type", "charge_fraction", *SPECIES_QUANTITIES))
 
+# the control characters (Unicode category Cc) a species name may not hold: a
+# newline or tab would split a table row
+_CONTROL_CHARACTERS = frozenset(map(chr, (*range(0x20), *range(0x7F, 0xA0))))
+
 # the allowed charge fractions 1, 2/3 and 1/3 as (numerator, denominator) in
 # lowest terms: a test of int pairs, where a Fraction's hash runs Python code
 _ALLOWED_CHARGE_RATIOS = frozenset({(1, 1), (2, 3), (1, 3)})
@@ -437,6 +441,8 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
     name = record.get("name")
     if not isinstance(name, str) or not name:
         raise ConstantsError(f"{where}: species record without a non-empty string name: {record!r}")
+    if not _CONTROL_CHARACTERS.isdisjoint(name):
+        raise ConstantsError(f"{where}: species name {name!r} holds a control character")
     label = f"{where}: species {name!r}"
     _reject_unknown_fields(record, SPECIES_FIELDS, label)
     if name in _UNSUPPORTED:
@@ -471,6 +477,22 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
     return build_species(name, stype, charge_fraction, given, constants, lambda: where)
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing one that repeats a member name, which
+    ``json`` would otherwise read last-wins."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        repeated = next(name for name, _ in pairs if name in seen or seen.add(name))
+        raise ConstantsError(f"repeats the member {repeated!r} in one object")
+    return obj
+
+
+# one decoder for every load: json.loads would build a new one per call to
+# carry the hook
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def _resolve_source(path: str | os.PathLike | None) -> tuple[str, str]:
     """Return (json text, origin label) honoring path arg and env var."""
     env_dir = os.environ.get(DATA_DIR_ENV_VAR)
@@ -498,15 +520,18 @@ def _resolve_source(path: str | os.PathLike | None) -> tuple[str, str]:
 def load_constants(path: str | os.PathLike | None = None) -> ConstantsSet:
     """Load and validate a constants registry, and build its file's species.
 
-    Raises :class:`ConstantsError` on parse failure, an unknown record field,
-    a missing required key, a named key of a dimension its row of
-    :data:`CONSTANT_KEYS` does not allow, a named key or mass that is not
-    strictly positive, a species record that cannot be built, or two species
-    records of one name.
+    Raises :class:`ConstantsError` on parse failure, a member name repeated in
+    one object, an unknown record field, a missing required key, a named key
+    of a dimension its row of :data:`CONSTANT_KEYS` does not allow, a named
+    key or mass that is not strictly positive, a species record that cannot
+    be built (its name holding a control character among the reasons), or two
+    species records of one name.
     """
     text, origin = _resolve_source(path)
     try:
-        raw = json.loads(text)
+        raw = _DECODER.decode(text)
+    except ConstantsError as exc:  # valid JSON, but ambiguous
+        raise ConstantsError(f"constants file {origin} {exc}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON, a huge integer, or deep nesting
         raise ConstantsError(f"constants file {origin} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):

@@ -877,6 +877,31 @@ def test_predict_bad_species_record_exit_2(capsys, tmp_path, record, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("output_format", ["table", "json", "csv"])
+@pytest.mark.parametrize("command", ["predict", "species"])
+@pytest.mark.parametrize("control", ["\n", "\t", "\x00", "\x7f", "\x85"],
+                         ids=["LF", "TAB", "NUL", "DEL", "NEL"])
+def test_a_control_character_in_a_species_name_exits_2(capsys, tmp_path, control, command,
+                                                         output_format):
+    # "e\npair" once split a species table row, and the command exited 0
+    name = f"e{control}pair"
+    path = _constants_file(tmp_path, species=[{**E_ONLY, "name": name}])
+    code, out, err = _run(capsys, [command, "--format", output_format, "--constants", path])
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad species record in {path}: "
+                   f"species name {name!r} holds a control character\n")
+
+
+@pytest.mark.parametrize("name", ["e pair", "e\xa0pair", "e\u2028pair"])
+def test_a_species_name_may_hold_other_whitespace(capsys, tmp_path, name):
+    # U+00A0 follows the last control character, U+009F; U+2028 is a line
+    # separator, of category Zl, not Cc
+    path = _constants_file(tmp_path, species=[{**E_ONLY, "name": name}])
+    code, out, _ = _run(capsys, ["species", "--format", "json", "--constants", path])
+    assert code == 0
+    assert [row["species"] for row in json.loads(out)] == [name]
+
+
 @pytest.mark.parametrize("charge_fraction", ["2/3", "1/3"])
 @pytest.mark.parametrize("command", ["predict", "species"])
 def test_fractional_lepton_pair_exit_2(capsys, tmp_path, command, charge_fraction):

@@ -319,7 +319,20 @@ def _golden():
     return [(case["argv"], case["exit"], case["stdout"]) for case in json.loads(path.read_text("utf-8"))]
 
 
-def _assert_unencodable(result):
+# the golden argvs whose table or CSV a stdout in each encoding cannot take
+REFUSED = {
+    "ascii": ["predict --format table", "verify --format table", "verify --format csv",
+              "historical --format table", "predict --include-quarks --format table",
+              "predict --precision 8"],
+    "latin-1": ["predict --format table", "historical --format table",
+                "predict --include-quarks --format table", "predict --precision 8"],
+    "utf-8:strict": [],
+}
+
+
+def assert_unencodable(result):
+    """(exit, stdout bytes, stderr text) of a run whose stdout could not take
+    its output: exit 2, no stdout byte and one error line."""
     code, out, err = result
     assert (code, out) == (2, b"")
     assert err.startswith("error: standard output cannot encode this output: ")
@@ -339,18 +352,11 @@ def test_a_stdout_that_cannot_encode_the_output_exits_2_before_any_byte(encoding
         try:
             expected = stdout.encode(codec)
         except UnicodeEncodeError:
-            _assert_unencodable(result)
+            assert_unencodable(result)
             refused.append(" ".join(argv))
         else:
             assert result == (code, expected, ""), argv
-    assert refused == {
-        "ascii": ["predict --format table", "verify --format table", "verify --format csv",
-                  "historical --format table", "predict --include-quarks --format table",
-                  "predict --precision 8"],
-        "latin-1": ["predict --format table", "historical --format table",
-                    "predict --include-quarks --format table", "predict --precision 8"],
-        "utf-8:strict": [],
-    }[encoding]
+    assert refused == REFUSED[encoding]
 
 
 def test_a_lone_surrogate_in_a_species_name_exits_2_under_strict_utf8(tmp_path):
@@ -371,11 +377,11 @@ def test_a_lone_surrogate_in_a_species_name_exits_2_under_strict_utf8(tmp_path):
         if "json" in argv:
             assert result[0] == 0 and b'"\\ud800"' in result[1], argv
         else:
-            _assert_unencodable(result)
+            assert_unencodable(result)
 
 
 def test_the_entry_point_exits_2_with_no_stdout_byte_under_ascii():
     done = subprocess.run([sys.executable, "-m", "vfdielectric.cli", "predict"],
                           env={**_ENV, "PYTHONIOENCODING": "ascii"},
                           capture_output=True, timeout=_TIMEOUT)
-    _assert_unencodable((done.returncode, done.stdout, done.stderr.decode("ascii")))
+    assert_unencodable((done.returncode, done.stdout, done.stderr.decode("ascii")))

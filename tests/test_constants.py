@@ -83,15 +83,6 @@ def test_mev_record_loads_as_joules(tmp_path):
     assert loaded.get("m_mu_energy").value == 105.6583755 * 1e6 * loaded.get("e").value
 
 
-def test_non_numeric_elementary_charge_rejected(tmp_path):
-    rows = _default_rows()
-    for row in rows:
-        if row["key"] == "e":
-            row["value"] = "one"
-    with pytest.raises(ConstantsError, match="malformed"):
-        load_constants(_write(tmp_path, rows))
-
-
 def test_zero_elementary_charge_with_gev_records_rejected(tmp_path):
     rows = _default_rows()
     for row in rows:
@@ -116,15 +107,6 @@ def test_mu0_override_passes_through(tmp_path):
     loaded = load_constants(_write(tmp_path, rows))
     assert loaded.get("mu0").value == 1.0
     assert loaded.records["mu0"].source == "override"
-
-
-@pytest.mark.parametrize("source", [5, None, ["CODATA"]], ids=["number", "null", "list"])
-def test_non_string_source_rejected(tmp_path, source):
-    # serialize_constants once wrote a source of 5 back as "5"
-    rows = _default_rows()
-    rows[0]["source"] = source
-    with pytest.raises(ConstantsError, match="source must be a string"):
-        load_constants(_write(tmp_path, rows))
 
 
 def test_serialize_round_trip(tmp_path, constants):
@@ -158,35 +140,10 @@ def test_path_that_is_not_a_string_raises_type_error(path):
         load_constants(path)
 
 
-def test_unit_outside_whitelist(tmp_path):
-    rows = _default_rows()
-    rows.append({"key": "x", "value": 1.0, "unit": "erg", "source": "test"})
-    with pytest.raises(ConstantsError, match="erg"):
-        load_constants(_write(tmp_path, rows))
-
-
 def test_duplicate_key_rejected(tmp_path):
     rows = _default_rows()
     rows.append(dict(rows[0]))
     with pytest.raises(ConstantsError, match="duplicate"):
-        load_constants(_write(tmp_path, rows))
-
-
-def test_nonpositive_mass_rejected(tmp_path):
-    rows = _default_rows()
-    for row in rows:
-        if row["key"] == "m_mu":
-            row["value"] = -1.0
-    with pytest.raises(ConstantsError, match="positive"):
-        load_constants(_write(tmp_path, rows))
-
-
-def test_wrong_dimension_for_required_key(tmp_path):
-    rows = _default_rows()
-    for row in rows:
-        if row["key"] == "m_tau":
-            row["unit"] = "C"
-    with pytest.raises(ConstantsError, match="dimension"):
         load_constants(_write(tmp_path, rows))
 
 
@@ -270,6 +227,10 @@ _REFUSALS = {
         _appended({"key": "x", "value": "abc", "unit": "kg"}),
         "malformed record in {path}: {{'key': 'x', 'value': 'abc', 'unit': 'kg'}} "
         "(could not convert string to float: 'abc')"),
+    "e not a number": (
+        _with_value("e", value="one"),
+        "malformed record in {path}: {{'key': 'e', 'value': 'one', 'unit': 'C', "
+        "'source': 'CODATA 2018 (exact)'}} (could not convert string to float: 'one')"),
     "key not a string": (
         _appended({"key": 5, "value": 1.0, "unit": "kg"}),
         "malformed record in {path}: {{'key': 5, 'value': 1.0, 'unit': 'kg'}} (key must be a string)"),
@@ -280,9 +241,21 @@ _REFUSALS = {
         _appended({"key": "x", "value": 1.0, "unit": "kg", "source": 5}),
         "malformed record in {path}: {{'key': 'x', 'value': 1.0, 'unit': 'kg', 'source': 5}} "
         "(source must be a string)"),
+    # serialize_constants once wrote a source of 5 back as "5"
+    "source null": (
+        _with_value("e", source=None),
+        "malformed record in {path}: {{'key': 'e', 'value': 1.602176634e-19, 'unit': 'C', "
+        "'source': None}} (source must be a string)"),
+    "source a list": (
+        _with_value("e", source=["CODATA"]),
+        "malformed record in {path}: {{'key': 'e', 'value': 1.602176634e-19, 'unit': 'C', "
+        "'source': ['CODATA']}} (source must be a string)"),
     "unit off the whitelist": (
         _appended({"key": "x", "value": 1.0, "unit": "lb"}),
         "constant 'x' in {path}: unit 'lb' is not allowed; allowed: " + _UNITS),
+    "unit erg": (
+        _appended({"key": "x", "value": 1.0, "unit": "erg", "source": "test"}),
+        "constant 'x' in {path}: unit 'erg' is not allowed; allowed: " + _UNITS),
     "unit not a string": (
         _appended({"key": "x", "value": 1.0, "unit": ["kg"]}),
         "constant 'x' in {path}: unit ['kg'] is not allowed; allowed: " + _UNITS),
@@ -308,6 +281,9 @@ _REFUSALS = {
     "wrong dimension": (
         _with_value("hbar", unit="kg"),
         "constant 'hbar' in {path} must have dimension m^2·kg·s^-1, got kg"),
+    "m_tau in C": (
+        _with_value("m_tau", unit="C"),
+        "constant 'm_tau' in {path} must have dimension kg, got s·A"),
     "wrong dimension in eV": (
         _with_value("m_e", unit="GeV"),
         "constant 'm_e' in {path} must have dimension kg, got m^2·kg·s^-2"),
@@ -317,6 +293,9 @@ _REFUSALS = {
     "zero": (
         _with_value("m_e", value=0.0),
         "constant 'm_e' in {path} must be strictly positive, got 0.0"),
+    "m_mu -1.0": (
+        _with_value("m_mu", value=-1.0),
+        "constant 'm_mu' in {path} must be strictly positive, got -1.0"),
     "negative mass under its own key": (
         _appended({"key": "m_x", "value": -1.0, "unit": "kg"}),
         "constant 'm_x' in {path} must be strictly positive, got -1.0"),
@@ -338,3 +317,28 @@ def test_each_refused_constant_record_prints_its_whole_error_line(tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: " + line.format(path=path) + "\n"
+
+
+_E_ONLY = {"kind": "species", "name": "e_only", "type": "lepton-pair",
+           "constituent_mass": {"value": 9.1093837015e-31, "unit": "kg"}}
+
+
+# a member written twice in a constant record (e = 2e-19 once loaded
+# last-wins, and predict printed an epsilon0 59.9% low), in a species record
+# and in a {value, unit} object, where both copies agree
+@pytest.mark.parametrize("once, twice, member", [
+    ('"value": 1.602176634e-19', '"value": 1.602176634e-19, "value": 2e-19', "value"),
+    ('"name": "e_only"', '"name": "e_only", "name": "mu_only"', "name"),
+    ('"unit": "kg"}}', '"unit": "kg", "unit": "kg"}}', "unit"),
+], ids=["constant record", "species record", "value-unit object"])
+def test_a_member_repeated_in_one_object_exits_2(tmp_path, capsys, once, twice, member):
+    from vfdielectric.cli import main
+
+    text = json.dumps(_default_rows() + [_E_ONLY])
+    assert text.count(once) == 1
+    path = tmp_path / "constants.json"
+    path.write_text(text.replace(once, twice), encoding="utf-8")
+    assert main(["predict", "--format", "json", "--constants", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: constants file {path} repeats the member {member!r} in one object\n"
