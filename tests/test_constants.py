@@ -109,6 +109,15 @@ def test_mu0_override_passes_through(tmp_path):
     assert loaded.records["mu0"].source == "override"
 
 
+@pytest.mark.parametrize("source", [5, None, ["CODATA"]], ids=["number", "null", "list"])
+def test_non_string_source_rejected(tmp_path, source):
+    # serialize_constants once wrote a source of 5 back as "5"
+    rows = _default_rows()
+    rows[0]["source"] = source
+    with pytest.raises(ConstantsError, match="source must be a string"):
+        load_constants(_write(tmp_path, rows))
+
+
 def test_serialize_round_trip(tmp_path, constants):
     path = _write(tmp_path, json.loads(serialize_constants(constants)))
     again = load_constants(path)
