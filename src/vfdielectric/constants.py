@@ -513,7 +513,7 @@ def _resolve_source(path: str | os.PathLike | None) -> tuple[str, str]:
     try:
         with open(p, encoding="utf-8") as f:
             return f.read(), p
-    except (OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 is unreadable too
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL or lone surrogate in p
         raise ConstantsError(f"cannot read {what}: {exc}") from exc
 
 

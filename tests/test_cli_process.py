@@ -303,12 +303,12 @@ print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
-def _run_each(encoding, argvs):
+def _run_each(encoding, argvs, **environ):
     """(exit, stdout bytes, stderr text) of each argv in one process whose
-    stdout encoding is ``encoding``."""
+    stdout encoding is ``encoding``, with ``environ`` added to its environment."""
     env = {key: value for key, value in _ENV.items() if key != "VACUUM_DATA_DIR"}
     done = subprocess.run([sys.executable, "-c", _RUN_EACH, json.dumps(argvs)],
-                          env={**env, "PYTHONIOENCODING": encoding},
+                          env={**env, "PYTHONIOENCODING": encoding, **environ},
                           capture_output=True, text=True, timeout=_TIMEOUT)
     assert done.returncode == 0, done.stderr
     return [(code, out.encode("latin-1"), err) for code, out, err in json.loads(done.stdout)]
@@ -317,6 +317,15 @@ def _run_each(encoding, argvs):
 def _golden():
     path = Path(__file__).with_name("golden_outputs.json")
     return [(case["argv"], case["exit"], case["stdout"]) for case in json.loads(path.read_text("utf-8"))]
+
+
+@pytest.mark.parametrize("seed", ["1", "4242"])
+def test_golden_outputs_under_a_fixed_hash_seed(seed):
+    # no dict or set order, which string hashing can change, may reach an output byte
+    golden = _golden()
+    results = _run_each("utf-8", [argv for argv, _, _ in golden], PYTHONHASHSEED=seed)
+    for (argv, code, stdout), result in zip(golden, results):
+        assert result == (code, stdout.encode("utf-8"), ""), argv
 
 
 # the golden argvs whose table or CSV a stdout in each encoding cannot take

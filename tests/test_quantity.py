@@ -389,7 +389,7 @@ def _normal(value):
     return 2.2250738585072014e-308 <= abs(value) <= 1.7976931348623157e308
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True)
+@settings(max_examples=1000)
 @given(st.sampled_from(sorted(_OPERATIONS)), _operands, _operands, st.integers(-4, 4))
 def test_every_result_is_zero_or_a_normal_float(operation, x, y, n):
     arithmetic, plain = _OPERATIONS[operation]
