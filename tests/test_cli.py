@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_golden_outputs import CASES as GOLDEN_CASES
+from test_refusals import E_ONLY, ETA_B_10_EV, row_tests
 from vfdielectric import cli
 from vfdielectric import constants as constants_module
 from vfdielectric import species, verify
@@ -681,16 +682,9 @@ def test_table_and_json_share_one_report(capsys):
 
 # --- file species and data-file errors ---------------------------------------------
 
-E_ONLY = {
-    "kind": "species", "name": "e_only", "type": "lepton-pair", "charge_fraction": "1",
-    "constituent_mass": {"value": 9.1093837015e-31, "unit": "kg"},
-}
-ETA_B_10_EV = {
-    "kind": "species", "name": "eta_b", "type": "quarkonium", "charge_fraction": "1/3",
-    "constituent_mass": {"value": 4.3, "unit": "GeV"},
-    "bound_state_mass": {"value": 9.4, "unit": "GeV"},
-    "two_photon_width": {"value": 10.0, "unit": "eV"},
-}
+# each constants file that exits 2 is a row of test_refusals.REFUSALS; the rows
+# that were cases of tests of this module are collected here under those names
+globals().update(row_tests("test_cli"))
 
 
 def _constants_file(tmp_path, species=(), drop=(), changes=None):

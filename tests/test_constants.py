@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from test_refusals import row_tests
 from vfdielectric.constants import (
     CONSTANT_KEYS,
     SPECIES_FIELDS,
@@ -155,3 +156,8 @@ def test_readme_data_file_section_names_exactly_the_tables():
     named = set(re.findall(r"`(\w+)`", section))
     assert set(CONSTANT_KEYS) | SPECIES_FIELDS <= named
     assert {name for name in named if re.match(r"(m|gamma|ref)_", name)} <= set(CONSTANT_KEYS)
+
+
+# each constants file that exits 2 is a row of test_refusals.REFUSALS; the rows
+# that were cases of tests of this module are collected here under those names
+globals().update(row_tests("test_constants"))

@@ -10,8 +10,14 @@ A row of ``REFUSALS`` is ``id: (edit, argv, line)``:
 
 One runner writes the file, runs ``cli.main([*argv, "--constants", path])``
 and requires exit 2, no stdout byte and ``error: <line>`` as all of stderr.
-A new refusal is one new row.  The comment above a row or a family says what
-such a file once did instead.
+A new refusal is one new row, with a plain id, collected as
+``test_refusal[id]``.  The comment above a row or a family says what such a
+file once did instead.
+
+A row that was a case of an older test is keyed by the name that case was
+collected under, ``module::function[case]`` (``module::function`` for a test
+with one case), and is still collected under that name: ``row_tests(module)``
+builds those functions with the same runner, and ``module`` binds them.
 """
 
 import contextlib
@@ -20,9 +26,19 @@ import json
 
 import pytest
 
-from test_cli import E_ONLY, ETA_B_10_EV
 from vfdielectric.cli import main
 from vfdielectric.constants import CONSTANT_KEYS, load_constants, serialize_constants
+
+E_ONLY = {
+    "kind": "species", "name": "e_only", "type": "lepton-pair", "charge_fraction": "1",
+    "constituent_mass": {"value": 9.1093837015e-31, "unit": "kg"},
+}
+ETA_B_10_EV = {
+    "kind": "species", "name": "eta_b", "type": "quarkonium", "charge_fraction": "1/3",
+    "constituent_mass": {"value": 4.3, "unit": "GeV"},
+    "bound_state_mass": {"value": 9.4, "unit": "GeV"},
+    "two_photon_width": {"value": 10.0, "unit": "eV"},
+}
 
 _BUNDLED = serialize_constants(load_constants())
 _UNIT = {row["key"]: row["unit"] for row in json.loads(_BUNDLED)}
@@ -94,6 +110,10 @@ def _range(message):
     return "the constants in {path} take a result out of the float range: " + message
 
 
+_RECORD = "test_constants::test_each_refused_constant_record_prints_its_whole_error_line"
+
+_NOT_JSON = ("constants file {path} is not valid JSON: "
+             "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)")
 _DIGITS = '[{"key": "e", "value": 1' + "0" * 5000 + ', "unit": "C"}]'
 _DEEP_ARRAY = "[" * 200000 + "]" * 200000
 _DEEP_VALUE = json.dumps(_value("e", "nested")(json.loads(_BUNDLED))).replace(
@@ -205,23 +225,23 @@ _SWEEP_FAULTS = [  # key, exponent (None: the value 1.7e308), argvs, the line no
 
 REFUSALS = {
     # --- the file as JSON -------------------------------------------------------
-    **{f"json: not JSON, {command}": (
-        _text("{ not json"), [command],
-        "constants file {path} is not valid JSON: "
-        "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)")
-       for command in ("predict", "verify")},
-    "json: not an array": (
+    "test_cli::test_predict_constants_load_failure_exit_2": (_text("{ not json"), ["predict"], _NOT_JSON),
+    "test_cli::test_verify_corrupted_constants_exit_2": (_text("{ not json"), ["verify"], _NOT_JSON),
+    "test_cli::test_malformed_constants_file_exit_2[not-an-array]": (
         _text('{"key": "e"}'), ["predict"], "constants file {path} must be a JSON array of records"),
-    "json: not an object": (_text("[1, 2]"), ["predict"], "non-object record in {path}: 1"),
+    "test_cli::test_malformed_constants_file_exit_2[not-an-object]": (
+        _text("[1, 2]"), ["predict"], "non-object record in {path}: 1"),
     # json.loads raises a plain ValueError past the int-to-str digit limit, and
     # RecursionError past the interpreter's nesting limit: once a traceback with exit 1
-    "json: digits past the limit": (_text(_DIGITS), ["predict"], _json_error(_DIGITS)),
-    "json: nested 200000 deep": (_text(_DEEP_ARRAY), ["predict"], _json_error(_DEEP_ARRAY)),
-    "json: a value nested 1000 deep": (_text(_DEEP_VALUE), ["predict"], _json_error(_DEEP_VALUE)),
+    "test_cli::test_integer_past_the_digit_limit_exit_2": (_text(_DIGITS), ["predict"], _json_error(_DIGITS)),
+    "test_cli::test_deeply_nested_json_exit_2[array]": (
+        _text(_DEEP_ARRAY), ["predict"], _json_error(_DEEP_ARRAY)),
+    "test_cli::test_deeply_nested_json_exit_2[value]": (
+        _text(_DEEP_VALUE), ["predict"], _json_error(_DEEP_VALUE)),
     # a member written twice in a constant record (e = 2e-19 once loaded
     # last-wins, and predict printed an epsilon0 59.9% low), in a species record
     # and in a {value, unit} object, where both copies agree
-    **{f"json: repeated in a {where}": (
+    **{f"test_constants::test_a_member_repeated_in_one_object_exits_2[{where}]": (
         _repeated(once, twice), ["predict", "--format", "json"],
         f"constants file {{path}} repeats the member {member!r} in one object")
        for where, once, twice, member in [
@@ -232,157 +252,161 @@ REFUSALS = {
        ]},
 
     # --- constant records -------------------------------------------------------
-    "missing field": (
+    f"{_RECORD}[missing field]": (
         _append({"key": "x", "unit": "kg", "source": "t"}), ["historical"],
         "malformed record in {path}: {{'key': 'x', 'unit': 'kg', 'source': 't'}} ('value')"),
-    "int past the float range": (
+    f"{_RECORD}[int past the float range]": (
         _append({"key": "x", "value": 10**400, "unit": "kg"}), ["historical"],
         "malformed record in {path}: {{'key': 'x', 'value': " + str(10**400)
         + ", 'unit': 'kg'}} (int too large to convert to float)"),
     # float(10**400) raises OverflowError, which once escaped as a traceback
-    "m_e 10**400": (
+    "test_cli::test_integer_too_large_for_a_float_exit_2": (
         _value("m_e", 10**400), ["predict"],
         "malformed record in {path}: {{'key': 'm_e', 'value': " + str(10**400)
         + ", 'unit': 'kg', 'source': 'CODATA 2018'}} (int too large to convert to float)"),
-    "unreadable string": (
+    f"{_RECORD}[unreadable string]": (
         _append({"key": "x", "value": "abc", "unit": "kg"}), ["historical"],
         "malformed record in {path}: {{'key': 'x', 'value': 'abc', 'unit': 'kg'}} "
         "(could not convert string to float: 'abc')"),
-    "e not a number": (
+    f"{_RECORD}[e not a number]": (
         _change({"e": {"value": "one"}}), ["historical"],
         "malformed record in {path}: {{'key': 'e', 'value': 'one', 'unit': 'C', "
         "'source': 'CODATA 2018 (exact)'}} (could not convert string to float: 'one')"),
-    "key not a string": (
+    f"{_RECORD}[key not a string]": (
         _append({"key": 5, "value": 1.0, "unit": "kg"}), ["historical"],
         "malformed record in {path}: {{'key': 5, 'value': 1.0, 'unit': 'kg'}} (key must be a string)"),
-    "unknown field": (
+    f"{_RECORD}[unknown field]": (
         _append({"key": "x", "value": 1.0, "unit": "kg", "note": "n"}), ["historical"],
         "constant 'x' in {path} has unknown field 'note'; allowed: key, source, unit, value"),
-    "source not a string": (
+    f"{_RECORD}[source not a string]": (
         _append({"key": "x", "value": 1.0, "unit": "kg", "source": 5}), ["historical"],
         "malformed record in {path}: {{'key': 'x', 'value': 1.0, 'unit': 'kg', 'source': 5}} "
         "(source must be a string)"),
     # serialize_constants once wrote a source of 5 back as "5"; e, read first, and another record
-    **{f"source {source!r}": (
+    **{f"test_constants::test_non_string_source_rejected[{case}]": (
         _change({"e": {"source": source}}), ["historical"],
         "malformed record in {path}: {{'key': 'e', 'value': 1.602176634e-19, 'unit': 'C', "
         f"'source': {_shown(source)}}}}} (source must be a string)")
-       for source in (5, None, ["CODATA"])},
-    "unit off the whitelist": (
+       for case, source in [("number", 5), ("null", None), ("list", ["CODATA"])]},
+    f"{_RECORD}[unit off the whitelist]": (
         _append({"key": "x", "value": 1.0, "unit": "lb"}), ["historical"],
         "constant 'x' in {path}: unit 'lb' is not allowed; allowed: " + _UNITS),
-    "unit erg": (
+    f"{_RECORD}[unit erg]": (
         _append({"key": "x", "value": 1.0, "unit": "erg", "source": "test"}), ["historical"],
         "constant 'x' in {path}: unit 'erg' is not allowed; allowed: " + _UNITS),
-    "unit not a string": (
+    f"{_RECORD}[unit not a string]": (
         _append({"key": "x", "value": 1.0, "unit": ["kg"]}), ["historical"],
         "constant 'x' in {path}: unit ['kg'] is not allowed; allowed: " + _UNITS),
-    **{f"eV unit without e, {command}": (
+    **{key: (
         _drop("e"), [command],
         "constant 'm_c' in {path}: unit GeV needs an elementary-charge record 'e' (unit C) to scale by")
-       for command in ("predict", "historical")},
+       for key, command in [("test_cli::test_ev_record_without_elementary_charge_exit_2", "predict"),
+                            (f"{_RECORD}[eV unit without e]", "historical")]},
     # float(True) is 1.0: read as a number, e = 1 C gave epsilon0 ~ 1e64 and exit 0
-    "bool value": (
+    f"{_RECORD}[bool value]": (
         _append({"key": "x", "value": True, "unit": "kg"}), ["historical"],
         "constant 'x' in {path}: value true is a boolean, not a number"),
-    "e true": (
+    "test_cli::test_boolean_constant_value_exit_2": (
         _value("e", True), ["predict"], "constant 'e' in {path}: value true is a boolean, not a number"),
     # float("1.602176634e-19") parses: a quoted value once loaded and predict exited 0
-    "str value": (
+    f"{_RECORD}[str value]": (
         _append({"key": "x", "value": "2", "unit": "kg"}), ["historical"],
         'constant \'x\' in {path}: value "2" is a string, not a number'),
-    "e quoted": (
+    "test_cli::test_string_constant_value_exit_2": (
         _value("e", "1.602176634e-19"), ["predict"],
         'constant \'e\' in {path}: value "1.602176634e-19" is a string, not a number'),
-    "Infinity": (
+    f"{_RECORD}[Infinity]": (
         _append({"key": "x", "value": float("inf"), "unit": "kg"}), ["historical"],
         "constant 'x' in {path}: cannot convert inf kg to SI: Quantity value must be finite, got inf"),
-    "NaN": (
+    f"{_RECORD}[NaN]": (
         _append({"key": "x", "value": float("nan"), "unit": "kg"}), ["historical"],
         "constant 'x' in {path}: cannot convert nan kg to SI: Quantity value must be finite, got nan"),
-    "eV value out of range in joules": (
+    f"{_RECORD}[eV value out of range in joules]": (
         _append({"key": "x", "value": 1e300, "unit": "GeV"}), ["historical"],
         "constant 'x' in {path}: 1e+300 GeV in joules is out of the float range: "
         "the product 1e+300 * 1000000000.0 is inf (dimension m^2·kg·s^-2)"),
-    "hbar missing": (
+    "test_constants::test_missing_required_key": (
         _drop("hbar"), ["historical"], "constants file {path} is missing required keys: ['hbar']"),
-    "e twice": (lambda rows: rows + [dict(rows[0])], ["historical"], "duplicate key 'e' in {path}"),
-    **{f"m_u key a list, {command}": (
+    "test_constants::test_duplicate_key_rejected": (
+        lambda rows: rows + [dict(rows[0])], ["historical"], "duplicate key 'e' in {path}"),
+    **{f"test_cli::test_non_string_key_exit_2[{command}]": (
         _change({"m_u": {"key": ["m_u"]}}), [command],
         "malformed record in {path}: {{'key': ['m_u'], 'value': 1.6605390666e-27, 'unit': 'kg', "
         "'source': 'CODATA 2018 (atomic mass constant)'}} (key must be a string)")
        for command in _COMMANDS},
     # str() once read a source of 5 as "5", and the file no longer round-tripped
-    **{f"hbar source 5, {command}": (
+    **{f"test_cli::test_non_string_source_exit_2[{command}]": (
         _change({"hbar": {"source": 5}}), [command],
         "malformed record in {path}: {{'key': 'hbar', 'value': 1.054571817e-34, 'unit': 'J·s', "
         "'source': 5}} (source must be a string)")
        for command in _COMMANDS},
     # unknown fields were once dropped without a word
-    **{f"hbar sorce, {command}": (
+    **{f"test_cli::test_constant_record_unknown_field_exit_2[{command}]": (
         _change({"hbar": {"sorce": "CODATA 2018"}}), [command],
         "constant 'hbar' in {path} has unknown field 'sorce'; allowed: key, source, unit, value")
        for command in _COMMANDS},
 
     # --- named keys: dimension, sign, range ---------------------------------------
-    "wrong dimension": (
+    f"{_RECORD}[wrong dimension]": (
         _change({"hbar": {"unit": "kg"}}), ["historical"],
         "constant 'hbar' in {path} must have dimension m^2·kg·s^-1, got kg"),
-    "m_tau in C": (
+    f"{_RECORD}[m_tau in C]": (
         _change({"m_tau": {"unit": "C"}}), ["historical"],
         "constant 'm_tau' in {path} must have dimension kg, got s·A"),
-    "wrong dimension in eV": (
+    f"{_RECORD}[wrong dimension in eV]": (
         _change({"m_e": {"unit": "GeV"}}), ["historical"],
         "constant 'm_e' in {path} must have dimension kg, got m^2·kg·s^-2"),
-    "wrong dimension of a width": (
+    f"{_RECORD}[wrong dimension of a width]": (
         _change({"gamma_etac_2gamma": {"unit": "kg"}}), ["historical"],
         "constant 'gamma_etac_2gamma' in {path} must have dimension s^-1 or m^2·kg·s^-2, got kg"),
-    **{f"{key} in kg, predict --include-quarks": (
+    **{f"test_cli::test_optional_key_in_kg_exit_2[{key}]": (
         _change({key: {"value": 1.0, "unit": "kg"}}), ["predict", "--include-quarks"],
         f"constant {key!r} in {{path}} must have dimension {dimension}, got kg")
        for key, dimension in [("m_c", "m^2·kg·s^-2"), ("gamma_etac_2gamma", "s^-1 or m^2·kg·s^-2"),
                               ("gamma_etab_2gamma_max", "s^-1 or m^2·kg·s^-2")]},
-    "zero": (
+    f"{_RECORD}[zero]": (
         _value("m_e", 0.0), ["historical"], "constant 'm_e' in {path} must be strictly positive, got 0.0"),
+    "test_cli::test_zero_elementary_charge_with_gev_records_exit_2": (
+        _value("e", 0.0), ["predict"], "constant 'e' in {path} must be strictly positive, got 0.0"),
     # the quark keys once loaded at 0: a traceback under --include-quarks, exit 0 elsewhere
-    **{f"zero {key}, {command}": (
+    **{f"test_cli::test_zero_reference_value_exit_2[{key}-{command}]": (
         _value(key, 0.0), [command], f"constant {key!r} in {{path}} must be strictly positive, got 0.0")
        for key, command in [
-           ("e", "predict"), ("ref_epsilon0", "predict"), ("ref_epsilon0", "verify"),
-           ("ref_c", "species"), ("ref_c", "predict"), ("ref_inv_alpha", "species"),
-           ("m_c", "predict"), ("m_b", "species"), ("m_etac", "historical"), ("m_etab", "verify"),
-           ("gamma_etac_2gamma", "sensitivity"), ("gamma_etab_2gamma_min", "predict"),
-           ("gamma_etab_2gamma_max", "species")]},
-    "m_mu -1.0": (
+           ("ref_epsilon0", "predict"), ("ref_epsilon0", "verify"), ("ref_c", "species"),
+           ("ref_c", "predict"), ("ref_inv_alpha", "species"), ("m_c", "predict"), ("m_b", "species"),
+           ("m_etac", "historical"), ("m_etab", "verify"), ("gamma_etac_2gamma", "sensitivity"),
+           ("gamma_etab_2gamma_min", "predict"), ("gamma_etab_2gamma_max", "species")]},
+    f"{_RECORD}[m_mu -1.0]": (
         _value("m_mu", -1.0), ["historical"], "constant 'm_mu' in {path} must be strictly positive, got -1.0"),
-    "negative mass under its own key": (
+    f"{_RECORD}[negative mass under its own key]": (
         _append({"key": "m_x", "value": -1.0, "unit": "kg"}), ["historical"],
         "constant 'm_x' in {path} must be strictly positive, got -1.0"),
-    "negative energy": (
+    f"{_RECORD}[negative energy]": (
         _value("m_c", -1.27), ["historical"],
         "constant 'm_c' in {path} must be strictly positive, got -2.0347643251799998e-10"),
     # a negative quark key once loaded: species --include-quarks printed a negative
     # decay rate and density with exit 0, predict --include-quarks raised a traceback
-    **{f"-1 {key}, {command} --include-quarks": (
+    **{f"test_cli::test_negative_named_key_exit_2[argv{i}-{key}]": (
         _value(key, -1.0), [command, "--include-quarks"],
         f"constant {key!r} in {{path}} must be strictly positive, got "
         + _MINUS_ONE_IN_SI.get(_UNIT[key], "-1.0"))
-       for key in sorted(CONSTANT_KEYS) for command in ("predict", "species")},
-    "subnormal": (_value("m_e", 5e-324), ["historical"], _subnormal("m_e", 5e-324)),
+       for i, command in enumerate(("predict", "species")) for key in sorted(CONSTANT_KEYS)},
+    f"{_RECORD}[subnormal]": (_value("m_e", 5e-324), ["historical"], _subnormal("m_e", 5e-324)),
     # a subnormal file value once loaded and reached the output with exit 0:
     # predict --format json printed it under "reference", and historical an m_e/u
     # built on an m_u with about five significant digits left
-    **{f"{key} {value!r}, {' '.join(argv)}": (_value(key, value), argv, _subnormal(key, value))
-       for key, value, argv in [
+    **{f"test_cli::test_subnormal_constant_exit_2[{key}-{value}-argv{i}]": (
+        _value(key, value), argv, _subnormal(key, value))
+       for i, (key, value, argv) in enumerate([
            *[("ref_c", value, ["predict", "--format", "json"]) for value in (3.0e-312, 5e-324)],
            *[("ref_inv_alpha", value, argv) for value in (1.37e-318, 1.37e-311, 5e-324)
              for argv in (["predict", "--format", "json"],
                           ["predict", "--include-quarks", "--format", "json"])],
-           ("m_u", 1.66055e-319, ["historical"])]},
+           ("m_u", 1.66055e-319, ["historical"])])},
     # an eV-family value was scaled to joules in plain floats, so an underflow read
     # as a sign fault of a positive input: m_c = 1e-320 GeV exited 2 with "must be
     # strictly positive, got 0.0".  The scaling is Quantity products now
-    **{f"m_c {value!r} {unit}, historical": (
+    **{f"test_cli::test_ev_scaling_out_of_the_float_range_exit_2[{value}-{unit}-{product}]": (
         _change({"m_c": {"value": value, "unit": unit}}), ["historical"],
         f"constant 'm_c' in {{path}}: {value!r} {unit} in joules is out of the float range: "
         f"{product} (dimension m^2·kg·s^-2)")
@@ -393,10 +417,11 @@ REFUSALS = {
            (1e300, "GeV", "the product 1e+300 * 1000000000.0 is inf")]},
     # historical and predict --include-quarks read these optional keys; a KeyError
     # traceback once ended each with exit 1
-    "m_u missing, historical": (_drop("m_u"), ["historical"], "constant 'm_u' is not defined in {path}"),
-    "m_c missing, predict --include-quarks": (
+    "test_cli::test_historical_without_m_u_exit_2": (
+        _drop("m_u"), ["historical"], "constant 'm_u' is not defined in {path}"),
+    "test_cli::test_predict_include_quarks_without_m_c_exit_2": (
         _drop("m_c"), ["predict", "--include-quarks"], "constant 'm_c' is not defined in {path}"),
-    **{f"m_etab 1 GeV, {command} --include-quarks": (
+    **{f"test_cli::test_etab_below_two_b_quarks_exit_2[{command}]": (
         _change({"m_etab": {"value": 1.0, "unit": "GeV"}}), [command, "--include-quarks"],
         "built-in species from m_b, m_etab, gamma_etab_2gamma_max in {path}: species 'eta_b': "
         "bound_state_mass must exceed 2 * constituent_mass "
@@ -404,137 +429,145 @@ REFUSALS = {
        for command in ("predict", "species")},
 
     # --- species records --------------------------------------------------------
-    "species: eta_t not modeled": (
+    "test_cli::test_predict_bad_species_record_exit_2[unsupported]": (
         _append({"kind": "species", "name": "eta_t", "type": "quarkonium"}), ["predict"],
         _species("species 'eta_t' is not modeled: no experimental two-photon data exists for a "
                  "t-tbar bound state")),
-    "species: x_pair without a mass": (
+    "test_cli::test_predict_bad_species_record_exit_2[no-mass]": (
         _append({"kind": "species", "name": "x_pair", "type": "lepton-pair"}), ["predict"],
         _species("species 'x_pair' is missing field 'constituent_mass'")),
-    "species: mass in erg": (
+    "test_cli::test_predict_bad_species_record_exit_2[bad-unit]": (
         _append({**E_ONLY, "constituent_mass": {"value": 1.0, "unit": "erg"}}), ["predict"],
         _species("species 'e_only': constituent_mass: unit 'erg' is not allowed; allowed: " + _UNITS)),
     # only predict and species once built the file's species; the other three
     # ignored a record with an unknown unit and exited 0
-    **{f"species: mass in nope, {command}": (
+    **{f"test_cli::test_bad_species_record_exit_2_whichever_command_runs[{command}]": (
         _append({**E_ONLY, "constituent_mass": {"value": 1.0, "unit": "nope"}}), [command],
         _species("species 'e_only': constituent_mass: unit 'nope' is not allowed; allowed: " + _UNITS))
        for command in ("verify", "sensitivity", "historical")},
-    "species: mass a bare number": (
+    "test_cli::test_predict_bad_species_record_exit_2[bare-number]": (
         _append({**E_ONLY, "constituent_mass": 9.1e-31}), ["predict"],
         _species("species 'e_only': constituent_mass must be a {{value, unit}} object")),
-    "species: mass true": (
+    "test_cli::test_boolean_species_field_exit_2": (
         _append({**E_ONLY, "constituent_mass": {"value": True, "unit": "kg"}}), ["predict"],
         _species("species 'e_only': constituent_mass: value true is a boolean, not a number")),
-    "species: mass quoted": (
+    "test_cli::test_string_species_field_exit_2": (
         _append({**E_ONLY, "constituent_mass": {"value": "9.1093837015e-31", "unit": "kg"}}), ["predict"],
         _species('species \'e_only\': constituent_mass: value "9.1093837015e-31" is a string, not a number')),
+    # the species half of test_integer_too_large_for_a_float_exit_2, whose m_e half is above
     "species: mass 10**400": (
         _append({**E_ONLY, "constituent_mass": {"value": 10**400, "unit": "kg"}}), ["predict"],
         _species(f"species 'e_only': constituent_mass: cannot convert {10**400} kg to SI: "
                  "int too large to convert to float")),
     # once worded with Fraction's text alone, naming neither species nor field
-    "species: charge 1/0": (
+    "test_cli::test_predict_bad_species_record_exit_2[zero-denominator]": (
         _append({**E_ONLY, "charge_fraction": "1/0"}), ["predict"],
         _species("species 'e_only': charge_fraction '1/0' is not a fraction: Fraction(1, 0)")),
     # the closed lepton coefficient holds for unit charge only: predict once
     # exited 1 with an AssemblyError traceback while species printed a table
-    **{f"species: lepton charge {charge}, {command}": (
+    **{f"test_cli::test_fractional_lepton_pair_exit_2[{command}-{charge}]": (
         _append({**E_ONLY, "charge_fraction": charge}), [command],
         _species(f"e_only: a lepton pair has charge_fraction 1, got {charge}"))
        for charge in ("2/3", "1/3") for command in ("predict", "species")},
     # the lepton branch once returned before reading these fields, so even a
     # junk value loaded and both commands exited 0
-    **{f"species: lepton with {field}, {command}": (
+    **{f"test_cli::test_lepton_pair_with_quarkonium_field_exit_2[{command}-{field}]": (
         _append({**E_ONLY, field: {"value": "junk", "unit": "nope"}}), [command],
         _species(f"species 'e_only': a lepton pair carries no {field}"))
        for field in ("bound_state_mass", "two_photon_width", "e_min") for command in ("predict", "species")},
     # a numeric name once passed through: exit 0 with "species": 5 in the output
-    **{f"species: name {name!r}, {command}": (
+    **{f"test_cli::test_species_name_not_a_string_exit_2[{command}-{case}]": (
         _append({**E_ONLY, "name": name}), [command, "--format", "json"],
         _species("species record without a non-empty string name: " + _shown({**E_ONLY, "name": name})))
-       for name in (5, "", ["e_only"], None) for command in ("predict", "species")},
-    **{f"species: name holds {control}, {command} {output_format}": (
+       for case, name in [("number", 5), ("empty", ""), ("list", ["e_only"]), ("null", None)]
+       for command in ("predict", "species")},
+    **{f"test_cli::test_a_control_character_in_a_species_name_exits_2[{control}-{command}-{output_format}]": (
         _append({**E_ONLY, "name": f"e{char}pair"}), [command, "--format", output_format],
         _species(f"species name {f'e{char}pair'!r} holds a control character"))
        for control, char in _CONTROLS.items() for command in ("predict", "species")
        for output_format in _FORMATS},
     # two e_only records once counted twice: epsilon0 came out for n_species = 2
-    "species: e_only twice": (
+    "test_cli::test_duplicate_species_name_exit_2": (
         _append(E_ONLY, E_ONLY), ["predict", "--format", "csv"], "duplicate species 'e_only' in {path}"),
     # a misspelt charge fraction once loaded as charge 1, a misspelt e_min fell
     # back to the mass-derived default
-    **{f"species: {field}, {command}": (
+    **{f"test_cli::test_species_record_unknown_field_exit_2[{command}-{case}-{field}]": (
         _append(*records), [command, "--format", "json"],
         _species(f"species {name!r} has unknown field {field!r}; allowed: {_SPECIES_FIELDS}"))
-       for field, name, records in [
-           ("chrge_fraction", "e_only", [{**E_ONLY, "chrge_fraction": "2/3"}]),
-           ("e_mn", "eta_b", [E_ONLY, {**ETA_B_10_EV, "e_mn": {"value": 1.0, "unit": "GeV"}}])]
+       for case, field, name, records in [
+           ("lepton", "chrge_fraction", "e_only", [{**E_ONLY, "chrge_fraction": "2/3"}]),
+           ("quarkonium", "e_mn", "eta_b", [E_ONLY, {**ETA_B_10_EV, "e_mn": {"value": 1.0, "unit": "GeV"}}])]
        for command in ("predict", "species")},
-    "species: no lepton pair": (
+    "test_cli::test_predict_species_without_lepton_pair_exit_2": (
         _append(ETA_B_10_EV), ["predict"], "the species in {path} include no lepton pair; predict needs one"),
     # a width of -10 eV once gave a negative decay rate and density with exit 0
-    **{f"species: width {value!r} eV, {command}": (
+    **{f"test_cli::test_species_record_width_not_positive_exit_2[{command}-{value}]": (
         _append(E_ONLY, {**ETA_B_10_EV, "two_photon_width": {"value": value, "unit": "eV"}}), [command],
         _species(f"species 'eta_b': two_photon_width must be strictly positive, got {si}"))
        for value, si in [(0.0, "0.0"), (-10.0, "-1.602176634e-18")] for command in ("predict", "species")},
     # an SI value is refused as a loaded quantity; an eV-family one by the product
     # that scales it to joules, which names its operands
-    **{f"species: subnormal {field}": (
+    **{f"test_cli::test_subnormal_species_field_exit_2[{field}-quantity{i}-{si}]": (
         _append(E_ONLY, {**ETA_B_10_EV, field: quantity}), ["predict"],
         _species(f"species 'eta_b': {field}" + refusal))
-       for field, quantity, refusal in [
-           ("constituent_mass", {"value": 1e-310, "unit": "kg"},
+       for i, (field, quantity, si, refusal) in enumerate([
+           ("constituent_mass", {"value": 1e-310, "unit": "kg"}, 1e-310,
             " is out of the float range: 1e-310 is subnormal"),
-           ("bound_state_mass", {"value": 1e-300, "unit": "GeV"},
+           ("bound_state_mass", {"value": 1e-300, "unit": "GeV"}, 1.602176634e-310,
             ": 1e-300 GeV in joules is out of the float range: the product 1e-291 * 1.602176634e-19 "
             "is subnormal: 1.602176634e-310 (dimension m^2·kg·s^-2)"),
-           ("two_photon_width", {"value": 5e-324, "unit": "1/s"},
+           ("two_photon_width", {"value": 5e-324, "unit": "1/s"}, 5e-324,
             " is out of the float range: 5e-324 is subnormal"),
-           ("e_min", {"value": 1e-300, "unit": "eV"},  # five digits left
+           ("e_min", {"value": 1e-300, "unit": "eV"}, 1.60216e-319,  # five digits left
             ": 1e-300 eV in joules is out of the float range: the product 1e-300 * 1.602176634e-19 "
-            "is subnormal: 1.60216e-319 (dimension m^2·kg·s^-2)")]},
+            "is subnormal: 1.60216e-319 (dimension m^2·kg·s^-2)")])},
 
     # --- results out of the float range -------------------------------------------
-    **{f"coupling {key} {value!r}, sensitivity {output_format}": (
+    **{f"test_cli::test_sensitivity_coupling_outside_the_band_exit_2[{output_format}-{key}-{value}-{lam}]": (
         _value(key, value), ["sensitivity", "--format", output_format],
         f"the constants in {{path}} give the e_pair dipole trajectory a coupling lam={lam} "
         "outside the first-order band |lam| < 0.1")
        for key, value, lam in _COUPLINGS for output_format in _FORMATS},
-    **{f"dipole underflow, sensitivity {branch} {output_format}": (
+    **{f"test_cli::test_sensitivity_underflowed_dipole_exit_2[{output_format}-{branch}]": (
         _change({"ref_epsilon0": {"value": 1e-100}, "e": {"value": 1e-30}}),
         ["sensitivity", "--branch", branch, "--format", output_format],
         _range(f"the product 6.136675816804472e-107 * {response} underflows to 0.0 (dimension m·s·A)"))
        for branch, response in _UNDERFLOWED_RESPONSE.items() for output_format in _FORMATS},
     # a result past the float range once escaped cli.main as a ValueError traceback;
     # with m_e 1e300 the quotient q^2/mu now underflows first
-    **{f"range: {key} {value!r}, {command}": (_value(key, value), [command], _range(message))
+    **{f"test_cli::test_result_out_of_float_range_exit_2[{key}-{value}-{command}]": (
+        _value(key, value), [command], _range(message))
        for key, value, message, commands in [
            ("hbar", 1e-300, "the product 2.5669699665355692e+262 * 2.5669699665355692e+262 is inf "
                             "(dimension m^-4·kg^-2·s^6·A^4)", ("predict", "sensitivity")),
            ("m_e", 1e300, "the quotient 2.5669699665355694e-38 / 5e+299 underflows to 0.0 "
                           "(dimension kg^-1·s^2·A^2)", ("predict", "verify"))]
        for command in commands},
-    **{f"range: hbar {hbar!r}, {command}": (_value("hbar", hbar), [command], line)
+    **{f"test_cli::test_division_by_zero_exit_2[{command}-{hbar}-{before}]": (
+        _value("hbar", hbar), [command], line)
        for command, hbar, before, line in _UNDERFLOWED_DIVISORS},
-    **{f"power: {key} {value!r}, {' '.join(argv)}": (_value(key, value), argv, line)
-       for key, value, argv, _before, line in _FLOAT_POWERS},
-    **{f"lepton route: {closed}, {argv}": (
-        _change({key: {"value": value} for key, value in changes.items()}), argv.split(), line)
-       for changes, argvs, closed, line in _LEPTON_UNDERFLOWS for argv in argvs},
-    **{f"sweep: {key} 10^{exponent}, {argv}": (
-        _value(key, 1.7e308 if exponent is None else _VALUE[key] * 10.0**exponent), argv.split(),
-        _range(message))
-       for key, exponent, argvs, message in _SWEEP_FAULTS for argv in argvs},
+    **{f"test_cli::test_float_power_overflow_exit_2[{key}-{value}-argv{i}-{before}]": (
+        _value(key, value), argv, line)
+       for i, (key, value, argv, before, line) in enumerate(_FLOAT_POWERS)},
+    **{f"test_cli::test_lepton_route_underflow_exit_2[changes{i}-argv{i}-{closed}]": (
+        _change({key: {"value": value} for key, value in changes.items()}), argv, line)
+       for i, (changes, argv, closed, line) in enumerate(
+           (changes, argv.split(), closed, line)
+           for changes, argvs, closed, line in _LEPTON_UNDERFLOWS for argv in argvs)},
+    **{f"test_cli::test_sweep_faults_exit_2[{key}-{exponent}-argv{i}]": (
+        _value(key, 1.7e308 if exponent is None else _VALUE[key] * 10.0**exponent), argv, _range(message))
+       for i, (key, exponent, argv, message) in enumerate(
+           (key, exponent, argv.split(), message)
+           for key, exponent, argvs, message in _SWEEP_FAULTS for argv in argvs)},
     # a reference delta once divided plain floats: with mu0 times 1e20 and ref_c
     # 1e300 predict --format json printed "c": Infinity with exit 0
-    "range: reference delta of c": (
+    "test_cli::test_non_finite_reference_delta_exit_2": (
         _change({"mu0": {"value": _VALUE["mu0"] * 1e20}, "ref_c": {"value": 1e300}}),
         ["predict", "--format", "json"],
         _range("the quotient 1e+300 / 2.957023891662655e-12 is inf (dimension 1)")),
 
     # --- a lone surrogate or a NUL in a string field ------------------------------
-    # (a NUL in a species name is a "species: name holds NUL" row above)
+    # (a NUL in a species name is a test_a_control_character_in_a_species_name_exits_2 row above)
     **{f"string: {name} in {field}": (_append(record), ["predict", "--format", "json"], line)
        for name, odd in _ODD.items()
        for field, record, line in [
@@ -554,6 +587,17 @@ REFUSALS = {
        ]},
 }
 
+# a file two older tests both refused is one row, collected under each name
+REFUSALS.update({also: REFUSALS[key] for also, key in [
+    ("test_constants::test_parse_failure", "test_cli::test_predict_constants_load_failure_exit_2"),
+    (f"{_RECORD}[source null]", "test_constants::test_non_string_source_rejected[null]"),
+    (f"{_RECORD}[source a list]", "test_constants::test_non_string_source_rejected[list]"),
+    ("test_constants::test_zero_elementary_charge_with_gev_records_rejected",
+     "test_cli::test_zero_elementary_charge_with_gev_records_exit_2"),
+    ("test_constants::test_unbuildable_species_record_fails_the_load",
+     "test_cli::test_bad_species_record_exit_2_whichever_command_runs[historical]"),
+]})
+
 
 def _run(argv):
     """Exit code, stdout and stderr of one in-process run."""
@@ -563,12 +607,36 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("edit, argv, line", REFUSALS.values(), ids=REFUSALS)
-def test_refusal(tmp_path, edit, argv, line):
+def _refuses(tmp_path, edit, argv, line):
     data = edit(json.loads(_BUNDLED))
     path = tmp_path / "constants.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")
     assert _run([*argv, "--constants", str(path)]) == (2, "", "error: " + line.format(path=path) + "\n")
+
+
+def _test_of(rows):
+    """One test function over ``rows``, case id -> row; the id None is a test with one case."""
+    if None in rows:
+        return lambda tmp_path: _refuses(tmp_path, *rows[None])
+
+    @pytest.mark.parametrize("edit, argv, line", rows.values(), ids=list(rows))
+    def test(tmp_path, edit, argv, line):
+        _refuses(tmp_path, edit, argv, line)
+    return test
+
+
+def row_tests(module):
+    """The test functions, by name, of the rows keyed ``module::function[case]``."""
+    functions = {}
+    for key, row in REFUSALS.items():
+        owner, _, name = key.partition("::")
+        if owner == module:
+            name, _, case = name.partition("[")
+            functions.setdefault(name, {})[case[:-1] or None] = row
+    return {name: _test_of(rows) for name, rows in functions.items()}
+
+
+test_refusal = _test_of({key: row for key, row in REFUSALS.items() if "::" not in key})
 
 
 # the strings of the last rows where a record may hold them
