@@ -78,7 +78,7 @@ def _numbers(node):
         yield node
 
 
-def _run(argv: list[str]) -> tuple[int | str, str, str]:
+def run(argv: list[str]) -> tuple[int | str, str, str]:
     """Exit code, stdout and stderr of one ``main`` call; an exception that
     escapes it stands in for the code as its type and message."""
     out, err = io.StringIO(), io.StringIO()
@@ -99,7 +99,7 @@ def faults(rows: list[dict], key: str, value: float, path: str) -> tuple[str, li
     expected = _expected_codes().get(key, {}).get(repr(value), "")
     codes, found = "", []
     for i, argv in enumerate(ARGVS):
-        code, out, err = _run(argv + ["--format", "json", "--constants", path])
+        code, out, err = run(argv + ["--format", "json", "--constants", path])
         where = f"{key}={value!r} {' '.join(argv)}"
         allowed = (0, 1, 2) if argv[0] == "verify" else (0, 2)
         if code not in allowed:

@@ -9,24 +9,24 @@ A row of ``REFUSALS`` is ``id: (edit, argv, line)``:
   for the file.
 
 One runner writes the file, runs ``cli.main([*argv, "--constants", path])``
-and requires exit 2, no stdout byte and ``error: <line>`` as all of stderr.
-A new refusal is one new row, with a plain id, collected as
-``test_refusal[id]``.  The comment above a row or a family says what such a
-file once did instead.
+and requires exit 2, no stdout byte and ``error: <line>`` as all of stderr
+(an exception that escapes ``main`` shows as the exit code).  A new refusal
+is one new row, with a plain id, collected as ``test_refusal[id]``.  The
+comment above a row or a family says what such a file once did instead.
 
 A row that was a case of an older test is keyed by the name that case was
 collected under, ``module::function[case]`` (``module::function`` for a test
-with one case), and is still collected under that name: ``row_tests(module)``
-builds those functions with the same runner, and ``module`` binds them.
+with one case), and is still collected under that name, so test runs
+compared by id across the move to this table find every old case:
+``row_tests(module)`` builds those functions with the same runner, and
+``module`` binds them.  Each such row is a file and argv of its own.
 """
 
-import contextlib
-import io
 import json
 
 import pytest
 
-from vfdielectric.cli import main
+from extreme_sweep import run
 from vfdielectric.constants import CONSTANT_KEYS, load_constants, serialize_constants
 
 E_ONLY = {
@@ -84,13 +84,15 @@ def _repeated(once, twice):
 
 
 def _json_error(text):
-    """What json.loads says of ``text``; the interpreter words its digit and
-    nesting limits, and the words differ between versions."""
+    """The line for ``text`` that json.loads refuses, with json's own words:
+    the interpreter words its digit and nesting limits, and the words differ
+    between versions.  A text that json.loads accepts gets a line no run
+    prints, so its row fails and says why."""
     try:
         json.loads(text)
     except (ValueError, RecursionError) as exc:
         return f"constants file {{path}} is not valid JSON: {exc}"
-    raise AssertionError("the text is valid JSON")
+    return "(json.loads accepts this text)"
 
 
 def _shown(record):
@@ -116,8 +118,10 @@ _NOT_JSON = ("constants file {path} is not valid JSON: "
              "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)")
 _DIGITS = '[{"key": "e", "value": 1' + "0" * 5000 + ', "unit": "C"}]'
 _DEEP_ARRAY = "[" * 200000 + "]" * 200000
+# past every interpreter's nesting limit: from 3.12 on json's C scanner checks
+# the C recursion limit (thousands), not sys.getrecursionlimit()
 _DEEP_VALUE = json.dumps(_value("e", "nested")(json.loads(_BUNDLED))).replace(
-    '"nested"', "[" * 1000 + "1.0" + "]" * 1000)
+    '"nested"', "[" * 200000 + "1.0" + "]" * 200000)
 
 # a coupling outside the first-order band once gave exit 0 with lam ~ 1e145 and,
 # as its only signal, a CouplingStrengthWarning source line on stderr
@@ -227,6 +231,7 @@ REFUSALS = {
     # --- the file as JSON -------------------------------------------------------
     "test_cli::test_predict_constants_load_failure_exit_2": (_text("{ not json"), ["predict"], _NOT_JSON),
     "test_cli::test_verify_corrupted_constants_exit_2": (_text("{ not json"), ["verify"], _NOT_JSON),
+    "test_constants::test_parse_failure": (_text("{ not json"), ["historical"], _NOT_JSON),
     "test_cli::test_malformed_constants_file_exit_2[not-an-array]": (
         _text('{"key": "e"}'), ["predict"], "constants file {path} must be a JSON array of records"),
     "test_cli::test_malformed_constants_file_exit_2[not-an-object]": (
@@ -278,11 +283,12 @@ REFUSALS = {
     f"{_RECORD}[unknown field]": (
         _append({"key": "x", "value": 1.0, "unit": "kg", "note": "n"}), ["historical"],
         "constant 'x' in {path} has unknown field 'note'; allowed: key, source, unit, value"),
-    f"{_RECORD}[source not a string]": (
-        _append({"key": "x", "value": 1.0, "unit": "kg", "source": 5}), ["historical"],
-        "malformed record in {path}: {{'key': 'x', 'value': 1.0, 'unit': 'kg', 'source': 5}} "
-        "(source must be a string)"),
-    # serialize_constants once wrote a source of 5 back as "5"; e, read first, and another record
+    # serialize_constants once wrote a source of 5 back as "5"; a source in another
+    # record, and in e, read first
+    **{f"{_RECORD}[{case}]": (
+        _append({**_X, "source": source}), ["historical"],
+        "malformed record in {path}: " + _shown({**_X, "source": source}) + " (source must be a string)")
+       for case, source in [("source not a string", 5), ("source null", None), ("source a list", ["CODATA"])]},
     **{f"test_constants::test_non_string_source_rejected[{case}]": (
         _change({"e": {"source": source}}), ["historical"],
         "malformed record in {path}: {{'key': 'e', 'value': 1.602176634e-19, 'unit': 'C', "
@@ -366,8 +372,10 @@ REFUSALS = {
                               ("gamma_etab_2gamma_max", "s^-1 or m^2·kg·s^-2")]},
     f"{_RECORD}[zero]": (
         _value("m_e", 0.0), ["historical"], "constant 'm_e' in {path} must be strictly positive, got 0.0"),
-    "test_cli::test_zero_elementary_charge_with_gev_records_exit_2": (
-        _value("e", 0.0), ["predict"], "constant 'e' in {path} must be strictly positive, got 0.0"),
+    **{name: (_value("e", 0.0), [command], "constant 'e' in {path} must be strictly positive, got 0.0")
+       for name, command in [("test_cli::test_zero_elementary_charge_with_gev_records_exit_2", "predict"),
+                             ("test_constants::test_zero_elementary_charge_with_gev_records_rejected",
+                              "historical")]},
     # the quark keys once loaded at 0: a traceback under --include-quarks, exit 0 elsewhere
     **{f"test_cli::test_zero_reference_value_exit_2[{key}-{command}]": (
         _value(key, 0.0), [command], f"constant {key!r} in {{path}} must be strictly positive, got 0.0")
@@ -445,6 +453,11 @@ REFUSALS = {
         _append({**E_ONLY, "constituent_mass": {"value": 1.0, "unit": "nope"}}), [command],
         _species("species 'e_only': constituent_mass: unit 'nope' is not allowed; allowed: " + _UNITS))
        for command in ("verify", "sensitivity", "historical")},
+    # a species record was once built only after loading, so the load passed
+    "test_constants::test_unbuildable_species_record_fails_the_load": (
+        _append({"kind": "species", "name": "e_pair", "type": "lepton-pair",
+                 "constituent_mass": {"value": 1.0, "unit": "nope"}}), ["historical"],
+        _species("species 'e_pair': constituent_mass: unit 'nope' is not allowed; allowed: " + _UNITS)),
     "test_cli::test_predict_bad_species_record_exit_2[bare-number]": (
         _append({**E_ONLY, "constituent_mass": 9.1e-31}), ["predict"],
         _species("species 'e_only': constituent_mass must be a {{value, unit}} object")),
@@ -587,31 +600,12 @@ REFUSALS = {
        ]},
 }
 
-# a file two older tests both refused is one row, collected under each name
-REFUSALS.update({also: REFUSALS[key] for also, key in [
-    ("test_constants::test_parse_failure", "test_cli::test_predict_constants_load_failure_exit_2"),
-    (f"{_RECORD}[source null]", "test_constants::test_non_string_source_rejected[null]"),
-    (f"{_RECORD}[source a list]", "test_constants::test_non_string_source_rejected[list]"),
-    ("test_constants::test_zero_elementary_charge_with_gev_records_rejected",
-     "test_cli::test_zero_elementary_charge_with_gev_records_exit_2"),
-    ("test_constants::test_unbuildable_species_record_fails_the_load",
-     "test_cli::test_bad_species_record_exit_2_whichever_command_runs[historical]"),
-]})
-
-
-def _run(argv):
-    """Exit code, stdout and stderr of one in-process run."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
 
 def _refuses(tmp_path, edit, argv, line):
     data = edit(json.loads(_BUNDLED))
     path = tmp_path / "constants.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")
-    assert _run([*argv, "--constants", str(path)]) == (2, "", "error: " + line.format(path=path) + "\n")
+    assert run([*argv, "--constants", str(path)]) == (2, "", "error: " + line.format(path=path) + "\n")
 
 
 def _test_of(rows):
@@ -649,7 +643,7 @@ _LOADED["surrogate in species name"] = {**E_ONLY, "name": "\ud800"}
 def test_a_string_field_that_loads(tmp_path, record):
     path = tmp_path / "constants.json"
     path.write_text(json.dumps(json.loads(_BUNDLED) + [record]), encoding="utf-8")
-    code, out, err = _run(["predict", "--format", "json", "--constants", str(path)])
+    code, out, err = run(["predict", "--format", "json", "--constants", str(path)])
     assert (code, err) == (0, "")
     assert json.loads(out)["constants_source"] == str(path)
 
@@ -663,4 +657,4 @@ def test_a_string_field_that_loads(tmp_path, record):
 ], ids=["NUL", "lone surrogate"])
 def test_a_path_open_cannot_take_exits_2(path, reason):
     line = f"error: cannot read constants file {path}: {reason}\n"
-    assert _run(["predict", "--constants", path]) == (2, "", line)
+    assert run(["predict", "--constants", path]) == (2, "", line)
