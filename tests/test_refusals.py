@@ -535,6 +535,22 @@ REFUSALS = {
             ": 1e-300 eV in joules is out of the float range: the product 1e-300 * 1.602176634e-19 "
             "is subnormal: 1.60216e-319 (dimension m^2·kg·s^-2)")])},
 
+    # --- two faults in one species record: the line that wins ----------------------
+    # a field's conversion, then the fraction's reading, then each quantity's
+    # checks and e_min, then the fraction's value
+    "species order: negative mass before charge 1/2": (
+        _append({**E_ONLY, "charge_fraction": "1/2", "constituent_mass": {"value": -1.0, "unit": "kg"}}),
+        ["predict"], _species("species 'e_only': constituent_mass must be strictly positive, got -1.0")),
+    "species order: refused unit before unreadable charge": (
+        _append({**E_ONLY, "charge_fraction": "two thirds", "constituent_mass": {"value": 1.0, "unit": "erg"}}),
+        ["predict"], _species("species 'e_only': constituent_mass: unit 'erg' is not allowed; allowed: " + _UNITS)),
+    "species order: unreadable charge before negative mass": (
+        _append({**E_ONLY, "charge_fraction": "1/0", "constituent_mass": {"value": -1.0, "unit": "kg"}}),
+        ["predict"], _species("species 'e_only': charge_fraction '1/0' is not a fraction: Fraction(1, 0)")),
+    "species order: subnormal mass before lepton charge 2/3": (
+        _append({**E_ONLY, "charge_fraction": "2/3", "constituent_mass": {"value": 1e-310, "unit": "kg"}}),
+        ["predict"], _species("species 'e_only': constituent_mass is out of the float range: 1e-310 is subnormal")),
+
     # --- results out of the float range -------------------------------------------
     **{f"test_cli::test_sensitivity_coupling_outside_the_band_exit_2[{output_format}-{key}-{value}-{lam}]": (
         _value(key, value), ["sensitivity", "--format", output_format],
