@@ -6,12 +6,13 @@ whitelist.  :data:`CONSTANT_KEYS` is the one table of named keys: whether a
 file must define each, and the dimensions it may have.  Records with
 ``"kind": "species"`` define species inline, whose quantity fields
 :data:`SPECIES_QUANTITIES` tabulates; :func:`build_species`, the builder of
-the built-in species too, builds each once, at load time, and a bad one raises
-:class:`ConstantsError` naming the file.  Both record kinds share one
-conversion to SI base units at ingestion (eV-family energies via the
-elementary charge from the same file) and two checks: no field a record may
-not carry, and no named key, mass or species quantity of a wrong dimension or
-a value that is not strictly positive and a normal float.  The original file
+the built-in species too and the one place a species is checked, builds each
+once, at load time, and a bad one raises :class:`ConstantsError` naming the
+file; :class:`SpeciesSpec` is a plain record of what it built.  Both record
+kinds share one conversion to SI base units at ingestion (eV-family energies
+via the elementary charge from the same file) and two checks: no field a
+record may not carry, and no named key, mass or species quantity of a wrong
+dimension or a value that is not strictly positive and a normal float.  The original file
 value/unit and the raw species records are kept so a set serializes back to
 an equivalent file.
 
@@ -196,68 +197,22 @@ def charge_ratio(charge_fraction: object) -> tuple[int, int]:
 
 
 class SpeciesSpec(Record):
-    """One polarizable vacuum-fluctuation species.
+    """One polarizable vacuum-fluctuation species, as :func:`build_species` built it.
 
-    ``constituent_mass`` is the single-particle mass (kg).  The quarkonium
-    fields hold the bound-state mass M (kg), the two-photon decay rate (1/s)
-    and the minimum excitation energy ``e_min = (M - 2 m_Q) c^2`` (J); they
-    are present exactly when ``kind == QUARKONIUM``.  ``charge_ratio`` is
-    :func:`charge_ratio` of ``charge_fraction``, read once by the checks; it
-    is kept beside the fields, not among them, so it takes no part in
-    comparing, hashing or printing a spec.
+    ``constituent_mass`` is the single-particle mass (kg), and ``charge_ratio``
+    the charge fraction as ``(numerator, denominator)`` in lowest terms.  The
+    quarkonium fields hold the bound-state mass M (kg), the two-photon decay
+    rate (1/s) and the minimum excitation energy ``e_min = (M - 2 m_Q) c^2``
+    (J); they are present exactly when ``kind == QUARKONIUM``.
     """
-
-    __slots__ = ("charge_ratio",)
 
     name: str
     kind: str
     constituent_mass: Quantity
-    charge_fraction: object     # as given; charge_ratio reads it
+    charge_ratio: tuple[int, int]
     bound_state_mass: Quantity | None = None
     two_photon_width: Quantity | None = None
     e_min: Quantity | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (LEPTON_PAIR, QUARKONIUM):
-            raise ValueError(f"unknown species kind {self.kind!r}")
-        self.constituent_mass.require(MASS, f"{self.name} constituent_mass")
-        if self.constituent_mass.value <= 0:
-            raise OutOfRangeError(f"{self.name}: constituent_mass must be positive")
-        ratio = charge_ratio(self.charge_fraction)
-        if ratio not in _ALLOWED_CHARGE_RATIOS:
-            raise ValueError(
-                f"{self.name}: charge_fraction must be one of 1, 2/3, 1/3; "
-                f"got {self.charge_fraction}"
-            )
-        _set_charge_ratio(self, ratio)
-        quark_fields = (self.bound_state_mass, self.two_photon_width, self.e_min)
-        if self.kind == QUARKONIUM:
-            if None in quark_fields:
-                raise ValueError(
-                    f"{self.name}: quarkonium needs bound_state_mass, "
-                    "two_photon_width and e_min"
-                )
-            self.bound_state_mass.require(MASS, f"{self.name} bound_state_mass")
-            self.two_photon_width.require(FREQUENCY, f"{self.name} two_photon_width")
-            self.e_min.require(ENERGY, f"{self.name} e_min")
-            if self.bound_state_mass.value <= 0:
-                raise ValueError(f"{self.name}: bound_state_mass must be positive")
-            if self.e_min.value <= 0:
-                raise ValueError(f"{self.name}: e_min must be positive")
-        elif quark_fields != (None, None, None):
-            raise ValueError(f"{self.name}: lepton pairs carry no quarkonium fields")
-        elif ratio != (1, 1):
-            # the closed lepton coefficient 8^3 alpha e^2/(hbar c) holds for unit charge only
-            raise ValueError(
-                f"{self.name}: a lepton pair has charge_fraction 1, got {self.charge_fraction}"
-            )
-
-    def __reduce__(self):
-        # a copy is built as the spec was, and reads its charge ratio again
-        return (SpeciesSpec, tuple(self.__dict__.values()))
-
-
-_set_charge_ratio = SpeciesSpec.charge_ratio.__set__  # the slot descriptor bypasses _immutable
 
 
 class ConstantsSet(Record):
@@ -360,7 +315,10 @@ def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> Con
     try:
         key, value, unit = row["key"], row["value"], row["unit"]
         file_value = float(value)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
+        raise ConstantsError(
+            f"malformed record in {origin}: {row!r} (missing field {exc.args[0]!r})") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConstantsError(f"malformed record in {origin}: {row!r} ({exc})") from exc
     if not isinstance(key, str):
         raise ConstantsError(f"malformed record in {origin}: {row!r} (key must be a string)")
@@ -387,16 +345,23 @@ def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> Con
 
 def build_species(name: str, kind: str, charge_fraction: object, given: dict[str, Quantity],
                   constants: ConstantsSet, label: Callable[[], str]) -> SpeciesSpec:
-    """The one builder of a species, built-in or from a file's record.
+    """The one builder and checker of a species, built-in or from a file's record.
 
-    ``given`` maps each field of :data:`SPECIES_QUANTITIES` the species carries
-    to its quantity as given, checked as a loaded quantity is.  A rest energy
-    becomes a mass through ``ref_c`` squared, read only then, and an energy
-    width a rate through hbar.  A quarkonium state without ``e_min`` gets
-    ``E(bound) - 2 E(constituent)``, E being the rest energy as given or ``m
-    c^2``.  ``label()`` names where the species was given; it is called only
-    to word a :class:`ConstantsError`.
+    ``charge_fraction`` is read once, with :func:`charge_ratio`, and must be
+    1, 2/3 or 1/3, and 1 for a lepton pair.  ``given`` maps each field of
+    :data:`SPECIES_QUANTITIES` the species carries to its quantity as given,
+    checked as a loaded quantity is.  A rest energy becomes a mass through
+    ``ref_c`` squared, read only then, and an energy width a rate through
+    hbar.  A quarkonium state without ``e_min`` gets ``E(bound) - 2
+    E(constituent)``, E being the rest energy as given or ``m c^2``.
+    ``label()`` names where the species was given; it is called only to word
+    a :class:`ConstantsError`.
     """
+    try:  # ZeroDivisionError for "1/0", OverflowError for inf, TypeError for None
+        ratio = charge_ratio(charge_fraction)
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConstantsError(f"{label()}: species {name!r}: charge_fraction {charge_fraction!r} "
+                             f"is not a fraction: {exc}") from exc
     built, energies, c2 = {}, {}, None
     try:
         for field, quantity in given.items():
@@ -422,12 +387,15 @@ def build_species(name: str, kind: str, charge_fraction: object, given: dict[str
                     f"constituent_mass (binding window e_min = {e_min.value!r} J)")
     except OutOfRangeError as exc:
         raise ConstantsError(f"{label()}: species {name!r}: {field}: {exc}") from exc
-    try:
-        return SpeciesSpec(name, kind, built["constituent_mass"], charge_fraction,
-                           built.get("bound_state_mass"), built.get("two_photon_width"),
-                           built.get("e_min"))
-    except ValueError as exc:  # a charge fraction it refuses; the message names the species
-        raise ConstantsError(f"{label()}: {exc}") from exc
+    if ratio not in _ALLOWED_CHARGE_RATIOS:
+        raise ConstantsError(
+            f"{label()}: {name}: charge_fraction must be one of 1, 2/3, 1/3; got {charge_fraction}")
+    if kind == LEPTON_PAIR and ratio != (1, 1):
+        # the closed lepton coefficient 8^3 alpha e^2/(hbar c) holds for unit charge only
+        raise ConstantsError(
+            f"{label()}: {name}: a lepton pair has charge_fraction 1, got {charge_fraction}")
+    return SpeciesSpec(name, kind, built["constituent_mass"], ratio, built.get("bound_state_mass"),
+                       built.get("two_photon_width"), built.get("e_min"))
 
 
 def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
@@ -469,11 +437,6 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
         except ConstantsError as exc:
             raise ConstantsError(f"{label}: {field}: {exc}") from exc
     charge_fraction = str(record.get("charge_fraction", "1"))
-    try:  # read here to word one it cannot read: a ValueError, or ZeroDivisionError for "1/0"
-        charge_ratio(charge_fraction)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConstantsError(
-            f"{label}: charge_fraction {charge_fraction!r} is not a fraction: {exc}") from exc
     return build_species(name, stype, charge_fraction, given, constants, lambda: where)
 
 
@@ -541,7 +504,13 @@ def load_constants(path: str | os.PathLike | None = None) -> ConstantsSet:
     for row in raw:
         if not isinstance(row, dict):
             raise ConstantsError(f"non-object record in {origin}: {row!r}")
-        (species_rows if row.get("kind") == "species" else constant_rows).append(row)
+        if "kind" not in row:
+            constant_rows.append(row)
+        elif row["kind"] == "species":
+            species_rows.append(row)
+        else:
+            raise ConstantsError(
+                f"unknown record kind {row['kind']!r} in {origin}; the one kind is 'species'")
 
     # The elementary charge scales eV-family units to joules, so its row is read first.
     e_row = next((row for row in constant_rows

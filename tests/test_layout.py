@@ -12,8 +12,9 @@ only the parser builder ``argparse``, each inside its function.  Nor
 are ``importlib``, ``pathlib``, ``typing`` or ``threading``: ``os`` and the
 package's own loader read the data files, and ``collections.abc`` serves the
 annotations.  Every species, built-in or from a file, is built by
-``constants.build_species``: no other code constructs a ``SpeciesSpec``, and
-``species`` neither converts a width nor words a constants error itself.
+``constants.build_species``: no other code constructs a ``SpeciesSpec``, a
+plain record with no checks of its own, and ``species`` neither converts a
+width nor words a constants error itself.  Every module-level import is used.
 Every public function has a caller in the package or in ``perfbench``, apart
 from three kept on purpose.  Only ``cli.main`` writes standard output, once.
 """
@@ -209,7 +210,8 @@ def _calls_of(name: str, node: ast.AST) -> list[ast.Call]:
 def test_only_the_builder_constructs_a_species_spec():
     # the built-in species and a file's records once had a builder each, and
     # their e_min disagreed in the last bits
-    builders = [function for function in ast.walk(ast.parse((PACKAGE / "constants.py").read_text("utf-8")))
+    tree = ast.parse((PACKAGE / "constants.py").read_text("utf-8"))
+    builders = [function for function in ast.walk(tree)
                 if isinstance(function, ast.FunctionDef) and function.name == "build_species"]
     inside = {(call.lineno, call.col_offset) for builder in builders
               for call in _calls_of("SpeciesSpec", builder)}
@@ -218,6 +220,29 @@ def test_only_the_builder_constructs_a_species_spec():
                  for path in MODULES
                  for call in _calls_of("SpeciesSpec", ast.parse(path.read_text("utf-8")))
                  if path.name != "constants.py" or (call.lineno, call.col_offset) not in inside]
+    assert offenders == []
+    # so the builder's checks are the only ones: the spec once repeated ten of
+    # them in a __post_init__, with __slots__ and __reduce__ to keep its ratio
+    spec = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SpeciesSpec")
+    members = [node for node in spec.body if not isinstance(node, (ast.AnnAssign, ast.Expr))]
+    assert [ast.unparse(node).partition("\n")[0] for node in members] == []
+
+
+def test_every_module_level_import_is_used():
+    # a deletion can leave an import behind; a name is used if its module
+    # reads it or lists it in __all__
+    offenders = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text("utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        used.update(_dunder_all(tree) or [])
+        offenders += [f"{path.name}:{node.lineno} {name}"
+                      for node in tree.body
+                      if isinstance(node, ast.Import)
+                      or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                      for name in ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                      if name not in used]
     assert offenders == []
 
 

@@ -257,9 +257,20 @@ REFUSALS = {
        ]},
 
     # --- constant records -------------------------------------------------------
+    # a missing field was once named by KeyError's text alone: "('value')"
     f"{_RECORD}[missing field]": (
         _append({"key": "x", "unit": "kg", "source": "t"}), ["historical"],
-        "malformed record in {path}: {{'key': 'x', 'unit': 'kg', 'source': 't'}} ('value')"),
+        "malformed record in {path}: {{'key': 'x', 'unit': 'kg', 'source': 't'}} (missing field 'value')"),
+    "constant: missing key": (
+        _append({"value": 1.0, "unit": "kg", "source": "t"}), ["historical"],
+        "malformed record in {path}: {{'value': 1.0, 'unit': 'kg', 'source': 't'}} (missing field 'key')"),
+    "constant: missing unit": (
+        _append({"key": "x", "value": 1.0, "source": "t"}), ["historical"],
+        "malformed record in {path}: {{'key': 'x', 'value': 1.0, 'source': 't'}} (missing field 'unit')"),
+    # a kind other than "species" was once read as a constant record, refused for its missing key
+    "record: kind specie": (
+        _append({**E_ONLY, "kind": "specie"}), ["predict"],
+        "unknown record kind 'specie' in {path}; the one kind is 'species'"),
     f"{_RECORD}[int past the float range]": (
         _append({"key": "x", "value": 10**400, "unit": "kg"}), ["historical"],
         "malformed record in {path}: {{'key': 'x', 'value': " + str(10**400)
@@ -607,9 +618,9 @@ REFUSALS = {
            ("species charge_fraction", {**E_ONLY, "charge_fraction": odd},
             _species(f"species 'e_only': charge_fraction {odd!r} is not a fraction: "
                      f"Invalid literal for Fraction: {odd!r}")),
-           # not "species", so read as a constant record, which has no key
+           # once read as a constant record, refused for its missing key: "('key')"
            ("species kind", {**E_ONLY, "kind": odd},
-            "malformed record in {path}: " + _shown({**E_ONLY, "kind": odd}) + " ('key')"),
+            f"unknown record kind {odd!r} in {{path}}; the one kind is 'species'"),
            ("value-unit unit", {**E_ONLY, "constituent_mass": {"value": 9.1093837015e-31, "unit": odd}},
             _species(f"species 'e_only': constituent_mass: unit {odd!r} is not allowed; allowed: "
                      + _UNITS)),

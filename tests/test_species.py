@@ -23,10 +23,8 @@ from vfdielectric.constants import (
     ConstantRecord,
     ConstantsError,
     ConstantsSet,
-    SpeciesSpec,
     UnsupportedSpeciesError,
     build_species,
-    charge_ratio,
     species_from_record,
 )
 from vfdielectric.species import (
@@ -277,14 +275,11 @@ def test_interacting_density_exact_vs_linearized_taylor_remainder(
 
 def test_interacting_density_saturates_at_number_density(constants, ref_c, ref_alpha, at_ref):
     # a fictitious quarkonium with an enormous width: absorption probability -> 1
-    saturated = SpeciesSpec(
-        name="synthetic_qq",
-        kind=QUARKONIUM,
-        constituent_mass=Quantity(1e-27, MASS),
-        charge_fraction=Fraction(2, 3),
-        bound_state_mass=Quantity(3e-27, MASS),
-        two_photon_width=Quantity(1e40, FREQUENCY),
-        e_min=Quantity(1e-11, dim(kg=1, m=2, s=-2)),
+    saturated = build_species(
+        "synthetic_qq", QUARKONIUM, Fraction(2, 3),
+        {"constituent_mass": Quantity(1e-27, MASS), "bound_state_mass": Quantity(3e-27, MASS),
+         "two_photon_width": Quantity(1e40, FREQUENCY), "e_min": Quantity(1e-11, dim(kg=1, m=2, s=-2))},
+        constants, _unused_label,
     )
     exact = interacting_density(saturated, constants, ref_alpha, ref_c, "exact")
     total = at_ref(saturated, ref_c).number_density
@@ -326,12 +321,12 @@ def test_interacting_density_mode_validation(trio, constants, ref_c, ref_alpha):
 def test_builtin_trio_names_and_kinds(trio):
     assert [s.name for s in trio] == ["e_pair", "mu_pair", "tau_pair"]
     assert all(s.kind == LEPTON_PAIR for s in trio)
-    assert all(s.charge_fraction == 1 for s in trio)
+    assert all(s.charge_ratio == (1, 1) for s in trio)
 
 
 def test_builtin_quark_charges(quarks):
-    assert charge_ratio(quarks["eta_c"].charge_fraction) == (2, 3)
-    assert charge_ratio(quarks["eta_b"].charge_fraction) == (1, 3)
+    assert quarks["eta_c"].charge_ratio == (2, 3)
+    assert quarks["eta_b"].charge_ratio == (1, 3)
 
 
 def test_a_species_reads_its_charge_fraction_once(constants, monkeypatch):
@@ -350,8 +345,6 @@ def test_a_species_reads_its_charge_fraction_once(constants, monkeypatch):
     factors = species_factors(eta_c, constants)  # takes the ratio the spec keeps
     assert reads == []
     assert factors.charge.value == constants.get("e").value * float(Fraction(2, 3))
-    # kept beside the fields, so a spec compares and prints as before
-    assert "charge_ratio" not in vars(eta_c) and "charge_ratio" not in repr(eta_c)
 
 
 def test_width_choice_selects_tabulated_bounds(constants):
@@ -368,22 +361,54 @@ def test_etab_e_min_is_0p8_gev(quarks, constants):
     assert quarks["eta_b"].e_min.value == pytest.approx(expected, rel=1e-9, abs=0)
 
 
-def test_quarkonium_fields_required():
-    with pytest.raises(ValueError):
-        SpeciesSpec("broken", QUARKONIUM, Quantity(1e-27, MASS), Fraction(2, 3))
+# the checks a species spec once ran itself, each now made once: the file
+# format by species_from_record, each quantity and the charge by build_species
 
 
-def test_lepton_rejects_quark_fields():
-    with pytest.raises(ValueError):
-        SpeciesSpec(
-            "broken", LEPTON_PAIR, Quantity(1e-30, MASS), Fraction(1),
-            bound_state_mass=Quantity(1e-27, MASS),
-        )
+def test_quarkonium_fields_required(constants):
+    record = {"kind": "species", "name": "broken", "type": "quarkonium", "charge_fraction": "2/3",
+              "constituent_mass": {"value": 1e-27, "unit": "kg"}}
+    with pytest.raises(ConstantsError) as caught:
+        species_from_record(record, constants)
+    assert str(caught.value) == (
+        "bad species record in built-in default: species 'broken' is missing field 'bound_state_mass'")
 
 
-def test_charge_fraction_whitelist():
-    with pytest.raises(ValueError):
-        SpeciesSpec("broken", LEPTON_PAIR, Quantity(1e-30, MASS), Fraction(1, 2))
+def test_lepton_rejects_quark_fields(constants):
+    record = {"kind": "species", "name": "broken", "type": "lepton-pair",
+              "constituent_mass": {"value": 1e-30, "unit": "kg"},
+              "bound_state_mass": {"value": 1e-27, "unit": "kg"}}
+    with pytest.raises(ConstantsError) as caught:
+        species_from_record(record, constants)
+    assert str(caught.value) == (
+        "bad species record in built-in default: species 'broken': a lepton pair carries no "
+        "bound_state_mass")
+
+
+def test_charge_fraction_whitelist(constants):
+    with pytest.raises(ConstantsError) as caught:
+        build_species("broken", LEPTON_PAIR, Fraction(1, 2), {"constituent_mass": Quantity(1e-30, MASS)},
+                      constants, lambda: "src")
+    assert str(caught.value) == "src: broken: charge_fraction must be one of 1, 2/3, 1/3; got 1/2"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda constants: species_from_record(
+        {"kind": "species", "name": "x", "type": "meson",
+         "constituent_mass": {"value": 1e-30, "unit": "kg"}}, constants),
+     "bad species record in built-in default: species 'x': type must be 'lepton-pair' or 'quarkonium'"),
+    (lambda constants: build_species(
+        "x", LEPTON_PAIR, 1, {"constituent_mass": constants.get("e")}, constants, lambda: "src"),
+     "src: species 'x': constituent_mass must have dimension kg or m^2·kg·s^-2, got s·A"),
+    (lambda constants: build_species(
+        "x", LEPTON_PAIR, Fraction(2, 3), {"constituent_mass": Quantity(1e-30, MASS)}, constants,
+        lambda: "src"),
+     "src: x: a lepton pair has charge_fraction 1, got 2/3"),
+], ids=["kind", "mass-dimension", "lepton-charge"])
+def test_the_builder_refuses_what_a_spec_once_checked(constants, build, message):
+    with pytest.raises(ConstantsError) as caught:
+        build(constants)
+    assert str(caught.value) == message
 
 
 def test_species_record_lepton(constants):

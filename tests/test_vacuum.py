@@ -20,7 +20,7 @@ from vfdielectric.constants import (
     QUARKONIUM,
     ConstantRecord,
     ConstantsSet,
-    SpeciesSpec,
+    build_species,
     species_from_record,
 )
 from vfdielectric.species import SpeciesFactors, builtin_species, kinematics
@@ -92,11 +92,10 @@ def test_mass_cancellation_under_synthetic_scaling(constants, ref_alpha, ref_c):
     base = builtin_species(constants)[0]
     reference = lepton_contribution(base, constants, ref_alpha, ref_c).epsilon_term.value
     for factor in (1e-2, 1.0, 1e3, 1e6):
-        scaled = SpeciesSpec(
-            name="synthetic_lepton",
-            kind=LEPTON_PAIR,
-            constituent_mass=Quantity(base.constituent_mass.value * factor, MASS),
-            charge_fraction=Fraction(1),
+        scaled = build_species(
+            "synthetic_lepton", LEPTON_PAIR, 1,
+            {"constituent_mass": Quantity(base.constituent_mass.value * factor, MASS)},
+            constants, lambda: "synthetic scaling",
         )
         term = lepton_contribution(scaled, constants, ref_alpha, ref_c).epsilon_term.value
         assert term == pytest.approx(reference, rel=1e-12, abs=0)
@@ -175,7 +174,7 @@ def test_quarkonium_term_equals_the_species_table_route(constants, ref_alpha, re
         full = builtin_species(constants, include_quarks=True, width_choice=width)
         s = {q.name: q for q in full}[name]
     k = kinematics(s, constants, constants.get("ref_epsilon0"), ref_alpha, ref_c)
-    q = constants.get("e").value * float(Fraction(s.charge_fraction))
+    q = constants.get("e").value * float(Fraction(*s.charge_ratio))
     polarizability = q * q / k.oscillator.reduced_mass.value / k.oscillator.omega0.value**2
     expected = k.interacting_density.value * polarizability
     term = quarkonium_contribution(s, constants, ref_c).epsilon_term.value
@@ -296,8 +295,10 @@ def _with_widths_scaled(constants, scale):
     """The built-in species, quarks included, with every two-photon width times ``scale``."""
     species = builtin_species(constants, include_quarks=True)
     return species[:3] + tuple(
-        SpeciesSpec(s.name, s.kind, s.constituent_mass, s.charge_fraction,
-                    s.bound_state_mass, s.two_photon_width * scale, s.e_min)
+        build_species(s.name, s.kind, Fraction(*s.charge_ratio),
+                      {"constituent_mass": s.constituent_mass, "bound_state_mass": s.bound_state_mass,
+                       "two_photon_width": s.two_photon_width * scale, "e_min": s.e_min},
+                      constants, lambda: f"widths times {scale}")
         for s in species[3:]
     )
 
