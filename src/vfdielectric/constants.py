@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Callable
 
@@ -196,6 +197,29 @@ def charge_ratio(charge_fraction: object) -> tuple[int, int]:
     return Fraction(charge_fraction).as_integer_ratio()
 
 
+# the exponent that ends a decimal text, as Fraction() reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _far_decimal(charge_fraction: object) -> bool:
+    """Whether ``charge_fraction`` is a decimal text that ``Fraction()`` reads
+    with an exponent larger in magnitude than the text is long.
+
+    Such a decimal is not 1, and no decimal is 2/3 or 1/3.  ``Fraction()``
+    would compute its power of ten in full, so the text is read with the
+    exponent's digits zeroed, which ``Fraction()`` reads or refuses alike.
+    """
+    match = _EXPONENT.search(charge_fraction) if isinstance(charge_fraction, str) else None
+    try:  # ValueError for an exponent past int()'s digit limit, or a text Fraction() refuses
+        if not match or abs(int(match[1])) <= len(charge_fraction):
+            return False
+        charge_ratio(charge_fraction[:match.start(1)] + re.sub(r"\d", "0", match[1])
+                     + charge_fraction[match.end(1):])
+    except ValueError:
+        return False  # charge_ratio raises the same, before any power
+    return True
+
+
 class SpeciesSpec(Record):
     """One polarizable vacuum-fluctuation species, as :func:`build_species` built it.
 
@@ -348,7 +372,8 @@ def build_species(name: str, kind: str, charge_fraction: object, given: dict[str
     """The one builder and checker of a species, built-in or from a file's record.
 
     ``charge_fraction`` is read once, with :func:`charge_ratio`, and must be
-    1, 2/3 or 1/3, and 1 for a lepton pair.  ``given`` maps each field of
+    1, 2/3 or 1/3, and 1 for a lepton pair; a decimal text with an exponent
+    larger in magnitude than the text is long is refused unread.  ``given`` maps each field of
     :data:`SPECIES_QUANTITIES` the species carries to its quantity as given,
     checked as a loaded quantity is.  A rest energy becomes a mass through
     ``ref_c`` squared, read only then, and an energy width a rate through
@@ -358,7 +383,7 @@ def build_species(name: str, kind: str, charge_fraction: object, given: dict[str
     a :class:`ConstantsError`.
     """
     try:  # ZeroDivisionError for "1/0", OverflowError for inf, TypeError for None
-        ratio = charge_ratio(charge_fraction)
+        ratio = None if _far_decimal(charge_fraction) else charge_ratio(charge_fraction)
     except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConstantsError(f"{label()}: species {name!r}: charge_fraction {charge_fraction!r} "
                              f"is not a fraction: {exc}") from exc

@@ -16,14 +16,12 @@ just want tabulated physics pass the ``ref_*`` registry entries.
 Species come from the built-in list or from a data file's species records,
 which :func:`~vfdielectric.constants.build_species` builds alike.
 
-The kinematics are computed at two rates.  :func:`species_factors` builds
-the factors free of eps, alpha and c (``q``, ``mu = m/2`` checked positive,
-``mu q^4``, ``hbar^2``) once per species.  :func:`kinematics` is one pass per
-species at one ``(eps, alpha, c)``: it computes ``c^2`` and the rest energy
-once, so the lifetime once, and returns the lifetime, coherence length,
-number density, oscillator, decay rate and interacting density together.
-:func:`resonant_frequency` and :func:`interacting_density` compute one
-quantity per call.  The pass and :func:`interacting_density` run one private
+:func:`kinematics` is one pass per species at one ``(eps, alpha, c)``: it
+computes ``c^2`` and the rest energy once, so the lifetime once, and returns
+the lifetime, coherence length, number density, oscillator, decay rate and
+interacting density together.  The oscillator is :func:`resonant_frequency`'s,
+the one place the binding energy is written, and the charge ``q`` in it is
+:func:`charge`'s.  The pass and :func:`interacting_density` run one private
 chain, from the rest energy through the lifetime, coherence length and number
 density to the decay rate and ``Gamma dt``, so they agree bit for bit.
 """
@@ -55,10 +53,9 @@ from .quantity import (
 __all__ = [
     "OscillatorSpec",
     "Kinematics",
-    "SpeciesFactors",
     "builtin_species",
     "load_species",
-    "species_factors",
+    "charge",
     "kinematics",
     "alpha_fifth",
     "resonant_frequency",
@@ -194,66 +191,10 @@ class Kinematics(Record):
     interacting_density: Quantity
 
 
-class SpeciesFactors(Record):
-    """The factors of a species' kinematics that are free of eps, alpha and c.
-
-    :func:`species_factors` builds them, so a caller that evaluates one
-    species at many ``(eps, alpha, c)`` computes them once: ``charge`` is
-    ``q = e * charge_fraction`` and ``reduced_mass`` is ``mu = m/2``, checked
-    positive.  ``binding_numerator`` (``mu q^4``) and ``hbar2`` serve the
-    Coulomb binding energy of a lepton pair and are ``None`` for quarkonium.
-    """
-
-    species: SpeciesSpec
-    hbar: Quantity
-    charge: Quantity
-    reduced_mass: Quantity
-    binding_numerator: Quantity | None
-    hbar2: Quantity | None
-
-    def oscillator(self, epsilon: Quantity) -> OscillatorSpec:
-        """The oscillator at permittivity ``epsilon``: ``omega0 = |E|/hbar`` for
-        a lepton pair, ``e_min/hbar`` for quarkonium (which ignores ``epsilon``).
-
-        A lepton pair's ``|E| = (mu q^4) / (2 (4 pi eps)^2 hbar^2)`` is its
-        ground-state Coulomb binding energy with the reduced mass ``mu = m/2``;
-        it equals ``m alpha^2 c^2 / 4`` when alpha and c are consistent with eps.
-        """
-        if self.species.kind == LEPTON_PAIR:
-            epsilon.require(PERMITTIVITY, "epsilon")
-            denominator = q_mul(q_pow(epsilon * _FOUR_PI, 2), self.hbar2) * 2
-            omega0 = q_div(q_div(self.binding_numerator, denominator), self.hbar)
-        else:
-            omega0 = q_div(self.species.e_min, self.hbar)
-        return OscillatorSpec(self.reduced_mass, omega0)
-
-    def kinematics(
-        self, epsilon: Quantity, c: Quantity, c2: Quantity, alpha5: float | None
-    ) -> Kinematics:
-        """The one kinematics pass at ``(epsilon, c)``.
-
-        ``c2`` is ``c`` squared and ``alpha5`` is :func:`alpha_fifth` of the
-        coupling (``None`` will do for quarkonium), so a caller evaluating many
-        species at one point computes each once.  The interacting density is
-        the linearized one.
-        """
-        _check_speed(c)
-        oscillator = self.oscillator(epsilon)
-        lifetime, length, n, rate, interacting = _chain(
-            self.species, self.hbar, c, c2, alpha5, "linearized"
-        )
-        return Kinematics(lifetime, length, n, oscillator, rate, interacting)
-
-
-def species_factors(species: SpeciesSpec, constants: ConstantsSet) -> SpeciesFactors:
-    """The eps-, alpha- and c-free factors of ``species``; see :class:`SpeciesFactors`."""
-    hbar = constants.get("hbar")
+def charge(species: SpeciesSpec, constants: ConstantsSet) -> Quantity:
+    """``q = e * charge_fraction``, from the charge ratio ``species`` keeps."""
     numerator, denominator = species.charge_ratio
-    q = constants.get("e") * (numerator / denominator)  # the bits of float(Fraction)
-    mu = _require_reduced_mass(species.constituent_mass * 0.5)
-    if species.kind != LEPTON_PAIR:
-        return SpeciesFactors(species, hbar, q, mu, None, None)
-    return SpeciesFactors(species, hbar, q, mu, q_mul(mu, q_pow(q, 4)), q_mul(hbar, hbar))
+    return constants.get("e") * (numerator / denominator)  # the bits of float(Fraction)
 
 
 def kinematics(
@@ -270,11 +211,16 @@ def kinematics(
     for quarkonium; the coherence length is ``L = c dt``, the number density
     ``1/L^3``.  The decay rate of the photon-excited atom is ``alpha^5 m c^2 /
     hbar`` for a lepton pair (twice the two-photon rate of the ordinary atom)
-    and twice the tabulated two-photon rate for quarkonium.
+    and twice the tabulated two-photon rate for quarkonium.  The oscillator is
+    :func:`resonant_frequency`'s at ``(epsilon, c)``.
     """
     _check_speed(c)
     alpha5 = alpha_fifth(alpha) if species.kind == LEPTON_PAIR else None
-    return species_factors(species, constants).kinematics(epsilon, c, q_mul(c, c), alpha5)
+    oscillator = resonant_frequency(species, constants, epsilon, c)
+    lifetime, length, n, rate, interacting = _chain(
+        species, constants.get("hbar"), c, q_mul(c, c), alpha5, "linearized"
+    )
+    return Kinematics(lifetime, length, n, oscillator, rate, interacting)
 
 
 def resonant_frequency(
@@ -283,15 +229,24 @@ def resonant_frequency(
     epsilon: Quantity,
     c: Quantity,
 ) -> OscillatorSpec:
-    """Oscillator parameters: ``omega0 = |E|/hbar`` over the reduced mass m/2.
+    """Oscillator parameters: ``omega0 = |E|/hbar`` over the reduced mass ``mu = m/2``.
 
-    The level spacing is the binding energy for lepton pairs and the minimum
-    excitation energy for quarkonia.
+    The level spacing ``|E|`` is the minimum excitation energy ``e_min`` for
+    quarkonium, which ignores ``epsilon`` and ``c``.  For a lepton pair it is
+    the ground-state Coulomb binding energy ``(mu q^4) / (2 (4 pi eps)^2
+    hbar^2)``, which equals ``m alpha^2 c^2 / 4`` when alpha and c are
+    consistent with eps.
     """
-    if species.kind == LEPTON_PAIR:
-        epsilon.require(PERMITTIVITY, "epsilon")
-        _check_speed(c)
-    return species_factors(species, constants).oscillator(epsilon)
+    hbar = constants.get("hbar")
+    mu = _require_reduced_mass(species.constituent_mass * 0.5)
+    if species.kind != LEPTON_PAIR:
+        return OscillatorSpec(mu, q_div(species.e_min, hbar))
+    epsilon.require(PERMITTIVITY, "epsilon")
+    _check_speed(c)
+    q = charge(species, constants)
+    numerator, hbar2 = q_mul(mu, q_pow(q, 4)), q_mul(hbar, hbar)
+    denominator = q_mul(q_pow(epsilon * _FOUR_PI, 2), hbar2) * 2
+    return OscillatorSpec(mu, q_div(q_div(numerator, denominator), hbar))
 
 
 def interacting_density(

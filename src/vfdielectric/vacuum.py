@@ -24,25 +24,19 @@ change of units that scales eps by a power of two leaves ``l``, ``a`` and
 at the seed, solves the cubic in floats, and evaluates F once more at the
 root, whatever the quark weight.
 
-The solver computes each factor once, where it can first be known.  Once per
-solve: ``e^2`` and, per species, its term: a function of the step, built with
-the species' eps-free factors (:func:`~vfdielectric.species.species_factors`:
-``q``, ``mu = m/2`` with its checks, and for a lepton pair ``mu q^4`` and
-``hbar^2``), ``q^2/mu``, and for a quarkonium state ``(M/hbar)^2`` and its
-whole polarizability ``(q^2/mu)/(e_min/hbar)^2``, so the species' kind is
-read once per solve.  Once per step: ``c``, alpha, ``c^2``, ``alpha^5``,
-``hbar c``, the permittivity consistent with them, ``e^2/(hbar c)`` and the
-closed lepton coefficient.  Once per species and step: a lepton pair's
-kinematics pass and polarizability, a quarkonium state's ``8 c Gamma``
-product, and the composed-vs-closed route check.  The float operations and
-their order are those of the single-species functions, so both routes give
-the same bits.
+Each evaluation of F computes, once for all its species, ``c``, alpha, ``hbar
+c``, the permittivity consistent with them, ``e^2/(hbar c)`` and the closed
+lepton coefficient.  Then each species' term is computed whole: a lepton
+pair's ``q^2/mu``, its kinematics pass (:func:`~vfdielectric.species.kinematics`)
+and the composed-vs-closed route check; a quarkonium state's ``q^2/mu``, its
+oscillator and its ``8 c (M/hbar)^2 Gamma``.  :func:`lepton_contribution` and
+:func:`quarkonium_contribution` compute one term the same way, so the solver
+and they give the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 from .constants import LEPTON_PAIR, QUARKONIUM, ConstantsSet, SpeciesSpec
 from .quantity import (
@@ -56,7 +50,7 @@ from .quantity import (
     q_pow,
     q_sqrt,
 )
-from .species import SpeciesFactors, alpha_fifth, species_factors
+from .species import charge, kinematics, resonant_frequency
 
 __all__ = [
     "AssemblyError",
@@ -144,7 +138,7 @@ def _alpha(e2: Quantity, hbar: Quantity, epsilon: Quantity, c: Quantity) -> floa
 
 
 class _Step(Record):
-    """The species-independent factors of one step at ``(alpha, c)``.
+    """The factors of one evaluation at ``(alpha, c)`` that its species share.
 
     A quarkonium term reads only ``c`` and ``e2_over_hbar_c``, so
     :func:`quarkonium_contribution`, given no alpha, leaves the rest unset.
@@ -152,8 +146,7 @@ class _Step(Record):
 
     c: Quantity
     e2_over_hbar_c: Quantity
-    c2: Quantity | None = None
-    alpha5: float | None = None
+    alpha: float | None = None
     eps_consistent: Quantity | None = None  # the permittivity consistent with (alpha, c)
     closed: Quantity | None = None  # the closed lepton coefficient 8^3 alpha e^2/(hbar c)
 
@@ -163,56 +156,38 @@ def _step_factors(e2: Quantity, hbar: Quantity, alpha: float, c: Quantity) -> _S
     eps_consistent = q_div(e2, hbar_c * (_FOUR_PI * alpha)).require(PERMITTIVITY, "epsilon")
     e2_over_hbar_c = q_div(e2, hbar_c)
     closed = e2_over_hbar_c * (512.0 * alpha)
-    return _Step(c, e2_over_hbar_c, q_mul(c, c), alpha_fifth(alpha), eps_consistent, closed)
+    return _Step(c, e2_over_hbar_c, alpha, eps_consistent, closed)
 
 
-def _q2_over_mu(factors: SpeciesFactors) -> Quantity:
-    """``q^2/mu``: a species' polarizability times ``omega0^2``."""
-    q = factors.charge
-    return q_div(q_mul(q, q), factors.reduced_mass)
+def _contribution(species: SpeciesSpec, constants: ConstantsSet, step: _Step) -> SpeciesContribution:
+    """One species' permittivity term ``N_vf (q^2/mu) / omega0^2`` at ``step``.
 
-
-def _term(species: SpeciesSpec, constants: ConstantsSet) -> Callable[[_Step], SpeciesContribution]:
-    """A species' permittivity term as a function of the step.
-
-    Its eps-free factors are computed here, once: ``q^2/mu`` for a lepton
-    pair; ``(M/hbar)^2`` and the whole polarizability ``(q^2/mu) /
-    (e_min/hbar)^2`` for a quarkonium state.
+    A lepton pair's ``N_vf`` and oscillator come from one kinematics pass at
+    the permittivity consistent with the step, and its term must agree with
+    the closed coefficient.  A quarkonium state's ``N_vf`` is ``8 c
+    (M/hbar)^2 Gamma``.
     """
-    factors = species_factors(species, constants)
-    if species.kind == LEPTON_PAIR:
-        q2_over_mu = _q2_over_mu(factors)
-
-        def lepton_term(step: _Step) -> SpeciesContribution:
-            kinematics = factors.kinematics(step.eps_consistent, step.c, step.c2, step.alpha5)
-            omega0 = kinematics.oscillator.omega0
-            polarizability = q_div(q2_over_mu, q_mul(omega0, omega0))
-            composed = q_mul(kinematics.interacting_density, polarizability).require(
-                PERMITTIVITY, "lepton term"
-            )
-            closed = step.closed
-            if abs(composed.value - closed.value) > _ROUTE_AGREEMENT_TOL * closed.value:
-                raise AssemblyError(
-                    f"{species.name}: composed term {composed.value!r} disagrees with "
-                    f"closed coefficient {closed.value!r}"
-                )
-            in_alpha_units = q_div(composed, step.e2_over_hbar_c).as_dimensionless()
-            return SpeciesContribution(species.name, composed, in_alpha_units)
-
-        return lepton_term
-
-    hbar = factors.hbar
-    omega0 = q_div(species.e_min, hbar)
-    m_over_hbar_2 = q_pow(q_div(species.bound_state_mass, hbar), 2)
-    polarizability = q_div(_q2_over_mu(factors), q_mul(omega0, omega0))
-
-    def quarkonium_term(step: _Step) -> SpeciesContribution:
-        n_vf = q_mul(m_over_hbar_2, q_mul(step.c, species.two_photon_width)) * 8.0
-        term = q_mul(n_vf, polarizability).require(PERMITTIVITY, "quarkonium term")
-        in_alpha_units = q_div(term, step.e2_over_hbar_c).as_dimensionless()
-        return SpeciesContribution(species.name, term, in_alpha_units)
-
-    return quarkonium_term
+    lepton = species.kind == LEPTON_PAIR
+    q = charge(species, constants)
+    q2_over_mu = q_div(q_mul(q, q), species.constituent_mass * 0.5)
+    if lepton:
+        passed = kinematics(species, constants, step.eps_consistent, step.alpha, step.c)
+        omega0, n_vf = passed.oscillator.omega0, passed.interacting_density
+    else:
+        omega0 = resonant_frequency(species, constants, step.eps_consistent, step.c).omega0
+        m_over_hbar = q_div(species.bound_state_mass, constants.get("hbar"))
+        n_vf = q_mul(q_pow(m_over_hbar, 2), q_mul(step.c, species.two_photon_width)) * 8.0
+    term = q_mul(n_vf, q_div(q2_over_mu, q_mul(omega0, omega0))).require(
+        PERMITTIVITY, "lepton term" if lepton else "quarkonium term"
+    )
+    closed = step.closed
+    if lepton and abs(term.value - closed.value) > _ROUTE_AGREEMENT_TOL * closed.value:
+        raise AssemblyError(
+            f"{species.name}: composed term {term.value!r} disagrees with "
+            f"closed coefficient {closed.value!r}"
+        )
+    in_alpha_units = q_div(term, step.e2_over_hbar_c).as_dimensionless()
+    return SpeciesContribution(species.name, term, in_alpha_units)
 
 
 def lepton_contribution(
@@ -232,7 +207,7 @@ def lepton_contribution(
         raise ValueError(f"{species.name!r} is not a lepton pair")
     c.require(SPEED, "c")
     step = _step_factors(_e_squared(constants), constants.get("hbar"), alpha, c)
-    return _term(species, constants)(step)
+    return _contribution(species, constants, step)
 
 
 def quarkonium_contribution(
@@ -249,7 +224,7 @@ def quarkonium_contribution(
         raise ValueError(f"{species.name!r} is not a quarkonium state")
     c.require(SPEED, "c")
     step = _Step(c, q_div(_e_squared(constants), q_mul(constants.get("hbar"), c)))
-    return _term(species, constants)(step)
+    return _contribution(species, constants, step)
 
 
 def epsilon0_closed_form(constants: ConstantsSet, n_species: int = 3) -> Quantity:
@@ -280,14 +255,13 @@ def _reference_deltas(
 ) -> dict[str, float]:
     # Sign convention: (reference - model)/model, so "reference is X% less
     # than calculated" reads as a negative delta.
-    def delta(reference: Quantity, model: Quantity) -> float:
-        return (q_div(reference - model, model) * 100.0).value
-
-    return {
-        "epsilon0": delta(constants.get("ref_epsilon0"), epsilon0),
-        "c": delta(constants.get("ref_c"), c),
-        "inv_alpha": delta(constants.get("ref_inv_alpha"), Quantity(inv_alpha)),
+    pairs = {
+        "epsilon0": (constants.get("ref_epsilon0"), epsilon0),
+        "c": (constants.get("ref_c"), c),
+        "inv_alpha": (constants.get("ref_inv_alpha"), Quantity(inv_alpha)),
     }
+    return {key: (q_div(reference - model, model) * 100.0).value
+            for key, (reference, model) in pairs.items()}
 
 
 def _build_report(
@@ -340,6 +314,16 @@ def _sum(contributions: "list[SpeciesContribution] | tuple[SpeciesContribution, 
     return total
 
 
+def _evaluate(
+    species: tuple[SpeciesSpec, ...], constants: ConstantsSet, eps: Quantity
+) -> tuple[SpeciesContribution, ...]:
+    """F's terms at ``eps``: each species' contribution at one shared step."""
+    e2, hbar = _e_squared(constants), constants.get("hbar")
+    c = c_from_epsilon(eps, constants)
+    step = _step_factors(e2, hbar, _alpha(e2, hbar, eps, c), c)
+    return tuple(_contribution(s, constants, step) for s in species)
+
+
 def epsilon0_self_consistent(
     species: "list[SpeciesSpec] | tuple[SpeciesSpec, ...]",
     constants: ConstantsSet,
@@ -373,16 +357,8 @@ def epsilon0_self_consistent(
     if not any(s.kind == LEPTON_PAIR for s in species):
         raise ValueError("self-consistent assembly needs at least one lepton species")
 
-    e2, hbar = _e_squared(constants), constants.get("hbar")
-    terms = tuple(_term(s, constants) for s in species)
-
-    def evaluate(eps: Quantity) -> tuple[SpeciesContribution, ...]:
-        c = c_from_epsilon(eps, constants)
-        step = _step_factors(e2, hbar, _alpha(e2, hbar, eps, c), c)
-        return tuple(term(step) for term in terms)
-
     seed = constants.get("ref_epsilon0")
-    contributions = evaluate(seed)
+    contributions = _evaluate(species, constants, seed)
     total = _sum(contributions)
     if abs(total.value - seed.value) <= _TOL * abs(total.value):
         return _build_report(total, contributions, METHOD_SELF_CONSISTENT, constants, iterations=1)
@@ -395,7 +371,7 @@ def epsilon0_self_consistent(
         quark = _sum([c for s, c in pairs if s.kind == QUARKONIUM])
         u = _cubic_root(q_div(lepton, seed).as_dimensionless(), q_div(quark, seed).as_dimensionless())
         eps = seed * (u * u)
-    contributions = evaluate(eps)
+    contributions = _evaluate(species, constants, eps)
     total = _sum(contributions)
     if abs(total.value - eps.value) > _TOL * abs(total.value):
         raise AssemblyError(

@@ -14,6 +14,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vfdielectric
 from vfdielectric.constants import (
@@ -41,7 +43,7 @@ from vfdielectric.quantity import (
     Quantity,
     Record,
 )
-from vfdielectric.species import Kinematics, OscillatorSpec, SpeciesFactors
+from vfdielectric.species import Kinematics, OscillatorSpec
 from vfdielectric.vacuum import PredictionReport, SpeciesContribution
 from vfdielectric.verify import CheckResult
 
@@ -49,7 +51,6 @@ _E = Quantity(1.602176634e-19, CHARGE)
 _M = Quantity(9.1093837015e-31, MASS)
 _TERM = SpeciesContribution("e_pair", Quantity(2.9e-12, PERMITTIVITY), 0.31)
 _OSC = OscillatorSpec(_M * 0.5, Quantity(1e16, FREQUENCY))
-_E_PAIR = SpeciesSpec("e_pair", LEPTON_PAIR, _M, (1, 1))
 _QUARK_FIELDS = (_M * 3000.0, Quantity(7.7e18, FREQUENCY), Quantity(7e-11, ENERGY))
 
 # (class, positional arguments, the field names in order)
@@ -79,8 +80,6 @@ CASES = [
                   _OSC, Quantity(1.6e10, FREQUENCY), Quantity(5.8e27, NUMBER_DENSITY)),
      ("lifetime", "coherence_length", "number_density", "oscillator", "decay_rate",
       "interacting_density")),
-    (SpeciesFactors, (_E_PAIR, Quantity(1.05e-34, ENERGY * TIME), _E, _M * 0.5, None, None),
-     ("species", "hbar", "charge", "reduced_mass", "binding_numerator", "hbar2")),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 # a field that holds a dict makes the instance unhashable, as with any tuple of it
@@ -321,6 +320,39 @@ def test_unreadable_charge_fraction_raises_as_fraction_does(charge_fraction, err
     assert str(caught.value) == (f"{_HERE}: species 'x': charge_fraction {charge_fraction!r} "
                                  f"is not a fraction: {fraction_error.value}")
     assert type(caught.value.__cause__) is error
+
+
+def _fraction_outcome(charge_fraction):
+    """The line ``build_species`` words for a quarkonium state with ``charge_fraction``,
+    read by ``Fraction()`` itself, or None if it is accepted."""
+    try:
+        ratio = Fraction(charge_fraction).as_integer_ratio()
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"{_HERE}: species 'x': charge_fraction {charge_fraction!r} is not a fraction: {exc}"
+    return None if ratio in ((1, 1), (2, 3), (1, 3)) else f"{_HERE}: {_NOT_ALLOWED.format(charge_fraction)}"
+
+
+@settings(max_examples=600)
+@given(st.text("0123456789.+-_eE /\u0663", max_size=7))
+@example("1e-99999")
+@example("0e-9999")
+@example(" 1.E+0999 ")
+@example("1e1_000")
+@example("1e1__00")
+@example("1/2e-999")
+@example("1.e-999")
+@example("\u0663e-\u0663\u0663\u0663")
+@example("1e-5")
+@example("100e-2")
+def test_a_decimal_text_keeps_the_outcome_fraction_gives_it(charge_fraction):
+    # a decimal whose exponent outgrows its text is refused without its power
+    # of ten, the line Fraction() would have led to; exponents here stay short
+    try:
+        _build(QUARKONIUM, _QUARK_FIELDS, charge_fraction)
+        line = None
+    except ConstantsError as exc:
+        line = str(exc)
+    assert line == _fraction_outcome(charge_fraction)
 
 
 def test_a_species_copy_keeps_its_charge_ratio():

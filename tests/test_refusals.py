@@ -23,6 +23,7 @@ compared by id across the move to this table find every old case:
 """
 
 import json
+import time
 
 import pytest
 
@@ -145,8 +146,10 @@ _UNDERFLOWED_DIVISORS = [  # command, hbar, the message before the rule, the lin
     ("species", 1e-300, "division by zero quantity",
      _range("the product 1e-300 * 1e-300 underflows to 0.0 (dimension m^4·kg^2·s^-2)")),
     ("verify", 1e-320, "division by zero quantity", _subnormal("hbar", 1e-320)),  # refused at load
+    # the solve computes hbar^2 in its first step, after the coupling's eps * hbar
     ("verify", 1e-300, "Quantity value must be finite, got inf",
-     _range("the product 1e-300 * 1e-300 underflows to 0.0 (dimension m^4·kg^2·s^-2)")),
+     _range("the product 8.8541878128e-12 * 1e-300 is subnormal: 8.8541878128e-312 "
+            "(dimension m^-1·s^3·A^2)")),
 ]
 
 # a float ** past the float range once escaped cli.main as an OverflowError
@@ -487,6 +490,11 @@ REFUSALS = {
     "test_cli::test_predict_bad_species_record_exit_2[zero-denominator]": (
         _append({**E_ONLY, "charge_fraction": "1/0"}), ["predict"],
         _species("species 'e_only': charge_fraction '1/0' is not a fraction: Fraction(1, 0)")),
+    # Fraction() once computed the power of ten in full first, 1.5 s for this
+    # text, and a longer exponent stalled the load
+    "species: charge_fraction 1e-3000000": (
+        _append({**E_ONLY, "charge_fraction": "1e-3000000"}), ["predict"],
+        _species("e_only: charge_fraction must be one of 1, 2/3, 1/3; got 1e-3000000")),
     # the closed lepton coefficient holds for unit charge only: predict once
     # exited 1 with an AssemblyError traceback while species printed a table
     **{f"test_cli::test_fractional_lepton_pair_exit_2[{command}-{charge}]": (
@@ -558,6 +566,9 @@ REFUSALS = {
     "species order: unreadable charge before negative mass": (
         _append({**E_ONLY, "charge_fraction": "1/0", "constituent_mass": {"value": -1.0, "unit": "kg"}}),
         ["predict"], _species("species 'e_only': charge_fraction '1/0' is not a fraction: Fraction(1, 0)")),
+    "species order: negative mass before charge 1e-3000000": (
+        _append({**E_ONLY, "charge_fraction": "1e-3000000", "constituent_mass": {"value": -1.0, "unit": "kg"}}),
+        ["predict"], _species("species 'e_only': constituent_mass must be strictly positive, got -1.0")),
     "species order: subnormal mass before lepton charge 2/3": (
         _append({**E_ONLY, "charge_fraction": "2/3", "constituent_mass": {"value": 1e-310, "unit": "kg"}}),
         ["predict"], _species("species 'e_only': constituent_mass is out of the float range: 1e-310 is subnormal")),
@@ -658,6 +669,12 @@ def row_tests(module):
 
 
 test_refusal = _test_of({key: row for key, row in REFUSALS.items() if "::" not in key})
+
+
+def test_a_far_decimal_charge_fraction_is_refused_at_once(tmp_path):
+    start = time.perf_counter()
+    _refuses(tmp_path, *REFUSALS["species: charge_fraction 1e-3000000"])
+    assert time.perf_counter() - start < 0.1
 
 
 # the strings of the last rows where a record may hold them

@@ -30,11 +30,11 @@ from vfdielectric.constants import (
 from vfdielectric.species import (
     alpha_fifth,
     builtin_species,
+    charge,
     interacting_density,
     kinematics,
     load_species,
     resonant_frequency,
-    species_factors,
 )
 
 
@@ -74,7 +74,7 @@ def at_ref(constants, ref_eps, ref_alpha):
 
 def _binding_energy(species, constants, epsilon):
     """The Coulomb binding energy ``-hbar omega0`` behind a lepton pair's oscillator."""
-    omega0 = species_factors(species, constants).oscillator(epsilon).omega0
+    omega0 = resonant_frequency(species, constants, epsilon, constants.get("ref_c")).omega0
     return -omega0.value * constants.get("hbar").value
 
 
@@ -338,13 +338,15 @@ def test_a_species_reads_its_charge_fraction_once(constants, monkeypatch):
         return real(charge_fraction)
 
     monkeypatch.setattr(constants_module, "charge_ratio", counting)
-    eta_c = builtin_species(constants, include_quarks=True)[3]
+    e_pair, _, _, eta_c, _ = builtin_species(constants, include_quarks=True)
     assert reads == [1, 1, 1, "2/3", "1/3"]  # one read per species
     assert eta_c.charge_ratio == (2, 3)
     reads.clear()
-    factors = species_factors(eta_c, constants)  # takes the ratio the spec keeps
+    q = charge(eta_c, constants)  # takes the ratio the spec keeps
+    # so does a lepton pair's binding energy, whose q^4 is charge's
+    resonant_frequency(e_pair, constants, constants.get("ref_epsilon0"), constants.get("ref_c"))
     assert reads == []
-    assert factors.charge.value == constants.get("e").value * float(Fraction(2, 3))
+    assert q.value == constants.get("e").value * float(Fraction(2, 3))
 
 
 def test_width_choice_selects_tabulated_bounds(constants):

@@ -23,7 +23,7 @@ from vfdielectric.constants import (
     build_species,
     species_from_record,
 )
-from vfdielectric.species import SpeciesFactors, builtin_species, kinematics
+from vfdielectric.species import builtin_species, kinematics
 from vfdielectric.vacuum import (
     METHOD_SELF_CONSISTENT,
     AssemblyError,
@@ -322,25 +322,28 @@ def test_self_consistent_requires_a_lepton(quark_pair, constants):
 
 def test_quark_solve_evaluates_each_term_twice(constants, monkeypatch):
     # F at the seed and F at the cubic's root, whatever the quark weight: at
-    # x1e50 the reference seed is 31 decades below the fixed point
-    calls = []
-    original = vacuum._term
+    # x1e50 the reference seed is 31 decades below the fixed point; each
+    # lepton term takes one kinematics pass
+    calls, passes = [], []
+    term, kinematics_pass = vacuum._contribution, vacuum.kinematics
 
-    def counting_term(species, constants):
-        term = original(species, constants)
+    def counting_term(species, constants, step):
+        calls.append(species.name)
+        return term(species, constants, step)
 
-        def counted(step):
-            calls.append(species.name)
-            return term(step)
+    def counting_pass(species, *args):
+        passes.append(species.name)
+        return kinematics_pass(species, *args)
 
-        return counted
-
-    monkeypatch.setattr(vacuum, "_term", counting_term)
+    monkeypatch.setattr(vacuum, "_contribution", counting_term)
+    monkeypatch.setattr(vacuum, "kinematics", counting_pass)
     names = ["e_pair", "mu_pair", "tau_pair", "eta_c", "eta_b"]
     for scale in (1.0, 1e6, 1e50):
         calls.clear()
+        passes.clear()
         report = epsilon0_self_consistent(_with_widths_scaled(constants, scale), constants)
         assert calls == names * 2, scale
+        assert passes == names[:3] * 2, scale
         assert report.iterations == 2
 
 
@@ -366,14 +369,15 @@ def test_monotonicity_of_quark_additions(constants):
 def test_lepton_solve_evaluates_each_term_once_per_iteration(trio, constants, monkeypatch):
     # one kinematics pass per lepton term; no evaluation after convergence
     species_seen = []
-    original = SpeciesFactors.kinematics
+    original = vacuum.kinematics
 
-    def counting(self, *args):
-        species_seen.append(self.species.name)
-        return original(self, *args)
+    def counting(species, *args):
+        species_seen.append(species.name)
+        return original(species, *args)
 
-    monkeypatch.setattr(SpeciesFactors, "kinematics", counting)
+    monkeypatch.setattr(vacuum, "kinematics", counting)
     report = epsilon0_self_consistent(trio, constants)
+    assert report.iterations == 2
     assert species_seen == ["e_pair", "mu_pair", "tau_pair"] * report.iterations
 
 
