@@ -19,11 +19,15 @@ which :func:`~vfdielectric.constants.build_species` builds alike.
 :func:`kinematics` is one pass per species at one ``(eps, alpha, c)``: it
 computes ``c^2`` and the rest energy once, so the lifetime once, and returns
 the lifetime, coherence length, number density, oscillator, decay rate and
-interacting density together.  The oscillator is :func:`resonant_frequency`'s,
-the one place the binding energy is written, and the charge ``q`` in it is
-:func:`charge`'s.  The pass and :func:`interacting_density` run one private
-chain, from the rest energy through the lifetime, coherence length and number
-density to the decay rate and ``Gamma dt``, so they agree bit for bit.
+interacting density together.  It runs :func:`kinematic_pass`, which builds
+no record, on :func:`alpha_fifth`, :func:`binding_denominator` and ``c^2``; the
+solver computes those once per evaluation of F and runs the same pass per
+lepton, so the two agree bit for bit.  Its ``omega0`` is
+:func:`resonant_frequency`'s, the one place the binding energy is written, and
+the charge ``q`` in it is :func:`charge`'s.  The pass and
+:func:`interacting_density` run one private chain, from the rest energy through
+the lifetime, coherence length and number density to the decay rate and ``Gamma
+dt``, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ __all__ = [
     "charge",
     "kinematics",
     "alpha_fifth",
+    "binding_denominator",
+    "kinematic_pass",
     "resonant_frequency",
     "interacting_density",
 ]
@@ -74,10 +80,7 @@ class OscillatorSpec(Record):
     omega0: Quantity
 
     def __post_init__(self) -> None:
-        _require_reduced_mass(self.reduced_mass)
-        self.omega0.require(FREQUENCY, "omega0")
-        if self.omega0.value <= 0:
-            raise OutOfRangeError("omega0 must be positive")
+        _require_oscillator(self.reduced_mass, self.omega0)
 
 
 # --- species construction -------------------------------------------------
@@ -147,11 +150,15 @@ def _check_speed(c: Quantity) -> Quantity:
     return c.require(SPEED, "c")
 
 
-def _require_reduced_mass(reduced_mass: Quantity) -> Quantity:
+def _require_oscillator(reduced_mass: Quantity, omega0: Quantity) -> Quantity:
+    """The checks of an :class:`OscillatorSpec`; returns ``omega0``."""
     reduced_mass.require(MASS, "reduced_mass")
     if reduced_mass.value <= 0:
         raise OutOfRangeError("reduced_mass must be positive")
-    return reduced_mass
+    omega0.require(FREQUENCY, "omega0")
+    if omega0.value <= 0:
+        raise OutOfRangeError("omega0 must be positive")
+    return omega0
 
 
 def alpha_fifth(alpha: float) -> float:
@@ -215,12 +222,42 @@ def kinematics(
     :func:`resonant_frequency`'s at ``(epsilon, c)``.
     """
     _check_speed(c)
-    alpha5 = alpha_fifth(alpha) if species.kind == LEPTON_PAIR else None
-    oscillator = resonant_frequency(species, constants, epsilon, c)
-    lifetime, length, n, rate, interacting = _chain(
-        species, constants.get("hbar"), c, q_mul(c, c), alpha5, "linearized"
+    hbar, lepton = constants.get("hbar"), species.kind == LEPTON_PAIR
+    alpha5 = alpha_fifth(alpha) if lepton else None
+    denominator = binding_denominator(epsilon, hbar) if lepton else None
+    q = charge(species, constants) if lepton else None
+    mu = species.constituent_mass * 0.5
+    omega0, lifetime, length, n, rate, interacting = kinematic_pass(
+        species, hbar, q, mu, denominator, c, q_mul(c, c), alpha5
     )
-    return Kinematics(lifetime, length, n, oscillator, rate, interacting)
+    return Kinematics(lifetime, length, n, OscillatorSpec(mu, omega0), rate, interacting)
+
+
+def binding_denominator(epsilon: Quantity, hbar: Quantity) -> Quantity:
+    """``2 (4 pi eps)^2 hbar^2``, the denominator of a lepton pair's binding energy."""
+    epsilon.require(PERMITTIVITY, "epsilon")
+    hbar2 = q_mul(hbar, hbar)
+    return q_mul(q_pow(epsilon * _FOUR_PI, 2), hbar2) * 2
+
+
+def _omega0(species: SpeciesSpec, hbar: Quantity, q: Quantity | None, mu: Quantity,
+            denominator: Quantity | None) -> Quantity:
+    """``omega0 = |E|/hbar`` of :func:`resonant_frequency`, checked as an :class:`OscillatorSpec`."""
+    lepton = species.kind == LEPTON_PAIR
+    level = q_div(q_mul(mu, q_pow(q, 4)), denominator) if lepton else species.e_min
+    return _require_oscillator(mu, q_div(level, hbar))
+
+
+def kinematic_pass(
+    species: SpeciesSpec, hbar: Quantity, q: Quantity | None, mu: Quantity,
+    denominator: Quantity | None, c: Quantity, c2: Quantity, alpha5: float | None,
+) -> tuple[Quantity, Quantity, Quantity, Quantity, Quantity, Quantity]:
+    """``omega0``, then :func:`kinematics`' lifetime, coherence length, number
+    density, decay rate and interacting density, building no record, from
+    :func:`charge`'s ``q``, ``mu = m/2``, :func:`binding_denominator`'s,
+    ``c^2`` and :func:`alpha_fifth`'s; quarkonium ignores ``q``, ``denominator``, ``alpha5``."""
+    omega0 = _omega0(species, hbar, q, mu, denominator)
+    return (omega0, *_chain(species, hbar, c, c2, alpha5, "linearized"))
 
 
 def resonant_frequency(
@@ -237,16 +274,12 @@ def resonant_frequency(
     hbar^2)``, which equals ``m alpha^2 c^2 / 4`` when alpha and c are
     consistent with eps.
     """
-    hbar = constants.get("hbar")
-    mu = _require_reduced_mass(species.constituent_mass * 0.5)
-    if species.kind != LEPTON_PAIR:
-        return OscillatorSpec(mu, q_div(species.e_min, hbar))
-    epsilon.require(PERMITTIVITY, "epsilon")
-    _check_speed(c)
-    q = charge(species, constants)
-    numerator, hbar2 = q_mul(mu, q_pow(q, 4)), q_mul(hbar, hbar)
-    denominator = q_mul(q_pow(epsilon * _FOUR_PI, 2), hbar2) * 2
-    return OscillatorSpec(mu, q_div(q_div(numerator, denominator), hbar))
+    hbar, mu = constants.get("hbar"), species.constituent_mass * 0.5
+    q = denominator = None
+    if species.kind == LEPTON_PAIR:
+        _check_speed(c)
+        q, denominator = charge(species, constants), binding_denominator(epsilon, hbar)
+    return OscillatorSpec(mu, _omega0(species, hbar, q, mu, denominator))
 
 
 def interacting_density(

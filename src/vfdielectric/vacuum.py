@@ -25,11 +25,13 @@ at the seed, solves the cubic in floats, and evaluates F once more at the
 root, whatever the quark weight.
 
 Each evaluation of F computes, once for all its species, ``c``, alpha, ``hbar
-c``, the permittivity consistent with them, ``e^2/(hbar c)`` and the closed
-lepton coefficient.  Then each species' term is computed whole: a lepton
-pair's ``q^2/mu``, its kinematics pass (:func:`~vfdielectric.species.kinematics`)
-and the composed-vs-closed route check; a quarkonium state's ``q^2/mu``, its
-oscillator and its ``8 c (M/hbar)^2 Gamma``.  :func:`lepton_contribution` and
+c``, the permittivity consistent with them, ``e^2/(hbar c)``, the closed
+lepton coefficient, ``alpha^5``, the binding denominator ``2 (4 pi eps)^2
+hbar^2`` and ``c^2``.  Then each species' term is computed whole from its
+``q`` and ``m/2``: a lepton pair's from the pass that
+:func:`~vfdielectric.species.kinematics` also runs, with the composed-vs-closed
+route check; a quarkonium state's from ``e_min/hbar`` and ``8 c (M/hbar)^2
+Gamma``.  A term builds no record but its own.  :func:`lepton_contribution` and
 :func:`quarkonium_contribution` compute one term the same way, so the solver
 and they give the same bits.
 """
@@ -50,7 +52,7 @@ from .quantity import (
     q_pow,
     q_sqrt,
 )
-from .species import charge, kinematics, resonant_frequency
+from .species import alpha_fifth, binding_denominator, charge, kinematic_pass
 
 __all__ = [
     "AssemblyError",
@@ -146,9 +148,10 @@ class _Step(Record):
 
     c: Quantity
     e2_over_hbar_c: Quantity
-    alpha: float | None = None
-    eps_consistent: Quantity | None = None  # the permittivity consistent with (alpha, c)
     closed: Quantity | None = None  # the closed lepton coefficient 8^3 alpha e^2/(hbar c)
+    alpha5: float | None = None
+    denominator: Quantity | None = None  # the binding energy's, at the consistent permittivity
+    c2: Quantity | None = None
 
 
 def _step_factors(e2: Quantity, hbar: Quantity, alpha: float, c: Quantity) -> _Step:
@@ -156,26 +159,30 @@ def _step_factors(e2: Quantity, hbar: Quantity, alpha: float, c: Quantity) -> _S
     eps_consistent = q_div(e2, hbar_c * (_FOUR_PI * alpha)).require(PERMITTIVITY, "epsilon")
     e2_over_hbar_c = q_div(e2, hbar_c)
     closed = e2_over_hbar_c * (512.0 * alpha)
-    return _Step(c, e2_over_hbar_c, alpha, eps_consistent, closed)
+    # in the order each lepton term computed them, so an input that two of them
+    # refuse is refused with the same line
+    return _Step(c, e2_over_hbar_c, closed, alpha_fifth(alpha),
+                 binding_denominator(eps_consistent, hbar), q_mul(c, c))
 
 
 def _contribution(species: SpeciesSpec, constants: ConstantsSet, step: _Step) -> SpeciesContribution:
     """One species' permittivity term ``N_vf (q^2/mu) / omega0^2`` at ``step``.
 
-    A lepton pair's ``N_vf`` and oscillator come from one kinematics pass at
-    the permittivity consistent with the step, and its term must agree with
-    the closed coefficient.  A quarkonium state's ``N_vf`` is ``8 c
-    (M/hbar)^2 Gamma``.
+    A lepton pair's ``omega0`` and ``N_vf`` come from one kinematic pass on
+    the step's factors, and its term must agree with the closed coefficient.
+    A quarkonium state's ``omega0`` is ``e_min/hbar`` and its ``N_vf`` is ``8
+    c (M/hbar)^2 Gamma``.
     """
     lepton = species.kind == LEPTON_PAIR
-    q = charge(species, constants)
-    q2_over_mu = q_div(q_mul(q, q), species.constituent_mass * 0.5)
+    hbar, q = constants.get("hbar"), charge(species, constants)
+    q2, mu = q_mul(q, q), species.constituent_mass * 0.5
+    q2_over_mu = q_div(q2, mu)
     if lepton:
-        passed = kinematics(species, constants, step.eps_consistent, step.alpha, step.c)
-        omega0, n_vf = passed.oscillator.omega0, passed.interacting_density
+        passed = kinematic_pass(species, hbar, q, mu, step.denominator, step.c, step.c2, step.alpha5)
+        omega0, n_vf = passed[0], passed[-1]
     else:
-        omega0 = resonant_frequency(species, constants, step.eps_consistent, step.c).omega0
-        m_over_hbar = q_div(species.bound_state_mass, constants.get("hbar"))
+        omega0 = q_div(species.e_min, hbar)
+        m_over_hbar = q_div(species.bound_state_mass, hbar)
         n_vf = q_mul(q_pow(m_over_hbar, 2), q_mul(step.c, species.two_photon_width)) * 8.0
     term = q_mul(n_vf, q_div(q2_over_mu, q_mul(omega0, omega0))).require(
         PERMITTIVITY, "lepton term" if lepton else "quarkonium term"

@@ -323,9 +323,9 @@ def test_self_consistent_requires_a_lepton(quark_pair, constants):
 def test_quark_solve_evaluates_each_term_twice(constants, monkeypatch):
     # F at the seed and F at the cubic's root, whatever the quark weight: at
     # x1e50 the reference seed is 31 decades below the fixed point; each
-    # lepton term takes one kinematics pass
+    # lepton term takes one kinematic pass, and a quarkonium term none
     calls, passes = [], []
-    term, kinematics_pass = vacuum._contribution, vacuum.kinematics
+    term, kinematic_pass = vacuum._contribution, vacuum.kinematic_pass
 
     def counting_term(species, constants, step):
         calls.append(species.name)
@@ -333,10 +333,10 @@ def test_quark_solve_evaluates_each_term_twice(constants, monkeypatch):
 
     def counting_pass(species, *args):
         passes.append(species.name)
-        return kinematics_pass(species, *args)
+        return kinematic_pass(species, *args)
 
     monkeypatch.setattr(vacuum, "_contribution", counting_term)
-    monkeypatch.setattr(vacuum, "kinematics", counting_pass)
+    monkeypatch.setattr(vacuum, "kinematic_pass", counting_pass)
     names = ["e_pair", "mu_pair", "tau_pair", "eta_c", "eta_b"]
     for scale in (1.0, 1e6, 1e50):
         calls.clear()
@@ -354,6 +354,25 @@ def test_fixed_point_miss_is_a_program_fault(constants, monkeypatch):
         epsilon0_self_consistent(builtin_species(constants, include_quarks=True), constants)
 
 
+def test_fixed_point_miss_of_2e_10_fails_the_stopping_rule(constants, monkeypatch):
+    # the real 1e-13 bound: a cubic root 1e-10 relative high puts the iterate
+    # 2e-10 off the fixed point, and F at it misses it by about that much
+    species = builtin_species(constants, include_quarks=True)
+    cubic_root = vacuum._cubic_root
+    monkeypatch.setattr(vacuum, "_cubic_root", lambda l, a: cubic_root(l, a) * (1 + 1e-10))
+    with pytest.raises(AssemblyError) as error:
+        epsilon0_self_consistent(species, constants)
+    seed = constants.get("ref_epsilon0")
+    l, a = _lepton_and_quark_sums(species, _replayed_terms(species, constants, seed), seed)
+    u = cubic_root(l, a) * (1 + 1e-10)
+    eps = seed * (u * u)
+    total = _left_to_right(_replayed_terms(species, constants, eps))
+    assert 1e-11 < abs(total.value - eps.value) / eps.value < 1e-9
+    assert str(error.value) == (
+        f"F at the solved fixed point {eps.value!r} is {total.value!r}, not within 1e-13 of it"
+    )
+
+
 def test_monotonicity_of_quark_additions(constants):
     # more polarizable species: eps0 strictly up, c strictly down, coupling
     # strictly up (1/alpha grows with sqrt(eps0))
@@ -367,18 +386,49 @@ def test_monotonicity_of_quark_additions(constants):
 
 
 def test_lepton_solve_evaluates_each_term_once_per_iteration(trio, constants, monkeypatch):
-    # one kinematics pass per lepton term; no evaluation after convergence
+    # one kinematic pass per lepton term; no evaluation after convergence
     species_seen = []
-    original = vacuum.kinematics
+    original = vacuum.kinematic_pass
 
     def counting(species, *args):
         species_seen.append(species.name)
         return original(species, *args)
 
-    monkeypatch.setattr(vacuum, "kinematics", counting)
+    monkeypatch.setattr(vacuum, "kinematic_pass", counting)
     report = epsilon0_self_consistent(trio, constants)
     assert report.iterations == 2
     assert species_seen == ["e_pair", "mu_pair", "tau_pair"] * report.iterations
+
+
+@pytest.mark.parametrize("include_quarks", [False, True])
+def test_each_evaluation_shares_alpha_fifth_and_the_binding_denominator(
+    constants, monkeypatch, include_quarks
+):
+    # alpha^5 and 2 (4 pi eps)^2 hbar^2 once per evaluation of F, not once per
+    # lepton term; each lepton pass gets the evaluation's own
+    calls = []
+
+    def counting(name, function):
+        def counted(*args):
+            out = function(*args)
+            calls.append((name, out))
+            return out
+        monkeypatch.setattr(vacuum, name, counted)
+
+    counting("alpha_fifth", vacuum.alpha_fifth)
+    counting("binding_denominator", vacuum.binding_denominator)
+    shared, kinematic_pass = [], vacuum.kinematic_pass
+
+    def recording_pass(species, hbar, q, mu, denominator, c, c2, alpha5):
+        shared.append((alpha5, denominator))
+        return kinematic_pass(species, hbar, q, mu, denominator, c, c2, alpha5)
+
+    monkeypatch.setattr(vacuum, "kinematic_pass", recording_pass)
+    report = epsilon0_self_consistent(builtin_species(constants, include_quarks), constants)
+    assert report.iterations == 2
+    assert [name for name, _ in calls] == ["alpha_fifth", "binding_denominator"] * 2
+    per_evaluation = [(calls[i][1], calls[i + 1][1]) for i in (0, 2)]
+    assert shared == [per_evaluation[0]] * 3 + [per_evaluation[1]] * 3
 
 
 @pytest.mark.parametrize("include_quarks", [False, True])
@@ -404,6 +454,36 @@ def test_route_cross_check_failure_stops_the_solve(trio, constants, monkeypatch)
         epsilon0_self_consistent(trio, constants)
 
 
+def test_route_cross_check_catches_a_term_1e_9_off(trio, constants, monkeypatch):
+    # the real 1e-12 bound: mu_pair's interacting density 1e-9 relative high
+    # puts its composed term 1e-9 off the closed coefficient at the seed
+    kinematic_pass, passes = vacuum.kinematic_pass, []
+
+    def off(species, *args):
+        passed = kinematic_pass(species, *args)
+        if species.name != "mu_pair":
+            return passed
+        passes.append(passed)
+        return passed[:-1] + (passed[-1] * (1 + 1e-9),)
+
+    monkeypatch.setattr(vacuum, "kinematic_pass", off)
+    with pytest.raises(AssemblyError) as error:
+        epsilon0_self_consistent(trio, constants)
+    # the term and the coefficient in float arithmetic, in the solver's order
+    omega0, n_vf = passes[0][0].value, passes[0][-1].value
+    e, hbar = constants.get("e").value, constants.get("hbar").value
+    seed = constants.get("ref_epsilon0")
+    c = c_from_epsilon(seed, constants)
+    alpha = vacuum._alpha(constants.get("e") * constants.get("e"), constants.get("hbar"), seed, c)
+    term = (n_vf * (1 + 1e-9)) * (e * e / (trio[1].constituent_mass.value * 0.5) / (omega0 * omega0))
+    closed = e * e / (hbar * c.value) * (512.0 * alpha)
+    assert len(passes) == 1
+    assert 5e-10 < abs(term - closed) / closed < 2e-9
+    assert str(error.value) == (
+        f"mu_pair: composed term {term!r} disagrees with closed coefficient {closed!r}"
+    )
+
+
 @pytest.mark.parametrize("include_quarks", [False, True])
 def test_contributions_sum_left_to_right_to_epsilon0(constants, include_quarks):
     report = epsilon0_self_consistent(
@@ -421,38 +501,44 @@ def test_public_contributions_replay_the_solver_bit_for_bit(constants, include_q
     # solver's epsilon0 and its last evaluation's terms, bit for bit
     species = builtin_species(constants, include_quarks=include_quarks)
     report = epsilon0_self_consistent(species, constants)
-    e2, hbar = constants.get("e") * constants.get("e"), constants.get("hbar")
-
-    def evaluate(eps):
-        c = c_from_epsilon(eps, constants)
-        alpha = vacuum._alpha(e2, hbar, eps, c)
-        return tuple(
-            lepton_contribution(s, constants, alpha, c) if s.kind == LEPTON_PAIR
-            else quarkonium_contribution(s, constants, c)
-            for s in species
-        )
-
-    def total(terms):
-        out = terms[0].epsilon_term
-        for term in terms[1:]:
-            out = out + term.epsilon_term
-        return out
-
     seed = constants.get("ref_epsilon0")
-    terms = evaluate(seed)
+    terms = _replayed_terms(species, constants, seed)
     if include_quarks:
-        l, a = (
-            total([t for s, t in zip(species, terms) if s.kind == kind]).value / seed.value
-            for kind in (LEPTON_PAIR, QUARKONIUM)
-        )
-        u = vacuum._cubic_root(l, a)
+        u = vacuum._cubic_root(*_lepton_and_quark_sums(species, terms, seed))
         eps = seed * (u * u)
     else:
-        eps = total(terms)
-    terms = evaluate(eps)
+        eps = _left_to_right(terms)
+    terms = _replayed_terms(species, constants, eps)
     assert report.iterations == 2
     assert terms == report.contributions
-    assert total(terms) == report.epsilon0_model
+    assert _left_to_right(terms) == report.epsilon0_model
+
+
+def _replayed_terms(species, constants, eps):
+    """F's terms at ``eps``, from the public per-species functions."""
+    e2, hbar = constants.get("e") * constants.get("e"), constants.get("hbar")
+    c = c_from_epsilon(eps, constants)
+    alpha = vacuum._alpha(e2, hbar, eps, c)
+    return tuple(
+        lepton_contribution(s, constants, alpha, c) if s.kind == LEPTON_PAIR
+        else quarkonium_contribution(s, constants, c)
+        for s in species
+    )
+
+
+def _left_to_right(terms):
+    out = terms[0].epsilon_term
+    for term in terms[1:]:
+        out = out + term.epsilon_term
+    return out
+
+
+def _lepton_and_quark_sums(species, terms, seed):
+    """The cubic's ``l`` and ``a``: the lepton and quarkonium sums over ``seed``."""
+    return tuple(
+        _left_to_right([t for s, t in zip(species, terms) if s.kind == kind]).value / seed.value
+        for kind in (LEPTON_PAIR, QUARKONIUM)
+    )
 
 
 # --- reports -----------------------------------------------------------------------
