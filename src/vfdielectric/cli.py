@@ -174,15 +174,15 @@ _SPECIES_COLUMNS = [
 
 
 def _species_rows(args: types.SimpleNamespace, constants: ConstantsSet) -> list[dict]:
-    from .species import kinematics, load_species
+    from .species import coupling, kinematics, load_species
 
     c = constants.get("ref_c")
     eps = constants.get("ref_epsilon0")
     alpha = 1.0 / constants.get("ref_inv_alpha").value
-    rows = []
-    for s in load_species(constants, include_quarks=args.include_quarks,
-                          width_choice=args.width):
-        k = kinematics(s, constants, eps, alpha, c)
+    species = load_species(constants, include_quarks=args.include_quarks, width_choice=args.width)
+    shared, rows = coupling(species, constants, eps, alpha, c), []
+    for s in species:
+        k = kinematics(s, constants, shared)
         values = (s.name, k.lifetime.value, k.coherence_length.value, k.number_density.value,
                   k.oscillator.omega0.value, k.decay_rate.value, k.interacting_density.value)
         rows.append(dict(zip(_SPECIES_COLUMNS, values)))

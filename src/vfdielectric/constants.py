@@ -322,8 +322,6 @@ def _refusal(quantity: Quantity, allowed: tuple[Dimension, ...]) -> str | None:
     return None
 
 
-_new_quantity = Quantity.__new__
-_set_value, _set_dim = Quantity.value.__set__, Quantity.dim.__set__  # past Quantity's _immutable
 _MIN_NORMAL = sys.float_info.min
 
 
@@ -332,9 +330,8 @@ def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> Con
 
     A finite float in a unit that needs no scaling is the common record: it
     passes every check of :func:`_file_quantity`, so its quantity is built
-    here, without that function's second ``float()`` and finiteness test.
-    Every other value goes through :func:`_file_quantity`.  The record's
-    label is worded only for an error.
+    here, by the public constructor alone.  Every other value goes through
+    :func:`_file_quantity`.  The record's label is worded only for an error.
     """
     try:
         key, value, unit = row["key"], row["value"], row["unit"]
@@ -352,9 +349,7 @@ def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> Con
     if not isinstance(source, str):  # str() would serialize 5 back as "5"
         raise ConstantsError(f"malformed record in {origin}: {row!r} (source must be a string)")
     if type(value) is float and type(unit) is str and unit in _SI_UNITS and math.isfinite(value):
-        quantity = _new_quantity(Quantity)
-        _set_value(quantity, value)
-        _set_dim(quantity, _SI_UNITS[unit])
+        quantity = Quantity(value, _SI_UNITS[unit])
     else:
         try:
             quantity = _file_quantity(value, unit, joules_per_ev)

@@ -277,7 +277,10 @@ class Quantity:
         return q_add(self, other)
 
     def __sub__(self, other: "Quantity") -> "Quantity":
-        return q_add(self, -other)
+        # IEEE a - b is a + (-b), so the difference is refused as that sum
+        if self.dim is not other.dim:
+            raise DimensionError(f"cannot add {self.dim} to {other.dim}")
+        return _result(self.value - other.value, self.dim, _SUM, self.value, -other.value)
 
     def __neg__(self) -> "Quantity":
         return _result(-self.value, self.dim, _NEGATION, self.value)

@@ -16,18 +16,18 @@ just want tabulated physics pass the ``ref_*`` registry entries.
 Species come from the built-in list or from a data file's species records,
 which :func:`~vfdielectric.constants.build_species` builds alike.
 
-:func:`kinematics` is one pass per species at one ``(eps, alpha, c)``: it
-computes ``c^2`` and the rest energy once, so the lifetime once, and returns
-the lifetime, coherence length, number density, oscillator, decay rate and
-interacting density together.  It runs :func:`kinematic_pass`, which builds
-no record, on :func:`alpha_fifth`, :func:`binding_denominator` and ``c^2``; the
-solver computes those once per evaluation of F and runs the same pass per
-lepton, so the two agree bit for bit.  Its ``omega0`` is
+:func:`kinematics` is the one pass per species at one ``(eps, alpha, c)``:
+the ``species`` table and the self-consistent solver both call it.  It
+computes the rest energy once, so the lifetime once, and returns the lifetime,
+coherence length, number density, oscillator, decay rate and interacting
+density together.  What every species of a list shares, ``c``, ``c^2`` and, for a
+list that holds a lepton pair, ``alpha^5`` and the binding denominator ``2 (4 pi
+eps)^2 hbar^2``, it reads from the list's :func:`coupling`.  Its oscillator is
 :func:`resonant_frequency`'s, the one place the binding energy is written, and
-the charge ``q`` in it is :func:`charge`'s.  The pass and
-:func:`interacting_density` run one private chain, from the rest energy through
-the lifetime, coherence length and number density to the decay rate and ``Gamma
-dt``, so they agree bit for bit.
+the charge ``q`` in it is :func:`charge`'s.  It and :func:`interacting_density`
+run one private chain, from the rest energy through the lifetime, coherence
+length and number density to the decay rate and ``Gamma dt``, so they agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -59,11 +59,10 @@ __all__ = [
     "Kinematics",
     "builtin_species",
     "load_species",
+    "Coupling",
     "charge",
+    "coupling",
     "kinematics",
-    "alpha_fifth",
-    "binding_denominator",
-    "kinematic_pass",
     "resonant_frequency",
     "interacting_density",
 ]
@@ -80,7 +79,12 @@ class OscillatorSpec(Record):
     omega0: Quantity
 
     def __post_init__(self) -> None:
-        _require_oscillator(self.reduced_mass, self.omega0)
+        self.reduced_mass.require(MASS, "reduced_mass")
+        if self.reduced_mass.value <= 0:
+            raise OutOfRangeError("reduced_mass must be positive")
+        self.omega0.require(FREQUENCY, "omega0")
+        if self.omega0.value <= 0:
+            raise OutOfRangeError("omega0 must be positive")
 
 
 # --- species construction -------------------------------------------------
@@ -146,27 +150,61 @@ _ONE = Quantity(1.0)
 _FOUR_PI = 4.0 * math.pi
 
 
-def _check_speed(c: Quantity) -> Quantity:
-    return c.require(SPEED, "c")
-
-
-def _require_oscillator(reduced_mass: Quantity, omega0: Quantity) -> Quantity:
-    """The checks of an :class:`OscillatorSpec`; returns ``omega0``."""
-    reduced_mass.require(MASS, "reduced_mass")
-    if reduced_mass.value <= 0:
-        raise OutOfRangeError("reduced_mass must be positive")
-    omega0.require(FREQUENCY, "omega0")
-    if omega0.value <= 0:
-        raise OutOfRangeError("omega0 must be positive")
-    return omega0
-
-
-def alpha_fifth(alpha: float) -> float:
+def _alpha_fifth(alpha: float) -> float:
     """``alpha^5``, the coupling power in a lepton pair's decay rate; raises
     :class:`OutOfRangeError` unless alpha is positive and it and its power normal."""
     if not alpha > 0:
         raise OutOfRangeError(f"alpha must be positive, got {alpha!r}")
     return q_pow(_ONE * alpha, 5).value
+
+
+def _binding_denominator(epsilon: Quantity, hbar: Quantity) -> Quantity:
+    """``2 (4 pi eps)^2 hbar^2``, the denominator of a lepton pair's binding energy."""
+    epsilon.require(PERMITTIVITY, "epsilon")
+    hbar2 = q_mul(hbar, hbar)
+    return q_mul(q_pow(epsilon * _FOUR_PI, 2), hbar2) * 2
+
+
+class Coupling(Record):
+    """What the kinematics of one species list share at one ``(eps, alpha, c)``;
+    see :func:`coupling`."""
+
+    c: Quantity
+    c2: Quantity
+    alpha5: float | None  # None for a list with no lepton pair
+    denominator: Quantity | None  # 2 (4 pi eps)^2 hbar^2, likewise
+
+
+def coupling(
+    species: tuple[SpeciesSpec, ...],
+    constants: ConstantsSet,
+    epsilon: Quantity,
+    alpha: float,
+    c: Quantity,
+) -> Coupling:
+    """The factors :func:`kinematics` shares across ``species`` at ``(epsilon, alpha, c)``.
+
+    ``c`` is checked first.  Only a list that holds a lepton pair gets
+    ``alpha^5`` and then the binding denominator ``2 (4 pi eps)^2 hbar^2``,
+    so a list of quarkonia is never refused for them; every list gets ``c^2``.
+    """
+    c.require(SPEED, "c")
+    alpha5 = denominator = None
+    if any(s.kind == LEPTON_PAIR for s in species):
+        alpha5 = _alpha_fifth(alpha)
+        denominator = _binding_denominator(epsilon, constants.get("hbar"))
+    return Coupling(c, q_mul(c, c), alpha5, denominator)
+
+
+def _oscillator(species: SpeciesSpec, constants: ConstantsSet, mu: Quantity,
+                denominator: Quantity | None) -> OscillatorSpec:
+    """:func:`resonant_frequency`'s oscillator over ``mu = m/2``, the one place
+    the binding energy is written; a quarkonium state ignores ``denominator``."""
+    if species.kind == LEPTON_PAIR:
+        level = q_div(q_mul(mu, q_pow(charge(species, constants), 4)), denominator)
+    else:
+        level = species.e_min
+    return OscillatorSpec(mu, q_div(level, constants.get("hbar")))
 
 
 def _chain(
@@ -204,60 +242,22 @@ def charge(species: SpeciesSpec, constants: ConstantsSet) -> Quantity:
     return constants.get("e") * (numerator / denominator)  # the bits of float(Fraction)
 
 
-def kinematics(
-    species: SpeciesSpec,
-    constants: ConstantsSet,
-    epsilon: Quantity,
-    alpha: float,
-    c: Quantity,
-) -> Kinematics:
+def kinematics(species: SpeciesSpec, constants: ConstantsSet, coupling: Coupling) -> Kinematics:
     """Lifetime, coherence length, number density, oscillator, decay rate and
-    (linearized) interacting density of ``species`` in one pass.
+    (linearized) interacting density of ``species`` in one pass, at the
+    :func:`coupling` of a list that holds it.
 
     The lifetime is ``hbar/(4 m c^2)`` for a lepton pair and ``hbar/(2 M c^2)``
     for quarkonium; the coherence length is ``L = c dt``, the number density
     ``1/L^3``.  The decay rate of the photon-excited atom is ``alpha^5 m c^2 /
     hbar`` for a lepton pair (twice the two-photon rate of the ordinary atom)
     and twice the tabulated two-photon rate for quarkonium.  The oscillator is
-    :func:`resonant_frequency`'s at ``(epsilon, c)``.
+    :func:`resonant_frequency`'s at the coupling's ``(eps, c)``.
     """
-    _check_speed(c)
-    hbar, lepton = constants.get("hbar"), species.kind == LEPTON_PAIR
-    alpha5 = alpha_fifth(alpha) if lepton else None
-    denominator = binding_denominator(epsilon, hbar) if lepton else None
-    q = charge(species, constants) if lepton else None
-    mu = species.constituent_mass * 0.5
-    omega0, lifetime, length, n, rate, interacting = kinematic_pass(
-        species, hbar, q, mu, denominator, c, q_mul(c, c), alpha5
-    )
-    return Kinematics(lifetime, length, n, OscillatorSpec(mu, omega0), rate, interacting)
-
-
-def binding_denominator(epsilon: Quantity, hbar: Quantity) -> Quantity:
-    """``2 (4 pi eps)^2 hbar^2``, the denominator of a lepton pair's binding energy."""
-    epsilon.require(PERMITTIVITY, "epsilon")
-    hbar2 = q_mul(hbar, hbar)
-    return q_mul(q_pow(epsilon * _FOUR_PI, 2), hbar2) * 2
-
-
-def _omega0(species: SpeciesSpec, hbar: Quantity, q: Quantity | None, mu: Quantity,
-            denominator: Quantity | None) -> Quantity:
-    """``omega0 = |E|/hbar`` of :func:`resonant_frequency`, checked as an :class:`OscillatorSpec`."""
-    lepton = species.kind == LEPTON_PAIR
-    level = q_div(q_mul(mu, q_pow(q, 4)), denominator) if lepton else species.e_min
-    return _require_oscillator(mu, q_div(level, hbar))
-
-
-def kinematic_pass(
-    species: SpeciesSpec, hbar: Quantity, q: Quantity | None, mu: Quantity,
-    denominator: Quantity | None, c: Quantity, c2: Quantity, alpha5: float | None,
-) -> tuple[Quantity, Quantity, Quantity, Quantity, Quantity, Quantity]:
-    """``omega0``, then :func:`kinematics`' lifetime, coherence length, number
-    density, decay rate and interacting density, building no record, from
-    :func:`charge`'s ``q``, ``mu = m/2``, :func:`binding_denominator`'s,
-    ``c^2`` and :func:`alpha_fifth`'s; quarkonium ignores ``q``, ``denominator``, ``alpha5``."""
-    omega0 = _omega0(species, hbar, q, mu, denominator)
-    return (omega0, *_chain(species, hbar, c, c2, alpha5, "linearized"))
+    oscillator = _oscillator(species, constants, species.constituent_mass * 0.5, coupling.denominator)
+    lifetime, length, n, rate, interacting = _chain(
+        species, constants.get("hbar"), coupling.c, coupling.c2, coupling.alpha5, "linearized")
+    return Kinematics(lifetime, length, n, oscillator, rate, interacting)
 
 
 def resonant_frequency(
@@ -274,12 +274,11 @@ def resonant_frequency(
     hbar^2)``, which equals ``m alpha^2 c^2 / 4`` when alpha and c are
     consistent with eps.
     """
-    hbar, mu = constants.get("hbar"), species.constituent_mass * 0.5
-    q = denominator = None
+    mu, denominator = species.constituent_mass * 0.5, None
     if species.kind == LEPTON_PAIR:
-        _check_speed(c)
-        q, denominator = charge(species, constants), binding_denominator(epsilon, hbar)
-    return OscillatorSpec(mu, _omega0(species, hbar, q, mu, denominator))
+        c.require(SPEED, "c")
+        denominator = _binding_denominator(epsilon, constants.get("hbar"))
+    return _oscillator(species, constants, mu, denominator)
 
 
 def interacting_density(
@@ -294,10 +293,10 @@ def interacting_density(
     ``exact`` uses the full absorption probability ``1 - exp(-Gamma dt)``;
     ``linearized`` keeps the leading term ``Gamma dt``, which for a lepton
     pair collapses to ``(alpha^5/4) (4 m c / hbar)^3``.  It runs the chain of
-    :func:`kinematics`, so the ``linearized`` value is the pass's bit for bit.
+    :func:`kinematics`, so the ``linearized`` value is its bit for bit.
     """
     if mode not in ("exact", "linearized"):
         raise ValueError(f"mode must be 'exact' or 'linearized', got {mode!r}")
-    _check_speed(c)
-    alpha5 = alpha_fifth(alpha) if species.kind == LEPTON_PAIR else None
+    c.require(SPEED, "c")
+    alpha5 = _alpha_fifth(alpha) if species.kind == LEPTON_PAIR else None
     return _chain(species, constants.get("hbar"), c, q_mul(c, c), alpha5, mode)[-1]

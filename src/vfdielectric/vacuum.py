@@ -26,14 +26,13 @@ root, whatever the quark weight.
 
 Each evaluation of F computes, once for all its species, ``c``, alpha, ``hbar
 c``, the permittivity consistent with them, ``e^2/(hbar c)``, the closed
-lepton coefficient, ``alpha^5``, the binding denominator ``2 (4 pi eps)^2
-hbar^2`` and ``c^2``.  Then each species' term is computed whole from its
-``q`` and ``m/2``: a lepton pair's from the pass that
-:func:`~vfdielectric.species.kinematics` also runs, with the composed-vs-closed
-route check; a quarkonium state's from ``e_min/hbar`` and ``8 c (M/hbar)^2
-Gamma``.  A term builds no record but its own.  :func:`lepton_contribution` and
-:func:`quarkonium_contribution` compute one term the same way, so the solver
-and they give the same bits.
+lepton coefficient and the species' :func:`~vfdielectric.species.coupling` at
+them.  Then each species' term is computed whole from its ``q`` and ``m/2``: a
+lepton pair's from :func:`~vfdielectric.species.kinematics`, the pass that also
+prints the ``species`` table, with the composed-vs-closed route check; a
+quarkonium state's from ``e_min/hbar`` and ``8 c (M/hbar)^2 Gamma``.
+:func:`lepton_contribution` and :func:`quarkonium_contribution` compute one
+term the same way, so the solver and they give the same bits.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .quantity import (
     q_pow,
     q_sqrt,
 )
-from .species import alpha_fifth, binding_denominator, charge, kinematic_pass
+from .species import Coupling, charge, coupling, kinematics
 
 __all__ = [
     "AssemblyError",
@@ -149,37 +148,33 @@ class _Step(Record):
     c: Quantity
     e2_over_hbar_c: Quantity
     closed: Quantity | None = None  # the closed lepton coefficient 8^3 alpha e^2/(hbar c)
-    alpha5: float | None = None
-    denominator: Quantity | None = None  # the binding energy's, at the consistent permittivity
-    c2: Quantity | None = None
+    coupling: Coupling | None = None  # the species', at the consistent permittivity
 
 
-def _step_factors(e2: Quantity, hbar: Quantity, alpha: float, c: Quantity) -> _Step:
-    hbar_c = q_mul(hbar, c)
+def _step_factors(species: tuple[SpeciesSpec, ...], constants: ConstantsSet, e2: Quantity,
+                  alpha: float, c: Quantity) -> _Step:
+    hbar_c = q_mul(constants.get("hbar"), c)
     eps_consistent = q_div(e2, hbar_c * (_FOUR_PI * alpha)).require(PERMITTIVITY, "epsilon")
     e2_over_hbar_c = q_div(e2, hbar_c)
     closed = e2_over_hbar_c * (512.0 * alpha)
-    # in the order each lepton term computed them, so an input that two of them
-    # refuse is refused with the same line
-    return _Step(c, e2_over_hbar_c, closed, alpha_fifth(alpha),
-                 binding_denominator(eps_consistent, hbar), q_mul(c, c))
+    return _Step(c, e2_over_hbar_c, closed, coupling(species, constants, eps_consistent, alpha, c))
 
 
 def _contribution(species: SpeciesSpec, constants: ConstantsSet, step: _Step) -> SpeciesContribution:
     """One species' permittivity term ``N_vf (q^2/mu) / omega0^2`` at ``step``.
 
-    A lepton pair's ``omega0`` and ``N_vf`` come from one kinematic pass on
-    the step's factors, and its term must agree with the closed coefficient.
-    A quarkonium state's ``omega0`` is ``e_min/hbar`` and its ``N_vf`` is ``8
-    c (M/hbar)^2 Gamma``.
+    A lepton pair's ``omega0`` and ``N_vf`` come from its :func:`kinematics`
+    at the step's coupling, and its term must agree with the closed
+    coefficient.  A quarkonium state's ``omega0`` is ``e_min/hbar`` and its
+    ``N_vf`` is ``8 c (M/hbar)^2 Gamma``.
     """
     lepton = species.kind == LEPTON_PAIR
     hbar, q = constants.get("hbar"), charge(species, constants)
     q2, mu = q_mul(q, q), species.constituent_mass * 0.5
     q2_over_mu = q_div(q2, mu)
     if lepton:
-        passed = kinematic_pass(species, hbar, q, mu, step.denominator, step.c, step.c2, step.alpha5)
-        omega0, n_vf = passed[0], passed[-1]
+        k = kinematics(species, constants, step.coupling)
+        omega0, n_vf = k.oscillator.omega0, k.interacting_density
     else:
         omega0 = q_div(species.e_min, hbar)
         m_over_hbar = q_div(species.bound_state_mass, hbar)
@@ -213,7 +208,7 @@ def lepton_contribution(
     if species.kind != LEPTON_PAIR:
         raise ValueError(f"{species.name!r} is not a lepton pair")
     c.require(SPEED, "c")
-    step = _step_factors(_e_squared(constants), constants.get("hbar"), alpha, c)
+    step = _step_factors((species,), constants, _e_squared(constants), alpha, c)
     return _contribution(species, constants, step)
 
 
@@ -327,7 +322,7 @@ def _evaluate(
     """F's terms at ``eps``: each species' contribution at one shared step."""
     e2, hbar = _e_squared(constants), constants.get("hbar")
     c = c_from_epsilon(eps, constants)
-    step = _step_factors(e2, hbar, _alpha(e2, hbar, eps, c), c)
+    step = _step_factors(species, constants, e2, _alpha(e2, hbar, eps, c), c)
     return tuple(_contribution(s, constants, step) for s in species)
 
 

@@ -17,7 +17,7 @@ from vfdielectric.quantity import (
     q_add,
 )
 from vfdielectric.constants import load_constants
-from vfdielectric.species import builtin_species, kinematics
+from vfdielectric.species import builtin_species, coupling, kinematics
 from vfdielectric.oscillator import (
     matrix_element_x_analytic,
     matrix_element_x_quadrature,
@@ -85,8 +85,9 @@ def test_criterion_04_number_densities():
     trio = builtin_species(CONSTANTS)
     eps, c = CONSTANTS.get("ref_epsilon0"), CONSTANTS.get("ref_c")
     alpha = 1.0 / CONSTANTS.get("ref_inv_alpha").value
-    n_e = kinematics(trio[0], CONSTANTS, eps, alpha, c).number_density.value
-    n_tau = kinematics(trio[2], CONSTANTS, eps, alpha, c).number_density.value
+    shared = coupling(trio, CONSTANTS, eps, alpha, c)
+    n_e = kinematics(trio[0], CONSTANTS, shared).number_density.value
+    n_tau = kinematics(trio[2], CONSTANTS, shared).number_density.value
     rel_e = abs(n_e - 1.12e39) / 1.12e39
     rel_tau = abs(n_tau - 4.70e49) / 4.70e49
     _criterion(4, "number densities 1.12e39 (e) and 4.70e49 (tau) within 1%",

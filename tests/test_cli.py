@@ -765,6 +765,34 @@ def test_species_computes_one_lifetime_per_species(capsys, monkeypatch):
     assert seen == ["e_pair", "mu_pair", "tau_pair", "eta_c", "eta_b"]
 
 
+_ETA_C_ONLY = {
+    "kind": "species", "name": "eta_c", "type": "quarkonium", "charge_fraction": "2/3",
+    "constituent_mass": {"value": 1.5, "unit": "GeV"},
+    "bound_state_mass": {"value": 3.1, "unit": "GeV"},
+    "two_photon_width": {"value": 5.0, "unit": "keV"},
+}
+
+
+def test_a_species_list_with_no_lepton_pair_computes_no_lepton_factors(capsys, tmp_path):
+    # alpha^5 underflows at 1/alpha = 1e70, and the binding denominator
+    # 2 (4 pi eps)^2 hbar^2 at eps = 8.85e-172; no quarkonium row reads either,
+    # so a table of quarkonia prints, while the same file with a lepton pair
+    # added is refused for the factor
+    underflows = {"ref_inv_alpha": (1e70, "the power 1e-70 ** 5 underflows to 0.0 (dimension 1)"),
+                  "ref_epsilon0": (8.8541878128e-172, "the power 1.1126500554478704e-170 ** 2 "
+                                                      "underflows to 0.0 (dimension m^-6·kg^-2·s^8·A^4)")}
+    for key, (value, line) in underflows.items():
+        changes = {key: {"value": value}}
+        path = _constants_file(tmp_path, species=[_ETA_C_ONLY], changes=changes)
+        code, out, err = _run(capsys, ["species", "--format", "json", "--constants", path])
+        assert (code, err) == (0, ""), key
+        assert [row["species"] for row in json.loads(out)] == ["eta_c"]
+        path = _constants_file(tmp_path, species=[_ETA_C_ONLY, E_ONLY], changes=changes)
+        code, out, err = _run(capsys, ["species", "--format", "json", "--constants", path])
+        assert (code, out) == (2, ""), key
+        assert err == f"error: the constants in {path} take a result out of the float range: {line}\n"
+
+
 def test_predict_file_species_replace_builtins(capsys, tmp_path):
     path = _constants_file(tmp_path, species=[E_ONLY])
     code, out, _ = _run(capsys, ["predict", "--format", "json", "--constants", path])

@@ -17,6 +17,7 @@ plain record with no checks of its own, and ``species`` neither converts a
 width nor words a constants error itself.  Every module-level import is used.
 Every public function has a caller in the package or in ``perfbench``, apart
 from three kept on purpose.  Only ``cli.main`` writes standard output, once.
+Only ``quantity.py`` reaches ``Quantity``'s slot descriptors.
 """
 
 import ast
@@ -279,4 +280,17 @@ def test_every_public_function_has_a_caller():
 
     offenders = [f"{path.name}: {name}" for name, (path, function) in public.items()
                  if name not in _KEPT_WITHOUT_A_CALLER and not called_outside(name, path, function)]
+    assert offenders == []
+
+
+def test_only_quantity_reaches_the_slot_descriptors():
+    # Quantity.value.__set__ and Quantity.dim.__set__ write a Quantity past its
+    # immutability; only quantity's own constructors may, so every other module
+    # builds one through Quantity() or the arithmetic
+    offenders = [f"{path.name}:{node.lineno} Quantity.{node.attr}"
+                 for path in MODULES
+                 if path.name != "quantity.py"
+                 for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                 if isinstance(node, ast.Attribute) and node.attr in ("value", "dim")
+                 and isinstance(node.value, ast.Name) and node.value.id == "Quantity"]
     assert offenders == []

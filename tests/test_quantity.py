@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vfdielectric import quantity
 from vfdielectric.quantity import (
     ACTION,
     CHARGE,
@@ -404,6 +405,41 @@ def test_every_result_is_zero_or_a_normal_float(operation, x, y, n):
     else:
         with pytest.raises(OutOfRangeError):
             arithmetic(x, y, n)
+
+
+def test_a_difference_makes_one_result(monkeypatch):
+    # a - b is checked once, as the sum a + -b, with no negation made first
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return result(*args)
+
+    result = quantity._result
+    monkeypatch.setattr(quantity, "_result", counting)
+    a, b = Quantity(3e-308, LENGTH), Quantity(2e-308, LENGTH)
+    with pytest.raises(OutOfRangeError) as error:
+        a - b
+    assert str(error.value) == "the sum 3e-308 + -2e-308 is subnormal: 1.0000000000000004e-308 (dimension m)"
+    assert len(made) == 1
+    assert (Quantity(5.0, TIME) - Quantity(2.0, TIME)) == Quantity(3.0, TIME)
+    assert len(made) == 2
+    with pytest.raises(DimensionError, match=r"^cannot add m to s$"):
+        a - Quantity(1.0, TIME)
+
+
+@settings(max_examples=300)
+@given(_operands, _operands)
+def test_a_difference_is_the_sum_with_the_negation(x, y):
+    # the bits of a + (-b), or its refusal line
+    def outcome(make):
+        try:
+            return make().value.hex()
+        except OutOfRangeError as exc:
+            return str(exc)
+
+    assert outcome(lambda: Quantity(x, LENGTH) - Quantity(y, LENGTH)) == outcome(
+        lambda: q_add(Quantity(x, LENGTH), Quantity(-y, LENGTH)))
 
 
 def test_arithmetic_results_are_immutable():

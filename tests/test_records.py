@@ -43,7 +43,7 @@ from vfdielectric.quantity import (
     Quantity,
     Record,
 )
-from vfdielectric.species import Kinematics, OscillatorSpec
+from vfdielectric.species import Coupling, Kinematics, OscillatorSpec
 from vfdielectric.vacuum import PredictionReport, SpeciesContribution
 from vfdielectric.verify import CheckResult
 
@@ -80,6 +80,9 @@ CASES = [
                   _OSC, Quantity(1.6e10, FREQUENCY), Quantity(5.8e27, NUMBER_DENSITY)),
      ("lifetime", "coherence_length", "number_density", "oscillator", "decay_rate",
       "interacting_density")),
+    (Coupling, (Quantity(3e8, SPEED), Quantity(9e16, SPEED**2), 2.1e-11,
+                Quantity(2.8e-88, PERMITTIVITY**2 * (ENERGY * TIME)**2)),
+     ("c", "c2", "alpha5", "denominator")),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 # a field that holds a dict makes the instance unhashable, as with any tuple of it

@@ -28,9 +28,9 @@ from vfdielectric.constants import (
     species_from_record,
 )
 from vfdielectric.species import (
-    alpha_fifth,
     builtin_species,
     charge,
+    coupling,
     interacting_density,
     kinematics,
     load_species,
@@ -68,7 +68,7 @@ def quarks(constants):
 def at_ref(constants, ref_eps, ref_alpha):
     """The kinematics pass of a species at the reference eps and alpha, and ``c``."""
     def pass_at(species, c):
-        return kinematics(species, constants, ref_eps, ref_alpha, c)
+        return kinematics(species, constants, coupling((species,), constants, ref_eps, ref_alpha, c))
     return pass_at
 
 
@@ -520,8 +520,12 @@ def test_builder_refuses_a_quantity_naming_the_label(given, message):
         build_species("x", LEPTON_PAIR, Fraction(1), given, ConstantsSet({}, "here"), lambda: "src")
 
 
-def test_alpha_fifth_tests_alpha_once():
+def test_alpha_fifth_tests_alpha_once(trio, quarks, constants, ref_c, ref_eps):
     alpha = 1 / 137.035999084
+
+    def alpha_fifth(alpha, species=trio):
+        return coupling(species, constants, ref_eps, alpha, ref_c).alpha5
+
     assert alpha_fifth(alpha) == alpha**5.0
     for bad in (0.0, -alpha, math.nan):
         with pytest.raises(OutOfRangeError, match="^alpha must be positive, got"):
@@ -531,3 +535,7 @@ def test_alpha_fifth_tests_alpha_once():
         alpha_fifth(math.inf)
     with pytest.raises(OutOfRangeError, match=r"^the power 1e\+100 \*\* 5 is inf"):
         alpha_fifth(1e100)
+    # a list with no lepton pair reads neither alpha nor eps
+    shared = coupling(tuple(quarks.values()), constants, Quantity(1.0), math.nan, ref_c)
+    assert (shared.alpha5, shared.denominator) == (None, None)
+    assert shared.c2.value == ref_c.value * ref_c.value

@@ -23,7 +23,7 @@ from vfdielectric.constants import (
     build_species,
     species_from_record,
 )
-from vfdielectric.species import builtin_species, kinematics
+from vfdielectric.species import Kinematics, builtin_species, coupling, kinematics
 from vfdielectric.vacuum import (
     METHOD_SELF_CONSISTENT,
     AssemblyError,
@@ -173,7 +173,7 @@ def test_quarkonium_term_equals_the_species_table_route(constants, ref_alpha, re
     else:
         full = builtin_species(constants, include_quarks=True, width_choice=width)
         s = {q.name: q for q in full}[name]
-    k = kinematics(s, constants, constants.get("ref_epsilon0"), ref_alpha, ref_c)
+    k = kinematics(s, constants, coupling((s,), constants, constants.get("ref_epsilon0"), ref_alpha, ref_c))
     q = constants.get("e").value * float(Fraction(*s.charge_ratio))
     polarizability = q * q / k.oscillator.reduced_mass.value / k.oscillator.omega0.value**2
     expected = k.interacting_density.value * polarizability
@@ -323,9 +323,9 @@ def test_self_consistent_requires_a_lepton(quark_pair, constants):
 def test_quark_solve_evaluates_each_term_twice(constants, monkeypatch):
     # F at the seed and F at the cubic's root, whatever the quark weight: at
     # x1e50 the reference seed is 31 decades below the fixed point; each
-    # lepton term takes one kinematic pass, and a quarkonium term none
+    # lepton term takes one kinematics pass, and a quarkonium term none
     calls, passes = [], []
-    term, kinematic_pass = vacuum._contribution, vacuum.kinematic_pass
+    term, original = vacuum._contribution, vacuum.kinematics
 
     def counting_term(species, constants, step):
         calls.append(species.name)
@@ -333,10 +333,10 @@ def test_quark_solve_evaluates_each_term_twice(constants, monkeypatch):
 
     def counting_pass(species, *args):
         passes.append(species.name)
-        return kinematic_pass(species, *args)
+        return original(species, *args)
 
     monkeypatch.setattr(vacuum, "_contribution", counting_term)
-    monkeypatch.setattr(vacuum, "kinematic_pass", counting_pass)
+    monkeypatch.setattr(vacuum, "kinematics", counting_pass)
     names = ["e_pair", "mu_pair", "tau_pair", "eta_c", "eta_b"]
     for scale in (1.0, 1e6, 1e50):
         calls.clear()
@@ -386,15 +386,15 @@ def test_monotonicity_of_quark_additions(constants):
 
 
 def test_lepton_solve_evaluates_each_term_once_per_iteration(trio, constants, monkeypatch):
-    # one kinematic pass per lepton term; no evaluation after convergence
+    # one kinematics pass per lepton term; no evaluation after convergence
     species_seen = []
-    original = vacuum.kinematic_pass
+    original = vacuum.kinematics
 
     def counting(species, *args):
         species_seen.append(species.name)
         return original(species, *args)
 
-    monkeypatch.setattr(vacuum, "kinematic_pass", counting)
+    monkeypatch.setattr(vacuum, "kinematics", counting)
     report = epsilon0_self_consistent(trio, constants)
     assert report.iterations == 2
     assert species_seen == ["e_pair", "mu_pair", "tau_pair"] * report.iterations
@@ -405,30 +405,27 @@ def test_each_evaluation_shares_alpha_fifth_and_the_binding_denominator(
     constants, monkeypatch, include_quarks
 ):
     # alpha^5 and 2 (4 pi eps)^2 hbar^2 once per evaluation of F, not once per
-    # lepton term; each lepton pass gets the evaluation's own
-    calls = []
+    # lepton term: one coupling per evaluation, and each lepton pass gets the
+    # evaluation's own
+    species = builtin_species(constants, include_quarks)
+    couplings, shared = [], []
+    original_coupling, original_kinematics = vacuum.coupling, vacuum.kinematics
 
-    def counting(name, function):
-        def counted(*args):
-            out = function(*args)
-            calls.append((name, out))
-            return out
-        monkeypatch.setattr(vacuum, name, counted)
+    def counting_coupling(*args):
+        couplings.append(original_coupling(*args))
+        return couplings[-1]
 
-    counting("alpha_fifth", vacuum.alpha_fifth)
-    counting("binding_denominator", vacuum.binding_denominator)
-    shared, kinematic_pass = [], vacuum.kinematic_pass
+    def recording_pass(s, constants, coupling):
+        shared.append(coupling)
+        return original_kinematics(s, constants, coupling)
 
-    def recording_pass(species, hbar, q, mu, denominator, c, c2, alpha5):
-        shared.append((alpha5, denominator))
-        return kinematic_pass(species, hbar, q, mu, denominator, c, c2, alpha5)
-
-    monkeypatch.setattr(vacuum, "kinematic_pass", recording_pass)
-    report = epsilon0_self_consistent(builtin_species(constants, include_quarks), constants)
+    monkeypatch.setattr(vacuum, "coupling", counting_coupling)
+    monkeypatch.setattr(vacuum, "kinematics", recording_pass)
+    report = epsilon0_self_consistent(species, constants)
     assert report.iterations == 2
-    assert [name for name, _ in calls] == ["alpha_fifth", "binding_denominator"] * 2
-    per_evaluation = [(calls[i][1], calls[i + 1][1]) for i in (0, 2)]
-    assert shared == [per_evaluation[0]] * 3 + [per_evaluation[1]] * 3
+    assert len(couplings) == 2
+    assert all(c.alpha5 is not None and c.denominator is not None for c in couplings)
+    assert [id(c) for c in shared] == [id(couplings[0])] * 3 + [id(couplings[1])] * 3
 
 
 @pytest.mark.parametrize("include_quarks", [False, True])
@@ -457,20 +454,21 @@ def test_route_cross_check_failure_stops_the_solve(trio, constants, monkeypatch)
 def test_route_cross_check_catches_a_term_1e_9_off(trio, constants, monkeypatch):
     # the real 1e-12 bound: mu_pair's interacting density 1e-9 relative high
     # puts its composed term 1e-9 off the closed coefficient at the seed
-    kinematic_pass, passes = vacuum.kinematic_pass, []
+    original, passes = vacuum.kinematics, []
 
     def off(species, *args):
-        passed = kinematic_pass(species, *args)
+        k = original(species, *args)
         if species.name != "mu_pair":
-            return passed
-        passes.append(passed)
-        return passed[:-1] + (passed[-1] * (1 + 1e-9),)
+            return k
+        passes.append(k)
+        fields = list(vars(k).values())
+        return Kinematics(*fields[:-1], k.interacting_density * (1 + 1e-9))
 
-    monkeypatch.setattr(vacuum, "kinematic_pass", off)
+    monkeypatch.setattr(vacuum, "kinematics", off)
     with pytest.raises(AssemblyError) as error:
         epsilon0_self_consistent(trio, constants)
     # the term and the coefficient in float arithmetic, in the solver's order
-    omega0, n_vf = passes[0][0].value, passes[0][-1].value
+    omega0, n_vf = passes[0].oscillator.omega0.value, passes[0].interacting_density.value
     e, hbar = constants.get("e").value, constants.get("hbar").value
     seed = constants.get("ref_epsilon0")
     c = c_from_epsilon(seed, constants)

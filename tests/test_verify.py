@@ -4,25 +4,40 @@
 and the mismatched-dimension operand pairs), but each call must still compute
 every distinct integral, integrate every ODE case and attempt every addition
 on every call, so no cache can stand in for the check.
+
+Each check also fails on a fault just past its own bound, injected through
+its input and not through a changed bound, and ``verify`` then exits 1.
 """
 
+import contextlib
+import io
 import math
 from collections import Counter
 
 import pytest
 
 from vfdielectric import oscillator, perturbation, verify
+from vfdielectric.cli import main
 from vfdielectric.oscillator import (
     QuadratureError,
     matrix_element_x_quadrature,
     matrix_elements_x_quadrature,
 )
 from vfdielectric.quantity import Dimension, Quantity
-from vfdielectric.species import OscillatorSpec
+from vfdielectric.species import OscillatorSpec, builtin_species
+from vfdielectric.vacuum import (
+    PredictionReport,
+    SpeciesContribution,
+    epsilon0_closed_form,
+    epsilon0_self_consistent,
+    lepton_contribution,
+)
 from vfdielectric.verify import (
     _mismatched_pairs,
     _random_oscillators,
     check_dimension_audit,
+    check_fixed_point_vs_closed_form,
+    check_mass_cancellation,
     check_ode_vs_analytic,
     check_quadrature_vs_analytic,
 )
@@ -123,3 +138,55 @@ def test_seeded_inputs_are_immutable_tuples():
         assert all(Dimension(q.dim.exponents) is q.dim for q in pair)
         assert pair[0].dim is not pair[1].dim
     assert _mismatched_pairs() is pairs
+
+
+def _verify_output():
+    """The exit code and table of a ``verify`` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify"])
+    return code, out.getvalue()
+
+
+def test_mass_cancellation_fails_on_a_term_1e_9_high(constants, monkeypatch):
+    # the real 1e-12 bound: mu_pair's term 1e-9 relative high spreads the
+    # three lepton terms by about that much
+    def off(species, *args):
+        term = lepton_contribution(species, *args)
+        if species.name != "mu_pair":
+            return term
+        return SpeciesContribution(term.species_name, term.epsilon_term * (1 + 1e-9),
+                                   term.in_alpha_units)
+
+    monkeypatch.setattr(verify, "lepton_contribution", off)
+    alpha, c = 1.0 / constants.get("ref_inv_alpha").value, constants.get("ref_c")
+    terms = [off(s, constants, alpha, c).epsilon_term.value for s in builtin_species(constants)]
+    spread = (max(terms) - min(terms)) / terms[0]
+    assert 5e-10 < spread < 2e-9
+    detail = f"relative spread across lepton species {spread:.2e}"
+    result = check_mass_cancellation(constants)
+    assert (result.passed, result.detail) == (False, detail)
+    code, out = _verify_output()
+    assert code == 1
+    assert f"FAIL  mass-cancellation (tol 1e-12): {detail}\n" in out
+
+
+def test_fixed_point_check_fails_on_a_third_evaluation(constants, monkeypatch):
+    # the right fixed point, reached in 3 evaluations of F where the solve
+    # takes at most 2
+    def slow(species, constants):
+        report = epsilon0_self_consistent(species, constants)
+        return PredictionReport(**{**vars(report), "iterations": 3})
+
+    monkeypatch.setattr(verify, "epsilon0_self_consistent", slow)
+    leptons = builtin_species(constants)
+    eps = epsilon0_self_consistent(leptons, constants).epsilon0_model.value
+    closed = epsilon0_closed_form(constants, n_species=3).value
+    rel = abs(eps - closed) / closed
+    assert rel <= 1e-12
+    detail = f"rel diff {rel:.2e}; converged in 3 iterations"
+    result = check_fixed_point_vs_closed_form(constants)
+    assert (result.passed, result.detail) == (False, detail)
+    code, out = _verify_output()
+    assert code == 1
+    assert f"FAIL  fixed-point-vs-closed-form (tol 1e-12): {detail}\n" in out
