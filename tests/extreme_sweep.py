@@ -9,6 +9,8 @@ json``.  Every run must:
 - end without an exception escaping ``main``;
 - exit 0 or 2, or 1 for a ``verify`` that fails a check;
 - exit with the code ``extreme_sweep_codes.json`` gives it;
+- print, with its five sibling runs, what ``extreme_sweep_outputs.json``
+  pins for that value;
 - print no ``Infinity`` or ``NaN``, on stdout or stderr;
 - if it exits 0, print JSON in which every number is 0.0 or a normal float.
 
@@ -23,10 +25,19 @@ exit codes of the six argvs in order, one digit each.  A change that flips an
 exit code regenerates it from the repository root with::
 
     env -u VACUUM_DATA_DIR PYTHONPATH=src:tests python -c "import json, pathlib, tempfile, extreme_sweep as s; d = tempfile.TemporaryDirectory(); codes = s.sweep(7, pathlib.Path(d.name))[1]; open('tests/extreme_sweep_codes.json', 'w').write(json.dumps(codes, indent=1) + '\\n')"
+
+``extreme_sweep_outputs.json`` is keyed the same way and maps each value to
+the first 16 hex digits of the SHA-256 of its six runs' exit codes, stdouts
+and stderrs (:func:`digest`), with the constants file's path written as
+``<constants>``, so a run's every byte is pinned wherever the sweep runs.  A
+change that alters any output regenerates it with::
+
+    env -u VACUUM_DATA_DIR PYTHONPATH=src:tests python -c "import json, pathlib, tempfile, extreme_sweep as s; d = tempfile.TemporaryDirectory(); outputs = s.sweep(7, pathlib.Path(d.name))[2]; open('tests/extreme_sweep_outputs.json', 'w').write(json.dumps(outputs, indent=1) + '\\n')"
 """
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -50,6 +61,7 @@ ARGVS = (
 )
 EXTREMES = (1.7e308, 5e-324)
 CODES = Path(__file__).with_name("extreme_sweep_codes.json")
+OUTPUTS = Path(__file__).with_name("extreme_sweep_outputs.json")
 
 
 def sweep_values(bundled: float, stride: int) -> list[float]:
@@ -90,16 +102,25 @@ def run(argv: list[str]) -> tuple[int | str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def faults(rows: list[dict], key: str, value: float, path: str) -> tuple[str, list[str]]:
+def digest(runs: list[tuple[int | str, str, str]], path: str) -> str:
+    """The first 16 hex digits of the SHA-256 of ``runs``, each an exit code,
+    stdout and stderr, with ``path`` written as ``<constants>``."""
+    text = json.dumps([[code, out.replace(path, "<constants>"), err.replace(path, "<constants>")]
+                       for code, out, err in runs])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def faults(rows: list[dict], key: str, value: float, path: str) -> tuple[str, str, list[str]]:
     """Write ``rows`` with ``key`` set to ``value`` to ``path``, run every
-    argv on it, and return the exit codes, one digit per argv, and a line for
-    each broken rule."""
+    argv on it, and return the exit codes, one digit per argv, the
+    :func:`digest` of the runs, and a line for each broken rule."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump([{**row, "value": value} if row.get("key") == key else row for row in rows], handle)
-    expected = _expected_codes().get(key, {}).get(repr(value), "")
-    codes, found = "", []
+    expected = _expected(CODES).get(key, {}).get(repr(value), "")
+    codes, runs, found = "", [], []
     for i, argv in enumerate(ARGVS):
         code, out, err = run(argv + ["--format", "json", "--constants", path])
+        runs.append((code, out, err))
         where = f"{key}={value!r} {' '.join(argv)}"
         allowed = (0, 1, 2) if argv[0] == "verify" else (0, 2)
         if code not in allowed:
@@ -115,32 +136,41 @@ def faults(rows: list[dict], key: str, value: float, path: str) -> tuple[str, li
             bad = [x for x in _numbers(json.loads(out)) if not _is_zero_or_normal(float(x))]
             if bad:
                 found.append(f"{where}: {bad[:3]} are neither 0.0 nor normal")
-    return codes, found
+    value_digest = digest(runs, path)
+    pinned = _expected(OUTPUTS).get(key, {}).get(repr(value))
+    if value_digest != pinned:
+        found.append(f"{key}={value!r}: the runs' digest {value_digest}, {OUTPUTS.name} has {pinned}")
+    return codes, value_digest, found
 
 
 @functools.cache
-def _expected_codes() -> dict[str, dict[str, str]]:
-    with open(CODES, encoding="utf-8") as handle:
+def _expected(path: Path) -> dict[str, dict[str, str]]:
+    """``extreme_sweep_codes.json`` or ``extreme_sweep_outputs.json``, read once."""
+    with open(path, encoding="utf-8") as handle:
         return json.load(handle)
 
 
-def sweep(stride: int, directory) -> tuple[int, dict[str, dict[str, str]], list[str]]:
-    """The number of runs of the sweep at ``stride``, their exit codes keyed
-    as in ``extreme_sweep_codes.json``, and every fault found."""
+def sweep(stride: int, directory) -> tuple[int, dict[str, dict[str, str]],
+                                            dict[str, dict[str, str]], list[str]]:
+    """The number of runs of the sweep at ``stride``, their exit codes and
+    digests keyed as in ``extreme_sweep_codes.json``, and every fault found."""
     rows = json.loads(serialize_constants(load_constants()))
     bundled = {row["key"]: row["value"] for row in rows if "key" in row}
-    runs, codes, found = 0, {}, []
+    runs, codes, outputs, found = 0, {}, {}, []
     for key in KEYS:
         for value in sweep_values(bundled[key], stride):
-            value_codes, value_found = faults(rows, key, value, str(directory / "constants.json"))
+            value_codes, value_digest, value_found = faults(
+                rows, key, value, str(directory / "constants.json"))
             codes.setdefault(key, {})[repr(value)] = value_codes
+            outputs.setdefault(key, {})[repr(value)] = value_digest
             found += value_found
             runs += len(ARGVS)
-    return runs, codes, found
+    return runs, codes, outputs, found
 
 
 def test_full_sweep(tmp_path):
-    runs, codes, found = sweep(7, tmp_path)
+    runs, codes, outputs, found = sweep(7, tmp_path)
     assert runs == 6996
     assert found == []
-    assert codes == _expected_codes()  # and the file holds no other run
+    assert codes == _expected(CODES)  # and the files hold no other run
+    assert outputs == _expected(OUTPUTS)
