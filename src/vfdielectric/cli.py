@@ -17,7 +17,8 @@ standard output goes away.  Tables print values with 3 significant figures by
 default (``--precision`` overrides); JSON output keeps full float precision
 and round-trips exactly.  CSV sections are separated by
 ``# section: <name>`` comment lines; column orders are fixed and documented in
-the README.
+the README.  A CSV cell is the value the JSON output holds, which
+``csv.writer`` writes as its ``repr`` (a float) or ``str`` (an int, a bool).
 """
 
 from __future__ import annotations
@@ -130,13 +131,10 @@ def cmd_predict(args: types.SimpleNamespace, constants: ConstantsSet) -> tuple[i
     if args.output_format == "csv":
         rows = []
         for label, key, closed_value, sc_value, reference in quantities:
-            rows.append(["closed-form", key, repr(closed_value), repr(reference),
-                         repr(closed.reference_deltas[key])])
-            rows.append(["self-consistent", key, repr(sc_value), repr(reference),
-                         repr(model.reference_deltas[key])])
+            rows.append(["closed-form", key, closed_value, reference, closed.reference_deltas[key]])
+            rows.append(["self-consistent", key, sc_value, reference, model.reference_deltas[key]])
         contribution_rows = [
-            [c.species_name, repr(c.epsilon_term.value), repr(c.in_alpha_units)]
-            for c in model.contributions
+            [c.species_name, c.epsilon_term.value, c.in_alpha_units] for c in model.contributions
         ]
         return 0, _csv([
             ("predictions", ["method", "quantity", "model_value", "reference_value", "delta_percent"], rows),
@@ -184,7 +182,7 @@ def _species_rows(args: types.SimpleNamespace, constants: ConstantsSet) -> list[
     for s in species:
         k = kinematics(s, constants, shared)
         values = (s.name, k.lifetime.value, k.coherence_length.value, k.number_density.value,
-                  k.oscillator.omega0.value, k.decay_rate.value, k.interacting_density.value)
+                  k.omega0.value, k.decay_rate.value, k.interacting_density.value)
         rows.append(dict(zip(_SPECIES_COLUMNS, values)))
     return rows
 
@@ -194,9 +192,7 @@ def cmd_species(args: types.SimpleNamespace, constants: ConstantsSet) -> tuple[i
     if args.output_format == "json":
         return 0, _json(rows) + "\n"
     if args.output_format == "csv":
-        return 0, _csv([("species", _SPECIES_COLUMNS,
-                         [[row["species"]] + [repr(row[k]) for k in _SPECIES_COLUMNS[1:]]
-                          for row in rows])])
+        return 0, _csv([("species", _SPECIES_COLUMNS, [list(row.values()) for row in rows])])
     return 0, (
         f"per-species vacuum-fluctuation table (reference constants; "
         f"source: {constants.origin})\n\n"
@@ -222,7 +218,7 @@ def cmd_verify(args: types.SimpleNamespace, constants: ConstantsSet) -> tuple[in
         return code, _json([result.__dict__ for result in results]) + "\n"
     if args.output_format == "csv":
         return code, _csv([("checks", ["check", "passed", "tolerance", "detail"],
-                            [[r.name, r.passed, repr(r.tolerance), r.detail] for r in results])])
+                            [list(vars(r).values()) for r in results])])
     return code, "".join(
         f"{'PASS' if r.passed else 'FAIL'}  {r.name} (tol {r.tolerance:g}): {r.detail}\n"
         for r in results)
@@ -296,14 +292,12 @@ def cmd_sensitivity(args: types.SimpleNamespace, constants: ConstantsSet) -> tup
     if args.output_format == "csv":
         return 0, _csv([
             ("species_count_sweep", count_headers,
-             [[row[k] if k == "n_species" else repr(row[k]) for k in count_headers]
-              for row in payload["species_count_sweep"]]),
+             [list(row.values()) for row in payload["species_count_sweep"]]),
             ("coupling_scaling", ["tau", "lambda_grid", "fitted_exponent"],
-             [[repr(scaling["tau"]),
-               " ".join(repr(v) for v in scaling["lambda_grid"]),
-               repr(scaling["fitted_exponent"])]]),
+             [[scaling["tau"], " ".join(repr(v) for v in scaling["lambda_grid"]),
+               scaling["fitted_exponent"]]]),
             ("dipole_trajectory", ["tau", "dipole_Cm"],
-             [[repr(s["tau"]), repr(s["dipole_Cm"])] for s in trajectory["samples"]]),
+             [list(s.values()) for s in trajectory["samples"]]),
         ])
 
     p = args.precision
@@ -364,8 +358,7 @@ def cmd_historical(args: types.SimpleNamespace, constants: ConstantsSet) -> tupl
                          "rows": rows}) + "\n"
     if args.output_format == "csv":
         return 0, _csv([("historical", ["name", "formula", "value", "comparison", "comparison_label"],
-                         [[r["name"], r["formula"], repr(r["value"]), repr(r["comparison"]),
-                           r["comparison_label"]] for r in rows])])
+                         [list(r.values()) for r in rows])])
     p = max(args.precision, 8)  # the whole point of these is many matching digits
     return 0, (
         "historical/numerological formulas for 1/alpha — demonstrations, not physics:\n\n"

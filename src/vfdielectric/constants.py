@@ -114,6 +114,7 @@ CONSTANT_KEYS: dict[str, tuple[bool, tuple[Dimension, ...]]] = {
 
 # the only fields a constant record may carry; any other is a typo or a stray
 _CONSTANT_FIELDS = frozenset({"key", "value", "unit", "source"})
+_QUANTITY_FIELDS = frozenset({"value", "unit"})  # a species record's {value, unit} object
 
 LEPTON_PAIR = "lepton-pair"
 QUARKONIUM = "quarkonium"
@@ -421,9 +422,10 @@ def build_species(name: str, kind: str, charge_fraction: object, given: dict[str
 def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
     """Build a species from a data-file record (``"kind": "species"``).
 
-    Quantities are inline ``{"value": ..., "unit": ...}`` objects, converted
-    to SI as constant records are; :func:`build_species` builds the species
-    from them.  A bad record raises :class:`ConstantsError` naming the file.
+    Quantities are inline ``{"value": ..., "unit": ...}`` objects with no
+    other member, converted to SI as constant records are; :func:`build_species`
+    builds the species from them.  A bad record raises :class:`ConstantsError`
+    naming the file.
     """
     where = f"bad species record in {constants.origin}"
     name = record.get("name")
@@ -452,6 +454,7 @@ def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
             continue
         if not isinstance(obj, dict):
             raise ConstantsError(f"{label}: {field} must be a {{value, unit}} object")
+        _reject_unknown_fields(obj, _QUANTITY_FIELDS, f"{label}: {field}")
         try:
             given[field] = _file_quantity(obj.get("value"), obj.get("unit"), constants.get("e").value)
         except ConstantsError as exc:

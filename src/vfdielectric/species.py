@@ -18,16 +18,15 @@ which :func:`~vfdielectric.constants.build_species` builds alike.
 
 :func:`kinematics` is the one pass per species at one ``(eps, alpha, c)``:
 the ``species`` table and the self-consistent solver both call it.  It
-computes the rest energy once, so the lifetime once, and returns the lifetime,
-coherence length, number density, oscillator, decay rate and interacting
-density together.  What every species of a list shares, ``c``, ``c^2`` and, for a
-list that holds a lepton pair, ``alpha^5`` and the binding denominator ``2 (4 pi
-eps)^2 hbar^2``, it reads from the list's :func:`coupling`.  Its oscillator is
-:func:`resonant_frequency`'s, the one place the binding energy is written, and
-the charge ``q`` in it is :func:`charge`'s.  It and :func:`interacting_density`
-run one private chain, from the rest energy through the lifetime, coherence
-length and number density to the decay rate and ``Gamma dt``, so they agree
-bit for bit.
+computes the rest energy once, so the lifetime once, and returns the
+``species`` row itself as a :class:`Kinematics` record.  What every species of
+a list shares, ``c``, ``c^2`` and, for a list that holds a lepton pair,
+``alpha^5`` and the binding denominator ``2 (4 pi eps)^2 hbar^2``, it reads
+from the list's :func:`coupling`.  Its ``omega0`` is :func:`resonant_frequency`'s,
+the one place the binding energy is written, and the charge ``q`` in it is
+:func:`charge`'s.  It and :func:`interacting_density` run one private chain,
+from the rest energy through the lifetime, coherence length and number density
+to the decay rate and ``Gamma dt``, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -196,15 +195,15 @@ def coupling(
     return Coupling(c, q_mul(c, c), alpha5, denominator)
 
 
-def _oscillator(species: SpeciesSpec, constants: ConstantsSet, mu: Quantity,
-                denominator: Quantity | None) -> OscillatorSpec:
-    """:func:`resonant_frequency`'s oscillator over ``mu = m/2``, the one place
-    the binding energy is written; a quarkonium state ignores ``denominator``."""
+def _omega0(species: SpeciesSpec, constants: ConstantsSet, mu: Quantity,
+            denominator: Quantity | None) -> Quantity:
+    """:func:`resonant_frequency`'s ``omega0`` over ``mu = m/2``, the one place
+    the binding energy is written; a quarkonium state ignores ``mu`` and ``denominator``."""
     if species.kind == LEPTON_PAIR:
         level = q_div(q_mul(mu, q_pow(charge(species, constants), 4)), denominator)
     else:
         level = species.e_min
-    return OscillatorSpec(mu, q_div(level, constants.get("hbar")))
+    return q_div(level, constants.get("hbar"))
 
 
 def _chain(
@@ -226,12 +225,13 @@ def _chain(
 
 
 class Kinematics(Record):
-    """One species' kinematics at one ``(eps, alpha, c)``; see :func:`kinematics`."""
+    """One species' ``species`` row at one ``(eps, alpha, c)``, its fields in
+    column order; see :func:`kinematics`."""
 
     lifetime: Quantity
     coherence_length: Quantity
     number_density: Quantity
-    oscillator: OscillatorSpec
+    omega0: Quantity
     decay_rate: Quantity
     interacting_density: Quantity
 
@@ -243,7 +243,7 @@ def charge(species: SpeciesSpec, constants: ConstantsSet) -> Quantity:
 
 
 def kinematics(species: SpeciesSpec, constants: ConstantsSet, coupling: Coupling) -> Kinematics:
-    """Lifetime, coherence length, number density, oscillator, decay rate and
+    """Lifetime, coherence length, number density, ``omega0``, decay rate and
     (linearized) interacting density of ``species`` in one pass, at the
     :func:`coupling` of a list that holds it.
 
@@ -251,13 +251,13 @@ def kinematics(species: SpeciesSpec, constants: ConstantsSet, coupling: Coupling
     for quarkonium; the coherence length is ``L = c dt``, the number density
     ``1/L^3``.  The decay rate of the photon-excited atom is ``alpha^5 m c^2 /
     hbar`` for a lepton pair (twice the two-photon rate of the ordinary atom)
-    and twice the tabulated two-photon rate for quarkonium.  The oscillator is
+    and twice the tabulated two-photon rate for quarkonium.  ``omega0`` is
     :func:`resonant_frequency`'s at the coupling's ``(eps, c)``.
     """
-    oscillator = _oscillator(species, constants, species.constituent_mass * 0.5, coupling.denominator)
+    omega0 = _omega0(species, constants, species.constituent_mass * 0.5, coupling.denominator)
     lifetime, length, n, rate, interacting = _chain(
         species, constants.get("hbar"), coupling.c, coupling.c2, coupling.alpha5, "linearized")
-    return Kinematics(lifetime, length, n, oscillator, rate, interacting)
+    return Kinematics(lifetime, length, n, omega0, rate, interacting)
 
 
 def resonant_frequency(
@@ -278,7 +278,7 @@ def resonant_frequency(
     if species.kind == LEPTON_PAIR:
         c.require(SPEED, "c")
         denominator = _binding_denominator(epsilon, constants.get("hbar"))
-    return _oscillator(species, constants, mu, denominator)
+    return OscillatorSpec(mu, _omega0(species, constants, mu, denominator))
 
 
 def interacting_density(

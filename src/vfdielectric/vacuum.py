@@ -28,9 +28,11 @@ Each evaluation of F computes, once for all its species, ``c``, alpha, ``hbar
 c``, the permittivity consistent with them, ``e^2/(hbar c)``, the closed
 lepton coefficient and the species' :func:`~vfdielectric.species.coupling` at
 them.  Then each species' term is computed whole from its ``q`` and ``m/2``: a
-lepton pair's from :func:`~vfdielectric.species.kinematics`, the pass that also
-prints the ``species`` table, with the composed-vs-closed route check; a
-quarkonium state's from ``e_min/hbar`` and ``8 c (M/hbar)^2 Gamma``.
+lepton pair's from the ``omega0`` and interacting density of its
+:func:`~vfdielectric.species.kinematics`, the row the ``species`` table prints,
+with the composed-vs-closed route check; a quarkonium state's from
+``e_min/hbar`` and ``8 c (M/hbar)^2 Gamma``.  :class:`SpeciesContribution`
+checks each term's dimension.
 :func:`lepton_contribution` and :func:`quarkonium_contribution` compute one
 term the same way, so the solver and they give the same bits.
 """
@@ -154,7 +156,7 @@ class _Step(Record):
 def _step_factors(species: tuple[SpeciesSpec, ...], constants: ConstantsSet, e2: Quantity,
                   alpha: float, c: Quantity) -> _Step:
     hbar_c = q_mul(constants.get("hbar"), c)
-    eps_consistent = q_div(e2, hbar_c * (_FOUR_PI * alpha)).require(PERMITTIVITY, "epsilon")
+    eps_consistent = q_div(e2, hbar_c * (_FOUR_PI * alpha))  # coupling() checks it
     e2_over_hbar_c = q_div(e2, hbar_c)
     closed = e2_over_hbar_c * (512.0 * alpha)
     return _Step(c, e2_over_hbar_c, closed, coupling(species, constants, eps_consistent, alpha, c))
@@ -174,14 +176,12 @@ def _contribution(species: SpeciesSpec, constants: ConstantsSet, step: _Step) ->
     q2_over_mu = q_div(q2, mu)
     if lepton:
         k = kinematics(species, constants, step.coupling)
-        omega0, n_vf = k.oscillator.omega0, k.interacting_density
+        omega0, n_vf = k.omega0, k.interacting_density
     else:
         omega0 = q_div(species.e_min, hbar)
         m_over_hbar = q_div(species.bound_state_mass, hbar)
         n_vf = q_mul(q_pow(m_over_hbar, 2), q_mul(step.c, species.two_photon_width)) * 8.0
-    term = q_mul(n_vf, q_div(q2_over_mu, q_mul(omega0, omega0))).require(
-        PERMITTIVITY, "lepton term" if lepton else "quarkonium term"
-    )
+    term = q_mul(n_vf, q_div(q2_over_mu, q_mul(omega0, omega0)))  # SpeciesContribution checks it
     closed = step.closed
     if lepton and abs(term.value - closed.value) > _ROUTE_AGREEMENT_TOL * closed.value:
         raise AssemblyError(

@@ -14,7 +14,9 @@ package's own loader read the data files, and ``collections.abc`` serves the
 annotations.  Every species, built-in or from a file, is built by
 ``constants.build_species``: no other code constructs a ``SpeciesSpec``, a
 plain record with no checks of its own, and ``species`` neither converts a
-width nor words a constants error itself.  Every module-level import is used.
+width nor words a constants error itself.  Only ``species.resonant_frequency``
+and ``verify``'s seeded draws build an ``OscillatorSpec``: a species'
+kinematics hold its ``omega0`` alone.  Every module-level import is used.
 Every public function has a caller in the package or in ``perfbench``, apart
 from three kept on purpose.  Only ``cli.main`` writes standard output, once.
 Only ``quantity.py`` reaches ``Quantity``'s slot descriptors.
@@ -227,6 +229,17 @@ def test_only_the_builder_constructs_a_species_spec():
     spec = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SpeciesSpec")
     members = [node for node in spec.body if not isinstance(node, (ast.AnnAssign, ast.Expr))]
     assert [ast.unparse(node).partition("\n")[0] for node in members] == []
+
+
+def test_only_resonant_frequency_and_the_seeded_draws_build_an_oscillator_spec():
+    # a species' kinematics once nested an OscillatorSpec whose checks repeated
+    # ones already made, only for the table and the solver to read omega0
+    sites = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text("utf-8"))
+        enclosing = _innermost_functions(tree)
+        sites += [(path.name, enclosing.get(call)) for call in _calls_of("OscillatorSpec", tree)]
+    assert sites == [("species.py", "resonant_frequency"), ("verify.py", "_random_oscillators")]
 
 
 def test_every_module_level_import_is_used():

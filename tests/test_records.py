@@ -50,7 +50,6 @@ from vfdielectric.verify import CheckResult
 _E = Quantity(1.602176634e-19, CHARGE)
 _M = Quantity(9.1093837015e-31, MASS)
 _TERM = SpeciesContribution("e_pair", Quantity(2.9e-12, PERMITTIVITY), 0.31)
-_OSC = OscillatorSpec(_M * 0.5, Quantity(1e16, FREQUENCY))
 _QUARK_FIELDS = (_M * 3000.0, Quantity(7.7e18, FREQUENCY), Quantity(7e-11, ENERGY))
 
 # (class, positional arguments, the field names in order)
@@ -77,8 +76,8 @@ CASES = [
     (CheckResult, ("dimension-audit", True, 1e-12, "ok"),
      ("name", "passed", "tolerance", "detail")),
     (Kinematics, (Quantity(3.2e-22, TIME), Quantity(9.7e-14, LENGTH), Quantity(1.1e39, NUMBER_DENSITY),
-                  _OSC, Quantity(1.6e10, FREQUENCY), Quantity(5.8e27, NUMBER_DENSITY)),
-     ("lifetime", "coherence_length", "number_density", "oscillator", "decay_rate",
+                  Quantity(1e16, FREQUENCY), Quantity(1.6e10, FREQUENCY), Quantity(5.8e27, NUMBER_DENSITY)),
+     ("lifetime", "coherence_length", "number_density", "omega0", "decay_rate",
       "interacting_density")),
     (Coupling, (Quantity(3e8, SPEED), Quantity(9e16, SPEED**2), 2.1e-11,
                 Quantity(2.8e-88, PERMITTIVITY**2 * (ENERGY * TIME)**2)),

@@ -475,6 +475,11 @@ REFUSALS = {
     "test_cli::test_predict_bad_species_record_exit_2[bare-number]": (
         _append({**E_ONLY, "constituent_mass": 9.1e-31}), ["predict"],
         _species("species 'e_only': constituent_mass must be a {{value, unit}} object")),
+    # any other member of a {value, unit} object was once dropped without a word
+    "species: quantity object with an unknown member": (
+        _append({**E_ONLY, "constituent_mass": {"value": 9.1093837015e-31, "unit": "kg", "junk": 5}}),
+        ["predict"],
+        _species("species 'e_only': constituent_mass has unknown field 'junk'; allowed: unit, value")),
     "test_cli::test_boolean_species_field_exit_2": (
         _append({**E_ONLY, "constituent_mass": {"value": True, "unit": "kg"}}), ["predict"],
         _species("species 'e_only': constituent_mass: value true is a boolean, not a number")),

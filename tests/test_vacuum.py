@@ -175,7 +175,7 @@ def test_quarkonium_term_equals_the_species_table_route(constants, ref_alpha, re
         s = {q.name: q for q in full}[name]
     k = kinematics(s, constants, coupling((s,), constants, constants.get("ref_epsilon0"), ref_alpha, ref_c))
     q = constants.get("e").value * float(Fraction(*s.charge_ratio))
-    polarizability = q * q / k.oscillator.reduced_mass.value / k.oscillator.omega0.value**2
+    polarizability = q * q / (s.constituent_mass * 0.5).value / k.omega0.value**2
     expected = k.interacting_density.value * polarizability
     term = quarkonium_contribution(s, constants, ref_c).epsilon_term.value
     assert term == pytest.approx(expected, rel=1e-14, abs=0)
@@ -468,7 +468,7 @@ def test_route_cross_check_catches_a_term_1e_9_off(trio, constants, monkeypatch)
     with pytest.raises(AssemblyError) as error:
         epsilon0_self_consistent(trio, constants)
     # the term and the coefficient in float arithmetic, in the solver's order
-    omega0, n_vf = passes[0].oscillator.omega0.value, passes[0].interacting_density.value
+    omega0, n_vf = passes[0].omega0.value, passes[0].interacting_density.value
     e, hbar = constants.get("e").value, constants.get("hbar").value
     seed = constants.get("ref_epsilon0")
     c = c_from_epsilon(seed, constants)

@@ -20,10 +20,12 @@ from vfdielectric import oscillator, perturbation, verify
 from vfdielectric.cli import main
 from vfdielectric.oscillator import (
     QuadratureError,
+    matrix_element_x_analytic,
     matrix_element_x_quadrature,
     matrix_elements_x_quadrature,
 )
-from vfdielectric.quantity import Dimension, Quantity
+from vfdielectric.perturbation import AmplitudePair, amplitudes_exact
+from vfdielectric.quantity import LENGTH, PERMITTIVITY, SPEED, Dimension, Quantity
 from vfdielectric.species import OscillatorSpec, builtin_species
 from vfdielectric.vacuum import (
     PredictionReport,
@@ -190,3 +192,62 @@ def test_fixed_point_check_fails_on_a_third_evaluation(constants, monkeypatch):
     code, out = _verify_output()
     assert code == 1
     assert f"FAIL  fixed-point-vs-closed-form (tol 1e-12): {detail}\n" in out
+
+
+def test_ode_check_fails_on_an_exact_a1_1e_8_off(constants, monkeypatch):
+    # the real 1e-9 bound: the ODE stays within 1.6e-13 of the exact
+    # propagator, so against an a1 1e-8 off the worst gap prints as 1.00e-08;
+    # the literal bound and the unitarity leak do not read the exact route
+    def off(tau, lam):
+        exact = amplitudes_exact(tau, lam)
+        return AmplitudePair(exact.a0, exact.a1 + 1e-8, exact.tau)
+
+    unpatched = check_ode_vs_analytic(constants).detail
+    monkeypatch.setattr(verify, "amplitudes_exact", off)
+    detail = unpatched.rpartition("; ")[0] + "; worst |ode - exact| 1.00e-08"
+    result = check_ode_vs_analytic(constants)
+    assert (result.passed, result.detail) == (False, detail)
+    code, out = _verify_output()
+    assert code == 1
+    assert f"FAIL  ode-vs-analytic (tol 1e-09): {detail}\n" in out
+
+
+def test_quadrature_check_fails_on_a_parity_forbidden_element_of_1e_9(constants, monkeypatch):
+    # the default 1e-10 bound: <2|x|0> of the first oscillator comes back as
+    # 1e-9 natural lengths, where every other forbidden element is 0.0
+    reference, hbar = _random_oscillators()[0], constants.get("hbar")
+    natural_length = matrix_element_x_analytic(reference, hbar).value * math.sqrt(2)
+
+    def off(n_prime, n, spec, *args, **kwargs):
+        if (n_prime, n) == (2, 0):
+            return Quantity(1e-9 * natural_length, LENGTH)
+        return matrix_element_x_quadrature(n_prime, n, spec, *args, **kwargs)
+
+    unpatched = check_quadrature_vs_analytic(constants).detail
+    monkeypatch.setattr(verify, "matrix_element_x_quadrature", off)
+    forbidden = 1e-9 * natural_length / natural_length
+    detail = unpatched.rpartition("; ")[0] + f"; max parity-forbidden {forbidden:.2e} (natural units)"
+    assert detail.endswith("; max parity-forbidden 1.00e-09 (natural units)")
+    result = check_quadrature_vs_analytic(constants)
+    assert (result.passed, result.detail) == (False, detail)
+    code, out = _verify_output()
+    assert code == 1
+    assert f"FAIL  quadrature-vs-analytic (tol 1e-10): {detail}\n" in out
+
+
+def test_dimension_audit_fails_on_one_accepted_mismatch(constants, monkeypatch):
+    # the first mismatched pair adds as if its dimensions agreed; the output
+    # dimensions stay right
+    first, real_add = _mismatched_pairs()[0], verify.q_add
+
+    def lenient(a, b):
+        return a if a is first[0] and b is first[1] else real_add(a, b)
+
+    monkeypatch.setattr(verify, "q_add", lenient)
+    detail = (f"eps0 dim {PERMITTIVITY}; c dim {SPEED}; 1/alpha dimensionless; "
+              "199/200 mismatched additions rejected")
+    result = check_dimension_audit(constants)
+    assert (result.passed, result.detail) == (False, detail)
+    code, out = _verify_output()
+    assert code == 1
+    assert f"FAIL  dimension-audit (tol 0): {detail}\n" in out
