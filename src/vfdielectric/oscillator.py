@@ -1,22 +1,22 @@
 """One-dimensional quantum-harmonic-oscillator numerics.
 
 All integrals are evaluated in dimensionless natural units (lengths in
-``sqrt(hbar/(mu omega0))``) and rescaled to SI at the boundary; at SI scales
-the Gaussian weight ``exp(-mu omega0 x^2 / (2 hbar))`` underflows long before
-any quadrature node is reached, so natural units are a correctness
-requirement, not a nicety.
+``sqrt(hbar/(mu omega0))``) and scaled by that length at the boundary; at SI
+scales the Gaussian weight ``exp(-mu omega0 x^2 / (2 hbar))`` underflows long
+before any quadrature node is reached, so natural units are a correctness
+requirement, not a nicety.  The integral is therefore the same for every
+oscillator.
 
 The position matrix element has two independent routes: the closed form
 ``<x>_{1,0} = sqrt(hbar/(2 mu omega0))`` and Gauss-Hermite quadrature of the
 defining integral.  Their agreement is one of the package's standing
-cross-checks.
+cross-checks, made by ``verify`` on one oscillator of unit natural length.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
 
 from .quantity import (
     CHARGE,
@@ -34,7 +34,6 @@ __all__ = [
     "N_MAX",
     "DEFAULT_QUAD_TOL",
     "QuadratureError",
-    "matrix_elements_x_quadrature",
     "matrix_element_x_quadrature",
     "matrix_element_x_analytic",
     "dipole_expectation_static",
@@ -158,27 +157,6 @@ def _converged_integral(n_prime: int, n: int, tol: float) -> float:
     return fine
 
 
-def matrix_elements_x_quadrature(
-    n_prime: int,
-    n: int,
-    oscillators: Sequence[OscillatorSpec],
-    hbar: Quantity,
-    tol: float = DEFAULT_QUAD_TOL,
-) -> Iterator[Quantity]:
-    """Position matrix element ``<n'|x|n>`` of each oscillator in turn, by quadrature (m).
-
-    The integrand is a polynomial times ``exp(-x^2)``, so the 64-node rule is
-    exact for all allowed levels; convergence is still verified against a
-    half-size rule and a :class:`QuadratureError` raised if the two disagree
-    beyond ``tol``.  In natural units the integral does not depend on the
-    oscillator, so it is computed and tested once, when the first element is
-    drawn, and scaled by each oscillator's length ``sqrt(hbar/(mu omega0))``.
-    """
-    integral = _converged_integral(n_prime, n, tol)
-    for oscillator in oscillators:
-        yield q_sqrt(q_div(hbar, q_mul(oscillator.reduced_mass, oscillator.omega0))) * integral
-
-
 def matrix_element_x_quadrature(
     n_prime: int,
     n: int,
@@ -186,8 +164,16 @@ def matrix_element_x_quadrature(
     hbar: Quantity,
     tol: float = DEFAULT_QUAD_TOL,
 ) -> Quantity:
-    """``<n'|x|n>`` of one oscillator by :func:`matrix_elements_x_quadrature` (m)."""
-    return next(matrix_elements_x_quadrature(n_prime, n, (oscillator,), hbar, tol))
+    """Position matrix element ``<n'|x|n>`` by Gauss-Hermite quadrature (m).
+
+    The integrand is a polynomial times ``exp(-x^2)``, so the 64-node rule is
+    exact for all allowed levels; convergence is still verified against a
+    half-size rule and a :class:`QuadratureError` raised if the two disagree
+    beyond ``tol``.  The integral, in natural units, is then scaled by the
+    oscillator's length ``sqrt(hbar/(mu omega0))``.
+    """
+    integral = _converged_integral(n_prime, n, tol)
+    return q_sqrt(q_div(hbar, q_mul(oscillator.reduced_mass, oscillator.omega0))) * integral
 
 
 def matrix_element_x_analytic(oscillator: OscillatorSpec, hbar: Quantity) -> Quantity:

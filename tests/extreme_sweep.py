@@ -10,7 +10,8 @@ json``.  Every run must:
 - exit 0 or 2, or 1 for a ``verify`` that fails a check;
 - exit with the code ``extreme_sweep_codes.json`` gives it;
 - print, with its five sibling runs, what ``extreme_sweep_outputs.json``
-  pins for that value;
+  pins for that value; a mismatch names each of the six runs with its exit
+  code and the first line of its stderr, or its stdout's length;
 - print no ``Infinity`` or ``NaN``, on stdout or stderr;
 - if it exits 0, print JSON in which every number is 0.0 or a normal float.
 
@@ -139,8 +140,21 @@ def faults(rows: list[dict], key: str, value: float, path: str) -> tuple[str, st
     value_digest = digest(runs, path)
     pinned = _expected(OUTPUTS).get(key, {}).get(repr(value))
     if value_digest != pinned:
-        found.append(f"{key}={value!r}: the runs' digest {value_digest}, {OUTPUTS.name} has {pinned}")
+        shown = "; ".join(_shown(argv, *run, path) for argv, run in zip(ARGVS, runs))
+        found.append(f"{key}={value!r}: the runs' digest {value_digest}, {OUTPUTS.name} has "
+                     f"{pinned}: {shown}")
     return codes, value_digest, found
+
+
+def _shown(argv: list[str], code: int | str, out: str, err: str, path: str) -> str:
+    """One run in a digest fault: its argv, its exit code, and the first line
+    of its stderr, or the length of its stdout when it wrote no stderr, each
+    with the path written as ``<constants>``, as :func:`digest` hashes them."""
+    if err:
+        output = err.replace(path, "<constants>").partition("\n")[0]
+    else:
+        output = f"{len(out.replace(path, '<constants>'))} chars of stdout"
+    return f"{' '.join(argv)}: exit {code}, {output}"
 
 
 @functools.cache

@@ -125,6 +125,33 @@ def test_predict_constants_override(capsys, tmp_path):
     assert str(path) in json.loads(out_override)["constants_source"]
 
 
+@pytest.mark.parametrize("quarks, model, terms", [
+    ([], {"epsilon0": 9.100818831373924e-12, "c": 295702389.1662654,
+          "inv_alpha": 138.93144087518735},
+     [3.0336062771246416e-12, 3.033606277124642e-12, 3.033606277124641e-12]),
+    (["--include-quarks"], {"epsilon0": 9.101880485117676e-12, "c": 295685143.131013,
+                            "inv_alpha": 138.9395441451104},
+     [3.0336062771246383e-12, 3.0336062771246408e-12, 3.0336062771246408e-12,
+      1.0410839475431742e-15, 2.0569796213747235e-17]),
+], ids=["leptons", "with-quarks"])
+def test_a_seed_at_the_fixed_point_stops_the_solve_after_one_evaluation(capsys, tmp_path,
+                                                                        quarks, model, terms):
+    # ref_epsilon0 set to predict's own epsilon0: F at the seed lands within
+    # the stopping rule, and the solve returns there
+    _, out, _ = _run(capsys, ["predict", "--format", "json"] + quarks)
+    seed = json.loads(out)["model"]["epsilon0"]
+    path = _constants_file(tmp_path, changes={"ref_epsilon0": {"value": seed}})
+    code, out, err = _run(capsys, ["predict", "--format", "json", "--constants", path] + quarks)
+    payload = json.loads(out)
+    assert (code, err, payload["iterations"]) == (0, "", 1)
+    assert payload["model"] == model
+    assert [row["epsilon_term"] for row in payload["contributions"]] == terms
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    assert total == model["epsilon0"]
+
+
 def test_env_var_data_dir(capsys, tmp_path, monkeypatch):
     rows = json.loads(serialize_constants(load_constants()))
     (tmp_path / "constants.json").write_text(json.dumps(rows), encoding="utf-8")

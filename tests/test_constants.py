@@ -9,7 +9,9 @@ from test_refusals import row_tests
 from vfdielectric.constants import (
     CONSTANT_KEYS,
     SPECIES_FIELDS,
+    ConstantRecord,
     ConstantsError,
+    ConstantsSet,
     MissingConstantError,
     load_constants,
     serialize_constants,
@@ -99,6 +101,17 @@ def test_serialize_round_trip(tmp_path, constants):
     path = _write(tmp_path, json.loads(serialize_constants(constants)))
     again = load_constants(path)
     assert constants.same_values(again)
+
+
+def test_same_values_compares_the_key_set_and_each_source(constants):
+    records = constants.records
+    mu0 = records["mu0"]
+    fewer = {key: record for key, record in records.items() if key != "mu0"}
+    resourced = {**records, "mu0": ConstantRecord(mu0.key, mu0.quantity, "override",
+                                                  mu0.file_value, mu0.file_unit)}
+    for changed in (fewer, resourced):
+        other = ConstantsSet(changed, constants.origin, constants.species_records, constants.species)
+        assert constants.same_values(other) is False
 
 
 def test_missing_file(tmp_path):

@@ -15,7 +15,7 @@ annotations.  Every species, built-in or from a file, is built by
 ``constants.build_species``: no other code constructs a ``SpeciesSpec``, a
 plain record with no checks of its own, and ``species`` neither converts a
 width nor words a constants error itself.  Only ``species.resonant_frequency``
-and ``verify``'s seeded draws build an ``OscillatorSpec``: a species'
+and ``verify``'s unit oscillator build an ``OscillatorSpec``: a species'
 kinematics hold its ``omega0`` alone.  Every module-level import is used.
 Every public function has a caller in the package or in ``perfbench``, apart
 from three kept on purpose.  Only ``cli.main`` writes standard output, once.
@@ -239,7 +239,8 @@ def test_only_resonant_frequency_and_the_seeded_draws_build_an_oscillator_spec()
         tree = ast.parse(path.read_text("utf-8"))
         enclosing = _innermost_functions(tree)
         sites += [(path.name, enclosing.get(call)) for call in _calls_of("OscillatorSpec", tree)]
-    assert sites == [("species.py", "resonant_frequency"), ("verify.py", "_random_oscillators")]
+    assert sites == [("species.py", "resonant_frequency"),
+                     ("verify.py", "check_quadrature_vs_analytic")]
 
 
 def test_every_module_level_import_is_used():

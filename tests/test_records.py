@@ -27,7 +27,7 @@ from vfdielectric.constants import (
     SpeciesSpec,
     build_species,
 )
-from vfdielectric.perturbation import AmplitudePair, CouplingLambda
+from vfdielectric.perturbation import AmplitudePair, CouplingLambda, scaling_exponent
 from vfdielectric.quantity import (
     CHARGE,
     DIMENSIONLESS,
@@ -43,8 +43,8 @@ from vfdielectric.quantity import (
     Quantity,
     Record,
 )
-from vfdielectric.species import Coupling, Kinematics, OscillatorSpec
-from vfdielectric.vacuum import PredictionReport, SpeciesContribution
+from vfdielectric.species import Coupling, Kinematics, OscillatorSpec, builtin_species
+from vfdielectric.vacuum import PredictionReport, SpeciesContribution, c_from_epsilon
 from vfdielectric.verify import CheckResult
 
 _E = Quantity(1.602176634e-19, CHARGE)
@@ -386,3 +386,21 @@ def test_quantity_converts_to_float_and_checks_its_inputs():
 def test_post_init_checks_still_run(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda constants: builtin_species(constants, width_choice="mid"),
+     "width_choice must be 'min' or 'max', got 'mid'"),
+    (lambda constants: OscillatorSpec(_M, Quantity(0.0, FREQUENCY)), "omega0 must be positive"),
+    (lambda constants: c_from_epsilon(Quantity(-8.8541878128e-12, PERMITTIVITY), constants),
+     "epsilon must be positive"),
+    (lambda constants: c_from_epsilon(Quantity(0.0, PERMITTIVITY), constants),
+     "epsilon must be positive"),
+    # at tau = 0 the exact a0 correction is exactly zero
+    (lambda constants: scaling_exponent([1e-4, 3e-4, 1e-3, 3e-3], 0.0),
+     "a0 correction vanished at lam=0.0001; cannot take log"),
+], ids=["width-choice", "omega0", "negative-epsilon", "zero-epsilon", "vanished-correction"])
+def test_an_argument_out_of_range_is_refused_with_its_reason(constants, build, message):
+    with pytest.raises(ValueError) as caught:
+        build(constants)
+    assert str(caught.value) == message

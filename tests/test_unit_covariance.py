@@ -14,26 +14,16 @@ oracle can.
 ``verify --format json`` prints only dimensionless numbers and text, so its
 standard output must be byte-identical in every scaled unit system.
 
-Two exemptions:
-
-- ``sensitivity`` computes its dipole trajectory in the fixed SI field
-  ``Quantity(1.0, ELECTRIC_FIELD)`` (1 V/m), and its output schema is frozen,
-  so the trajectory is checked through ``perturbation.dipole_trajectory``
-  with the field scaled too.
-- The ``max rel err`` figure in the ``quadrature-vs-analytic`` detail of
-  ``verify``.  Its 20 seeded oscillators are fixed SI masses and frequencies,
-  not file values, and only ``hbar`` scales: the matrix elements then scale
-  by the square root of hbar's factor, which is inexact when that power of
-  two is odd, and the figure moves in its last printed digit.  It is exempt
-  in those unit systems only; the rest of the line, and the check's verdict,
-  must still match.
+One exemption: ``sensitivity`` computes its dipole trajectory in the fixed SI
+field ``Quantity(1.0, ELECTRIC_FIELD)`` (1 V/m), and its output schema is
+frozen, so the trajectory is checked through ``perturbation.dipole_trajectory``
+with the field scaled too.
 """
 
 import contextlib
 import io
 import json
 import math
-import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +33,6 @@ from vfdielectric.cli import main
 from vfdielectric.constants import UNIT_DIMENSIONS, load_constants, serialize_constants
 from vfdielectric.perturbation import BRANCHES, CouplingLambda, coupling_value, dipole_trajectory
 from vfdielectric.quantity import (
-    ACTION,
     DIMENSIONLESS,
     ELECTRIC_FIELD,
     EV_SCALE,
@@ -158,15 +147,6 @@ def test_outputs_are_covariant_under_power_of_two_units(original, tmp_path_facto
             assert p_scaled.value == math.ldexp(p.value, _exponent(p.dim, powers))
 
 
-_REL_ERR = re.compile(r"max rel err \S+ over")
-
-
-def _exempt_rel_err(text):
-    masked, count = _REL_ERR.subn("max rel err (exempt) over", text)
-    assert count == 1
-    return masked
-
-
 def _verify_stdout(path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -182,11 +162,28 @@ def original_verify(tmp_path_factory):
 @settings(max_examples=40)
 @given(powers=st.tuples(*[st.integers(-24, 24)] * 4))
 @example(powers=(-20, 40, -16, 8))
-@example(powers=(0, 1, 0, 0))  # hbar times 2: the max rel err exemption applies
+@example(powers=(0, 1, 0, 0))  # hbar's factor 2: an odd power of two
 def test_verify_stdout_is_invariant_under_power_of_two_units(original_verify, tmp_path_factory,
                                                              powers):
-    before = original_verify
     after = _verify_stdout(_write_scaled(tmp_path_factory.mktemp("scaled_verify"), powers))
-    if _exponent(ACTION, powers) % 2:
-        before, after = _exempt_rel_err(before), _exempt_rel_err(after)
-    assert after == before
+    assert after == original_verify
+
+
+def _first_check(verify_stdout):
+    """The JSON text of ``verify``'s first check, the quadrature oracle."""
+    first = verify_stdout.partition("\n  },\n")[0]
+    assert '"name": "quadrature-vs-analytic"' in first
+    return first
+
+
+@pytest.mark.parametrize("factor", [1.001, 3.0, 1e10, 1e-10])
+def test_verify_quadrature_line_is_the_same_for_any_hbar(original_verify, tmp_path, factor):
+    # factors that are not powers of two: the check runs on its own unit
+    # oscillator, so no file value reaches its line
+    rows = json.loads(serialize_constants(load_constants()))
+    for row in rows:
+        if row["key"] == "hbar":
+            row["value"] *= factor
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    assert _first_check(_verify_stdout(path)) == _first_check(original_verify)

@@ -1,9 +1,9 @@
 """The oracles redo their work on every call.
 
-``verify`` builds its seeded inputs once per process (the random oscillators
-and the mismatched-dimension operand pairs), but each call must still compute
-every distinct integral, integrate every ODE case and attempt every addition
-on every call, so no cache can stand in for the check.
+``verify`` builds its seeded mismatched-dimension operand pairs once per
+process, but each call must still compute every distinct integral, integrate
+every ODE case and attempt every addition on every call, so no cache can
+stand in for the check.
 
 Each check also fails on a fault just past its own bound, injected through
 its input and not through a changed bound, and ``verify`` then exits 1.
@@ -14,19 +14,12 @@ import io
 import math
 from collections import Counter
 
-import pytest
-
 from vfdielectric import oscillator, perturbation, verify
 from vfdielectric.cli import main
-from vfdielectric.oscillator import (
-    QuadratureError,
-    matrix_element_x_analytic,
-    matrix_element_x_quadrature,
-    matrix_elements_x_quadrature,
-)
+from vfdielectric.oscillator import matrix_element_x_analytic, matrix_element_x_quadrature
 from vfdielectric.perturbation import AmplitudePair, amplitudes_exact
 from vfdielectric.quantity import LENGTH, PERMITTIVITY, SPEED, Dimension, Quantity
-from vfdielectric.species import OscillatorSpec, builtin_species
+from vfdielectric.species import builtin_species
 from vfdielectric.vacuum import (
     PredictionReport,
     SpeciesContribution,
@@ -36,7 +29,6 @@ from vfdielectric.vacuum import (
 )
 from vfdielectric.verify import (
     _mismatched_pairs,
-    _random_oscillators,
     check_dimension_audit,
     check_fixed_point_vs_closed_form,
     check_mass_cancellation,
@@ -83,8 +75,7 @@ def test_quadrature_check_computes_every_integral_on_every_call(constants, monke
         integrals.clear()
         table_reads.clear()
         assert check_quadrature_vs_analytic(constants).passed
-        # <x>_{1,0}, shared by the 20 oscillators, plus 5 parity-forbidden
-        # elements, each coarse and fine
+        # <x>_{1,0} plus 5 parity-forbidden elements, each coarse and fine
         assert integrals == table_reads == {32: 6, 64: 6}
 
 
@@ -110,27 +101,7 @@ def test_ode_check_integrates_every_case_on_every_call(constants, monkeypatch):
         assert midpoints.total() == 79
 
 
-def test_quadrature_route_matches_the_one_oscillator_form(constants):
-    hbar = constants.get("hbar")
-    specs = _random_oscillators()
-    for n_prime, n in ((1, 0), (0, 0), (3, 2)):
-        many = list(matrix_elements_x_quadrature(n_prime, n, specs, hbar))
-        one = [matrix_element_x_quadrature(n_prime, n, spec, hbar) for spec in specs]
-        assert [(q.value, q.dim) for q in many] == [(q.value, q.dim) for q in one]
-    messages = []
-    for route in (lambda: list(matrix_elements_x_quadrature(1, 0, specs, hbar, 1e-300)),
-                  lambda: matrix_element_x_quadrature(1, 0, specs[0], hbar, 1e-300)):
-        with pytest.raises(QuadratureError, match="did not converge") as info:
-            route()
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-
-
 def test_seeded_inputs_are_immutable_tuples():
-    specs = _random_oscillators()
-    assert type(specs) is tuple and len(specs) == 20
-    assert all(type(spec) is OscillatorSpec for spec in specs)
-    assert _random_oscillators() is specs
     pairs = _mismatched_pairs()
     assert type(pairs) is tuple and len(pairs) == 200
     for pair in pairs:
@@ -212,22 +183,34 @@ def test_ode_check_fails_on_an_exact_a1_1e_8_off(constants, monkeypatch):
     assert f"FAIL  ode-vs-analytic (tol 1e-09): {detail}\n" in out
 
 
-def test_quadrature_check_fails_on_a_parity_forbidden_element_of_1e_9(constants, monkeypatch):
-    # the default 1e-10 bound: <2|x|0> of the first oscillator comes back as
-    # 1e-9 natural lengths, where every other forbidden element is 0.0
-    reference, hbar = _random_oscillators()[0], constants.get("hbar")
-    natural_length = matrix_element_x_analytic(reference, hbar).value * math.sqrt(2)
+def test_quadrature_check_fails_on_a_closed_form_2e_10_off(constants, monkeypatch):
+    # the default 1e-10 bound: the closed form <x>_{1,0} comes back 2e-10 high,
+    # while the parity-forbidden elements stay 0.0
+    def off(spec, hbar):
+        exact = matrix_element_x_analytic(spec, hbar)
+        return Quantity(exact.value * (1.0 + 2e-10), exact.dim)
 
+    monkeypatch.setattr(verify, "matrix_element_x_analytic", off)
+    detail = "rel err 2.00e-10; max parity-forbidden 0.00e+00 (natural units)"
+    result = check_quadrature_vs_analytic(constants)
+    assert (result.passed, result.detail) == (False, detail)
+    code, out = _verify_output()
+    assert code == 1
+    assert f"FAIL  quadrature-vs-analytic (tol 1e-10): {detail}\n" in out
+
+
+def test_quadrature_check_fails_on_a_parity_forbidden_element_of_1e_9(constants, monkeypatch):
+    # the default 1e-10 bound: <2|x|0> of the unit oscillator comes back as
+    # 1e-9 natural lengths (its natural length is 1.0 m), where every other
+    # forbidden element is 0.0
     def off(n_prime, n, spec, *args, **kwargs):
         if (n_prime, n) == (2, 0):
-            return Quantity(1e-9 * natural_length, LENGTH)
+            return Quantity(1e-9 * 1.0, LENGTH)
         return matrix_element_x_quadrature(n_prime, n, spec, *args, **kwargs)
 
     unpatched = check_quadrature_vs_analytic(constants).detail
     monkeypatch.setattr(verify, "matrix_element_x_quadrature", off)
-    forbidden = 1e-9 * natural_length / natural_length
-    detail = unpatched.rpartition("; ")[0] + f"; max parity-forbidden {forbidden:.2e} (natural units)"
-    assert detail.endswith("; max parity-forbidden 1.00e-09 (natural units)")
+    detail = unpatched.rpartition("; ")[0] + "; max parity-forbidden 1.00e-09 (natural units)"
     result = check_quadrature_vs_analytic(constants)
     assert (result.passed, result.detail) == (False, detail)
     code, out = _verify_output()
