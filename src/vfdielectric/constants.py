@@ -8,13 +8,13 @@ file must define each, and the dimensions it may have.  Records with
 :data:`SPECIES_QUANTITIES` tabulates; :func:`build_species`, the builder of
 the built-in species too and the one place a species is checked, builds each
 once, at load time, and a bad one raises :class:`ConstantsError` naming the
-file; :class:`SpeciesSpec` is a plain record of what it built.  Both record
-kinds share one conversion to SI base units at ingestion (eV-family energies
-via the elementary charge from the same file) and two checks: no field a
-record may not carry, and no named key, mass or species quantity of a wrong
-dimension or a value that is not strictly positive and a normal float.  The original file
-value/unit and the raw species records are kept so a set serializes back to
-an equivalent file.
+file; :class:`SpeciesSpec` is a plain record of what it built, its SI charge
+and reduced mass among it.  Both record kinds share one conversion to SI base
+units at ingestion (eV-family energies via the elementary charge from the same
+file) and two checks: no field a record may not carry, and no named key, mass
+or species quantity of a wrong dimension or a value that is not strictly
+positive and a normal float.  The original file value/unit and the raw species
+records are kept so a set serializes back to an equivalent file.
 
 Resolution order for the data file, each user path labelled exactly as given:
 explicit path argument, then ``VACUUM_DATA_DIR`` (``constants.json`` joined to
@@ -224,8 +224,8 @@ def _far_decimal(charge_fraction: object) -> bool:
 class SpeciesSpec(Record):
     """One polarizable vacuum-fluctuation species, as :func:`build_species` built it.
 
-    ``constituent_mass`` is the single-particle mass (kg), and ``charge_ratio``
-    the charge fraction as ``(numerator, denominator)`` in lowest terms.  The
+    ``constituent_mass`` is the single-particle mass m (kg), ``reduced_mass``
+    the oscillator's ``mu = m/2`` (kg) and ``charge`` its ``q = e n/d`` (C).  The
     quarkonium fields hold the bound-state mass M (kg), the two-photon decay
     rate (1/s) and the minimum excitation energy ``e_min = (M - 2 m_Q) c^2``
     (J); they are present exactly when ``kind == QUARKONIUM``.
@@ -234,7 +234,8 @@ class SpeciesSpec(Record):
     name: str
     kind: str
     constituent_mass: Quantity
-    charge_ratio: tuple[int, int]
+    reduced_mass: Quantity
+    charge: Quantity
     bound_state_mass: Quantity | None = None
     two_photon_width: Quantity | None = None
     e_min: Quantity | None = None
@@ -374,7 +375,8 @@ def build_species(name: str, kind: str, charge_fraction: object, given: dict[str
     checked as a loaded quantity is.  A rest energy becomes a mass through
     ``ref_c`` squared, read only then, and an energy width a rate through
     hbar.  A quarkonium state without ``e_min`` gets ``E(bound) - 2
-    E(constituent)``, E being the rest energy as given or ``m c^2``.
+    E(constituent)``, E being the rest energy as given or ``m c^2``.  The
+    reduced mass ``m/2`` and the charge ``e n/d`` are computed here, once.
     ``label()`` names where the species was given; it is called only to word
     a :class:`ConstantsError`.
     """
@@ -396,6 +398,8 @@ def build_species(name: str, kind: str, charge_fraction: object, given: dict[str
             elif quantity.dim is ENERGY and field == "two_photon_width":
                 quantity = q_div(quantity, constants.get("hbar"))
             built[field] = quantity
+        field = "constituent_mass"
+        reduced_mass = built[field] * 0.5
         if kind == QUARKONIUM and "e_min" not in built:
             field = "e_min"
             c2 = c2 or q_mul(constants.get("ref_c"), constants.get("ref_c"))
@@ -415,8 +419,12 @@ def build_species(name: str, kind: str, charge_fraction: object, given: dict[str
         # the closed lepton coefficient 8^3 alpha e^2/(hbar c) holds for unit charge only
         raise ConstantsError(
             f"{label()}: {name}: a lepton pair has charge_fraction 1, got {charge_fraction}")
-    return SpeciesSpec(name, kind, built["constituent_mass"], ratio, built.get("bound_state_mass"),
-                       built.get("two_photon_width"), built.get("e_min"))
+    try:
+        charge = constants.get("e") * (ratio[0] / ratio[1])  # the bits of float(Fraction)
+    except OutOfRangeError as exc:
+        raise ConstantsError(f"{label()}: species {name!r}: charge_fraction: {exc}") from exc
+    return SpeciesSpec(name, kind, built["constituent_mass"], reduced_mass, charge,
+                       built.get("bound_state_mass"), built.get("two_photon_width"), built.get("e_min"))
 
 
 def species_from_record(record: dict, constants: ConstantsSet) -> SpeciesSpec:
@@ -497,7 +505,7 @@ def _resolve_source(path: str | os.PathLike | None) -> tuple[str, str]:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConstantsError(f"cannot read the bundled constants file {p}: {exc}") from exc
     try:
-        with open(p, encoding="utf-8") as f:
+        with open(p, encoding="utf-8-sig") as f:  # RFC 8259 lets a parser skip a byte-order mark
             return f.read(), p
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL or lone surrogate in p
         raise ConstantsError(f"cannot read {what}: {exc}") from exc

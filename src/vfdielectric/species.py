@@ -23,10 +23,11 @@ computes the rest energy once, so the lifetime once, and returns the
 a list shares, ``c``, ``c^2`` and, for a list that holds a lepton pair,
 ``alpha^5`` and the binding denominator ``2 (4 pi eps)^2 hbar^2``, it reads
 from the list's :func:`coupling`.  Its ``omega0`` is :func:`resonant_frequency`'s,
-the one place the binding energy is written, and the charge ``q`` in it is
-:func:`charge`'s.  It and :func:`interacting_density` run one private chain,
-from the rest energy through the lifetime, coherence length and number density
-to the decay rate and ``Gamma dt``, so they agree bit for bit.
+the one place the binding energy is written, from the charge ``q`` and reduced
+mass ``mu = m/2`` the species was built with.  It and :func:`interacting_density`
+run one private chain, from the rest energy through the lifetime, coherence
+length and number density to the decay rate and ``Gamma dt``, so they agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "builtin_species",
     "load_species",
     "Coupling",
-    "charge",
     "coupling",
     "kinematics",
     "resonant_frequency",
@@ -195,12 +195,11 @@ def coupling(
     return Coupling(c, q_mul(c, c), alpha5, denominator)
 
 
-def _omega0(species: SpeciesSpec, constants: ConstantsSet, mu: Quantity,
-            denominator: Quantity | None) -> Quantity:
-    """:func:`resonant_frequency`'s ``omega0`` over ``mu = m/2``, the one place
-    the binding energy is written; a quarkonium state ignores ``mu`` and ``denominator``."""
+def _omega0(species: SpeciesSpec, constants: ConstantsSet, denominator: Quantity | None) -> Quantity:
+    """:func:`resonant_frequency`'s ``omega0``, the one place the binding energy
+    is written; a quarkonium state ignores ``denominator``."""
     if species.kind == LEPTON_PAIR:
-        level = q_div(q_mul(mu, q_pow(charge(species, constants), 4)), denominator)
+        level = q_div(q_mul(species.reduced_mass, q_pow(species.charge, 4)), denominator)
     else:
         level = species.e_min
     return q_div(level, constants.get("hbar"))
@@ -236,12 +235,6 @@ class Kinematics(Record):
     interacting_density: Quantity
 
 
-def charge(species: SpeciesSpec, constants: ConstantsSet) -> Quantity:
-    """``q = e * charge_fraction``, from the charge ratio ``species`` keeps."""
-    numerator, denominator = species.charge_ratio
-    return constants.get("e") * (numerator / denominator)  # the bits of float(Fraction)
-
-
 def kinematics(species: SpeciesSpec, constants: ConstantsSet, coupling: Coupling) -> Kinematics:
     """Lifetime, coherence length, number density, ``omega0``, decay rate and
     (linearized) interacting density of ``species`` in one pass, at the
@@ -254,7 +247,7 @@ def kinematics(species: SpeciesSpec, constants: ConstantsSet, coupling: Coupling
     and twice the tabulated two-photon rate for quarkonium.  ``omega0`` is
     :func:`resonant_frequency`'s at the coupling's ``(eps, c)``.
     """
-    omega0 = _omega0(species, constants, species.constituent_mass * 0.5, coupling.denominator)
+    omega0 = _omega0(species, constants, coupling.denominator)
     lifetime, length, n, rate, interacting = _chain(
         species, constants.get("hbar"), coupling.c, coupling.c2, coupling.alpha5, "linearized")
     return Kinematics(lifetime, length, n, omega0, rate, interacting)
@@ -266,7 +259,7 @@ def resonant_frequency(
     epsilon: Quantity,
     c: Quantity,
 ) -> OscillatorSpec:
-    """Oscillator parameters: ``omega0 = |E|/hbar`` over the reduced mass ``mu = m/2``.
+    """Oscillator parameters: ``omega0 = |E|/hbar`` over the species' reduced mass ``mu = m/2``.
 
     The level spacing ``|E|`` is the minimum excitation energy ``e_min`` for
     quarkonium, which ignores ``epsilon`` and ``c``.  For a lepton pair it is
@@ -274,11 +267,11 @@ def resonant_frequency(
     hbar^2)``, which equals ``m alpha^2 c^2 / 4`` when alpha and c are
     consistent with eps.
     """
-    mu, denominator = species.constituent_mass * 0.5, None
+    denominator = None
     if species.kind == LEPTON_PAIR:
         c.require(SPEED, "c")
         denominator = _binding_denominator(epsilon, constants.get("hbar"))
-    return OscillatorSpec(mu, _omega0(species, constants, mu, denominator))
+    return OscillatorSpec(species.reduced_mass, _omega0(species, constants, denominator))
 
 
 def interacting_density(

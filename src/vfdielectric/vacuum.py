@@ -27,12 +27,12 @@ root, whatever the quark weight.
 Each evaluation of F computes, once for all its species, ``c``, alpha, ``hbar
 c``, the permittivity consistent with them, ``e^2/(hbar c)``, the closed
 lepton coefficient and the species' :func:`~vfdielectric.species.coupling` at
-them.  Then each species' term is computed whole from its ``q`` and ``m/2``: a
-lepton pair's from the ``omega0`` and interacting density of its
-:func:`~vfdielectric.species.kinematics`, the row the ``species`` table prints,
-with the composed-vs-closed route check; a quarkonium state's from
-``e_min/hbar`` and ``8 c (M/hbar)^2 Gamma``.  :class:`SpeciesContribution`
-checks each term's dimension.
+them.  Then each species' term is computed whole from the ``q`` and ``mu =
+m/2`` it was built with: a lepton pair's from the ``omega0`` and interacting
+density of its :func:`~vfdielectric.species.kinematics`, the row the
+``species`` table prints, with the composed-vs-closed route check; a
+quarkonium state's from ``e_min/hbar`` and ``8 c (M/hbar)^2 Gamma``.
+:class:`SpeciesContribution` checks each term's dimension.
 :func:`lepton_contribution` and :func:`quarkonium_contribution` compute one
 term the same way, so the solver and they give the same bits.
 """
@@ -53,7 +53,7 @@ from .quantity import (
     q_pow,
     q_sqrt,
 )
-from .species import Coupling, charge, coupling, kinematics
+from .species import Coupling, coupling, kinematics
 
 __all__ = [
     "AssemblyError",
@@ -171,13 +171,12 @@ def _contribution(species: SpeciesSpec, constants: ConstantsSet, step: _Step) ->
     ``N_vf`` is ``8 c (M/hbar)^2 Gamma``.
     """
     lepton = species.kind == LEPTON_PAIR
-    hbar, q = constants.get("hbar"), charge(species, constants)
-    q2, mu = q_mul(q, q), species.constituent_mass * 0.5
-    q2_over_mu = q_div(q2, mu)
+    q2_over_mu = q_div(q_mul(species.charge, species.charge), species.reduced_mass)
     if lepton:
         k = kinematics(species, constants, step.coupling)
         omega0, n_vf = k.omega0, k.interacting_density
     else:
+        hbar = constants.get("hbar")
         omega0 = q_div(species.e_min, hbar)
         m_over_hbar = q_div(species.bound_state_mass, hbar)
         n_vf = q_mul(q_pow(m_over_hbar, 2), q_mul(step.c, species.two_photon_width)) * 8.0
@@ -219,8 +218,8 @@ def quarkonium_contribution(
 ) -> SpeciesContribution:
     """Quarkonium permittivity term ``8c (M/hbar)^2 Gamma (q^2/(m_Q/2)) / omega0^2``.
 
-    ``omega0 = e_min/hbar``, ``q = charge_fraction * e`` and ``Gamma`` is the
-    species' own ``two_photon_width``, fixed when the species was built.
+    ``omega0 = e_min/hbar``; ``q``, ``m_Q/2`` and ``Gamma`` are the species'
+    own ``charge``, ``reduced_mass`` and ``two_photon_width``, fixed when it was built.
     """
     if species.kind != QUARKONIUM:
         raise ValueError(f"{species.name!r} is not a quarkonium state")

@@ -956,6 +956,27 @@ def test_constants_file_not_utf8_exit_2(capsys, tmp_path, monkeypatch, argv, env
                                        "can't decode byte 0xff in position 0: invalid start byte\n")
 
 
+@pytest.mark.parametrize("argv, env_dir", [
+    (["--constants", "x.json"], None),
+    ([], "d"),
+], ids=["constants-file", "data-dir"])
+def test_a_byte_order_mark_is_skipped(capsys, tmp_path, monkeypatch, argv, env_dir):
+    # a file saved with a UTF-8 byte-order mark was once refused as "not valid
+    # JSON: Expecting value: line 1 column 1 (char 0)"; RFC 8259 lets a parser skip it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
+    text = serialize_constants(load_constants()).encode("utf-8")
+    if env_dir:
+        monkeypatch.setenv(DATA_DIR_ENV_VAR, env_dir)
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        for path in ("x.json", "d/constants.json"):
+            (tmp_path / path).write_bytes(mark + text)
+        outputs.append(_run(capsys, ["predict", "--format", "json", *argv]))
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+
 def test_missing_bundled_constants_file_message(capsys, monkeypatch):
     monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
     monkeypatch.setattr("vfdielectric.constants.DATA_FILENAME", "missing.json")

@@ -14,12 +14,14 @@ package's own loader read the data files, and ``collections.abc`` serves the
 annotations.  Every species, built-in or from a file, is built by
 ``constants.build_species``: no other code constructs a ``SpeciesSpec``, a
 plain record with no checks of its own, and ``species`` neither converts a
-width nor words a constants error itself.  Only ``species.resonant_frequency``
-and ``verify``'s unit oscillator build an ``OscillatorSpec``: a species'
-kinematics hold its ``omega0`` alone.  Every module-level import is used.
-Every public function has a caller in the package or in ``perfbench``, apart
-from three kept on purpose.  Only ``cli.main`` writes standard output, once.
-Only ``quantity.py`` reaches ``Quantity``'s slot descriptors.
+width nor words a constants error itself.  No other module turns a charge
+fraction into a charge or a mass into a reduced mass: the spec holds both.
+Only ``species.resonant_frequency`` and ``verify``'s unit oscillator build an
+``OscillatorSpec``: a species' kinematics hold its ``omega0`` alone.  Every
+module-level import is used.  Every public function has a caller in the
+package or in ``perfbench``, apart from three kept on purpose.  Only
+``cli.main`` writes standard output, once.  Only ``quantity.py`` reaches
+``Quantity``'s slot descriptors.
 """
 
 import ast
@@ -229,6 +231,26 @@ def test_only_the_builder_constructs_a_species_spec():
     spec = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SpeciesSpec")
     members = [node for node in spec.body if not isinstance(node, (ast.AnnAssign, ast.Expr))]
     assert [ast.unparse(node).partition("\n")[0] for node in members] == []
+
+
+def test_only_constants_derives_a_species_charge_or_reduced_mass():
+    # build_species computes q = e n/d and mu = m/2 once; the solver once
+    # derived both again for every lepton term of every evaluation of F
+    offenders = []
+    for path in MODULES:
+        if path.name == "constants.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                sides = (node.left, node.right)
+                if (any(getattr(side, "attr", None) == "constituent_mass" for side in sides)
+                        and any(isinstance(side, ast.Constant) and isinstance(side.value, (int, float))
+                                for side in sides)):
+                    offenders.append(f"{path.name}:{node.lineno} scales constituent_mass")
+            if "charge_ratio" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                  getattr(node, "name", None)):
+                offenders.append(f"{path.name}:{node.lineno} names charge_ratio")
+    assert offenders == []
 
 
 def test_only_resonant_frequency_and_the_seeded_draws_build_an_oscillator_spec():

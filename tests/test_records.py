@@ -58,11 +58,11 @@ CASES = [
     (ConstantRecord, ("e", _E, "CODATA", 1.602176634e-19, "C"),
      ("key", "quantity", "source", "file_value", "file_unit")),
     (ConstantsSet, ({"e": ConstantRecord("e", _E, "", 1.0, "C")}, "here", ({"name": "x"},),
-                    (SpeciesSpec("x", LEPTON_PAIR, _M, (1, 1)),)),
+                    (SpeciesSpec("x", LEPTON_PAIR, _M, _M * 0.5, _E),)),
      ("records", "origin", "species_records", "species")),
-    # a charge ratio other than (1, 1), which a copy and a pickle keep
-    (SpeciesSpec, ("eta_c", QUARKONIUM, _M, (2, 3), *_QUARK_FIELDS),
-     ("name", "kind", "constituent_mass", "charge_ratio", "bound_state_mass",
+    # a charge other than e, which a copy and a pickle keep
+    (SpeciesSpec, ("eta_c", QUARKONIUM, _M, _M * 0.5, _E * (2 / 3), *_QUARK_FIELDS),
+     ("name", "kind", "constituent_mass", "reduced_mass", "charge", "bound_state_mass",
       "two_photon_width", "e_min")),
     (OscillatorSpec, (_M * 0.5, Quantity(1e16, FREQUENCY)), ("reduced_mass", "omega0")),
     (SpeciesContribution, ("e_pair", Quantity(2.9e-12, PERMITTIVITY), 0.31),
@@ -185,7 +185,7 @@ def test_missing_unknown_or_extra_argument_raises_type_error(cls, args, fields):
 
 def test_defaults_are_the_class_attributes():
     assert Quantity(2.0) == Quantity(2.0, DIMENSIONLESS)
-    spec = SpeciesSpec("e_pair", LEPTON_PAIR, _M, (1, 1))
+    spec = SpeciesSpec("e_pair", LEPTON_PAIR, _M, _M * 0.5, _E)
     assert (spec.bound_state_mass, spec.two_photon_width, spec.e_min) == (None, None, None)
     assert ConstantsSet({}, "here").species_records == ()
     report = PredictionReport(Quantity(8.8e-12, PERMITTIVITY), Quantity(3e8, SPEED), 137.0,
@@ -266,14 +266,14 @@ def test_post_init_runs_only_where_a_class_defines_checks():
 _NOT_ALLOWED = "x: charge_fraction must be one of 1, 2/3, 1/3; got {}"
 _LEPTON_ONLY_ONE = "x: a lepton pair has charge_fraction 1, got {}"
 _HERE = "built here"
-# no quantity of these species needs a constant to become SI, so none is read
-_NO_CONSTANTS = ConstantsSet({}, "nowhere")
+# no quantity of these species needs a constant to become SI; the charge reads e
+_E_ONLY = ConstantsSet({"e": ConstantRecord("e", _E, "", _E.value, "C")}, "nowhere")
 
 
 def _build(kind, fields, charge_fraction):
     given = dict(zip(("constituent_mass", "bound_state_mass", "two_photon_width", "e_min"),
                      (_M, *fields)))
-    return build_species("x", kind, charge_fraction, given, _NO_CONSTANTS, lambda: _HERE)
+    return build_species("x", kind, charge_fraction, given, _E_ONLY, lambda: _HERE)
 
 
 @pytest.mark.parametrize("kind, fields, charge_fraction, ratio", [
@@ -290,7 +290,9 @@ def _build(kind, fields, charge_fraction):
 ])
 def test_accepted_charge_fractions(kind, fields, charge_fraction, ratio):
     spec = _build(kind, fields, charge_fraction)
-    assert spec.charge_ratio == Fraction(charge_fraction).as_integer_ratio() == ratio
+    assert Fraction(charge_fraction).as_integer_ratio() == ratio
+    assert spec.charge == _E * (ratio[0] / ratio[1])  # e times float(Fraction)
+    assert spec.reduced_mass == _M * 0.5
 
 
 @pytest.mark.parametrize("kind, fields, charge_fraction, message", [
@@ -357,12 +359,12 @@ def test_a_decimal_text_keeps_the_outcome_fraction_gives_it(charge_fraction):
     assert line == _fraction_outcome(charge_fraction)
 
 
-def test_a_species_copy_keeps_its_charge_ratio():
+def test_a_species_copy_keeps_its_charge():
     spec = _build(QUARKONIUM, _QUARK_FIELDS, "2/3")
     for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
-        assert twin == spec and twin.charge_ratio == spec.charge_ratio == (2, 3)
+        assert twin == spec and twin.charge == spec.charge == _E * (2 / 3)
         with pytest.raises(AttributeError):
-            twin.charge_ratio = (1, 3)
+            twin.charge = _E / 3
 
 
 def test_quantity_converts_to_float_and_checks_its_inputs():

@@ -578,6 +578,26 @@ REFUSALS = {
         _append({**E_ONLY, "charge_fraction": "2/3", "constituent_mass": {"value": 1e-310, "unit": "kg"}}),
         ["predict"], _species("species 'e_only': constituent_mass is out of the float range: 1e-310 is subnormal")),
 
+    # --- a species' SI charge or reduced mass out of the float range ----------------
+    # m_e 3e-308 once loaded, and each command refused its half, computed
+    # later, as a result out of the float range
+    **{f"species: reduced mass of m_e 3e-308 under {command}": (
+        _value("m_e", 3e-308), [command],
+        "built-in species from m_e in {path}: species 'e_pair': constituent_mass: "
+        "the product 3e-308 * 0.5 is subnormal: 1.5000000000000004e-308 (dimension kg)")
+       for command in ("predict", "species", "verify", "sensitivity")},
+    # e 5e-308 once gave a charge 1/3 species a subnormal charge, and historical,
+    # which reads no species, exited 0; its masses are in kg, which e does not scale
+    "species: charge of 1/3 with e 5e-308": (
+        lambda rows: _value("e", 5e-308)(rows) + [{
+            "kind": "species", "name": "eta_x", "type": "quarkonium", "charge_fraction": "1/3",
+            "constituent_mass": {"value": 2e-27, "unit": "kg"},
+            "bound_state_mass": {"value": 5e-27, "unit": "kg"},
+            "two_photon_width": {"value": 1e18, "unit": "1/s"}}],
+        ["historical"],
+        _species("species 'eta_x': charge_fraction: the product 5e-308 * 0.3333333333333333 is "
+                 "subnormal: 1.666666666666666e-308 (dimension s·A)")),
+
     # --- results out of the float range -------------------------------------------
     **{f"test_cli::test_sensitivity_coupling_outside_the_band_exit_2[{output_format}-{key}-{value}-{lam}]": (
         _value(key, value), ["sensitivity", "--format", output_format],

@@ -5,6 +5,7 @@ import pytest
 
 from vfdielectric import constants as constants_module
 from vfdielectric.quantity import (
+    CHARGE,
     ENERGY,
     FREQUENCY,
     LENGTH,
@@ -29,7 +30,6 @@ from vfdielectric.constants import (
 )
 from vfdielectric.species import (
     builtin_species,
-    charge,
     coupling,
     interacting_density,
     kinematics,
@@ -318,15 +318,17 @@ def test_interacting_density_mode_validation(trio, constants, ref_c, ref_alpha):
 # --- species construction ---------------------------------------------------
 
 
-def test_builtin_trio_names_and_kinds(trio):
+def test_builtin_trio_names_and_kinds(trio, constants):
     assert [s.name for s in trio] == ["e_pair", "mu_pair", "tau_pair"]
     assert all(s.kind == LEPTON_PAIR for s in trio)
-    assert all(s.charge_ratio == (1, 1) for s in trio)
+    assert all(s.charge == constants.get("e") for s in trio)
+    assert all(s.reduced_mass == s.constituent_mass * 0.5 for s in trio)
 
 
-def test_builtin_quark_charges(quarks):
-    assert quarks["eta_c"].charge_ratio == (2, 3)
-    assert quarks["eta_b"].charge_ratio == (1, 3)
+def test_builtin_quark_charges(quarks, constants):
+    # e times float(Fraction), in coulombs
+    assert quarks["eta_c"].charge == Quantity(constants.get("e").value * float(Fraction(2, 3)), CHARGE)
+    assert quarks["eta_b"].charge == Quantity(constants.get("e").value * float(Fraction(1, 3)), CHARGE)
 
 
 def test_a_species_reads_its_charge_fraction_once(constants, monkeypatch):
@@ -338,15 +340,16 @@ def test_a_species_reads_its_charge_fraction_once(constants, monkeypatch):
         return real(charge_fraction)
 
     monkeypatch.setattr(constants_module, "charge_ratio", counting)
-    e_pair, _, _, eta_c, _ = builtin_species(constants, include_quarks=True)
+    species = builtin_species(constants, include_quarks=True)
     assert reads == [1, 1, 1, "2/3", "1/3"]  # one read per species
-    assert eta_c.charge_ratio == (2, 3)
     reads.clear()
-    q = charge(eta_c, constants)  # takes the ratio the spec keeps
-    # so does a lepton pair's binding energy, whose q^4 is charge's
-    resonant_frequency(e_pair, constants, constants.get("ref_epsilon0"), constants.get("ref_c"))
+    # the oscillator and the kinematics pass take the charge the spec keeps
+    epsilon, c = constants.get("ref_epsilon0"), constants.get("ref_c")
+    shared = coupling(species, constants, epsilon, 1.0 / constants.get("ref_inv_alpha").value, c)
+    for s in species:
+        resonant_frequency(s, constants, epsilon, c)
+        kinematics(s, constants, shared)
     assert reads == []
-    assert q.value == constants.get("e").value * float(Fraction(2, 3))
 
 
 def test_width_choice_selects_tabulated_bounds(constants):
@@ -477,22 +480,25 @@ def _unused_label():
     raise AssertionError("the label is worded only for an error")
 
 
-def test_a_lepton_pair_reads_no_constant():
-    # neither ref_c nor hbar: a lepton pair's mass is given in kg
-    spec = build_species("e_pair", LEPTON_PAIR, Fraction(1),
-                         {"constituent_mass": Quantity(9.1e-31, MASS)}, ConstantsSet({}, "empty"),
-                         _unused_label)
-    assert spec.constituent_mass == Quantity(9.1e-31, MASS) and spec.e_min is None
-
-
 def _registry(**values):
     return ConstantsSet({key: ConstantRecord(key, quantity, "", quantity.value, "")
                          for key, quantity in values.items()}, "here")
 
 
+_E = Quantity(1.602176634e-19, CHARGE)
+
+
+def test_a_lepton_pair_reads_e_alone():
+    # e for its charge, but neither ref_c nor hbar: a lepton pair's mass is given in kg
+    spec = build_species("e_pair", LEPTON_PAIR, Fraction(1),
+                         {"constituent_mass": Quantity(9.1e-31, MASS)}, _registry(e=_E), _unused_label)
+    assert spec.constituent_mass == Quantity(9.1e-31, MASS) and spec.e_min is None
+    assert (spec.reduced_mass, spec.charge) == (Quantity(4.55e-31, MASS), _E)
+
+
 def test_default_e_min_is_the_given_energies_or_m_c_squared():
     c = Quantity(3.0e8, SPEED)
-    registry = _registry(ref_c=c)
+    registry = _registry(ref_c=c, e=_E)
     width = Quantity(1e18, FREQUENCY)
     as_energies = build_species(
         "x", QUARKONIUM, Fraction(2, 3),

@@ -1,13 +1,13 @@
 import json
 import math
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfdielectric.quantity import (
+    CHARGE,
     MASS,
     PERMITTIVITY,
     SPEED,
@@ -174,8 +174,8 @@ def test_quarkonium_term_equals_the_species_table_route(constants, ref_alpha, re
         full = builtin_species(constants, include_quarks=True, width_choice=width)
         s = {q.name: q for q in full}[name]
     k = kinematics(s, constants, coupling((s,), constants, constants.get("ref_epsilon0"), ref_alpha, ref_c))
-    q = constants.get("e").value * float(Fraction(*s.charge_ratio))
-    polarizability = q * q / (s.constituent_mass * 0.5).value / k.omega0.value**2
+    q = s.charge.value
+    polarizability = q * q / s.reduced_mass.value / k.omega0.value**2
     expected = k.interacting_density.value * polarizability
     term = quarkonium_contribution(s, constants, ref_c).epsilon_term.value
     assert term == pytest.approx(expected, rel=1e-14, abs=0)
@@ -295,7 +295,7 @@ def _with_widths_scaled(constants, scale):
     """The built-in species, quarks included, with every two-photon width times ``scale``."""
     species = builtin_species(constants, include_quarks=True)
     return species[:3] + tuple(
-        build_species(s.name, s.kind, Fraction(*s.charge_ratio),
+        build_species(s.name, s.kind, {"eta_c": "2/3", "eta_b": "1/3"}[s.name],
                       {"constituent_mass": s.constituent_mass, "bound_state_mass": s.bound_state_mass,
                        "two_photon_width": s.two_photon_width * scale, "e_min": s.e_min},
                       constants, lambda: f"widths times {scale}")
@@ -451,20 +451,27 @@ def test_route_cross_check_failure_stops_the_solve(trio, constants, monkeypatch)
         epsilon0_self_consistent(trio, constants)
 
 
-def test_route_cross_check_catches_a_term_1e_9_off(trio, constants, monkeypatch):
-    # the real 1e-12 bound: mu_pair's interacting density 1e-9 relative high
-    # puts its composed term 1e-9 off the closed coefficient at the seed
+def _mu_pair_density_off(monkeypatch, off):
+    """Make mu_pair's kinematics pass return its interacting density ``off``
+    relative high; the list returned collects its true passes."""
     original, passes = vacuum.kinematics, []
 
-    def off(species, *args):
+    def off_pass(species, *args):
         k = original(species, *args)
         if species.name != "mu_pair":
             return k
         passes.append(k)
         fields = list(vars(k).values())
-        return Kinematics(*fields[:-1], k.interacting_density * (1 + 1e-9))
+        return Kinematics(*fields[:-1], k.interacting_density * (1 + off))
 
-    monkeypatch.setattr(vacuum, "kinematics", off)
+    monkeypatch.setattr(vacuum, "kinematics", off_pass)
+    return passes
+
+
+def test_route_cross_check_catches_a_term_1e_9_off(trio, constants, monkeypatch):
+    # the real 1e-12 bound: mu_pair's interacting density 1e-9 relative high
+    # puts its composed term 1e-9 off the closed coefficient at the seed
+    passes = _mu_pair_density_off(monkeypatch, 1e-9)
     with pytest.raises(AssemblyError) as error:
         epsilon0_self_consistent(trio, constants)
     # the term and the coefficient in float arithmetic, in the solver's order
@@ -473,13 +480,44 @@ def test_route_cross_check_catches_a_term_1e_9_off(trio, constants, monkeypatch)
     seed = constants.get("ref_epsilon0")
     c = c_from_epsilon(seed, constants)
     alpha = vacuum._alpha(constants.get("e") * constants.get("e"), constants.get("hbar"), seed, c)
-    term = (n_vf * (1 + 1e-9)) * (e * e / (trio[1].constituent_mass.value * 0.5) / (omega0 * omega0))
+    term = (n_vf * (1 + 1e-9)) * (e * e / trio[1].reduced_mass.value / (omega0 * omega0))
     closed = e * e / (hbar * c.value) * (512.0 * alpha)
     assert len(passes) == 1
     assert 5e-10 < abs(term - closed) / closed < 2e-9
     assert str(error.value) == (
         f"mu_pair: composed term {term!r} disagrees with closed coefficient {closed!r}"
     )
+
+
+@pytest.mark.parametrize("off, fails", [(3e-12, True), (3e-13, False)],
+                         ids=["3e-12-off-fails", "3e-13-off-solves"])
+def test_route_cross_check_holds_at_its_1e_12_bound(trio, constants, monkeypatch, off, fails):
+    # a term 1e-9 off says only that the bound is below 1e-9; these two pin it
+    # between 3e-13 and 3e-12, so a bound of 1e-10 or of 1e-13 fails one of them
+    _mu_pair_density_off(monkeypatch, off)
+    if fails:
+        with pytest.raises(AssemblyError, match="^mu_pair: composed term "):
+            epsilon0_self_consistent(trio, constants)
+    else:
+        assert epsilon0_self_consistent(trio, constants).iterations == 2
+
+
+def test_a_solve_halves_no_mass_and_scales_no_charge(constants, monkeypatch):
+    # a species is built with its reduced mass m/2 and charge e n/d, which the
+    # solve once derived again, twice per lepton term of each evaluation of F
+    species = builtin_species(constants, include_quarks=True)
+    products, multiply = [], Quantity.__mul__
+
+    def recording(self, other):
+        if isinstance(other, (int, float)):
+            products.append((self.dim, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(Quantity, "__mul__", recording)
+    monkeypatch.setattr(Quantity, "__rmul__", recording)
+    assert epsilon0_self_consistent(species, constants).iterations == 2
+    assert products  # the scalar products are seen, and none is of a mass or a charge
+    assert [(str(d), x) for d, x in products if d in (MASS, CHARGE)] == []
 
 
 @pytest.mark.parametrize("include_quarks", [False, True])
