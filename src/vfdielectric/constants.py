@@ -8,13 +8,15 @@ file must define each, and the dimensions it may have.  Records with
 :data:`SPECIES_QUANTITIES` tabulates; :func:`build_species`, the builder of
 the built-in species too and the one place a species is checked, builds each
 once, at load time, and a bad one raises :class:`ConstantsError` naming the
-file; :class:`SpeciesSpec` is a plain record of what it built, its SI charge
-and reduced mass among it.  Both record kinds share one conversion to SI base
-units at ingestion (eV-family energies via the elementary charge from the same
-file) and two checks: no field a record may not carry, and no named key, mass
-or species quantity of a wrong dimension or a value that is not strictly
-positive and a normal float.  The original file value/unit and the raw species
-records are kept so a set serializes back to an equivalent file.
+file; a species' charge fraction is one of three texts, ``"1"``, ``"2/3"``
+or ``"1/3"``, and :class:`SpeciesSpec` is a plain record of what it built, its
+SI charge and reduced mass among it.  Both record kinds share one conversion
+to SI base units at ingestion (eV-family energies via the elementary charge
+from the same file) and two checks: no field a record may not carry, and no
+named key, mass or species quantity of a wrong dimension or a value that is
+not strictly positive and a normal float.  The original file value/unit and
+the raw species records are kept so a set serializes back to an equivalent
+file.
 
 Resolution order for the data file, each user path labelled exactly as given:
 explicit path argument, then ``VACUUM_DATA_DIR`` (``constants.json`` joined to
@@ -26,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import sys
 from collections.abc import Callable
 
@@ -65,7 +66,6 @@ __all__ = [
     "SpeciesSpec",
     "UnsupportedSpeciesError",
     "build_species",
-    "charge_ratio",
     "species_from_record",
 ]
 
@@ -135,9 +135,9 @@ SPECIES_FIELDS = frozenset(("kind", "name", "type", "charge_fraction", *SPECIES_
 # newline or tab would split a table row
 _CONTROL_CHARACTERS = frozenset(map(chr, (*range(0x20), *range(0x7F, 0xA0))))
 
-# the allowed charge fractions 1, 2/3 and 1/3 as (numerator, denominator) in
-# lowest terms: a test of int pairs, where a Fraction's hash runs Python code
-_ALLOWED_CHARGE_RATIOS = frozenset({(1, 1), (2, 3), (1, 3)})
+# the three charge fractions, each as the one text that gives it and the float
+# n/d it scales e by: an e, mu or tau pair carries 1, a heavy quark 2/3 or 1/3
+_CHARGE_FRACTIONS = {"1": 1 / 1, "2/3": 2 / 3, "1/3": 1 / 3}
 
 # Species that are deliberately not modeled, with the reason surfaced to users.
 _UNSUPPORTED: dict[str, str] = {
@@ -168,57 +168,6 @@ class ConstantRecord(Record):
 
 class UnsupportedSpeciesError(ConstantsError):
     """A species name that the model deliberately excludes."""
-
-
-def charge_ratio(charge_fraction: object) -> tuple[int, int]:
-    """``Fraction(charge_fraction)`` in lowest terms, as ``(numerator, denominator)``.
-
-    An int, Fraction, float or Decimal gives its own ratio, and a string of
-    ASCII digits, or two such joined by ``/`` with a nonzero denominator, is
-    read with ``int()``.  Any other value goes to ``Fraction()``, imported
-    only then, so the values accepted and the errors raised are its own.
-    """
-    try:
-        return charge_fraction.as_integer_ratio()
-    except AttributeError:
-        pass
-    if isinstance(charge_fraction, str) and charge_fraction.isascii():
-        numerator, slash, denominator = charge_fraction.partition("/")
-        if numerator.isdigit() and (denominator.isdigit() or not slash):
-            try:  # int() refuses a string past its digit limit, as Fraction() does
-                n, d = int(numerator), int(denominator or "1")
-            except ValueError:
-                pass
-            else:
-                if d:
-                    g = math.gcd(n, d)
-                    return n // g, d // g
-    from fractions import Fraction
-
-    return Fraction(charge_fraction).as_integer_ratio()
-
-
-# the exponent that ends a decimal text, as Fraction() reads it
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-
-def _far_decimal(charge_fraction: object) -> bool:
-    """Whether ``charge_fraction`` is a decimal text that ``Fraction()`` reads
-    with an exponent larger in magnitude than the text is long.
-
-    Such a decimal is not 1, and no decimal is 2/3 or 1/3.  ``Fraction()``
-    would compute its power of ten in full, so the text is read with the
-    exponent's digits zeroed, which ``Fraction()`` reads or refuses alike.
-    """
-    match = _EXPONENT.search(charge_fraction) if isinstance(charge_fraction, str) else None
-    try:  # ValueError for an exponent past int()'s digit limit, or a text Fraction() refuses
-        if not match or abs(int(match[1])) <= len(charge_fraction):
-            return False
-        charge_ratio(charge_fraction[:match.start(1)] + re.sub(r"\d", "0", match[1])
-                     + charge_fraction[match.end(1):])
-    except ValueError:
-        return False  # charge_ratio raises the same, before any power
-    return True
 
 
 class SpeciesSpec(Record):
@@ -364,13 +313,12 @@ def _constant_record(row: dict, joules_per_ev: float | None, origin: str) -> Con
     return ConstantRecord(key, quantity, source, file_value, unit)
 
 
-def build_species(name: str, kind: str, charge_fraction: object, given: dict[str, Quantity],
+def build_species(name: str, kind: str, charge_fraction: str, given: dict[str, Quantity],
                   constants: ConstantsSet, label: Callable[[], str]) -> SpeciesSpec:
     """The one builder and checker of a species, built-in or from a file's record.
 
-    ``charge_fraction`` is read once, with :func:`charge_ratio`, and must be
-    1, 2/3 or 1/3, and 1 for a lepton pair; a decimal text with an exponent
-    larger in magnitude than the text is long is refused unread.  ``given`` maps each field of
+    ``charge_fraction`` is a text, and must be exactly ``"1"``, ``"2/3"`` or
+    ``"1/3"``, and ``"1"`` for a lepton pair.  ``given`` maps each field of
     :data:`SPECIES_QUANTITIES` the species carries to its quantity as given,
     checked as a loaded quantity is.  A rest energy becomes a mass through
     ``ref_c`` squared, read only then, and an energy width a rate through
@@ -380,11 +328,6 @@ def build_species(name: str, kind: str, charge_fraction: object, given: dict[str
     ``label()`` names where the species was given; it is called only to word
     a :class:`ConstantsError`.
     """
-    try:  # ZeroDivisionError for "1/0", OverflowError for inf, TypeError for None
-        ratio = None if _far_decimal(charge_fraction) else charge_ratio(charge_fraction)
-    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConstantsError(f"{label()}: species {name!r}: charge_fraction {charge_fraction!r} "
-                             f"is not a fraction: {exc}") from exc
     built, energies, c2 = {}, {}, None
     try:
         for field, quantity in given.items():
@@ -412,15 +355,16 @@ def build_species(name: str, kind: str, charge_fraction: object, given: dict[str
                     f"constituent_mass (binding window e_min = {e_min.value!r} J)")
     except OutOfRangeError as exc:
         raise ConstantsError(f"{label()}: species {name!r}: {field}: {exc}") from exc
-    if ratio not in _ALLOWED_CHARGE_RATIOS:
+    fraction = _CHARGE_FRACTIONS.get(charge_fraction)
+    if fraction is None:
         raise ConstantsError(
-            f"{label()}: {name}: charge_fraction must be one of 1, 2/3, 1/3; got {charge_fraction}")
-    if kind == LEPTON_PAIR and ratio != (1, 1):
+            f"{label()}: {name}: charge_fraction must be one of 1, 2/3, 1/3; got {charge_fraction!r}")
+    if kind == LEPTON_PAIR and charge_fraction != "1":
         # the closed lepton coefficient 8^3 alpha e^2/(hbar c) holds for unit charge only
         raise ConstantsError(
             f"{label()}: {name}: a lepton pair has charge_fraction 1, got {charge_fraction}")
     try:
-        charge = constants.get("e") * (ratio[0] / ratio[1])  # the bits of float(Fraction)
+        charge = constants.get("e") * fraction
     except OutOfRangeError as exc:
         raise ConstantsError(f"{label()}: species {name!r}: charge_fraction: {exc}") from exc
     return SpeciesSpec(name, kind, built["constituent_mass"], reduced_mass, charge,
@@ -504,11 +448,13 @@ def _resolve_source(path: str | os.PathLike | None) -> tuple[str, str]:
             return __spec__.loader.get_data(p).decode("utf-8"), "built-in default"
         except (OSError, UnicodeDecodeError) as exc:
             raise ConstantsError(f"cannot read the bundled constants file {p}: {exc}") from exc
-    try:
-        with open(p, encoding="utf-8-sig") as f:  # RFC 8259 lets a parser skip a byte-order mark
-            return f.read(), p
+    try:  # read whole, so a decoding error gives the byte's offset in the file
+        with open(p, "rb") as f:
+            text = f.read().decode("utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL or lone surrogate in p
         raise ConstantsError(f"cannot read {what}: {exc}") from exc
+    # RFC 8259 lets a parser skip a byte-order mark; newlines as text mode reads them
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n"), p
 
 
 def load_constants(path: str | os.PathLike | None = None) -> ConstantsSet:

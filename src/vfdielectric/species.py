@@ -14,7 +14,8 @@ self-consistent solver needs to evaluate them at trial values.  Callers that
 just want tabulated physics pass the ``ref_*`` registry entries.
 
 Species come from the built-in list or from a data file's species records,
-which :func:`~vfdielectric.constants.build_species` builds alike.
+which :func:`~vfdielectric.constants.build_species` builds alike, each with
+its charge fraction as one of the texts ``"1"``, ``"2/3"`` and ``"1/3"``.
 
 :func:`kinematics` is the one pass per species at one ``(eps, alpha, c)``:
 the ``species`` table and the self-consistent solver both call it.  It
@@ -89,13 +90,13 @@ class OscillatorSpec(Record):
 # --- species construction -------------------------------------------------
 
 
-# The built-in species in order: name, kind, charge fraction, and the registry
+# The built-in species in order: name, kind, charge fraction text, and the registry
 # key of each quantity: a lepton's mass; a quarkonium state's quark and
 # bound-state rest energies and two-photon width, whose {} takes the width choice
 _LEPTONS = (
-    ("e_pair", LEPTON_PAIR, 1, {"constituent_mass": "m_e"}),
-    ("mu_pair", LEPTON_PAIR, 1, {"constituent_mass": "m_mu"}),
-    ("tau_pair", LEPTON_PAIR, 1, {"constituent_mass": "m_tau"}),
+    ("e_pair", LEPTON_PAIR, "1", {"constituent_mass": "m_e"}),
+    ("mu_pair", LEPTON_PAIR, "1", {"constituent_mass": "m_mu"}),
+    ("tau_pair", LEPTON_PAIR, "1", {"constituent_mass": "m_tau"}),
 )
 _WITH_QUARKS = _LEPTONS + (
     ("eta_c", QUARKONIUM, "2/3", {"constituent_mass": "m_c", "bound_state_mass": "m_etac",

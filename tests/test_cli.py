@@ -8,7 +8,6 @@ import math
 import os
 import sys
 import types
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +27,6 @@ from vfdielectric.constants import (
     LEPTON_PAIR,
     QUARKONIUM,
     SPECIES_QUANTITIES,
-    charge_ratio,
     load_constants,
     serialize_constants,
     species_from_record,
@@ -535,7 +533,7 @@ def test_every_benchmark_request_parses(workload, monkeypatch):
             assert vars(fast) == vars(parser.parse_args(argv))
 
 
-# --- the fast paths: canonical argv and charge fractions ------------------------
+# --- the fast path: canonical argv ---------------------------------------------
 
 _FLAGS = sorted(set().union(*COMMAND_OPTIONS.values()))
 # values each option accepts in either form, odd int() and float() spellings included
@@ -626,34 +624,6 @@ def test_fast_path_takes_each_command_and_form(argv):
     assert isinstance(fast, types.SimpleNamespace)
     assert _same_values(vars(fast), vars(_build_parser().parse_args(argv)))
     assert fast.handler.__name__ == f"cmd_{argv[0]}"
-
-
-def _outcome(read, value):
-    """``read(value)``, or the type of the exception it raises."""
-    try:
-        return read(value)
-    except Exception as exc:  # the type is what is compared
-        return type(exc)
-
-
-_DIGITS = st.text("0123456789", min_size=1, max_size=6)
-
-
-@settings(max_examples=800)
-@given(value=st.one_of(
-    _DIGITS,
-    st.tuples(_DIGITS, _DIGITS).map("/".join),
-    st.text("0123456789/ .-+_eE\u0663\u00b2", max_size=8),
-    st.text(max_size=4),
-    st.integers(-10, 10),
-    st.fractions(max_denominator=9),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.decimals(places=2, allow_nan=False),
-    st.sampled_from([None, True, 1j, b"1", "1" * 5000, "1/" + "1" * 5000]),
-))
-def test_charge_ratio_agrees_with_fraction(value):
-    assert _outcome(charge_ratio, value) == _outcome(
-        lambda v: Fraction(v).as_integer_ratio(), value)
 
 
 def test_missing_subcommand_exits_2(capsys):

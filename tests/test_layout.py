@@ -7,10 +7,10 @@ nothing: each public name is imported from its module.  The package needs
 nothing beyond the standard library: numpy and scipy are imported nowhere in
 it, not even inside a function; the tests use them as referees of the
 quadrature and ODE oracles.  Nor is ``dataclasses``: ``quantity.Record`` is
-the record base.  Only the charge-fraction fallback imports ``fractions``, and
-only the parser builder ``argparse``, each inside its function.  Nor
-are ``importlib``, ``pathlib``, ``typing`` or ``threading``: ``os`` and the
-package's own loader read the data files, and ``collections.abc`` serves the
+the record base.  Nor are ``re`` and ``fractions``: a charge fraction is one
+of three texts.  Only the parser builder imports ``argparse``, inside its
+function.  Nor are ``importlib``, ``pathlib``, ``typing`` or ``threading``:
+``os`` and the package's own loader read the data files, and ``collections.abc`` serves the
 annotations.  Every species, built-in or from a file, is built by
 ``constants.build_species``: no other code constructs a ``SpeciesSpec``, a
 plain record with no checks of its own, and ``species`` neither converts a
@@ -122,10 +122,10 @@ def _importers_of(module: str) -> list[tuple[str, str | None]]:
     return sites
 
 
-def test_only_charge_fractions_import_fractions():
-    # Dimension exponents are ints, and charge_ratio reads a charge fraction
-    # such as "2/3" with int(): only the values it cannot read go to Fraction()
-    assert _importers_of("fractions") == [("constants.py", "charge_ratio")]
+def test_no_re_or_fractions_import():
+    # Dimension exponents are ints, and a charge fraction is one of three
+    # texts, looked up: nothing is parsed with a pattern or read as a Fraction
+    assert _imports_of({"re", "fractions"}) == []
 
 
 def test_only_the_parser_builder_imports_argparse():
@@ -247,9 +247,8 @@ def test_only_constants_derives_a_species_charge_or_reduced_mass():
                         and any(isinstance(side, ast.Constant) and isinstance(side.value, (int, float))
                                 for side in sides)):
                     offenders.append(f"{path.name}:{node.lineno} scales constituent_mass")
-            if "charge_ratio" in (getattr(node, "id", None), getattr(node, "attr", None),
-                                  getattr(node, "name", None)):
-                offenders.append(f"{path.name}:{node.lineno} names charge_ratio")
+            if "_CHARGE_FRACTIONS" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                offenders.append(f"{path.name}:{node.lineno} reads _CHARGE_FRACTIONS")
     assert offenders == []
 
 

@@ -77,6 +77,21 @@ def test_coupling_warns_when_large():
         CouplingLambda(0.5)
 
 
+@pytest.mark.parametrize("value", [0.1, -0.1])
+def test_a_coupling_on_the_band_edge_warns(value):
+    # |lam| = LAMBDA_BAND is already outside the band, on either side of zero
+    with pytest.warns(CouplingStrengthWarning) as caught:
+        CouplingLambda(value)
+    assert [str(w.message) for w in caught] == [
+        f"coupling lam={value!r} is outside the first-order validity band (|lam| < 0.1)"]
+
+
+def test_a_coupling_just_inside_the_band_edge_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        CouplingLambda(math.nextafter(0.1, 0))
+
+
 def test_coupling_warning_names_the_line_that_built_the_coupling():
     # each warning once named Record.__init__ in quantity.py, one location for
     # all, so the default filter showed only the first of a process

@@ -3,7 +3,7 @@
 A row of ``REFUSALS`` is ``id: (edit, argv, line)``:
 
 - ``edit`` maps the bundled records, fresh for each row, to the file's
-  records, or to its raw text;
+  records, or to its raw text or bytes;
 - ``argv`` is the command line without ``--constants``;
 - ``line`` is the whole message after ``error: ``, with ``{path}`` standing
   for the file.
@@ -52,6 +52,7 @@ _SPECIES_FIELDS = ("bound_state_mass, charge_fraction, constituent_mass, e_min, 
 # a lone surrogate (valid JSON) and a NUL, in the string fields of a record
 _ODD = {"surrogate": "\ud800", "NUL": "\x00"}
 _X = {"key": "x", "value": 1.0, "unit": "kg", "source": "t"}
+_MARK = "\ufeff".encode()  # a UTF-8 byte-order mark
 
 
 def _change(changes):
@@ -258,6 +259,23 @@ REFUSALS = {
            ("species record", '"name": "e_only"', '"name": "e_only", "name": "mu_only"', "name"),
            ("value-unit object", '"unit": "kg"}}', '"unit": "kg", "unit": "kg"}}', "unit"),
        ]},
+
+    # --- the file as bytes: a byte-order mark and line ends ------------------------
+    # a file opened as utf-8-sig once reported this byte at position 50, its
+    # offset in the text after the mark, not in the file
+    "bytes: 0xff at offset 53 after a byte-order mark": (
+        lambda rows: _MARK + b" " * 50 + b"\xff" + json.dumps(rows).encode(), ["predict"],
+        "cannot read constants file {path}: 'utf-8' codec can't decode byte 0xff in position 53: "
+        "invalid start byte"),
+    # one mark is skipped; a second is a character JSON cannot start with
+    "bytes: two byte-order marks": (
+        lambda rows: _MARK * 2 + json.dumps(rows).encode(), ["predict"],
+        "constants file {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    # CRLF line ends are read as text mode reads them, each one character
+    "bytes: a missing comma after CRLF line ends": (
+        lambda rows: json.dumps(rows[:3], indent=1).replace("\n", "\r\n").replace(
+            "},\r\n {", "}\r\n {", 1).encode(), ["predict"],
+        _json_error(json.dumps(json.loads(_BUNDLED)[:3], indent=1).replace("},\n {", "}\n {", 1))),
 
     # --- constant records -------------------------------------------------------
     # a missing field was once named by KeyError's text alone: "('value')"
@@ -491,15 +509,26 @@ REFUSALS = {
         _append({**E_ONLY, "constituent_mass": {"value": 10**400, "unit": "kg"}}), ["predict"],
         _species(f"species 'e_only': constituent_mass: cannot convert {10**400} kg to SI: "
                  "int too large to convert to float")),
-    # once worded with Fraction's text alone, naming neither species nor field
+    # a charge fraction is one of the texts 1, 2/3 and 1/3, each other text
+    # shown by its repr.  "1/0" was once worded with Fraction's text alone,
+    # naming neither species nor field
     "test_cli::test_predict_bad_species_record_exit_2[zero-denominator]": (
         _append({**E_ONLY, "charge_fraction": "1/0"}), ["predict"],
-        _species("species 'e_only': charge_fraction '1/0' is not a fraction: Fraction(1, 0)")),
+        _species("e_only: charge_fraction must be one of 1, 2/3, 1/3; got '1/0'")),
     # Fraction() once computed the power of ten in full first, 1.5 s for this
     # text, and a longer exponent stalled the load
     "species: charge_fraction 1e-3000000": (
         _append({**E_ONLY, "charge_fraction": "1e-3000000"}), ["predict"],
-        _species("e_only: charge_fraction must be one of 1, 2/3, 1/3; got 1e-3000000")),
+        _species("e_only: charge_fraction must be one of 1, 2/3, 1/3; got '1e-3000000'")),
+    # Fraction() once read each of these as 1 or 2/3, and a JSON 1.0 is read as
+    # its text; "1/2\n" and a lepton pair's "2/3\n" once printed the newline
+    # inside the line, and a quarkonium's "2/3\n" loaded as 2/3
+    **{f"species: charge_fraction {str(fraction)!r} of {record['name']}": (
+        _append(E_ONLY, {**record, "charge_fraction": fraction}), ["predict"],
+        _species(f"{record['name']}: charge_fraction must be one of 1, 2/3, 1/3; got {str(fraction)!r}"))
+       for record, fraction in [
+           (ETA_B_10_EV, "4/6"), ({**E_ONLY, "name": "e_one"}, 1.0), (ETA_B_10_EV, " 2/3"),
+           (ETA_B_10_EV, "1/2\n"), (ETA_B_10_EV, "2/3\n"), ({**E_ONLY, "name": "e_one"}, "2/3\n")]},
     # the closed lepton coefficient holds for unit charge only: predict once
     # exited 1 with an AssemblyError traceback while species printed a table
     **{f"test_cli::test_fractional_lepton_pair_exit_2[{command}-{charge}]": (
@@ -560,17 +589,18 @@ REFUSALS = {
             "is subnormal: 1.60216e-319 (dimension m^2·kg·s^-2)")])},
 
     # --- two faults in one species record: the line that wins ----------------------
-    # a field's conversion, then the fraction's reading, then each quantity's
-    # checks and e_min, then the fraction's value
+    # a field's conversion, then each quantity's checks and e_min, then the
+    # fraction, one of three texts and 1 for a lepton pair, then the charge
     "species order: negative mass before charge 1/2": (
         _append({**E_ONLY, "charge_fraction": "1/2", "constituent_mass": {"value": -1.0, "unit": "kg"}}),
         ["predict"], _species("species 'e_only': constituent_mass must be strictly positive, got -1.0")),
     "species order: refused unit before unreadable charge": (
         _append({**E_ONLY, "charge_fraction": "two thirds", "constituent_mass": {"value": 1.0, "unit": "erg"}}),
         ["predict"], _species("species 'e_only': constituent_mass: unit 'erg' is not allowed; allowed: " + _UNITS)),
-    "species order: unreadable charge before negative mass": (
+    # "1/0" was once refused first, as a text Fraction() could not read
+    "species order: negative mass before charge 1/0": (
         _append({**E_ONLY, "charge_fraction": "1/0", "constituent_mass": {"value": -1.0, "unit": "kg"}}),
-        ["predict"], _species("species 'e_only': charge_fraction '1/0' is not a fraction: Fraction(1, 0)")),
+        ["predict"], _species("species 'e_only': constituent_mass must be strictly positive, got -1.0")),
     "species order: negative mass before charge 1e-3000000": (
         _append({**E_ONLY, "charge_fraction": "1e-3000000", "constituent_mass": {"value": -1.0, "unit": "kg"}}),
         ["predict"], _species("species 'e_only': constituent_mass must be strictly positive, got -1.0")),
@@ -652,8 +682,7 @@ REFUSALS = {
            ("species type", {**E_ONLY, "type": odd},
             _species("species 'e_only': type must be 'lepton-pair' or 'quarkonium'")),
            ("species charge_fraction", {**E_ONLY, "charge_fraction": odd},
-            _species(f"species 'e_only': charge_fraction {odd!r} is not a fraction: "
-                     f"Invalid literal for Fraction: {odd!r}")),
+            _species(f"e_only: charge_fraction must be one of 1, 2/3, 1/3; got {odd!r}")),
            # once read as a constant record, refused for its missing key: "('key')"
            ("species kind", {**E_ONLY, "kind": odd},
             f"unknown record kind {odd!r} in {{path}}; the one kind is 'species'"),
@@ -667,7 +696,10 @@ REFUSALS = {
 def _refuses(tmp_path, edit, argv, line):
     data = edit(json.loads(_BUNDLED))
     path = tmp_path / "constants.json"
-    path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")
     assert run([*argv, "--constants", str(path)]) == (2, "", "error: " + line.format(path=path) + "\n")
 
 
@@ -697,6 +729,7 @@ test_refusal = _test_of({key: row for key, row in REFUSALS.items() if "::" not i
 
 
 def test_a_far_decimal_charge_fraction_is_refused_at_once(tmp_path):
+    # the text is looked up, never read as a number with its power of ten
     start = time.perf_counter()
     _refuses(tmp_path, *REFUSALS["species: charge_fraction 1e-3000000"])
     assert time.perf_counter() - start < 0.1

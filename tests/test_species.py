@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -276,7 +275,7 @@ def test_interacting_density_exact_vs_linearized_taylor_remainder(
 def test_interacting_density_saturates_at_number_density(constants, ref_c, ref_alpha, at_ref):
     # a fictitious quarkonium with an enormous width: absorption probability -> 1
     saturated = build_species(
-        "synthetic_qq", QUARKONIUM, Fraction(2, 3),
+        "synthetic_qq", QUARKONIUM, "2/3",
         {"constituent_mass": Quantity(1e-27, MASS), "bound_state_mass": Quantity(3e-27, MASS),
          "two_photon_width": Quantity(1e40, FREQUENCY), "e_min": Quantity(1e-11, dim(kg=1, m=2, s=-2))},
         constants, _unused_label,
@@ -326,22 +325,23 @@ def test_builtin_trio_names_and_kinds(trio, constants):
 
 
 def test_builtin_quark_charges(quarks, constants):
-    # e times float(Fraction), in coulombs
-    assert quarks["eta_c"].charge == Quantity(constants.get("e").value * float(Fraction(2, 3)), CHARGE)
-    assert quarks["eta_b"].charge == Quantity(constants.get("e").value * float(Fraction(1, 3)), CHARGE)
+    # e times the float n/d, in coulombs
+    assert quarks["eta_c"].charge == Quantity(constants.get("e").value * (2 / 3), CHARGE)
+    assert quarks["eta_b"].charge == Quantity(constants.get("e").value * (1 / 3), CHARGE)
 
 
 def test_a_species_reads_its_charge_fraction_once(constants, monkeypatch):
     reads = []
-    real = constants_module.charge_ratio
 
-    def counting(charge_fraction):
-        reads.append(charge_fraction)
-        return real(charge_fraction)
+    class Counting(dict):
+        def get(self, charge_fraction, default=None):
+            reads.append(charge_fraction)
+            return super().get(charge_fraction, default)
 
-    monkeypatch.setattr(constants_module, "charge_ratio", counting)
+    monkeypatch.setattr(constants_module, "_CHARGE_FRACTIONS",
+                        Counting(constants_module._CHARGE_FRACTIONS))
     species = builtin_species(constants, include_quarks=True)
-    assert reads == [1, 1, 1, "2/3", "1/3"]  # one read per species
+    assert reads == ["1", "1", "1", "2/3", "1/3"]  # one read per species
     reads.clear()
     # the oscillator and the kinematics pass take the charge the spec keeps
     epsilon, c = constants.get("ref_epsilon0"), constants.get("ref_c")
@@ -392,9 +392,9 @@ def test_lepton_rejects_quark_fields(constants):
 
 def test_charge_fraction_whitelist(constants):
     with pytest.raises(ConstantsError) as caught:
-        build_species("broken", LEPTON_PAIR, Fraction(1, 2), {"constituent_mass": Quantity(1e-30, MASS)},
+        build_species("broken", LEPTON_PAIR, "1/2", {"constituent_mass": Quantity(1e-30, MASS)},
                       constants, lambda: "src")
-    assert str(caught.value) == "src: broken: charge_fraction must be one of 1, 2/3, 1/3; got 1/2"
+    assert str(caught.value) == "src: broken: charge_fraction must be one of 1, 2/3, 1/3; got '1/2'"
 
 
 @pytest.mark.parametrize("build, message", [
@@ -403,10 +403,10 @@ def test_charge_fraction_whitelist(constants):
          "constituent_mass": {"value": 1e-30, "unit": "kg"}}, constants),
      "bad species record in built-in default: species 'x': type must be 'lepton-pair' or 'quarkonium'"),
     (lambda constants: build_species(
-        "x", LEPTON_PAIR, 1, {"constituent_mass": constants.get("e")}, constants, lambda: "src"),
+        "x", LEPTON_PAIR, "1", {"constituent_mass": constants.get("e")}, constants, lambda: "src"),
      "src: species 'x': constituent_mass must have dimension kg or m^2·kg·s^-2, got s·A"),
     (lambda constants: build_species(
-        "x", LEPTON_PAIR, Fraction(2, 3), {"constituent_mass": Quantity(1e-30, MASS)}, constants,
+        "x", LEPTON_PAIR, "2/3", {"constituent_mass": Quantity(1e-30, MASS)}, constants,
         lambda: "src"),
      "src: x: a lepton pair has charge_fraction 1, got 2/3"),
 ], ids=["kind", "mass-dimension", "lepton-charge"])
@@ -490,7 +490,7 @@ _E = Quantity(1.602176634e-19, CHARGE)
 
 def test_a_lepton_pair_reads_e_alone():
     # e for its charge, but neither ref_c nor hbar: a lepton pair's mass is given in kg
-    spec = build_species("e_pair", LEPTON_PAIR, Fraction(1),
+    spec = build_species("e_pair", LEPTON_PAIR, "1",
                          {"constituent_mass": Quantity(9.1e-31, MASS)}, _registry(e=_E), _unused_label)
     assert spec.constituent_mass == Quantity(9.1e-31, MASS) and spec.e_min is None
     assert (spec.reduced_mass, spec.charge) == (Quantity(4.55e-31, MASS), _E)
@@ -501,14 +501,14 @@ def test_default_e_min_is_the_given_energies_or_m_c_squared():
     registry = _registry(ref_c=c, e=_E)
     width = Quantity(1e18, FREQUENCY)
     as_energies = build_species(
-        "x", QUARKONIUM, Fraction(2, 3),
+        "x", QUARKONIUM, "2/3",
         {"constituent_mass": Quantity(2.0e-10, ENERGY), "bound_state_mass": Quantity(5.0e-10, ENERGY),
          "two_photon_width": width}, registry, _unused_label)
     assert as_energies.e_min == Quantity(5.0e-10, ENERGY) - Quantity(2.0e-10, ENERGY) * 2
     c2 = c * c
     m, M = Quantity(2.0e-27, MASS), Quantity(5.0e-27, MASS)
     as_masses = build_species(
-        "x", QUARKONIUM, Fraction(2, 3),
+        "x", QUARKONIUM, "2/3",
         {"constituent_mass": m, "bound_state_mass": M, "two_photon_width": width}, registry,
         _unused_label)
     assert as_masses.e_min == M * c2 - m * c2 * 2
@@ -523,7 +523,7 @@ def test_default_e_min_is_the_given_energies_or_m_c_squared():
 ])
 def test_builder_refuses_a_quantity_naming_the_label(given, message):
     with pytest.raises(ConstantsError, match=f"^{message}"):
-        build_species("x", LEPTON_PAIR, Fraction(1), given, ConstantsSet({}, "here"), lambda: "src")
+        build_species("x", LEPTON_PAIR, "1", given, ConstantsSet({}, "here"), lambda: "src")
 
 
 def test_alpha_fifth_tests_alpha_once(trio, quarks, constants, ref_c, ref_eps):

@@ -93,7 +93,7 @@ def test_mass_cancellation_under_synthetic_scaling(constants, ref_alpha, ref_c):
     reference = lepton_contribution(base, constants, ref_alpha, ref_c).epsilon_term.value
     for factor in (1e-2, 1.0, 1e3, 1e6):
         scaled = build_species(
-            "synthetic_lepton", LEPTON_PAIR, 1,
+            "synthetic_lepton", LEPTON_PAIR, "1",
             {"constituent_mass": Quantity(base.constituent_mass.value * factor, MASS)},
             constants, lambda: "synthetic scaling",
         )

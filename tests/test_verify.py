@@ -113,11 +113,11 @@ def test_seeded_inputs_are_immutable_tuples():
     assert _mismatched_pairs() is pairs
 
 
-def _verify_output():
+def _verify_output(*options):
     """The exit code and table of a ``verify`` run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["verify"])
+        code = main(["verify", *options])
     return code, out.getvalue()
 
 
@@ -183,6 +183,28 @@ def test_ode_check_fails_on_an_exact_a1_1e_8_off(constants, monkeypatch):
     assert f"FAIL  ode-vs-analytic (tol 1e-09): {detail}\n" in out
 
 
+def test_ode_check_fails_on_a_unitarity_leak_alone(constants, monkeypatch):
+    # the real 1e-9 bound: a0 at lam 1e-3 and tau pi 8e-10 relative high leaks
+    # 1.6e-9 of the norm, while the gap to the exact propagator, 8.0e-10, and
+    # the literal bound stay within theirs
+    real_path = perturbation.amplitudes_ode_path
+
+    def leaky(tau_ends, lam, tolerance):
+        first, *rest = real_path(tau_ends, lam, tolerance=tolerance)
+        if lam.value == 1e-3:
+            first = AmplitudePair(first.a0 * (1 + 8e-10), first.a1, first.tau)
+        return (first, *rest)
+
+    monkeypatch.setattr(verify, "amplitudes_ode_path", leaky)
+    detail = ("worst |a1_ode - a1_literal| at 5.03e-04 of the 50*lam^2 bound; "
+              "worst unitarity leak 1.60e-09 (tol 1e-09); worst |ode - exact| 8.00e-10")
+    result = check_ode_vs_analytic(constants)
+    assert (result.passed, result.detail) == (False, detail)
+    code, out = _verify_output()
+    assert code == 1
+    assert f"FAIL  ode-vs-analytic (tol 1e-09): {detail}\n" in out
+
+
 def test_quadrature_check_fails_on_a_closed_form_2e_10_off(constants, monkeypatch):
     # the default 1e-10 bound: the closed form <x>_{1,0} comes back 2e-10 high,
     # while the parity-forbidden elements stay 0.0
@@ -216,6 +238,20 @@ def test_quadrature_check_fails_on_a_parity_forbidden_element_of_1e_9(constants,
     code, out = _verify_output()
     assert code == 1
     assert f"FAIL  quadrature-vs-analytic (tol 1e-10): {detail}\n" in out
+
+
+def test_quadrature_tolerance_is_the_convergence_bound():
+    # the (1, 0) integral's 64- and 32-node values differ by 7.8e-16: a
+    # tolerance under that refuses the integral, one over it passes the check
+    code, out = _verify_output("--tolerance", "5e-16")
+    assert code == 1
+    assert ("FAIL  quadrature-vs-analytic (tol 5e-16): error: Gauss-Hermite integral for "
+            "(n'=1, n=0) did not converge: |0.7071067811865477 - 0.7071067811865469| exceeds "
+            "tolerance 5e-16\n") in out
+    code, out = _verify_output("--tolerance", "1e-15")
+    assert code == 0
+    assert ("PASS  quadrature-vs-analytic (tol 1e-15): rel err 1.57e-16; "
+            "max parity-forbidden 0.00e+00 (natural units)\n") in out
 
 
 def test_dimension_audit_fails_on_one_accepted_mismatch(constants, monkeypatch):
